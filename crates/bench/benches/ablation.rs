@@ -77,8 +77,12 @@ fn bench_ablation(c: &mut Criterion) {
     let weighted =
         MappedDatabase::new(&space, &res.selected, Mapping::Weighted(&res.weights)).unwrap();
     let qv = binary.map_query(&queries[0]);
-    group.bench_function("scan_binary", |b| b.iter(|| binary.topk(&qv, 10)[0].0));
-    group.bench_function("scan_weighted", |b| b.iter(|| weighted.topk(&qv, 10)[0].0));
+    group.bench_function("scan_binary", |b| {
+        b.iter(|| binary.scan_topk_masked(&qv, 10, None).0[0].0)
+    });
+    group.bench_function("scan_weighted", |b| {
+        b.iter(|| weighted.scan_topk_masked(&qv, 10, None).0[0].0)
+    });
     group.finish();
 }
 

@@ -38,7 +38,7 @@ fn bench_query(c: &mut Criterion) {
                 let mut acc = 0u32;
                 for q in &queries {
                     let v = mapped.map_query(q);
-                    acc += mapped.topk(&v, 20)[0].0;
+                    acc += mapped.scan_topk_masked(&v, 20, None).0[0].0;
                 }
                 acc
             })
@@ -52,7 +52,7 @@ fn bench_query(c: &mut Criterion) {
             let mut acc = 0u32;
             for q in &queries {
                 let v = original.map_query(q);
-                acc += original.topk(&v, 20)[0].0;
+                acc += original.scan_topk_masked(&v, 20, None).0[0].0;
             }
             acc
         })

@@ -7,7 +7,9 @@
 //! the `scan_baseline` binary over the same workloads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gdim_bench::scanwork::{naive_fullsort_topk, naive_weighted_topk, synth, synth_queries};
+use gdim_bench::scanwork::{
+    naive_fullsort_topk, naive_weighted_topk, scan_fused, scan_one, synth, synth_queries,
+};
 use gdim_core::{Bitset, ExecConfig, GraphIndex, IndexOptions};
 use gdim_datagen::{chem_db, ChemConfig};
 
@@ -20,14 +22,14 @@ fn bench_scan(c: &mut Criterion) {
             b.iter(|| naive_fullsort_topk(&store, &q, 10)[0].0)
         });
         group.bench_with_input(BenchmarkId::new("kernel_top10", n), &n, |b, _| {
-            b.iter(|| store.topk_binary(q.words(), 10).0[0].0)
+            b.iter(|| scan_one(&store, q.words(), 10, None).0[0].0)
         });
         let w_sq = vec![1.0 / 256.0; 256];
         group.bench_with_input(BenchmarkId::new("naive_weighted_top10", n), &n, |b, _| {
             b.iter(|| naive_weighted_topk(&store, &q, &w_sq, 10)[0].0)
         });
         group.bench_with_input(BenchmarkId::new("kernel_weighted_top10", n), &n, |b, _| {
-            b.iter(|| store.topk_weighted(q.words(), 10, &w_sq).0[0].0)
+            b.iter(|| scan_one(&store, q.words(), 10, Some(&w_sq)).0[0].0)
         });
     }
     group.finish();
@@ -49,13 +51,13 @@ fn bench_fused_scan(c: &mut Criterion) {
                     b.iter(|| {
                         words
                             .iter()
-                            .map(|w| store.topk_binary(w, 10).0[0].0)
+                            .map(|w| scan_one(&store, w, 10, None).0[0].0)
                             .sum::<u32>()
                     })
                 },
             );
             group.bench_with_input(BenchmarkId::new(format!("fused_q{qn}"), n), &n, |b, _| {
-                b.iter(|| store.topk_binary_fused(&words, 10, &exec)[0].0[0].0)
+                b.iter(|| scan_fused(&store, &words, 10, &exec)[0].0[0].0)
             });
         }
     }

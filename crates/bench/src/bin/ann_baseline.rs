@@ -14,7 +14,7 @@
 //!   than a synthetic stand-in.
 //!
 //! Exact answers come from the same bounded SoA kernel the serving
-//! path uses ([`VectorStore::topk_binary`]); ANN answers walk the
+//! path uses ([`VectorStore::scan`]); ANN answers walk the
 //! graph with the identical row kernel as the distance oracle, so the
 //! comparison is ranker-vs-ranker, never kernel-vs-kernel. Medians /
 //! interleaved minima of repeated timed runs, written as plain JSON.
@@ -42,7 +42,7 @@
 
 use std::time::Instant;
 
-use gdim_bench::scanwork::synth_clustered;
+use gdim_bench::scanwork::{scan_one, synth_clustered};
 use gdim_core::ann::{AnnIndex, AnnParams};
 use gdim_core::scan::{available_kernels, hamming_row_kernel, selected_kernel, VectorStore};
 use gdim_core::{Bitset, GraphIndex, IndexOptions};
@@ -179,8 +179,7 @@ fn measure_workload(
     let truth: Vec<Vec<u32>> = queries
         .iter()
         .map(|q| {
-            store
-                .topk_binary(q.words(), k)
+            scan_one(store, q.words(), k, None)
                 .0
                 .into_iter()
                 .map(|(id, _)| id)
@@ -212,7 +211,7 @@ fn measure_workload(
             || {
                 queries
                     .iter()
-                    .map(|q| store.topk_binary(q.words(), k).0[0].0)
+                    .map(|q| scan_one(store, q.words(), k, None).0[0].0)
                     .sum::<u32>()
             },
             || {

@@ -61,7 +61,8 @@ pub fn evaluate_mapped(
         let qvec = mapped.map_query(q);
         let t_match = t0.elapsed();
         let approx: Vec<u32> = mapped
-            .topk(&qvec, kmax.min(mapped.len()))
+            .scan_topk_masked(&qvec, kmax.min(mapped.len()), None)
+            .0
             .into_iter()
             .map(|(id, _)| id)
             .collect();

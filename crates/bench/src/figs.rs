@@ -431,7 +431,7 @@ pub fn fig7(ctx: &Context) {
             let t0 = Instant::now();
             for q in &qs {
                 let v = md.map_query(q);
-                let _ = md.topk(&v, k);
+                let _ = md.scan_topk_masked(&v, k, None).0;
             }
             t0.elapsed() / qs.len() as u32
         };
@@ -563,7 +563,7 @@ pub fn fig9(ctx: &Context) {
         let t0 = Instant::now();
         for q in queries {
             let v = md.map_query(q);
-            let _ = md.topk(&v, k);
+            let _ = md.scan_topk_masked(&v, k, None).0;
         }
         let mapped_q = t0.elapsed() / queries.len().max(1) as u32;
         let ex_n = ctx.scale.exact_query_count().min(queries.len());

@@ -4,8 +4,39 @@
 //! records the committed `BENCH_scan.json` snapshot) — one definition,
 //! so the two measurements can never drift apart.
 
-use gdim_core::scan::VectorStore;
-use gdim_core::Bitset;
+use gdim_core::scan::{ScanPlan, ScanStats, VectorStore};
+use gdim_core::{Bitset, ExecConfig};
+
+/// One query through [`VectorStore::scan`] on the selected kernel —
+/// the kernel side of every kernel-vs-naive comparison (binary for
+/// `weights = None`, weighted otherwise).
+pub fn scan_one(
+    store: &VectorStore,
+    words: &[u64],
+    k: usize,
+    weights: Option<&[f64]>,
+) -> (Vec<(u32, f64)>, ScanStats) {
+    store
+        .scan(&ScanPlan {
+            weights,
+            ..ScanPlan::new(&[words], k)
+        })
+        .remove(0)
+}
+
+/// A fused batch through [`VectorStore::scan`]: every query answered
+/// in one pass over the store, row ranges fanned out on `exec`.
+pub fn scan_fused(
+    store: &VectorStore,
+    queries: &[&[u64]],
+    k: usize,
+    exec: &ExecConfig,
+) -> Vec<(Vec<(u32, f64)>, ScanStats)> {
+    store.scan(&ScanPlan {
+        exec: *exec,
+        ..ScanPlan::new(queries, k)
+    })
+}
 
 /// Deterministic splitmix64 — no RNG dependency in the hot setup.
 pub fn splitmix(state: &mut u64) -> u64 {
@@ -164,7 +195,7 @@ mod tests {
     fn naive_baseline_agrees_with_the_kernel() {
         let (store, q) = synth(500, 256, 7);
         let naive = naive_fullsort_topk(&store, &q, 10);
-        let (fast, _) = store.topk_binary(q.words(), 10);
+        let (fast, _) = scan_one(&store, q.words(), 10, None);
         assert_eq!(naive, fast);
     }
 
@@ -173,7 +204,7 @@ mod tests {
         let (store, q) = synth(400, 256, 8);
         let w_sq: Vec<f64> = (0..256).map(|i| ((i % 7) + 1) as f64 / 256.0).collect();
         let naive = naive_weighted_topk(&store, &q, &w_sq, 10);
-        let (fast, _) = store.topk_weighted(q.words(), 10, &w_sq);
+        let (fast, _) = scan_one(&store, q.words(), 10, Some(&w_sq));
         assert_eq!(naive, fast);
     }
 

@@ -144,9 +144,8 @@ impl Bitset {
 }
 
 /// The word-level accumulation behind [`Bitset::weighted_sq_xor`],
-/// shared with the flat scan kernel — and exported for the sharded
-/// small-database direct scan — so every path adds the same weights in
-/// the same order and therefore produces bit-identical sums. `w_sq`
+/// shared with the flat scan kernel and the ANN beam, so every path
+/// adds the same weights in the same order and therefore produces bit-identical sums. `w_sq`
 /// must cover every bit index addressable by the shorter word slice.
 #[inline]
 pub fn weighted_sq_xor_words(a: &[u64], b: &[u64], w_sq: &[f64]) -> f64 {

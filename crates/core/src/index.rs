@@ -16,13 +16,13 @@
 //! let db = gdim_datagen::chem_db(60, &gdim_datagen::ChemConfig::default(), 7);
 //! let index = GraphIndex::build(db, IndexOptions::default().with_dimensions(40));
 //! let query = index.graph(3).unwrap().clone();
-//! let resp = index.search(&query, &SearchRequest::topk(5)).unwrap();
+//! let resp = index.search(&query, &SearchRequest::new(5)).unwrap();
 //! assert_eq!(resp.hits[0].id.get(), 3);
 //!
 //! // Build once, serve from disk: the round trip preserves answers.
 //! let bytes = index.to_bytes();
 //! let reloaded = GraphIndex::from_bytes(&bytes).unwrap();
-//! assert_eq!(reloaded.search(&query, &SearchRequest::topk(5)).unwrap().hits, resp.hits);
+//! assert_eq!(reloaded.search(&query, &SearchRequest::new(5)).unwrap().hits, resp.hits);
 //! ```
 //!
 //! # Live updates
@@ -616,8 +616,8 @@ impl GraphIndex {
     /// Normalized squared per-dimension weights serving
     /// [`MappingKind::Weighted`](crate::query::MappingKind::Weighted)
     /// requests (derived from [`GraphIndex::weights`] over the selected
-    /// dimensions) — what a caller driving the scan kernels directly
-    /// (e.g. a sharded scatter-gather layer) passes to
+    /// dimensions) — what the query executor (or a harness driving the
+    /// scan directly) passes to
     /// [`MappedDatabase::scan_topk_with_masked`](crate::query::MappedDatabase::scan_topk_with_masked).
     pub fn weighted_w_sq(&self) -> &[f64] {
         &self.w_sq_weighted
@@ -658,8 +658,8 @@ impl GraphIndex {
     /// the same final formulas as
     /// [`MappedDatabase::distance_to`](crate::query::MappedDatabase::distance_to),
     /// so every returned distance is bit-identical to what the exact
-    /// scan reports for that row. This is the per-shard seam the
-    /// sharded scatter-gather layer calls.
+    /// scan reports for that row. This is the per-partition beam leg
+    /// of the query executor ([`crate::search::search_partitions`]).
     pub fn approx_scan_premapped(
         &self,
         qvec: &Bitset,
@@ -997,7 +997,7 @@ mod tests {
         assert!(index.stats().mined_features > 0);
         assert_eq!(index.dimensions().len(), index.stats().dimensions);
         let q = index.graph(7).unwrap().clone();
-        let resp = index.search(&q, &SearchRequest::topk(3)).unwrap();
+        let resp = index.search(&q, &SearchRequest::new(3)).unwrap();
         assert_eq!(resp.hits[0].id.get(), 7);
         assert_eq!(resp.hits[0].distance, 0.0);
     }
@@ -1028,7 +1028,7 @@ mod tests {
         let index = GraphIndex::build(db(25, 7), opts);
         assert!(index.stats().used_dspmap);
         let q = index.graph(0).unwrap().clone();
-        let resp = index.search(&q, &SearchRequest::topk(1)).unwrap();
+        let resp = index.search(&q, &SearchRequest::new(1)).unwrap();
         assert_eq!(resp.hits[0].id.get(), 0);
     }
 
@@ -1038,7 +1038,7 @@ mod tests {
         let q = index.graph(4).unwrap().clone();
         for ranker in [Ranker::Mapped, Ranker::Exact] {
             let resp = index
-                .search(&q, &SearchRequest::topk(1).with_ranker(ranker))
+                .search(&q, &SearchRequest::new(1).ranker(ranker))
                 .unwrap();
             assert_eq!(resp.hits[0].id.get(), 4, "{ranker:?}");
         }
@@ -1054,7 +1054,7 @@ mod tests {
         assert_eq!(index.dissimilarity(), Dissimilarity::MaxNorm);
         let q = index.graph(5).unwrap().clone();
         let resp = index
-            .search(&q, &SearchRequest::topk(12).with_ranker(Ranker::Exact))
+            .search(&q, &SearchRequest::new(12).ranker(Ranker::Exact))
             .unwrap();
         let want = crate::query::exact_ranking(
             index.graphs(),
@@ -1106,9 +1106,7 @@ mod tests {
         assert_eq!(index.pending_inserts(), 3);
         // No new features appear without a rebuild.
         assert_eq!(index.feature_space().num_features(), base_features);
-        let resp = index
-            .search(&newcomers[1], &SearchRequest::topk(1))
-            .unwrap();
+        let resp = index.search(&newcomers[1], &SearchRequest::new(1)).unwrap();
         assert_eq!(resp.hits[0].id.get(), 21);
         assert_eq!(resp.hits[0].distance, 0.0);
     }
@@ -1123,7 +1121,7 @@ mod tests {
         assert_eq!(index.tombstone_count(), 1);
         // The graph stays readable; the rankers just skip it.
         let q = index.graph(4).unwrap().clone();
-        let resp = index.search(&q, &SearchRequest::topk(10)).unwrap();
+        let resp = index.search(&q, &SearchRequest::new(10)).unwrap();
         assert!(resp.hits.iter().all(|h| h.id.get() != 4));
         assert_eq!(resp.hits.len(), 9);
         match index.remove(GraphId(99)) {
@@ -1189,7 +1187,7 @@ mod tests {
         assert_eq!(index.pending_inserts(), 0);
         // The installed index equals a synchronous rebuild's answers.
         let q = index.graph(3).unwrap().clone();
-        let resp = index.search(&q, &SearchRequest::topk(3)).unwrap();
+        let resp = index.search(&q, &SearchRequest::new(3)).unwrap();
         assert_eq!(resp.hits[0].id.get(), 3);
         assert_eq!(resp.stats.epoch, 1);
 
@@ -1272,7 +1270,7 @@ mod tests {
             Ranker::Refined { candidates: 3 },
         ] {
             let resp = index
-                .search(&q, &SearchRequest::topk(5).with_ranker(ranker))
+                .search(&q, &SearchRequest::new(5).ranker(ranker))
                 .unwrap();
             assert!(resp.hits.is_empty(), "{ranker:?}");
         }

@@ -41,7 +41,7 @@
 //! let delta = DeltaMatrix::compute(&db, &DeltaConfig::default());
 //! let result = dspm(&space, &delta, &DspmConfig::new(32));
 //! let mapped = MappedDatabase::new(&space, &result.selected, Mapping::Binary).unwrap();
-//! let hits = mapped.topk(&mapped.map_query(&db[0]), 5);
+//! let (hits, _) = mapped.scan_topk_masked(&mapped.map_query(&db[0]), 5, None);
 //! assert_eq!(hits[0].0, 0); // the graph itself is its own best match
 //! ```
 
@@ -87,7 +87,8 @@ pub mod prelude {
         exact_ranking, exact_ranking_among, exact_topk, MappedDatabase, Mapping, MappingKind,
     };
     pub use crate::scan::{
-        available_kernels, selected_kernel, KernelKind, ScanStats, Tombstones, TopK, VectorStore,
+        available_kernels, selected_kernel, KernelKind, ScanPlan, ScanStats, Tombstones, TopK,
+        VectorStore,
     };
     pub use crate::search::{GraphId, Hit, Ranker, SearchRequest, SearchResponse, SearchStats};
     pub use gdim_exec::{BackgroundTask, CancelToken, ExecConfig};

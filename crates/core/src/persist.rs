@@ -640,7 +640,7 @@ mod tests {
                 Ranker::Exact,
                 Ranker::Refined { candidates: 6 },
             ] {
-                let req = SearchRequest::topk(5).with_ranker(ranker);
+                let req = SearchRequest::new(5).ranker(ranker);
                 assert_eq!(
                     idx.search(q, &req).unwrap().hits,
                     back.search(q, &req).unwrap().hits,
@@ -761,7 +761,7 @@ mod tests {
         // dimension count, recovered from the selection itself.
         assert_eq!(back.options().dimensions, idx.dimensions().len());
         let q = idx.graph(4).unwrap().clone();
-        let req = SearchRequest::topk(5);
+        let req = SearchRequest::new(5);
         assert_eq!(
             back.search(&q, &req).unwrap().hits,
             idx.search(&q, &req).unwrap().hits
@@ -808,7 +808,7 @@ mod tests {
                 Ranker::Exact,
                 Ranker::Refined { candidates: 6 },
             ] {
-                let req = SearchRequest::topk(6).with_ranker(ranker);
+                let req = SearchRequest::new(6).ranker(ranker);
                 let a = idx.search(q, &req).unwrap();
                 let b = back.search(q, &req).unwrap();
                 assert_eq!(a.hits, b.hits, "{ranker:?}");

@@ -12,7 +12,7 @@
 //!   invariant prescreen (bit-identical to the brute-force loop,
 //!   which survives as [`MappedDatabase::map_query_unpruned`]);
 //! * **scanning** — the flat [`VectorStore`] kernel behind
-//!   [`MappedDatabase::topk`], with bounded top-k
+//!   [`MappedDatabase::scan_topk_masked`], with bounded top-k
 //!   selection and early abandon. The naive full-sort
 //!   [`MappedDatabase::ranking`] / [`MappedDatabase::ranking_with`]
 //!   remain as the reference implementations the equivalence tests
@@ -26,7 +26,7 @@ use gdim_mining::Feature;
 use crate::bitset::{weighted_sq_xor_words, Bitset};
 use crate::error::GdimError;
 use crate::featurespace::{ContainmentDag, FeatureSpace, MatchStats};
-use crate::scan::{ScanStats, Tombstones, VectorStore};
+use crate::scan::{ScanPlan, ScanStats, Tombstones, VectorStore};
 
 /// How database graphs and queries are embedded over the selected
 /// features.
@@ -277,59 +277,31 @@ impl MappedDatabase {
         }
     }
 
-    /// Top-k scan: the `k` database graphs closest to `qvec`, as
-    /// `(graph id, distance)` sorted ascending. Tie-breaking is
-    /// deterministic — stable order by `(distance, id)` — so batch and
-    /// single-query paths agree for every thread budget. Served by the
-    /// bounded scan kernel ([`MappedDatabase::scan_topk`]); the former
+    /// The bounded top-k scan under the database's own mapping: the
+    /// `k` live database graphs closest to `qvec`, as `(graph id,
+    /// distance)` ascending by `(distance, id)` — a deterministic
+    /// tie-break, so batch and single-query paths agree for every
+    /// thread budget — plus the per-scan work counters. Rows marked in
+    /// the optional [`Tombstones`] mask are skipped by the kernel and
+    /// never appear in the hits (the dynamic-index serving path;
+    /// `None` or a mask with no dead rows costs nothing). The naive
     /// full-sort materialization survives as
     /// [`MappedDatabase::ranking`] for reference.
-    pub fn topk(&self, qvec: &Bitset, k: usize) -> Vec<(u32, f64)> {
-        self.scan_topk(qvec, k).0
-    }
-
-    /// The bounded top-k scan under the database's own mapping, with
-    /// the per-scan work counters.
-    pub fn scan_topk(&self, qvec: &Bitset, k: usize) -> (Vec<(u32, f64)>, ScanStats) {
-        self.scan_topk_masked(qvec, k, None)
-    }
-
-    /// [`MappedDatabase::scan_topk`] with an optional [`Tombstones`]
-    /// mask: dead rows are skipped by the kernel and never appear in
-    /// the hits (the dynamic-index serving path; `None` or a mask with
-    /// no dead rows costs nothing — see
-    /// [`VectorStore::topk_binary_masked`]).
     pub fn scan_topk_masked(
         &self,
         qvec: &Bitset,
         k: usize,
         dead: Option<&Tombstones>,
     ) -> (Vec<(u32, f64)>, ScanStats) {
-        match self.kind {
-            MappingKind::Binary => self.store.topk_binary_masked(qvec.words(), k, dead),
-            MappingKind::Weighted => {
-                self.store
-                    .topk_weighted_masked(qvec.words(), k, &self.w_sq, dead)
-            }
-        }
+        self.scan_topk_fused(&[qvec], k, None, dead, &ExecConfig::serial())
+            .pop()
+            .expect("one query, one answer")
     }
 
-    /// The bounded top-k scan under caller-supplied squared
-    /// per-dimension weights (`w_sq.len() ≥ p`) — the hook
+    /// [`MappedDatabase::scan_topk_masked`] under caller-supplied
+    /// squared per-dimension weights (`w_sq.len() ≥ p`) — the hook
     /// [`GraphIndex`](crate::index::GraphIndex) uses to serve the
     /// weighted mapped distance from the same binary vectors.
-    pub fn scan_topk_with(
-        &self,
-        qvec: &Bitset,
-        k: usize,
-        w_sq: &[f64],
-    ) -> (Vec<(u32, f64)>, ScanStats) {
-        self.store.topk_weighted(qvec.words(), k, w_sq)
-    }
-
-    /// [`MappedDatabase::scan_topk_with`] with an optional
-    /// [`Tombstones`] mask (same contract as
-    /// [`MappedDatabase::scan_topk_masked`]).
     pub fn scan_topk_with_masked(
         &self,
         qvec: &Bitset,
@@ -337,44 +309,34 @@ impl MappedDatabase {
         w_sq: &[f64],
         dead: Option<&Tombstones>,
     ) -> (Vec<(u32, f64)>, ScanStats) {
-        self.store.topk_weighted_masked(qvec.words(), k, w_sq, dead)
+        self.scan_topk_fused(&[qvec], k, Some(w_sq), dead, &ExecConfig::serial())
+            .pop()
+            .expect("one query, one answer")
     }
 
-    /// The **fused** batch form of [`MappedDatabase::scan_topk_masked`]:
-    /// all query vectors answered in one pass over the store (see
-    /// [`VectorStore::topk_binary_fused`]), one `(hits, stats)` pair
-    /// per query, bit-identical to per-query scans. `exec` bounds the
-    /// row-range fan-out.
-    pub fn scan_topk_fused_masked(
+    /// The batch form of the two scans above: every query vector
+    /// answered by one [`VectorStore::scan`] — **fused** into a single
+    /// pass over the store when there are two or more — one `(hits,
+    /// stats)` pair per query, bit-identical to per-query scans.
+    /// `weights = None` scans under the database's own mapping,
+    /// `Some(w_sq)` under caller-supplied squared weights; `exec`
+    /// bounds the fused row-range fan-out.
+    pub fn scan_topk_fused(
         &self,
         qvecs: &[&Bitset],
         k: usize,
+        weights: Option<&[f64]>,
         dead: Option<&Tombstones>,
         exec: &ExecConfig,
     ) -> Vec<(Vec<(u32, f64)>, ScanStats)> {
         let words: Vec<&[u64]> = qvecs.iter().map(|q| q.words()).collect();
-        match self.kind {
-            MappingKind::Binary => self.store.topk_binary_fused_masked(&words, k, dead, exec),
-            MappingKind::Weighted => self
-                .store
-                .topk_weighted_fused_masked(&words, k, &self.w_sq, dead, exec),
-        }
-    }
-
-    /// The fused batch form of [`MappedDatabase::scan_topk_with_masked`]:
-    /// caller-supplied squared weights, every query answered in one
-    /// pass over the store.
-    pub fn scan_topk_fused_with_masked(
-        &self,
-        qvecs: &[&Bitset],
-        k: usize,
-        w_sq: &[f64],
-        dead: Option<&Tombstones>,
-        exec: &ExecConfig,
-    ) -> Vec<(Vec<(u32, f64)>, ScanStats)> {
-        let words: Vec<&[u64]> = qvecs.iter().map(|q| q.words()).collect();
-        self.store
-            .topk_weighted_fused_masked(&words, k, w_sq, dead, exec)
+        let own = matches!(self.kind, MappingKind::Weighted).then_some(self.w_sq.as_slice());
+        self.store.scan(&ScanPlan {
+            weights: weights.or(own),
+            dead,
+            exec: *exec,
+            ..ScanPlan::new(&words, k)
+        })
     }
 
     /// Full ranking of the database for a query vector, ascending by
@@ -523,7 +485,7 @@ mod tests {
             let qvec = mapped.map_query(&db[i]);
             assert_eq!(qvec, mapped.vector(i), "graph {i}");
             // Therefore the graph itself ranks first (distance 0, min id tie).
-            let top = mapped.topk(&qvec, 1);
+            let top = mapped.scan_topk_masked(&qvec, 1, None).0;
             assert_eq!(top[0].1, 0.0);
         }
     }
@@ -534,13 +496,16 @@ mod tests {
         let selected: Vec<u32> = (0..space.num_features().min(16) as u32).collect();
         let mapped = MappedDatabase::new(&space, &selected, Mapping::Binary).unwrap();
         let qvec = mapped.map_query(&db[3]);
-        let top = mapped.topk(&qvec, 10);
+        let top = mapped.scan_topk_masked(&qvec, 10, None).0;
         assert_eq!(top.len(), 10);
         for w in top.windows(2) {
             assert!(w[0].1 <= w[1].1);
         }
         // Oversized k returns everything.
-        assert_eq!(mapped.topk(&qvec, 10_000).len(), db.len());
+        assert_eq!(
+            mapped.scan_topk_masked(&qvec, 10_000, None).0.len(),
+            db.len()
+        );
     }
 
     #[test]
@@ -675,7 +640,11 @@ mod tests {
             let reference = mapped.ranking(&qvec);
             for k in [0usize, 1, 5, db.len(), db.len() + 5] {
                 let kk = k.min(db.len());
-                assert_eq!(mapped.topk(&qvec, k), &reference[..kk], "k = {k}");
+                assert_eq!(
+                    mapped.scan_topk_masked(&qvec, k, None).0,
+                    &reference[..kk],
+                    "k = {k}"
+                );
             }
         }
     }
@@ -686,9 +655,9 @@ mod tests {
         let selected: Vec<u32> = (0..space.num_features().min(16) as u32).collect();
         let mapped = MappedDatabase::new(&space, &selected, Mapping::Binary).unwrap();
         let qvec = mapped.map_query(&db[0]);
-        let (_, stats) = mapped.scan_topk(&qvec, 3);
+        let (_, stats) = mapped.scan_topk_masked(&qvec, 3, None);
         assert_eq!(stats.vectors_scanned + stats.early_abandoned, db.len());
-        let (hits, stats) = mapped.scan_topk(&qvec, 0);
+        let (hits, stats) = mapped.scan_topk_masked(&qvec, 0, None);
         assert!(hits.is_empty());
         assert_eq!(stats, crate::scan::ScanStats::default());
     }

@@ -14,26 +14,32 @@
 //!   `(distance, id)`) replacing the full `n`-entry sort: `O(n + k log
 //!   k)` instead of `O(n log n)`, and its worst kept entry is the
 //!   *bound* the kernels prune against.
-//! * [`VectorStore::topk_binary`] — the binary fast path: ranks by the
-//!   integer XOR popcount `h = |y_q ⊕ y_g|` and defers the `√(h/p)`
-//!   normalization to the final `k` hits, which is sound because
-//!   `h ↦ √(h/p)` is strictly monotone (for any realistic `p`, two
-//!   distinct popcounts never collide after the square root).
-//! * [`VectorStore::topk_weighted`] — the weighted path: word-blocked
-//!   accumulation of the per-dimension squared weights (the same
-//!   addition order as the naive
-//!   [`weighted_sq_xor`](crate::bitset::Bitset::weighted_sq_xor), so
-//!   sums are bit-identical), with **early abandon**: once a row's
-//!   running squared distance exceeds the current k-th bound it can
-//!   never enter the answer, so its remaining words are skipped.
+//! * [`VectorStore::scan`] — the **one scan entry point**. A
+//!   [`ScanPlan`] value names the queries, `k`, the distance (binary
+//!   or weighted), the tombstone mask, the kernel family and the exec
+//!   budget; `scan` picks the loop:
+//!   * *binary* (`weights: None`) ranks by the integer XOR popcount
+//!     `h = |y_q ⊕ y_g|` and defers the `√(h/p)` normalization to the
+//!     final `k` hits, which is sound because `h ↦ √(h/p)` is strictly
+//!     monotone (for any realistic `p`, two distinct popcounts never
+//!     collide after the square root);
+//!   * *weighted* (`weights: Some(w_sq)`) accumulates the
+//!     per-dimension squared weights word-blocked, in the same
+//!     addition order as the naive
+//!     [`weighted_sq_xor`](crate::bitset::Bitset::weighted_sq_xor) (so
+//!     sums are bit-identical), with **early abandon**: once a row's
+//!     running squared distance exceeds the current k-th bound it can
+//!     never enter the answer, so its remaining words are skipped;
+//!   * *one query* runs the single-row loops, *two or more* the fused
+//!     range loops (below).
 //!
-//! Both kernels report [`ScanStats`] (vectors fully scanned, rows
+//! Every scan reports [`ScanStats`] (vectors fully scanned, rows
 //! abandoned early, words touched) so the serving layer can prove the
 //! savings per request. The store is **derived state**: it is rebuilt
 //! deterministically from the feature space on index load and is never
 //! persisted (see [`crate::persist`]).
 //!
-//! ## Kernel families (PR 6)
+//! ## Kernel families
 //!
 //! The scan is memory-bound, so the per-row loops are serviced by
 //! width-optimized kernels from [`gdim_kernels`]: a portable
@@ -44,32 +50,33 @@
 //! popcounts are exact integers, and the weighted block form
 //! accumulates every row's weights in the same per-row order as the
 //! scalar walk, so distances (and hits) never depend on the kernel.
-//! `topk_*` entry points use [`selected_kernel`]; the `*_kernel`
-//! variants pin an explicit kind for equivalence tests and benches.
-//! (For the bounded weighted block, the early-abandon check inside a
-//! 4-row block compares against the bound held at block entry; the
-//! bound only ever tightens, so a stale bound abandons strictly fewer
-//! rows — every abandoned row is one the scalar walk would also have
-//! abandoned, and every extra fully-computed row is rejected by the
-//! selector. Hits stay bit-identical; only the work counters may
-//! differ from the scalar trace.)
+//! [`ScanPlan::new`] picks [`selected_kernel`]; equivalence tests and
+//! benches pin [`ScanPlan::kernel`] explicitly. (For the bounded
+//! weighted block, the early-abandon check inside a 4-row block
+//! compares against the bound held at block entry; the bound only ever
+//! tightens, so a stale bound abandons strictly fewer rows — every
+//! abandoned row is one the scalar walk would also have abandoned, and
+//! every extra fully-computed row is rejected by the selector. Hits
+//! stay bit-identical; only the work counters may differ from the
+//! scalar trace.)
 //!
-//! ## Fused multi-query scan (PR 6)
+//! ## Fused multi-query scan
 //!
-//! [`VectorStore::topk_binary_fused`] / [`VectorStore::topk_weighted_fused`]
-//! (+ `_masked` variants) answer **Q queries in one pass** over the
-//! store: per row (or 4-row block), all Q distances are computed while
-//! the row's words are hot in cache, each feeding its own bounded
-//! [`TopK`] — amortizing the store's memory traffic across the batch.
-//! Execution parallelism fans out over **row ranges** (not queries):
-//! each range keeps per-query partial selectors, merged afterwards by
-//! re-offering the partial `(key, id)` pairs into a fresh selector —
-//! an order-independent reduction, so results are byte-identical for
-//! every thread budget. Per-query hits are bit-identical to Q
-//! independent single-query scans; with more than one range the
-//! weighted work counters can be higher than a single scan's (each
-//! range re-fills its own selector before its bound starts pruning),
-//! but the [`ScanStats`] identity still holds per query.
+//! A plan with two or more queries answers **all of them in one pass**
+//! over the store: per row (or 8-row block), every query's distance is
+//! computed while the row's words are hot in cache, each feeding its
+//! own bounded [`TopK`] — amortizing the store's memory traffic across
+//! the batch. Execution parallelism fans out over **row ranges** (not
+//! queries): each range keeps per-query partial selectors, merged
+//! afterwards by re-offering the partial `(key, id)` pairs into a
+//! fresh selector — an order-independent reduction, so results are
+//! byte-identical for every thread budget. Per-query hits are
+//! bit-identical to independent single-query scans; with more than one
+//! range the weighted work counters can be higher than a single scan's
+//! (each range re-fills its own selector before its bound starts
+//! pruning), but the [`ScanStats`] identity still holds per query.
+//!
+//! ## Dynamic stores
 //!
 //! A **dynamic** index (online [`insert`](crate::index::GraphIndex::insert) /
 //! [`remove`](crate::index::GraphIndex::remove)) extends the contract
@@ -78,14 +85,14 @@
 //! * [`VectorStore::push_row`] appends one vector in place, so an
 //!   insert costs an `O(stride)` copy instead of a store rebuild;
 //! * removed rows are **tombstoned**, not compacted (ids must stay
-//!   stable until the next epoch rebuild): the `*_masked` kernel
-//!   variants take an optional [`Tombstones`] mask and skip dead rows
-//!   before they reach the selector. A masked call with no dead rows
-//!   delegates to the unmasked kernel, so a tombstone-free index pays
-//!   **zero** overhead for the capability, and the masked loops are
-//!   monomorphized from the same implementation as the unmasked ones,
-//!   so live-row accumulation order (and therefore every distance)
-//!   stays bit-identical.
+//!   stable until the next epoch rebuild): a plan's
+//!   [`dead`](ScanPlan::dead) mask makes the loops skip dead rows
+//!   before they reach the selector. A mask with no dead rows runs the
+//!   unmasked loops, so a tombstone-free index pays **zero** overhead
+//!   for the capability, and the masked loops are monomorphized from
+//!   the same implementation as the unmasked ones, so live-row
+//!   accumulation order (and therefore every distance) stays
+//!   bit-identical.
 
 use crate::bitset::{weighted_sq_xor_words, Bitset};
 use gdim_exec::ExecConfig;
@@ -108,6 +115,73 @@ fn scan_ranges(n: usize, exec: &ExecConfig) -> Vec<(usize, usize)> {
     let tasks = exec.effective_threads(n.div_ceil(MIN_ROWS_PER_RANGE).max(1));
     (0..tasks)
         .map(|t| (t * n / tasks, (t + 1) * n / tasks))
+        .collect()
+}
+
+/// One scan request — the argument of [`VectorStore::scan`]. A plain
+/// value: build it with [`ScanPlan::new`] and set the remaining
+/// fields with struct-update syntax.
+#[derive(Debug, Clone, Copy)]
+pub struct ScanPlan<'a> {
+    /// The query vectors' words (each `stride` long). One query runs
+    /// the single-row loops, two or more the fused range loops.
+    pub queries: &'a [&'a [u64]],
+    /// Answers wanted per query (clamped to the live row count).
+    pub k: usize,
+    /// `None`: binary (Hamming) distance. `Some(w_sq)`: weighted
+    /// distance under these squared per-dimension weights
+    /// (`w_sq.len() ≥ p`).
+    pub weights: Option<&'a [f64]>,
+    /// Rows to skip; `None` scans every row.
+    pub dead: Option<&'a Tombstones>,
+    /// The kernel family of the single-row and fused binary loops
+    /// (all kinds are bit-identical; `Scalar` is the reference).
+    pub kernel: KernelKind,
+    /// Bounds the fused scan's row-range fan-out.
+    pub exec: ExecConfig,
+}
+
+impl<'a> ScanPlan<'a> {
+    /// A binary, unmasked, serial plan on [`selected_kernel`].
+    pub fn new(queries: &'a [&'a [u64]], k: usize) -> Self {
+        ScanPlan {
+            queries,
+            k,
+            weights: None,
+            dead: None,
+            kernel: selected_kernel(),
+            exec: ExecConfig::serial(),
+        }
+    }
+}
+
+/// One row range of a fused scan: per query, the range's partial
+/// `(key, id)` selection and its work counters.
+type RangeScan<K> = Vec<(Vec<(K, u32)>, ScanStats)>;
+
+/// The cross-range reduction of a fused scan: per query, re-offers
+/// every range's partial `(key, id)` selection into a fresh selector
+/// (order-independent, so results are byte-identical for every thread
+/// budget) and sums the ranges' work counters.
+fn reduce_ranges<K: Ord + Copy>(
+    parts: &[RangeScan<K>],
+    queries: usize,
+    k: usize,
+    finish: impl Fn(TopK<K>) -> Vec<(u32, f64)>,
+) -> Vec<(Vec<(u32, f64)>, ScanStats)> {
+    (0..queries)
+        .map(|qi| {
+            let mut sel = TopK::new(k);
+            let mut stats = ScanStats::default();
+            for part in parts {
+                let (entries, part_stats) = &part[qi];
+                for &(key, id) in entries {
+                    sel.offer(key, id);
+                }
+                stats.merge(part_stats);
+            }
+            (finish(sel), stats)
+        })
         .collect()
 }
 
@@ -395,57 +469,104 @@ impl VectorStore {
         Bitset::from_words(self.row(i).to_vec(), self.bits)
     }
 
-    /// Binary top-k scan: the `k` rows with the smallest Hamming
-    /// distance to `query`, as `(id, √(h/p))` ascending by `(distance,
-    /// id)`. Ranks on the integer popcount `h` and takes the square
-    /// root only for the returned hits. The popcount loop is kept
-    /// branch-free (integer XOR popcounts are too cheap for a
-    /// data-dependent per-word abandon branch to pay for itself — that
-    /// trade belongs to the weighted path); the k-th bound instead
-    /// rejects rows before they touch the selector heap. Runs on
-    /// [`selected_kernel`]; every kernel returns bit-identical hits.
-    pub fn topk_binary(&self, query: &[u64], k: usize) -> (Vec<(u32, f64)>, ScanStats) {
-        self.topk_binary_kernel(query, k, None, selected_kernel())
+    /// The one scan entry point: answers every query of `plan` with
+    /// its `k` nearest live rows as `(id, distance)` ascending by
+    /// `(distance, id)`, one `(hits, stats)` pair per query in query
+    /// order.
+    ///
+    /// * **Distance** — `plan.weights = None` ranks by the integer XOR
+    ///   popcount `h` and reports `√(h/p)` (the square root is taken
+    ///   for the returned hits only); `Some(w_sq)` ranks by the
+    ///   weighted distance `√(Σ_{i ∈ q ⊕ g} w_sq[i])`, accumulated in
+    ///   exactly the order of [`Bitset::weighted_sq_xor`]
+    ///   (bit-identical sums) and **early-abandoning** a row once its
+    ///   running sum strictly exceeds the current k-th bound — sound
+    ///   because the per-word contributions are non-negative.
+    /// * **Mask** — `plan.dead` rows are skipped before the distance
+    ///   loop and counted in [`ScanStats::tombstones_skipped`]; `k`
+    ///   clamps to the live row count. `None` (or a mask with no dead
+    ///   rows) runs the unmasked loops — a tombstone-free store pays
+    ///   nothing for the capability.
+    /// * **Shape** — one query runs the single-row loops on
+    ///   `plan.kernel` (every kernel returns bit-identical hits; the
+    ///   non-scalar weighted kinds abandon against the bound held at
+    ///   4-row block entry, so their work counters — never their hits,
+    ///   never the stats identity — may differ from the scalar trace).
+    ///   Two or more run **fused**: one pass over the store, per row
+    ///   block every query's distance computed while the words are hot
+    ///   in cache, `plan.exec` fanning out over row ranges (never
+    ///   queries). Per-query hits are bit-identical to independent
+    ///   single-query scans. (The fused weighted walk is the scalar
+    ///   per-row accumulation — the fusion across queries *is* the
+    ///   optimization — so at one range its trace matches the `Scalar`
+    ///   kernel exactly; with more ranges the work counters can exceed
+    ///   a single scan's, each range re-filling its own selector
+    ///   before its bound prunes.)
+    pub fn scan(&self, plan: &ScanPlan<'_>) -> Vec<(Vec<(u32, f64)>, ScanStats)> {
+        let ScanPlan {
+            queries,
+            k,
+            weights,
+            kernel,
+            ..
+        } = *plan;
+        let mask = plan.dead.filter(|t| t.dead_count() > 0);
+        if let Some(t) = mask {
+            debug_assert_eq!(t.len(), self.n, "mask covers a different store");
+        }
+        let live = mask.map_or(self.n, Tombstones::live_count);
+        if queries.len() == 1 || k.min(live) == 0 || self.stride == 0 {
+            // One query — or a degenerate scan (nothing to select, or
+            // p = 0) with nothing to amortize — takes the single-row
+            // loops per query.
+            return queries
+                .iter()
+                .map(|q| self.scan_one(q, k, weights, mask, kernel))
+                .collect();
+        }
+        let k = k.min(live);
+        let ranges = scan_ranges(self.n, &plan.exec);
+        match weights {
+            None => {
+                let parts = gdim_exec::map_tasks(&plan.exec, ranges.len(), |t| {
+                    let (start, end) = ranges[t];
+                    self.binary_fused_range(queries, k, start, end, mask, kernel)
+                });
+                reduce_ranges(&parts, queries.len(), k, |sel| {
+                    Self::binary_hits(sel, self.bits)
+                })
+            }
+            Some(w_sq) => {
+                let parts = gdim_exec::map_tasks(&plan.exec, ranges.len(), |t| {
+                    let (start, end) = ranges[t];
+                    self.weighted_fused_range(queries, k, w_sq, start, end, mask)
+                });
+                reduce_ranges(&parts, queries.len(), k, Self::weighted_hits)
+            }
+        }
     }
 
-    /// [`VectorStore::topk_binary`] over the live rows of a
-    /// tombstone-masked store: dead rows are skipped before the
-    /// distance loop and counted in
-    /// [`ScanStats::tombstones_skipped`]; `k` clamps to the live row
-    /// count. `None` (or a mask with no dead rows) delegates to the
-    /// unmasked kernel — a tombstone-free index pays nothing.
-    pub fn topk_binary_masked(
+    /// One query through the single-row loops. The mask closure is
+    /// monomorphized per arm, so the unmasked instantiations compile
+    /// to exactly the branch-free kernels.
+    fn scan_one(
         &self,
         query: &[u64],
         k: usize,
-        dead: Option<&Tombstones>,
-    ) -> (Vec<(u32, f64)>, ScanStats) {
-        self.topk_binary_kernel(query, k, dead, selected_kernel())
-    }
-
-    /// [`VectorStore::topk_binary_masked`] with an explicitly pinned
-    /// [`KernelKind`] — the entry point equivalence tests and benches
-    /// use to compare kernels (all kinds are bit-identical; `Scalar`
-    /// is the reference).
-    pub fn topk_binary_kernel(
-        &self,
-        query: &[u64],
-        k: usize,
-        dead: Option<&Tombstones>,
+        weights: Option<&[f64]>,
+        mask: Option<&Tombstones>,
         kernel: KernelKind,
     ) -> (Vec<(u32, f64)>, ScanStats) {
-        match dead.filter(|t| t.dead_count() > 0) {
-            None => self.binary_scan(query, k, self.n, |_| false, 0, kernel),
-            Some(t) => {
-                debug_assert_eq!(t.len(), self.n, "mask covers a different store");
-                self.binary_scan(
-                    query,
-                    k,
-                    t.live_count(),
-                    |i| t.is_dead(i),
-                    t.dead_count(),
-                    kernel,
-                )
+        match (weights, mask) {
+            (None, None) => self.binary_scan(query, k, self.n, |_| false, 0, kernel),
+            (None, Some(t)) => {
+                let (live, dead) = (t.live_count(), t.dead_count());
+                self.binary_scan(query, k, live, |i| t.is_dead(i), dead, kernel)
+            }
+            (Some(w), None) => self.weighted_scan(query, k, w, self.n, |_| false, 0, kernel),
+            (Some(w), Some(t)) => {
+                let (live, dead) = (t.live_count(), t.dead_count());
+                self.weighted_scan(query, k, w, live, |i| t.is_dead(i), dead, kernel)
             }
         }
     }
@@ -541,70 +662,6 @@ impl VectorStore {
             .into_iter()
             .map(|(h, id)| (id, (h as f64 / p).sqrt()))
             .collect()
-    }
-
-    /// Weighted top-k scan: the `k` rows with the smallest weighted
-    /// distance `√(Σ_{i ∈ q ⊕ g} w_sq[i])` to `query`, ascending by
-    /// `(distance, id)`. Accumulates word-blocked in exactly the order
-    /// of [`Bitset::weighted_sq_xor`] (bit-identical sums) and
-    /// **early-abandons** a row as soon as its running squared
-    /// distance strictly exceeds the current k-th bound — sound
-    /// because the per-word weight contributions are non-negative, so
-    /// the remaining words can only grow the distance.
-    pub fn topk_weighted(
-        &self,
-        query: &[u64],
-        k: usize,
-        w_sq: &[f64],
-    ) -> (Vec<(u32, f64)>, ScanStats) {
-        self.topk_weighted_kernel(query, k, w_sq, None, selected_kernel())
-    }
-
-    /// [`VectorStore::topk_weighted`] over the live rows of a
-    /// tombstone-masked store — same contract as
-    /// [`VectorStore::topk_binary_masked`]: dead rows never touch the
-    /// accumulator or the selector, `k` clamps to the live count, and
-    /// the no-dead-rows case delegates to the unmasked kernel.
-    pub fn topk_weighted_masked(
-        &self,
-        query: &[u64],
-        k: usize,
-        w_sq: &[f64],
-        dead: Option<&Tombstones>,
-    ) -> (Vec<(u32, f64)>, ScanStats) {
-        self.topk_weighted_kernel(query, k, w_sq, dead, selected_kernel())
-    }
-
-    /// [`VectorStore::topk_weighted_masked`] with an explicitly pinned
-    /// [`KernelKind`]. Hits are bit-identical for every kind; the
-    /// non-scalar kinds run the bounded phase in interleaved 4-row
-    /// blocks, whose abandon decisions use the bound held at block
-    /// entry — so [`ScanStats::early_abandoned`] /
-    /// [`ScanStats::words_scanned`] may differ from the scalar trace
-    /// (never the hits, and never the stats identity).
-    pub fn topk_weighted_kernel(
-        &self,
-        query: &[u64],
-        k: usize,
-        w_sq: &[f64],
-        dead: Option<&Tombstones>,
-        kernel: KernelKind,
-    ) -> (Vec<(u32, f64)>, ScanStats) {
-        match dead.filter(|t| t.dead_count() > 0) {
-            None => self.weighted_scan(query, k, w_sq, self.n, |_| false, 0, kernel),
-            Some(t) => {
-                debug_assert_eq!(t.len(), self.n, "mask covers a different store");
-                self.weighted_scan(
-                    query,
-                    k,
-                    w_sq,
-                    t.live_count(),
-                    |i| t.is_dead(i),
-                    t.dead_count(),
-                    kernel,
-                )
-            }
-        }
     }
 
     /// The one weighted scan implementation (see
@@ -748,86 +805,12 @@ impl VectorStore {
             .collect()
     }
 
-    /// Naive reference for [`VectorStore::topk_weighted`]: every row's
+    /// Naive reference for the weighted [`VectorStore::scan`]: every row's
     /// full squared distance, in row order, with no selection — the
     /// baseline the equivalence tests and benches compare against.
     pub fn weighted_sq_distances(&self, query: &[u64], w_sq: &[f64]) -> Vec<f64> {
         (0..self.n)
             .map(|i| weighted_sq_xor_words(query, self.row(i), w_sq))
-            .collect()
-    }
-
-    /// Fused binary scan: answers all `queries` in **one pass** over
-    /// the store — per 4-row block, every query's distances are
-    /// computed while the block's words are hot in cache, each feeding
-    /// its own bounded selector. Returns one `(hits, stats)` pair per
-    /// query, each bit-identical to the corresponding
-    /// [`VectorStore::topk_binary`] call. Parallelism fans out over
-    /// row ranges (never queries); see the module docs.
-    pub fn topk_binary_fused(
-        &self,
-        queries: &[&[u64]],
-        k: usize,
-        exec: &ExecConfig,
-    ) -> Vec<(Vec<(u32, f64)>, ScanStats)> {
-        self.topk_binary_fused_kernel(queries, k, None, selected_kernel(), exec)
-    }
-
-    /// [`VectorStore::topk_binary_fused`] over the live rows of a
-    /// tombstone-masked store (the fused analogue of
-    /// [`VectorStore::topk_binary_masked`]).
-    pub fn topk_binary_fused_masked(
-        &self,
-        queries: &[&[u64]],
-        k: usize,
-        dead: Option<&Tombstones>,
-        exec: &ExecConfig,
-    ) -> Vec<(Vec<(u32, f64)>, ScanStats)> {
-        self.topk_binary_fused_kernel(queries, k, dead, selected_kernel(), exec)
-    }
-
-    /// [`VectorStore::topk_binary_fused_masked`] with an explicitly
-    /// pinned [`KernelKind`].
-    pub fn topk_binary_fused_kernel(
-        &self,
-        queries: &[&[u64]],
-        k: usize,
-        dead: Option<&Tombstones>,
-        kernel: KernelKind,
-        exec: &ExecConfig,
-    ) -> Vec<(Vec<(u32, f64)>, ScanStats)> {
-        let mask = dead.filter(|t| t.dead_count() > 0);
-        if let Some(t) = mask {
-            debug_assert_eq!(t.len(), self.n, "mask covers a different store");
-        }
-        let live = mask.map_or(self.n, Tombstones::live_count);
-        if k.min(live) == 0 || self.stride == 0 {
-            // Degenerate scans (nothing to select, or p = 0) take the
-            // single-query path per query: nothing to amortize.
-            return queries
-                .iter()
-                .map(|q| self.topk_binary_kernel(q, k, dead, kernel))
-                .collect();
-        }
-        let k = k.min(live);
-        let ranges = scan_ranges(self.n, exec);
-        let parts = gdim_exec::map_tasks(exec, ranges.len(), |t| {
-            let (start, end) = ranges[t];
-            self.binary_fused_range(queries, k, start, end, mask, kernel)
-        });
-        (0..queries.len())
-            .map(|qi| {
-                let mut sel: TopK<u32> = TopK::new(k);
-                let mut stats = ScanStats::default();
-                for part in &parts {
-                    let (entries, part_stats) = &part[qi];
-                    for &(h, id) in entries {
-                        sel.offer(h, id);
-                    }
-                    stats.merge(part_stats);
-                }
-                (Self::binary_hits(sel, self.bits), stats)
-            })
             .collect()
     }
 
@@ -909,69 +892,6 @@ impl VectorStore {
             tombstones_skipped: dead_in_range,
         };
         sels.into_iter().map(|s| (s.into_sorted(), stats)).collect()
-    }
-
-    /// Fused weighted scan: all `queries` answered in one pass over
-    /// the store, per row walking every query's weighted accumulation
-    /// while the row's words are hot in cache. Hits are bit-identical
-    /// to per-query [`VectorStore::topk_weighted`] calls; with more
-    /// than one row range the work counters can exceed a single
-    /// scan's (each range re-fills its own selector before its bound
-    /// prunes), but the [`ScanStats`] identity holds per query.
-    pub fn topk_weighted_fused(
-        &self,
-        queries: &[&[u64]],
-        k: usize,
-        w_sq: &[f64],
-        exec: &ExecConfig,
-    ) -> Vec<(Vec<(u32, f64)>, ScanStats)> {
-        self.topk_weighted_fused_masked(queries, k, w_sq, None, exec)
-    }
-
-    /// [`VectorStore::topk_weighted_fused`] over the live rows of a
-    /// tombstone-masked store. (No kernel parameter: the fused
-    /// weighted walk is already the scalar per-row accumulation — the
-    /// fusion across queries *is* the optimization — so its trace
-    /// matches the `Scalar` kernel exactly at one range.)
-    pub fn topk_weighted_fused_masked(
-        &self,
-        queries: &[&[u64]],
-        k: usize,
-        w_sq: &[f64],
-        dead: Option<&Tombstones>,
-        exec: &ExecConfig,
-    ) -> Vec<(Vec<(u32, f64)>, ScanStats)> {
-        let mask = dead.filter(|t| t.dead_count() > 0);
-        if let Some(t) = mask {
-            debug_assert_eq!(t.len(), self.n, "mask covers a different store");
-        }
-        let live = mask.map_or(self.n, Tombstones::live_count);
-        if k.min(live) == 0 || self.stride == 0 {
-            return queries
-                .iter()
-                .map(|q| self.topk_weighted_kernel(q, k, w_sq, dead, KernelKind::Scalar))
-                .collect();
-        }
-        let k = k.min(live);
-        let ranges = scan_ranges(self.n, exec);
-        let parts = gdim_exec::map_tasks(exec, ranges.len(), |t| {
-            let (start, end) = ranges[t];
-            self.weighted_fused_range(queries, k, w_sq, start, end, mask)
-        });
-        (0..queries.len())
-            .map(|qi| {
-                let mut sel: TopK<OrdF64> = TopK::new(k);
-                let mut stats = ScanStats::default();
-                for part in &parts {
-                    let (entries, part_stats) = &part[qi];
-                    for &(sq, id) in entries {
-                        sel.offer(sq, id);
-                    }
-                    stats.merge(part_stats);
-                }
-                (Self::weighted_hits(sel), stats)
-            })
-            .collect()
     }
 
     /// One row range of a fused weighted scan: per query, the exact
@@ -1121,6 +1041,41 @@ impl<K: Ord + Copy> TopK<K> {
 mod tests {
     use super::*;
 
+    /// One query through [`VectorStore::scan`].
+    fn scan1(
+        s: &VectorStore,
+        q: &[u64],
+        k: usize,
+        weights: Option<&[f64]>,
+        dead: Option<&Tombstones>,
+        kernel: KernelKind,
+    ) -> (Vec<(u32, f64)>, ScanStats) {
+        s.scan(&ScanPlan {
+            weights,
+            dead,
+            kernel,
+            ..ScanPlan::new(&[q], k)
+        })
+        .remove(0)
+    }
+
+    /// A whole batch through [`VectorStore::scan`] (fused for ≥ 2).
+    fn scan_fused(
+        s: &VectorStore,
+        queries: &[&[u64]],
+        k: usize,
+        weights: Option<&[f64]>,
+        dead: Option<&Tombstones>,
+        exec: &ExecConfig,
+    ) -> Vec<(Vec<(u32, f64)>, ScanStats)> {
+        s.scan(&ScanPlan {
+            weights,
+            dead,
+            exec: *exec,
+            ..ScanPlan::new(queries, k)
+        })
+    }
+
     fn store_from_bits(rows: &[&[usize]], bits: usize) -> VectorStore {
         let mut s = VectorStore::zeros(rows.len(), bits);
         for (i, row) in rows.iter().enumerate() {
@@ -1153,7 +1108,7 @@ mod tests {
         // 130 bits → 3 words per row, so the multi-word path runs.
         let s = store_from_bits(&[&[0, 65, 129], &[0], &[1, 2, 3, 64, 128], &[]], 130);
         let q = Bitset::from_words(vec![1, 0, 0], 130); // bit 0 set
-        let (hits, stats) = s.topk_binary(q.words(), 4);
+        let (hits, stats) = scan1(&s, q.words(), 4, None, None, selected_kernel());
         // Hamming distances to q: row0 = 2, row1 = 0, row2 = 6, row3 = 1.
         let p = 130f64;
         assert_eq!(hits[0], (1, 0.0));
@@ -1169,9 +1124,9 @@ mod tests {
         let refs: Vec<&[usize]> = rows.iter().map(Vec::as_slice).collect();
         let s = store_from_bits(&refs, 200);
         let q = Bitset::zeros(200);
-        let (full, _) = s.topk_binary(q.words(), 40);
+        let (full, _) = scan1(&s, q.words(), 40, None, None, selected_kernel());
         for k in [0usize, 1, 7, 40, 45] {
-            let (hits, _) = s.topk_binary(q.words(), k);
+            let (hits, _) = scan1(&s, q.words(), k, None, None, selected_kernel());
             assert_eq!(hits, &full[..k.min(40)], "k = {k}");
         }
     }
@@ -1185,7 +1140,7 @@ mod tests {
         let s = store_from_bits(&[&[], &far, &far, &far], 220);
         let q = Bitset::zeros(220);
         let w_sq = vec![1.0; 220];
-        let (hits, stats) = s.topk_weighted(q.words(), 1, &w_sq);
+        let (hits, stats) = scan1(&s, q.words(), 1, Some(&w_sq), None, selected_kernel());
         assert_eq!(hits, vec![(0, 0.0)]);
         assert_eq!(stats.early_abandoned, 3);
         assert_eq!(stats.vectors_scanned, 1);
@@ -1206,7 +1161,7 @@ mod tests {
         }
         let w_sq: Vec<f64> = (0..150).map(|b| 1.0 / (b + 1) as f64).collect();
         let naive = s.weighted_sq_distances(q.words(), &w_sq);
-        let (hits, _) = s.topk_weighted(q.words(), 25, &w_sq);
+        let (hits, _) = scan1(&s, q.words(), 25, Some(&w_sq), None, selected_kernel());
         for (id, d) in hits {
             assert_eq!(d, naive[id as usize].sqrt(), "row {id}");
         }
@@ -1216,12 +1171,14 @@ mod tests {
     fn empty_store_and_zero_bits_are_well_formed() {
         let s = VectorStore::zeros(0, 100);
         assert!(s.is_empty());
-        assert!(s.topk_binary(&[0; 2], 5).0.is_empty());
+        assert!(scan1(&s, &[0; 2], 5, None, None, selected_kernel())
+            .0
+            .is_empty());
         // p = 0: every distance is 0, ids break the ties.
         let z = VectorStore::zeros(3, 0);
-        let (hits, _) = z.topk_binary(&[], 3);
+        let (hits, _) = scan1(&z, &[], 3, None, None, selected_kernel());
         assert_eq!(hits, vec![(0, 0.0), (1, 0.0), (2, 0.0)]);
-        let (hits, _) = z.topk_weighted(&[], 2, &[]);
+        let (hits, _) = scan1(&z, &[], 2, Some(&[]), None, selected_kernel());
         assert_eq!(hits, vec![(0, 0.0), (1, 0.0)]);
     }
 
@@ -1239,8 +1196,8 @@ mod tests {
         assert_eq!(grown, batch);
         let q = Bitset::zeros(130);
         assert_eq!(
-            grown.topk_binary(q.words(), 2),
-            batch.topk_binary(q.words(), 2)
+            scan1(&grown, q.words(), 2, None, None, selected_kernel()),
+            scan1(&batch, q.words(), 2, None, None, selected_kernel())
         );
     }
 
@@ -1261,8 +1218,15 @@ mod tests {
         }
         let w_sq: Vec<f64> = (0..130).map(|b| 1.0 / (b + 2) as f64).collect();
         for k in [0usize, 1, 5, 26, 40] {
-            let (hits, stats) = s.topk_binary_masked(q.words(), k, Some(&dead));
-            let (whits, wstats) = s.topk_weighted_masked(q.words(), k, &w_sq, Some(&dead));
+            let (hits, stats) = scan1(&s, q.words(), k, None, Some(&dead), selected_kernel());
+            let (whits, wstats) = scan1(
+                &s,
+                q.words(),
+                k,
+                Some(&w_sq),
+                Some(&dead),
+                selected_kernel(),
+            );
             for (id, _) in hits.iter().chain(&whits) {
                 assert!(!dead.is_dead(*id as usize), "dead row {id} in hits (k={k})");
             }
@@ -1288,7 +1252,7 @@ mod tests {
                 .collect();
             let live_store = store_from_bits(&live_refs, 130);
             let live_ids = dead.live_ids();
-            let (ref_hits, _) = live_store.topk_binary(q.words(), k);
+            let (ref_hits, _) = scan1(&live_store, q.words(), k, None, None, selected_kernel());
             let remapped: Vec<(u32, f64)> = ref_hits
                 .into_iter()
                 .map(|(id, d)| (live_ids[id as usize], d))
@@ -1309,11 +1273,18 @@ mod tests {
             dead.mark_dead(i);
         }
         let q = Bitset::zeros(130);
-        let (hits, stats) = s.topk_binary_masked(q.words(), 5, Some(&dead));
+        let (hits, stats) = scan1(&s, q.words(), 5, None, Some(&dead), selected_kernel());
         assert!(hits.is_empty());
         assert_eq!(stats.tombstones_skipped, 3);
         assert_eq!(stats.vectors_scanned + stats.early_abandoned, 0);
-        let (whits, wstats) = s.topk_weighted_masked(q.words(), 5, &[1.0; 130], Some(&dead));
+        let (whits, wstats) = scan1(
+            &s,
+            q.words(),
+            5,
+            Some(&[1.0; 130]),
+            Some(&dead),
+            selected_kernel(),
+        );
         assert!(whits.is_empty());
         assert_eq!(wstats.tombstones_skipped, 3);
     }
@@ -1324,8 +1295,11 @@ mod tests {
         let q = Bitset::zeros(130);
         let empty = Tombstones::all_live(3);
         for mask in [None, Some(&empty)] {
-            let (hits, stats) = s.topk_binary_masked(q.words(), 2, mask);
-            assert_eq!((hits, stats), s.topk_binary(q.words(), 2));
+            let (hits, stats) = scan1(&s, q.words(), 2, None, mask, selected_kernel());
+            assert_eq!(
+                (hits, stats),
+                scan1(&s, q.words(), 2, None, None, selected_kernel())
+            );
         }
     }
 
@@ -1391,12 +1365,12 @@ mod tests {
         let w_sq: Vec<f64> = (0..150).map(|b| 1.0 / (b + 3) as f64).collect();
         for k in [1usize, 4, 23] {
             for mask in [None, Some(&dead)] {
-                let reference = s.topk_binary_kernel(q.row(0), k, mask, KernelKind::Scalar);
-                let wref = s.topk_weighted_kernel(q.row(0), k, &w_sq, mask, KernelKind::Scalar);
+                let reference = scan1(&s, q.row(0), k, None, mask, KernelKind::Scalar);
+                let wref = scan1(&s, q.row(0), k, Some(&w_sq), mask, KernelKind::Scalar);
                 for kernel in available_kernels() {
-                    let got = s.topk_binary_kernel(q.row(0), k, mask, kernel);
+                    let got = scan1(&s, q.row(0), k, None, mask, kernel);
                     assert_eq!(got, reference, "binary kernel {kernel}, k {k}");
-                    let (whits, wstats) = s.topk_weighted_kernel(q.row(0), k, &w_sq, mask, kernel);
+                    let (whits, wstats) = scan1(&s, q.row(0), k, Some(&w_sq), mask, kernel);
                     assert_eq!(whits, wref.0, "weighted kernel {kernel}, k {k}");
                     // Weighted block abandons against a per-block
                     // stale bound, so counters may differ from the
@@ -1426,19 +1400,19 @@ mod tests {
         let exec = ExecConfig::serial();
         for k in [0usize, 1, 6, 40] {
             for mask in [None, Some(&dead)] {
-                let fused = s.topk_binary_fused_masked(&queries, k, mask, &exec);
-                let wfused = s.topk_weighted_fused_masked(&queries, k, &w_sq, mask, &exec);
+                let fused = scan_fused(&s, &queries, k, None, mask, &exec);
+                let wfused = scan_fused(&s, &queries, k, Some(&w_sq), mask, &exec);
                 for (j, q) in queries.iter().enumerate() {
                     assert_eq!(
                         fused[j],
-                        s.topk_binary_masked(q, k, mask),
+                        scan1(&s, q, k, None, mask, selected_kernel()),
                         "binary query {j}, k {k}"
                     );
                     // One range ⇒ the fused weighted trace is exactly
                     // the scalar single-scan trace, stats included.
                     assert_eq!(
                         wfused[j],
-                        s.topk_weighted_kernel(q, k, &w_sq, mask, KernelKind::Scalar),
+                        scan1(&s, q, k, Some(&w_sq), mask, KernelKind::Scalar),
                         "weighted query {j}, k {k}"
                     );
                 }
@@ -1459,12 +1433,12 @@ mod tests {
         }
         let w_sq: Vec<f64> = (0..70).map(|b| 1.0 / (b + 1) as f64).collect();
         let serial = ExecConfig::serial();
-        let expect_b = s.topk_binary_fused_masked(&queries, 9, Some(&dead), &serial);
-        let expect_w = s.topk_weighted_fused_masked(&queries, 9, &w_sq, Some(&dead), &serial);
+        let expect_b = scan_fused(&s, &queries, 9, None, Some(&dead), &serial);
+        let expect_w = scan_fused(&s, &queries, 9, Some(&w_sq), Some(&dead), &serial);
         for threads in [2usize, 8] {
             let exec = ExecConfig::new(threads);
-            let got_b = s.topk_binary_fused_masked(&queries, 9, Some(&dead), &exec);
-            let got_w = s.topk_weighted_fused_masked(&queries, 9, &w_sq, Some(&dead), &exec);
+            let got_b = scan_fused(&s, &queries, 9, None, Some(&dead), &exec);
+            let got_w = scan_fused(&s, &queries, 9, Some(&w_sq), Some(&dead), &exec);
             for j in 0..queries.len() {
                 // Hits are byte-identical for every thread budget; the
                 // binary stats even match exactly (they are analytic).
@@ -1482,7 +1456,7 @@ mod tests {
                 // Each single-query scan must agree with the fused one.
                 assert_eq!(
                     got_b[j].0,
-                    s.topk_binary_masked(queries[j], 9, Some(&dead)).0
+                    scan1(&s, queries[j], 9, None, Some(&dead), selected_kernel()).0
                 );
             }
         }
@@ -1499,9 +1473,12 @@ mod tests {
         for i in [0usize, 2, 4, 6, 8, 9] {
             dead.mark_dead(i);
         }
-        let fused = s.topk_binary_fused_masked(&queries, 4, Some(&dead), &exec);
+        let fused = scan_fused(&s, &queries, 4, None, Some(&dead), &exec);
         for (j, q) in queries.iter().enumerate() {
-            assert_eq!(fused[j], s.topk_binary_masked(q, 4, Some(&dead)));
+            assert_eq!(
+                fused[j],
+                scan1(&s, q, 4, None, Some(&dead), selected_kernel())
+            );
             assert_eq!(fused[j].0.len(), 4, "query {j}");
         }
         // All rows dead: empty hits, full tombstone accounting.
@@ -1509,13 +1486,13 @@ mod tests {
         for i in 0..10 {
             all_dead.mark_dead(i);
         }
-        for (hits, stats) in s.topk_binary_fused_masked(&queries, 3, Some(&all_dead), &exec) {
+        for (hits, stats) in scan_fused(&s, &queries, 3, None, Some(&all_dead), &exec) {
             assert!(hits.is_empty());
             assert_eq!(stats.tombstones_skipped, 10);
         }
         // No queries at all: no answers, no work.
-        assert!(s.topk_binary_fused(&[], 3, &exec).is_empty());
-        assert!(s.topk_weighted_fused(&[], 3, &[1.0; 70], &exec).is_empty());
+        assert!(scan_fused(&s, &[], 3, None, None, &exec).is_empty());
+        assert!(scan_fused(&s, &[], 3, Some(&[1.0; 70]), None, &exec).is_empty());
     }
 
     #[test]

@@ -29,6 +29,15 @@
 //!   Every answer stamps [`SearchStats::approximate`] so no caller can
 //!   mistake it for an exact response.
 //!
+//! Every request runs through **one executor** —
+//! [`search_partitions`] / [`search_partitions_batch`]: map the query →
+//! per-[`Partition`] scan | fused scan | ANN beam | exact δ → merge by
+//! `(distance, seq)` ([`merge_topk`]) → refine → stats.
+//! [`GraphIndex::search`] is its 1-partition, identity-id case; the
+//! sharded index (`gdim-shard`) passes one partition per shard, so
+//! every ranker, the verification phase and the stats assembly exist
+//! exactly once.
+//!
 //! [`Ranker`], [`MappingKind`], and [`SearchRequest`] are
 //! `#[non_exhaustive]`: build requests with [`SearchRequest::new`] and
 //! the [`SearchRequest::ranker`]/[`SearchRequest::mapping`]/
@@ -44,24 +53,28 @@
 //! let index = GraphIndex::build(db, IndexOptions::default().with_dimensions(30));
 //! let query = index.graph(3).unwrap().clone();
 //!
-//! let fast = index.search(&query, &SearchRequest::topk(5)).unwrap();
+//! let fast = index.search(&query, &SearchRequest::new(5)).unwrap();
 //! assert_eq!(fast.hits[0].id.get(), 3); // the graph itself ranks first
 //! assert_eq!(fast.stats.mcs_calls, 0);
 //!
-//! let refined = SearchRequest::topk(5).with_ranker(Ranker::Refined { candidates: 10 });
+//! let refined = SearchRequest::new(5).ranker(Ranker::Refined { candidates: 10 });
 //! let verified = index.search(&query, &refined).unwrap();
 //! assert_eq!(verified.stats.mcs_calls, 10);
 //! ```
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 use gdim_graph::{Graph, McsOptions};
 use gdim_obs::{Stage, StageTimes};
 
+use crate::bitset::Bitset;
 use crate::error::GdimError;
+use crate::featurespace::MatchStats;
 use crate::index::GraphIndex;
 use crate::query::MappingKind;
-use crate::scan::{selected_kernel, KernelKind};
+use crate::scan::{selected_kernel, KernelKind, OrdF64};
 
 /// Typed id of an indexed graph (its position in the database the
 /// index was built over).
@@ -223,13 +236,6 @@ impl SearchRequest {
         }
     }
 
-    /// A mapped-ranker request for the top `k` answers — the original
-    /// spelling of [`SearchRequest::new`], kept so existing callers
-    /// keep compiling.
-    pub fn topk(k: usize) -> Self {
-        Self::new(k)
-    }
-
     /// Sets the ranker.
     pub fn ranker(mut self, ranker: Ranker) -> Self {
         self.ranker = ranker;
@@ -246,21 +252,6 @@ impl SearchRequest {
     pub fn budget(mut self, node_budget: u64) -> Self {
         self.budget = Some(node_budget);
         self
-    }
-
-    /// Legacy spelling of [`SearchRequest::ranker`].
-    pub fn with_ranker(self, ranker: Ranker) -> Self {
-        self.ranker(ranker)
-    }
-
-    /// Legacy spelling of [`SearchRequest::mapping`].
-    pub fn with_mapping(self, mapping: MappingKind) -> Self {
-        self.mapping(mapping)
-    }
-
-    /// Legacy spelling of [`SearchRequest::budget`].
-    pub fn with_budget(self, node_budget: u64) -> Self {
-        self.budget(node_budget)
     }
 }
 
@@ -492,7 +483,9 @@ impl SearchResponse {
 }
 
 impl GraphIndex {
-    /// Answers one typed search request.
+    /// Answers one typed search request — the 1-partition,
+    /// identity-id call of the query executor
+    /// ([`search_partitions`]).
     ///
     /// Never panics: edge cases (`k == 0`, `k > n`, an empty database,
     /// a candidate budget larger than `n`) yield well-formed responses,
@@ -500,35 +493,19 @@ impl GraphIndex {
     /// fan out on the index's [`ExecConfig`](gdim_exec::ExecConfig)
     /// budget and are byte-identical for any thread count.
     pub fn search(&self, query: &Graph, req: &SearchRequest) -> Result<SearchResponse, GdimError> {
-        let t0 = Instant::now();
-        let mut resp = if matches!(req.ranker, Ranker::Exact) {
-            // Exact never maps the query.
-            self.exact_response(query, req)
-        } else {
-            let tm = Instant::now();
-            let (qvec, match_stats) = self.mapped().map_query_with_stats(query);
-            let match_time = tm.elapsed();
-            let mut r = self.premapped_response(query, &qvec, req);
-            r.stats.vf2_calls = match_stats.vf2_calls;
-            r.stats.vf2_pruned = match_stats.vf2_pruned;
-            r.stats.match_time = match_time;
-            r.stats.stages.add(Stage::Map, match_time);
-            r
-        };
-        resp.stats.wall_time = t0.elapsed();
-        resp.stats.epoch = self.epoch();
-        resp.stats.live_graphs = self.live_len();
-        Ok(resp)
+        Ok(search_partitions(&[self.partition()], false, query, req))
     }
 
-    /// Answers one request for a whole batch of queries. The per-query
-    /// VF2 feature matching fans out on the index's exec budget; then —
-    /// for [`Ranker::Mapped`] / [`Ranker::Refined`] with more than one
-    /// query — the vector scans run **fused**: one pass over the store
-    /// answers the whole batch (per row, every query's distance is
-    /// computed while the row's words are hot in cache), with
-    /// execution parallelism over row ranges rather than queries (see
-    /// [`VectorStore::topk_binary_fused`](crate::scan::VectorStore::topk_binary_fused)).
+    /// Answers one request for a whole batch of queries
+    /// ([`search_partitions_batch`] over this index as the only
+    /// partition). The per-query VF2 feature matching fans out on the
+    /// index's exec budget; then — for [`Ranker::Mapped`] /
+    /// [`Ranker::Refined`] with more than one query — the vector scans
+    /// run **fused**: one pass over the store answers the whole batch
+    /// (per row, every query's distance is computed while the row's
+    /// words are hot in cache), with execution parallelism over row
+    /// ranges rather than queries (see
+    /// [`VectorStore::scan`](crate::scan::VectorStore::scan)).
     /// The refined verification keeps its own inner database-side
     /// fan-out. Output order matches `queries` for any thread budget,
     /// and every response's **hits** equal the corresponding
@@ -543,303 +520,471 @@ impl GraphIndex {
         queries: &[Graph],
         req: &SearchRequest,
     ) -> Result<Vec<SearchResponse>, GdimError> {
-        if !matches!(req.ranker, Ranker::Mapped | Ranker::Refined { .. }) {
-            // Exact never maps queries (its inner ranking is already
-            // parallel over the database), and the approximate beam
-            // has no fused form — both answer query-by-query.
-            return queries.iter().map(|q| self.search(q, req)).collect();
-        }
-        let t0 = Instant::now();
-        let mapped: Vec<(crate::bitset::Bitset, crate::featurespace::MatchStats)> =
-            gdim_exec::map_tasks(self.exec(), queries.len(), |i| {
-                self.mapped().map_query_with_stats(&queries[i])
-            });
-        let match_time = t0.elapsed() / queries.len().max(1) as u32;
-        let finish = |mut resp: SearchResponse, i: usize, ti: Instant| {
-            resp.stats.vf2_calls = mapped[i].1.vf2_calls;
-            resp.stats.vf2_pruned = mapped[i].1.vf2_pruned;
-            resp.stats.match_time = match_time;
-            resp.stats.stages.add(Stage::Map, match_time);
-            resp.stats.wall_time = ti.elapsed() + match_time;
-            resp.stats.epoch = self.epoch();
-            resp.stats.live_graphs = self.live_len();
-            resp
-        };
-        if queries.len() <= 1 {
-            // Nothing to fuse; answer the singleton directly.
-            return Ok(queries
-                .iter()
-                .enumerate()
-                .map(|(i, q)| {
-                    let ti = Instant::now();
-                    let resp = self.premapped_response(q, &mapped[i].0, req);
-                    finish(resp, i, ti)
-                })
-                .collect());
-        }
-        // The fused scan: one pass over the store for the whole batch,
-        // exec-parallel over row ranges. Refined verification then runs
-        // serially per query — the MCS re-ranking fans out over the
-        // database internally, and nesting two thread pools would
-        // oversubscribe.
-        let ts = Instant::now();
-        let qvecs: Vec<&crate::bitset::Bitset> = mapped.iter().map(|(v, _)| v).collect();
-        let scans = self.scan_premapped_fused(&qvecs, req);
-        let scan_share = ts.elapsed() / queries.len() as u32;
-        Ok(queries
-            .iter()
-            .zip(scans)
-            .enumerate()
-            .map(|(i, (q, scan))| {
-                let ti = Instant::now();
-                let mut resp = self.response_from_scan(q, scan, req);
-                resp.stats.fused_batch = true;
-                resp.stats.stages.add(Stage::Scan, scan_share);
-                let mut resp = finish(resp, i, ti);
-                resp.stats.wall_time += scan_share;
-                resp
-            })
-            .collect())
+        Ok(search_partitions_batch(
+            &[self.partition()],
+            false,
+            queries,
+            req,
+        ))
     }
 
-    /// The single [`Ranker::Exact`] implementation (no mapped scan; the
-    /// caller stamps `wall_time`). Tombstoned graphs are excluded
-    /// *before* the δ fan-out, so dead rows cost no MCS calls and
-    /// never surface as hits.
-    fn exact_response(&self, query: &Graph, req: &SearchRequest) -> SearchResponse {
-        let live = self.tombstones().live_ids();
-        let tr = Instant::now();
-        let ranked = crate::query::exact_ranking_among(
-            self.graphs(),
-            &live,
-            query,
-            self.dissimilarity(),
-            &self.mcs_for(req),
-            self.exec(),
-        );
-        let mut stages = StageTimes::new();
-        stages.add(Stage::Refine, tr.elapsed());
-        SearchResponse {
-            hits: Self::hits(ranked, req.k.min(self.len())),
-            stats: SearchStats {
-                candidates_scanned: 0,
-                mcs_calls: live.len(),
-                stages,
-                ..Default::default()
-            },
+    /// This index as the executor's only partition: local ids are the
+    /// global ids and the merge tie-break.
+    fn partition(&self) -> Partition<'_> {
+        Partition {
+            index: self,
+            seqs: None,
+            id_base: 0,
         }
     }
+}
 
-    /// The single [`Ranker::Mapped`] / [`Ranker::Refined`]
-    /// implementation, for a query whose mapped vector is already known
-    /// (the caller stamps the match stats and the times). An exact
-    /// request is delegated to [`GraphIndex::exact_response`] so every
-    /// ranker has exactly one implementation and one stats contract.
-    fn premapped_response(
-        &self,
-        query: &Graph,
-        qvec: &crate::bitset::Bitset,
-        req: &SearchRequest,
-    ) -> SearchResponse {
-        match req.ranker {
-            Ranker::Exact => self.exact_response(query, req),
-            Ranker::Approx { ef, verify } => self.approx_response(query, qvec, req, ef, verify),
+/// One partition of a search: an index over a subset of the database,
+/// plus how its shard-local rows appear in the merged answer.
+/// [`GraphIndex::search`] runs the executor over a single identity
+/// partition; a sharded index passes one per shard. All partitions of
+/// one search share the same selected dimensions, weights, δ
+/// configuration and exec budget (partition 0's are used).
+#[derive(Debug, Clone, Copy)]
+pub struct Partition<'a> {
+    /// The partition's rows.
+    pub index: &'a GraphIndex,
+    /// `seqs[local]` = the row's global insertion sequence number —
+    /// the merge tie-break, strictly ascending in `local`. `None`:
+    /// the local id is the sequence number.
+    pub seqs: Option<&'a [u64]>,
+    /// First global id of the partition: row `local` answers as
+    /// `GraphId(id_base + local)`. Partitions are passed in ascending
+    /// `id_base` order starting at 0, each owning the ids up to the
+    /// next partition's base.
+    pub id_base: u32,
+}
+
+impl Partition<'_> {
+    fn seq(&self, local: u32) -> u64 {
+        self.seqs.map_or(local as u64, |seqs| seqs[local as usize])
+    }
+
+    /// Work counters every leg of this partition starts from.
+    fn leg_stats(&self) -> SearchStats {
+        SearchStats {
+            epoch: self.index.epoch(),
+            live_graphs: self.index.live_len(),
+            ..Default::default()
+        }
+    }
+}
+
+/// One partition's share of an answer: its local `(id, distance)`
+/// ranking, ascending, and the work it cost.
+type Leg = (Vec<(u32, f64)>, SearchStats);
+
+/// The process-wide histogram of individual partition legs, in
+/// nanoseconds — the shard-imbalance signal a merged [`SearchStats`]
+/// cannot carry (it only sees the sum). Registered once in the global
+/// registry; recording afterwards is lock-free.
+fn leg_histogram() -> &'static std::sync::Arc<gdim_obs::Histogram> {
+    static H: std::sync::OnceLock<std::sync::Arc<gdim_obs::Histogram>> = std::sync::OnceLock::new();
+    H.get_or_init(|| {
+        gdim_obs::global().histogram(
+            "gdim_shard_scan_ns",
+            "Latency of individual per-shard scan/beam/exact legs (ns)",
+            &[],
+        )
+    })
+}
+
+/// Runs `leg` once per partition — the one place a leg runs, so every
+/// plan records one `gdim_shard_scan_ns` sample per partition.
+/// `fan_out` spreads the partitions over the exec budget; otherwise
+/// they run inline on the calling thread (the right shape when the
+/// partitions are small, or when the leg itself owns the budget).
+fn run_legs<T: Send>(
+    parts: &[Partition<'_>],
+    fan_out: bool,
+    leg: impl Fn(&Partition<'_>) -> T + Sync,
+) -> Vec<T> {
+    let exec = if fan_out {
+        *parts[0].index.exec()
+    } else {
+        gdim_exec::ExecConfig::serial()
+    };
+    gdim_exec::map_tasks(&exec, parts.len(), |s| {
+        let t = Instant::now();
+        let out = leg(&parts[s]);
+        leg_histogram().record_duration(t.elapsed());
+        out
+    })
+}
+
+/// Answers one typed search request over `parts` — the single query
+/// executor behind [`GraphIndex::search`] (one identity partition)
+/// and the sharded scatter-gather search (one partition per shard).
+/// The query is mapped once (all partitions share the feature space),
+/// each partition runs its leg of the requested ranker — bounded
+/// top-k scan, ANN beam, or exact δ — the legs merge by `(distance,
+/// seq)`, and the refined/verified rankers re-rank the merged
+/// candidates exactly. `fan_out` runs the scan/beam legs in parallel
+/// on the exec budget instead of inline; answers are bit-identical
+/// either way, and for every partitioning of the same rows.
+///
+/// # Panics
+/// If `parts` is empty.
+pub fn search_partitions(
+    parts: &[Partition<'_>],
+    fan_out: bool,
+    query: &Graph,
+    req: &SearchRequest,
+) -> SearchResponse {
+    let t0 = Instant::now();
+    let mut resp = if matches!(req.ranker, Ranker::Exact) {
+        // Exact never maps the query.
+        exact_response(parts, query, req)
+    } else {
+        let (qvec, matched) = parts[0].index.mapped().map_query_with_stats(query);
+        let match_time = t0.elapsed();
+        let mut resp = match req.ranker {
+            Ranker::Approx { ef, .. } => approx_response(parts, fan_out, query, &qvec, req, ef),
             _ => {
                 let ts = Instant::now();
-                let scan = self.scan_premapped(qvec, req);
+                let legs = run_legs(parts, fan_out, |part| {
+                    scan_leg(part, &[&qvec], req)
+                        .pop()
+                        .expect("one query, one leg")
+                });
                 let scan_time = ts.elapsed();
-                let mut resp = self.response_from_scan(query, scan, req);
+                let mut resp = gather(parts, legs, query, req);
                 resp.stats.stages.add(Stage::Scan, scan_time);
                 resp
             }
-        }
-    }
-
-    /// The single [`Ranker::Approx`] implementation: proximity-graph
-    /// beam + exact pending-tail merge
-    /// ([`GraphIndex::approx_scan_premapped`]), then — when `verify`
-    /// asks for it — the same exact re-ranking phase as
-    /// [`Ranker::Refined`] over the beam's candidates, so a verified
-    /// approximate answer is bit-identical to `Refined` over that
-    /// candidate set.
-    fn approx_response(
-        &self,
-        query: &Graph,
-        qvec: &crate::bitset::Bitset,
-        req: &SearchRequest,
-        ef: usize,
-        verify: Option<usize>,
-    ) -> SearchResponse {
-        let n = self.len();
-        // Without verification the beam only needs k answers; with it,
-        // the beam must produce the full candidate set to re-rank.
-        let take = verify.map_or(req.k.min(n), |c| c.min(n));
-        let tb = Instant::now();
-        let (ranking, ann) = self.approx_scan_premapped(qvec, take, ef, req.mapping);
-        let mut stages = StageTimes::new();
-        stages.add(Stage::AnnBeam, tb.elapsed());
-        let (ranked, mcs_calls) = match verify {
-            Some(c) => {
-                let c = c.min(n);
-                let did = ranking.len().min(c);
-                let tr = Instant::now();
-                let ranked = self.refine(query, &ranking, c, &self.mcs_for(req));
-                stages.add(Stage::Refine, tr.elapsed());
-                (ranked, did)
-            }
-            None => (ranking, 0),
         };
-        SearchResponse {
-            hits: Self::hits(ranked, req.k.min(n)),
-            stats: SearchStats {
-                candidates_scanned: ann.tail_scanned,
-                tombstones_skipped: ann.tail_tombstones,
-                mcs_calls,
-                approximate: true,
-                ef,
-                beam_visited: ann.beam_visited,
-                stages,
-                ..Default::default()
-            },
-        }
-    }
+        stamp_match(&mut resp.stats, &matched, match_time);
+        resp
+    };
+    resp.stats.wall_time = t0.elapsed();
+    resp
+}
 
-    /// The scan leg: a bounded top-k (or top-`candidates`, for
-    /// [`Ranker::Refined`]) kernel scan under the requested mapping,
-    /// tombstone-masked (a mask with no dead rows delegates straight
-    /// to the unmasked kernels).
-    fn scan_premapped(
-        &self,
-        qvec: &crate::bitset::Bitset,
-        req: &SearchRequest,
-    ) -> (Vec<(u32, f64)>, crate::scan::ScanStats) {
-        let n = self.len();
-        let k = match req.ranker {
-            Ranker::Refined { candidates } => candidates.min(n),
-            _ => req.k.min(n),
-        };
-        let dead = Some(self.tombstones());
-        match req.mapping {
-            MappingKind::Binary => self.mapped().scan_topk_masked(qvec, k, dead),
-            MappingKind::Weighted => {
-                self.mapped()
-                    .scan_topk_with_masked(qvec, k, self.weighted_w_sq(), dead)
-            }
-        }
+/// Answers one request for a whole batch of queries over `parts`.
+/// For [`Ranker::Mapped`] / [`Ranker::Refined`] with two or more
+/// queries, the mapping fans out per query and every partition then
+/// answers **all** queries in one fused pass over its rows (parallel
+/// over row ranges on the exec budget — partitions run inline so the
+/// two levels don't nest pools). Every other request answers query by
+/// query through [`search_partitions`]: the exact δ fan-out is
+/// already parallel over each partition, and the approximate beam has
+/// no fused kernel. Output order matches `queries`, and every
+/// response's hits equal the single-query answer bit-for-bit.
+pub fn search_partitions_batch(
+    parts: &[Partition<'_>],
+    fan_out: bool,
+    queries: &[Graph],
+    req: &SearchRequest,
+) -> Vec<SearchResponse> {
+    if queries.len() < 2 || !matches!(req.ranker, Ranker::Mapped | Ranker::Refined { .. }) {
+        return queries
+            .iter()
+            .map(|q| search_partitions(parts, fan_out, q, req))
+            .collect();
     }
+    let exec = parts[0].index.exec();
+    let t0 = Instant::now();
+    let mapped = gdim_exec::map_tasks(exec, queries.len(), |i| {
+        parts[0].index.mapped().map_query_with_stats(&queries[i])
+    });
+    let match_time = t0.elapsed() / queries.len() as u32;
+    let ts = Instant::now();
+    let qvecs: Vec<&Bitset> = mapped.iter().map(|(v, _)| v).collect();
+    // per_part[s][q] — one fused pass per partition.
+    let mut per_part = run_legs(parts, false, |part| scan_leg(part, &qvecs, req));
+    let scan_share = ts.elapsed() / queries.len() as u32;
+    // The refined verification stays serial per query — it fans out
+    // over each partition internally, and nesting pools oversubscribes.
+    queries
+        .iter()
+        .enumerate()
+        .map(|(q, query)| {
+            let ti = Instant::now();
+            // Transposed to per-query shape without cloning rankings.
+            let legs = per_part
+                .iter_mut()
+                .map(|legs| std::mem::take(&mut legs[q]))
+                .collect();
+            let mut resp = gather(parts, legs, query, req);
+            resp.stats.fused_batch = true;
+            resp.stats.stages.add(Stage::Scan, scan_share);
+            stamp_match(&mut resp.stats, &mapped[q].1, match_time);
+            resp.stats.wall_time = ti.elapsed() + match_time + scan_share;
+            resp
+        })
+        .collect()
+}
 
-    /// The fused batch form of [`GraphIndex::scan_premapped`]: every
-    /// query vector answered in one tombstone-masked pass over the
-    /// store, exec-parallel over row ranges.
-    fn scan_premapped_fused(
-        &self,
-        qvecs: &[&crate::bitset::Bitset],
-        req: &SearchRequest,
-    ) -> Vec<(Vec<(u32, f64)>, crate::scan::ScanStats)> {
-        let n = self.len();
-        let k = match req.ranker {
-            Ranker::Refined { candidates } => candidates.min(n),
-            _ => req.k.min(n),
-        };
-        let dead = Some(self.tombstones());
-        match req.mapping {
-            MappingKind::Binary => {
-                self.mapped()
-                    .scan_topk_fused_masked(qvecs, k, dead, self.exec())
-            }
-            MappingKind::Weighted => self.mapped().scan_topk_fused_with_masked(
-                qvecs,
-                k,
-                self.weighted_w_sq(),
-                dead,
-                self.exec(),
-            ),
-        }
+/// Records the query-mapping share of a response.
+fn stamp_match(stats: &mut SearchStats, matched: &MatchStats, match_time: Duration) {
+    stats.vf2_calls = matched.vf2_calls;
+    stats.vf2_pruned = matched.vf2_pruned;
+    stats.match_time = match_time;
+    stats.stages.add(Stage::Map, match_time);
+}
+
+/// How many merged candidates the request's scan/beam must produce,
+/// and whether they are then verified exactly (and so cap the answer).
+fn candidates(req: &SearchRequest) -> (usize, bool) {
+    match req.ranker {
+        Ranker::Refined { candidates } => (candidates, true),
+        Ranker::Approx {
+            verify: Some(c), ..
+        } => (c, true),
+        _ => (req.k, false),
     }
+}
 
-    /// Assembles the response from a finished scan, running the
-    /// refined verification phase when requested.
-    fn response_from_scan(
-        &self,
-        query: &Graph,
-        (scanned, scan_stats): (Vec<(u32, f64)>, crate::scan::ScanStats),
-        req: &SearchRequest,
-    ) -> SearchResponse {
-        let n = self.len();
-        let mut stages = StageTimes::new();
-        let (ranked, mcs_calls) = match req.ranker {
-            Ranker::Refined { candidates } => {
-                let c = candidates.min(n);
-                // The masked scan may return fewer than `c` rows (only
-                // live rows exist); count the δ calls actually made.
-                let did = scanned.len().min(c);
-                let tr = Instant::now();
-                let ranked = self.refine(query, &scanned, c, &self.mcs_for(req));
-                stages.add(Stage::Refine, tr.elapsed());
-                (ranked, did)
-            }
-            _ => (scanned, 0),
-        };
-        SearchResponse {
-            hits: Self::hits(ranked, req.k.min(n)),
-            stats: SearchStats {
-                candidates_scanned: scan_stats.vectors_scanned,
-                early_abandoned: scan_stats.early_abandoned,
-                tombstones_skipped: scan_stats.tombstones_skipped,
-                words_scanned: scan_stats.words_scanned,
-                mcs_calls,
+/// The scan leg of one partition: a bounded top-k (or
+/// top-`candidates`, for [`Ranker::Refined`]) kernel scan of every
+/// query vector under the requested mapping, tombstone-masked — fused
+/// into one pass for two or more queries.
+fn scan_leg(part: &Partition<'_>, qvecs: &[&Bitset], req: &SearchRequest) -> Vec<Leg> {
+    let idx = part.index;
+    let weights = matches!(req.mapping, MappingKind::Weighted).then(|| idx.weighted_w_sq());
+    let k = candidates(req).0.min(idx.len());
+    idx.mapped()
+        .scan_topk_fused(qvecs, k, weights, Some(idx.tombstones()), idx.exec())
+        .into_iter()
+        .map(|(ranked, scan)| {
+            let stats = SearchStats {
+                candidates_scanned: scan.vectors_scanned,
+                early_abandoned: scan.early_abandoned,
+                tombstones_skipped: scan.tombstones_skipped,
+                words_scanned: scan.words_scanned,
                 kernel: Some(selected_kernel()),
-                stages,
-                ..Default::default()
-            },
-        }
-    }
+                ..part.leg_stats()
+            };
+            (ranked, stats)
+        })
+        .collect()
+}
 
-    /// Truncates a full ranking into typed hits.
-    fn hits(ranked: Vec<(u32, f64)>, k: usize) -> Vec<Hit> {
-        ranked
-            .into_iter()
-            .take(k)
-            .map(|(id, distance)| Hit {
-                id: GraphId(id),
-                distance,
-            })
-            .collect()
-    }
+/// The single [`Ranker::Approx`] implementation: each partition walks
+/// its own lazily built proximity graph plus an exact pass over its
+/// pending-insert tail ([`GraphIndex::approx_scan_premapped`]), and
+/// the beams merge like any scan. With `verify`, the merged candidates
+/// go through the same exact re-ranking as [`Ranker::Refined`], so a
+/// verified approximate answer is bit-identical to `Refined` over that
+/// candidate set.
+fn approx_response(
+    parts: &[Partition<'_>],
+    fan_out: bool,
+    query: &Graph,
+    qvec: &Bitset,
+    req: &SearchRequest,
+    ef: usize,
+) -> SearchResponse {
+    // Without verification the beam only needs k answers; with it,
+    // the beam must produce the full candidate set to re-rank.
+    let (take, _) = candidates(req);
+    let tb = Instant::now();
+    let legs = run_legs(parts, fan_out, |part| {
+        let idx = part.index;
+        let (ranked, ann) = idx.approx_scan_premapped(qvec, take.min(idx.len()), ef, req.mapping);
+        let stats = SearchStats {
+            candidates_scanned: ann.tail_scanned,
+            tombstones_skipped: ann.tail_tombstones,
+            approximate: true,
+            ef,
+            beam_visited: ann.beam_visited,
+            ..part.leg_stats()
+        };
+        (ranked, stats)
+    });
+    let beam_time = tb.elapsed();
+    let mut resp = gather(parts, legs, query, req);
+    resp.stats.stages.add(Stage::AnnBeam, beam_time);
+    resp
+}
 
-    /// The verification phase of [`Ranker::Refined`]: exact δ for the
-    /// top `c` entries of a mapped ranking, through the one δ-ranking
-    /// kernel ([`exact_ranking_among`](crate::query::exact_ranking_among),
-    /// byte-identical for any thread count), re-sorted ascending by
-    /// `(δ, id)`.
-    fn refine(
-        &self,
-        query: &Graph,
-        mapped_ranking: &[(u32, f64)],
-        c: usize,
-        mcs: &McsOptions,
-    ) -> Vec<(u32, f64)> {
-        let cand_ids: Vec<u32> = mapped_ranking.iter().take(c).map(|&(id, _)| id).collect();
-        crate::query::exact_ranking_among(
-            self.graphs(),
-            &cand_ids,
+/// The single [`Ranker::Exact`] implementation: the full δ ranking of
+/// each partition's live rows, merged by `(δ, seq)`. Tombstoned graphs
+/// are excluded *before* the δ fan-out, so dead rows cost no MCS calls
+/// and never surface as hits. Partitions run inline: the δ fan-out
+/// inside each leg already owns the exec budget.
+fn exact_response(parts: &[Partition<'_>], query: &Graph, req: &SearchRequest) -> SearchResponse {
+    let mcs = mcs_for(parts[0].index, req);
+    let tr = Instant::now();
+    let legs = run_legs(parts, false, |part| {
+        let idx = part.index;
+        let live = idx.tombstones().live_ids();
+        let ranked = crate::query::exact_ranking_among(
+            idx.graphs(),
+            &live,
             query,
-            self.dissimilarity(),
-            mcs,
-            self.exec(),
-        )
-    }
+            idx.dissimilarity(),
+            &mcs,
+            idx.exec(),
+        );
+        let stats = SearchStats {
+            mcs_calls: live.len(),
+            ..part.leg_stats()
+        };
+        (ranked, stats)
+    });
+    let delta_time = tr.elapsed();
+    let mut resp = gather(parts, legs, query, req);
+    resp.stats.stages.add(Stage::Refine, delta_time);
+    resp
+}
 
-    fn mcs_for(&self, req: &SearchRequest) -> McsOptions {
-        let base = self.delta_config().mcs;
-        match req.budget {
-            None => base,
-            Some(node_budget) => McsOptions {
-                node_budget,
-                ..base
-            },
+/// The gather half of every plan: merges the legs by `(distance,
+/// seq)`, re-ranks the merged candidates exactly when the ranker
+/// verifies, truncates to `k` typed hits, and aggregates the stats
+/// via [`SearchStats::merge`].
+fn gather(
+    parts: &[Partition<'_>],
+    legs: Vec<Leg>,
+    query: &Graph,
+    req: &SearchRequest,
+) -> SearchResponse {
+    let mut stats = SearchStats::merged(legs.iter().map(|(_, stats)| stats));
+    let rankings: Vec<Vec<(u32, f64)>> = legs.into_iter().map(|(ranked, _)| ranked).collect();
+    let (take, verify) = candidates(req);
+    let tg = Instant::now();
+    let mut merged = merge_topk(
+        &rankings,
+        take,
+        |s, local| parts[s].seq(local),
+        |s, local| GraphId(parts[s].id_base + local),
+    );
+    stats.stages.add(Stage::Merge, tg.elapsed());
+    if verify {
+        // The masked scan may return fewer than `take` rows (only live
+        // rows exist); count the δ calls actually made.
+        stats.mcs_calls = merged.len();
+        let tr = Instant::now();
+        merged = refine(parts, query, &merged, &mcs_for(parts[0].index, req));
+        stats.stages.add(Stage::Refine, tr.elapsed());
+    }
+    // Only verified candidates are ever returned, so `take` caps a
+    // verifying ranker's answer at `min(k, candidates)`.
+    let hits = merged
+        .into_iter()
+        .take(req.k)
+        .map(|h| Hit {
+            id: h.id,
+            distance: h.distance,
+        })
+        .collect();
+    SearchResponse { hits, stats }
+}
+
+/// The verification phase of [`Ranker::Refined`] (and a verifying
+/// [`Ranker::Approx`]): exact δ for the merged candidates, computed
+/// per owning partition through the one δ-ranking kernel
+/// ([`exact_ranking_among`](crate::query::exact_ranking_among),
+/// byte-identical for any thread count) and re-sorted ascending by
+/// `(δ, seq)` — for a single identity partition, `(δ, id)`.
+fn refine(
+    parts: &[Partition<'_>],
+    query: &Graph,
+    candidates: &[MergedHit],
+    mcs: &McsOptions,
+) -> Vec<MergedHit> {
+    let mut locals: Vec<Vec<u32>> = vec![Vec::new(); parts.len()];
+    for hit in candidates {
+        let s = parts.partition_point(|p| p.id_base <= hit.id.get()) - 1;
+        locals[s].push(hit.id.get() - parts[s].id_base);
+    }
+    let mut out = Vec::with_capacity(candidates.len());
+    for (part, locals) in parts.iter().zip(&locals) {
+        let idx = part.index;
+        let ranked = crate::query::exact_ranking_among(
+            idx.graphs(),
+            locals,
+            query,
+            idx.dissimilarity(),
+            mcs,
+            idx.exec(),
+        );
+        out.extend(ranked.into_iter().map(|(local, distance)| MergedHit {
+            id: GraphId(part.id_base + local),
+            distance,
+            seq: part.seq(local),
+        }));
+    }
+    out.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.seq.cmp(&b.seq)));
+    out
+}
+
+/// The MCS options of a request: the index's δ configuration with the
+/// request's node-budget override applied.
+fn mcs_for(index: &GraphIndex, req: &SearchRequest) -> McsOptions {
+    let base = index.delta_config().mcs;
+    match req.budget {
+        None => base,
+        Some(node_budget) => McsOptions {
+            node_budget,
+            ..base
+        },
+    }
+}
+
+/// One merged answer: the global id, the distance, and the row's
+/// global sequence number (insertion order — the tie-break that makes
+/// merged rankings equal an unpartitioned `(distance, id)` order).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MergedHit {
+    /// Global id (for a sharded index: shard in the high bits, local
+    /// in the low).
+    pub id: GraphId,
+    /// Distance under the ranker that produced the part.
+    pub distance: f64,
+    /// Global insertion sequence number of the row.
+    pub seq: u64,
+}
+
+/// Merges per-partition rankings into the global top-`k` by
+/// `(distance, seq)`.
+///
+/// `parts[s]` is partition `s`'s ranking as `(local_id, distance)`
+/// pairs, **ascending by `(distance, seq)`** — which per-partition
+/// scans satisfy naturally, because local ids are assigned in
+/// insertion order, so within one partition the `(distance, local)`
+/// order *is* the `(distance, seq)` order. `seq_of(part, local)` and
+/// `id_of(part, local)` translate a pair to its sequence number and
+/// global id. Ties at equal distance resolve by the smaller sequence
+/// number, exactly like an unpartitioned index resolves them by the
+/// smaller row id. Runs in `O(total + k log s)` for `s` partitions.
+pub fn merge_topk<S, I>(parts: &[Vec<(u32, f64)>], k: usize, seq_of: S, id_of: I) -> Vec<MergedHit>
+where
+    S: Fn(usize, u32) -> u64,
+    I: Fn(usize, u32) -> GraphId,
+{
+    // Cursor heap over the partition fronts, keyed (distance, seq)
+    // min-first.
+    let mut heap: BinaryHeap<Reverse<(OrdF64, u64, usize)>> =
+        BinaryHeap::with_capacity(parts.len());
+    let mut cursors = vec![0usize; parts.len()];
+    for (s, part) in parts.iter().enumerate() {
+        if let Some(&(local, d)) = part.first() {
+            heap.push(Reverse((OrdF64(d), seq_of(s, local), s)));
         }
     }
+    let mut out = Vec::new();
+    while out.len() < k {
+        let Some(Reverse((OrdF64(distance), seq, s))) = heap.pop() else {
+            break; // every part exhausted
+        };
+        let (local, _) = parts[s][cursors[s]];
+        out.push(MergedHit {
+            id: id_of(s, local),
+            distance,
+            seq,
+        });
+        cursors[s] += 1;
+        if let Some(&(next_local, next_d)) = parts[s].get(cursors[s]) {
+            heap.push(Reverse((OrdF64(next_d), seq_of(s, next_local), s)));
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -856,8 +1001,10 @@ mod tests {
     fn mapped_ranker_matches_low_level_scan() {
         let idx = index(25, 3);
         let q = idx.graph(4).unwrap().clone();
-        let resp = idx.search(&q, &SearchRequest::topk(6)).unwrap();
-        let low: Vec<(u32, f64)> = idx.mapped().topk(&idx.mapped().map_query(&q), 6);
+        let resp = idx.search(&q, &SearchRequest::new(6)).unwrap();
+        let (low, _) = idx
+            .mapped()
+            .scan_topk_masked(&idx.mapped().map_query(&q), 6, None);
         assert_eq!(resp.hits.len(), 6);
         for (hit, (id, d)) in resp.hits.iter().zip(low) {
             assert_eq!(hit.id.get(), id);
@@ -871,7 +1018,7 @@ mod tests {
     fn exact_ranker_matches_reference_ranking() {
         let idx = index(12, 5);
         let q = idx.graph(2).unwrap().clone();
-        let req = SearchRequest::topk(4).with_ranker(Ranker::Exact);
+        let req = SearchRequest::new(4).ranker(Ranker::Exact);
         let resp = idx.search(&q, &req).unwrap();
         let reference = crate::query::exact_topk(
             idx.graphs(),
@@ -892,12 +1039,12 @@ mod tests {
         for qi in [0usize, 5, 9] {
             let q = idx.graph(qi).unwrap().clone();
             let exact = idx
-                .search(&q, &SearchRequest::topk(5).with_ranker(Ranker::Exact))
+                .search(&q, &SearchRequest::new(5).ranker(Ranker::Exact))
                 .unwrap();
             let refined = idx
                 .search(
                     &q,
-                    &SearchRequest::topk(5).with_ranker(Ranker::Refined {
+                    &SearchRequest::new(5).ranker(Ranker::Refined {
                         candidates: usize::MAX,
                     }),
                 )
@@ -911,7 +1058,7 @@ mod tests {
     fn refined_counts_only_candidate_mcs_calls() {
         let idx = index(20, 9);
         let q = idx.graph(0).unwrap().clone();
-        let req = SearchRequest::topk(3).with_ranker(Ranker::Refined { candidates: 7 });
+        let req = SearchRequest::new(3).ranker(Ranker::Refined { candidates: 7 });
         let resp = idx.search(&q, &req).unwrap();
         assert_eq!(resp.stats.mcs_calls, 7);
         assert_eq!(resp.hits.len(), 3);
@@ -927,7 +1074,7 @@ mod tests {
         // mix of verified and unverified distances.
         let idx = index(20, 9);
         let q = idx.graph(0).unwrap().clone();
-        let req = SearchRequest::topk(10).with_ranker(Ranker::Refined { candidates: 4 });
+        let req = SearchRequest::new(10).ranker(Ranker::Refined { candidates: 4 });
         let resp = idx.search(&q, &req).unwrap();
         assert_eq!(resp.hits.len(), 4);
         assert_eq!(resp.stats.mcs_calls, 4);
@@ -937,13 +1084,13 @@ mod tests {
     fn k_edge_cases_are_well_formed() {
         let idx = index(10, 11);
         let q = idx.graph(1).unwrap().clone();
-        let empty = idx.search(&q, &SearchRequest::topk(0)).unwrap();
+        let empty = idx.search(&q, &SearchRequest::new(0)).unwrap();
         assert!(empty.hits.is_empty());
-        let all = idx.search(&q, &SearchRequest::topk(10_000)).unwrap();
+        let all = idx.search(&q, &SearchRequest::new(10_000)).unwrap();
         assert_eq!(all.hits.len(), 10);
         for r in [Ranker::Exact, Ranker::Refined { candidates: 4 }] {
             let resp = idx
-                .search(&q, &SearchRequest::topk(10_000).with_ranker(r))
+                .search(&q, &SearchRequest::new(10_000).ranker(r))
                 .unwrap();
             assert!(resp.hits.len() <= 10);
         }
@@ -962,7 +1109,7 @@ mod tests {
             "need a multi-word scan for early abandon"
         );
         let q = idx.graph(0).unwrap().clone();
-        let req = SearchRequest::topk(1).with_mapping(MappingKind::Weighted);
+        let req = SearchRequest::new(1).mapping(MappingKind::Weighted);
         let resp = idx.search(&q, &req).unwrap();
         let n = idx.len();
         assert_eq!(
@@ -976,10 +1123,7 @@ mod tests {
         assert!(resp.stats.candidates_scanned < n);
         // Wide k cannot abandon anything: every row is fully scanned.
         let wide = idx
-            .search(
-                &q,
-                &SearchRequest::topk(n).with_mapping(MappingKind::Weighted),
-            )
+            .search(&q, &SearchRequest::new(n).mapping(MappingKind::Weighted))
             .unwrap();
         assert_eq!(wide.stats.candidates_scanned, n);
         assert_eq!(wide.stats.early_abandoned, 0);
@@ -996,8 +1140,8 @@ mod tests {
         let idx = index(30, 47);
         let q = idx.graph(0).unwrap().clone();
         for req in [
-            SearchRequest::topk(3),
-            SearchRequest::topk(1).with_mapping(MappingKind::Weighted),
+            SearchRequest::new(3),
+            SearchRequest::new(1).mapping(MappingKind::Weighted),
         ] {
             let resp = idx.search(&q, &req).unwrap();
             let (_, kernel) = match req.mapping {
@@ -1044,9 +1188,7 @@ mod tests {
                 MappingKind::Binary,
             ),
         ] {
-            let req = SearchRequest::topk(24)
-                .with_ranker(ranker)
-                .with_mapping(mapping);
+            let req = SearchRequest::new(24).ranker(ranker).mapping(mapping);
             let resp = idx.search(&q, &req).unwrap();
             assert!(
                 resp.hits.iter().all(|h| ![2, 3, 11].contains(&h.id.get())),
@@ -1081,7 +1223,7 @@ mod tests {
     fn match_stats_prove_vf2_pruning() {
         let idx = index(30, 41);
         let q = idx.graph(3).unwrap().clone();
-        let resp = idx.search(&q, &SearchRequest::topk(5)).unwrap();
+        let resp = idx.search(&q, &SearchRequest::new(5)).unwrap();
         assert_eq!(
             resp.stats.vf2_calls + resp.stats.vf2_pruned,
             idx.dimensions().len()
@@ -1092,7 +1234,7 @@ mod tests {
         );
         // The exact ranker never maps the query.
         let exact = idx
-            .search(&q, &SearchRequest::topk(5).with_ranker(Ranker::Exact))
+            .search(&q, &SearchRequest::new(5).ranker(Ranker::Exact))
             .unwrap();
         assert_eq!(exact.stats.vf2_calls, 0);
         assert_eq!(exact.stats.words_scanned, 0);
@@ -1102,12 +1244,9 @@ mod tests {
     fn weighted_mapping_serves_from_the_same_index() {
         let idx = index(20, 13);
         let q = idx.graph(6).unwrap().clone();
-        let bin = idx.search(&q, &SearchRequest::topk(5)).unwrap();
+        let bin = idx.search(&q, &SearchRequest::new(5)).unwrap();
         let wgt = idx
-            .search(
-                &q,
-                &SearchRequest::topk(5).with_mapping(MappingKind::Weighted),
-            )
+            .search(&q, &SearchRequest::new(5).mapping(MappingKind::Weighted))
             .unwrap();
         // Both place the graph itself first at distance 0.
         assert_eq!(bin.hits[0].id, wgt.hits[0].id);
@@ -1119,8 +1258,8 @@ mod tests {
         let db = gdim_datagen::chem_db(22, &gdim_datagen::ChemConfig::default(), 17);
         let queries = gdim_datagen::chem_db(5, &gdim_datagen::ChemConfig::default(), 99);
         let reqs = [
-            SearchRequest::topk(4),
-            SearchRequest::topk(4).with_ranker(Ranker::Refined { candidates: 6 }),
+            SearchRequest::new(4),
+            SearchRequest::new(4).ranker(Ranker::Refined { candidates: 6 }),
         ];
         for threads in [1usize, 2, 8] {
             let idx = GraphIndex::build(
@@ -1144,9 +1283,7 @@ mod tests {
     fn budget_override_reaches_the_exact_phase() {
         let idx = index(10, 19);
         let q = idx.graph(3).unwrap().clone();
-        let req = SearchRequest::topk(3)
-            .with_ranker(Ranker::Exact)
-            .with_budget(64);
+        let req = SearchRequest::new(3).ranker(Ranker::Exact).budget(64);
         // A tiny budget still yields a well-formed, complete response.
         let resp = idx.search(&q, &req).unwrap();
         assert_eq!(resp.hits.len(), 3);
@@ -1338,5 +1475,74 @@ mod tests {
         assert_eq!(id.to_string(), "g7");
         assert_eq!(id.get(), 7);
         assert_eq!(id.index(), 7usize);
+    }
+
+    /// Contiguous-partition translators: shard `s` owns `offset[s] +
+    /// local`, and the sequence number equals that global row id.
+    fn translators(
+        offsets: &[u64],
+    ) -> (
+        impl Fn(usize, u32) -> u64 + '_,
+        impl Fn(usize, u32) -> GraphId + '_,
+    ) {
+        (
+            move |s: usize, local: u32| offsets[s] + local as u64,
+            move |s: usize, local: u32| GraphId((offsets[s] + local as u64) as u32),
+        )
+    }
+
+    #[test]
+    fn merge_equals_global_sort_with_seq_tiebreak() {
+        // Three shards with overlapping distances and deliberate ties.
+        let parts = vec![
+            vec![(0u32, 0.5), (1, 1.0), (2, 1.0)],
+            vec![(0, 0.5), (1, 2.0)],
+            vec![(0, 0.1), (1, 1.0)],
+        ];
+        let offsets = [0u64, 3, 5];
+        let (seq_of, id_of) = translators(&offsets);
+        let merged = merge_topk(&parts, 10, seq_of, id_of);
+        let got: Vec<(u32, f64)> = merged.iter().map(|h| (h.id.get(), h.distance)).collect();
+        // Global sort by (distance, seq): 5@0.1, 0@0.5, 3@0.5, 1@1.0,
+        // 2@1.0, 6@1.0, 4@2.0.
+        assert_eq!(
+            got,
+            vec![
+                (5, 0.1),
+                (0, 0.5),
+                (3, 0.5),
+                (1, 1.0),
+                (2, 1.0),
+                (6, 1.0),
+                (4, 2.0)
+            ]
+        );
+        // seq mirrors the global id in this layout.
+        assert!(merged.iter().all(|h| h.seq == h.id.get() as u64));
+    }
+
+    #[test]
+    fn k_truncates_and_exhaustion_stops_early() {
+        let parts = vec![vec![(0u32, 1.0)], vec![], vec![(0, 0.0)]];
+        let offsets = [0u64, 1, 1];
+        let (seq_of, id_of) = translators(&offsets);
+        let top1 = merge_topk(&parts, 1, &seq_of, &id_of);
+        assert_eq!(top1.len(), 1);
+        assert_eq!(top1[0].distance, 0.0);
+        let all = merge_topk(&parts, 100, &seq_of, &id_of);
+        assert_eq!(all.len(), 2, "k beyond the total returns everything");
+        assert!(merge_topk(&parts, 0, &seq_of, &id_of).is_empty());
+        let none: Vec<Vec<(u32, f64)>> = Vec::new();
+        assert!(merge_topk(&none, 5, &seq_of, &id_of).is_empty());
+    }
+
+    #[test]
+    fn single_part_passes_through() {
+        let parts = vec![vec![(0u32, 0.25), (1, 0.5), (2, 0.75)]];
+        let offsets = [0u64];
+        let (seq_of, id_of) = translators(&offsets);
+        let merged = merge_topk(&parts, 2, seq_of, id_of);
+        let got: Vec<(u32, f64)> = merged.iter().map(|h| (h.id.get(), h.distance)).collect();
+        assert_eq!(got, vec![(0, 0.25), (1, 0.5)]);
     }
 }

@@ -920,7 +920,7 @@ mod tests {
             let served = crate::wire::response_from_json(&j).unwrap();
             let snap = server.handle().snapshot();
             let local = snap
-                .search(snap.graph(GraphId(id)).unwrap(), &SearchRequest::topk(5))
+                .search(snap.graph(GraphId(id)).unwrap(), &SearchRequest::new(5))
                 .unwrap();
             assert_eq!(served.hits.len(), local.hits.len());
             for (a, b) in served.hits.iter().zip(&local.hits) {
@@ -986,7 +986,7 @@ mod tests {
             .iter()
             .map(|&id| snap.graph(GraphId(id)).unwrap().clone())
             .collect();
-        let local = snap.search_batch(&graphs, &SearchRequest::topk(3)).unwrap();
+        let local = snap.search_batch(&graphs, &SearchRequest::new(3)).unwrap();
         assert_eq!(served.len(), local.len());
         for (sj, l) in served.iter().zip(&local) {
             let s = crate::wire::response_from_json(sj).unwrap();
@@ -1166,8 +1166,8 @@ mod tests {
         assert_eq!(got.live_len(), want.live_len());
         assert_eq!(got.graph(GraphId(id)).unwrap(), &extra);
         let q = got.graph(GraphId(id)).unwrap().clone();
-        let a = want.search(&q, &SearchRequest::topk(5)).unwrap();
-        let b = got.search(&q, &SearchRequest::topk(5)).unwrap();
+        let a = want.search(&q, &SearchRequest::new(5)).unwrap();
+        let b = got.search(&q, &SearchRequest::new(5)).unwrap();
         for (x, y) in a.hits.iter().zip(&b.hits) {
             assert_eq!((x.id, x.distance.to_bits()), (y.id, y.distance.to_bits()));
         }

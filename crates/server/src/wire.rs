@@ -466,12 +466,12 @@ mod tests {
     fn requests_round_trip_and_default() {
         let reqs = [
             SearchRequest::default(),
-            SearchRequest::topk(0),
-            SearchRequest::topk(7)
-                .with_ranker(Ranker::Exact)
-                .with_mapping(MappingKind::Weighted)
-                .with_budget(12345),
-            SearchRequest::topk(3).with_ranker(Ranker::Refined { candidates: 9 }),
+            SearchRequest::new(0),
+            SearchRequest::new(7)
+                .ranker(Ranker::Exact)
+                .mapping(MappingKind::Weighted)
+                .budget(12345),
+            SearchRequest::new(3).ranker(Ranker::Refined { candidates: 9 }),
             SearchRequest::new(8).ranker(Ranker::Approx {
                 ef: 64,
                 verify: None,

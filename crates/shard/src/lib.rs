@@ -17,11 +17,17 @@
 //!   would, a scatter-gather search — per-shard bounded top-k merged
 //!   by `(distance, seq)` — answers **bit-identically** to one
 //!   unsharded index over the same database, for every ranker and
-//!   thread budget. Inserts/removes route to the owning shard; each
-//!   shard tracks its own [`RebuildPolicy`](gdim_core::RebuildPolicy)
-//!   staleness, and only dirty shards rebuild (a shard rebuild
-//!   compacts tombstones against the retained global selection; a full
-//!   [`ShardedIndex::rebuild`] re-runs the whole pipeline).
+//!   thread budget. There is no sharded copy of the query path: a
+//!   search hands its shards to the one query executor in
+//!   [`gdim_core::search`] as partitions (a bare `GraphIndex` is the
+//!   1-partition case), and this crate decides only whether the
+//!   per-shard legs fan out on the exec budget or run inline
+//!   ([`MIN_SCATTER_ROWS_PER_SHARD`]). Inserts/removes route to the
+//!   owning shard; each shard tracks its own
+//!   [`RebuildPolicy`](gdim_core::RebuildPolicy) staleness, and only
+//!   dirty shards rebuild (a shard rebuild compacts tombstones against
+//!   the retained global selection; a full [`ShardedIndex::rebuild`]
+//!   re-runs the whole pipeline).
 //! * [`ServingHandle`] — an epoch-swapped concurrent read handle
 //!   (Arc-swap over `Arc<ShardedIndex>` + a version atomic, no new
 //!   dependencies): any number of [`Reader`]s search lock-free in the
@@ -64,16 +70,16 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod direct;
 pub mod durable;
 pub mod manifest;
-pub mod merge;
 pub mod serving;
 pub mod sharded;
 
-pub use direct::MIN_SCATTER_ROWS_PER_SHARD;
 pub use durable::{DurableHandle, RecoveryReport};
+pub use gdim_core::search::{merge_topk, MergedHit};
 pub use gdim_wal::SyncPolicy;
-pub use merge::{merge_topk, MergedHit};
 pub use serving::{Reader, ServingHandle};
-pub use sharded::{ShardId, ShardRebuildTask, ShardedIndex, ShardedOptions, ShardedRebuildTask};
+pub use sharded::{
+    ShardId, ShardRebuildTask, ShardedIndex, ShardedOptions, ShardedRebuildTask,
+    MIN_SCATTER_ROWS_PER_SHARD,
+};

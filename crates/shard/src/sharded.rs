@@ -3,35 +3,20 @@
 //! set, served by scatter-gather (see the [crate docs](crate)).
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use gdim_core::bitset::Bitset;
-use gdim_core::query::exact_ranking_among;
-use gdim_core::scan::{selected_kernel, ScanStats};
+use gdim_core::search::{search_partitions, search_partitions_batch, Partition};
 use gdim_core::{
-    GdimError, Graph, GraphId, GraphIndex, Hit, IndexOptions, MappingKind, McsOptions, Ranker,
-    SearchRequest, SearchResponse, SearchStats, Tombstones,
+    GdimError, Graph, GraphId, GraphIndex, IndexOptions, SearchRequest, SearchResponse, Tombstones,
 };
 use gdim_exec::{BackgroundTask, ExecConfig};
 use gdim_mining::Feature;
-use gdim_obs::{Stage, StageTimes};
 
-use crate::merge::{merge_topk, MergedHit};
-
-/// The process-wide histogram of individual per-shard scan legs, in
-/// nanoseconds — the shard-imbalance signal a merged `SearchStats`
-/// cannot carry (it only sees the sum). Registered once in the global
-/// registry; recording afterwards is lock-free.
-fn shard_scan_histogram() -> &'static std::sync::Arc<gdim_obs::Histogram> {
-    static H: std::sync::OnceLock<std::sync::Arc<gdim_obs::Histogram>> = std::sync::OnceLock::new();
-    H.get_or_init(|| {
-        gdim_obs::global().histogram(
-            "gdim_shard_scan_ns",
-            "Latency of individual per-shard scan/beam legs (ns)",
-            &[],
-        )
-    })
-}
+/// Below this average row count per shard, a search runs its
+/// per-shard scan/beam legs **inline** on the calling thread instead
+/// of fanning them out on the exec budget: each leg is then too small
+/// for a thread hand-off to pay for itself. The legs, the merge and
+/// the answer are the same either way.
+pub const MIN_SCATTER_ROWS_PER_SHARD: usize = 256;
 
 /// Typed id of one shard of a [`ShardedIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -149,10 +134,6 @@ impl std::fmt::Debug for ShardedIndex {
 fn shard_bits_for(shards: usize) -> u32 {
     (shards.max(1) as u32).next_power_of_two().trailing_zeros()
 }
-
-/// One shard's fused batch scan: `parts[q]` is query `q`'s raw
-/// `(hits, stats)` from that shard's one-pass fused kernel.
-type FusedShardScan = Vec<(Vec<(u32, f64)>, ScanStats)>;
 
 impl ShardedIndex {
     // ------------------------------------------------------ building
@@ -327,7 +308,7 @@ impl ShardedIndex {
 
     /// The newest rebuild generation across shards (shards rebuild
     /// independently; a search reports this as its
-    /// [`SearchStats::epoch`]).
+    /// [`SearchStats::epoch`](gdim_core::SearchStats::epoch)).
     pub fn epoch(&self) -> u64 {
         self.shards
             .iter()
@@ -403,17 +384,6 @@ impl ShardedIndex {
     fn bump(&mut self, s: usize) {
         self.stamp += 1;
         self.muts[s] = self.stamp;
-    }
-
-    fn mcs_for(&self, req: &SearchRequest) -> McsOptions {
-        let base = self.shards[0].index.delta_config().mcs;
-        match req.budget {
-            None => base,
-            Some(node_budget) => McsOptions {
-                node_budget,
-                ..base
-            },
-        }
     }
 
     // ------------------------------------------------------ mutation
@@ -692,61 +662,35 @@ impl ShardedIndex {
 
     // ------------------------------------------------------- search
 
-    /// Answers one typed search request by **scatter-gather**: the
-    /// query is mapped once (all shards share the feature space), each
-    /// shard runs its own bounded top-k scan (in parallel on the exec
-    /// budget), and the per-shard rankings merge by `(distance, seq)`.
-    /// Answers are bit-identical to [`GraphIndex::search`] over the
-    /// same database for every ranker, mapping, shard count, and
-    /// thread budget; [`SearchStats`] aggregate across shards via
-    /// [`SearchStats::merge`].
+    /// Answers one typed search request by **scatter-gather** — the
+    /// N-partition call of the one query executor
+    /// ([`search_partitions`]): the query is mapped once (all shards
+    /// share the feature space), each shard runs its own bounded
+    /// top-k scan (or ANN beam, or exact δ), and the per-shard
+    /// rankings merge by `(distance, seq)`. Answers are bit-identical
+    /// to [`GraphIndex::search`] over the same database for every
+    /// ranker, mapping, shard count, and thread budget;
+    /// [`SearchStats`](gdim_core::SearchStats) aggregate across shards
+    /// via [`SearchStats::merge`](gdim_core::SearchStats::merge).
     ///
-    /// Databases too small for scatter-gather to pay off skip it: when
-    /// every shard averages fewer than
-    /// [`MIN_SCATTER_ROWS_PER_SHARD`](crate::direct::MIN_SCATTER_ROWS_PER_SHARD)
-    /// rows, the mapped/refined rankers run one direct pass over all
-    /// shards' rows into a single global selector (see
-    /// [`crate::direct`]) — same hits, none of the per-shard
-    /// heap-and-merge overhead.
+    /// The scan/beam legs fan out on the exec budget once the shards
+    /// average at least [`MIN_SCATTER_ROWS_PER_SHARD`] rows, and run
+    /// inline below that.
     pub fn search(&self, query: &Graph, req: &SearchRequest) -> Result<SearchResponse, GdimError> {
-        let t0 = Instant::now();
-        let mut resp = if matches!(req.ranker, Ranker::Exact) {
-            self.exact_response(query, req)
-        } else {
-            let tm = Instant::now();
-            let (qvec, mstats) = self.shards[0].index.mapped().map_query_with_stats(query);
-            let match_time = tm.elapsed();
-            let mut r = if let Ranker::Approx { ef, verify } = req.ranker {
-                // The approximate leg never takes the direct-scan
-                // shortcut: its whole point is to walk the per-shard
-                // proximity graphs, and on databases small enough for
-                // the shortcut the beams are near-exhaustive anyway.
-                self.approx_response(query, &qvec, req, ef, verify)
-            } else if self.direct_scan_pays_off() {
-                self.direct_response(query, &qvec, req)
-            } else {
-                let ts = Instant::now();
-                let scans = self.scatter_scan(&qvec, req, true);
-                let scan_time = ts.elapsed();
-                let mut r = self.response_from_scans(query, scans, req);
-                r.stats.stages.add(Stage::Scan, scan_time);
-                r
-            };
-            r.stats.vf2_calls = mstats.vf2_calls;
-            r.stats.vf2_pruned = mstats.vf2_pruned;
-            r.stats.match_time = match_time;
-            r.stats.stages.add(Stage::Map, match_time);
-            r
-        };
-        resp.stats.wall_time = t0.elapsed();
-        Ok(resp)
+        Ok(search_partitions(
+            &self.partitions(),
+            self.fans_out(),
+            query,
+            req,
+        ))
     }
 
-    /// Answers one request for a whole batch of queries: the query
-    /// mapping fans out per query, then — for the mapped/refined
-    /// rankers — every shard answers **all** queries in one pass over
-    /// its rows through the fused scan kernels
-    /// ([`MappedDatabase::scan_topk_fused_masked`](gdim_core::MappedDatabase::scan_topk_fused_masked)),
+    /// Answers one request for a whole batch of queries
+    /// ([`search_partitions_batch`]): the query mapping fans out per
+    /// query, then — for the mapped/refined rankers — every shard
+    /// answers **all** queries in one pass over its rows through the
+    /// fused scan
+    /// ([`MappedDatabase::scan_topk_fused`](gdim_core::MappedDatabase::scan_topk_fused)),
     /// parallel over row ranges rather than queries, so the store's
     /// words are read once per shard instead of once per query. Output
     /// order matches `queries`, and every response's hits equal the
@@ -754,359 +698,38 @@ impl ShardedIndex {
     /// Timing is metered per batch like [`GraphIndex::search_batch`]:
     /// `match_time` is the batch average and each response carries an
     /// even share of the fused scan time; responses set
-    /// [`SearchStats::fused_batch`].
+    /// [`SearchStats::fused_batch`](gdim_core::SearchStats::fused_batch).
     pub fn search_batch(
         &self,
         queries: &[Graph],
         req: &SearchRequest,
     ) -> Result<Vec<SearchResponse>, GdimError> {
-        if !matches!(req.ranker, Ranker::Mapped | Ranker::Refined { .. }) {
-            // The exact δ fan-out is already parallel over each shard,
-            // and the approximate beam has no fused batch kernel.
-            return queries.iter().map(|q| self.search(q, req)).collect();
-        }
-        if queries.len() <= 1 {
-            return queries.iter().map(|q| self.search(q, req)).collect();
-        }
-        let t0 = Instant::now();
-        let mapped: Vec<(Bitset, gdim_core::MatchStats)> =
-            gdim_exec::map_tasks(self.exec(), queries.len(), |i| {
-                self.shards[0]
-                    .index
-                    .mapped()
-                    .map_query_with_stats(&queries[i])
-            });
-        let match_time = t0.elapsed() / queries.len() as u32;
-        let ts = Instant::now();
-        let qvecs: Vec<&Bitset> = mapped.iter().map(|(v, _)| v).collect();
-        let per_query = self.scatter_scan_fused(&qvecs, req);
-        let scan_share = ts.elapsed() / queries.len() as u32;
-        // The refined ranker's MCS verification stays serial per query
-        // — it fans out over each shard internally, and nesting pools
-        // oversubscribes; the mapped ranker's merge is heap-cheap.
-        Ok(queries
+        Ok(search_partitions_batch(
+            &self.partitions(),
+            self.fans_out(),
+            queries,
+            req,
+        ))
+    }
+
+    /// The shards as the executor's partitions: each with its row→seq
+    /// table and the first composed id it owns.
+    fn partitions(&self) -> Vec<Partition<'_>> {
+        self.shards
             .iter()
-            .zip(per_query)
             .enumerate()
-            .map(|(i, (q, scans))| {
-                let ti = Instant::now();
-                let mut resp = self.response_from_scans(q, scans, req);
-                resp.stats.fused_batch = true;
-                resp.stats.vf2_calls = mapped[i].1.vf2_calls;
-                resp.stats.vf2_pruned = mapped[i].1.vf2_pruned;
-                resp.stats.match_time = match_time;
-                resp.stats.stages.add(Stage::Map, match_time);
-                resp.stats.stages.add(Stage::Scan, scan_share);
-                resp.stats.wall_time = ti.elapsed() + match_time + scan_share;
-                resp
-            })
-            .collect())
-    }
-
-    /// The scatter half: one bounded top-k (or top-`candidates`) scan
-    /// per shard under the requested mapping, tombstone-masked.
-    /// `parallel` fans the shards out on the exec budget (a single
-    /// search); batch callers pass `false` because they already fan
-    /// out per query.
-    fn scatter_scan(
-        &self,
-        qvec: &Bitset,
-        req: &SearchRequest,
-        parallel: bool,
-    ) -> Vec<(Vec<(u32, f64)>, ScanStats)> {
-        let per_shard_k = match req.ranker {
-            Ranker::Refined { candidates } => candidates,
-            _ => req.k,
-        };
-        let scan_one = |s: usize| {
-            let leg = Instant::now();
-            let idx = &self.shards[s].index;
-            let k = per_shard_k.min(idx.len());
-            let dead = Some(idx.tombstones());
-            let out = match req.mapping {
-                MappingKind::Weighted => {
-                    idx.mapped()
-                        .scan_topk_with_masked(qvec, k, idx.weighted_w_sq(), dead)
-                }
-                // `MappingKind` is non-exhaustive; a mapping this crate
-                // does not know is a version skew programming error.
-                other => {
-                    debug_assert!(matches!(other, MappingKind::Binary));
-                    idx.mapped().scan_topk_masked(qvec, k, dead)
-                }
-            };
-            shard_scan_histogram().record_duration(leg.elapsed());
-            out
-        };
-        if parallel {
-            gdim_exec::map_tasks(self.exec(), self.shards.len(), scan_one)
-        } else {
-            (0..self.shards.len()).map(scan_one).collect()
-        }
-    }
-
-    /// The scatter half of a **fused batch**: every shard answers all
-    /// `Q` query vectors in one pass over its rows (parallel over row
-    /// ranges on the exec budget, never over queries — shards run
-    /// serially so the two levels don't nest pools). The per-shard
-    /// results are transposed to per-query shape, so each query's
-    /// slice feeds [`ShardedIndex::response_from_scans`] exactly like
-    /// a per-query scatter would.
-    fn scatter_scan_fused(&self, qvecs: &[&Bitset], req: &SearchRequest) -> Vec<FusedShardScan> {
-        let per_shard_k = match req.ranker {
-            Ranker::Refined { candidates } => candidates,
-            _ => req.k,
-        };
-        // per_shard[s][q] — one fused pass per shard.
-        let mut per_shard: Vec<FusedShardScan> = self
-            .shards
-            .iter()
-            .map(|shard| {
-                let idx = &shard.index;
-                let k = per_shard_k.min(idx.len());
-                let dead = Some(idx.tombstones());
-                match req.mapping {
-                    MappingKind::Weighted => idx.mapped().scan_topk_fused_with_masked(
-                        qvecs,
-                        k,
-                        idx.weighted_w_sq(),
-                        dead,
-                        self.exec(),
-                    ),
-                    other => {
-                        debug_assert!(matches!(other, MappingKind::Binary));
-                        idx.mapped()
-                            .scan_topk_fused_masked(qvecs, k, dead, self.exec())
-                    }
-                }
-            })
-            .collect();
-        // Transpose to per_query[q][s] without cloning the rankings.
-        (0..qvecs.len())
-            .map(|q| {
-                per_shard
-                    .iter_mut()
-                    .map(|shard_scans| std::mem::take(&mut shard_scans[q]))
-                    .collect()
+            .map(|(s, shard)| Partition {
+                index: &shard.index,
+                seqs: Some(&shard.seqs),
+                id_base: self.compose_id(ShardId(s as u32), 0).get(),
             })
             .collect()
     }
 
-    /// The gather half plus the refined verification phase: merges the
-    /// per-shard rankings by `(distance, seq)`, re-ranks the merged
-    /// candidates exactly when requested, and aggregates the stats.
-    fn response_from_scans(
-        &self,
-        query: &Graph,
-        scans: Vec<(Vec<(u32, f64)>, ScanStats)>,
-        req: &SearchRequest,
-    ) -> SearchResponse {
-        let per_shard: Vec<SearchStats> = scans
-            .iter()
-            .enumerate()
-            .map(|(s, (_, stats))| SearchStats {
-                candidates_scanned: stats.vectors_scanned,
-                early_abandoned: stats.early_abandoned,
-                tombstones_skipped: stats.tombstones_skipped,
-                words_scanned: stats.words_scanned,
-                epoch: self.shards[s].index.epoch(),
-                live_graphs: self.shards[s].index.live_len(),
-                ..Default::default()
-            })
-            .collect();
-        let mut stats = SearchStats::merged(per_shard.iter());
-        stats.kernel = Some(selected_kernel());
-        let parts: Vec<Vec<(u32, f64)>> = scans.into_iter().map(|(ranked, _)| ranked).collect();
-        let take = match req.ranker {
-            Ranker::Refined { candidates } => candidates,
-            _ => req.k,
-        };
-        let tg = Instant::now();
-        let merged = merge_topk(
-            &parts,
-            take,
-            |s, local| self.shards[s].seqs[local as usize],
-            |s, local| self.compose_id(ShardId(s as u32), local as usize),
-        );
-        stats.stages.add(Stage::Merge, tg.elapsed());
-        let hits = match req.ranker {
-            Ranker::Refined { .. } => {
-                stats.mcs_calls = merged.len();
-                let tr = Instant::now();
-                let verified = self.refine(query, &merged, req);
-                stats.stages.add(Stage::Refine, tr.elapsed());
-                Self::hits(verified, req.k)
-            }
-            _ => Self::hits(merged, req.k),
-        };
-        SearchResponse { hits, stats }
-    }
-
-    /// The [`Ranker::Approx`] gather: each shard walks its own lazily
-    /// built proximity graph (plus an exact pass over its pending
-    /// insert tail) in parallel on the exec budget, and the per-shard
-    /// beams merge by `(distance, seq)` like any scatter. With
-    /// `verify`, the merged candidates are re-ranked by the exact δ —
-    /// bit-identical to [`Ranker::Refined`] over the same candidate
-    /// set. Stats say `approximate: true` and aggregate the beam work
-    /// across shards via [`SearchStats::merge`].
-    fn approx_response(
-        &self,
-        query: &Graph,
-        qvec: &Bitset,
-        req: &SearchRequest,
-        ef: usize,
-        verify: Option<usize>,
-    ) -> SearchResponse {
-        let take = verify.unwrap_or(req.k);
-        let tb = Instant::now();
-        let scans: Vec<(Vec<(u32, f64)>, gdim_core::AnnScanStats)> =
-            gdim_exec::map_tasks(self.exec(), self.shards.len(), |s| {
-                let leg = Instant::now();
-                let idx = &self.shards[s].index;
-                let out = idx.approx_scan_premapped(qvec, take.min(idx.len()), ef, req.mapping);
-                shard_scan_histogram().record_duration(leg.elapsed());
-                out
-            });
-        let beam_time = tb.elapsed();
-        let per_shard: Vec<SearchStats> = scans
-            .iter()
-            .enumerate()
-            .map(|(s, (_, ann))| SearchStats {
-                candidates_scanned: ann.tail_scanned,
-                tombstones_skipped: ann.tail_tombstones,
-                approximate: true,
-                ef,
-                beam_visited: ann.beam_visited,
-                epoch: self.shards[s].index.epoch(),
-                live_graphs: self.shards[s].index.live_len(),
-                ..Default::default()
-            })
-            .collect();
-        let mut stats = SearchStats::merged(per_shard.iter());
-        stats.stages.add(Stage::AnnBeam, beam_time);
-        let parts: Vec<Vec<(u32, f64)>> = scans.into_iter().map(|(ranked, _)| ranked).collect();
-        let tg = Instant::now();
-        let merged = merge_topk(
-            &parts,
-            take,
-            |s, local| self.shards[s].seqs[local as usize],
-            |s, local| self.compose_id(ShardId(s as u32), local as usize),
-        );
-        stats.stages.add(Stage::Merge, tg.elapsed());
-        let hits = if verify.is_some() {
-            stats.mcs_calls = merged.len();
-            let tr = Instant::now();
-            let verified = self.refine(query, &merged, req);
-            stats.stages.add(Stage::Refine, tr.elapsed());
-            Self::hits(verified, req.k)
-        } else {
-            Self::hits(merged, req.k)
-        };
-        SearchResponse { hits, stats }
-    }
-
-    /// The verification phase of [`Ranker::Refined`]: exact δ for the
-    /// merged candidates, computed per owning shard through the one
-    /// δ-ranking kernel and re-merged ascending by `(δ, seq)` — the
-    /// same order an unsharded refine produces by `(δ, id)`.
-    pub(crate) fn refine(
-        &self,
-        query: &Graph,
-        candidates: &[MergedHit],
-        req: &SearchRequest,
-    ) -> Vec<MergedHit> {
-        let mut per_shard: Vec<Vec<u32>> = vec![Vec::new(); self.shards.len()];
-        for hit in candidates {
-            let (s, local) = self.split_id(hit.id);
-            per_shard[s.index()].push(local as u32);
-        }
-        let mcs = self.mcs_for(req);
-        let kind = self.shards[0].index.dissimilarity();
-        let mut out = Vec::with_capacity(candidates.len());
-        for (s, locals) in per_shard.iter().enumerate() {
-            if locals.is_empty() {
-                continue;
-            }
-            let ranked = exact_ranking_among(
-                self.shards[s].index.graphs(),
-                locals,
-                query,
-                kind,
-                &mcs,
-                self.exec(),
-            );
-            for (local, distance) in ranked {
-                out.push(MergedHit {
-                    id: self.compose_id(ShardId(s as u32), local as usize),
-                    distance,
-                    seq: self.shards[s].seqs[local as usize],
-                });
-            }
-        }
-        out.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.seq.cmp(&b.seq)));
-        out
-    }
-
-    /// The [`Ranker::Exact`] path: the full δ ranking of each shard's
-    /// live rows (the per-shard MCS fan-out is already parallel),
-    /// merged by `(δ, seq)`.
-    fn exact_response(&self, query: &Graph, req: &SearchRequest) -> SearchResponse {
-        let mcs = self.mcs_for(req);
-        let kind = self.shards[0].index.dissimilarity();
-        let mut parts: Vec<Vec<(u32, f64)>> = Vec::with_capacity(self.shards.len());
-        let mut mcs_calls = 0usize;
-        let mut stages = StageTimes::new();
-        let tr = Instant::now();
-        for shard in &self.shards {
-            let live = shard.index.tombstones().live_ids();
-            mcs_calls += live.len();
-            parts.push(exact_ranking_among(
-                shard.index.graphs(),
-                &live,
-                query,
-                kind,
-                &mcs,
-                self.exec(),
-            ));
-        }
-        stages.add(Stage::Refine, tr.elapsed());
-        let tg = Instant::now();
-        let merged = merge_topk(
-            &parts,
-            req.k,
-            |s, local| self.shards[s].seqs[local as usize],
-            |s, local| self.compose_id(ShardId(s as u32), local as usize),
-        );
-        stages.add(Stage::Merge, tg.elapsed());
-        let per_shard: Vec<SearchStats> = self
-            .shards
-            .iter()
-            .map(|shard| SearchStats {
-                epoch: shard.index.epoch(),
-                live_graphs: shard.index.live_len(),
-                ..Default::default()
-            })
-            .collect();
-        let mut stats = SearchStats::merged(per_shard.iter());
-        stats.mcs_calls = mcs_calls;
-        stats.stages = stages;
-        SearchResponse {
-            hits: Self::hits(merged, req.k),
-            stats,
-        }
-    }
-
-    /// Truncates merged answers into typed hits.
-    pub(crate) fn hits(merged: Vec<MergedHit>, k: usize) -> Vec<Hit> {
-        merged
-            .into_iter()
-            .take(k)
-            .map(|h| Hit {
-                id: h.id,
-                distance: h.distance,
-            })
-            .collect()
+    /// Whether the per-shard legs are big enough to fan out (see
+    /// [`MIN_SCATTER_ROWS_PER_SHARD`]).
+    fn fans_out(&self) -> bool {
+        self.len() >= self.shards.len() * MIN_SCATTER_ROWS_PER_SHARD
     }
 
     // --------------------------------------------------- persistence

@@ -67,12 +67,14 @@ fn main() {
     let mut agree = 0.0;
     for q in &queries {
         let a: std::collections::BTreeSet<u32> = md_map
-            .topk(&md_map.map_query(q), k)
+            .scan_topk_masked(&md_map.map_query(q), k, None)
+            .0
             .into_iter()
             .map(|(id, _)| id)
             .collect();
         let b: Vec<u32> = md_full
-            .topk(&md_full.map_query(q), k)
+            .scan_topk_masked(&md_full.map_query(q), k, None)
+            .0
             .into_iter()
             .map(|(id, _)| id)
             .collect();

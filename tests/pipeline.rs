@@ -45,7 +45,7 @@ fn mean_precision(pl: &Pipeline, selection: &[u32], truth: &[Vec<u32>], k: usize
         MappedDatabase::new(&pl.space, selection, Mapping::Binary).expect("selection in range");
     let mut total = 0.0;
     for (q, exact) in pl.queries.iter().zip(truth) {
-        let ids = topk_ids(&mapped.topk(&mapped.map_query(q), k), k);
+        let ids = topk_ids(&mapped.scan_topk_masked(&mapped.map_query(q), k, None).0, k);
         total += precision(&ids, &exact[..k]);
     }
     total / pl.queries.len() as f64
@@ -141,7 +141,7 @@ fn database_graphs_retrieve_themselves() {
     let mapped = MappedDatabase::new(&pl.space, &sel, Mapping::Binary).expect("selection in range");
     for i in (0..pl.db.len()).step_by(7) {
         let qvec = mapped.map_query(&pl.db[i]);
-        let top = mapped.topk(&qvec, 1);
+        let top = mapped.scan_topk_masked(&qvec, 1, None).0;
         assert_eq!(top[0].1, 0.0, "graph {i}: distance to itself must be 0");
     }
 }
@@ -178,7 +178,7 @@ fn every_baseline_plugs_into_the_query_engine() {
         let mapped =
             MappedDatabase::new(&pl.space, &sel, Mapping::Binary).expect("selection in range");
         let qvec = mapped.map_query(&pl.queries[0]);
-        let top = mapped.topk(&qvec, 5);
+        let top = mapped.scan_topk_masked(&qvec, 5, None).0;
         assert_eq!(top.len(), 5, "{name}: top-k underfilled");
         for w in top.windows(2) {
             assert!(w[0].1 <= w[1].1, "{name}: ranking not sorted");
@@ -219,8 +219,8 @@ fn weighted_mapping_ablation_runs() {
     let (vw, vb) = (weighted.map_query(q), binary.map_query(q));
     assert_eq!(vw, vb, "query mapping is independent of the weighting");
     // Distances differ in general, but both are proper metrics on {0,1}^p.
-    let dw = weighted.topk(&vw, 3);
-    let db_ = binary.topk(&vb, 3);
+    let dw = weighted.scan_topk_masked(&vw, 3, None).0;
+    let db_ = binary.scan_topk_masked(&vb, 3, None).0;
     assert_eq!(dw.len(), 3);
     assert_eq!(db_.len(), 3);
 }

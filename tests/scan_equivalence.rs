@@ -14,7 +14,7 @@ fn chem(n: usize, seed: u64) -> Vec<Graph> {
 }
 
 /// The naive pre-optimization scan: full ranking (sorted over all `n`
-/// entries) truncated to `k` — what `MappedDatabase::topk` did before
+/// entries) truncated to `k` — what the mapped top-k did before
 /// the bounded kernel. `ranking` / `ranking_with` are kept in-tree as
 /// reference implementations precisely for this comparison.
 fn naive_topk(mapped: &MappedDatabase, qvec: &Bitset, k: usize) -> Vec<(u32, f64)> {
@@ -42,7 +42,7 @@ proptest! {
             for qi in [0usize, 7, 19] {
                 let qvec = mapped.map_query(&db[qi]);
                 for k in [0usize, 1, n, n + 5] {
-                    let fast = mapped.topk(&qvec, k);
+                    let fast = mapped.scan_topk_masked(&qvec, k, None).0;
                     let naive = naive_topk(&mapped, &qvec, k);
                     prop_assert_eq!(&fast, &naive, "kind {:?}, query {}, k {}", mapped.kind(), qi, k);
                 }
@@ -159,7 +159,7 @@ proptest! {
         qn_pick in 0u64..4,
         k_pick in 0u64..4,
     ) {
-        use gdim::core::scan::{available_kernels, KernelKind, Tombstones, VectorStore};
+        use gdim::core::scan::{available_kernels, KernelKind, ScanPlan, Tombstones, VectorStore};
         use gdim::core::ExecConfig;
 
         let n = [0usize, 1, 7, 8, 9, 64, 130, 600][n_pick as usize];
@@ -208,10 +208,12 @@ proptest! {
             let exec = ExecConfig::new(threads);
             for dead in masks {
                 for kernel in available_kernels() {
-                    let fused = store.topk_binary_fused_kernel(&qrefs, k, dead, kernel, &exec);
+                    let fused = store.scan(&ScanPlan { dead, kernel, exec, ..ScanPlan::new(&qrefs, k) });
                     prop_assert_eq!(fused.len(), qn);
                     for (q, (hits, stats)) in qrefs.iter().zip(&fused) {
-                        let (single_hits, _) = store.topk_binary_kernel(q, k, dead, kernel);
+                        let (single_hits, _) = store
+                            .scan(&ScanPlan { dead, kernel, ..ScanPlan::new(&[q], k) })
+                            .remove(0);
                         prop_assert_eq!(hits, &single_hits,
                             "binary kernel {} threads {} masked {}",
                             kernel, threads, dead.is_some());
@@ -237,10 +239,17 @@ proptest! {
                 // Weighted fusion has no kernel parameter (the scalar
                 // accumulation is the kernel); hits stay bit-identical
                 // to singles even where multi-range counters diverge.
-                let fused = store.topk_weighted_fused_masked(&qrefs, k, &w_sq, dead, &exec);
+                let weights = Some(w_sq.as_slice());
+                let fused = store.scan(&ScanPlan { weights, dead, exec, ..ScanPlan::new(&qrefs, k) });
                 for (q, (hits, stats)) in qrefs.iter().zip(&fused) {
-                    let (single_hits, _) =
-                        store.topk_weighted_kernel(q, k, &w_sq, dead, KernelKind::Scalar);
+                    let (single_hits, _) = store
+                        .scan(&ScanPlan {
+                            weights,
+                            dead,
+                            kernel: KernelKind::Scalar,
+                            ..ScanPlan::new(&[q], k)
+                        })
+                        .remove(0);
                     prop_assert_eq!(hits, &single_hits,
                         "weighted threads {} masked {}", threads, dead.is_some());
                     if k > 0 && dead.is_none_or(|t| t.live_count() > 0) {

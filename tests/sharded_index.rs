@@ -7,11 +7,16 @@
 //! Sharded hits are translated through each row's sequence number,
 //! which by construction equals the row id of the unsharded index
 //! grown by the same operations. Also pins the manifest save → load →
-//! save byte-identical round trip.
+//! save byte-identical round trip, and both sides of the
+//! inline-vs-fan-out decision ([`MIN_SCATTER_ROWS_PER_SHARD`]): the
+//! small databases above run their per-shard legs inline, the growth
+//! test crosses the threshold into the fanned-out shape production
+//! serves.
 
 use proptest::prelude::*;
 
 use gdim::prelude::*;
+use gdim::shard::MIN_SCATTER_ROWS_PER_SHARD;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -48,25 +53,31 @@ fn requests() -> Vec<SearchRequest> {
     ]
 }
 
-/// Sharded hits as `(seq, distance)` — the sharded row's sequence
-/// number is exactly the id the unsharded index gives the same row.
-fn sharded_hits(idx: &ShardedIndex, q: &Graph, req: &SearchRequest) -> Vec<(u64, f64)> {
-    idx.search(q, req)
-        .unwrap()
-        .hits
+/// A sharded response's hits as `(seq, distance)` — the sharded row's
+/// sequence number is exactly the id the unsharded index gives the
+/// same row.
+fn by_seq(idx: &ShardedIndex, resp: &SearchResponse) -> Vec<(u64, f64)> {
+    resp.hits
         .iter()
         .map(|h| (idx.seq_of(h.id).unwrap(), h.distance))
         .collect()
 }
 
-/// Unsharded hits as `(id, distance)` in the same coordinates.
-fn flat_hits(idx: &GraphIndex, q: &Graph, req: &SearchRequest) -> Vec<(u64, f64)> {
-    idx.search(q, req)
-        .unwrap()
-        .hits
+/// An unsharded response's hits as `(id, distance)`, the same
+/// coordinates.
+fn by_id(resp: &SearchResponse) -> Vec<(u64, f64)> {
+    resp.hits
         .iter()
         .map(|h| (h.id.get() as u64, h.distance))
         .collect()
+}
+
+fn sharded_hits(idx: &ShardedIndex, q: &Graph, req: &SearchRequest) -> Vec<(u64, f64)> {
+    by_seq(idx, &idx.search(q, req).unwrap())
+}
+
+fn flat_hits(idx: &GraphIndex, q: &Graph, req: &SearchRequest) -> Vec<(u64, f64)> {
+    by_id(&idx.search(q, req).unwrap())
 }
 
 proptest! {
@@ -315,5 +326,135 @@ fn empty_database_shards_and_serves() {
     for req in requests() {
         let resp = idx.search(&q, &req).unwrap();
         assert!(resp.hits.is_empty(), "{req:?}");
+    }
+}
+
+/// The scan-backed rankers (no exhaustive-beam assumption, no O(n)
+/// MCS fan-out), for the tests that pin stats or run at real sizes.
+fn scan_requests() -> Vec<SearchRequest> {
+    vec![
+        SearchRequest::new(5),
+        SearchRequest::new(7).mapping(MappingKind::Weighted),
+        SearchRequest::new(3).ranker(Ranker::Refined { candidates: 10 }),
+    ]
+}
+
+#[test]
+fn sub_threshold_shards_match_unsharded_answers() {
+    // 40 rows over 4 shards is far below the fan-out threshold: the
+    // per-shard legs run inline, and must still merge to exactly the
+    // unsharded answer with every row accounted for.
+    let db = chem(40, 11);
+    let opts = IndexOptions::default().with_dimensions(24);
+    let flat = GraphIndex::build(db.clone(), opts.clone());
+    let sharded = ShardedIndex::build(db.clone(), ShardedOptions::new(4).with_index(opts));
+    assert!(sharded.len() < sharded.shard_count() * MIN_SCATTER_ROWS_PER_SHARD);
+    for req in scan_requests() {
+        for q in db.iter().step_by(9) {
+            assert_eq!(
+                sharded_hits(&sharded, q, &req),
+                flat_hits(&flat, q, &req),
+                "inline legs diverged for {req:?}"
+            );
+            let stats = sharded.search(q, &req).unwrap().stats;
+            assert_eq!(stats.kernel, Some(selected_kernel()));
+            assert_eq!(
+                stats.candidates_scanned + stats.early_abandoned + stats.tombstones_skipped,
+                sharded.len(),
+                "stats identity for {req:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn sub_threshold_shards_respect_tombstones() {
+    let db = chem(30, 11);
+    let opts = IndexOptions::default().with_dimensions(20);
+    let mut sharded =
+        ShardedIndex::build(db.clone(), ShardedOptions::new(3).with_index(opts.clone()));
+    let mut flat = GraphIndex::build(db.clone(), opts);
+    // Remove the same rows on both sides (seq == unsharded id).
+    for seq in [0u64, 7, 13] {
+        let id = sharded.id_for_seq(seq).unwrap();
+        sharded.remove(id).unwrap();
+        flat.remove(GraphId(seq as u32)).unwrap();
+    }
+    let req = SearchRequest::new(6);
+    assert_eq!(
+        sharded_hits(&sharded, &db[7], &req),
+        flat_hits(&flat, &db[7], &req)
+    );
+    let stats = sharded.search(&db[7], &req).unwrap().stats;
+    assert_eq!(stats.tombstones_skipped, 3);
+    assert_eq!(
+        stats.candidates_scanned + stats.early_abandoned + stats.tombstones_skipped,
+        sharded.len()
+    );
+}
+
+#[test]
+fn single_shard_is_the_unsharded_index() {
+    // One shard has nothing to scatter or merge across: same hits,
+    // same work counters as the bare index.
+    let db = chem(20, 11);
+    let opts = IndexOptions::default().with_dimensions(16);
+    let flat = GraphIndex::build(db.clone(), opts.clone());
+    let one = ShardedIndex::build(db.clone(), ShardedOptions::new(1).with_index(opts));
+    for req in scan_requests() {
+        let (a, b) = (
+            one.search(&db[3], &req).unwrap(),
+            flat.search(&db[3], &req).unwrap(),
+        );
+        assert_eq!(a.hits, b.hits, "{req:?}");
+        assert_eq!(a.stats.candidates_scanned, b.stats.candidates_scanned);
+        assert_eq!(a.stats.early_abandoned, b.stats.early_abandoned);
+        assert_eq!(a.stats.words_scanned, b.stats.words_scanned);
+    }
+}
+
+#[test]
+fn growing_across_the_fan_out_threshold_keeps_answers_bit_identical() {
+    // A 2-shard index grown by `insert` from below to above
+    // 2 × MIN_SCATTER_ROWS_PER_SHARD rows: inline legs before, legs
+    // fanned out on the exec budget after — the shape every served
+    // request takes — and on both sides hits equal an unsharded index
+    // fed the same inserts, for `search` and `search_batch`.
+    let threshold = 2 * MIN_SCATTER_ROWS_PER_SHARD;
+    let base = chem(40, 5);
+    let extra = chem(threshold, 6);
+    let queries = chem(3, 7);
+    let mut flat = GraphIndex::build(base.clone(), opts());
+    let mut sharded = ShardedIndex::build(base, ShardedOptions::new(2).with_index(opts()));
+    let mut feed = extra.into_iter();
+    for target in [threshold - 12, threshold + 12] {
+        while sharded.len() < target {
+            let g = feed.next().expect("enough graphs to cross the threshold");
+            flat.insert(g.clone());
+            sharded.insert(g);
+        }
+        assert_eq!(sharded.len(), flat.len());
+        for threads in [1usize, 2] {
+            sharded.set_exec(ExecConfig::new(threads));
+            flat.set_exec(ExecConfig::new(threads));
+            for req in scan_requests() {
+                for q in &queries {
+                    assert_eq!(
+                        sharded_hits(&sharded, q, &req),
+                        flat_hits(&flat, q, &req),
+                        "rows {target}, threads {threads}, {req:?}"
+                    );
+                }
+                let batch = sharded.search_batch(&queries, &req).unwrap();
+                let want = flat.search_batch(&queries, &req).unwrap();
+                for (got, want) in batch.iter().zip(&want) {
+                    assert_eq!(
+                        by_seq(&sharded, got),
+                        by_id(want),
+                        "batch, rows {target}, threads {threads}, {req:?}"
+                    );
+                }
+            }
+        }
     }
 }
