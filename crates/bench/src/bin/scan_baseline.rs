@@ -1,9 +1,10 @@
 //! `scan_baseline` — records the committed `BENCH_scan.json` snapshot:
 //! the naive full-sort scan vs. the bounded SoA kernel (binary **and**
 //! weighted) on synthetic vector stores (default n ∈ {1k, 10k, 100k},
-//! p = 256, top-10), the fused multi-query batch scan vs. independent
-//! single-query scans at Q ∈ {8, 64}, and unpruned vs.
-//! containment-pruned query mapping on a chem workload. Medians of
+//! p = 256, top-10; the binary pair again at p = 128, the two-word
+//! stride the end-to-end benchmark serves), the fused multi-query
+//! batch scan vs. independent single-query scans at Q ∈ {8, 64}, and
+//! unpruned vs. containment-pruned query mapping on a chem workload. Medians of
 //! repeated timed runs, written as plain JSON so future PRs can track
 //! the trajectory. The snapshot also records the kernel families
 //! available on the measuring machine and which one runtime detection
@@ -24,8 +25,9 @@
 //! * `--seed S` — splitmix seed for the synthetic vectors (default 42).
 //! * `--baseline PATH` — **perf-regression gate**: read a committed
 //!   snapshot and exit non-zero if, for any workload measured by both
-//!   runs, a fresh speedup (`binary_speedup`, `weighted_speedup`, or a
-//!   fused `fused_qps_speedup` row) falls below `min-frac` of the
+//!   runs, a fresh speedup (`binary_speedup`, `binary_p128_speedup`,
+//!   `weighted_speedup`, or a fused `fused_qps_speedup` row) falls
+//!   below `min-frac` of the
 //!   committed one. Each ratio compares two runs *on the same
 //!   machine*, so the gate is robust to absolute runner speed;
 //!   `--min-frac` (default 0.25) leaves generous headroom for noise.
@@ -33,17 +35,17 @@
 //!   (default `8`): the same store split into S contiguous sub-stores,
 //!   each scanned with the bounded kernel, merged to a global top-10
 //!   with `gdim_shard::merge_topk` — the per-partition legs and the
-//!   merge the query executor runs (inline, as here, below
-//!   `MIN_SCATTER_ROWS_PER_SHARD` rows per shard). The merged hits are
-//!   asserted equal to the single-store kernel's before timing.
+//!   merge the query executor runs, in order on one thread as here.
+//!   The merged hits are asserted equal to the single-store kernel's
+//!   before timing.
 //! * `--max-shard-frac F` — **scatter-gather overhead gate**: when
 //!   given, exit non-zero if, at equal total `n`, the sharded scan
 //!   takes more than `F ×` the single-store kernel time (the CI
-//!   bench-smoke job passes `1.3`). Only stores with at least
-//!   `MIN_SCATTER_ROWS_PER_SHARD` rows per shard are gated: below that
-//!   the fixed per-shard selector + merge cost is a few µs against a
-//!   few-µs scan, so the ratio is reported as `ungated`. The ratio is
-//!   same-machine and same-run, so it needs no committed baseline.
+//!   bench-smoke job passes `1.6`). Only stores with at least 256
+//!   rows per shard are gated: below that the fixed per-shard
+//!   selector + merge cost is a few µs against a few-µs scan, so the
+//!   ratio is reported as `ungated`. The ratio is same-machine and
+//!   same-run, so it needs no committed baseline.
 
 use std::time::Instant;
 
@@ -54,7 +56,7 @@ use gdim_bench::scanwork::{
 use gdim_core::scan::{available_kernels, selected_kernel};
 use gdim_core::{Bitset, ExecConfig, GraphId, GraphIndex, IndexOptions};
 use gdim_datagen::{chem_db, ChemConfig};
-use gdim_shard::{merge_topk, MIN_SCATTER_ROWS_PER_SHARD};
+use gdim_shard::merge_topk;
 
 /// Median wall time (ns) of `reps` runs of `f`.
 fn median_ns<T>(reps: usize, mut f: impl FnMut() -> T) -> u64 {
@@ -165,11 +167,12 @@ fn field(line: &str, key: &str) -> Option<f64> {
 }
 
 /// The gated speedups of a snapshot produced by this binary
-/// (line-oriented; one row per line): binary and weighted
-/// kernel-vs-naive by `n`, fused-vs-independent by `(n, q)`.
+/// (line-oriented; one row per line): binary (p = 256 and p = 128) and
+/// weighted kernel-vs-naive by `n`, fused-vs-independent by `(n, q)`.
 #[derive(Default)]
 struct Speedups {
     binary: Vec<(usize, f64)>,
+    binary_p128: Vec<(usize, f64)>,
     weighted: Vec<(usize, f64)>,
     fused: Vec<(usize, usize, f64)>,
 }
@@ -183,6 +186,9 @@ fn parse_speedups(json: &str) -> Speedups {
         let n = n as usize;
         if let Some(s) = field(line, "\"binary_speedup\"") {
             out.binary.push((n, s));
+        }
+        if let Some(s) = field(line, "\"binary_p128_speedup\"") {
+            out.binary_p128.push((n, s));
         }
         if let Some(s) = field(line, "\"weighted_speedup\"") {
             out.weighted.push((n, s));
@@ -244,12 +250,18 @@ fn main() {
         let naive_weighted = median_ns(reps, || naive_weighted_topk(&store, &q, &w_sq, 10));
         let weighted = median_ns(reps, || scan_one(&store, q.words(), 10, Some(&w_sq)));
         let (_, wstats) = scan_one(&store, q.words(), 10, Some(&w_sq));
+        let (store128, q128) = synth(n, 128, args.seed);
+        let naive128 = median_ns(reps, || naive_fullsort_topk(&store128, &q128, 10));
+        let kernel128 = median_ns(reps, || scan_one(&store128, q128.words(), 10, None));
         let speedup = naive as f64 / kernel.max(1) as f64;
+        let speedup128 = naive128 as f64 / kernel128.max(1) as f64;
         let weighted_speedup = naive_weighted as f64 / weighted.max(1) as f64;
         fresh.binary.push((n, speedup));
+        fresh.binary_p128.push((n, speedup128));
         fresh.weighted.push((n, weighted_speedup));
         eprintln!(
-            "n={n}: naive {naive} ns, kernel {kernel} ns ({speedup:.1}x), weighted naive \
+            "n={n}: naive {naive} ns, kernel {kernel} ns ({speedup:.1}x), p=128 naive {naive128} \
+             ns, kernel {kernel128} ns ({speedup128:.1}x), weighted naive \
              {naive_weighted} ns, kernel {weighted} ns ({weighted_speedup:.1}x, early-abandoned \
              {}/{n}, {} of {} words read)",
             wstats.early_abandoned,
@@ -261,7 +273,9 @@ fn main() {
              \"kernel_binary_ns\": {kernel}, \"naive_weighted_ns\": {naive_weighted}, \
              \"kernel_weighted_ns\": {weighted}, \"binary_speedup\": {speedup:.2}, \
              \"weighted_speedup\": {weighted_speedup:.2}, \"weighted_early_abandoned\": {}, \
-             \"weighted_words_scanned\": {}, \"total_words\": {}}}",
+             \"weighted_words_scanned\": {}, \"total_words\": {}, \
+             \"naive_fullsort_p128_ns\": {naive128}, \"kernel_binary_p128_ns\": {kernel128}, \
+             \"binary_p128_speedup\": {speedup128:.2}}}",
             wstats.early_abandoned,
             wstats.words_scanned,
             n * store.stride()
@@ -270,7 +284,7 @@ fn main() {
         // Fused multi-query batch: Q queries answered in one pass over
         // the store vs. Q independent single-query kernel calls — the
         // aggregate-throughput trade `search_batch` rides on (one query
-        // is the single-scan plan by definition, so the sweep starts
+        // is the same range loop on both sides, so the sweep starts
         // at 8). Hits are asserted bit-identical before timing.
         let queries: Vec<Bitset> = synth_queries(64, 256, args.seed);
         for qn in [8usize, 64] {
@@ -339,7 +353,7 @@ fn main() {
                 &sharded_scan,
             );
             let overhead = merged_ns as f64 / kernel_pair_ns.max(1) as f64;
-            let gated = n >= shards * MIN_SCATTER_ROWS_PER_SHARD;
+            let gated = n / shards >= 256;
             let verdict = match args.max_shard_frac {
                 Some(max) if gated && overhead > max => {
                     shard_gate_failures += 1;
@@ -429,6 +443,11 @@ fn main() {
         let mut checked = 0usize;
         for (what, fresh_rows, committed_rows) in [
             ("binary", label_n(&fresh.binary), label_n(&committed.binary)),
+            (
+                "binary p=128",
+                label_n(&fresh.binary_p128),
+                label_n(&committed.binary_p128),
+            ),
             (
                 "weighted",
                 label_n(&fresh.weighted),

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! magic    8 B   b"GDIMIDX\0"
-//! version  u32   2
+//! version  u32   3
 //! δ kind   u8    0 = δ1 (MaxNorm), 1 = δ2 (AvgNorm)
 //! precheck u8    MCS containment pre-check flag
 //! budget   u64   MCS node budget
@@ -21,7 +21,7 @@
 //!          support len u64 · graph ids u32*
 //! selected p u64 · feature ids u32*
 //! weights  len u64 · IEEE-754 bit patterns u64*
-//! -- v2 tail (dynamic-index state + build options) ------------------
+//! -- tail (dynamic-index state + build options) ---------------------
 //! options  min_support tag u8 (0 = relative, 1 = absolute) ·
 //!          value u64 (f64 bits when relative) ·
 //!          max_pattern_edges u64 · requested dimensions u64 ·
@@ -32,7 +32,7 @@
 //! epoch    u64   rebuild generation
 //! pending  u64   inserts accumulated since the last rebuild
 //! tombs    count u64 · strictly ascending dead graph ids u32*
-//! -- v3 section (optional ANN proximity graph) ----------------------
+//! -- ANN section (optional proximity graph) -------------------------
 //! ann flag u8    0 = no graph persisted, 1 = present
 //! ann      (when present) m u64 · ef_construction u64 · seed u64 ·
 //!          entry u32 · built_n u64 · per-node level u8* ·
@@ -45,16 +45,13 @@
 //! options let a reloaded index [`rebuild`](GraphIndex::rebuild) with
 //! exactly the pipeline that produced it.
 //!
-//! **v1 and v2 files still load**: a v1 payload is the v2 layout
-//! without the tail (it decodes as a fully-live epoch-0 index whose
-//! non-δ build options fall back to defaults — the δ kind / MCS budget
-//! were always in the header), and a v2 payload is v3 without the ANN
-//! section (the proximity graph simply rebuilds lazily on the first
-//! approximate query). Saving always writes v3. The ANN graph is the
-//! one piece of *derived* state that **is** persisted when present:
-//! unlike the scan store it costs O(n·ef_construction) distance
-//! evaluations to rebuild, so a serving restart should not have to
-//! re-pay the build to keep its latency budget.
+//! v3 is the only format read or written: a header stamped 1 or 2
+//! answers [`GdimError::UnsupportedVersion`] (nothing outside this
+//! repository ever wrote those). The ANN graph is the one piece of
+//! *derived* state that **is** persisted when present: unlike the scan
+//! store it costs O(n·ef_construction) distance evaluations to
+//! rebuild, so a serving restart should not have to re-pay the build
+//! to keep its latency budget.
 //!
 //! Derived state — the feature space, the flat
 //! [`VectorStore`](crate::scan::VectorStore) of mapped vectors, the
@@ -71,13 +68,13 @@
 //! ([`GraphIndex::set_exec`](crate::index::GraphIndex::set_exec)).
 //!
 //! Every structural defect surfaces as [`GdimError::Corrupt`] (or
-//! [`GdimError::UnsupportedVersion`] for a future format), never a
-//! panic.
+//! [`GdimError::UnsupportedVersion`] for any other format version),
+//! never a panic.
 //!
-//! **Role in the durable layout.** Since the durability PR, a v2 file
-//! is no longer necessarily the whole story of an index on disk: under
-//! a `--durable` directory it is **one generation of a log-structured
-//! directory** — the per-shard snapshot inside a `gen-NNNNNN/`
+//! **Role in the durable layout.** Since the durability PR, an index
+//! file is no longer necessarily the whole story of an index on disk:
+//! under a `--durable` directory it is **one generation of a
+//! log-structured directory** — the per-shard snapshot inside a `gen-NNNNNN/`
 //! checkpoint, paired with a write-ahead log (`wal-NNNNNN.log`) that
 //! holds the mutations acked after the checkpoint was cut. Opening
 //! such a directory loads the newest complete generation via this
@@ -97,9 +94,8 @@ use crate::index::{GraphIndex, IndexOptions, IndexStats, RebuildPolicy, Selectio
 use crate::scan::Tombstones;
 
 pub(crate) const MAGIC: [u8; 8] = *b"GDIMIDX\0";
+/// The one format version this build reads and writes.
 pub(crate) const VERSION: u32 = 3;
-/// Oldest format this build still reads.
-pub(crate) const MIN_VERSION: u32 = 1;
 
 // ---------------------------------------------------------------- write
 
@@ -160,8 +156,8 @@ pub(crate) fn encode(index: &GraphIndex) -> Vec<u8> {
     buf
 }
 
-/// The v1-compatible body: header + stats + graphs + features +
-/// selection + weights (everything up to the v2 tail).
+/// The body: header + stats + graphs + features + selection + weights
+/// (everything up to the tail).
 fn encode_body(index: &GraphIndex) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.extend_from_slice(&MAGIC);
@@ -179,8 +175,8 @@ fn encode_body(index: &GraphIndex) -> Vec<u8> {
     put_u64(&mut buf, cfg.mcs.node_budget);
     // Reserved byte. A built index always stores binary vectors — the
     // weighted mapping is served from the same vectors via the derived
-    // DSPM weights, never baked into the mapped database — so v1 has
-    // nothing to record here.
+    // DSPM weights, never baked into the mapped database — so there
+    // is nothing to record here.
     put_u8(&mut buf, 0);
 
     let stats = index.stats();
@@ -212,7 +208,7 @@ fn encode_body(index: &GraphIndex) -> Vec<u8> {
     buf
 }
 
-/// The v2 tail: retained build options + dynamic state (see the module
+/// The tail: retained build options + dynamic state (see the module
 /// docs).
 fn encode_tail(index: &GraphIndex, buf: &mut Vec<u8>) {
     let opts = index.options();
@@ -254,7 +250,7 @@ fn encode_tail(index: &GraphIndex, buf: &mut Vec<u8>) {
     }
 }
 
-/// The v3 section: the ANN proximity graph, **iff one was built** —
+/// The ANN section: the proximity graph, **iff one was built** —
 /// saving never forces the O(n·ef_construction) build, it only keeps
 /// a graph the serving path already paid for.
 fn encode_ann(index: &GraphIndex, buf: &mut Vec<u8>) {
@@ -405,7 +401,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<GraphIndex, GdimError> {
         return Err(GdimError::Corrupt("bad magic (not a gdim index)".into()));
     }
     let version = r.u32()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(GdimError::UnsupportedVersion {
             found: version,
             supported: VERSION,
@@ -478,79 +474,67 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<GraphIndex, GdimError> {
         },
         ..DeltaConfig::default()
     };
-    // The v2 tail: build options + dynamic state. A v1 file ends here
-    // and decodes as a fully-live epoch-0 index whose non-δ build
-    // options fall back to defaults.
-    let (opts, epoch, tombstones, pending) = if version == 1 {
-        let opts = IndexOptions {
-            dimensions: selected.len(),
-            delta,
-            ..IndexOptions::default()
-        };
-        (opts, 0u64, Tombstones::all_live(n), 0usize)
-    } else {
-        let min_support = match r.u8()? {
-            0 => Support::Relative(r.f64()?),
-            1 => Support::Absolute(r.u64()? as usize),
-            other => {
-                return Err(GdimError::Corrupt(format!("support tag {other} unknown")));
-            }
-        };
-        let max_pattern_edges = r.u64()? as usize;
-        let dimensions = r.u64()? as usize;
-        let strategy_tag = r.u8()?;
-        let strategy_param = r.u64()? as usize;
-        let strategy = match strategy_tag {
-            0 => SelectionStrategy::Dspm,
-            1 => SelectionStrategy::Dspmap {
-                partition_size: strategy_param,
-            },
-            2 => SelectionStrategy::Auto {
-                threshold: strategy_param,
-            },
-            other => {
-                return Err(GdimError::Corrupt(format!("strategy tag {other} unknown")));
-            }
-        };
-        let seed = r.u64()?;
-        let rebuild = RebuildPolicy {
-            max_inserts: r.u64()? as usize,
-            max_tombstone_frac: r.f64()?,
-        };
-        let opts = IndexOptions {
-            dimensions,
-            min_support,
-            max_pattern_edges,
-            strategy,
-            delta,
-            seed,
-            rebuild,
-        };
-        let epoch = r.u64()?;
-        let pending = r.u64()? as usize;
-        let dead_n = r.len()?;
-        let mut tombstones = Tombstones::all_live(n);
-        let mut prev: Option<u32> = None;
-        for _ in 0..dead_n {
-            let id = r.u32()?;
-            if prev.is_some_and(|p| id <= p) {
-                return Err(GdimError::Corrupt(format!(
-                    "tombstone ids not strictly ascending at {id}"
-                )));
-            }
-            if id as usize >= n {
-                return Err(GdimError::Corrupt(format!(
-                    "tombstone id {id} out of {n} graphs"
-                )));
-            }
-            tombstones.mark_dead(id as usize);
-            prev = Some(id);
+    // The tail: build options + dynamic state.
+    let min_support = match r.u8()? {
+        0 => Support::Relative(r.f64()?),
+        1 => Support::Absolute(r.u64()? as usize),
+        other => {
+            return Err(GdimError::Corrupt(format!("support tag {other} unknown")));
         }
-        (opts, epoch, tombstones, pending)
     };
-    // The v3 section: an optional persisted ANN proximity graph. A v2
-    // file ends before it and just rebuilds the graph lazily.
-    let ann = if version >= 3 && r.flag()? {
+    let max_pattern_edges = r.u64()? as usize;
+    let dimensions = r.u64()? as usize;
+    let strategy_tag = r.u8()?;
+    let strategy_param = r.u64()? as usize;
+    let strategy = match strategy_tag {
+        0 => SelectionStrategy::Dspm,
+        1 => SelectionStrategy::Dspmap {
+            partition_size: strategy_param,
+        },
+        2 => SelectionStrategy::Auto {
+            threshold: strategy_param,
+        },
+        other => {
+            return Err(GdimError::Corrupt(format!("strategy tag {other} unknown")));
+        }
+    };
+    let seed = r.u64()?;
+    let rebuild = RebuildPolicy {
+        max_inserts: r.u64()? as usize,
+        max_tombstone_frac: r.f64()?,
+    };
+    let opts = IndexOptions {
+        dimensions,
+        min_support,
+        max_pattern_edges,
+        strategy,
+        delta,
+        seed,
+        rebuild,
+    };
+    let epoch = r.u64()?;
+    let pending = r.u64()? as usize;
+    let dead_n = r.len()?;
+    let mut tombstones = Tombstones::all_live(n);
+    let mut prev: Option<u32> = None;
+    for _ in 0..dead_n {
+        let id = r.u32()?;
+        if prev.is_some_and(|p| id <= p) {
+            return Err(GdimError::Corrupt(format!(
+                "tombstone ids not strictly ascending at {id}"
+            )));
+        }
+        if id as usize >= n {
+            return Err(GdimError::Corrupt(format!(
+                "tombstone id {id} out of {n} graphs"
+            )));
+        }
+        tombstones.mark_dead(id as usize);
+        prev = Some(id);
+    }
+    // The ANN section: an optional persisted proximity graph (absent,
+    // it rebuilds lazily on the first approximate query).
+    let ann = if r.flag()? {
         let params = crate::ann::AnnParams::default()
             .with_m(r.u64()? as usize)
             .with_ef_construction(r.u64()? as usize)
@@ -720,8 +704,8 @@ mod tests {
         assert!(p > 0);
         let mut bytes = idx.to_bytes();
         // The selected ids are the p u32s immediately before the
-        // weights block (8-byte count + 8 bytes per weight), which in
-        // v2 is followed by the options/dynamic-state tail.
+        // weights block (8-byte count + 8 bytes per weight), which is
+        // followed by the options/dynamic-state tail.
         let mut tail = Vec::new();
         encode_tail(&idx, &mut tail);
         let mut ann = Vec::new();
@@ -745,31 +729,19 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_still_load_as_fully_live_epoch_zero() {
-        // A v1 payload is the v2 body without the tail: synthesize one
-        // from a clean index and check the back-compat path.
-        let idx = index(10, 17);
-        let mut v1 = encode_body(&idx);
-        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let back = GraphIndex::from_bytes(&v1).expect("v1 must stay readable");
-        assert_eq!(back.epoch(), 0);
-        assert_eq!(back.tombstone_count(), 0);
-        assert_eq!(back.pending_inserts(), 0);
-        assert_eq!(back.len(), idx.len());
-        assert_eq!(back.dissimilarity(), idx.dissimilarity());
-        // Non-δ build options fall back to defaults except the
-        // dimension count, recovered from the selection itself.
-        assert_eq!(back.options().dimensions, idx.dimensions().len());
-        let q = idx.graph(4).unwrap().clone();
-        let req = SearchRequest::new(5);
-        assert_eq!(
-            back.search(&q, &req).unwrap().hits,
-            idx.search(&q, &req).unwrap().hits
-        );
-        // Re-saving a v1-loaded index writes the current version.
-        let resaved = back.to_bytes();
-        assert_eq!(&resaved[8..12], &VERSION.to_le_bytes());
-        assert!(GraphIndex::from_bytes(&resaved).is_ok());
+    fn older_format_versions_are_unsupported() {
+        let idx = index(6, 17);
+        for old in [1u32, 2] {
+            let mut bytes = idx.to_bytes();
+            bytes[8..12].copy_from_slice(&old.to_le_bytes());
+            match GraphIndex::from_bytes(&bytes) {
+                Err(GdimError::UnsupportedVersion {
+                    found,
+                    supported: 3,
+                }) => assert_eq!(found, old),
+                other => panic!("version {old}: expected UnsupportedVersion, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -872,14 +844,6 @@ mod tests {
         let warm = back.search(&q, &req).unwrap();
         assert_eq!(fresh.hits, warm.hits);
         assert!(warm.stats.approximate);
-        // A v2 payload is v3 without the section and must stay
-        // readable; the graph just rebuilds on demand.
-        let mut v2 = encode_body(&idx);
-        encode_tail(&idx, &mut v2);
-        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
-        let old = GraphIndex::from_bytes(&v2).expect("v2 must stay readable");
-        assert!(old.ann_if_built().is_none());
-        assert_eq!(old.search(&q, &req).unwrap().hits, fresh.hits);
         // Mangling the ANN section is typed corruption, not a panic.
         let mut bad = bytes.clone();
         let at = bad.len() - 4;

@@ -30,8 +30,9 @@
 //!     sums are bit-identical), with **early abandon**: once a row's
 //!     running squared distance exceeds the current k-th bound it can
 //!     never enter the answer, so its remaining words are skipped;
-//!   * *one query* runs the single-row loops, *two or more* the fused
-//!     range loops (below).
+//!   * every plan runs the same range loops (below); one query is the
+//!     smallest batch and always exactly one range, so a single scan
+//!     stays on the calling thread.
 //!
 //! Every scan reports [`ScanStats`] (vectors fully scanned, rows
 //! abandoned early, words touched) so the serving layer can prove the
@@ -51,8 +52,8 @@
 //! accumulates every row's weights in the same per-row order as the
 //! scalar walk, so distances (and hits) never depend on the kernel.
 //! [`ScanPlan::new`] picks [`selected_kernel`]; equivalence tests and
-//! benches pin [`ScanPlan::kernel`] explicitly. (For the bounded
-//! weighted block, the early-abandon check inside a 4-row block
+//! benches pin [`ScanPlan::kernel`] explicitly. (In the weighted loop
+//! of a non-scalar kind, the early-abandon check inside a 4-row block
 //! compares against the bound held at block entry; the bound only ever
 //! tightens, so a stale bound abandons strictly fewer rows — every
 //! abandoned row is one the scalar walk would also have abandoned, and
@@ -62,15 +63,15 @@
 //!
 //! ## Fused multi-query scan
 //!
-//! A plan with two or more queries answers **all of them in one pass**
+//! A plan answers **all of its queries in one pass**
 //! over the store: per row (or 8-row block), every query's distance is
 //! computed while the row's words are hot in cache, each feeding its
 //! own bounded [`TopK`] — amortizing the store's memory traffic across
 //! the batch. Execution parallelism fans out over **row ranges** (not
 //! queries): each range keeps per-query partial selectors, merged
-//! afterwards by re-offering the partial `(key, id)` pairs into a
-//! fresh selector — an order-independent reduction, so results are
-//! byte-identical for every thread budget. Per-query hits are
+//! afterwards by offering the later ranges' kept `(key, id)` pairs
+//! into the first range's selectors — an order-independent reduction,
+//! so results are byte-identical for every thread budget. Per-query hits are
 //! bit-identical to independent single-query scans; with more than one
 //! range the weighted work counters can be higher than a single scan's
 //! (each range re-fills its own selector before its bound starts
@@ -87,16 +88,14 @@
 //! * removed rows are **tombstoned**, not compacted (ids must stay
 //!   stable until the next epoch rebuild): a plan's
 //!   [`dead`](ScanPlan::dead) mask makes the loops skip dead rows
-//!   before they reach the selector. A mask with no dead rows runs the
-//!   unmasked loops, so a tombstone-free index pays **zero** overhead
-//!   for the capability, and the masked loops are monomorphized from
-//!   the same implementation as the unmasked ones, so live-row
+//!   before they reach the selector. A mask with no dead rows is
+//!   dropped up front, so a tombstone-free index never reads it, and
+//!   masked and unmasked scans are the same loop, so live-row
 //!   accumulation order (and therefore every distance) stays
 //!   bit-identical.
 
 use crate::bitset::{weighted_sq_xor_words, Bitset};
 use gdim_exec::ExecConfig;
-use gdim_kernels::hamming_row;
 
 pub use gdim_kernels::{
     available_kernels, hamming_block4, hamming_block4_multi, hamming_block8_multi_pruned,
@@ -108,14 +107,17 @@ pub use gdim_kernels::{
 /// stores run as a single range regardless of the thread budget.
 pub const MIN_ROWS_PER_RANGE: usize = 256;
 
-/// Contiguous row ranges for an exec-parallel fused scan: up to
-/// [`ExecConfig::effective_threads`] ranges, never smaller than
-/// [`MIN_ROWS_PER_RANGE`] rows (except the last remainder).
-fn scan_ranges(n: usize, exec: &ExecConfig) -> Vec<(usize, usize)> {
-    let tasks = exec.effective_threads(n.div_ceil(MIN_ROWS_PER_RANGE).max(1));
-    (0..tasks)
-        .map(|t| (t * n / tasks, (t + 1) * n / tasks))
-        .collect()
+/// How many contiguous row ranges a scan of `queries` queries over `n`
+/// rows splits into: a single query always gets exactly one (it never
+/// spawns); a batch gets up to [`ExecConfig::effective_threads`], none
+/// smaller than [`MIN_ROWS_PER_RANGE`] rows (except the last
+/// remainder).
+fn scan_ranges(n: usize, queries: usize, exec: &ExecConfig) -> usize {
+    if queries < 2 {
+        1
+    } else {
+        exec.effective_threads(n.div_ceil(MIN_ROWS_PER_RANGE).max(1))
+    }
 }
 
 /// One scan request — the argument of [`VectorStore::scan`]. A plain
@@ -123,8 +125,8 @@ fn scan_ranges(n: usize, exec: &ExecConfig) -> Vec<(usize, usize)> {
 /// fields with struct-update syntax.
 #[derive(Debug, Clone, Copy)]
 pub struct ScanPlan<'a> {
-    /// The query vectors' words (each `stride` long). One query runs
-    /// the single-row loops, two or more the fused range loops.
+    /// The query vectors' words (each `stride` long), answered
+    /// together in one pass over the store.
     pub queries: &'a [&'a [u64]],
     /// Answers wanted per query (clamped to the live row count).
     pub k: usize,
@@ -134,10 +136,10 @@ pub struct ScanPlan<'a> {
     pub weights: Option<&'a [f64]>,
     /// Rows to skip; `None` scans every row.
     pub dead: Option<&'a Tombstones>,
-    /// The kernel family of the single-row and fused binary loops
-    /// (all kinds are bit-identical; `Scalar` is the reference).
+    /// The kernel family (all kinds are bit-identical; `Scalar` is
+    /// the reference).
     pub kernel: KernelKind,
-    /// Bounds the fused scan's row-range fan-out.
+    /// Bounds the row-range fan-out of a batch (two or more queries).
     pub exec: ExecConfig,
 }
 
@@ -155,84 +157,32 @@ impl<'a> ScanPlan<'a> {
     }
 }
 
-/// One row range of a fused scan: per query, the range's partial
-/// `(key, id)` selection and its work counters.
-type RangeScan<K> = Vec<(Vec<(K, u32)>, ScanStats)>;
+/// One row range of a fused scan: per query, the range's selector and
+/// its work counters.
+type RangeScan<K> = Vec<(TopK<K>, ScanStats)>;
 
-/// The cross-range reduction of a fused scan: per query, re-offers
-/// every range's partial `(key, id)` selection into a fresh selector
+/// The cross-range reduction of a fused scan: folds every later
+/// range's kept `(key, id)` pairs into the first range's selectors
 /// (order-independent, so results are byte-identical for every thread
-/// budget) and sums the ranges' work counters.
+/// budget; one range — every single query — is finished as it stands)
+/// and sums the ranges' work counters.
 fn reduce_ranges<K: Ord + Copy>(
-    parts: &[RangeScan<K>],
-    queries: usize,
-    k: usize,
+    parts: Vec<RangeScan<K>>,
     finish: impl Fn(TopK<K>) -> Vec<(u32, f64)>,
 ) -> Vec<(Vec<(u32, f64)>, ScanStats)> {
-    (0..queries)
-        .map(|qi| {
-            let mut sel = TopK::new(k);
-            let mut stats = ScanStats::default();
-            for part in parts {
-                let (entries, part_stats) = &part[qi];
-                for &(key, id) in entries {
-                    sel.offer(key, id);
-                }
-                stats.merge(part_stats);
+    let mut parts = parts.into_iter();
+    let mut acc = parts.next().expect("a scan has at least one range");
+    for part in parts {
+        for ((sel, stats), (other, other_stats)) in acc.iter_mut().zip(part) {
+            for (key, id) in other.heap {
+                sel.offer(key, id);
             }
-            (finish(sel), stats)
-        })
+            stats.merge(&other_stats);
+        }
+    }
+    acc.into_iter()
+        .map(|(sel, stats)| (finish(sel), stats))
         .collect()
-}
-
-/// The shared bound-then-offer step of every binary selector loop: a
-/// candidate above the cached k-th bound never touches the heap; a
-/// kept offer refreshes the bound.
-#[inline]
-fn offer_bounded<K: Ord + Copy>(sel: &mut TopK<K>, bound: &mut Option<K>, key: K, id: u32) {
-    if let Some(b) = *bound {
-        if key > b {
-            return;
-        }
-    }
-    if sel.offer(key, id) {
-        *bound = sel.bound().map(|&(b, _)| b);
-    }
-}
-
-/// The bounded weighted row walk shared by the scalar kernel, the
-/// block kernel's tails, and the fused scan: accumulates the row's
-/// squared weighted distance word by word (bits low-to-high — the
-/// naive accumulation order, so sums are bit-identical), abandoning as
-/// soon as the running total strictly exceeds `bound` with words still
-/// unread. Returns `(total, words_touched)`; `touched < stride` means
-/// the row was abandoned.
-#[inline]
-fn weighted_walk(
-    query: &[u64],
-    row: &[u64],
-    w_sq: &[f64],
-    bound: f64,
-    last: usize,
-) -> (f64, usize) {
-    let mut total = 0.0f64;
-    let mut touched = row.len();
-    for (w, (a, b)) in query.iter().zip(row).enumerate() {
-        let mut x = a ^ b;
-        if x != 0 {
-            let block = &w_sq[w * 64..];
-            while x != 0 {
-                let bit = x.trailing_zeros() as usize;
-                x &= x - 1;
-                total += block[bit];
-            }
-        }
-        if total > bound && w < last {
-            touched = w + 1;
-            break;
-        }
-    }
-    (total, touched)
 }
 
 /// A flat row-major word matrix holding `n` fixed-length binary
@@ -484,28 +434,22 @@ impl VectorStore {
     ///   because the per-word contributions are non-negative.
     /// * **Mask** — `plan.dead` rows are skipped before the distance
     ///   loop and counted in [`ScanStats::tombstones_skipped`]; `k`
-    ///   clamps to the live row count. `None` (or a mask with no dead
-    ///   rows) runs the unmasked loops — a tombstone-free store pays
-    ///   nothing for the capability.
-    /// * **Shape** — one query runs the single-row loops on
-    ///   `plan.kernel` (every kernel returns bit-identical hits; the
-    ///   non-scalar weighted kinds abandon against the bound held at
-    ///   4-row block entry, so their work counters — never their hits,
-    ///   never the stats identity — may differ from the scalar trace).
-    ///   Two or more run **fused**: one pass over the store, per row
-    ///   block every query's distance computed while the words are hot
-    ///   in cache, `plan.exec` fanning out over row ranges (never
-    ///   queries). Per-query hits are bit-identical to independent
-    ///   single-query scans. (The fused weighted walk is the scalar
-    ///   per-row accumulation — the fusion across queries *is* the
-    ///   optimization — so at one range its trace matches the `Scalar`
-    ///   kernel exactly; with more ranges the work counters can exceed
-    ///   a single scan's, each range re-filling its own selector
-    ///   before its bound prunes.)
+    ///   clamps to the live row count. A mask with no dead rows is
+    ///   treated as `None` and never read.
+    /// * **Shape** — one pass over the store, per row block every
+    ///   query's distance computed while the words are hot in cache,
+    ///   `plan.exec` fanning a batch out over row ranges (never
+    ///   queries). One query is one range on the calling thread. Every
+    ///   `plan.kernel` returns bit-identical hits; a weighted scan on a
+    ///   non-scalar kind abandons against the bound held at 4-row block
+    ///   entry, so its work counters — never its hits, never the stats
+    ///   identity — may differ from the scalar trace. At one range a
+    ///   batch's per-query trace is exactly the single scan's; with
+    ///   more ranges the work counters can exceed it, each range
+    ///   re-filling its own selector before its bound prunes.
     pub fn scan(&self, plan: &ScanPlan<'_>) -> Vec<(Vec<(u32, f64)>, ScanStats)> {
         let ScanPlan {
             queries,
-            k,
             weights,
             kernel,
             ..
@@ -515,143 +459,43 @@ impl VectorStore {
             debug_assert_eq!(t.len(), self.n, "mask covers a different store");
         }
         let live = mask.map_or(self.n, Tombstones::live_count);
-        if queries.len() == 1 || k.min(live) == 0 || self.stride == 0 {
-            // One query — or a degenerate scan (nothing to select, or
-            // p = 0) with nothing to amortize — takes the single-row
-            // loops per query.
-            return queries
-                .iter()
-                .map(|q| self.scan_one(q, k, weights, mask, kernel))
+        let k = plan.k.min(live);
+        if k == 0 || self.stride == 0 {
+            // Nothing to select, or p = 0 (every distance is 0; ids
+            // break the ties). Dead rows are reported either way, so
+            // `scanned + abandoned + skipped == n` holds for monitoring
+            // whenever any row was looked at.
+            let hits: Vec<(u32, f64)> = (0..self.n)
+                .filter(|&i| !mask.is_some_and(|t| t.is_dead(i)))
+                .take(k)
+                .map(|i| (i as u32, 0.0))
                 .collect();
+            let stats = ScanStats {
+                vectors_scanned: if k == 0 { 0 } else { live },
+                tombstones_skipped: self.n - live,
+                ..ScanStats::default()
+            };
+            return vec![(hits, stats); queries.len()];
         }
-        let k = k.min(live);
-        let ranges = scan_ranges(self.n, &plan.exec);
+        let ranges = scan_ranges(self.n, queries.len(), &plan.exec);
+        let range = |t: usize| (t * self.n / ranges, (t + 1) * self.n / ranges);
         match weights {
             None => {
-                let parts = gdim_exec::map_tasks(&plan.exec, ranges.len(), |t| {
-                    let (start, end) = ranges[t];
+                let parts = gdim_exec::map_tasks(&plan.exec, ranges, |t| {
+                    let (start, end) = range(t);
                     self.binary_fused_range(queries, k, start, end, mask, kernel)
                 });
-                reduce_ranges(&parts, queries.len(), k, |sel| {
-                    Self::binary_hits(sel, self.bits)
-                })
+                reduce_ranges(parts, |sel| Self::binary_hits(sel, self.bits))
             }
             Some(w_sq) => {
-                let parts = gdim_exec::map_tasks(&plan.exec, ranges.len(), |t| {
-                    let (start, end) = ranges[t];
-                    self.weighted_fused_range(queries, k, w_sq, start, end, mask)
+                debug_assert!(w_sq.len() >= self.bits);
+                let parts = gdim_exec::map_tasks(&plan.exec, ranges, |t| {
+                    let (start, end) = range(t);
+                    self.weighted_fused_range(queries, k, w_sq, start, end, mask, kernel)
                 });
-                reduce_ranges(&parts, queries.len(), k, Self::weighted_hits)
+                reduce_ranges(parts, Self::weighted_hits)
             }
         }
-    }
-
-    /// One query through the single-row loops. The mask closure is
-    /// monomorphized per arm, so the unmasked instantiations compile
-    /// to exactly the branch-free kernels.
-    fn scan_one(
-        &self,
-        query: &[u64],
-        k: usize,
-        weights: Option<&[f64]>,
-        mask: Option<&Tombstones>,
-        kernel: KernelKind,
-    ) -> (Vec<(u32, f64)>, ScanStats) {
-        match (weights, mask) {
-            (None, None) => self.binary_scan(query, k, self.n, |_| false, 0, kernel),
-            (None, Some(t)) => {
-                let (live, dead) = (t.live_count(), t.dead_count());
-                self.binary_scan(query, k, live, |i| t.is_dead(i), dead, kernel)
-            }
-            (Some(w), None) => self.weighted_scan(query, k, w, self.n, |_| false, 0, kernel),
-            (Some(w), Some(t)) => {
-                let (live, dead) = (t.live_count(), t.dead_count());
-                self.weighted_scan(query, k, w, live, |i| t.is_dead(i), dead, kernel)
-            }
-        }
-    }
-
-    /// The one binary scan implementation. `is_dead` is monomorphized
-    /// away for the unmasked `|_| false` instantiation, so the
-    /// tombstone-free loop compiles to exactly the branch-free kernel,
-    /// and live rows accumulate in the same order either way.
-    ///
-    /// Non-scalar kernels evaluate 4-row blocks through
-    /// [`hamming_block4`]; block distances for dead rows are discarded
-    /// before the bound/selector step, so hits and stats stay
-    /// bit-identical to the scalar row loop (binary stats are analytic
-    /// in the live count either way).
-    fn binary_scan<F: Fn(usize) -> bool>(
-        &self,
-        query: &[u64],
-        k: usize,
-        live: usize,
-        is_dead: F,
-        dead_count: usize,
-        kernel: KernelKind,
-    ) -> (Vec<(u32, f64)>, ScanStats) {
-        debug_assert_eq!(query.len(), self.stride);
-        // Dead rows are skipped by definition, even when nothing else
-        // runs (k = 0, or no live rows at all): an all-tombstoned
-        // store still reports `tombstones_skipped == n`, keeping the
-        // stats identity for monitoring.
-        let mut stats = ScanStats {
-            tombstones_skipped: dead_count,
-            ..ScanStats::default()
-        };
-        let k = k.min(live);
-        if k == 0 {
-            return (Vec::new(), stats);
-        }
-        let mut sel: TopK<u32> = TopK::new(k);
-        if self.stride == 0 {
-            // p = 0: every distance is 0; ids break the ties.
-            for i in 0..self.n {
-                if is_dead(i) {
-                    continue;
-                }
-                stats.vectors_scanned += 1;
-                sel.offer(0, i as u32);
-            }
-            return (Self::binary_hits(sel, self.bits), stats);
-        }
-        // The k-th bound, kept in a local and refreshed only when an
-        // offer is kept, so the hot loop never reads the heap.
-        let mut bound: Option<u32> = None;
-        match kernel {
-            KernelKind::Scalar => {
-                for (i, row) in self.words.chunks_exact(self.stride).enumerate() {
-                    if is_dead(i) {
-                        continue;
-                    }
-                    offer_bounded(&mut sel, &mut bound, hamming_row(query, row), i as u32);
-                }
-            }
-            _ => {
-                let mut i = 0usize;
-                while i + 4 <= self.n {
-                    let block = &self.words[i * self.stride..(i + 4) * self.stride];
-                    let h4 = hamming_block4(kernel, query, block, self.stride);
-                    for (j, &h) in h4.iter().enumerate() {
-                        if is_dead(i + j) {
-                            continue;
-                        }
-                        offer_bounded(&mut sel, &mut bound, h, (i + j) as u32);
-                    }
-                    i += 4;
-                }
-                for idx in i..self.n {
-                    if is_dead(idx) {
-                        continue;
-                    }
-                    let h = hamming_row_kernel(kernel, query, self.row(idx));
-                    offer_bounded(&mut sel, &mut bound, h, idx as u32);
-                }
-            }
-        }
-        stats.vectors_scanned = live;
-        stats.words_scanned = live * self.stride;
-        (Self::binary_hits(sel, self.bits), stats)
     }
 
     /// Final normalization of the binary selection: `h ↦ √(h/p)` on
@@ -662,138 +506,6 @@ impl VectorStore {
             .into_iter()
             .map(|(h, id)| (id, (h as f64 / p).sqrt()))
             .collect()
-    }
-
-    /// The one weighted scan implementation (see
-    /// [`VectorStore::binary_scan`] for the monomorphization contract).
-    ///
-    /// Two phases: until the selector fills there is no bound to
-    /// prune against, so rows run through the shared full-row kernel;
-    /// once a bound exists, the scalar kernel walks rows one at a time
-    /// ([`weighted_walk`]) while the non-scalar kinds interleave 4-row
-    /// blocks — each row still accumulates its weights in exactly the
-    /// scalar per-row order, so sums (and hits) stay bit-identical.
-    #[allow(clippy::too_many_arguments)]
-    fn weighted_scan<F: Fn(usize) -> bool>(
-        &self,
-        query: &[u64],
-        k: usize,
-        w_sq: &[f64],
-        live: usize,
-        is_dead: F,
-        dead_count: usize,
-        kernel: KernelKind,
-    ) -> (Vec<(u32, f64)>, ScanStats) {
-        debug_assert_eq!(query.len(), self.stride);
-        debug_assert!(w_sq.len() >= self.bits);
-        // See `binary_scan`: dead rows are reported even on the k = 0
-        // / no-live-rows early return.
-        let mut stats = ScanStats {
-            tombstones_skipped: dead_count,
-            ..ScanStats::default()
-        };
-        let k = k.min(live);
-        if k == 0 {
-            return (Vec::new(), stats);
-        }
-        let mut sel: TopK<OrdF64> = TopK::new(k);
-        if self.stride == 0 {
-            for i in 0..self.n {
-                if is_dead(i) {
-                    continue;
-                }
-                stats.vectors_scanned += 1;
-                sel.offer(OrdF64(0.0), i as u32);
-            }
-            return (Self::weighted_hits(sel), stats);
-        }
-        let mut bound: Option<f64> = None;
-        let last = self.stride - 1;
-        // Phase 1 — selector not yet full: no bound to check between
-        // words, so the shared full-row kernel applies (same
-        // accumulation order — bit-identical sums).
-        let mut i = 0usize;
-        while i < self.n && bound.is_none() {
-            if !is_dead(i) {
-                let total = weighted_sq_xor_words(query, self.row(i), w_sq);
-                stats.words_scanned += self.stride;
-                stats.vectors_scanned += 1;
-                if sel.offer(OrdF64(total), i as u32) {
-                    bound = sel.bound().map(|&(OrdF64(b), _)| b);
-                }
-            }
-            i += 1;
-        }
-        // Phase 2 — bounded, early-abandoning.
-        if !matches!(kernel, KernelKind::Scalar) {
-            while i + 4 <= self.n {
-                let b0 = bound.expect("phase 2 runs with a full selector");
-                let base = i * self.stride;
-                // `active` = still accumulating; a row leaves the set
-                // by being dead up front or by abandoning mid-block.
-                let mut active = [false; 4];
-                let mut was_live = [false; 4];
-                for (j, (a, l)) in active.iter_mut().zip(&mut was_live).enumerate() {
-                    *l = !is_dead(i + j);
-                    *a = *l;
-                }
-                if was_live.iter().any(|&l| l) {
-                    let mut totals = [0.0f64; 4];
-                    let mut touched = [0usize; 4];
-                    for w in 0..self.stride {
-                        let q = query[w];
-                        let block = &w_sq[w * 64..];
-                        for j in 0..4 {
-                            if !active[j] {
-                                continue;
-                            }
-                            let mut x = q ^ self.words[base + j * self.stride + w];
-                            while x != 0 {
-                                let bit = x.trailing_zeros() as usize;
-                                x &= x - 1;
-                                totals[j] += block[bit];
-                            }
-                            touched[j] = w + 1;
-                            if totals[j] > b0 && w < last {
-                                active[j] = false;
-                            }
-                        }
-                    }
-                    for j in 0..4 {
-                        if !was_live[j] {
-                            continue;
-                        }
-                        stats.words_scanned += touched[j];
-                        if active[j] {
-                            stats.vectors_scanned += 1;
-                            if sel.offer(OrdF64(totals[j]), (i + j) as u32) {
-                                bound = sel.bound().map(|&(OrdF64(b), _)| b);
-                            }
-                        } else {
-                            stats.early_abandoned += 1;
-                        }
-                    }
-                }
-                i += 4;
-            }
-        }
-        while i < self.n {
-            if !is_dead(i) {
-                let b = bound.expect("phase 2 runs with a full selector");
-                let (total, touched) = weighted_walk(query, self.row(i), w_sq, b, last);
-                stats.words_scanned += touched;
-                if touched < self.stride {
-                    stats.early_abandoned += 1;
-                } else {
-                    stats.vectors_scanned += 1;
-                    if sel.offer(OrdF64(total), i as u32) {
-                        bound = sel.bound().map(|&(OrdF64(b), _)| b);
-                    }
-                }
-            }
-            i += 1;
-        }
-        (Self::weighted_hits(sel), stats)
     }
 
     /// Final normalization of the weighted selection: `sq ↦ √sq` on
@@ -814,10 +526,10 @@ impl VectorStore {
             .collect()
     }
 
-    /// One row range of a fused binary scan: per-query partial
-    /// selections (raw integer popcounts, not yet normalized) plus the
-    /// range's work counters (identical for every query — binary stats
-    /// are analytic in the range's live count).
+    /// One row range of a fused binary scan: per-query selectors over
+    /// raw integer popcounts (not yet normalized) plus the range's work
+    /// counters (identical for every query — binary stats are analytic
+    /// in the range's live count).
     fn binary_fused_range(
         &self,
         queries: &[&[u64]],
@@ -826,78 +538,87 @@ impl VectorStore {
         end: usize,
         mask: Option<&Tombstones>,
         kernel: KernelKind,
-    ) -> Vec<(Vec<(u32, u32)>, ScanStats)> {
-        let is_dead = |i: usize| mask.is_some_and(|t| t.is_dead(i));
+    ) -> RangeScan<u32> {
         let qn = queries.len();
-        let mut sels: Vec<TopK<u32>> = (0..qn).map(|_| TopK::new(k)).collect();
-        let mut bounds: Vec<Option<u32>> = vec![None; qn];
+        let mut out: RangeScan<u32> = (0..qn)
+            .map(|_| (TopK::new(k), ScanStats::default()))
+            .collect();
         // Buffers reused across blocks: h8s[j] is query j's eight
         // block distances, cands[j] its candidate-row bitmask,
-        // bound_keys[j] the current k-th key the kernel prunes against
+        // bounds[j] the current k-th key the kernel prunes against
         // (`u32::MAX` while selector j is still filling). One kernel
         // dispatch per 8-row block serves every query; blocks where no
         // query has a candidate (the common case once selectors fill)
         // skip the offer loop entirely.
         let mut h8s: Vec<[u32; 8]> = vec![[0u32; 8]; qn];
         let mut cands: Vec<u8> = vec![0u8; qn];
-        let mut bound_keys: Vec<u32> = vec![u32::MAX; qn];
+        let mut bounds: Vec<u32> = vec![u32::MAX; qn];
+        // A candidate above the cached bound never touches the heap; a
+        // kept offer refreshes the bound.
+        let offer = |sel: &mut TopK<u32>, bound: &mut u32, h: u32, id: usize| {
+            if h <= *bound && sel.offer(h, id as u32) {
+                *bound = sel.bound().map_or(u32::MAX, |&(b, _)| b);
+            }
+        };
         let mut dead_in_range = 0usize;
         let mut i = start;
         while i + 8 <= end {
             let block = &self.words[i * self.stride..(i + 8) * self.stride];
-            let alive: [bool; 8] = std::array::from_fn(|r| !is_dead(i + r));
-            dead_in_range += alive.iter().filter(|a| !**a).count();
+            let dead8 = mask.map_or(0u8, |t| {
+                (0..8).fold(0, |m, r| m | (t.is_dead(i + r) as u8) << r)
+            });
+            dead_in_range += dead8.count_ones() as usize;
             let any = hamming_block8_multi_pruned(
                 kernel,
                 queries,
                 block,
                 self.stride,
-                &bound_keys,
+                &bounds,
                 &mut h8s,
                 &mut cands,
             );
             if any {
                 for (j, &m) in cands.iter().enumerate() {
-                    if m == 0 {
-                        continue;
+                    let mut live_cands = m & !dead8;
+                    while live_cands != 0 {
+                        let r = live_cands.trailing_zeros() as usize;
+                        live_cands &= live_cands - 1;
+                        offer(&mut out[j].0, &mut bounds[j], h8s[j][r], i + r);
                     }
-                    let h8 = h8s[j];
-                    for (r, &h) in h8.iter().enumerate() {
-                        if (m >> r) & 1 == 1 && alive[r] {
-                            offer_bounded(&mut sels[j], &mut bounds[j], h, (i + r) as u32);
-                        }
-                    }
-                    bound_keys[j] = bounds[j].unwrap_or(u32::MAX);
                 }
             }
             i += 8;
         }
         while i < end {
-            if is_dead(i) {
+            if mask.is_some_and(|t| t.is_dead(i)) {
                 dead_in_range += 1;
             } else {
                 let row = self.row(i);
                 for (j, q) in queries.iter().enumerate() {
                     let h = hamming_row_kernel(kernel, q, row);
-                    offer_bounded(&mut sels[j], &mut bounds[j], h, i as u32);
+                    offer(&mut out[j].0, &mut bounds[j], h, i);
                 }
             }
             i += 1;
         }
         let live_in_range = (end - start) - dead_in_range;
-        let stats = ScanStats {
-            vectors_scanned: live_in_range,
-            early_abandoned: 0,
-            words_scanned: live_in_range * self.stride,
-            tombstones_skipped: dead_in_range,
-        };
-        sels.into_iter().map(|s| (s.into_sorted(), stats)).collect()
+        for (_, stats) in &mut out {
+            *stats = ScanStats {
+                vectors_scanned: live_in_range,
+                early_abandoned: 0,
+                words_scanned: live_in_range * self.stride,
+                tombstones_skipped: dead_in_range,
+            };
+        }
+        out
     }
 
-    /// One row range of a fused weighted scan: per query, the exact
-    /// scalar single-scan logic (full-row sums until the selector
-    /// fills, bounded [`weighted_walk`] after), so per-query stats are
-    /// the scalar trace of this range.
+    /// One row range of a fused weighted scan, in blocks of 4 rows —
+    /// of 1 row while the selectors fill (same `k`, same live rows:
+    /// they fill together), for the scalar kernel, and for the last
+    /// `< 4` rows — each handed to [`VectorStore::weighted_block`] once
+    /// per query.
+    #[allow(clippy::too_many_arguments)]
     fn weighted_fused_range(
         &self,
         queries: &[&[u64]],
@@ -906,50 +627,99 @@ impl VectorStore {
         start: usize,
         end: usize,
         mask: Option<&Tombstones>,
-    ) -> Vec<(Vec<(OrdF64, u32)>, ScanStats)> {
-        let is_dead = |i: usize| mask.is_some_and(|t| t.is_dead(i));
-        let qn = queries.len();
-        let mut sels: Vec<TopK<OrdF64>> = (0..qn).map(|_| TopK::new(k)).collect();
-        let mut bounds: Vec<Option<f64>> = vec![None; qn];
-        let mut stats = vec![ScanStats::default(); qn];
-        let last = self.stride - 1;
-        for i in start..end {
-            if is_dead(i) {
-                for s in &mut stats {
-                    s.tombstones_skipped += 1;
-                }
-                continue;
+        kernel: KernelKind,
+    ) -> RangeScan<OrdF64> {
+        let mut out: RangeScan<OrdF64> = queries
+            .iter()
+            .map(|_| (TopK::new(k), ScanStats::default()))
+            .collect();
+        let blocked = !matches!(kernel, KernelKind::Scalar);
+        let mut to_fill = k;
+        let mut i = start;
+        while i < end {
+            let rows = if blocked && to_fill == 0 && i + 4 <= end {
+                4
+            } else {
+                1
+            };
+            let mut live = [false; 4];
+            for (r, l) in live.iter_mut().take(rows).enumerate() {
+                *l = !mask.is_some_and(|t| t.is_dead(i + r));
             }
-            let row = self.row(i);
-            for (j, q) in queries.iter().enumerate() {
-                match bounds[j] {
-                    None => {
-                        let total = weighted_sq_xor_words(q, row, w_sq);
-                        stats[j].words_scanned += self.stride;
-                        stats[j].vectors_scanned += 1;
-                        if sels[j].offer(OrdF64(total), i as u32) {
-                            bounds[j] = sels[j].bound().map(|&(OrdF64(b), _)| b);
-                        }
-                    }
-                    Some(b) => {
-                        let (total, touched) = weighted_walk(q, row, w_sq, b, last);
-                        stats[j].words_scanned += touched;
-                        if touched < self.stride {
-                            stats[j].early_abandoned += 1;
-                        } else {
-                            stats[j].vectors_scanned += 1;
-                            if sels[j].offer(OrdF64(total), i as u32) {
-                                bounds[j] = sels[j].bound().map(|&(OrdF64(b), _)| b);
-                            }
-                        }
-                    }
+            let alive = live.iter().filter(|&&l| l).count();
+            to_fill = to_fill.saturating_sub(alive);
+            for (query, (sel, stats)) in queries.iter().zip(&mut out) {
+                stats.tombstones_skipped += rows - alive;
+                if alive == 0 {
+                    continue;
+                }
+                if rows == 4 {
+                    self.weighted_block(query, i, live, w_sq, sel, stats);
+                } else {
+                    self.weighted_block(query, i, [live[0]], w_sq, sel, stats);
+                }
+            }
+            i += rows;
+        }
+        out
+    }
+
+    /// The weighted step of one query over rows `i..i + R`: every live
+    /// row accumulates its squared weighted distance word by word (bits
+    /// low-to-high — the naive order, so sums are bit-identical for
+    /// every block size) and is abandoned as soon as its running total
+    /// strictly exceeds the k-th bound held at block entry (∞ while the
+    /// selector fills) with words still unread. The bound only
+    /// tightens, so a block-stale bound abandons a subset of what the
+    /// row-by-row trace abandons, and every extra fully-summed row is
+    /// rejected by the selector. Kept out of line: inlined into the
+    /// range loop, a single 100k-row scan measures ~20 % slower.
+    #[inline(never)]
+    fn weighted_block<const R: usize>(
+        &self,
+        query: &[u64],
+        i: usize,
+        live: [bool; R],
+        w_sq: &[f64],
+        sel: &mut TopK<OrdF64>,
+        stats: &mut ScanStats,
+    ) {
+        let b0 = sel.bound().map_or(f64::INFINITY, |&(OrdF64(b), _)| b);
+        let base = i * self.stride;
+        let last = self.stride - 1;
+        let mut active = live;
+        let mut totals = [0.0f64; R];
+        let mut touched = [0usize; R];
+        for (w, &q) in query.iter().enumerate() {
+            let block = &w_sq[w * 64..];
+            for j in 0..R {
+                if !active[j] {
+                    continue;
+                }
+                let mut x = q ^ self.words[base + j * self.stride + w];
+                while x != 0 {
+                    let bit = x.trailing_zeros() as usize;
+                    x &= x - 1;
+                    totals[j] += block[bit];
+                }
+                touched[j] = w + 1;
+                if totals[j] > b0 && w < last {
+                    active[j] = false;
                 }
             }
         }
-        sels.into_iter()
-            .zip(stats)
-            .map(|(s, st)| (s.into_sorted(), st))
-            .collect()
+        for j in 0..R {
+            if !live[j] {
+                continue;
+            }
+            stats.words_scanned += touched[j];
+            if active[j] {
+                stats.vectors_scanned += 1;
+                sel.offer(OrdF64(totals[j]), (i + j) as u32);
+            } else {
+                stats.early_abandoned += 1;
+            }
+        }
     }
 }
 
@@ -1021,14 +791,12 @@ impl<K: Ord + Copy> TopK<K> {
             self.heap.push((key, id));
             return true;
         }
-        let worst = *self.heap.peek().expect("full selector is non-empty");
-        if (key, id) < worst {
-            self.heap.pop();
-            self.heap.push((key, id));
-            true
-        } else {
-            false
+        let mut worst = self.heap.peek_mut().expect("full selector is non-empty");
+        let kept = (key, id) < *worst;
+        if kept {
+            *worst = (key, id);
         }
+        kept
     }
 
     /// The kept pairs, ascending by `(key, id)`.
@@ -1059,7 +827,7 @@ mod tests {
         .remove(0)
     }
 
-    /// A whole batch through [`VectorStore::scan`] (fused for ≥ 2).
+    /// A whole batch through [`VectorStore::scan`].
     fn scan_fused(
         s: &VectorStore,
         queries: &[&[u64]],
@@ -1104,7 +872,7 @@ mod tests {
     }
 
     #[test]
-    fn binary_scan_matches_hand_computed_distances() {
+    fn binary_query_matches_hand_computed_distances() {
         // 130 bits → 3 words per row, so the multi-word path runs.
         let s = store_from_bits(&[&[0, 65, 129], &[0], &[1, 2, 3, 64, 128], &[]], 130);
         let q = Bitset::from_words(vec![1, 0, 0], 130); // bit 0 set
@@ -1119,7 +887,7 @@ mod tests {
     }
 
     #[test]
-    fn binary_scan_bounded_k_equals_truncated_full_scan() {
+    fn binary_query_bounded_k_equals_truncated_full_scan() {
         let rows: Vec<Vec<usize>> = (0..40).map(|i| (0..i % 13).collect()).collect();
         let refs: Vec<&[usize]> = rows.iter().map(Vec::as_slice).collect();
         let s = store_from_bits(&refs, 200);
@@ -1132,7 +900,7 @@ mod tests {
     }
 
     #[test]
-    fn weighted_scan_abandons_rows_under_a_tight_bound() {
+    fn weighted_query_abandons_rows_under_a_tight_bound() {
         // Row 0 is the query itself (bound 0 after one offer); every
         // other row differs in word 0, so each is abandoned there
         // instead of walking all 4 words.
@@ -1149,7 +917,7 @@ mod tests {
     }
 
     #[test]
-    fn weighted_scan_equals_naive_sums_bit_for_bit() {
+    fn weighted_query_equals_naive_sums_bit_for_bit() {
         let rows: Vec<Vec<usize>> = (0..25)
             .map(|i| (0..150).filter(|b| (b * 7 + i) % 5 == 0).collect())
             .collect();
@@ -1409,10 +1177,10 @@ mod tests {
                         "binary query {j}, k {k}"
                     );
                     // One range ⇒ the fused weighted trace is exactly
-                    // the scalar single-scan trace, stats included.
+                    // the single-scan trace, stats included.
                     assert_eq!(
                         wfused[j],
-                        scan1(&s, q, k, Some(&w_sq), mask, KernelKind::Scalar),
+                        scan1(&s, q, k, Some(&w_sq), mask, selected_kernel()),
                         "weighted query {j}, k {k}"
                     );
                 }
@@ -1457,6 +1225,33 @@ mod tests {
                 assert_eq!(
                     got_b[j].0,
                     scan1(&s, queries[j], 9, None, Some(&dead), selected_kernel()).0
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_single_query_never_splits_ranges() {
+        // n = 2048 would split into 8 ranges for a batch; one query
+        // stays one range, so even the weighted work counters (which
+        // grow with the range count) match the serial plan exactly.
+        let s = random_store(2048, 70, 11);
+        let q = random_store(1, 70, 5);
+        let mut dead = Tombstones::all_live(2048);
+        for i in (0..2048).step_by(7) {
+            dead.mark_dead(i);
+        }
+        let w_sq: Vec<f64> = (0..70).map(|b| 1.0 / (b + 1) as f64).collect();
+        for weights in [None, Some(w_sq.as_slice())] {
+            for mask in [None, Some(&dead)] {
+                let serial = scan_fused(&s, &[q.row(0)], 9, weights, mask, &ExecConfig::serial());
+                let wide = scan_fused(&s, &[q.row(0)], 9, weights, mask, &ExecConfig::new(8));
+                assert_eq!(
+                    wide,
+                    serial,
+                    "weighted {} masked {}",
+                    weights.is_some(),
+                    mask.is_some()
                 );
             }
         }

@@ -493,7 +493,7 @@ impl GraphIndex {
     /// fan out on the index's [`ExecConfig`](gdim_exec::ExecConfig)
     /// budget and are byte-identical for any thread count.
     pub fn search(&self, query: &Graph, req: &SearchRequest) -> Result<SearchResponse, GdimError> {
-        Ok(search_partitions(&[self.partition()], false, query, req))
+        Ok(search_partitions(&[self.partition()], query, req))
     }
 
     /// Answers one request for a whole batch of queries
@@ -520,12 +520,7 @@ impl GraphIndex {
         queries: &[Graph],
         req: &SearchRequest,
     ) -> Result<Vec<SearchResponse>, GdimError> {
-        Ok(search_partitions_batch(
-            &[self.partition()],
-            false,
-            queries,
-            req,
-        ))
+        Ok(search_partitions_batch(&[self.partition()], queries, req))
     }
 
     /// This index as the executor's only partition: local ids are the
@@ -594,27 +589,22 @@ fn leg_histogram() -> &'static std::sync::Arc<gdim_obs::Histogram> {
     })
 }
 
-/// Runs `leg` once per partition — the one place a leg runs, so every
-/// plan records one `gdim_shard_scan_ns` sample per partition.
-/// `fan_out` spreads the partitions over the exec budget; otherwise
-/// they run inline on the calling thread (the right shape when the
-/// partitions are small, or when the leg itself owns the budget).
-fn run_legs<T: Send>(
-    parts: &[Partition<'_>],
-    fan_out: bool,
-    leg: impl Fn(&Partition<'_>) -> T + Sync,
-) -> Vec<T> {
-    let exec = if fan_out {
-        *parts[0].index.exec()
-    } else {
-        gdim_exec::ExecConfig::serial()
-    };
-    gdim_exec::map_tasks(&exec, parts.len(), |s| {
-        let t = Instant::now();
-        let out = leg(&parts[s]);
-        leg_histogram().record_duration(t.elapsed());
-        out
-    })
+/// Runs `leg` once per partition, in order, on the calling thread —
+/// the one place a leg runs, so every plan records one
+/// `gdim_shard_scan_ns` sample per partition. A search never forks per
+/// request: concurrent requests are the serving path's parallelism,
+/// and the exec budget is spent inside a leg only where a unit of work
+/// is milliseconds or a whole batch (exact δ, fused row ranges).
+fn run_legs<T>(parts: &[Partition<'_>], leg: impl Fn(&Partition<'_>) -> T) -> Vec<T> {
+    parts
+        .iter()
+        .map(|part| {
+            let t = Instant::now();
+            let out = leg(part);
+            leg_histogram().record_duration(t.elapsed());
+            out
+        })
+        .collect()
 }
 
 /// Answers one typed search request over `parts` — the single query
@@ -624,15 +614,14 @@ fn run_legs<T: Send>(
 /// each partition runs its leg of the requested ranker — bounded
 /// top-k scan, ANN beam, or exact δ — the legs merge by `(distance,
 /// seq)`, and the refined/verified rankers re-rank the merged
-/// candidates exactly. `fan_out` runs the scan/beam legs in parallel
-/// on the exec budget instead of inline; answers are bit-identical
-/// either way, and for every partitioning of the same rows.
+/// candidates exactly. The legs run in partition order on the calling
+/// thread; answers are bit-identical for every partitioning of the
+/// same rows.
 ///
 /// # Panics
 /// If `parts` is empty.
 pub fn search_partitions(
     parts: &[Partition<'_>],
-    fan_out: bool,
     query: &Graph,
     req: &SearchRequest,
 ) -> SearchResponse {
@@ -644,10 +633,10 @@ pub fn search_partitions(
         let (qvec, matched) = parts[0].index.mapped().map_query_with_stats(query);
         let match_time = t0.elapsed();
         let mut resp = match req.ranker {
-            Ranker::Approx { ef, .. } => approx_response(parts, fan_out, query, &qvec, req, ef),
+            Ranker::Approx { ef, .. } => approx_response(parts, query, &qvec, req, ef),
             _ => {
                 let ts = Instant::now();
-                let legs = run_legs(parts, fan_out, |part| {
+                let legs = run_legs(parts, |part| {
                     scan_leg(part, &[&qvec], req)
                         .pop()
                         .expect("one query, one leg")
@@ -669,22 +658,20 @@ pub fn search_partitions(
 /// For [`Ranker::Mapped`] / [`Ranker::Refined`] with two or more
 /// queries, the mapping fans out per query and every partition then
 /// answers **all** queries in one fused pass over its rows (parallel
-/// over row ranges on the exec budget — partitions run inline so the
-/// two levels don't nest pools). Every other request answers query by
-/// query through [`search_partitions`]: the exact δ fan-out is
-/// already parallel over each partition, and the approximate beam has
-/// no fused kernel. Output order matches `queries`, and every
+/// over row ranges on the exec budget). Every other request answers
+/// query by query through [`search_partitions`]: the exact δ fan-out
+/// is already parallel over each partition, and the approximate beam
+/// has no fused kernel. Output order matches `queries`, and every
 /// response's hits equal the single-query answer bit-for-bit.
 pub fn search_partitions_batch(
     parts: &[Partition<'_>],
-    fan_out: bool,
     queries: &[Graph],
     req: &SearchRequest,
 ) -> Vec<SearchResponse> {
     if queries.len() < 2 || !matches!(req.ranker, Ranker::Mapped | Ranker::Refined { .. }) {
         return queries
             .iter()
-            .map(|q| search_partitions(parts, fan_out, q, req))
+            .map(|q| search_partitions(parts, q, req))
             .collect();
     }
     let exec = parts[0].index.exec();
@@ -696,10 +683,8 @@ pub fn search_partitions_batch(
     let ts = Instant::now();
     let qvecs: Vec<&Bitset> = mapped.iter().map(|(v, _)| v).collect();
     // per_part[s][q] — one fused pass per partition.
-    let mut per_part = run_legs(parts, false, |part| scan_leg(part, &qvecs, req));
+    let mut per_part = run_legs(parts, |part| scan_leg(part, &qvecs, req));
     let scan_share = ts.elapsed() / queries.len() as u32;
-    // The refined verification stays serial per query — it fans out
-    // over each partition internally, and nesting pools oversubscribes.
     queries
         .iter()
         .enumerate()
@@ -774,7 +759,6 @@ fn scan_leg(part: &Partition<'_>, qvecs: &[&Bitset], req: &SearchRequest) -> Vec
 /// candidate set.
 fn approx_response(
     parts: &[Partition<'_>],
-    fan_out: bool,
     query: &Graph,
     qvec: &Bitset,
     req: &SearchRequest,
@@ -784,7 +768,7 @@ fn approx_response(
     // the beam must produce the full candidate set to re-rank.
     let (take, _) = candidates(req);
     let tb = Instant::now();
-    let legs = run_legs(parts, fan_out, |part| {
+    let legs = run_legs(parts, |part| {
         let idx = part.index;
         let (ranked, ann) = idx.approx_scan_premapped(qvec, take.min(idx.len()), ef, req.mapping);
         let stats = SearchStats {
@@ -806,12 +790,12 @@ fn approx_response(
 /// The single [`Ranker::Exact`] implementation: the full δ ranking of
 /// each partition's live rows, merged by `(δ, seq)`. Tombstoned graphs
 /// are excluded *before* the δ fan-out, so dead rows cost no MCS calls
-/// and never surface as hits. Partitions run inline: the δ fan-out
-/// inside each leg already owns the exec budget.
+/// and never surface as hits. The δ fan-out inside each leg owns the
+/// exec budget.
 fn exact_response(parts: &[Partition<'_>], query: &Graph, req: &SearchRequest) -> SearchResponse {
     let mcs = mcs_for(parts[0].index, req);
     let tr = Instant::now();
-    let legs = run_legs(parts, false, |part| {
+    let legs = run_legs(parts, |part| {
         let idx = part.index;
         let live = idx.tombstones().live_ids();
         let ranked = crate::query::exact_ranking_among(

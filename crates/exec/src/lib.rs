@@ -17,8 +17,6 @@
 //!   (the shape of condensed-triangle row fills);
 //! * [`map_chunks`] — fixed-size index chunks, flattened in index order
 //!   (the shape of per-item kernels with cheap items);
-//! * [`Progress`] — a shared counter workers bump per finished task,
-//!   observable from other threads for long builds;
 //! * [`BackgroundTask`] / [`CancelToken`] — a cancellable handle for
 //!   one long-running job on a dedicated thread (the shape of an index
 //!   rebuild behind a live serving path).
@@ -38,7 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, OnceLock};
 
@@ -85,57 +83,15 @@ impl ExecConfig {
     }
 }
 
-/// A shared completion counter for observing long fan-outs.
-///
-/// Workers bump [`Progress::inc`] once per finished task; any thread
-/// holding a reference can poll [`Progress::done`] /
-/// [`Progress::fraction`] concurrently (e.g. for a progress bar over a
-/// multi-minute δ-matrix build).
-#[derive(Debug, Default)]
-pub struct Progress {
-    done: AtomicUsize,
-    total: AtomicUsize,
-}
+/// Scoped workers spawned by this crate's fan-outs, process-wide.
+static WORKERS_SPAWNED: AtomicU64 = AtomicU64::new(0);
 
-impl Progress {
-    /// A fresh counter expecting `total` tasks.
-    pub fn new(total: usize) -> Self {
-        Progress {
-            done: AtomicUsize::new(0),
-            total: AtomicUsize::new(total),
-        }
-    }
-
-    /// Re-arms the counter for a new fan-out of `total` tasks.
-    pub fn reset(&self, total: usize) {
-        self.total.store(total, Ordering::Relaxed);
-        self.done.store(0, Ordering::Relaxed);
-    }
-
-    /// Tasks completed so far.
-    pub fn done(&self) -> usize {
-        self.done.load(Ordering::Relaxed)
-    }
-
-    /// Tasks expected in total.
-    pub fn total(&self) -> usize {
-        self.total.load(Ordering::Relaxed)
-    }
-
-    /// Completed fraction in `[0, 1]` (1 when no tasks are expected).
-    pub fn fraction(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            1.0
-        } else {
-            self.done() as f64 / total as f64
-        }
-    }
-
-    /// Records one finished task.
-    pub fn inc(&self) {
-        self.done.fetch_add(1, Ordering::Relaxed);
-    }
+/// How many scoped worker threads [`map_tasks`] / [`fill_tasks`] (and
+/// everything built on them) have spawned in this process so far. A
+/// code path that must stay on its caller's thread — a single search —
+/// is tested by this counter not moving.
+pub fn workers_spawned() -> u64 {
+    WORKERS_SPAWNED.load(Ordering::Relaxed)
 }
 
 /// `results[i] = task(i)` for `i in 0..tasks`, computed on up to
@@ -146,35 +102,16 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    map_tasks_observed(cfg, tasks, &Progress::new(tasks), task)
-}
-
-/// [`map_tasks`] with an externally observable [`Progress`] counter.
-pub fn map_tasks_observed<T, F>(
-    cfg: &ExecConfig,
-    tasks: usize,
-    progress: &Progress,
-    task: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
     let workers = cfg.effective_threads(tasks);
     if workers <= 1 {
-        return (0..tasks)
-            .map(|i| {
-                let out = task(i);
-                progress.inc();
-                out
-            })
-            .collect();
+        return (0..tasks).map(task).collect();
     }
 
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, T)>();
     let mut slots: Vec<Option<T>> = Vec::with_capacity(tasks);
     slots.resize_with(tasks, || None);
+    WORKERS_SPAWNED.fetch_add(workers as u64, Ordering::Relaxed);
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
@@ -185,12 +122,10 @@ where
                 if i >= tasks {
                     break;
                 }
-                let out = task(i);
-                progress.inc();
                 // The receiver lives for the whole scope; send only
                 // fails if the collector below panicked, and then the
                 // scope is unwinding anyway.
-                let _ = tx.send((i, out));
+                let _ = tx.send((i, task(i)));
             });
         }
         drop(tx);
@@ -261,6 +196,7 @@ where
     }
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, Vec<T>)>();
+    WORKERS_SPAWNED.fetch_add(workers as u64, Ordering::Relaxed);
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
@@ -631,17 +567,6 @@ mod tests {
         assert_eq!(ExecConfig::serial().effective_threads(100), 1);
         assert!(ExecConfig::new(0).effective_threads(100) >= 1);
         assert_eq!(ExecConfig::new(4).effective_threads(0), 1);
-    }
-
-    #[test]
-    fn progress_counts_all_tasks() {
-        let progress = Progress::new(50);
-        let _ = map_tasks_observed(&ExecConfig::new(4), 50, &progress, |i| i);
-        assert_eq!(progress.done(), 50);
-        assert_eq!(progress.total(), 50);
-        assert_eq!(progress.fraction(), 1.0);
-        progress.reset(10);
-        assert_eq!(progress.done(), 0);
     }
 
     #[test]

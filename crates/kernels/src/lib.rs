@@ -27,10 +27,8 @@
 //! Hamming distances are exact integer counts, so every kernel returns
 //! the same `u32` for the same row — callers may freely mix kernels
 //! without changing results. [`selected_kernel`] picks the best
-//! available kernel once per process; the `GDIM_KERNEL` environment
-//! variable (`scalar` / `unrolled` / `avx2` / `avx512`) overrides the
-//! choice for experiments, falling back to auto-detection when the
-//! requested kernel is unavailable.
+//! available kernel once per process; tests and benches that compare
+//! kernels pass a [`KernelKind`] explicitly.
 //!
 //! This crate deliberately holds the only `unsafe` in the workspace
 //! (`gdim-core` keeps `#![forbid(unsafe_code)]`): the intrinsic paths
@@ -62,7 +60,7 @@ pub enum KernelKind {
 
 impl KernelKind {
     /// Stable lowercase name (`scalar` / `unrolled` / `avx2` /
-    /// `avx512`), the same spelling `GDIM_KERNEL` accepts.
+    /// `avx512`) — the spelling response stats carry over the wire.
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Scalar => "scalar",
@@ -144,19 +142,10 @@ pub fn available_kernels() -> Vec<KernelKind> {
 }
 
 /// The kernel the scan leg uses by default: the best available one,
-/// decided once per process. `GDIM_KERNEL=scalar|unrolled|avx2|avx512`
-/// overrides the choice (ignored when the requested kernel is not
-/// available on this CPU/build).
+/// decided once per process from what the CPU/build supports.
 pub fn selected_kernel() -> KernelKind {
     static SELECTED: OnceLock<KernelKind> = OnceLock::new();
     *SELECTED.get_or_init(|| {
-        if let Ok(v) = std::env::var("GDIM_KERNEL") {
-            if let Some(k) = KernelKind::parse(&v) {
-                if k.is_available() {
-                    return k;
-                }
-            }
-        }
         if avx512_available() {
             KernelKind::Avx512
         } else if avx2_available() {
@@ -608,6 +597,44 @@ mod avx2 {
         }
     }
 
+    /// Row totals of two count vectors that hold two 2-word rows each
+    /// (`[r0.w0, r0.w1, r1.w0, r1.w1]`, `[r2.., r3..]`), in row order.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn sum2x2_epi64_vec(x01: __m256i, x23: __m256i) -> __m256i {
+        // Unpack pairs word 0s and word 1s as [r0, r2 | r1, r3].
+        let s = _mm256_add_epi64(
+            _mm256_unpacklo_epi64(x01, x23),
+            _mm256_unpackhi_epi64(x01, x23),
+        );
+        _mm256_permute4x64_epi64::<0b11_01_10_00>(s)
+    }
+
+    /// The prune step of one query over one 8-row block: per-lane
+    /// `h < bound` compare in registers (counts and bounds both fit
+    /// i64, so the signed compare is exact); distances are stored only
+    /// when some row survives. Returns whether any did.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn prune8(
+        t_lo: __m256i,
+        t_hi: __m256i,
+        bound: u32,
+        out: &mut [u32; 8],
+        cand: &mut u8,
+    ) -> bool {
+        let bv = _mm256_set1_epi64x(bound as i64);
+        let m_lo = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(bv, t_lo)));
+        let m_hi = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(bv, t_hi)));
+        *cand = (m_lo | (m_hi << 4)) as u8;
+        if *cand != 0 {
+            let lo = lanes_to_u32x4(t_lo);
+            let hi = lanes_to_u32x4(t_hi);
+            *out = [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]];
+        }
+        *cand != 0
+    }
+
     /// # Safety
     /// Caller must guarantee the CPU supports AVX2.
     #[target_feature(enable = "avx2")]
@@ -620,10 +647,10 @@ mod avx2 {
         cand: &mut [u8],
     ) -> bool {
         let mut any = false;
+        let p = block.as_ptr();
         if stride == 4 {
             // SAFETY: stride == 4 means block holds 32 words, bounding
             // all eight unaligned row loads.
-            let p = block.as_ptr();
             let r0 = _mm256_loadu_si256(p as *const __m256i);
             let r1 = _mm256_loadu_si256(p.add(4) as *const __m256i);
             let r2 = _mm256_loadu_si256(p.add(8) as *const __m256i);
@@ -639,7 +666,6 @@ mod avx2 {
                 // SAFETY: j < queries.len() == bounds/out/cand len
                 // (asserted by the dispatching wrapper).
                 let q = *queries.get_unchecked(j);
-                let b = *bounds.get_unchecked(j);
                 debug_assert_eq!(q.len(), 4);
                 // SAFETY: each query row has exactly stride (4) words.
                 let qv = _mm256_loadu_si256(q.as_ptr() as *const __m256i);
@@ -655,21 +681,45 @@ mod avx2 {
                     popcount256(_mm256_xor_si256(r6, qv)),
                     popcount256(_mm256_xor_si256(r7, qv)),
                 );
-                // Per-lane `h < bound` compare in registers; counts and
-                // bounds both fit i64, so the signed compare is exact.
-                let bv = _mm256_set1_epi64x(b as i64);
-                let m_lo = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(bv, t_lo)));
-                let m_hi = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(bv, t_hi)));
-                let m = (m_lo | (m_hi << 4)) as u8;
-                // SAFETY: j < cand.len() == out.len() (see above).
-                *cand.get_unchecked_mut(j) = m;
-                if m != 0 {
-                    any = true;
-                    let lo = lanes_to_u32x4(t_lo);
-                    let hi = lanes_to_u32x4(t_hi);
-                    *out.get_unchecked_mut(j) =
-                        [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]];
-                }
+                any |= prune8(
+                    t_lo,
+                    t_hi,
+                    *bounds.get_unchecked(j),
+                    out.get_unchecked_mut(j),
+                    cand.get_unchecked_mut(j),
+                );
+            }
+        } else if stride == 2 {
+            // 128-bit signatures: two rows per vector, the query in
+            // both halves.
+            // SAFETY: stride == 2 means block holds 16 words, bounding
+            // all four unaligned two-row loads.
+            let r01 = _mm256_loadu_si256(p as *const __m256i);
+            let r23 = _mm256_loadu_si256(p.add(4) as *const __m256i);
+            let r45 = _mm256_loadu_si256(p.add(8) as *const __m256i);
+            let r67 = _mm256_loadu_si256(p.add(12) as *const __m256i);
+            for j in 0..queries.len() {
+                // SAFETY: j < queries.len() == bounds/out/cand len
+                // (asserted by the dispatching wrapper).
+                let q = *queries.get_unchecked(j);
+                debug_assert_eq!(q.len(), 2);
+                // SAFETY: each query row has exactly stride (2) words.
+                let qv = _mm256_broadcastsi128_si256(_mm_loadu_si128(q.as_ptr() as *const __m128i));
+                let t_lo = sum2x2_epi64_vec(
+                    popcount256(_mm256_xor_si256(r01, qv)),
+                    popcount256(_mm256_xor_si256(r23, qv)),
+                );
+                let t_hi = sum2x2_epi64_vec(
+                    popcount256(_mm256_xor_si256(r45, qv)),
+                    popcount256(_mm256_xor_si256(r67, qv)),
+                );
+                any |= prune8(
+                    t_lo,
+                    t_hi,
+                    *bounds.get_unchecked(j),
+                    out.get_unchecked_mut(j),
+                    cand.get_unchecked_mut(j),
+                );
             }
         } else {
             for (((q, &b), o), c) in queries
@@ -851,6 +901,28 @@ mod avx512 {
         }
     }
 
+    /// The prune step of one query over one 8-row block: `h < bound`
+    /// per lane, straight into mask registers; distances are stored
+    /// only when some row survives. Returns whether any did.
+    #[inline]
+    #[target_feature(enable = "avx2,avx512f,avx512vl,avx512vpopcntdq")]
+    unsafe fn prune8(
+        t_lo: __m256i,
+        t_hi: __m256i,
+        bound: u32,
+        out: &mut [u32; 8],
+        cand: &mut u8,
+    ) -> bool {
+        let bv = _mm256_set1_epi64x(bound as i64);
+        *cand = _mm256_cmplt_epu64_mask(t_lo, bv) | (_mm256_cmplt_epu64_mask(t_hi, bv) << 4);
+        if *cand != 0 {
+            let lo = super::avx2::lanes_to_u32x4(t_lo);
+            let hi = super::avx2::lanes_to_u32x4(t_hi);
+            *out = [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]];
+        }
+        *cand != 0
+    }
+
     /// # Safety
     /// Caller must guarantee the CPU supports the `FEATURES` set.
     #[target_feature(enable = "avx2,avx512f,avx512vl,avx512vpopcntdq")]
@@ -863,10 +935,10 @@ mod avx512 {
         cand: &mut [u8],
     ) -> bool {
         let mut any = false;
+        let p = block.as_ptr();
         if stride == 4 {
             // SAFETY: stride == 4 means block holds 32 words, bounding
             // all eight unaligned row loads.
-            let p = block.as_ptr();
             let r0 = _mm256_loadu_si256(p as *const __m256i);
             let r1 = _mm256_loadu_si256(p.add(4) as *const __m256i);
             let r2 = _mm256_loadu_si256(p.add(8) as *const __m256i);
@@ -879,7 +951,6 @@ mod avx512 {
                 // SAFETY: j < queries.len() == bounds/out/cand len
                 // (asserted by the dispatching wrapper).
                 let q = *queries.get_unchecked(j);
-                let b = *bounds.get_unchecked(j);
                 debug_assert_eq!(q.len(), 4);
                 // SAFETY: each query row has exactly stride (4) words.
                 let qv = _mm256_loadu_si256(q.as_ptr() as *const __m256i);
@@ -895,20 +966,45 @@ mod avx512 {
                     _mm256_popcnt_epi64(_mm256_xor_si256(r6, qv)),
                     _mm256_popcnt_epi64(_mm256_xor_si256(r7, qv)),
                 );
-                // `h < bound` per lane, straight into mask registers.
-                let bv = _mm256_set1_epi64x(b as i64);
-                let m_lo = _mm256_cmplt_epu64_mask(t_lo, bv);
-                let m_hi = _mm256_cmplt_epu64_mask(t_hi, bv);
-                let m = m_lo | (m_hi << 4);
-                // SAFETY: j < cand.len() == out.len() (see above).
-                *cand.get_unchecked_mut(j) = m;
-                if m != 0 {
-                    any = true;
-                    let lo = super::avx2::lanes_to_u32x4(t_lo);
-                    let hi = super::avx2::lanes_to_u32x4(t_hi);
-                    *out.get_unchecked_mut(j) =
-                        [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]];
-                }
+                any |= prune8(
+                    t_lo,
+                    t_hi,
+                    *bounds.get_unchecked(j),
+                    out.get_unchecked_mut(j),
+                    cand.get_unchecked_mut(j),
+                );
+            }
+        } else if stride == 2 {
+            // 128-bit signatures: two rows per vector, the query in
+            // both halves.
+            // SAFETY: stride == 2 means block holds 16 words, bounding
+            // all four unaligned two-row loads.
+            let r01 = _mm256_loadu_si256(p as *const __m256i);
+            let r23 = _mm256_loadu_si256(p.add(4) as *const __m256i);
+            let r45 = _mm256_loadu_si256(p.add(8) as *const __m256i);
+            let r67 = _mm256_loadu_si256(p.add(12) as *const __m256i);
+            for j in 0..queries.len() {
+                // SAFETY: j < queries.len() == bounds/out/cand len
+                // (asserted by the dispatching wrapper).
+                let q = *queries.get_unchecked(j);
+                debug_assert_eq!(q.len(), 2);
+                // SAFETY: each query row has exactly stride (2) words.
+                let qv = _mm256_broadcastsi128_si256(_mm_loadu_si128(q.as_ptr() as *const __m128i));
+                let t_lo = super::avx2::sum2x2_epi64_vec(
+                    _mm256_popcnt_epi64(_mm256_xor_si256(r01, qv)),
+                    _mm256_popcnt_epi64(_mm256_xor_si256(r23, qv)),
+                );
+                let t_hi = super::avx2::sum2x2_epi64_vec(
+                    _mm256_popcnt_epi64(_mm256_xor_si256(r45, qv)),
+                    _mm256_popcnt_epi64(_mm256_xor_si256(r67, qv)),
+                );
+                any |= prune8(
+                    t_lo,
+                    t_hi,
+                    *bounds.get_unchecked(j),
+                    out.get_unchecked_mut(j),
+                    cand.get_unchecked_mut(j),
+                );
             }
         } else {
             for (((q, &b), o), c) in queries
@@ -1061,7 +1157,7 @@ mod tests {
 
     #[test]
     fn pruned_fused_kernel_matches_reference_and_bound_semantics() {
-        for stride in [0usize, 1, 3, 4, 5, 8, 13] {
+        for stride in [0usize, 1, 2, 3, 4, 5, 8, 13] {
             let block = words(8 * stride, 0x99 + stride as u64);
             for qn in [0usize, 1, 2, 7, 16] {
                 let queries: Vec<Vec<u64>> = (0..qn)

@@ -14,7 +14,7 @@
 //! ```text
 //! CURRENT          ASCII decimal generation number + '\n'
 //! gen-NNNNNN/      checkpoint: one ShardedIndex::save_dir output
-//!                  (MANIFEST + shard-NNNN.idx v2 files)
+//!                  (MANIFEST + shard-NNNN.idx v3 files)
 //! wal-NNNNNN.log   CRC-framed write-ahead log of mutations acked
 //!                  AFTER generation NNNNNN was cut
 //! ```

@@ -20,9 +20,10 @@
 //!   thread budget. There is no sharded copy of the query path: a
 //!   search hands its shards to the one query executor in
 //!   [`gdim_core::search`] as partitions (a bare `GraphIndex` is the
-//!   1-partition case), and this crate decides only whether the
-//!   per-shard legs fan out on the exec budget or run inline
-//!   ([`MIN_SCATTER_ROWS_PER_SHARD`]). Inserts/removes route to the
+//!   1-partition case), which runs the per-shard legs in order on the
+//!   thread that received the request — concurrent requests are the
+//!   serving path's parallelism; `gdim-exec` is for the build, the
+//!   exact δ phases and batches. Inserts/removes route to the
 //!   owning shard; each shard tracks its own
 //!   [`RebuildPolicy`](gdim_core::RebuildPolicy) staleness, and only
 //!   dirty shards rebuild (a shard rebuild compacts tombstones against
@@ -41,7 +42,7 @@
 //! broken by each row's **sequence number** (global insertion order),
 //! so merged rankings equal the unsharded `(distance, id)` order.
 //!
-//! Persistence is a manifest plus one v2 index file per shard
+//! Persistence is a manifest plus one v3 index file per shard
 //! ([`ShardedIndex::save_dir`] / [`ShardedIndex::load_dir`]), round-
 //! tripping to byte-identical files and answers — every file published
 //! crash-safely (temp → fsync → rename → parent fsync). For serving
@@ -79,7 +80,4 @@ pub use durable::{DurableHandle, RecoveryReport};
 pub use gdim_core::search::{merge_topk, MergedHit};
 pub use gdim_wal::SyncPolicy;
 pub use serving::{Reader, ServingHandle};
-pub use sharded::{
-    ShardId, ShardRebuildTask, ShardedIndex, ShardedOptions, ShardedRebuildTask,
-    MIN_SCATTER_ROWS_PER_SHARD,
-};
+pub use sharded::{ShardId, ShardRebuildTask, ShardedIndex, ShardedOptions, ShardedRebuildTask};

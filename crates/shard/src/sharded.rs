@@ -11,13 +11,6 @@ use gdim_core::{
 use gdim_exec::{BackgroundTask, ExecConfig};
 use gdim_mining::Feature;
 
-/// Below this average row count per shard, a search runs its
-/// per-shard scan/beam legs **inline** on the calling thread instead
-/// of fanning them out on the exec budget: each leg is then too small
-/// for a thread hand-off to pay for itself. The legs, the merge and
-/// the answer are the same either way.
-pub const MIN_SCATTER_ROWS_PER_SHARD: usize = 256;
-
 /// Typed id of one shard of a [`ShardedIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShardId(pub u32);
@@ -72,7 +65,10 @@ impl ShardedOptions {
     }
 
     /// Sets the worker-thread budget (`0` = all cores) for the build
-    /// pipeline, the parallel shard fan-out, and every query.
+    /// pipeline, the shard split, and the parts of a query that are
+    /// milliseconds or a whole batch (exact δ, batch mapping, fused
+    /// batch scans). A single mapped or approximate search never
+    /// spawns.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.index = self.index.with_threads(threads);
         self
@@ -160,9 +156,10 @@ impl ShardedIndex {
         debug_assert_eq!(global.tombstone_count(), 0, "split expects a fresh build");
         let exec = *global.exec();
         let shards: Vec<Arc<Shard>> = gdim_exec::map_tasks(&exec, shards_n, |s| {
-            let start = s * n / shards_n;
-            let end = (s + 1) * n / shards_n;
-            Arc::new(Self::make_shard(&global, start, end, base_epoch))
+            let rows: Vec<u32> =
+                ((s * n / shards_n) as u32..((s + 1) * n / shards_n) as u32).collect();
+            let seqs = rows.iter().map(|&i| i as u64).collect();
+            Arc::new(Self::shard_of_rows(&global, &rows, base_epoch, seqs))
         });
         let mut opts = opts;
         opts.shards = shards_n;
@@ -177,13 +174,22 @@ impl ShardedIndex {
         }
     }
 
-    /// Stamps out one shard from the global pipeline output: the graph
-    /// slice `[start, end)`, the full mined feature set with supports
-    /// filtered to the slice and remapped to local ids, and the same
-    /// selected dimensions/weights.
-    fn make_shard(global: &GraphIndex, start: usize, end: usize, epoch: u64) -> Shard {
-        let db: Vec<Graph> = global.graphs()[start..end].to_vec();
-        let features: Vec<Feature> = global
+    /// One shard over the rows `kept` (ascending ids) of `src`: their
+    /// graphs, the full mined feature set with supports filtered to
+    /// the kept rows and remapped to the new local ids, and the same
+    /// selected dimensions/weights, all live at `epoch`. `seqs[new]` is
+    /// the sequence number of kept row `new`.
+    fn shard_of_rows(src: &GraphIndex, kept: &[u32], epoch: u64, seqs: Vec<u64>) -> Shard {
+        // old id -> new local id (u32::MAX = not kept).
+        let mut remap = vec![u32::MAX; src.len()];
+        for (new, &old) in kept.iter().enumerate() {
+            remap[old as usize] = new as u32;
+        }
+        let db: Vec<Graph> = kept
+            .iter()
+            .map(|&i| src.graphs()[i as usize].clone())
+            .collect();
+        let features: Vec<Feature> = src
             .feature_space()
             .features()
             .iter()
@@ -193,27 +199,24 @@ impl ShardedIndex {
                 support: f
                     .support
                     .iter()
-                    .filter(|&&g| (g as usize) >= start && (g as usize) < end)
-                    .map(|&g| g - start as u32)
+                    .map(|&g| remap[g as usize])
+                    .filter(|&g| g != u32::MAX)
                     .collect(),
             })
             .collect();
         let index = GraphIndex::from_parts(
             db,
             features,
-            global.dimensions().to_vec(),
-            global.weights().to_vec(),
-            global.options().clone(),
-            global.stats().clone(),
+            src.dimensions().to_vec(),
+            src.weights().to_vec(),
+            src.options().clone(),
+            src.stats().clone(),
             epoch,
-            Tombstones::all_live(end - start),
+            Tombstones::all_live(kept.len()),
             0,
         )
-        .expect("a consistent global index splits into consistent shards");
-        Shard {
-            index,
-            seqs: (start as u64..end as u64).collect(),
-        }
+        .expect("the kept rows of a consistent index form a consistent shard");
+        Shard { index, seqs }
     }
 
     // ------------------------------------------------- id composition
@@ -327,8 +330,8 @@ impl ShardedIndex {
         &self.opts
     }
 
-    /// The parallelism budget driving scatter fan-out and every
-    /// pipeline phase.
+    /// The parallelism budget of the build pipeline, the exact δ
+    /// phases and batch searches.
     pub fn exec(&self) -> &ExecConfig {
         &self.opts.index.delta.exec
     }
@@ -475,46 +478,9 @@ impl ShardedIndex {
     /// selection, epoch + 1.
     fn compacted(shard: &Shard) -> Shard {
         let idx = &shard.index;
-        let live: Vec<usize> = (0..idx.len())
-            .filter(|&i| !idx.tombstones().is_dead(i))
-            .collect();
-        // old local id -> new local id (u32::MAX = dead).
-        let mut remap = vec![u32::MAX; idx.len()];
-        for (new, &old) in live.iter().enumerate() {
-            remap[old] = new as u32;
-        }
-        let db: Vec<Graph> = live.iter().map(|&i| idx.graphs()[i].clone()).collect();
-        let features: Vec<Feature> = idx
-            .feature_space()
-            .features()
-            .iter()
-            .map(|f| Feature {
-                graph: f.graph.clone(),
-                code: f.code.clone(),
-                support: f
-                    .support
-                    .iter()
-                    .filter(|&&g| remap[g as usize] != u32::MAX)
-                    .map(|&g| remap[g as usize])
-                    .collect(),
-            })
-            .collect();
-        let index = GraphIndex::from_parts(
-            db,
-            features,
-            idx.dimensions().to_vec(),
-            idx.weights().to_vec(),
-            idx.options().clone(),
-            idx.stats().clone(),
-            idx.epoch() + 1,
-            Tombstones::all_live(live.len()),
-            0,
-        )
-        .expect("compacting a consistent shard yields a consistent shard");
-        Shard {
-            index,
-            seqs: live.iter().map(|&i| shard.seqs[i]).collect(),
-        }
+        let live = idx.tombstones().live_ids();
+        let seqs = live.iter().map(|&i| shard.seqs[i as usize]).collect();
+        Self::shard_of_rows(idx, &live, idx.epoch() + 1, seqs)
     }
 
     /// Starts a **background** compaction of one shard on a dedicated
@@ -673,16 +639,11 @@ impl ShardedIndex {
     /// [`SearchStats`](gdim_core::SearchStats) aggregate across shards
     /// via [`SearchStats::merge`](gdim_core::SearchStats::merge).
     ///
-    /// The scan/beam legs fan out on the exec budget once the shards
-    /// average at least [`MIN_SCATTER_ROWS_PER_SHARD`] rows, and run
-    /// inline below that.
+    /// The per-shard legs run one after another on the calling thread:
+    /// concurrent requests, not a per-request fork, are what keeps the
+    /// cores busy.
     pub fn search(&self, query: &Graph, req: &SearchRequest) -> Result<SearchResponse, GdimError> {
-        Ok(search_partitions(
-            &self.partitions(),
-            self.fans_out(),
-            query,
-            req,
-        ))
+        Ok(search_partitions(&self.partitions(), query, req))
     }
 
     /// Answers one request for a whole batch of queries
@@ -704,12 +665,7 @@ impl ShardedIndex {
         queries: &[Graph],
         req: &SearchRequest,
     ) -> Result<Vec<SearchResponse>, GdimError> {
-        Ok(search_partitions_batch(
-            &self.partitions(),
-            self.fans_out(),
-            queries,
-            req,
-        ))
+        Ok(search_partitions_batch(&self.partitions(), queries, req))
     }
 
     /// The shards as the executor's partitions: each with its row→seq
@@ -724,12 +680,6 @@ impl ShardedIndex {
                 id_base: self.compose_id(ShardId(s as u32), 0).get(),
             })
             .collect()
-    }
-
-    /// Whether the per-shard legs are big enough to fan out (see
-    /// [`MIN_SCATTER_ROWS_PER_SHARD`]).
-    fn fans_out(&self) -> bool {
-        self.len() >= self.shards.len() * MIN_SCATTER_ROWS_PER_SHARD
     }
 
     // --------------------------------------------------- persistence

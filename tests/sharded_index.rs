@@ -7,16 +7,12 @@
 //! Sharded hits are translated through each row's sequence number,
 //! which by construction equals the row id of the unsharded index
 //! grown by the same operations. Also pins the manifest save → load →
-//! save byte-identical round trip, and both sides of the
-//! inline-vs-fan-out decision ([`MIN_SCATTER_ROWS_PER_SHARD`]): the
-//! small databases above run their per-shard legs inline, the growth
-//! test crosses the threshold into the fanned-out shape production
-//! serves.
+//! save byte-identical round trip, and the same equivalence on a
+//! 2-shard index grown by `insert` to a few hundred rows per shard.
 
 use proptest::prelude::*;
 
 use gdim::prelude::*;
-use gdim::shard::MIN_SCATTER_ROWS_PER_SHARD;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -340,21 +336,19 @@ fn scan_requests() -> Vec<SearchRequest> {
 }
 
 #[test]
-fn sub_threshold_shards_match_unsharded_answers() {
-    // 40 rows over 4 shards is far below the fan-out threshold: the
-    // per-shard legs run inline, and must still merge to exactly the
-    // unsharded answer with every row accounted for.
+fn small_shards_match_unsharded_answers() {
+    // 40 rows over 4 shards: the per-shard legs must merge to exactly
+    // the unsharded answer with every row accounted for.
     let db = chem(40, 11);
     let opts = IndexOptions::default().with_dimensions(24);
     let flat = GraphIndex::build(db.clone(), opts.clone());
     let sharded = ShardedIndex::build(db.clone(), ShardedOptions::new(4).with_index(opts));
-    assert!(sharded.len() < sharded.shard_count() * MIN_SCATTER_ROWS_PER_SHARD);
     for req in scan_requests() {
         for q in db.iter().step_by(9) {
             assert_eq!(
                 sharded_hits(&sharded, q, &req),
                 flat_hits(&flat, q, &req),
-                "inline legs diverged for {req:?}"
+                "legs diverged for {req:?}"
             );
             let stats = sharded.search(q, &req).unwrap().stats;
             assert_eq!(stats.kernel, Some(selected_kernel()));
@@ -368,7 +362,7 @@ fn sub_threshold_shards_match_unsharded_answers() {
 }
 
 #[test]
-fn sub_threshold_shards_respect_tombstones() {
+fn small_shards_respect_tombstones() {
     let db = chem(30, 11);
     let opts = IndexOptions::default().with_dimensions(20);
     let mut sharded =
@@ -414,22 +408,20 @@ fn single_shard_is_the_unsharded_index() {
 }
 
 #[test]
-fn growing_across_the_fan_out_threshold_keeps_answers_bit_identical() {
-    // A 2-shard index grown by `insert` from below to above
-    // 2 × MIN_SCATTER_ROWS_PER_SHARD rows: inline legs before, legs
-    // fanned out on the exec budget after — the shape every served
-    // request takes — and on both sides hits equal an unsharded index
-    // fed the same inserts, for `search` and `search_batch`.
-    let threshold = 2 * MIN_SCATTER_ROWS_PER_SHARD;
+fn growing_by_insert_keeps_answers_bit_identical() {
+    // A 2-shard index grown by `insert` past 512 rows — hundreds of
+    // rows per shard, the shape served requests take: hits equal an
+    // unsharded index fed the same inserts, for `search` and
+    // `search_batch`.
     let base = chem(40, 5);
-    let extra = chem(threshold, 6);
+    let extra = chem(512, 6);
     let queries = chem(3, 7);
     let mut flat = GraphIndex::build(base.clone(), opts());
     let mut sharded = ShardedIndex::build(base, ShardedOptions::new(2).with_index(opts()));
     let mut feed = extra.into_iter();
-    for target in [threshold - 12, threshold + 12] {
+    for target in [256, 524] {
         while sharded.len() < target {
-            let g = feed.next().expect("enough graphs to cross the threshold");
+            let g = feed.next().expect("enough graphs to reach the target");
             flat.insert(g.clone());
             sharded.insert(g);
         }
