@@ -2,12 +2,12 @@
 //!
 //! * fused inverted-list weight update vs the literal Algorithms 2–3
 //!   (identical output, different cost);
-//! * query mapping with vs without the gSpan parent-pruning shortcut;
+//! * query mapping with vs without the containment-DAG pruning;
 //! * binary vs weighted mapped distance evaluation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gdim_core::dspm::{dspm, dspm_reference, DspmConfig};
-use gdim_core::{DeltaConfig, DeltaMatrix, FeatureSpace, MappedDatabase, Mapping};
+use gdim_core::{ContainmentDag, DeltaConfig, DeltaMatrix, FeatureSpace, MappedDatabase, Mapping};
 use gdim_datagen::{chem_db, ChemConfig};
 use gdim_graph::vf2::is_subgraph_iso;
 use gdim_graph::McsOptions;
@@ -47,12 +47,13 @@ fn bench_ablation(c: &mut Criterion) {
         b.iter(|| dspm_reference(&space, &delta, &cfg).iterations)
     });
 
-    // Query mapping: full space (with parent pruning) vs brute VF2.
-    group.bench_function("map_query_parent_pruned", |b| {
+    // Query mapping: full space (compiled plans, DAG-pruned) vs brute VF2.
+    let dag = ContainmentDag::build(space.features());
+    group.bench_function("map_query_dag_pruned", |b| {
         b.iter(|| {
             queries
                 .iter()
-                .map(|q| space.map_query(q).count_ones())
+                .map(|q| dag.map_query(space.features(), q).0.count_ones())
                 .sum::<u32>()
         })
     });

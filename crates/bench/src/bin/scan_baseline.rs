@@ -4,7 +4,10 @@
 //! p = 256, top-10; the binary pair again at p = 128, the two-word
 //! stride the end-to-end benchmark serves), the fused multi-query
 //! batch scan vs. independent single-query scans at Q ∈ {8, 64}, and
-//! unpruned vs. containment-pruned query mapping on a chem workload. Medians of
+//! query mapping on a chem workload (64 queries onto p = 128
+//! dimensions): the brute-force loop of independent VF2 tests vs. the
+//! served path — compiled plans, one query context, containment-DAG
+//! pruning — with its time per query and per VF2 call. Medians of
 //! repeated timed runs, written as plain JSON so future PRs can track
 //! the trajectory. The snapshot also records the kernel families
 //! available on the measuring machine and which one runtime detection
@@ -26,11 +29,15 @@
 //! * `--baseline PATH` — **perf-regression gate**: read a committed
 //!   snapshot and exit non-zero if, for any workload measured by both
 //!   runs, a fresh speedup (`binary_speedup`, `binary_p128_speedup`,
-//!   `weighted_speedup`, or a fused `fused_qps_speedup` row) falls
-//!   below `min-frac` of the
+//!   `weighted_speedup`, a fused `fused_qps_speedup` row, or the
+//!   `map_query` `speedup`) falls below `min-frac` of the
 //!   committed one. Each ratio compares two runs *on the same
 //!   machine*, so the gate is robust to absolute runner speed;
 //!   `--min-frac` (default 0.25) leaves generous headroom for noise.
+//!   The `map_query` row's `vf2_calls` / `vf2_pruned` are fixed by the
+//!   seeds, not the machine, so they must equal the committed integers
+//!   **exactly**: a matcher or DAG change that runs one test more or
+//!   fewer fails here whatever it does to the time.
 //! * `--shards S[,S...]` — also measure the **scatter-gather** scan
 //!   (default `8`): the same store split into S contiguous sub-stores,
 //!   each scanned with the bounded kernel, merged to a global top-10
@@ -168,18 +175,45 @@ fn field(line: &str, key: &str) -> Option<f64> {
 
 /// The gated speedups of a snapshot produced by this binary
 /// (line-oriented; one row per line): binary (p = 256 and p = 128) and
-/// weighted kernel-vs-naive by `n`, fused-vs-independent by `(n, q)`.
+/// weighted kernel-vs-naive by `n`, fused-vs-independent by `(n, q)`,
+/// and the `map_query` row.
 #[derive(Default)]
 struct Speedups {
     binary: Vec<(usize, f64)>,
     binary_p128: Vec<(usize, f64)>,
     weighted: Vec<(usize, f64)>,
     fused: Vec<(usize, usize, f64)>,
+    map_query: Option<MapQueryRow>,
+}
+
+/// The gated part of the `map_query` row: its workload, the exact VF2
+/// counts, and brute-force time over served-path time.
+#[derive(Clone, Copy)]
+struct MapQueryRow {
+    queries: usize,
+    dimensions: usize,
+    vf2_calls: usize,
+    vf2_pruned: usize,
+    speedup: f64,
+}
+
+fn parse_map_query(line: &str) -> Option<MapQueryRow> {
+    let int = |key: &str| field(line, key).map(|v| v as usize);
+    Some(MapQueryRow {
+        queries: int("\"queries\"")?,
+        dimensions: int("\"dimensions\"")?,
+        vf2_calls: int("\"vf2_calls\"")?,
+        vf2_pruned: int("\"vf2_pruned\"")?,
+        speedup: field(line, "\"speedup\"")?,
+    })
 }
 
 fn parse_speedups(json: &str) -> Speedups {
     let mut out = Speedups::default();
     for line in json.lines() {
+        if line.contains("\"map_query\"") {
+            out.map_query = parse_map_query(line);
+        }
         let Some(n) = field(line, "\"n\"") else {
             continue;
         };
@@ -374,50 +408,74 @@ fn main() {
         }
     }
 
+    // Query mapping at the served shape: the brute-force loop (one
+    // independent VF2 test per dimension) vs. the served path. The
+    // bits are asserted identical before timing; the VF2 counts depend
+    // only on the seeds below.
     let db = chem_db(60, &ChemConfig::default(), 13);
-    let index = GraphIndex::build(db, IndexOptions::default().with_dimensions(60));
-    let queries = chem_db(4, &ChemConfig::default(), 99);
-    let unpruned = median_ns(31, || {
-        queries
-            .iter()
-            .map(|q| index.mapped().map_query_unpruned(q).count_ones())
-            .sum::<u32>()
-    });
-    let pruned = median_ns(31, || {
-        queries
-            .iter()
-            .map(|q| index.map_query(q).count_ones())
-            .sum::<u32>()
-    });
+    let index = GraphIndex::build(db, IndexOptions::default().with_dimensions(128));
+    let queries = chem_db(64, &ChemConfig::default(), 99);
     let (mut vf2_calls, mut vf2_pruned) = (0usize, 0usize);
     for q in &queries {
-        let (_, s) = index.map_query_with_stats(q);
+        let (bits, s) = index.map_query_with_stats(q);
+        assert_eq!(
+            bits,
+            index.mapped().map_query_unpruned(q),
+            "the served mapping must be bit-identical to the brute-force loop"
+        );
         vf2_calls += s.vf2_calls;
         vf2_pruned += s.vf2_pruned;
     }
-    let map_speedup = unpruned as f64 / pruned.max(1) as f64;
-    eprintln!(
-        "map_query (p={}, 4 queries): unpruned {unpruned} ns, pruned {pruned} ns \
-         ({map_speedup:.2}x), vf2 {vf2_calls} ran / {vf2_pruned} pruned",
-        index.dimensions().len()
+    let (unpruned, pruned) = paired_min_ns(
+        31,
+        || {
+            queries
+                .iter()
+                .map(|q| index.mapped().map_query_unpruned(q).count_ones())
+                .sum::<u32>()
+        },
+        || {
+            queries
+                .iter()
+                .map(|q| index.map_query(q).count_ones())
+                .sum::<u32>()
+        },
     );
+    let map_row = MapQueryRow {
+        queries: queries.len(),
+        dimensions: index.dimensions().len(),
+        vf2_calls,
+        vf2_pruned,
+        speedup: unpruned as f64 / pruned.max(1) as f64,
+    };
+    let ns_per_query = pruned / queries.len() as u64;
+    let ns_per_vf2_call = pruned / vf2_calls.max(1) as u64;
+    eprintln!(
+        "map_query (p={}, {} queries): unpruned {unpruned} ns, pruned {pruned} ns ({:.2}x), \
+         {ns_per_query} ns/query, {ns_per_vf2_call} ns/vf2 call, vf2 {vf2_calls} ran / \
+         {vf2_pruned} pruned",
+        map_row.dimensions, map_row.queries, map_row.speedup
+    );
+    fresh.map_query = Some(map_row);
 
     let cpu_kernels: Vec<String> = kernels.iter().map(|k| format!("\"{k}\"")).collect();
     let json = format!(
         "{{\n  \"workload\": \"synthetic 256-bit vectors (25% density), binary top-10; chem \
          map_query p={}\",\n  \"cpu\": {{\"available_kernels\": [{}], \"selected_kernel\": \
          \"{}\"}},\n  \"binary_scan\": [\n{}\n  ],\n  \"fused_scan\": [\n{}\n  ],\n  \
-         \"sharded_scan\": [\n{}\n  ],\n  \"map_query\": {{\"queries\": 4, \
+         \"sharded_scan\": [\n{}\n  ],\n  \"map_query\": {{\"queries\": {}, \
          \"dimensions\": {}, \"unpruned_ns\": {unpruned}, \"pruned_ns\": {pruned}, \
-         \"speedup\": {map_speedup:.2}, \"vf2_calls\": {vf2_calls}, \"vf2_pruned\": \
-         {vf2_pruned}}}\n}}\n",
-        index.dimensions().len(),
+         \"ns_per_query\": {ns_per_query}, \"ns_per_vf2_call\": {ns_per_vf2_call}, \
+         \"speedup\": {:.2}, \"vf2_calls\": {vf2_calls}, \"vf2_pruned\": {vf2_pruned}}}\n}}\n",
+        map_row.dimensions,
         cpu_kernels.join(", "),
         selected_kernel().name(),
         rows.join(",\n"),
         fused_rows.join(",\n"),
         shard_rows.join(",\n"),
-        index.dimensions().len()
+        map_row.queries,
+        map_row.dimensions,
+        map_row.speedup
     );
     std::fs::write(&args.out, &json).expect("write baseline json");
     eprintln!("wrote {}", args.out);
@@ -428,7 +486,8 @@ fn main() {
     let mut gate_failed = false;
 
     // The bench-smoke regression gate (see the module docs): binary,
-    // weighted, and fused speedups each against their committed rows.
+    // weighted, fused and map_query speedups each against their
+    // committed rows, and the map_query VF2 counts exactly.
     if let Some(path) = &args.baseline {
         let committed =
             parse_speedups(&std::fs::read_to_string(path).expect("read committed baseline"));
@@ -438,6 +497,11 @@ fn main() {
         let label_nq = |rows: &[(usize, usize, f64)]| -> Vec<(String, f64)> {
             rows.iter()
                 .map(|&(n, q, s)| (format!("n={n} q={q}"), s))
+                .collect()
+        };
+        let label_map = |row: &Option<MapQueryRow>| -> Vec<(String, f64)> {
+            row.iter()
+                .map(|r| (format!("p={} q={}", r.dimensions, r.queries), r.speedup))
                 .collect()
         };
         let mut checked = 0usize;
@@ -454,12 +518,36 @@ fn main() {
                 label_n(&committed.weighted),
             ),
             ("fused", label_nq(&fresh.fused), label_nq(&committed.fused)),
+            (
+                "map_query",
+                label_map(&fresh.map_query),
+                label_map(&committed.map_query),
+            ),
         ] {
             let (rows_checked, failed) =
                 gate_rows(what, &fresh_rows, &committed_rows, args.min_frac);
             checked += rows_checked;
             if failed {
                 eprintln!("bench-smoke: {what} speedup regressed below the committed threshold");
+                gate_failed = true;
+            }
+        }
+        match committed.map_query {
+            Some(want)
+                if (want.queries, want.dimensions) == (map_row.queries, map_row.dimensions) =>
+            {
+                let same = (want.vf2_calls, want.vf2_pruned) == (vf2_calls, vf2_pruned);
+                eprintln!(
+                    "bench-smoke map_query counts: fresh {vf2_calls} ran / {vf2_pruned} pruned \
+                     vs committed {} / {} .. {}",
+                    want.vf2_calls,
+                    want.vf2_pruned,
+                    if same { "ok" } else { "FAIL" }
+                );
+                gate_failed |= !same;
+            }
+            _ => {
+                eprintln!("bench-smoke: {path} has no map_query row for this workload");
                 gate_failed = true;
             }
         }

@@ -1,88 +1,31 @@
 //! The feature space `F` of §4–5: mined features, the binary matrix
 //! `[y_ir]` as bitset rows, and the two inverted lists of §5.1.2 —
 //! `IF_r` (graphs containing feature `f_r`) and `IG_i` (features
-//! contained in graph `g_i`). Also maps **unseen query graphs** onto the
-//! space via VF2 with histogram pre-filters and anti-monotone pruning
-//! along the gSpan parent relation.
+//! contained in graph `g_i`).
 //!
-//! Two pruning structures keep the VF2 "feature matching time" (the
-//! paper's Exp-4 cost component) down:
+//! **Unseen graphs** (queries, online inserts) are mapped onto a
+//! feature set by one loop, [`ContainmentDag::map_query`], which keeps
+//! the VF2 "feature matching time" (the paper's Exp-4 cost component)
+//! down three ways:
 //!
-//! * [`GraphInvariants`] — free per-feature invariants (vertex/edge
-//!   counts, label multisets) checked before any VF2 call: if a
-//!   feature needs a label the query lacks, no isomorphism test runs.
-//! * [`ContainmentDag`] — the containment partial order `f ⊆ f′` over
-//!   a *selected* feature set, computed once at index-build time with
-//!   VF2 on the tiny feature graphs. At query time features are
-//!   matched in topological order; once `f ⊄ q` is known, every
-//!   selected supergraph of `f` is skipped without a VF2 call
-//!   (anti-monotonicity, generalizing the gSpan parent pruning to
-//!   feature subsets where the gSpan parent was not selected).
+//! * every feature is compiled once into a [`vf2::Pattern`], and the
+//!   graph being mapped is prepared once per call, so a test is only
+//!   the search itself;
+//! * the plan's counts and label histograms are a free prescreen: if a
+//!   feature needs a label the graph lacks, no isomorphism test runs;
+//! * the containment partial order `f ⊆ f′` over the feature set,
+//!   computed once with VF2 on the tiny feature graphs: features are
+//!   matched in topological order, and once `f ⊄ q` is known every
+//!   supergraph of `f` is skipped without a VF2 call
+//!   (anti-monotonicity, generalizing gSpan parent pruning to feature
+//!   subsets where the gSpan parent was not selected).
 
 use gdim_graph::fxhash::{FxHashMap, FxHashSet};
-use gdim_graph::vf2::is_subgraph_iso;
+use gdim_graph::vf2::{self, Pattern};
 use gdim_graph::Graph;
 use gdim_mining::Feature;
 
 use crate::bitset::Bitset;
-
-/// Cheap order-respecting graph invariants: if `sub ⊆ sup` then every
-/// invariant of `sub` is dominated by `sup`'s, so a failed dominance
-/// check disproves containment for free — no VF2 call.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GraphInvariants {
-    /// `|V|`.
-    pub vertices: usize,
-    /// `|E|`.
-    pub edges: usize,
-    /// Vertex-label histogram, sorted by label.
-    pub vlabels: Vec<(u32, u32)>,
-    /// Edge-label histogram, sorted by label.
-    pub elabels: Vec<(u32, u32)>,
-}
-
-impl GraphInvariants {
-    /// The invariants of `g`.
-    pub fn of(g: &Graph) -> Self {
-        GraphInvariants {
-            vertices: g.vertex_count(),
-            edges: g.edge_count(),
-            vlabels: g.vlabel_counts(),
-            elabels: g.elabel_counts(),
-        }
-    }
-
-    /// Whether a graph with these invariants *can* contain one with
-    /// `sub`'s (necessary, not sufficient): counts dominate and both
-    /// label multisets include `sub`'s.
-    pub fn may_contain(&self, sub: &GraphInvariants) -> bool {
-        sub.vertices <= self.vertices
-            && sub.edges <= self.edges
-            && multiset_includes(&self.vlabels, &sub.vlabels)
-            && multiset_includes(&self.elabels, &sub.elabels)
-    }
-}
-
-/// Whether the sorted histogram `sup` includes `sub` (every label with
-/// at least the same count).
-fn multiset_includes(sup: &[(u32, u32)], sub: &[(u32, u32)]) -> bool {
-    let mut it = sup.iter();
-    'outer: for &(label, count) in sub {
-        for &(l, c) in it.by_ref() {
-            if l == label {
-                if c < count {
-                    return false;
-                }
-                continue 'outer;
-            }
-            if l > label {
-                return false;
-            }
-        }
-        return false;
-    }
-    true
-}
 
 /// Per-query counters of the feature-matching leg: how many VF2
 /// subgraph-isomorphism tests actually ran and how many were avoided
@@ -103,11 +46,13 @@ pub struct MatchStats {
 /// Built at index-build time and **rebuilt deterministically on
 /// load** — it is derived state, never persisted (see
 /// [`crate::persist`]). Construction prescreens candidate pairs with
-/// [`GraphInvariants`] and the anti-monotone support-list relation
+/// [`Pattern::may_embed_in`] and the anti-monotone support-list relation
 /// (`f_i ⊆ f_j ⟹ sup(f_j) ⊆ sup(f_i)`) before running VF2 on the tiny
 /// feature graphs, and stores the transitive reduction (a parent
-/// implied by another parent adds no pruning power).
-#[derive(Debug, Clone, Default)]
+/// implied by another parent adds no pruning power). It owns the
+/// compiled plans of its features, so it is immutable and held behind
+/// an `Arc` by its users: cloning an index shares it.
+#[derive(Debug, Default)]
 pub struct ContainmentDag {
     /// Column evaluation order: ascending `(edges, vertices, column)`,
     /// so every feature is evaluated after all features it contains.
@@ -115,18 +60,17 @@ pub struct ContainmentDag {
     /// `parents[j]` = columns whose feature is contained in feature
     /// `j` (transitively reduced).
     parents: Vec<Vec<u32>>,
-    /// Invariants per column, for the free query prescreen.
-    invariants: Vec<GraphInvariants>,
+    /// The compiled matching plan of each column's feature; its
+    /// histograms are the free query prescreen.
+    plans: Vec<Pattern>,
 }
 
 impl ContainmentDag {
-    /// Builds the DAG over `features` (one VF2 containment test per
-    /// invariant- and support-plausible ordered pair).
+    /// Compiles `features` and builds the DAG over them (one VF2
+    /// containment test per prescreen- and support-plausible ordered
+    /// pair).
     pub fn build(features: &[Feature]) -> Self {
-        let invariants: Vec<GraphInvariants> = features
-            .iter()
-            .map(|f| GraphInvariants::of(&f.graph))
-            .collect();
+        let plans: Vec<Pattern> = features.iter().map(|f| Pattern::new(&f.graph)).collect();
         let mut order: Vec<u32> = (0..features.len() as u32).collect();
         order.sort_by_key(|&c| {
             let f = &features[c as usize];
@@ -136,20 +80,19 @@ impl ContainmentDag {
         // prescreens (i strictly before j in evaluation order).
         let mut contains: FxHashSet<(u32, u32)> = FxHashSet::default();
         let mut parents: Vec<Vec<u32>> = vec![Vec::new(); features.len()];
+        let mut scratch = vf2::Scratch::default();
         for (pos, &j) in order.iter().enumerate() {
             let fj = &features[j as usize];
+            let mut target = scratch.target(&fj.graph);
             let mut direct: Vec<u32> = Vec::new();
             for &i in &order[..pos] {
-                let fi = &features[i as usize];
-                if !invariants[j as usize].may_contain(&invariants[i as usize]) {
-                    continue;
-                }
-                // Anti-monotone on the database: every graph containing
-                // f_j must contain any f_i ⊆ f_j.
-                if !sorted_subset(&fj.support, &fi.support) {
-                    continue;
-                }
-                if is_subgraph_iso(&fi.graph, &fj.graph) {
+                let plan = &plans[i as usize];
+                // The support test is anti-monotonicity on the database:
+                // every graph containing f_j must contain any f_i ⊆ f_j.
+                if plan.may_embed_in(&target)
+                    && sorted_subset(&fj.support, &features[i as usize].support)
+                    && plan.is_in(&mut target)
+                {
                     contains.insert((i, j));
                     direct.push(i);
                 }
@@ -166,18 +109,20 @@ impl ContainmentDag {
         ContainmentDag {
             order,
             parents,
-            invariants,
+            plans,
         }
     }
 
-    /// Maps a query onto `features` (the same slice the DAG was built
-    /// over): bit `r` set iff `f_r ⊆ q`, bit-identical to testing
-    /// every feature with VF2, with the DAG and the invariant
-    /// prescreen skipping calls whose answer is already forced.
+    /// Maps a graph onto `features` (the same slice the DAG was built
+    /// over; its compiled plans do the matching): bit `r` set iff
+    /// `f_r ⊆ q`, bit-identical to testing every feature with VF2,
+    /// with the DAG and the histogram prescreen skipping calls whose
+    /// answer is already forced. `q` is prepared once for all columns.
     pub fn map_query(&self, features: &[Feature], q: &Graph) -> (Bitset, MatchStats) {
-        debug_assert_eq!(features.len(), self.parents.len());
-        let qinv = GraphInvariants::of(q);
-        let mut bits = Bitset::zeros(features.len());
+        debug_assert_eq!(features.len(), self.plans.len());
+        let mut scratch = vf2::Scratch::default();
+        let mut target = scratch.target(q);
+        let mut bits = Bitset::zeros(self.plans.len());
         let mut stats = MatchStats::default();
         'cols: for &col in &self.order {
             let c = col as usize;
@@ -187,12 +132,12 @@ impl ContainmentDag {
                     continue 'cols;
                 }
             }
-            if !qinv.may_contain(&self.invariants[c]) {
+            if !self.plans[c].may_embed_in(&target) {
                 stats.vf2_pruned += 1;
                 continue;
             }
             stats.vf2_calls += 1;
-            if is_subgraph_iso(&features[c].graph, q) {
+            if self.plans[c].is_in(&mut target) {
                 bits.set(c);
             }
         }
@@ -245,11 +190,6 @@ pub struct FeatureSpace {
     rows: Vec<Bitset>,
     /// `IG_i`: sorted feature ids contained in graph `i`.
     ig: Vec<Vec<u32>>,
-    /// gSpan parent (code prefix) per feature, for anti-monotone query
-    /// mapping: if the parent is absent from a query, so is the child.
-    parent: Vec<Option<u32>>,
-    /// Per-feature invariants for the free query-mapping prescreen.
-    invariants: Vec<GraphInvariants>,
 }
 
 impl FeatureSpace {
@@ -264,34 +204,11 @@ impl FeatureSpace {
                 ig[gid as usize].push(r as u32);
             }
         }
-        // Parent lookup by DFS-code prefix. gSpan emits parents before
-        // children, but `min_edges` filtering may drop them; missing
-        // parents simply disable the pruning for that feature.
-        let mut by_code: FxHashMap<&gdim_graph::dfscode::DfsCode, u32> = FxHashMap::default();
-        for (r, f) in features.iter().enumerate() {
-            by_code.insert(&f.code, r as u32);
-        }
-        let parent: Vec<Option<u32>> = features
-            .iter()
-            .map(|f| {
-                if f.code.len() <= 1 {
-                    return None;
-                }
-                let prefix = gdim_graph::dfscode::DfsCode(f.code.0[..f.code.len() - 1].to_vec());
-                by_code.get(&prefix).copied()
-            })
-            .collect();
-        let invariants = features
-            .iter()
-            .map(|f| GraphInvariants::of(&f.graph))
-            .collect();
         FeatureSpace {
             n_graphs,
             features,
             rows,
             ig,
-            parent,
-            invariants,
         }
     }
 
@@ -335,35 +252,6 @@ impl FeatureSpace {
     #[inline]
     pub fn support_count(&self, r: usize) -> usize {
         self.features[r].support.len()
-    }
-
-    /// Maps an unseen query graph onto the full feature space: bit `r`
-    /// is set iff `f_r ⊆ q` (VF2 subgraph-isomorphism, the step the
-    /// paper times as "feature matching time" in Exp-4).
-    ///
-    /// Features are tested in gSpan emission order so each feature's
-    /// parent verdict is already known; a feature whose parent is absent
-    /// is skipped without a VF2 call (anti-monotonicity), and the free
-    /// [`GraphInvariants`] prescreen rejects features whose counts or
-    /// label multisets the query cannot cover before any VF2 runs.
-    pub fn map_query(&self, q: &Graph) -> Bitset {
-        let qinv = GraphInvariants::of(q);
-        let mut bits = Bitset::zeros(self.features.len());
-        for (r, f) in self.features.iter().enumerate() {
-            if let Some(p) = self.parent[r] {
-                debug_assert!((p as usize) < r, "gSpan emits parents first");
-                if !bits.get(p as usize) {
-                    continue;
-                }
-            }
-            if !qinv.may_contain(&self.invariants[r]) {
-                continue;
-            }
-            if is_subgraph_iso(&f.graph, q) {
-                bits.set(r);
-            }
-        }
-        bits
     }
 
     /// Appends one graph to the space with its **already computed**
@@ -433,6 +321,7 @@ impl FeatureSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gdim_graph::vf2::is_subgraph_iso;
     use gdim_mining::{mine, MinerConfig, Support};
 
     fn tiny_db() -> Vec<Graph> {
@@ -447,6 +336,13 @@ mod tests {
         let feats = mine(&db, &MinerConfig::new(Support::Absolute(1)));
         let space = FeatureSpace::build(db.len(), feats);
         (db, space)
+    }
+
+    /// `q` mapped onto the whole space, the way an online insert does it.
+    fn map_full(s: &FeatureSpace, q: &Graph) -> Bitset {
+        ContainmentDag::build(s.features())
+            .map_query(s.features(), q)
+            .0
     }
 
     #[test]
@@ -468,7 +364,7 @@ mod tests {
         // Mapping a database graph as a "query" must reproduce its row.
         let (db, s) = space();
         for (i, g) in db.iter().enumerate() {
-            assert_eq!(&s.map_query(g), s.row(i), "graph {i}");
+            assert_eq!(&map_full(&s, g), s.row(i), "graph {i}");
         }
     }
 
@@ -477,7 +373,7 @@ mod tests {
         let (_, s) = space();
         // A 4-path contains the edge and the 2-path but not the triangle.
         let q = Graph::from_parts(vec![0; 4], [(0, 1, 0), (1, 2, 0), (2, 3, 0)]).unwrap();
-        let bits = s.map_query(&q);
+        let bits = map_full(&s, &q);
         for (r, f) in s.features().iter().enumerate() {
             assert_eq!(
                 bits.get(r),
@@ -521,7 +417,7 @@ mod tests {
             })
             .collect();
         let mut grown = FeatureSpace::build(2, restricted);
-        let row = grown.map_query(&db[2]);
+        let row = map_full(&grown, &db[2]);
         let id = grown.push_graph(&row);
         assert_eq!(id, 2);
         assert_eq!(grown.num_graphs(), full.num_graphs());
@@ -532,22 +428,6 @@ mod tests {
             assert_eq!(grown.row(i), full.row(i), "graph {i}");
             assert_eq!(grown.ig_list(i), full.ig_list(i), "graph {i}");
         }
-    }
-
-    #[test]
-    fn invariants_dominance_is_sound() {
-        let tri = Graph::from_parts(vec![0; 3], [(0, 1, 0), (1, 2, 0), (0, 2, 0)]).unwrap();
-        let path = Graph::from_parts(vec![0; 3], [(0, 1, 0), (1, 2, 0)]).unwrap();
-        let other = Graph::from_parts(vec![1, 1], [(0, 1, 5)]).unwrap();
-        let (ti, pi, oi) = (
-            GraphInvariants::of(&tri),
-            GraphInvariants::of(&path),
-            GraphInvariants::of(&other),
-        );
-        assert!(ti.may_contain(&pi)); // path ⊆ triangle is plausible
-        assert!(!pi.may_contain(&ti)); // fewer edges cannot contain more
-        assert!(!ti.may_contain(&oi)); // label 1 vertices absent from tri
-        assert!(ti.may_contain(&ti));
     }
 
     #[test]
@@ -605,11 +485,11 @@ mod tests {
 
     #[test]
     fn parent_pruning_never_changes_results() {
-        // Compare map_query against brute-force VF2 over all features on
-        // a query where many parents are absent.
+        // Compare the DAG mapping against brute-force VF2 over all
+        // features on a query where many parents are absent.
         let (_, s) = space();
         let q = Graph::from_parts(vec![1, 1, 1], [(0, 1, 5), (1, 2, 5)]).unwrap();
-        let bits = s.map_query(&q);
+        let bits = map_full(&s, &q);
         for (r, f) in s.features().iter().enumerate() {
             assert_eq!(bits.get(r), is_subgraph_iso(&f.graph, &q));
         }

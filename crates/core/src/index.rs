@@ -46,7 +46,7 @@
 //!   epoch and reports it in its stats.
 
 use std::path::Path;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use gdim_exec::{BackgroundTask, CancelToken, ExecConfig};
@@ -245,8 +245,9 @@ pub struct GraphIndex {
     mutations: u64,
     /// Containment DAG over the **full** feature space, pruning the
     /// per-feature VF2 of [`GraphIndex::insert`]. Lazy: indexes that
-    /// never insert never pay the pairwise containment build.
-    full_dag: OnceLock<ContainmentDag>,
+    /// never insert never pay the pairwise containment build; clones
+    /// share it.
+    full_dag: OnceLock<Arc<ContainmentDag>>,
     /// Proximity graph for [`Ranker::Approx`](crate::search::Ranker::Approx),
     /// built lazily over the scan store on the first approximate query
     /// (or restored from a v3 snapshot). Derived state: rows inserted
@@ -783,12 +784,13 @@ impl GraphIndex {
     /// only the selected dimensions).
     fn full_dag(&self) -> &ContainmentDag {
         self.full_dag
-            .get_or_init(|| ContainmentDag::build(self.space.features()))
+            .get_or_init(|| Arc::new(ContainmentDag::build(self.space.features())))
     }
 
     /// Inserts one graph **online**: the graph is mapped against the
-    /// *existing* feature space (containment-DAG + invariant-pruned
-    /// VF2 — the same machinery as query mapping, no re-mining), its
+    /// *existing* feature space (the whole space's compiled plans,
+    /// containment-DAG + histogram-pruned — the same loop as query
+    /// mapping, no re-mining), its
     /// full feature row is recorded in the space (supports stay
     /// consistent, so the index persists and reloads exactly), and its
     /// vector over the selected dimensions is appended to the scan
@@ -1074,6 +1076,26 @@ mod tests {
             Err(GdimError::GraphOutOfRange { id: 99, len: 5 }) => {}
             other => panic!("expected GraphOutOfRange, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_cloned_index_shares_both_containment_dags() {
+        // Copy-on-write publishing clones the index per write: the
+        // compiled plans + DAGs are immutable derived state and must be
+        // shared, not deep-copied.
+        let mut index = GraphIndex::build(db(20, 31), IndexOptions::default().with_dimensions(20));
+        index.insert(db(1, 77).remove(0)); // first use builds the full-space DAG
+        let copy = index.clone();
+        let (a, b) = (&index.full_dag, &copy.full_dag);
+        assert!(Arc::ptr_eq(
+            a.get().expect("built"),
+            b.get().expect("cloned")
+        ));
+        // Same allocation behind the mapped database's accessor too.
+        assert!(std::ptr::eq(
+            index.mapped().containment_dag(),
+            copy.mapped().containment_dag()
+        ));
     }
 
     #[test]

@@ -56,7 +56,8 @@
 //! Derived state — the feature space, the flat
 //! [`VectorStore`](crate::scan::VectorStore) of mapped vectors, the
 //! feature [`ContainmentDag`](crate::featurespace::ContainmentDag)
-//! that prunes query-time VF2 calls, and the weighted scan weights —
+//! (compiled VF2 plans + the order that prunes query-time calls), and
+//! the weighted scan weights —
 //! is **not** persisted: it is rebuilt deterministically on load,
 //! which keeps the format small and makes a reloaded index answer
 //! byte-identically to the one that was saved (a dirty index persists

@@ -7,9 +7,10 @@
 //!
 //! The mapped path is served by two optimized legs:
 //!
-//! * **matching** — [`MappedDatabase::map_query`] prunes VF2 calls
-//!   with a precomputed feature [`ContainmentDag`] plus a free
-//!   invariant prescreen (bit-identical to the brute-force loop,
+//! * **matching** — [`MappedDatabase::map_query`] runs the selected
+//!   dimensions' precompiled VF2 plans against a query prepared once,
+//!   pruning calls with the feature [`ContainmentDag`] plus a free
+//!   histogram prescreen (bit-identical to the brute-force loop,
 //!   which survives as [`MappedDatabase::map_query_unpruned`]);
 //! * **scanning** — the flat [`VectorStore`] kernel behind
 //!   [`MappedDatabase::scan_topk_masked`], with bounded top-k
@@ -17,6 +18,8 @@
 //!   [`MappedDatabase::ranking`] / [`MappedDatabase::ranking_with`]
 //!   remain as the reference implementations the equivalence tests
 //!   (and benches) compare the kernel against.
+
+use std::sync::{Arc, OnceLock};
 
 use gdim_exec::ExecConfig;
 use gdim_graph::vf2::is_subgraph_iso;
@@ -87,12 +90,13 @@ pub struct MappedDatabase {
     /// Squared per-dimension weight; uniform `1/p` for [`MappingKind::Binary`].
     w_sq: Vec<f64>,
     kind: MappingKind,
-    /// Containment partial order over `features`, pruning query-time
-    /// VF2 calls. Built lazily on the first mapped query (derived and
-    /// deterministic, so laziness is unobservable in answers) — a
-    /// database constructed only to compare vectors never pays the
-    /// O(p²) pairwise containment prescreen.
-    dag: std::sync::OnceLock<ContainmentDag>,
+    /// Compiled plans of `features` and their containment partial
+    /// order, pruning query-time VF2 calls. Built lazily on the first
+    /// mapped query (derived and deterministic, so laziness is
+    /// unobservable in answers) — a database constructed only to
+    /// compare vectors never pays the O(p²) pairwise containment
+    /// prescreen — and shared, not copied, by clones.
+    dag: OnceLock<Arc<ContainmentDag>>,
 }
 
 impl MappedDatabase {
@@ -144,7 +148,7 @@ impl MappedDatabase {
             store,
             w_sq,
             kind,
-            dag: std::sync::OnceLock::new(),
+            dag: OnceLock::new(),
         })
     }
 
@@ -188,7 +192,7 @@ impl MappedDatabase {
     /// first use.
     pub fn containment_dag(&self) -> &ContainmentDag {
         self.dag
-            .get_or_init(|| ContainmentDag::build(&self.features))
+            .get_or_init(|| Arc::new(ContainmentDag::build(&self.features)))
     }
 
     /// Vector of database graph `i`, materialized from its store row.
@@ -214,8 +218,8 @@ impl MappedDatabase {
 
     /// Maps an (unseen) query onto the selected dimensions via VF2 —
     /// the "feature matching time" component of the paper's query
-    /// cost — skipping calls the [`ContainmentDag`] and the invariant
-    /// prescreen prove unnecessary. Bit-identical to
+    /// cost — on the dimensions' compiled plans, skipping calls the
+    /// [`ContainmentDag`] and the histogram prescreen prove unnecessary. Bit-identical to
     /// [`MappedDatabase::map_query_unpruned`].
     pub fn map_query(&self, q: &Graph) -> Bitset {
         self.map_query_with_stats(q).0
@@ -227,9 +231,10 @@ impl MappedDatabase {
         self.containment_dag().map_query(&self.features, q)
     }
 
-    /// The unpruned reference mapping: one VF2 test per selected
-    /// feature. Kept for the equivalence tests and the pruning
-    /// benches; serving paths use [`MappedDatabase::map_query`].
+    /// The unpruned reference mapping: one independent VF2 test per
+    /// selected feature — no DAG, no shared plans or query context.
+    /// Kept for the equivalence tests and the pruning benches; serving
+    /// paths use [`MappedDatabase::map_query`].
     pub fn map_query_unpruned(&self, q: &Graph) -> Bitset {
         let mut bits = Bitset::zeros(self.p());
         for (col, f) in self.features.iter().enumerate() {

@@ -282,7 +282,7 @@ pub struct SearchStats {
     pub live_graphs: usize,
     /// VF2 subgraph-isomorphism tests run while mapping the query.
     pub vf2_calls: usize,
-    /// VF2 tests skipped by the containment DAG / invariant prescreen.
+    /// VF2 tests skipped by the containment DAG / histogram prescreen.
     pub vf2_pruned: usize,
     /// Exact (MCS-based) dissimilarity evaluations performed.
     pub mcs_calls: usize,

@@ -277,6 +277,10 @@ fn counts(items: impl Iterator<Item = u32>) -> Vec<(u32, u32)> {
 pub struct GraphBuilder {
     vlabels: Vec<VLabel>,
     edges: Vec<Edge>,
+    /// `nbrs[v]` = vertices joined to `v` so far, so the parallel-edge
+    /// check costs O(min degree), not a scan of every earlier edge —
+    /// builders also decode graphs that arrive over the network.
+    nbrs: Vec<Vec<VertexId>>,
 }
 
 impl GraphBuilder {
@@ -288,6 +292,7 @@ impl GraphBuilder {
     /// Builder pre-seeded with vertices carrying the given labels.
     pub fn with_vertices(vlabels: Vec<VLabel>) -> Self {
         Self {
+            nbrs: vec![Vec::new(); vlabels.len()],
             vlabels,
             edges: Vec::new(),
         }
@@ -296,6 +301,7 @@ impl GraphBuilder {
     /// Adds a vertex and returns its id.
     pub fn vertex(&mut self, label: VLabel) -> VertexId {
         self.vlabels.push(label);
+        self.nbrs.push(Vec::new());
         (self.vlabels.len() - 1) as VertexId
     }
 
@@ -313,10 +319,12 @@ impl GraphBuilder {
             return Err(GraphError::SelfLoop(u));
         }
         let (a, b) = if u < v { (u, v) } else { (v, u) };
-        if self.edges.iter().any(|e| e.u == a && e.v == b) {
+        if self.has_edge(a, b) {
             return Err(GraphError::ParallelEdge(a, b));
         }
         self.edges.push(Edge { u: a, v: b, label });
+        self.nbrs[a as usize].push(b);
+        self.nbrs[b as usize].push(a);
         Ok(())
     }
 
@@ -330,15 +338,20 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Whether the unordered pair `{u, v}` already has an edge.
+    /// Whether the unordered pair `{u, v}` already has an edge (`false`
+    /// for vertices never added).
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        self.edges.iter().any(|e| e.u == a && e.v == b)
+        let (a, b) = if self.degree(u) <= self.degree(v) {
+            (u, v)
+        } else {
+            (v, u)
+        };
+        self.nbrs.get(a as usize).is_some_and(|n| n.contains(&b))
     }
 
-    /// Current degree of `v` (linear scan; builders are small).
+    /// Current degree of `v` (0 for a vertex never added).
     pub fn degree(&self, v: VertexId) -> usize {
-        self.edges.iter().filter(|e| e.u == v || e.v == v).count()
+        self.nbrs.get(v as usize).map_or(0, Vec::len)
     }
 
     /// Finalizes into an immutable [`Graph`] with sorted adjacency.
@@ -401,6 +414,19 @@ mod tests {
         let mut b = GraphBuilder::with_vertices(vec![0, 0]);
         b.edge(0, 1, 5).unwrap();
         assert_eq!(b.edge(1, 0, 7), Err(GraphError::ParallelEdge(0, 1)));
+    }
+
+    #[test]
+    fn builder_tracks_edges_and_degrees_as_it_goes() {
+        let mut b = GraphBuilder::with_vertices(vec![0; 3]);
+        let late = b.vertex(7);
+        b.edge(0, 1, 0).unwrap();
+        b.edge(late, 0, 0).unwrap();
+        assert!(b.has_edge(1, 0) && b.has_edge(0, late));
+        assert!(!b.has_edge(1, 2) && !b.has_edge(0, 99) && !b.has_edge(99, 0));
+        assert_eq!((b.degree(0), b.degree(2), b.degree(99)), (2, 0, 0));
+        assert_eq!(b.edge(0, late, 4), Err(GraphError::ParallelEdge(0, late)));
+        assert_eq!(b.edge_count(), 2);
     }
 
     #[test]

@@ -13,65 +13,69 @@
 //! vertex is adjacent to an already-mapped one whenever the pattern is
 //! connected), generates candidates from a mapped anchor's adjacency, and
 //! prunes with label histograms and degree bounds.
+//!
+//! Everything that depends only on the pattern is compiled once into a
+//! [`Pattern`]; everything that depends only on the target is computed
+//! once per [`Scratch::target`]. A caller that tests many patterns
+//! against one graph (query mapping: the index's dimensions against a
+//! query) or one pattern set against many graphs (bulk insert) pays the
+//! set-up once. The free functions ([`is_subgraph_iso`] and friends)
+//! compile both halves per call.
+
+use std::ops::Range;
 
 use crate::graph::Graph;
-use crate::VertexId;
+use crate::{VLabel, VertexId};
 
 /// Whether `pattern` is subgraph-isomorphic to `target` (`pattern ⊆ target`).
 pub fn is_subgraph_iso(pattern: &Graph, target: &Graph) -> bool {
-    Matcher::new(pattern, target).is_some_and(|mut m| {
-        let mut found = false;
-        m.search(&mut |_| {
-            found = true;
-            false // stop at the first embedding
-        });
-        found
-    })
+    let mut found = false;
+    for_each_embedding(pattern, target, |_| {
+        found = true;
+        false // stop at the first embedding
+    });
+    found
 }
 
 /// The first embedding found, as `map[pattern_vertex] = target_vertex`.
 pub fn find_embedding(pattern: &Graph, target: &Graph) -> Option<Vec<VertexId>> {
-    let mut m = Matcher::new(pattern, target)?;
-    let mut out = None;
-    m.search(&mut |map| {
-        out = Some(map.to_vec());
-        false
-    });
-    out
+    embeddings(pattern, target, 1).pop()
 }
 
 /// Number of distinct embeddings, stopping early once `cap` is reached
 /// (embedding counts can be exponential; `cap = usize::MAX` for all).
 pub fn count_embeddings(pattern: &Graph, target: &Graph, cap: usize) -> usize {
-    if cap == 0 {
-        return 0;
+    let mut count = 0usize;
+    if cap > 0 {
+        for_each_embedding(pattern, target, |_| {
+            count += 1;
+            count < cap
+        });
     }
-    match Matcher::new(pattern, target) {
-        None => 0,
-        Some(mut m) => {
-            let mut count = 0usize;
-            m.search(&mut |_| {
-                count += 1;
-                count < cap
-            });
-            count
-        }
-    }
+    count
 }
 
 /// All embeddings (up to `cap`), each as `map[pattern_vertex] = target_vertex`.
 pub fn embeddings(pattern: &Graph, target: &Graph, cap: usize) -> Vec<Vec<VertexId>> {
     let mut out = Vec::new();
-    if cap == 0 {
-        return out;
-    }
-    if let Some(mut m) = Matcher::new(pattern, target) {
-        m.search(&mut |map| {
+    if cap > 0 {
+        for_each_embedding(pattern, target, |map| {
             out.push(map.to_vec());
             out.len() < cap
         });
     }
     out
+}
+
+/// One uncompiled test: both halves built for this call, the prescreen,
+/// then the search.
+fn for_each_embedding(pattern: &Graph, target: &Graph, visit: impl FnMut(&[VertexId]) -> bool) {
+    let plan = Pattern::new(pattern);
+    let mut scratch = Scratch::default();
+    let mut target = scratch.target(target);
+    if plan.may_embed_in(&target) {
+        plan.for_each_embedding(&mut target, visit);
+    }
 }
 
 /// Whether `a` and `b` are isomorphic.
@@ -84,137 +88,204 @@ pub fn are_isomorphic(a: &Graph, b: &Graph) -> bool {
         && is_subgraph_iso(a, b)
 }
 
-struct Matcher<'a> {
-    pattern: &'a Graph,
-    target: &'a Graph,
-    /// Pattern vertices in matching order.
-    order: Vec<VertexId>,
-    /// For each position in `order`: pattern neighbors already mapped when
-    /// this vertex is matched, as `(pattern_neighbor, edge_label)`.
-    mapped_neighbors: Vec<Vec<(VertexId, u32)>>,
+const UNMAPPED: VertexId = VertexId::MAX;
+
+/// A pattern graph compiled for matching: the plan one subgraph
+/// isomorphism test follows, built once and run against any number of
+/// targets.
+///
+/// **Precomputed here, from the pattern alone:** the matching order
+/// (highest-degree vertex first, then most-already-placed-neighbours
+/// first, ties by degree then id); for each depth of that order the
+/// vertex's label, its degree, and its *anchors* — the neighbours
+/// placed earlier, with the connecting edge labels, all depths
+/// flattened into one slice; and the vertex- and edge-label histograms
+/// with the vertex and edge counts, which make the free
+/// [`Pattern::may_embed_in`] prescreen.
+///
+/// **Per target, in [`Scratch::target`]:** the target's own two
+/// histograms, and the `map` / `used` buffers of the search, which are
+/// handed back clean after every test and so are shared by all
+/// patterns tried against that target.
+///
+/// A compiled pattern holds no reference to the graph it was built
+/// from and is immutable: share it behind an `Arc` freely.
+#[derive(Debug, Clone)]
+pub struct Pattern {
+    edges: usize,
+    /// Vertex-label histogram, sorted by label.
+    vlabels: Vec<(u32, u32)>,
+    /// Edge-label histogram, sorted by label.
+    elabels: Vec<(u32, u32)>,
+    /// One step per pattern vertex, in matching order.
+    steps: Vec<Step>,
+    /// Every step's anchors, back to back: `(pattern_neighbor, edge_label)`
+    /// for the neighbors already mapped when the step's vertex is matched.
+    anchors: Vec<(VertexId, u32)>,
+}
+
+#[derive(Debug, Clone)]
+struct Step {
+    vertex: VertexId,
+    label: VLabel,
+    degree: usize,
+    anchors: Range<usize>,
+}
+
+/// The reusable per-target half of a match: label histograms of the
+/// current target and the search's `map` / `used` buffers. One scratch
+/// serves any sequence of targets — [`Scratch::target`] re-sizes it.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    vlabels: Vec<(u32, u32)>,
+    elabels: Vec<(u32, u32)>,
+    /// `map[pattern_vertex] = target_vertex` for the vertices placed so far.
     map: Vec<VertexId>,
+    /// `used[target_vertex]`; all `false` between searches.
     used: Vec<bool>,
 }
 
-const UNMAPPED: VertexId = VertexId::MAX;
+/// A target graph prepared for matching, borrowing a [`Scratch`].
+#[derive(Debug)]
+pub struct Target<'a> {
+    graph: &'a Graph,
+    scratch: &'a mut Scratch,
+}
 
-impl<'a> Matcher<'a> {
-    /// Returns `None` when cheap global invariants already rule out any
-    /// embedding (size or label-histogram violations).
-    fn new(pattern: &'a Graph, target: &'a Graph) -> Option<Self> {
-        if pattern.vertex_count() > target.vertex_count()
-            || pattern.edge_count() > target.edge_count()
-        {
-            return None;
+impl Scratch {
+    /// Prepares `graph` as the target of the following tests: its label
+    /// histograms are computed once, here.
+    pub fn target<'a>(&'a mut self, graph: &'a Graph) -> Target<'a> {
+        histogram(&mut self.vlabels, graph.vlabels().iter().copied());
+        histogram(&mut self.elabels, graph.edges().iter().map(|e| e.label));
+        self.used.clear();
+        self.used.resize(graph.vertex_count(), false);
+        Target {
+            graph,
+            scratch: self,
         }
-        if !histogram_dominates(&pattern.vlabel_counts(), &target.vlabel_counts())
-            || !histogram_dominates(&pattern.elabel_counts(), &target.elabel_counts())
-        {
-            return None;
-        }
-        let order = matching_order(pattern);
-        let mut placed = vec![false; pattern.vertex_count()];
-        let mut mapped_neighbors = Vec::with_capacity(order.len());
-        for &pv in &order {
-            let anchors: Vec<(VertexId, u32)> = pattern
-                .neighbors(pv)
-                .iter()
-                .filter(|n| placed[n.to as usize])
-                .map(|n| (n.to, n.elabel))
-                .collect();
+    }
+}
+
+impl Pattern {
+    /// Compiles `pattern`.
+    pub fn new(pattern: &Graph) -> Self {
+        let n = pattern.vertex_count();
+        let mut placed = vec![false; n];
+        let mut steps = Vec::with_capacity(n);
+        let mut anchors = Vec::with_capacity(pattern.edge_count());
+        for pv in matching_order(pattern) {
+            let start = anchors.len();
+            anchors.extend(
+                pattern
+                    .neighbors(pv)
+                    .iter()
+                    .filter(|n| placed[n.to as usize])
+                    .map(|n| (n.to, n.elabel)),
+            );
             placed[pv as usize] = true;
-            mapped_neighbors.push(anchors);
+            steps.push(Step {
+                vertex: pv,
+                label: pattern.vlabel(pv),
+                degree: pattern.degree(pv),
+                anchors: start..anchors.len(),
+            });
         }
-        Some(Matcher {
-            pattern,
-            target,
-            order,
-            mapped_neighbors,
-            map: vec![UNMAPPED; pattern.vertex_count()],
-            used: vec![false; target.vertex_count()],
-        })
+        Pattern {
+            edges: pattern.edge_count(),
+            vlabels: pattern.vlabel_counts(),
+            elabels: pattern.elabel_counts(),
+            steps,
+            anchors,
+        }
+    }
+
+    /// The free prescreen: whether the target has enough vertices,
+    /// edges, and enough of every vertex and edge label to hold the
+    /// pattern at all (necessary, not sufficient). The searches below
+    /// are complete without it; run it first to skip the hopeless ones.
+    pub fn may_embed_in(&self, target: &Target<'_>) -> bool {
+        self.steps.len() <= target.graph.vertex_count()
+            && self.edges <= target.graph.edge_count()
+            && histogram_dominates(&self.vlabels, &target.scratch.vlabels)
+            && histogram_dominates(&self.elabels, &target.scratch.elabels)
+    }
+
+    /// Whether the pattern is subgraph-isomorphic to the target (a
+    /// search; see [`Pattern::may_embed_in`]).
+    pub fn is_in(&self, target: &mut Target<'_>) -> bool {
+        let mut found = false;
+        self.for_each_embedding(target, |_| {
+            found = true;
+            false // stop at the first embedding
+        });
+        found
     }
 
     /// Depth-first search over partial mappings. `visit` is called with
-    /// the complete mapping for every embedding; returning `false` stops
-    /// the whole search.
-    fn search(&mut self, visit: &mut dyn FnMut(&[VertexId]) -> bool) -> bool {
-        self.step(0, visit)
+    /// the complete mapping (`map[pattern_vertex] = target_vertex`) for
+    /// every embedding; returning `false` stops the whole search.
+    pub fn for_each_embedding(
+        &self,
+        target: &mut Target<'_>,
+        mut visit: impl FnMut(&[VertexId]) -> bool,
+    ) {
+        let scratch = &mut *target.scratch;
+        scratch.map.clear();
+        scratch.map.resize(self.steps.len(), UNMAPPED);
+        self.step(0, target.graph, scratch, &mut visit);
     }
 
-    fn step(&mut self, depth: usize, visit: &mut dyn FnMut(&[VertexId]) -> bool) -> bool {
-        if depth == self.order.len() {
-            return visit(&self.map);
-        }
-        let pv = self.order[depth];
-        let pl = self.pattern.vlabel(pv);
-        let pdeg = self.pattern.degree(pv);
-        let anchors = std::mem::take(&mut self.mapped_neighbors[depth]);
-
-        let keep_going = if let Some(&(anchor, elabel)) = anchors.first() {
-            // Candidates come from the image of one mapped pattern neighbor.
-            let tv_anchor = self.map[anchor as usize];
-            let mut ok = true;
-            let nbrs = self.target.neighbors(tv_anchor).to_vec();
-            for nb in nbrs {
-                let tv = nb.to;
-                if nb.elabel != elabel
-                    || self.used[tv as usize]
-                    || self.target.vlabel(tv) != pl
-                    || self.target.degree(tv) < pdeg
-                {
-                    continue;
-                }
-                if !self.consistent(&anchors[1..], tv) {
-                    continue;
-                }
-                if !self.extend(depth, pv, tv, visit) {
-                    ok = false;
-                    break;
-                }
-            }
-            ok
-        } else {
-            // First vertex of a (new) component: try every unused target vertex.
-            let mut ok = true;
-            for tv in 0..self.target.vertex_count() as VertexId {
-                if self.used[tv as usize]
-                    || self.target.vlabel(tv) != pl
-                    || self.target.degree(tv) < pdeg
-                {
-                    continue;
-                }
-                if !self.extend(depth, pv, tv, visit) {
-                    ok = false;
-                    break;
-                }
-            }
-            ok
-        };
-        self.mapped_neighbors[depth] = anchors;
-        keep_going
-    }
-
-    /// All remaining mapped pattern neighbors must be connected to `tv`
-    /// by a target edge with the right label.
-    fn consistent(&self, rest: &[(VertexId, u32)], tv: VertexId) -> bool {
-        rest.iter()
-            .all(|&(nbr, el)| self.target.edge_label(self.map[nbr as usize], tv) == Some(el))
-    }
-
-    fn extend(
-        &mut self,
+    fn step(
+        &self,
         depth: usize,
-        pv: VertexId,
-        tv: VertexId,
-        visit: &mut dyn FnMut(&[VertexId]) -> bool,
+        target: &Graph,
+        scratch: &mut Scratch,
+        visit: &mut impl FnMut(&[VertexId]) -> bool,
     ) -> bool {
-        self.map[pv as usize] = tv;
-        self.used[tv as usize] = true;
-        let cont = self.step(depth + 1, visit);
-        self.used[tv as usize] = false;
-        self.map[pv as usize] = UNMAPPED;
-        cont
+        let Some(step) = self.steps.get(depth) else {
+            return visit(&scratch.map);
+        };
+        let fits = |scratch: &Scratch, tv: VertexId| {
+            !scratch.used[tv as usize]
+                && target.vlabel(tv) == step.label
+                && target.degree(tv) >= step.degree
+        };
+        let mut extend = |scratch: &mut Scratch, tv: VertexId| {
+            scratch.map[step.vertex as usize] = tv;
+            scratch.used[tv as usize] = true;
+            let keep_going = self.step(depth + 1, target, scratch, visit);
+            scratch.used[tv as usize] = false;
+            scratch.map[step.vertex as usize] = UNMAPPED;
+            keep_going
+        };
+        match self.anchors[step.anchors.clone()].split_first() {
+            // Candidates come from the image of one mapped pattern
+            // neighbor; every other mapped neighbor must be joined to the
+            // candidate by a target edge with the right label.
+            Some((&(anchor, elabel), rest)) => {
+                for nb in target.neighbors(scratch.map[anchor as usize]) {
+                    if nb.elabel == elabel
+                        && fits(scratch, nb.to)
+                        && rest.iter().all(|&(nbr, el)| {
+                            target.edge_label(scratch.map[nbr as usize], nb.to) == Some(el)
+                        })
+                        && !extend(scratch, nb.to)
+                    {
+                        return false;
+                    }
+                }
+            }
+            // First vertex of a (new) component: try every unused target vertex.
+            None => {
+                for tv in 0..target.vertex_count() as VertexId {
+                    if fits(scratch, tv) && !extend(scratch, tv) {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
     }
 }
 
@@ -245,6 +316,21 @@ fn matching_order(pattern: &Graph) -> Vec<VertexId> {
         }
     }
     order
+}
+
+/// Fills `out` with the `(label, count)` histogram of `labels`, sorted
+/// by label — [`Graph::vlabel_counts`] into a reused allocation.
+fn histogram(out: &mut Vec<(u32, u32)>, labels: impl Iterator<Item = u32>) {
+    out.clear();
+    out.extend(labels.map(|l| (l, 1)));
+    out.sort_unstable();
+    out.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 += later.1;
+        }
+        same
+    });
 }
 
 /// True when every label's count in `small` is ≤ its count in `large`.
@@ -378,6 +464,68 @@ mod tests {
             seen.sort_unstable();
             seen.dedup();
             assert_eq!(seen.len(), m.len());
+        }
+    }
+
+    #[test]
+    fn prescreen_is_necessary_not_sufficient() {
+        let tri = triangle(0);
+        let p3 = path(&[0, 0, 0], &[0, 0]);
+        let other = path(&[1, 1], &[5]);
+        let mut scratch = Scratch::default();
+        let t = scratch.target(&tri);
+        assert!(Pattern::new(&p3).may_embed_in(&t)); // path ⊆ triangle is plausible
+        assert!(Pattern::new(&tri).may_embed_in(&t));
+        assert!(!Pattern::new(&other).may_embed_in(&t)); // label-1 vertices absent
+        let t = scratch.target(&p3);
+        assert!(!Pattern::new(&tri).may_embed_in(&t)); // fewer edges cannot hold more
+
+        // Counts and labels fit, the structure does not.
+        let star = Graph::from_parts(vec![0; 4], [(0, 1, 0), (0, 2, 0), (0, 3, 0)]).unwrap();
+        let p4 = path(&[0, 0, 0, 0], &[0, 0, 0]);
+        let mut t = scratch.target(&p4);
+        assert!(Pattern::new(&star).may_embed_in(&t));
+        assert!(!Pattern::new(&star).is_in(&mut t));
+    }
+
+    #[test]
+    fn a_scratch_reused_across_targets_matches_fresh_scratches() {
+        // Big target, small target, the big one again on one scratch:
+        // stale `used` / `map` / histogram entries from an earlier target
+        // must never leak into a later answer.
+        let big = {
+            // A 40-vertex ring of alternating labels with chords.
+            let n = 40u32;
+            let ring = (0..n).map(|i| (i, (i + 1) % n, i % 2));
+            let chords = (0..n).step_by(5).map(|i| (i, (i + 7) % n, 2));
+            Graph::from_parts((0..n).map(|i| i % 3).collect(), ring.chain(chords)).unwrap()
+        };
+        let small = path(&[0, 1, 2], &[0, 1]);
+        let patterns = [
+            path(&[0, 1], &[0]),
+            path(&[0, 1, 2], &[0, 1]),
+            path(&[0, 1, 2, 0, 1], &[0, 1, 0, 1]),
+            path(&[2, 0], &[2]),
+            triangle(0),
+            Graph::from_parts(vec![0, 1, 2, 1], [(0, 1, 0), (1, 2, 1), (0, 3, 2)]).unwrap(),
+            Graph::from_parts(vec![0, 1, 0, 1], [(0, 1, 0), (2, 3, 0)]).unwrap(),
+            Graph::from_parts(vec![], []).unwrap(),
+        ];
+        let plans: Vec<Pattern> = patterns.iter().map(Pattern::new).collect();
+        let bits = |scratch: &mut Scratch, g: &Graph| -> Vec<bool> {
+            let mut t = scratch.target(g);
+            plans.iter().map(|p| p.is_in(&mut t)).collect()
+        };
+        let fresh: Vec<Vec<bool>> = [&big, &small, &big]
+            .map(|g| bits(&mut Scratch::default(), g))
+            .to_vec();
+        assert!(fresh[0].contains(&true) && fresh[0].contains(&false));
+        assert_ne!(fresh[0], fresh[1]);
+        let mut shared = Scratch::default();
+        let reused: Vec<Vec<bool>> = [&big, &small, &big].map(|g| bits(&mut shared, g)).to_vec();
+        assert_eq!(reused, fresh);
+        for (p, &hit) in patterns.iter().zip(&fresh[0]) {
+            assert_eq!(hit, is_subgraph_iso(p, &big));
         }
     }
 }

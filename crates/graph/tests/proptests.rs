@@ -1,13 +1,18 @@
 //! Property-based tests for the graph substrate: canonical-form
 //! invariance, MCS correctness against brute force, VF2 soundness and
-//! completeness, and dissimilarity axioms.
+//! completeness (and the compiled matcher against the reference it
+//! replaced), and dissimilarity axioms.
+
+mod vf2_reference;
 
 use proptest::prelude::*;
 
 use gdim_graph::dfscode::min_dfs_code;
 use gdim_graph::ged::{ged, GedOptions};
 use gdim_graph::mcs::{mcs_edges, McsOptions};
-use gdim_graph::vf2::{embeddings, is_subgraph_iso};
+use gdim_graph::vf2::{
+    count_embeddings, embeddings, find_embedding, is_subgraph_iso, Pattern, Scratch,
+};
 use gdim_graph::{delta, Dissimilarity, Graph};
 
 /// Strategy: a random connected labeled graph with `n` vertices,
@@ -42,6 +47,32 @@ fn connected_graph(
                 let v = iv.index(n) as u32;
                 if u != v && !b.has_edge(u, v) {
                     let _ = b.edge(u, v, elabel);
+                }
+            }
+            b.build()
+        })
+    })
+}
+
+/// Strategy: any simple labeled graph on `0..=max_n` vertices — empty,
+/// edgeless, disconnected or dense — from `attempts` random edge draws
+/// (self-loops and repeats are dropped).
+fn any_graph(max_n: usize, attempts: usize, vl: u32, el: u32) -> impl Strategy<Value = Graph> {
+    (0..=max_n).prop_flat_map(move |n| {
+        let vlabels = proptest::collection::vec(0..vl, n);
+        let draws = proptest::collection::vec(
+            (
+                any::<prop::sample::Index>(),
+                any::<prop::sample::Index>(),
+                0..el,
+            ),
+            0..=attempts,
+        );
+        (vlabels, draws).prop_map(move |(vlabels, draws)| {
+            let mut b = gdim_graph::GraphBuilder::with_vertices(vlabels);
+            for (iu, iv, elabel) in draws {
+                if n >= 2 {
+                    let _ = b.edge(iu.index(n) as u32, iv.index(n) as u32, elabel);
                 }
             }
             b.build()
@@ -149,6 +180,38 @@ proptest! {
                     t.edge_label(m[e.u as usize], m[e.v as usize]),
                     Some(e.label)
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn compiled_vf2_equals_reference_matcher(
+        // Few labels so they repeat; patterns up to target size + 2 so
+        // "larger than the target" is drawn too.
+        p in any_graph(6, 8, 2, 2),
+        t in any_graph(8, 14, 2, 2),
+        cap in 0usize..40,
+    ) {
+        prop_assert_eq!(is_subgraph_iso(&p, &t), vf2_reference::is_subgraph_iso(&p, &t));
+        // Same embeddings in the same enumeration order.
+        prop_assert_eq!(embeddings(&p, &t, cap), vf2_reference::embeddings(&p, &t, cap));
+        prop_assert_eq!(count_embeddings(&p, &t, cap), embeddings(&p, &t, cap).len());
+        prop_assert_eq!(find_embedding(&p, &t), vf2_reference::embeddings(&p, &t, 1).pop());
+    }
+
+    #[test]
+    fn one_scratch_serves_many_patterns_and_targets(
+        patterns in proptest::collection::vec(any_graph(5, 6, 2, 2), 1..6),
+        targets in proptest::collection::vec(any_graph(8, 14, 2, 2), 1..4),
+    ) {
+        let plans: Vec<Pattern> = patterns.iter().map(Pattern::new).collect();
+        let mut scratch = Scratch::default();
+        // Twice over the targets: the second pass runs on buffers every
+        // earlier (pattern, target) pair has already used.
+        for t in targets.iter().chain(&targets) {
+            let mut target = scratch.target(t);
+            for (plan, p) in plans.iter().zip(&patterns) {
+                prop_assert_eq!(plan.is_in(&mut target), vf2_reference::is_subgraph_iso(p, t));
             }
         }
     }

@@ -448,6 +448,34 @@ mod tests {
     }
 
     #[test]
+    fn a_body_sized_graph_decodes_in_linear_time() {
+        // ~50,000 `[u,v,l]` triples is what fits under the default 1 MiB
+        // body cap; a duplicate check that scanned every earlier edge
+        // made this one request cost ~10⁹ comparisons on a worker.
+        let (n, span) = (1_000u32, 50u32);
+        let mut body = format!("{{\"v\": [{}], \"e\": [", vec!["0"; n as usize].join(","));
+        for u in 0..n {
+            for d in 1..=span {
+                body.push_str(&format!("[{u},{},{}],", (u + d) % n, d % 3));
+            }
+        }
+        let duplicate = format!("{body}[1,0,9]]}}");
+        body.pop();
+        body.push_str("]}");
+        assert!(body.len() < crate::http::DEFAULT_MAX_BODY_BYTES);
+        let (j, dup) = (parse(&body).unwrap(), parse(&duplicate).unwrap());
+        let t = std::time::Instant::now();
+        let g = graph_from_json(&j).unwrap();
+        assert!(
+            graph_from_json(&dup).is_err(),
+            "the 50,001st edge repeats the first"
+        );
+        let took = t.elapsed();
+        assert_eq!(g.edge_count(), (n * span) as usize);
+        assert!(took.as_millis() < 500, "two 50k-edge decodes took {took:?}");
+    }
+
+    #[test]
     fn malformed_graphs_are_rejected() {
         for bad_graph in [
             "{}",
