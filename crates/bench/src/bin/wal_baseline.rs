@@ -2,7 +2,10 @@
 //! `BENCH_wal.json` snapshot: append throughput of the write-ahead log
 //! under each [`SyncPolicy`] (no-sync, group commit at several batch
 //! sizes, fsync-per-record) plus replay (scan + decode) throughput,
-//! over realistic mutation payloads (encoded chem-like graphs).
+//! over realistic mutation payloads (encoded chem-like graphs) — and
+//! the in-memory half of a durable write, the copy-on-write **publish**:
+//! the p50 of `ServingHandle::insert` on a one-shard index grown to
+//! 2,000 and to 16,000 rows in the same run.
 //!
 //! ```text
 //! cargo run --release -p gdim-bench --bin wal_baseline -- \
@@ -18,13 +21,25 @@
 //! no-sync append rate drops below `F ×` the committed one (default
 //! 0.2 — generous, the committed number may come from different
 //! hardware). The fsync-bound rows are reported but not gated: they
-//! measure the disk, not the code.
+//! measure the disk, not the code. The publish rows are gated twice:
+//! each against the committed one with the same `F` (fail above
+//! `committed / F` µs), and against each other — `publish_us_16k` must
+//! not exceed `2 × publish_us_2k`. That ratio is same-run and
+//! same-machine, so no box speed can fake it: a publish that copies the
+//! shard is linear in rows (ratio ~6–8), one that shares it is flat.
 
 use std::time::Instant;
 
+use gdim_core::IndexOptions;
 use gdim_datagen::{chem_db, ChemConfig};
 use gdim_server::{parse_json, Json};
+use gdim_shard::{ServingHandle, ShardedIndex, ShardedOptions};
 use gdim_wal::{SyncPolicy, WalReader, WalRecord, WalWriter};
+
+/// Shard sizes the publish section measures at, and timed inserts per
+/// size.
+const PUBLISH_ROWS: [(usize, &str); 2] = [(2_000, "2k"), (16_000, "16k")];
+const PUBLISH_SAMPLES: usize = 256;
 
 struct Args {
     out: String,
@@ -101,6 +116,36 @@ fn run_mode(
     (count as f64 / secs, bytes)
 }
 
+/// p50 µs of `ServingHandle::insert` (mapping + copy-on-write publish)
+/// on a one-shard index at each of [`PUBLISH_ROWS`], grown by inserts
+/// in one pass so both sizes come from the same run.
+fn publish_p50s(seed: u64) -> Vec<f64> {
+    let cfg = ChemConfig::default();
+    let opts = ShardedOptions::new(1).with_index(IndexOptions::default().with_dimensions(128));
+    let mut index = ShardedIndex::build(chem_db(48, &cfg, seed), opts);
+    let graphs = chem_db(PUBLISH_ROWS[1].0 + PUBLISH_SAMPLES, &cfg, !seed);
+    let mut graphs = graphs.into_iter();
+    let mut out = Vec::new();
+    for (rows, _) in PUBLISH_ROWS {
+        while index.len() < rows {
+            index.insert(graphs.next().expect("enough graphs"));
+        }
+        let handle = ServingHandle::new(index);
+        let mut us: Vec<f64> = (0..PUBLISH_SAMPLES)
+            .map(|_| {
+                let g = graphs.next().expect("enough graphs");
+                let t0 = Instant::now();
+                handle.insert(g);
+                t0.elapsed().as_secs_f64() * 1e6
+            })
+            .collect();
+        us.sort_by(f64::total_cmp);
+        out.push(us[us.len() / 2]);
+        index = (*handle.snapshot()).clone();
+    }
+    out
+}
+
 fn main() {
     let args = parse_args();
     let dir = std::env::temp_dir().join(format!("gdim-wal-bench-{}", std::process::id()));
@@ -164,6 +209,11 @@ fn main() {
     );
     std::fs::remove_dir_all(&dir).ok();
 
+    let publish = publish_p50s(args.seed);
+    for ((rows, _), us) in PUBLISH_ROWS.iter().zip(&publish) {
+        eprintln!(" publish: ServingHandle::insert p50 {us:.1} us at {rows} rows/shard");
+    }
+
     let mut body = format!(
         "{{\n  \"schema\": \"gdim-wal-bench-v1\",\n  \"payload_mean_bytes\": {mean_payload:.0},\n"
     );
@@ -174,30 +224,59 @@ fn main() {
         ));
     }
     body.push_str(&format!(
-        "  \"replay_rps\": {replay_rps:.0},\n  \"replay_mb_per_s\": {replay_mbps:.1}\n}}\n"
+        "  \"replay_rps\": {replay_rps:.0},\n  \"replay_mb_per_s\": {replay_mbps:.1},\n"
+    ));
+    body.push_str(&format!(
+        "  \"publish_us_2k\": {:.1},\n  \"publish_us_16k\": {:.1}\n}}\n",
+        publish[0], publish[1]
     ));
     std::fs::write(&args.out, &body).expect("write snapshot");
     eprintln!("wrote {}", args.out);
 
-    // The gate: fresh no-sync append rate vs the committed snapshot.
+    // Scale independence of a publish: same run, same machine.
+    let mut failed = false;
+    let flat = publish[1] <= 2.0 * publish[0];
+    eprintln!(
+        "wal-smoke: publish {:.1} us at 16k rows vs {:.1} us at 2k (limit 2x) .. {}",
+        publish[1],
+        publish[0],
+        if flat { "ok" } else { "FAIL" }
+    );
+    failed |= !flat;
+
+    // The gates against the committed snapshot: fresh no-sync append
+    // rate, and each publish row as a rate (1/us).
     if let Some(path) = &args.baseline {
         let committed =
             parse_json(&std::fs::read_to_string(path).expect("read committed baseline"))
                 .expect("parse committed baseline");
-        let want = committed
-            .get("append_rps_nosync")
-            .and_then(Json::as_f64)
-            .expect("committed append_rps_nosync");
+        let committed = |key: &str| {
+            committed
+                .get(key)
+                .and_then(Json::as_f64)
+                .unwrap_or_else(|| panic!("committed {key}"))
+        };
+        let want = committed("append_rps_nosync");
         let fresh = rows[0].2;
         let floor = want * args.min_frac;
-        if fresh < floor {
-            eprintln!(
-                "wal-smoke: fresh {fresh:.0} rec/s vs committed {want:.0} (floor {floor:.0}) .. FAIL"
-            );
-            std::process::exit(1);
-        }
+        let ok = fresh >= floor;
         eprintln!(
-            "wal-smoke: fresh {fresh:.0} rec/s vs committed {want:.0} (floor {floor:.0}) .. ok"
+            "wal-smoke: fresh {fresh:.0} rec/s vs committed {want:.0} (floor {floor:.0}) .. {}",
+            if ok { "ok" } else { "FAIL" }
         );
+        failed |= !ok;
+        for ((_, tag), &fresh) in PUBLISH_ROWS.iter().zip(&publish) {
+            let want = committed(&format!("publish_us_{tag}"));
+            let ceiling = want / args.min_frac;
+            let ok = fresh <= ceiling;
+            eprintln!(
+                "wal-smoke: publish_us_{tag} fresh {fresh:.1} vs committed {want:.1} (ceiling {ceiling:.1}) .. {}",
+                if ok { "ok" } else { "FAIL" }
+            );
+            failed |= !ok;
+        }
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

@@ -182,6 +182,10 @@ fn sorted_subset(sub: &[u32], sup: &[u32]) -> bool {
 }
 
 /// The multidimensional feature space built over a graph database.
+///
+/// Immutable once built: a [`GraphIndex`](crate::index::GraphIndex)
+/// holds it behind an `Arc` and records the rows of graphs inserted
+/// online beside it, not in it.
 #[derive(Debug, Clone)]
 pub struct FeatureSpace {
     n_graphs: usize,
@@ -252,38 +256,6 @@ impl FeatureSpace {
     #[inline]
     pub fn support_count(&self, r: usize) -> usize {
         self.features[r].support.len()
-    }
-
-    /// Appends one graph to the space with its **already computed**
-    /// full-space feature row (bit `r` set iff `f_r ⊆ g`): the row is
-    /// recorded, `IG` gains the graph's feature list, and every
-    /// matched feature's support (`IF_r`) gains the new id — so an
-    /// online insert keeps the space internally consistent (and
-    /// persistable) without re-mining. The feature set itself does not
-    /// change; features the new graph *would* have made frequent are
-    /// only discovered by the next full rebuild.
-    ///
-    /// Returns the new graph's id.
-    ///
-    /// # Panics
-    /// If `row` does not cover exactly the space's features.
-    pub fn push_graph(&mut self, row: &Bitset) -> u32 {
-        assert_eq!(
-            row.len(),
-            self.features.len(),
-            "feature row length mismatch"
-        );
-        let id = self.n_graphs as u32;
-        self.n_graphs += 1;
-        let mut ig = Vec::new();
-        for r in row.iter_ones() {
-            // `id` is the maximum id so far: pushing keeps `support` sorted.
-            self.features[r].support.push(id);
-            ig.push(r as u32);
-        }
-        self.rows.push(row.clone());
-        self.ig.push(ig);
-        id
     }
 
     /// Restricts the space to a subset of graphs (new dense ids follow
@@ -397,36 +369,6 @@ mod tests {
             assert_eq!(sub.if_list(r).contains(&0), had);
             let had0 = s.if_list(r).contains(&0);
             assert_eq!(sub.if_list(r).contains(&1), had0);
-        }
-    }
-
-    #[test]
-    fn push_graph_matches_batch_construction() {
-        // Build the space over the first two graphs, push the third:
-        // the result must equal building over all three at once (same
-        // features, so supports/rows/IG lists line up exactly).
-        let db = tiny_db();
-        let feats = mine(&db, &MinerConfig::new(Support::Absolute(1)));
-        let full = FeatureSpace::build(db.len(), feats.clone());
-        let restricted: Vec<Feature> = feats
-            .iter()
-            .map(|f| Feature {
-                graph: f.graph.clone(),
-                code: f.code.clone(),
-                support: f.support.iter().copied().filter(|&g| g < 2).collect(),
-            })
-            .collect();
-        let mut grown = FeatureSpace::build(2, restricted);
-        let row = map_full(&grown, &db[2]);
-        let id = grown.push_graph(&row);
-        assert_eq!(id, 2);
-        assert_eq!(grown.num_graphs(), full.num_graphs());
-        for r in 0..full.num_features() {
-            assert_eq!(grown.if_list(r), full.if_list(r), "feature {r}");
-        }
-        for i in 0..full.num_graphs() {
-            assert_eq!(grown.row(i), full.row(i), "graph {i}");
-            assert_eq!(grown.ig_list(i), full.ig_list(i), "graph {i}");
         }
     }
 

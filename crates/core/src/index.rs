@@ -54,6 +54,7 @@ use gdim_graph::{Dissimilarity, Graph};
 use gdim_mining::{mine, MinerConfig, Support};
 
 use crate::bitset::Bitset;
+use crate::chunked::ChunkedVec;
 use crate::delta::{DeltaConfig, DeltaMatrix, SharedDelta};
 use crate::dspm::{dspm, DspmConfig};
 use crate::dspmap::{dspmap, DspmapConfig};
@@ -212,14 +213,47 @@ pub struct IndexStats {
 /// A built graph-similarity index over an owned database: the
 /// serving-layer entry point (see the [module docs](self)).
 ///
-/// `Clone` performs a deep copy of the database and all derived state.
-/// It exists for copy-on-write serving structures (a sharded index
-/// clones one shard to mutate it while readers keep the old snapshot);
-/// it is **not** a cheap handle — share an `Arc<GraphIndex>` for that.
+/// # What `Clone` costs
+///
+/// `Clone` is the copy-on-write step of the serving layer (a sharded
+/// index clones the owning shard to mutate it while readers keep the
+/// old snapshot), so it is built to cost O(rows / [`CHUNK`] + tail),
+/// not O(rows × allocations):
+///
+/// * **shared** (an `Arc` bump, never copied again): everything that is
+///   immutable after a build or install — the build-time
+///   [`FeatureSpace`], the selected features of the [`MappedDatabase`],
+///   both containment-DAG cells, the ANN graph once built — and every
+///   *sealed chunk* of the two append-only row containers that own heap
+///   memory per row (the graphs; the full-space feature rows of graphs
+///   inserted online);
+/// * **copied**: the open tail of those two containers (fewer than
+///   [`CHUNK`] rows — [`GraphIndex::rows_copied_by_clone`] says how
+///   many), and the flat per-row words: the scan store (`⌈p/64⌉ × 8` =
+///   16 B/row at `p = 128`) and the tombstone mask (1 bit/row) —
+///   ~1.7 µs of `memcpy` at 4,000 rows, which is why they stay flat and
+///   the scan kernels never see a chunk boundary — plus a few
+///   `O(features)` vectors (selection, weights).
+///
+/// Dropping a clone frees what it copied — a tail — and decrements the
+/// shared counts; the rows themselves are freed by whichever holder
+/// lets go of a sealed chunk last. There is no cheaper or deeper second
+/// spelling: this is the only clone.
+///
+/// [`CHUNK`]: crate::chunked::CHUNK
 #[derive(Clone)]
 pub struct GraphIndex {
-    db: Vec<Graph>,
-    space: FeatureSpace,
+    /// The graphs, row `i` = graph id `i` (append-only, chunk-shared).
+    db: ChunkedVec<Graph>,
+    /// The feature space **as built** (or installed, or loaded): its
+    /// rows and supports cover the first `space.num_graphs()` rows and
+    /// never change afterwards.
+    space: Arc<FeatureSpace>,
+    /// Full-space feature rows of the graphs inserted online since:
+    /// `inserted[j]` belongs to row `space.num_graphs() + j`. Stored
+    /// once, row-major; [`GraphIndex::supports`] transposes them when a
+    /// snapshot or a shard split needs per-feature supports.
+    inserted: ChunkedVec<Bitset>,
     mapped: MappedDatabase,
     selected: Vec<u32>,
     weights: Vec<f64>,
@@ -245,16 +279,20 @@ pub struct GraphIndex {
     mutations: u64,
     /// Containment DAG over the **full** feature space, pruning the
     /// per-feature VF2 of [`GraphIndex::insert`]. Lazy: indexes that
-    /// never insert never pay the pairwise containment build; clones
-    /// share it.
-    full_dag: OnceLock<Arc<ContainmentDag>>,
+    /// never insert never pay the pairwise containment build. Clones —
+    /// and shards over the same features, see
+    /// [`GraphIndex::share_dags_of`] — share the *cell*, so the first
+    /// insert anywhere builds it for all of them.
+    full_dag: Arc<OnceLock<ContainmentDag>>,
     /// Proximity graph for [`Ranker::Approx`](crate::search::Ranker::Approx),
     /// built lazily over the scan store on the first approximate query
     /// (or restored from a v3 snapshot). Derived state: rows inserted
     /// after the build are served from an exact-scanned pending tail,
     /// and an installed rebuild drops it (the fresh index starts with
-    /// an empty cell), so it can never serve rows of a dead epoch.
-    ann: OnceLock<crate::ann::AnnIndex>,
+    /// an empty cell), so it can never serve rows of a dead epoch. The
+    /// cell is per clone (a graph built over `n` rows must not appear in
+    /// an older snapshot holding fewer); the built graph is shared.
+    ann: OnceLock<Arc<crate::ann::AnnIndex>>,
 }
 
 impl std::fmt::Debug for GraphIndex {
@@ -415,8 +453,9 @@ impl GraphIndex {
         let w_sq_weighted = weighted_w_sq(&selected, &weights);
         let tombstones = Tombstones::all_live(db.len());
         GraphIndex {
-            db,
-            space,
+            db: db.into_iter().collect(),
+            space: Arc::new(space),
+            inserted: ChunkedVec::default(),
             mapped,
             selected,
             weights,
@@ -427,17 +466,20 @@ impl GraphIndex {
             tombstones,
             inserts_since_rebuild: 0,
             mutations: 0,
-            full_dag: OnceLock::new(),
+            full_dag: Arc::default(),
             ann: OnceLock::new(),
         }
     }
 
     /// Reassembles an index from pipeline parts, rebuilding the
     /// derived state (feature space, the flat scan store of binary
-    /// mapped vectors, the feature containment DAG, weighted scan
-    /// weights) deterministically. An index always stores binary
-    /// vectors — [`MappingKind::Weighted`](crate::query::MappingKind::Weighted) requests are served from the
-    /// derived DSPM weights, never baked into the vectors. Shared by
+    /// mapped vectors, weighted scan weights) deterministically; the
+    /// containment DAGs stay lazy, so a caller that has them already
+    /// can hand them over ([`GraphIndex::share_dags_of`]). An index
+    /// always stores binary vectors —
+    /// [`MappingKind::Weighted`](crate::query::MappingKind::Weighted)
+    /// requests are served from the derived DSPM weights, never baked
+    /// into the vectors. Shared by
     /// [`GraphIndex::from_bytes`], and the seam a **sharded** index
     /// uses to stamp out per-shard indexes that share one globally
     /// selected dimension set: pass the full mined `features` with
@@ -483,7 +525,6 @@ impl GraphIndex {
         }
         let space = FeatureSpace::build(db.len(), features);
         let mapped = MappedDatabase::new(&space, &selected, Mapping::Binary)?;
-        mapped.containment_dag();
         if weights.len() != space.num_features() {
             return Err(GdimError::WeightsMismatch {
                 expected: space.num_features(),
@@ -532,10 +573,11 @@ impl GraphIndex {
         &self.tombstones
     }
 
-    /// The indexed graphs, including tombstoned rows (row `i` is graph
-    /// id `i`).
-    pub fn graphs(&self) -> &[Graph] {
-        &self.db
+    /// The indexed graphs in id order, including tombstoned rows (the
+    /// `i`-th is graph id `i`). An iterator, not a slice: the rows live
+    /// in shared chunks. [`GraphIndex::graph`] is the random access.
+    pub fn graphs(&self) -> impl Iterator<Item = &Graph> + '_ {
+        self.db.iter()
     }
 
     /// One indexed graph, or [`GdimError::GraphOutOfRange`] — the
@@ -553,9 +595,52 @@ impl GraphIndex {
         &self.stats
     }
 
-    /// The underlying feature space (all mined features).
+    /// The underlying feature space (all mined features) **as built**:
+    /// its rows and inverted lists cover the graphs the index was
+    /// built, installed or loaded with. Graphs inserted online since
+    /// are recorded beside it ([`GraphIndex::inserted_row`]);
+    /// [`GraphIndex::supports`] is the view over both.
     pub fn feature_space(&self) -> &FeatureSpace {
         &self.space
+    }
+
+    /// The stored full-space feature row (bit `r` set iff `f_r ⊆ g`)
+    /// of a graph inserted online, or `None` for a row the feature
+    /// space itself covers (or an id out of range).
+    pub fn inserted_row(&self, i: usize) -> Option<&Bitset> {
+        self.inserted.get(i.checked_sub(self.space.num_graphs())?)
+    }
+
+    /// Every mined feature's support over **all** rows: its build-time
+    /// list followed by the ids of the online inserts whose stored row
+    /// holds the feature — ascending, since inserted ids exceed every
+    /// build-time id. This is what a snapshot persists and a shard
+    /// split remaps; it is composed on demand (one pass over the
+    /// inserted rows) because nothing on the serving path reads it.
+    pub fn supports(&self) -> Vec<Vec<u32>> {
+        let mut supports: Vec<Vec<u32>> = self
+            .space
+            .features()
+            .iter()
+            .map(|f| f.support.clone())
+            .collect();
+        let first = self.space.num_graphs();
+        for (j, row) in self.inserted.iter().enumerate() {
+            for r in row.iter_ones() {
+                supports[r].push((first + j) as u32);
+            }
+        }
+        supports
+    }
+
+    /// How many rows' heap state (graph, inserted feature row) a
+    /// [`Clone`] of this index physically copies — the open tails of
+    /// the two row containers, always fewer than
+    /// [`CHUNK`](crate::chunked::CHUNK); every other row is shared.
+    pub fn rows_copied_by_clone(&self) -> usize {
+        // Both tails are suffixes of the row range: the longer covers
+        // the shorter.
+        self.db.tail_len().max(self.inserted.tail_len())
     }
 
     /// The mapped database over the selected dimensions.
@@ -633,21 +718,25 @@ impl GraphIndex {
     /// traffic (the build is O(n·ef_construction) distance
     /// evaluations).
     pub fn ann(&self) -> &crate::ann::AnnIndex {
-        self.ann
-            .get_or_init(|| crate::ann::AnnIndex::build(self.mapped.store(), Default::default()))
+        self.ann.get_or_init(|| {
+            Arc::new(crate::ann::AnnIndex::build(
+                self.mapped.store(),
+                Default::default(),
+            ))
+        })
     }
 
     /// The ANN graph if one was already built or restored — the
     /// persistence path uses this so saving an index never forces a
     /// build.
     pub fn ann_if_built(&self) -> Option<&crate::ann::AnnIndex> {
-        self.ann.get()
+        self.ann.get().map(|ann| &**ann)
     }
 
     /// Restores a previously built ANN graph (the persist decode
     /// seam). A no-op if one is already present.
     pub(crate) fn set_ann(&self, ann: crate::ann::AnnIndex) {
-        let _ = self.ann.set(ann);
+        let _ = self.ann.set(Arc::new(ann));
     }
 
     /// The [`Ranker::Approx`](crate::search::Ranker::Approx) scan leg,
@@ -780,21 +869,37 @@ impl GraphIndex {
     }
 
     /// The containment DAG over the **full** feature space, built on
-    /// first insert (the per-query DAG of the mapped database covers
-    /// only the selected dimensions).
-    fn full_dag(&self) -> &ContainmentDag {
+    /// first use — in practice the first insert (the per-query DAG of
+    /// the mapped database covers only the selected dimensions).
+    pub fn full_containment_dag(&self) -> &ContainmentDag {
         self.full_dag
-            .get_or_init(|| Arc::new(ContainmentDag::build(self.space.features())))
+            .get_or_init(|| ContainmentDag::build(self.space.features()))
+    }
+
+    /// Makes this index use `src`'s two containment-DAG cells (selected
+    /// dimensions and full space) instead of building its own: one DAG
+    /// per feature set, not per shard or per compaction. Only for an
+    /// index over the **same mined features and selection** as `src` —
+    /// a shard split or compacted from it. A DAG is a function of the
+    /// feature graphs alone, so the shared one maps exactly like a
+    /// private one would; sharing the cell (not just a built value)
+    /// means a DAG first needed after the split is still built once.
+    pub fn share_dags_of(&mut self, src: &GraphIndex) {
+        debug_assert_eq!(self.space.num_features(), src.space.num_features());
+        self.mapped.share_dag_of(&src.mapped);
+        self.full_dag = Arc::clone(&src.full_dag);
     }
 
     /// Inserts one graph **online**: the graph is mapped against the
     /// *existing* feature space (the whole space's compiled plans,
     /// containment-DAG + histogram-pruned — the same loop as query
     /// mapping, no re-mining), its
-    /// full feature row is recorded in the space (supports stay
-    /// consistent, so the index persists and reloads exactly), and its
-    /// vector over the selected dimensions is appended to the scan
-    /// store in place. Returns the new graph's stable id.
+    /// full feature row is stored once beside the space
+    /// ([`GraphIndex::inserted_row`]; [`GraphIndex::supports`] folds it
+    /// back into the per-feature supports, so the index persists and
+    /// reloads exactly), and its vector over the selected dimensions is
+    /// appended to the scan store in place. Returns the new graph's
+    /// stable id.
     ///
     /// The selected dimensions themselves are *not* revisited:
     /// features the new graph would have made frequent stay invisible
@@ -802,8 +907,11 @@ impl GraphIndex {
     /// [`GraphIndex::install`]. Use [`GraphIndex::is_stale`] to decide
     /// when the accumulated drift (per [`RebuildPolicy`]) warrants one.
     pub fn insert(&mut self, g: Graph) -> GraphId {
-        let full_row = self.full_dag().map_query(self.space.features(), &g).0;
-        let id = self.space.push_graph(&full_row);
+        let full_row = self
+            .full_containment_dag()
+            .map_query(self.space.features(), &g)
+            .0;
+        let id = self.db.len() as u32;
         let mut sel_row = Bitset::zeros(self.selected.len());
         for (col, &r) in self.selected.iter().enumerate() {
             if full_row.get(r as usize) {
@@ -811,6 +919,7 @@ impl GraphIndex {
             }
         }
         self.mapped.push_row(&sel_row);
+        self.inserted.push(full_row);
         self.db.push(g);
         self.tombstones.push_live();
         self.inserts_since_rebuild += 1;
@@ -854,9 +963,11 @@ impl GraphIndex {
     /// Clones of the live (non-tombstoned) graphs, in id order — the
     /// database a rebuild runs over.
     pub fn live_graphs(&self) -> Vec<Graph> {
-        (0..self.db.len())
-            .filter(|&i| !self.tombstones.is_dead(i))
-            .map(|i| self.db[i].clone())
+        self.db
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| !self.tombstones.is_dead(i))
+            .map(|(_, g)| g.clone())
             .collect()
     }
 
@@ -868,18 +979,7 @@ impl GraphIndex {
     /// [`GraphIndex::live_graphs`] (tombstoned graphs drop out, later
     /// ids shift down).
     pub fn rebuild(&mut self) {
-        // Unlike `spawn_rebuild` (which must snapshot because the
-        // index keeps serving), the synchronous path can *move* the
-        // graphs out — `self` is replaced wholesale below, so cloning
-        // the whole database would only double peak memory.
-        let db = std::mem::take(&mut self.db);
-        let live: Vec<Graph> = db
-            .into_iter()
-            .enumerate()
-            .filter(|&(i, _)| !self.tombstones.is_dead(i))
-            .map(|(_, g)| g)
-            .collect();
-        let fresh = GraphIndex::build(live, self.opts.clone());
+        let fresh = GraphIndex::build(self.live_graphs(), self.opts.clone());
         self.install_fresh(fresh);
     }
 
@@ -1059,7 +1159,7 @@ mod tests {
             .search(&q, &SearchRequest::new(12).ranker(Ranker::Exact))
             .unwrap();
         let want = crate::query::exact_ranking(
-            index.graphs(),
+            &index.graphs().cloned().collect::<Vec<_>>(),
             &q,
             Dissimilarity::MaxNorm,
             &index.delta_config().mcs,
@@ -1080,22 +1180,56 @@ mod tests {
 
     #[test]
     fn a_cloned_index_shares_both_containment_dags() {
-        // Copy-on-write publishing clones the index per write: the
-        // compiled plans + DAGs are immutable derived state and must be
-        // shared, not deep-copied.
+        // Copy-on-write publishing clones the index per write: what is
+        // immutable (feature space, selected features, DAGs, the built
+        // ANN) and every sealed row chunk must be shared, not copied.
+        use crate::chunked::CHUNK;
         let mut index = GraphIndex::build(db(20, 31), IndexOptions::default().with_dimensions(20));
-        index.insert(db(1, 77).remove(0)); // first use builds the full-space DAG
+        for g in db(2 * CHUNK + 5, 77) {
+            index.insert(g); // the first insert builds the full-space DAG
+        }
+        index.ann();
         let copy = index.clone();
-        let (a, b) = (&index.full_dag, &copy.full_dag);
-        assert!(Arc::ptr_eq(
-            a.get().expect("built"),
-            b.get().expect("cloned")
-        ));
-        // Same allocation behind the mapped database's accessor too.
+
+        assert!(Arc::ptr_eq(&index.space, &copy.space));
+        assert!(Arc::ptr_eq(&index.full_dag, &copy.full_dag));
+        assert!(index.full_dag.get().is_some());
         assert!(std::ptr::eq(
             index.mapped().containment_dag(),
             copy.mapped().containment_dag()
         ));
+        assert!(std::ptr::eq(
+            index.mapped().features().as_ptr(),
+            copy.mapped().features().as_ptr()
+        ));
+        assert!(Arc::ptr_eq(
+            index.ann.get().expect("built"),
+            copy.ann.get().expect("cloned")
+        ));
+        // 25 + 2·CHUNK graphs seal two chunks, 2·CHUNK + 5 inserted
+        // rows seal two.
+        fn two_shared_chunks<T>(a: &ChunkedVec<T>, b: &ChunkedVec<T>) -> bool {
+            let (a, b) = (a.sealed_chunks(), b.sealed_chunks());
+            a.len() == 2 && b.len() == 2 && a.iter().zip(b).all(|(x, y)| Arc::ptr_eq(x, y))
+        }
+        assert!(two_shared_chunks(&index.db, &copy.db));
+        assert!(two_shared_chunks(&index.inserted, &copy.inserted));
+        // What a clone copies is the longer tail: 25 graphs, 5
+        // inserted rows.
+        assert_eq!(index.rows_copied_by_clone(), 25);
+
+        // The copy is a snapshot: the source moving on — through a
+        // seal — changes nothing it answers.
+        let before = copy.to_bytes();
+        for g in db(CHUNK, 78) {
+            index.insert(g);
+        }
+        index.remove(GraphId(3)).unwrap();
+        let n = 25 + 2 * CHUNK;
+        assert_eq!(copy.len(), n);
+        assert_eq!(copy.live_len(), n);
+        assert!(copy.graph(n).is_err());
+        assert_eq!(copy.to_bytes(), before);
     }
 
     #[test]
@@ -1112,25 +1246,87 @@ mod tests {
                 index.map_query(g),
                 "{id}"
             );
-            // The feature space stays consistent: the new graph's row
-            // and inverted lists agree.
-            let row = index.feature_space().row(id.index()).clone();
-            for r in 0..base_features {
-                assert_eq!(
-                    index.feature_space().if_list(r).contains(&id.get()),
-                    row.get(r),
-                    "feature {r}"
-                );
-            }
+            // The stored full-space row is the graph mapped onto the
+            // whole mined space.
+            let mapped = index
+                .full_containment_dag()
+                .map_query(index.feature_space().features(), g)
+                .0;
+            assert_eq!(index.inserted_row(id.index()), Some(&mapped), "{id}");
         }
+        assert_eq!(index.inserted_row(19), None, "a build-time row");
+        assert_eq!(index.inserted_row(23), None, "past the end");
         assert_eq!(index.len(), 23);
         assert_eq!(index.live_len(), 23);
         assert_eq!(index.pending_inserts(), 3);
-        // No new features appear without a rebuild.
+        // The build-time space itself does not move without a rebuild.
         assert_eq!(index.feature_space().num_features(), base_features);
+        assert_eq!(index.feature_space().num_graphs(), 20);
+        // Rows and inverted lists stay consistent through a snapshot:
+        // after a reload, feature r's support holds the new id exactly
+        // where the stored row has bit r.
+        let back = GraphIndex::from_bytes(&index.to_bytes()).unwrap();
+        assert_eq!(back.feature_space().num_graphs(), 23);
+        for id in 20..23 {
+            let row = index.inserted_row(id).unwrap();
+            assert_eq!(back.feature_space().row(id), row, "row {id}");
+            for r in 0..base_features {
+                assert_eq!(
+                    back.feature_space().if_list(r).contains(&(id as u32)),
+                    row.get(r),
+                    "feature {r}, row {id}"
+                );
+            }
+        }
         let resp = index.search(&newcomers[1], &SearchRequest::new(1)).unwrap();
         assert_eq!(resp.hits[0].id.get(), 21);
         assert_eq!(resp.hits[0].distance, 0.0);
+    }
+
+    #[test]
+    fn online_inserts_match_batch_construction() {
+        // Mine over 24 graphs, index the first 20 (supports restricted
+        // to them), insert the other 4: rows and composed supports must
+        // equal the space built over all 24 at once (same features, so
+        // they line up exactly).
+        let all = db(24, 31);
+        let feats = mine(
+            &all,
+            &MinerConfig::new(Support::Relative(0.2)).with_max_edges(4),
+        );
+        let m = feats.len();
+        assert!(m > 4);
+        let full = FeatureSpace::build(all.len(), feats.clone());
+        let restricted = feats
+            .iter()
+            .map(|f| gdim_mining::Feature {
+                graph: f.graph.clone(),
+                code: f.code.clone(),
+                support: f.support.iter().copied().filter(|&g| g < 20).collect(),
+            })
+            .collect();
+        let donor = GraphIndex::build(Vec::new(), IndexOptions::default());
+        let mut grown = GraphIndex::from_parts(
+            all[..20].to_vec(),
+            restricted,
+            (0..4).collect(),
+            vec![1.0; m],
+            donor.options().clone(),
+            donor.stats().clone(),
+            0,
+            Tombstones::all_live(20),
+            0,
+        )
+        .unwrap();
+        for g in &all[20..] {
+            grown.insert(g.clone());
+        }
+        for (r, support) in grown.supports().iter().enumerate() {
+            assert_eq!(support, full.if_list(r), "feature {r}");
+        }
+        for i in 20..24 {
+            assert_eq!(grown.inserted_row(i), Some(full.row(i)), "graph {i}");
+        }
     }
 
     #[test]
@@ -1254,7 +1450,7 @@ mod tests {
         let idx = GraphIndex::build(db(6, 41), IndexOptions::default().with_dimensions(8));
         let assemble = |features| {
             GraphIndex::from_parts(
-                idx.graphs().to_vec(),
+                idx.graphs().cloned().collect(),
                 features,
                 idx.dimensions().to_vec(),
                 idx.weights().to_vec(),

@@ -53,6 +53,7 @@ pub use gdim_exec as exec;
 pub mod ann;
 pub mod applications;
 pub mod bitset;
+pub mod chunked;
 pub mod correlation;
 pub mod delta;
 pub mod dspm;

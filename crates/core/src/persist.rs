@@ -61,9 +61,10 @@
 //! is **not** persisted: it is rebuilt deterministically on load,
 //! which keeps the format small and makes a reloaded index answer
 //! byte-identically to the one that was saved (a dirty index persists
-//! exactly as well: [`GraphIndex::insert`](GraphIndex::insert) keeps
-//! the feature supports authoritative, so inserted rows reappear in
-//! the rebuilt scan store). The exec budget
+//! exactly as well: the encoder writes each feature's support as
+//! [`GraphIndex::supports`](GraphIndex::supports) composes it —
+//! build-time list, then the online inserts — so inserted rows
+//! reappear in the rebuilt scan store). The exec budget
 //! is deliberately not persisted either — core counts belong to the
 //! serving machine, not the index file
 //! ([`GraphIndex::set_exec`](crate::index::GraphIndex::set_exec)).
@@ -133,7 +134,10 @@ fn put_graph(buf: &mut Vec<u8>, g: &Graph) {
     }
 }
 
-fn put_feature(buf: &mut Vec<u8>, f: &Feature) {
+/// One feature record. `support` is passed beside the feature because
+/// the index composes it (build-time list + online inserts,
+/// [`GraphIndex::supports`]); `f.support` alone would miss the inserts.
+fn put_feature(buf: &mut Vec<u8>, f: &Feature, support: &[u32]) {
     put_graph(buf, &f.graph);
     put_len(buf, f.code.len());
     for e in &f.code.0 {
@@ -143,8 +147,8 @@ fn put_feature(buf: &mut Vec<u8>, f: &Feature) {
         put_u32(buf, e.elabel);
         put_u32(buf, e.to_label);
     }
-    put_len(buf, f.support.len());
-    for &gid in &f.support {
+    put_len(buf, support.len());
+    for &gid in support {
         put_u32(buf, gid);
     }
 }
@@ -195,8 +199,8 @@ fn encode_body(index: &GraphIndex) -> Vec<u8> {
     }
     let features = index.feature_space().features();
     put_len(&mut buf, features.len());
-    for f in features {
-        put_feature(&mut buf, f);
+    for (f, support) in features.iter().zip(index.supports()) {
+        put_feature(&mut buf, f, &support);
     }
     put_len(&mut buf, index.dimensions().len());
     for &r in index.dimensions() {
@@ -582,6 +586,9 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<GraphIndex, GdimError> {
     // index (selected id outside the space, wrong weights length);
     // from a file, that is corruption too.
     .map_err(|e| GdimError::Corrupt(format!("inconsistent index payload: {e}")))?;
+    // A serving index pays the one-time pairwise containment cost at
+    // load time, not on its first query.
+    index.mapped().containment_dag();
     if let Some(ann) = ann {
         index.set_ann(ann);
     }
@@ -605,7 +612,7 @@ mod tests {
         let bytes = idx.to_bytes();
         let back = GraphIndex::from_bytes(&bytes).unwrap();
         assert_eq!(back.len(), idx.len());
-        assert_eq!(back.graphs(), idx.graphs());
+        assert!(back.graphs().eq(idx.graphs()));
         assert_eq!(back.dimensions(), idx.dimensions());
         assert_eq!(back.weights(), idx.weights());
         assert_eq!(back.dissimilarity(), idx.dissimilarity());

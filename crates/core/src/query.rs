@@ -83,9 +83,14 @@ pub(crate) fn weighted_w_sq(selected: &[u32], weights: &[f64]) -> Vec<f64> {
 /// graph over the `p` selected feature dimensions, stored as a flat
 /// row-major word matrix ([`VectorStore`]) so the sequential scan is
 /// one linear memory walk.
+///
+/// `Clone` copies the flat store (16 B/row at `p = 128`) and shares the
+/// rest: the selected features and the containment-DAG cell sit behind
+/// `Arc`s.
 #[derive(Debug, Clone)]
 pub struct MappedDatabase {
-    features: Vec<Feature>,
+    /// The selected features — immutable, shared by clones.
+    features: Arc<[Feature]>,
     store: VectorStore,
     /// Squared per-dimension weight; uniform `1/p` for [`MappingKind::Binary`].
     w_sq: Vec<f64>,
@@ -95,8 +100,9 @@ pub struct MappedDatabase {
     /// mapped query (derived and deterministic, so laziness is
     /// unobservable in answers) — a database constructed only to
     /// compare vectors never pays the O(p²) pairwise containment
-    /// prescreen — and shared, not copied, by clones.
-    dag: OnceLock<Arc<ContainmentDag>>,
+    /// prescreen. The *cell* is shared, not only its value: whichever
+    /// clone maps first builds the DAG for all of them.
+    dag: Arc<OnceLock<ContainmentDag>>,
 }
 
 impl MappedDatabase {
@@ -129,7 +135,7 @@ impl MappedDatabase {
             }
         }
         let p = selected.len();
-        let features: Vec<Feature> = selected
+        let features: Arc<[Feature]> = selected
             .iter()
             .map(|&r| space.features()[r as usize].clone())
             .collect();
@@ -148,7 +154,7 @@ impl MappedDatabase {
             store,
             w_sq,
             kind,
-            dag: OnceLock::new(),
+            dag: Arc::default(),
         })
     }
 
@@ -192,7 +198,15 @@ impl MappedDatabase {
     /// first use.
     pub fn containment_dag(&self) -> &ContainmentDag {
         self.dag
-            .get_or_init(|| Arc::new(ContainmentDag::build(&self.features)))
+            .get_or_init(|| ContainmentDag::build(&self.features))
+    }
+
+    /// Makes this database use `src`'s containment-DAG cell instead of
+    /// its own. Only for databases over the **same selected features**
+    /// (the DAG is a function of the feature graphs alone).
+    pub(crate) fn share_dag_of(&mut self, src: &MappedDatabase) {
+        debug_assert_eq!(self.p(), src.p());
+        self.dag = Arc::clone(&src.dag);
     }
 
     /// Vector of database graph `i`, materialized from its store row.
@@ -414,15 +428,15 @@ pub fn exact_ranking(
     exec: &ExecConfig,
 ) -> Vec<(u32, f64)> {
     let ids: Vec<u32> = (0..db.len() as u32).collect();
-    exact_ranking_among(db, &ids, q, kind, mcs, exec)
+    exact_ranking_among(|i| &db[i as usize], &ids, q, kind, mcs, exec)
 }
 
 /// [`exact_ranking`] restricted to the graphs named by `ids` (which
-/// keep their database ids in the result) — the one δ-ranking kernel;
-/// the dynamic index ranks only its live rows through this, so
-/// tombstoned graphs cost no MCS calls.
-pub fn exact_ranking_among(
-    db: &[Graph],
+/// keep their database ids in the result), each fetched through
+/// `graph` — the one δ-ranking kernel; the dynamic index ranks only
+/// its live rows through this, so tombstoned graphs cost no MCS calls.
+pub fn exact_ranking_among<'a>(
+    graph: impl Fn(u32) -> &'a Graph + Sync,
     ids: &[u32],
     q: &Graph,
     kind: Dissimilarity,
@@ -430,9 +444,7 @@ pub fn exact_ranking_among(
     exec: &ExecConfig,
 ) -> Vec<(u32, f64)> {
     let vals = gdim_exec::map_chunks(exec, ids.len(), 8, |range| {
-        range
-            .map(|x| delta(kind, q, &db[ids[x] as usize], mcs))
-            .collect()
+        range.map(|x| delta(kind, q, graph(ids[x]), mcs)).collect()
     });
     let mut ranked: Vec<(u32, f64)> = ids.iter().copied().zip(vals).collect();
     sort_ranking(&mut ranked);
@@ -684,12 +696,26 @@ mod tests {
         let exec = ExecConfig::new(2);
         let all: Vec<u32> = (0..db.len() as u32).collect();
         assert_eq!(
-            exact_ranking_among(&db, &all, &db[1], Dissimilarity::AvgNorm, &mcs, &exec),
+            exact_ranking_among(
+                |i| &db[i as usize],
+                &all,
+                &db[1],
+                Dissimilarity::AvgNorm,
+                &mcs,
+                &exec
+            ),
             exact_ranking(&db, &db[1], Dissimilarity::AvgNorm, &mcs, &exec)
         );
         // A strict subset ranks only its members, keeping database ids.
         let some = [3u32, 7, 11, 19];
-        let sub = exact_ranking_among(&db, &some, &db[7], Dissimilarity::AvgNorm, &mcs, &exec);
+        let sub = exact_ranking_among(
+            |i| &db[i as usize],
+            &some,
+            &db[7],
+            Dissimilarity::AvgNorm,
+            &mcs,
+            &exec,
+        );
         assert_eq!(sub.len(), some.len());
         assert_eq!(sub[0], (7, 0.0));
         for (id, _) in &sub {

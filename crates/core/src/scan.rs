@@ -187,12 +187,25 @@ fn reduce_ranges<K: Ord + Copy>(
 
 /// A flat row-major word matrix holding `n` fixed-length binary
 /// vectors: the scan-friendly storage of the mapped database `DM`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct VectorStore {
     n: usize,
     bits: usize,
     stride: usize,
     words: Vec<u64>,
+}
+
+impl Clone for VectorStore {
+    /// Copies the words into a buffer with room for one more row. The
+    /// store is cloned by a copy-on-write publish whose next step is
+    /// usually [`VectorStore::push_row`]; into an exact-fit copy that
+    /// push reallocates — the words copied a second time, into a
+    /// doubled buffer, on every served insert.
+    fn clone(&self) -> Self {
+        let mut words = Vec::with_capacity(self.words.len() + self.stride);
+        words.extend_from_slice(&self.words);
+        VectorStore { words, ..*self }
+    }
 }
 
 /// Work counters for one scan, the observability half of the kernel

@@ -799,7 +799,7 @@ fn exact_response(parts: &[Partition<'_>], query: &Graph, req: &SearchRequest) -
         let idx = part.index;
         let live = idx.tombstones().live_ids();
         let ranked = crate::query::exact_ranking_among(
-            idx.graphs(),
+            |i| idx.graph(i as usize).expect("live ids are rows"),
             &live,
             query,
             idx.dissimilarity(),
@@ -881,7 +881,7 @@ fn refine(
     for (part, locals) in parts.iter().zip(&locals) {
         let idx = part.index;
         let ranked = crate::query::exact_ranking_among(
-            idx.graphs(),
+            |i| idx.graph(i as usize).expect("candidates are rows"),
             locals,
             query,
             idx.dissimilarity(),
@@ -1005,7 +1005,7 @@ mod tests {
         let req = SearchRequest::new(4).ranker(Ranker::Exact);
         let resp = idx.search(&q, &req).unwrap();
         let reference = crate::query::exact_topk(
-            idx.graphs(),
+            &idx.graphs().cloned().collect::<Vec<_>>(),
             &q,
             4,
             idx.dissimilarity(),

@@ -58,20 +58,7 @@ use gdim_core::{GdimError, Graph, GraphId};
 use gdim_wal::fsutil::{fsync_dir, write_atomic};
 use gdim_wal::{SyncPolicy, WalDefect, WalReader, WalRecord, WalWriter};
 
-/// The process-wide checkpoint-latency histogram (time the durable
-/// lock is held folding the log into a new generation — the stall
-/// mutations see), registered once in [`gdim_obs::global`].
-fn checkpoint_histogram() -> &'static Arc<gdim_obs::Histogram> {
-    static H: std::sync::OnceLock<Arc<gdim_obs::Histogram>> = std::sync::OnceLock::new();
-    H.get_or_init(|| {
-        gdim_obs::global().histogram(
-            "gdim_checkpoint_ns",
-            "Latency of durable checkpoint folds, lock held (ns)",
-            &[],
-        )
-    })
-}
-
+use crate::obs::write_metrics;
 use crate::serving::ServingHandle;
 use crate::sharded::ShardedIndex;
 
@@ -371,14 +358,27 @@ impl DurableHandle {
             .store(st.writer.len(), Ordering::Release);
     }
 
+    /// Takes the durable lock for one mutation, recording how long it
+    /// waited (`gdim_writer_lock_wait_ns{lock="durable"}`): durable
+    /// writers queue here, across the previous writer's log → fsync →
+    /// apply, not at the serving handle's master lock.
+    fn lock_for_mutation(&self) -> MutexGuard<'_, DurableState> {
+        let t0 = std::time::Instant::now();
+        let st = lock(&self.shared.state);
+        write_metrics()
+            .durable_wait_ns
+            .record_duration(t0.elapsed());
+        st
+    }
+
     /// Durably inserts one graph: the record is logged (and fsynced
     /// per the [`SyncPolicy`]) **before** the index changes, and the
     /// returned id is only handed out once both happened. See
     /// [`ShardedIndex::insert`] for placement semantics.
     pub fn insert(&self, g: Graph) -> Result<GraphId, GdimError> {
-        let mut st = lock(&self.shared.state);
+        let mut st = self.lock_for_mutation();
         Self::check_usable(&st)?;
-        st.writer.append(&WalRecord::Insert(g.clone()).encode())?;
+        st.writer.append(&WalRecord::encode_insert(&g))?;
         self.mirror(&st);
         Ok(self.serving.insert(g))
     }
@@ -388,7 +388,7 @@ impl DurableHandle {
     /// invalid ids are **not** logged — only effective mutations reach
     /// the log, so replay applies exactly what happened.
     pub fn remove(&self, id: GraphId) -> Result<bool, GdimError> {
-        let mut st = lock(&self.shared.state);
+        let mut st = self.lock_for_mutation();
         Self::check_usable(&st)?;
         // Pre-validate against the current state (the durable lock
         // serializes all mutations, so the snapshot is current): only
@@ -458,7 +458,7 @@ impl DurableHandle {
         self.mirror(st);
         let _ = std::fs::remove_file(dir.join(wal_file(old)));
         let _ = std::fs::remove_dir_all(dir.join(generation_dir(old)));
-        checkpoint_histogram().record_duration(t0.elapsed());
+        write_metrics().checkpoint_ns.record_duration(t0.elapsed());
         Ok(next)
     }
 

@@ -11,6 +11,8 @@ use gdim_core::{
 use gdim_exec::{BackgroundTask, ExecConfig};
 use gdim_mining::Feature;
 
+use crate::obs::write_metrics;
+
 /// Typed id of one shard of a [`ShardedIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShardId(pub u32);
@@ -77,7 +79,7 @@ impl ShardedOptions {
 
 /// One shard: a [`GraphIndex`] over a subset of the database plus the
 /// global sequence number of each local row (the merge tie-break).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Shard {
     pub(crate) index: GraphIndex,
     /// `seqs[local]` = global insertion sequence of that row; strictly
@@ -85,14 +87,37 @@ pub(crate) struct Shard {
     pub(crate) seqs: Vec<u64>,
 }
 
+impl Clone for Shard {
+    /// The copy-on-write step: the index shares what it can
+    /// ([`GraphIndex`]'s "What `Clone` costs"), `seqs` is flat and
+    /// copied (8 B/row) — with room for the row an insert is about to
+    /// add, so that push does not copy it a second time.
+    fn clone(&self) -> Self {
+        let mut seqs = Vec::with_capacity(self.seqs.len() + 1);
+        seqs.extend_from_slice(&self.seqs);
+        Shard {
+            index: self.index.clone(),
+            seqs,
+        }
+    }
+}
+
 /// A graph database partitioned over N [`GraphIndex`] shards sharing
 /// one globally selected dimension set, served by scatter-gather.
 ///
 /// Shards are held behind [`Arc`]s, so `Clone` is **cheap** (N pointer
 /// clones) and mutation is copy-on-write at shard granularity: an
-/// `insert` on a clone-shared index deep-copies only the owning shard.
-/// That is what makes the [`ServingHandle`](crate::ServingHandle)
-/// snapshot pattern affordable.
+/// `insert` or `remove` on a clone-shared index clones only the owning
+/// shard — and that clone is itself structural sharing, not a deep
+/// copy: the shard's [`GraphIndex`] shares its immutable state and
+/// every sealed 32-row chunk of graphs and inserted feature rows with
+/// the version it was cloned from, and copies the open tail (fewer than
+/// 32 rows) plus the flat words (scan store 16 B/row at `p = 128`,
+/// `seqs` 8 B/row, tombstones 1 bit/row; see
+/// [`GraphIndex`]'s "What `Clone` costs"). Dropping the older version
+/// frees that tail and those words, nothing else. That is what makes
+/// the [`ServingHandle`](crate::ServingHandle) snapshot pattern cost
+/// O(tail) per write instead of O(shard).
 ///
 /// Searches are **bit-identical** to a single [`GraphIndex`] over the
 /// same database — hits, order, distances — for every ranker, mapping,
@@ -155,11 +180,14 @@ impl ShardedIndex {
         let n = global.len();
         debug_assert_eq!(global.tombstone_count(), 0, "split expects a fresh build");
         let exec = *global.exec();
+        let supports = global.supports();
         let shards: Vec<Arc<Shard>> = gdim_exec::map_tasks(&exec, shards_n, |s| {
             let rows: Vec<u32> =
                 ((s * n / shards_n) as u32..((s + 1) * n / shards_n) as u32).collect();
             let seqs = rows.iter().map(|&i| i as u64).collect();
-            Arc::new(Self::shard_of_rows(&global, &rows, base_epoch, seqs))
+            Arc::new(Self::shard_of_rows(
+                &global, &supports, &rows, base_epoch, seqs,
+            ))
         });
         let mut opts = opts;
         opts.shards = shards_n;
@@ -175,11 +203,20 @@ impl ShardedIndex {
     }
 
     /// One shard over the rows `kept` (ascending ids) of `src`: their
-    /// graphs, the full mined feature set with supports filtered to
-    /// the kept rows and remapped to the new local ids, and the same
-    /// selected dimensions/weights, all live at `epoch`. `seqs[new]` is
-    /// the sequence number of kept row `new`.
-    fn shard_of_rows(src: &GraphIndex, kept: &[u32], epoch: u64, seqs: Vec<u64>) -> Shard {
+    /// graphs, the full mined feature set with `supports` (=
+    /// [`GraphIndex::supports`] of `src`, composed once by the caller)
+    /// filtered to the kept rows and remapped to the new local ids, and
+    /// the same selected dimensions/weights, all live at `epoch`.
+    /// `seqs[new]` is the sequence number of kept row `new`. The shard
+    /// maps through `src`'s containment DAGs — the features are
+    /// identical by construction — instead of building its own.
+    fn shard_of_rows(
+        src: &GraphIndex,
+        supports: &[Vec<u32>],
+        kept: &[u32],
+        epoch: u64,
+        seqs: Vec<u64>,
+    ) -> Shard {
         // old id -> new local id (u32::MAX = not kept).
         let mut remap = vec![u32::MAX; src.len()];
         for (new, &old) in kept.iter().enumerate() {
@@ -187,24 +224,25 @@ impl ShardedIndex {
         }
         let db: Vec<Graph> = kept
             .iter()
-            .map(|&i| src.graphs()[i as usize].clone())
+            .map(|&i| src.graph(i as usize).expect("kept ids are rows of src"))
+            .cloned()
             .collect();
         let features: Vec<Feature> = src
             .feature_space()
             .features()
             .iter()
-            .map(|f| Feature {
+            .zip(supports)
+            .map(|(f, support)| Feature {
                 graph: f.graph.clone(),
                 code: f.code.clone(),
-                support: f
-                    .support
+                support: support
                     .iter()
                     .map(|&g| remap[g as usize])
                     .filter(|&g| g != u32::MAX)
                     .collect(),
             })
             .collect();
-        let index = GraphIndex::from_parts(
+        let mut index = GraphIndex::from_parts(
             db,
             features,
             src.dimensions().to_vec(),
@@ -216,6 +254,7 @@ impl ShardedIndex {
             0,
         )
         .expect("the kept rows of a consistent index form a consistent shard");
+        index.share_dags_of(src);
         Shard { index, seqs }
     }
 
@@ -282,7 +321,7 @@ impl ShardedIndex {
 
     /// One shard's graphs (including tombstoned rows), in local-id
     /// order.
-    pub fn shard_graphs(&self, s: ShardId) -> Result<&[Graph], GdimError> {
+    pub fn shard_graphs(&self, s: ShardId) -> Result<impl Iterator<Item = &Graph> + '_, GdimError> {
         self.shard(s).map(GraphIndex::graphs)
     }
 
@@ -341,8 +380,8 @@ impl ShardedIndex {
     /// serving machine's core count at save time).
     pub fn set_exec(&mut self, exec: ExecConfig) {
         self.opts.index = self.opts.index.clone().with_exec(exec);
-        for shard in &mut self.shards {
-            Arc::make_mut(shard).index.set_exec(exec);
+        for s in 0..self.shards.len() {
+            self.shard_mut(s).index.set_exec(exec);
         }
     }
 
@@ -389,6 +428,21 @@ impl ShardedIndex {
         self.muts[s] = self.stamp;
     }
 
+    /// Shard `s` for mutation — the one copy-on-write point: a shard
+    /// still shared with a clone of this index (a published snapshot)
+    /// is cloned first, and the rows that clone physically copied are
+    /// counted into `gdim_publish_rows_copied_total`.
+    fn shard_mut(&mut self, s: usize) -> &mut Shard {
+        let shared = Arc::as_ptr(&self.shards[s]);
+        let shard = Arc::make_mut(&mut self.shards[s]);
+        if !std::ptr::eq(shared, shard) {
+            write_metrics()
+                .rows_copied
+                .add(shard.index.rows_copied_by_clone() as u64);
+        }
+        shard
+    }
+
     // ------------------------------------------------------ mutation
 
     /// Inserts one graph **online**, routed to the least-loaded shard
@@ -402,15 +456,15 @@ impl ShardedIndex {
         let s = (0..self.shards.len())
             .min_by_key(|&s| (self.shards[s].index.live_len(), s))
             .expect("at least one shard");
-        let shard = Arc::make_mut(&mut self.shards[s]);
-        let local = shard.index.insert(g).index();
-        assert!(
-            (local as u64) < 1u64 << (32 - self.shard_bits),
-            "shard {s} overflows its {}-bit local id space",
-            32 - self.shard_bits
-        );
+        let local_bits = 32 - self.shard_bits;
         let seq = self.next_seq;
         self.next_seq += 1;
+        let shard = self.shard_mut(s);
+        let local = shard.index.insert(g).index();
+        assert!(
+            (local as u64) < 1u64 << local_bits,
+            "shard {s} overflows its {local_bits}-bit local id space"
+        );
         shard.seqs.push(seq);
         self.bump(s);
         self.compose_id(ShardId(s as u32), local)
@@ -421,13 +475,13 @@ impl ShardedIndex {
     /// when it was already dead, a typed error for an unknown id.
     pub fn remove(&mut self, id: GraphId) -> Result<bool, GdimError> {
         let (s, local) = self.owner(id)?;
-        let newly = Arc::make_mut(&mut self.shards[s])
-            .index
-            .remove(GraphId(local as u32))?;
-        if newly {
-            self.bump(s);
+        // Decided on the shared shard: a no-op must not copy-on-write.
+        if self.shards[s].index.tombstones().is_dead(local) {
+            return Ok(false);
         }
-        Ok(newly)
+        self.shard_mut(s).index.remove(GraphId(local as u32))?;
+        self.bump(s);
+        Ok(true)
     }
 
     // ----------------------------------------------------- rebuilds
@@ -480,7 +534,7 @@ impl ShardedIndex {
         let idx = &shard.index;
         let live = idx.tombstones().live_ids();
         let seqs = live.iter().map(|&i| shard.seqs[i as usize]).collect();
-        Self::shard_of_rows(idx, &live, idx.epoch() + 1, seqs)
+        Self::shard_of_rows(idx, &idx.supports(), &live, idx.epoch() + 1, seqs)
     }
 
     /// Starts a **background** compaction of one shard on a dedicated
@@ -545,9 +599,9 @@ impl ShardedIndex {
     pub fn live_graphs(&self) -> Vec<Graph> {
         let mut rows: Vec<(u64, &Graph)> = Vec::with_capacity(self.live_len());
         for shard in &self.shards {
-            for local in 0..shard.index.len() {
+            for (local, g) in shard.index.graphs().enumerate() {
                 if !shard.index.tombstones().is_dead(local) {
-                    rows.push((shard.seqs[local], &shard.index.graphs()[local]));
+                    rows.push((shard.seqs[local], g));
                 }
             }
         }
@@ -762,5 +816,50 @@ impl ShardedRebuildTask {
     /// Non-blocking: whether the background job has ended.
     pub fn is_finished(&self) -> bool {
         self.task.is_finished()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn chem(n: usize, seed: u64) -> Vec<Graph> {
+        gdim_datagen::chem_db(n, &gdim_datagen::ChemConfig::default(), seed)
+    }
+
+    /// Every shard maps through the same two DAG allocations. Asking
+    /// for a shard's full-space DAG builds it if its cell is empty, so
+    /// unshared cells would show up here as distinct pointers.
+    fn assert_one_dag_per_feature_set(idx: &ShardedIndex) {
+        let first = &idx.shards[0].index;
+        for shard in &idx.shards[1..] {
+            assert!(std::ptr::eq(
+                first.mapped().containment_dag(),
+                shard.index.mapped().containment_dag()
+            ));
+            assert!(std::ptr::eq(
+                first.full_containment_dag(),
+                shard.index.full_containment_dag()
+            ));
+        }
+    }
+
+    #[test]
+    fn shards_and_compactions_share_one_containment_dag_per_feature_set() {
+        let opts = ShardedOptions::new(3).with_index(IndexOptions::default().with_dimensions(16));
+        let mut idx = ShardedIndex::build(chem(24, 7), opts);
+        // 8 live rows per shard: three inserts land on shards 0, 1, 2.
+        let ids: Vec<GraphId> = chem(3, 99).into_iter().map(|g| idx.insert(g)).collect();
+        let owners: Vec<u32> = ids.iter().map(|&id| idx.split_id(id).0 .0).collect();
+        assert_eq!(owners, [0, 1, 2]);
+        assert_one_dag_per_feature_set(&idx);
+
+        // A compacted shard keeps mapping through the same DAGs.
+        idx.remove(ids[1]).unwrap();
+        idx.rebuild_shard(ShardId(1)).unwrap();
+        assert_eq!(idx.shard(ShardId(1)).unwrap().tombstone_count(), 0);
+        assert_one_dag_per_feature_set(&idx);
+        idx.insert(chem(1, 100).remove(0));
+        assert_one_dag_per_feature_set(&idx);
     }
 }

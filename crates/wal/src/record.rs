@@ -110,22 +110,7 @@ impl WalRecord {
     /// Encodes the record as a WAL frame payload.
     pub fn encode(&self) -> Vec<u8> {
         match self {
-            WalRecord::Insert(g) => {
-                let mut buf =
-                    Vec::with_capacity(1 + 8 + 4 * g.vertex_count() + 12 * g.edge_count());
-                buf.push(TAG_INSERT);
-                buf.extend_from_slice(&(g.vertex_count() as u32).to_le_bytes());
-                for &l in g.vlabels() {
-                    buf.extend_from_slice(&l.to_le_bytes());
-                }
-                buf.extend_from_slice(&(g.edge_count() as u32).to_le_bytes());
-                for e in g.edges() {
-                    buf.extend_from_slice(&e.u.to_le_bytes());
-                    buf.extend_from_slice(&e.v.to_le_bytes());
-                    buf.extend_from_slice(&e.label.to_le_bytes());
-                }
-                buf
-            }
+            WalRecord::Insert(g) => WalRecord::encode_insert(g),
             WalRecord::Remove(id) => {
                 let mut buf = Vec::with_capacity(5);
                 buf.push(TAG_REMOVE);
@@ -133,6 +118,25 @@ impl WalRecord {
                 buf
             }
         }
+    }
+
+    /// The payload of `WalRecord::Insert(g)`, encoded from a borrow —
+    /// the write path logs a graph it is about to hand to the index and
+    /// has no reason to copy it first.
+    pub fn encode_insert(g: &Graph) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(1 + 8 + 4 * g.vertex_count() + 12 * g.edge_count());
+        buf.push(TAG_INSERT);
+        buf.extend_from_slice(&(g.vertex_count() as u32).to_le_bytes());
+        for &l in g.vlabels() {
+            buf.extend_from_slice(&l.to_le_bytes());
+        }
+        buf.extend_from_slice(&(g.edge_count() as u32).to_le_bytes());
+        for e in g.edges() {
+            buf.extend_from_slice(&e.u.to_le_bytes());
+            buf.extend_from_slice(&e.v.to_le_bytes());
+            buf.extend_from_slice(&e.label.to_le_bytes());
+        }
+        buf
     }
 
     /// Decodes a WAL frame payload. Counts are validated against the
@@ -198,6 +202,7 @@ mod tests {
     fn insert_roundtrips() {
         let g = sample_graph();
         let rec = WalRecord::Insert(g.clone());
+        assert_eq!(WalRecord::encode_insert(&g), rec.encode());
         let decoded = WalRecord::decode(&rec.encode()).unwrap();
         match decoded {
             WalRecord::Insert(h) => assert_eq!(h, g),

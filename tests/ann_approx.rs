@@ -95,7 +95,7 @@ proptest! {
         let n = 18; // ≤ 2m + 1, so the layer-0 graph stays complete
         let idx = index(n, seed, 16);
         let queries = chem(3, seed ^ 0xA11C);
-        for q in queries.iter().chain(idx.graphs().iter().take(2)) {
+        for q in queries.iter().chain(idx.graphs().take(2)) {
             for mapping in [MappingKind::Binary, MappingKind::Weighted] {
                 let approx_req = SearchRequest::new(k)
                     .ranker(Ranker::Approx { ef: n, verify: Some(c) })

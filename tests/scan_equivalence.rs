@@ -57,7 +57,7 @@ proptest! {
         let db = chem(18, seed);
         let idx = GraphIndex::build(db, IndexOptions::default().with_dimensions(30));
         let unseen = chem(3, !seed);
-        for q in idx.graphs().iter().take(3).chain(&unseen) {
+        for q in idx.graphs().take(3).chain(&unseen) {
             let (bits, stats) = idx.map_query_with_stats(q);
             prop_assert_eq!(&bits, &idx.mapped().map_query_unpruned(q));
             prop_assert_eq!(stats.vf2_calls + stats.vf2_pruned, idx.dimensions().len());
@@ -82,7 +82,7 @@ proptest! {
                 db.clone(),
                 IndexOptions::default().with_dimensions(24).with_threads(threads),
             );
-            for q in idx.graphs().iter().take(2).chain(&queries) {
+            for q in idx.graphs().take(2).chain(&queries) {
                 let qvec = idx.map_query(q);
                 for mapping in [MappingKind::Binary, MappingKind::Weighted] {
                     let naive = match mapping {

@@ -33,7 +33,7 @@ proptest! {
         let exact_req = SearchRequest::new(k).ranker(Ranker::Exact);
         let refined_req = SearchRequest::new(k).ranker(Ranker::Refined { candidates: n });
         let unseen = chem(2, seed ^ 0xdead);
-        let queries: Vec<&Graph> = idx.graphs().iter().take(2).chain(&unseen).collect();
+        let queries: Vec<&Graph> = idx.graphs().take(2).chain(&unseen).collect();
         for q in queries {
             let exact = idx.search(q, &exact_req).unwrap();
             let refined = idx.search(q, &refined_req).unwrap();
@@ -162,7 +162,7 @@ fn tie_breaking_is_stable_by_id_and_batch_agrees() {
     // Batch and single-query paths agree for every thread budget.
     for threads in [1usize, 2, 8] {
         let idx_t = GraphIndex::build(
-            idx.graphs().to_vec(),
+            idx.graphs().cloned().collect(),
             IndexOptions::default()
                 .with_dimensions(15)
                 .with_threads(threads),

@@ -9,6 +9,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use gdim::prelude::*;
+use proptest::prelude::*;
 
 fn chem(n: usize, seed: u64) -> Vec<Graph> {
     gdim::datagen::chem_db(n, &gdim::datagen::ChemConfig::default(), seed)
@@ -232,4 +233,109 @@ fn background_shard_rebuild_installs_through_the_handle() {
         .map(|h| (after.seq_of(h.id).unwrap(), h.distance))
         .collect();
     assert_eq!(hits, before, "compaction must not change answers");
+}
+
+// ------------------------------------------------ snapshot isolation
+
+/// One served mutation of the isolation stream.
+#[derive(Clone)]
+enum Op {
+    Ins(Graph),
+    Rem(GraphId),
+}
+
+/// An owned index that applied `ops` to its own copy of `base` — never
+/// published, never shared with the handle's chain of snapshots.
+fn replayed(base: &ShardedIndex, ops: &[Op]) -> ShardedIndex {
+    let mut owned = base.clone();
+    for op in ops {
+        match op {
+            Op::Ins(g) => {
+                owned.insert(g.clone());
+            }
+            Op::Rem(id) => assert!(owned.remove(*id).unwrap()),
+        }
+    }
+    owned
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// A publish shares the shard with the snapshot before it, so the
+    /// bug classes are a stale or aliased tail and an off-by-one at the
+    /// seal. Stream ~500 inserts and removes through a handle on a
+    /// 2-shard index (≥ 3 sealed chunks per shard), keep snapshots from
+    /// random points and from both sides of every seal, and only then —
+    /// with hundreds of later publishes on top — require each one to be
+    /// exactly the owned index that applied the same prefix: answers,
+    /// sizes, every graph, and every shard's snapshot bytes.
+    #[test]
+    fn retained_snapshots_equal_the_owned_index_of_their_prefix(seed in 0u64..1000) {
+        use gdim::core::chunked::CHUNK;
+        let base = build(chem(16, seed), 2);
+        let pool = chem(2 * 3 * CHUNK + 40, !seed);
+        let handle = ServingHandle::new(base.clone());
+        let mut ops: Vec<Op> = Vec::new();
+        let mut live: Vec<GraphId> = Vec::new();
+        let mut retained: Vec<(usize, std::sync::Arc<ShardedIndex>)> = Vec::new();
+        let mut next = 0usize;
+        let mut step = seed;
+        while next < pool.len() {
+            step = step.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let pick = step >> 33;
+            if pick % 4 == 0 && !live.is_empty() {
+                let id = live.swap_remove((pick / 4) as usize % live.len());
+                prop_assert!(handle.remove(id).unwrap());
+                ops.push(Op::Rem(id));
+            } else {
+                let g = pool[next].clone();
+                next += 1;
+                let id = handle.insert(g.clone());
+                live.push(id);
+                ops.push(Op::Ins(g));
+                // Both sides of a seal in the shard that just grew.
+                let snap = handle.snapshot();
+                let rows = snap.shard(snap.split_id(id).0).unwrap().len();
+                if matches!(rows % CHUNK, 0 | 1) || rows % CHUNK == CHUNK - 1 {
+                    retained.push((ops.len(), snap));
+                    continue;
+                }
+            }
+            if pick % 61 == 0 {
+                retained.push((ops.len(), handle.snapshot()));
+            }
+        }
+        let last = handle.snapshot();
+        for s in 0..2 {
+            prop_assert!(last.shard(ShardId(s)).unwrap().len() >= 3 * CHUNK, "shard {}", s);
+        }
+        prop_assert!(retained.len() >= 18, "three snapshots per seal: {}", retained.len());
+        retained.push((ops.len(), last));
+
+        // The refined ranker reads candidate graphs by id (MCS is the
+        // slow part of this test, hence one query and three candidates).
+        let queries: Vec<&Graph> = pool.iter().step_by(97).collect();
+        let scans = [SearchRequest::new(5), SearchRequest::new(5).mapping(MappingKind::Weighted)];
+        let refined = SearchRequest::new(3).ranker(Ranker::Refined { candidates: 3 });
+        for (prefix, snap) in &retained {
+            let owned = replayed(&base, &ops[..*prefix]);
+            prop_assert_eq!(snap.len(), owned.len(), "prefix {}", prefix);
+            prop_assert_eq!(snap.live_len(), owned.live_len(), "prefix {}", prefix);
+            for s in 0..2u32 {
+                let (a, b) = (snap.shard(ShardId(s)).unwrap(), owned.shard(ShardId(s)).unwrap());
+                prop_assert!(a.to_bytes() == b.to_bytes(), "prefix {} shard {}", prefix, s);
+                for local in 0..=a.len() {
+                    let id = snap.compose_id(ShardId(s), local);
+                    prop_assert_eq!(snap.graph(id).ok(), owned.graph(id).ok(), "prefix {} id {}", prefix, id);
+                    prop_assert_eq!(snap.seq_of(id).ok(), owned.seq_of(id).ok());
+                }
+            }
+            let pairs = queries.iter().flat_map(|q| scans.iter().map(move |req| (q, req)));
+            for (q, req) in pairs.chain([(&queries[0], &refined)]) {
+                let (a, b) = (snap.search(q, req).unwrap(), owned.search(q, req).unwrap());
+                prop_assert_eq!(a.hits, b.hits, "prefix {} {:?}", prefix, req);
+            }
+        }
+    }
 }

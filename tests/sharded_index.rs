@@ -295,7 +295,12 @@ fn shard_rebuild_snapshot_goes_stale_on_later_mutation() {
     }
 
     // A quiet shard installs: tombstones compact away, answers stay.
-    let q = idx.shard_graphs(ShardId(1)).unwrap()[0].clone();
+    let q = idx
+        .shard_graphs(ShardId(1))
+        .unwrap()
+        .next()
+        .unwrap()
+        .clone();
     let before = sharded_hits(&idx, &q, &SearchRequest::new(5));
     let task = idx.spawn_shard_rebuild(owner).unwrap();
     assert!(idx.install_shard(task).unwrap());
