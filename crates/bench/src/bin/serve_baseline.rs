@@ -41,6 +41,19 @@
 //!   uninstrumented p50 by more than `F` (default 0.05), with 25 µs
 //!   of absolute grace so µs-scale scheduler noise cannot flake the
 //!   gate. Runs whenever the bench runs — no committed file needed.
+//! * the **codec ratios** — before the load phase the `wire` block
+//!   times the JSON codec on one served-shape response (a real `k = 10`
+//!   answer from the index just built): `encode_tree_ns`
+//!   (`response_to_json` + `to_string_compact`, the reference path),
+//!   `encode_stream_ns` (`write_response` into a reused buffer, what
+//!   the server runs), `parse_response_ns` (what `Client::post` pays),
+//!   and the parser's cost per byte on that response repeated to 1 KiB
+//!   and to 64 KiB. Two same-run ratios are gated, with fixed
+//!   thresholds and no flag, because no runner speed can fake either:
+//!   the tree path must cost at least 2.5 × the streaming one (else
+//!   the server is building trees again), and a byte of a 64 KiB
+//!   document at most 4 × a byte of a 1 KiB one (else parsing is
+//!   super-linear again: the quadratic string scanner measured ~30 ×).
 //!
 //! Every served answer is asserted **bit-identical** to the in-process
 //! [`ServingHandle`] answer for the same query before timing starts —
@@ -50,9 +63,9 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gdim_core::{GraphId, IndexOptions, SearchRequest};
+use gdim_core::{GraphId, IndexOptions, SearchRequest, SearchResponse};
 use gdim_datagen::{chem_db, zipf_workload, ChemConfig, ZipfConfig};
-use gdim_server::wire::response_from_json;
+use gdim_server::wire::{response_from_json, response_to_json, write_response};
 use gdim_server::{Client, GdimServer, Json, ServerConfig};
 use gdim_shard::{ServingHandle, ShardedIndex, ShardedOptions};
 
@@ -220,6 +233,71 @@ fn run_pass(
     (latencies, errors, wall)
 }
 
+/// Mean nanoseconds per call of `f`: the fastest of five batches of
+/// `iters` calls.
+fn ns_per_call<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
+    (0..5)
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..iters {
+                std::hint::black_box(f());
+            }
+            t.elapsed().as_nanos() as f64 / iters as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The `wire` block: codec timings on one served-shape response.
+struct WireCosts {
+    response_bytes: usize,
+    encode_tree_ns: f64,
+    encode_stream_ns: f64,
+    parse_response_ns: f64,
+    parse_ns_per_byte_1k: f64,
+    parse_ns_per_byte_64k: f64,
+}
+
+/// Below this the server has gone back to building a tree per answer.
+const MIN_TREE_OVER_STREAM: f64 = 2.5;
+/// Above this the parser's cost per byte grows with the document.
+const MAX_64K_OVER_1K: f64 = 4.0;
+
+fn measure_wire(resp: &SearchResponse) -> WireCosts {
+    let text = response_to_json(resp).to_string_compact();
+    let mut streamed = String::new();
+    write_response(resp, &mut streamed);
+    assert_eq!(
+        streamed, text,
+        "streamed bytes must equal the tree encoding"
+    );
+    // `[resp,resp,…]` up to the target size: the same token mix at
+    // every length, so only the length can move the per-byte cost.
+    let repeated = |target: usize| {
+        let copies = target.div_ceil(text.len() + 1);
+        format!("[{}]", vec![text.as_str(); copies].join(","))
+    };
+    // ~1 MiB parsed per batch, whatever the document's size.
+    let per_byte = |doc: &str| {
+        ns_per_call(((1 << 20) / doc.len()).max(3), || {
+            gdim_server::parse_json(doc).expect("valid document")
+        }) / doc.len() as f64
+    };
+    WireCosts {
+        response_bytes: text.len(),
+        encode_tree_ns: ns_per_call(2000, || response_to_json(resp).to_string_compact()),
+        encode_stream_ns: ns_per_call(2000, || {
+            streamed.clear();
+            write_response(resp, &mut streamed);
+            streamed.len()
+        }),
+        parse_response_ns: ns_per_call(2000, || {
+            gdim_server::parse_json(&text).expect("valid response")
+        }),
+        parse_ns_per_byte_1k: per_byte(&repeated(1 << 10)),
+        parse_ns_per_byte_64k: per_byte(&repeated(1 << 16)),
+    }
+}
+
 fn main() {
     let args = parse_args();
     let k = 10usize;
@@ -303,6 +381,25 @@ fn main() {
         eprintln!("bit-identity probe passed (16 queries)");
     }
 
+    // The codec on its own, before any load: same run, same response,
+    // so the two ratios gated at the end are machine-independent.
+    let WireCosts {
+        response_bytes,
+        encode_tree_ns,
+        encode_stream_ns,
+        parse_response_ns,
+        parse_ns_per_byte_1k,
+        parse_ns_per_byte_64k,
+    } = {
+        let q = snap.graph(GraphId(ids[0])).unwrap();
+        measure_wire(&snap.search(q, &SearchRequest::new(k)).unwrap())
+    };
+    eprintln!(
+        "wire: {response_bytes} B response: encode tree {encode_tree_ns:.0} ns / stream \
+         {encode_stream_ns:.0} ns, parse {parse_response_ns:.0} ns; parse per byte \
+         {parse_ns_per_byte_1k:.2} ns at 1 KiB, {parse_ns_per_byte_64k:.2} ns at 64 KiB"
+    );
+
     // The timed runs, interleaved U,I then I,U so cold-start and
     // frequency-governor drift hit both modes symmetrically (neither
     // mode always runs first). The committed headline numbers come
@@ -372,7 +469,13 @@ fn main() {
          \"mean_us\": {mean_us:.1},\n  \"p50_us\": {p50},\n  \"p99_us\": {p99},\n  \
          \"p999_us\": {p999},\n  \"max_us\": {max_us},\n  \
          \"uninstrumented_p50_us\": {p50_min},\n  \
-         \"overhead_p50_frac\": {overhead_frac:.4},\n  \"errors\": {errors}\n}}\n",
+         \"overhead_p50_frac\": {overhead_frac:.4},\n  \"errors\": {errors},\n  \
+         \"wire\": {{\n    \"response_bytes\": {response_bytes},\n    \
+         \"encode_tree_ns\": {encode_tree_ns:.0},\n    \
+         \"encode_stream_ns\": {encode_stream_ns:.0},\n    \
+         \"parse_response_ns\": {parse_response_ns:.0},\n    \
+         \"parse_ns_per_byte_1k\": {parse_ns_per_byte_1k:.2},\n    \
+         \"parse_ns_per_byte_64k\": {parse_ns_per_byte_64k:.2}\n  }}\n}}\n",
         args.graphs, args.shards, args.dimensions, args.clients, args.zipf, args.target_qps
     );
     std::fs::write(&args.out, &json).expect("write snapshot");
@@ -406,6 +509,28 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("serve-smoke: gate passed");
+    }
+
+    // The codec gates: both sides of each ratio come from this run.
+    let encode_ratio = encode_tree_ns / encode_stream_ns;
+    let parse_ratio = parse_ns_per_byte_64k / parse_ns_per_byte_1k;
+    let (encode_ok, parse_ok) = (
+        encode_ratio >= MIN_TREE_OVER_STREAM,
+        parse_ratio <= MAX_64K_OVER_1K,
+    );
+    let verdict = |ok: bool| if ok { "ok" } else { "FAIL" };
+    eprintln!(
+        "wire encode: tree / stream {encode_ratio:.2}x (floor {MIN_TREE_OVER_STREAM}x) .. {}",
+        verdict(encode_ok)
+    );
+    eprintln!(
+        "wire parse: per byte at 64 KiB / at 1 KiB {parse_ratio:.2}x \
+         (ceiling {MAX_64K_OVER_1K}x) .. {}",
+        verdict(parse_ok)
+    );
+    if !(encode_ok && parse_ok) {
+        eprintln!("wire: the JSON codec failed a same-run ratio gate");
+        std::process::exit(1);
     }
 
     // The instrumentation-overhead gate needs no committed file: both

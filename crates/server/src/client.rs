@@ -7,6 +7,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use crate::http::request_bytes;
 use crate::json::{parse, Json};
 
 /// Default socket read timeout — generous, because exact-ranker
@@ -134,13 +135,10 @@ impl Client {
             Some(s) => s,
             None => self.reconnect()?,
         };
-        let body = body.unwrap_or("");
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-length: {}\r\n\r\n",
-            body.len()
-        );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(body.as_bytes())?;
+        // Head and body leave in one write: on this `TCP_NODELAY` socket
+        // two writes are two segments, and the server would wake for a
+        // head whose body has not arrived.
+        stream.write_all(&request_bytes(method, path, addr, body.unwrap_or("")))?;
         let (status, keep_alive, payload) = read_response(stream)?;
         if !keep_alive {
             self.stream = None;
@@ -151,14 +149,19 @@ impl Client {
 
 /// Reads one HTTP response: `(status, keep_alive, body)`. Bodies must
 /// be `Content-Length` sized — which the gdim server guarantees.
-fn read_response(stream: &mut TcpStream) -> io::Result<(u16, bool, String)> {
+fn read_response(stream: &mut impl Read) -> io::Result<(u16, bool, String)> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 8 * 1024];
-    // Read until the head terminator.
+    // Read until the head terminator. Each search resumes 3 bytes
+    // before the new bytes (a terminator can straddle the boundary), so
+    // a head that drips in byte by byte is still scanned once.
+    let mut scanned = 0usize;
     let head_end = loop {
-        if let Some(pos) = find_terminator(&buf) {
-            break pos;
+        let from = scanned.saturating_sub(3);
+        if let Some(pos) = buf[from..].windows(4).position(|w| w == b"\r\n\r\n") {
+            break from + pos;
         }
+        scanned = buf.len();
         let n = stream.read(&mut chunk)?;
         if n == 0 {
             return Err(io::Error::new(
@@ -189,17 +192,18 @@ fn read_response(stream: &mut TcpStream) -> io::Result<(u16, bool, String)> {
         let Some((name, value)) = line.split_once(':') else {
             continue;
         };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim();
-        if name == "content-length" {
+        let (name, value) = (name.trim(), value.trim());
+        if name.eq_ignore_ascii_case("content-length") {
             content_length = value
                 .parse()
                 .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad content-length"))?;
-        } else if name == "connection" && value.eq_ignore_ascii_case("close") {
+        } else if name.eq_ignore_ascii_case("connection") && value.eq_ignore_ascii_case("close") {
             keep_alive = false;
         }
     }
-    let mut body = buf[head_end + 4..].to_vec();
+    // The head is parsed; what is left of `buf` becomes the body.
+    let mut body = buf;
+    body.drain(..head_end + 4);
     while body.len() < content_length {
         let n = stream.read(&mut chunk)?;
         if n == 0 {
@@ -216,6 +220,44 @@ fn read_response(stream: &mut TcpStream) -> io::Result<(u16, bool, String)> {
     Ok((status, keep_alive, body))
 }
 
-fn find_terminator(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A peer that hands over at most `step` bytes per `read`.
+    struct Drip<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Drip<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.step.min(self.bytes.len()).min(buf.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn responses_read_the_same_however_the_bytes_are_split() {
+        let raw = crate::http::response_bytes(404, "{\"error\":\"é\"}", false);
+        let mut mixed_case = b"HTTP/1.1 200 OK\r\nContent-LENGTH: 2\r\nX: y\r\n\r\n{}".to_vec();
+        mixed_case.extend_from_slice(b"next response");
+        for step in [1, 2, 3, 4, 5, 7, 64, 8192] {
+            let got = read_response(&mut Drip { bytes: &raw, step }).unwrap();
+            assert_eq!(got, (404, false, "{\"error\":\"é\"}".to_string()), "{step}");
+            let got = read_response(&mut Drip {
+                bytes: &mixed_case,
+                step,
+            })
+            .unwrap();
+            assert_eq!(got, (200, true, "{}".to_string()), "step {step}");
+        }
+        let torn = read_response(&mut Drip {
+            bytes: &raw[..raw.len() - 1],
+            step: 5,
+        });
+        assert_eq!(torn.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+    }
 }

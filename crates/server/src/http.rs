@@ -64,10 +64,10 @@ pub struct RequestHead {
 impl RequestHead {
     /// First header value with this (case-insensitive) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
+        // Stored names are lowercased; only the lookup name varies.
         self.headers
             .iter()
-            .find(|(k, _)| *k == name)
+            .find(|(k, _)| k.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
 }
@@ -182,7 +182,8 @@ pub struct HeadParser {
 }
 
 impl HeadParser {
-    /// A fresh parser (one per request).
+    /// A fresh parser. One serves a whole connection: a completed head
+    /// resets it, keeping the buffer's capacity for the next request.
     pub fn new() -> Self {
         HeadParser::default()
     }
@@ -190,8 +191,9 @@ impl HeadParser {
     /// Offers `bytes`; returns the number consumed, plus the parsed
     /// head once the terminating empty line has been seen.
     ///
-    /// After `Ok((_, Some(head)))` the parser is exhausted — make a new
-    /// one for the next request on the connection.
+    /// After `Ok((_, Some(head)))` the parser is empty again, ready for
+    /// the next request's head. An error ends the connection (the
+    /// server answers its status and closes), so the parser with it.
     pub fn feed(&mut self, bytes: &[u8]) -> Result<(usize, Option<RequestHead>), HttpError> {
         // Find the head terminator across the old/new byte boundary.
         // Scanning restarts at most 3 bytes back, so feeding the head
@@ -227,8 +229,9 @@ impl HeadParser {
         if !complete {
             return Ok((take, None));
         }
-        let head = self.parse_complete()?;
-        Ok((take, Some(head)))
+        let head = self.parse_complete();
+        self.buf.clear();
+        Ok((take, Some(head?)))
     }
 
     fn parse_complete(&self) -> Result<RequestHead, HttpError> {
@@ -325,22 +328,29 @@ pub fn reason(status: u16) -> &'static str {
 /// application/json`, explicit `Content-Length`, and a `Connection`
 /// header matching `keep_alive`.
 pub fn response_bytes(status: u16, body: &str, keep_alive: bool) -> Vec<u8> {
-    response_bytes_with(status, "application/json", body, keep_alive, &[])
+    let mut out = Vec::new();
+    write_response_bytes(&mut out, status, "application/json", body, keep_alive, &[]);
+    out
 }
 
-/// [`response_bytes`] with an explicit content type and extra headers
-/// — what `GET /metrics` (text exposition) and the request-id echo
-/// need. Header names/values are emitted verbatim; callers must keep
-/// them free of CR/LF.
-pub fn response_bytes_with(
+/// Appends one response — head and body — to `out`: [`response_bytes`]
+/// with an explicit content type and extra headers (what `GET /metrics`
+/// and the request-id echo need), into a buffer the connection loop
+/// reuses and hands to a single `write_all`. Header names/values are
+/// emitted verbatim; callers must keep them free of CR/LF.
+pub fn write_response_bytes(
+    out: &mut Vec<u8>,
     status: u16,
     content_type: &str,
     body: &str,
     keep_alive: bool,
     extra_headers: &[(&str, &str)],
-) -> Vec<u8> {
+) {
+    use std::io::Write as _;
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    let mut head = format!(
+    // Writing to a `Vec` cannot fail.
+    let _ = write!(
+        out,
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
         status,
         reason(status),
@@ -349,14 +359,27 @@ pub fn response_bytes_with(
         connection
     );
     for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        let _ = write!(out, "{name}: {value}\r\n");
     }
-    head.push_str("\r\n");
-    let mut out = Vec::with_capacity(head.len() + body.len());
-    out.extend_from_slice(head.as_bytes());
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body.as_bytes());
+}
+
+/// Serializes one request the way [`Client`](crate::Client) sends it —
+/// request line, `host`, explicit `content-length`, then the body — as
+/// one buffer, so head and body leave in a single write (two writes on
+/// a `TCP_NODELAY` socket wake the server for a body-less head).
+pub fn request_bytes(method: &str, path: &str, host: impl fmt::Display, body: &str) -> Vec<u8> {
+    use std::io::Write as _;
+    // One allocation in the usual case: 80 bytes cover the fixed text,
+    // a socket-address host and the length's digits.
+    let mut out = Vec::with_capacity(method.len() + path.len() + 80 + body.len());
+    // Writing to a `Vec` cannot fail.
+    let _ = write!(
+        out,
+        "{method} {path} HTTP/1.1\r\nhost: {host}\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    );
     out.extend_from_slice(body.as_bytes());
     out
 }
@@ -410,6 +433,17 @@ mod tests {
         let (used2, head) = p.feed(&raw[10..]).unwrap();
         assert!(head.is_some());
         assert_eq!(used1 + used2, raw.len() - 5, "EXTRA stays unconsumed");
+    }
+
+    #[test]
+    fn one_parser_reads_consecutive_heads() {
+        let raw = b"GET /a HTTP/1.1\r\n\r\nPOST /b HTTP/1.1\r\nContent-Length: 0\r\n\r\n";
+        let mut p = HeadParser::new();
+        let (used, first) = p.feed(raw).unwrap();
+        assert_eq!(first.unwrap().path, "/a");
+        let (rest, second) = p.feed(&raw[used..]).unwrap();
+        assert_eq!(second.unwrap().path, "/b");
+        assert_eq!(used + rest, raw.len());
     }
 
     #[test]
@@ -525,5 +559,43 @@ mod tests {
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
         let closed = String::from_utf8(response_bytes(404, "{}", false)).unwrap();
         assert!(closed.contains("connection: close"));
+    }
+
+    #[test]
+    fn appended_responses_carry_extra_headers_after_what_was_there() {
+        let mut out = b"earlier".to_vec();
+        write_response_bytes(&mut out, 200, "text/plain", "hi", false, &[("x-id", "7")]);
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "earlierHTTP/1.1 200 OK\r\ncontent-type: text/plain\r\ncontent-length: 2\r\n\
+             connection: close\r\nx-id: 7\r\n\r\nhi"
+        );
+    }
+
+    #[test]
+    fn request_bytes_are_pinned() {
+        let text = |m, p, b| String::from_utf8(request_bytes(m, p, "127.0.0.1:7171", b)).unwrap();
+        assert_eq!(
+            text("GET", "/health", ""),
+            "GET /health HTTP/1.1\r\nhost: 127.0.0.1:7171\r\ncontent-length: 0\r\n\r\n"
+        );
+        assert_eq!(
+            text("POST", "/rebuild", ""),
+            "POST /rebuild HTTP/1.1\r\nhost: 127.0.0.1:7171\r\ncontent-length: 0\r\n\r\n"
+        );
+        let body = "{\"query\":{\"id\":3},\"k\":5} é";
+        let post = text("POST", "/search", body);
+        assert_eq!(
+            post,
+            format!(
+                "POST /search HTTP/1.1\r\nhost: 127.0.0.1:7171\r\ncontent-length: 27\r\n\r\n{body}"
+            ),
+            "content-length counts bytes, not chars"
+        );
+        // The server's own parser reads it back: head, then exactly the body.
+        let (used, head) = HeadParser::new().feed(post.as_bytes()).unwrap();
+        let head = head.expect("complete head");
+        assert_eq!((head.method, head.path.as_str()), (Method::Post, "/search"));
+        assert_eq!(head.content_length, post.len() - used);
     }
 }

@@ -19,6 +19,22 @@
 //! 3. **Deterministic output.** Objects preserve insertion order
 //!    (`Vec` of pairs, not a hash map), so equal values serialize to
 //!    equal bytes — which lets tests compare wire strings directly.
+//! 4. **Linear time in the document.** Every byte is looked at a
+//!    bounded number of times, in both directions: the string scanner
+//!    and the string writer copy each *run* of plain bytes with one
+//!    `push_str` and only slow down for escapes. The scanner used to
+//!    re-validate the whole remaining document as UTF-8 for every
+//!    character of every string, which made parsing quadratic: a 1 MiB
+//!    body holding one long string — which the default body cap admits
+//!    — pinned a worker for 22.9 s (64 KiB: 82 ms, 256 KiB: 1.49 s);
+//!    it now parses in about a millisecond, and the per-byte cost is
+//!    flat from 1 KiB to 1 MiB (gated by `serve_baseline`'s `wire`
+//!    block and pinned by `a_body_sized_string_parses_in_linear_time`).
+//!    `#![forbid(unsafe_code)]` still holds: the input is a `&str`, a
+//!    run starts after and ends before an ASCII byte (quote, backslash,
+//!    control character, or the end of the text), so both ends are
+//!    `char` boundaries and the run is an ordinary checked `&str`
+//!    slice — no `from_utf8_unchecked`, no second validation pass.
 
 use std::fmt;
 
@@ -125,17 +141,18 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact serialization to `out` (what
+    /// [`Json::to_string_compact`] returns, without the fresh `String`).
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::U64(u) => {
-                let mut buf = itoa_buffer();
-                out.push_str(write_u64(*u, &mut buf));
-            }
+            Json::Bool(b) => write_bool(*b, out),
+            Json::U64(u) => write_u64(*u, out),
             Json::I64(i) => {
-                out.push_str(&i.to_string());
+                if *i < 0 {
+                    out.push('-');
+                }
+                write_u64(i.unsigned_abs(), out);
             }
             Json::F64(x) => write_f64(*x, out),
             Json::Str(s) => write_str(s, out),
@@ -171,13 +188,19 @@ impl fmt::Display for Json {
     }
 }
 
-fn itoa_buffer() -> [u8; 20] {
-    [0u8; 20]
+// The number and string formatters below are the only ones on the
+// wire: `Json::write` and the streaming response encoder
+// (`wire::write_response`) both call them, so the two cannot drift.
+
+/// Appends `true` / `false`.
+pub(crate) fn write_bool(b: bool, out: &mut String) {
+    out.push_str(if b { "true" } else { "false" });
 }
 
-/// Formats a `u64` into a stack buffer (the hot path of stats
-/// serialization; avoids a heap `String` per counter).
-fn write_u64(mut v: u64, buf: &mut [u8; 20]) -> &str {
+/// Appends a `u64` in decimal, formatted in a stack buffer (no heap
+/// `String` per counter).
+pub(crate) fn write_u64(mut v: u64, out: &mut String) {
+    let mut buf = [0u8; 20];
     let mut at = buf.len();
     loop {
         at -= 1;
@@ -188,7 +211,7 @@ fn write_u64(mut v: u64, buf: &mut [u8; 20]) -> &str {
         }
     }
     // Digits are ASCII by construction.
-    std::str::from_utf8(&buf[at..]).expect("ascii digits")
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ascii digits"));
 }
 
 /// Writes a float with Rust's shortest-round-trip formatting. JSON has
@@ -196,7 +219,7 @@ fn write_u64(mut v: u64, buf: &mut [u8; 20]) -> &str {
 /// (served distances are finite by construction — √(h/p) of
 /// non-negative finite inputs — so this path is a safety net, not a
 /// code path requests exercise).
-fn write_f64(x: f64, out: &mut String) {
+pub(crate) fn write_f64(x: f64, out: &mut String) {
     use std::fmt::Write as _;
     if !x.is_finite() {
         out.push_str("null");
@@ -209,22 +232,38 @@ fn write_f64(x: f64, out: &mut String) {
     }
 }
 
-fn write_str(s: &str, out: &mut String) {
+/// Whether a byte of string content stands for itself on the wire:
+/// everything but the quote, the backslash and the control characters.
+/// All three exceptions are ASCII, so in valid UTF-8 a maximal run of
+/// plain bytes starts and ends on a `char` boundary.
+fn is_plain(b: u8) -> bool {
+    b >= 0x20 && b != b'"' && b != b'\\'
+}
+
+/// Appends `s` as a JSON string literal; each run of plain bytes is
+/// copied with one `push_str`.
+pub(crate) fn write_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if is_plain(b) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
                 use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -247,25 +286,38 @@ impl std::error::Error for JsonError {}
 
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
+    Parser {
+        text,
         bytes: text.as_bytes(),
         at: 0,
-    };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.at != p.bytes.len() {
-        return Err(p.err("trailing characters after the document"));
+        #[cfg(test)]
+        reference_strings: false,
     }
-    Ok(value)
+    .document()
 }
 
 struct Parser<'a> {
+    /// The document, and the same bytes for cheap peeking.
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
+    /// Tests only: scan strings with the superseded one-`char`-at-a-time
+    /// scanner, the reference the accept/reject proptest compares with.
+    #[cfg(test)]
+    reference_strings: bool,
 }
 
 impl<'a> Parser<'a> {
+    fn document(mut self) -> Result<Json, JsonError> {
+        self.skip_ws();
+        let value = self.value(0)?;
+        self.skip_ws();
+        if self.at != self.bytes.len() {
+            return Err(self.err("trailing characters after the document"));
+        }
+        Ok(value)
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             offset: self.at,
@@ -370,9 +422,21 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
+        #[cfg(test)]
+        if self.reference_strings {
+            return self.string_reference();
+        }
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // One `push_str` per run of plain bytes: the scan stops on
+            // an ASCII byte or at the end of the text, so the slice is
+            // on `char` boundaries (see `is_plain`).
+            let run = self.at;
+            while self.peek().is_some_and(is_plain) {
+                self.at += 1;
+            }
+            out.push_str(&self.text[run..self.at]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -425,18 +489,7 @@ impl<'a> Parser<'a> {
                     }
                     self.at += 1;
                 }
-                Some(c) if c < 0x20 => {
-                    return Err(self.err("unescaped control character in string"))
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8 by construction).
-                    let rest = &self.bytes[self.at..];
-                    let s = std::str::from_utf8(rest).expect("input is valid utf-8");
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.at += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
             }
         }
     }
@@ -498,6 +551,201 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl Parser<'_> {
+        /// The string scanner this module shipped before the run-copying
+        /// one, body verbatim: it re-validates the whole rest of the
+        /// document per character (quadratic), which is why it lives
+        /// here, as the reference for the accept/reject proptest below.
+        pub(super) fn string_reference(&mut self) -> Result<String, JsonError> {
+            self.expect(b'"')?;
+            let mut out = String::new();
+            loop {
+                match self.peek() {
+                    None => return Err(self.err("unterminated string")),
+                    Some(b'"') => {
+                        self.at += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        self.at += 1;
+                        match self.peek() {
+                            Some(b'"') => out.push('"'),
+                            Some(b'\\') => out.push('\\'),
+                            Some(b'/') => out.push('/'),
+                            Some(b'n') => out.push('\n'),
+                            Some(b'r') => out.push('\r'),
+                            Some(b't') => out.push('\t'),
+                            Some(b'b') => out.push('\u{8}'),
+                            Some(b'f') => out.push('\u{c}'),
+                            Some(b'u') => {
+                                self.at += 1;
+                                let cp = self.hex4()?;
+                                // Surrogate pairs: a high surrogate must be
+                                // followed by an escaped low surrogate.
+                                let c = if (0xD800..0xDC00).contains(&cp) {
+                                    if self.peek() != Some(b'\\') {
+                                        return Err(self.err("lone high surrogate"));
+                                    }
+                                    self.at += 1;
+                                    if self.peek() != Some(b'u') {
+                                        return Err(self.err("lone high surrogate"));
+                                    }
+                                    self.at += 1;
+                                    let lo = self.hex4()?;
+                                    if !(0xDC00..0xE000).contains(&lo) {
+                                        return Err(self.err("invalid low surrogate"));
+                                    }
+                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                                    char::from_u32(combined)
+                                } else {
+                                    char::from_u32(cp)
+                                };
+                                match c {
+                                    Some(c) => out.push(c),
+                                    None => return Err(self.err("invalid unicode escape")),
+                                }
+                                // hex4 advanced past the digits; skip the
+                                // generic advance below.
+                                continue;
+                            }
+                            _ => return Err(self.err("invalid escape")),
+                        }
+                        self.at += 1;
+                    }
+                    Some(c) if c < 0x20 => {
+                        return Err(self.err("unescaped control character in string"))
+                    }
+                    Some(_) => {
+                        // Copy one UTF-8 scalar (input is a &str, so the
+                        // bytes are valid UTF-8 by construction).
+                        let rest = &self.bytes[self.at..];
+                        let s = std::str::from_utf8(rest).expect("input is valid utf-8");
+                        let c = s.chars().next().expect("peeked non-empty");
+                        out.push(c);
+                        self.at += c.len_utf8();
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`parse`] with every string read by [`Parser::string_reference`].
+    fn parse_reference(text: &str) -> Result<Json, JsonError> {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            at: 0,
+            reference_strings: true,
+        }
+        .document()
+    }
+
+    /// Valid documents the mutation proptest starts from: the served
+    /// shapes, every escape, 2–4-byte UTF-8, surrogate pairs.
+    const CORPUS: [&str; 5] = [
+        "{\"hits\":[{\"id\":3,\"distance\":0.25},{\"id\":9,\"distance\":1e-7}],\
+         \"stats\":{\"epoch\":18446744073709551615,\"kernel\":\"avx2\",\"fused_batch\":false,\
+         \"stages\":{\"map\":1200,\"scan\":-0}}}",
+        "{\"query\": {\"graph\": {\"v\": [0, 1, 2], \"e\": [[0, 1, 1], [1, 2, 0]]}}, \"k\": 10,\n\
+         \"ranker\": {\"approx\": {\"ef\": 64, \"verify\": null}}, \"mapping\": \"binary\"}",
+        "[\"plain\", \"q\\\"b\\\\s\\/n\\nr\\rt\\tb\\bf\\f\", \"\\u0041\\u00e9\\u20ac\\ud83d\\ude00\\u001f\"]",
+        "{\"λ é\": \"€ 😀 \u{7f}\", \"\": [true, null, -12, 2.5e+3, \"\"]}",
+        "\"one string, nothing else: \\u00e9\\\\ 😀\"",
+    ];
+
+    /// What a mutation writes: every byte the scanner branches on, the
+    /// pieces of escapes and numbers, a control character, and 2-, 3-
+    /// and 4-byte UTF-8.
+    const PALETTE: [char; 32] = [
+        '"', '\\', '/', 'u', 'n', 'b', 'd', 'D', '8', 'c', 'f', 'a', '0', '9', '-', '+', 'e', '.',
+        '{', '}', '[', ']', ',', ':', ' ', '\n', '\u{1}', '\u{7f}', 'é', '€', '😀', 'x',
+    ];
+
+    /// Applies one replace / insert / delete per `(kind, at, pick)`
+    /// triple, on `char`s so the result is still a `&str`.
+    fn mutate(doc: &str, edits: &[(u8, usize, usize)]) -> String {
+        let mut chars: Vec<char> = doc.chars().collect();
+        for &(kind, at, pick) in edits {
+            let c = PALETTE[pick % PALETTE.len()];
+            match kind % 3 {
+                _ if chars.is_empty() => chars.push(c),
+                0 => {
+                    let i = at % chars.len();
+                    chars[i] = c;
+                }
+                1 => chars.insert(at % (chars.len() + 1), c),
+                _ => {
+                    chars.remove(at % chars.len());
+                }
+            }
+        }
+        chars.into_iter().collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The run-copying scanner accepts and rejects exactly what the
+        /// scanner it replaced did — same value, same error, same
+        /// offset — on valid documents with one to three characters
+        /// replaced, inserted or deleted.
+        #[test]
+        fn mutated_documents_get_the_reference_scanners_verdict(
+            doc in 0usize..CORPUS.len(),
+            edits in proptest::collection::vec(
+                (any::<u8>(), any::<usize>(), any::<usize>()), 1..=3),
+        ) {
+            let text = mutate(CORPUS[doc], &edits);
+            prop_assert_eq!(parse(&text), parse_reference(&text), "{:?}", text);
+        }
+    }
+
+    #[test]
+    fn the_corpus_is_valid_and_agrees_with_the_reference_scanner() {
+        for doc in CORPUS {
+            let v = parse(doc).unwrap_or_else(|e| panic!("{doc:?}: {e}"));
+            assert_eq!(Ok(v), parse_reference(doc), "{doc:?}");
+        }
+    }
+
+    #[test]
+    fn a_body_sized_string_parses_in_linear_time() {
+        // Both documents fit the default 1 MiB body cap. The scanner
+        // that re-validated the rest of the document per character
+        // needed ~23 s for the first one.
+        let n = crate::http::DEFAULT_MAX_BODY_BYTES - 2;
+        let plain = format!("\"{}\"", "x".repeat(n));
+        let escapes = format!("\"{}\"", "\\u0041".repeat(n / 6));
+        for (doc, want_len) in [(plain, n), (escapes, n / 6)] {
+            let t = std::time::Instant::now();
+            let v = parse(&doc).unwrap();
+            let took = t.elapsed();
+            assert_eq!(v.as_str().map(str::len), Some(want_len));
+            assert!(
+                took.as_millis() < 500,
+                "a {}-byte string took {took:?}",
+                doc.len()
+            );
+        }
+    }
+
+    #[test]
+    fn strings_serialize_by_runs_with_every_escape_in_place() {
+        let s = "a\"b\\c\nd\re\tf\u{1}g\u{1f}h λ€😀\u{7f}";
+        let wire = Json::Str(s.to_string()).to_string_compact();
+        assert_eq!(
+            wire,
+            "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001fh λ€😀\u{7f}\""
+        );
+        assert_eq!(parse(&wire).unwrap().as_str(), Some(s));
+        assert_eq!(
+            Json::I64(i64::MIN).to_string_compact(),
+            i64::MIN.to_string()
+        );
+        assert_eq!(Json::I64(-7).to_string_compact(), "-7");
+    }
 
     fn round_trip(v: &Json) -> Json {
         parse(&v.to_string_compact()).expect("round trip parses")

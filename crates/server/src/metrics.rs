@@ -182,6 +182,12 @@ impl ServerMetrics {
         format!("{:08x}-{:x}", self.boot, seq)
     }
 
+    /// Advances the request sequence without minting an id: a request
+    /// that brought its own id still counts for trace sampling.
+    pub(crate) fn skip_request_id(&self) {
+        self.seq.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records one completed request: counters + latency always;
     /// stage histograms and the slow-query ring on the sampling
     /// cadence (plus always for slow requests, so the ring never

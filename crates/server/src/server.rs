@@ -31,20 +31,20 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use gdim_core::{GdimError, Graph, GraphId, SearchRequest};
+use gdim_core::{GdimError, Graph, GraphId, SearchRequest, SearchResponse};
 use gdim_exec::{BackgroundTask, CancelToken, WorkerPool};
 use gdim_obs::{Stage, Trace};
 use gdim_shard::{DurableHandle, Reader, ServingHandle, ShardedIndex};
 
 use crate::http::{
-    response_bytes, response_bytes_with, HeadParser, HttpError, Method, RequestHead,
+    response_bytes, write_response_bytes, HeadParser, HttpError, Method, RequestHead,
     DEFAULT_MAX_BODY_BYTES,
 };
 use crate::json::{parse, Json};
 use crate::metrics::{endpoint_index, error_log_line, slow_log_line, ServerMetrics, ENDPOINTS};
 use crate::wire::{
     error_body, gdim_error_status, graph_from_json, query_from_json, request_from_json,
-    response_to_json, QuerySpec, WireError,
+    write_batch_response, write_response, QuerySpec, WireError,
 };
 
 /// Server knobs. `Default` binds an ephemeral loopback port with a
@@ -369,12 +369,16 @@ fn handle_connection(ctx: &Ctx, mut stream: TcpStream, token: &CancelToken) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(ctx.cfg.poll_interval));
     let reader = ctx.handle.reader();
-    // Bytes read past the current request (the start of a pipelined
-    // next one) carry over between iterations.
-    let mut carry: Vec<u8> = Vec::new();
+    // Every buffer a request needs lives as long as the connection, so
+    // a keep-alive request allocates none of them once they have grown:
+    // what was read, the response body, and head + body as one slice
+    // for the single `write_all`.
+    let mut inbox = Inbox::default();
+    let mut text = String::new();
+    let mut out: Vec<u8> = Vec::new();
     loop {
-        match read_request(&mut stream, &mut carry, ctx, token) {
-            Ok(Some((head, body))) => {
+        match read_request(&mut stream, &mut inbox, ctx, token) {
+            Ok(Some(head)) => {
                 ctx.counters.requests.fetch_add(1, Ordering::Relaxed);
                 let m = &ctx.metrics;
                 // Echo the client's request id or mint one; either way
@@ -382,7 +386,7 @@ fn handle_connection(ctx: &Ctx, mut stream: TcpStream, token: &CancelToken) {
                 // it in `X-Gdim-Request-Id`.
                 let rid = match head.header("x-gdim-request-id") {
                     Some(id) if !id.is_empty() && id.len() <= 64 => {
-                        let _ = m.next_request_id(); // keep seq advancing for sampling
+                        m.skip_request_id();
                         sanitize_request_id(id)
                     }
                     _ => m.next_request_id(),
@@ -393,7 +397,7 @@ fn handle_connection(ctx: &Ctx, mut stream: TcpStream, token: &CancelToken) {
                     approximate: false,
                 };
                 m.in_flight.add(1);
-                let (status, payload) = route(ctx, &reader, &head, &body, &mut obs);
+                let (status, payload) = route(ctx, &reader, &head, &inbox.body, &mut obs);
                 if status >= 400 {
                     ctx.counters.error_responses.fetch_add(1, Ordering::Relaxed);
                 }
@@ -404,11 +408,11 @@ fn handle_connection(ctx: &Ctx, mut stream: TcpStream, token: &CancelToken) {
                 }
                 let keep = head.keep_alive && !ctx.stopping() && !token.is_cancelled();
                 let ser = std::time::Instant::now();
-                let (content_type, text) = match payload {
-                    Payload::Json(j) => ("application/json", j.to_string_compact()),
-                    Payload::Text(t) => ("text/plain; version=0.0.4", t),
-                };
-                let bytes = response_bytes_with(
+                text.clear();
+                let content_type = payload.write(&mut text);
+                out.clear();
+                write_response_bytes(
+                    &mut out,
                     status,
                     content_type,
                     &text,
@@ -416,7 +420,7 @@ fn handle_connection(ctx: &Ctx, mut stream: TcpStream, token: &CancelToken) {
                     &[("x-gdim-request-id", &rid)],
                 );
                 obs.trace.record(Stage::Serialize, ser.elapsed());
-                let write_ok = stream.write_all(&bytes).is_ok();
+                let write_ok = stream.write_all(&out).is_ok();
                 if let Some(slow) = m.observe(
                     ep,
                     status,
@@ -443,16 +447,35 @@ fn handle_connection(ctx: &Ctx, mut stream: TcpStream, token: &CancelToken) {
     }
 }
 
-/// Reads one full request (head + body). `Ok(None)` means the
-/// connection ended cleanly before a request started — EOF between
-/// keep-alive requests, or shutdown while idle.
+/// What a connection has read and not yet answered. The vectors keep
+/// their capacity from one request to the next.
+#[derive(Default)]
+struct Inbox {
+    /// Bytes read past the current request (the start of a pipelined
+    /// next one); they carry over to the next `read_request`.
+    carry: Vec<u8>,
+    /// The head parser, reset by each completed head.
+    parser: HeadParser,
+    /// The current request's body.
+    body: Vec<u8>,
+}
+
+/// Reads one full request: returns its head and leaves its body in
+/// `inbox.body`. `Ok(None)` means the connection ended cleanly before a
+/// request started — EOF between keep-alive requests, or shutdown while
+/// idle. Head and body may arrive in one segment or in many; nothing
+/// here depends on how the peer split its writes.
 fn read_request(
     stream: &mut TcpStream,
-    carry: &mut Vec<u8>,
+    inbox: &mut Inbox,
     ctx: &Ctx,
     token: &CancelToken,
-) -> Result<Option<(RequestHead, Vec<u8>)>, HttpError> {
-    let mut parser = HeadParser::new();
+) -> Result<Option<RequestHead>, HttpError> {
+    let Inbox {
+        carry,
+        parser,
+        body,
+    } = inbox;
     let mut started = false;
     let mut chunk = [0u8; 8 * 1024];
     let head = loop {
@@ -511,7 +534,8 @@ fn read_request(
     }
     let need = head.content_length;
     let from_carry = need.min(carry.len());
-    let mut body: Vec<u8> = carry.drain(..from_carry).collect();
+    body.clear();
+    body.extend(carry.drain(..from_carry));
     while body.len() < need {
         let want = (need - body.len()).min(chunk.len());
         match stream.read(&mut chunk[..want]) {
@@ -527,7 +551,7 @@ fn read_request(
             Err(_) => return Err(HttpError::Torn),
         }
     }
-    Ok(Some((head, body)))
+    Ok(Some(head))
 }
 
 /// An application-level error reply: status + stable code + message.
@@ -559,11 +583,31 @@ impl From<WireError> for ApiError {
     }
 }
 
-/// A response body: JSON for the API endpoints, preformatted text for
-/// the Prometheus exposition at `GET /metrics`.
+/// A response body, not yet encoded: search answers stay typed so the
+/// connection loop can stream them into its buffer
+/// ([`write_response`]); the admin endpoints and every error build a
+/// small [`Json`] tree; `GET /metrics` is preformatted Prometheus text.
 enum Payload {
+    Search(SearchResponse),
+    Batch(Vec<SearchResponse>),
     Json(Json),
     Text(String),
+}
+
+impl Payload {
+    /// Appends the encoded body to `out` and returns its content type.
+    fn write(&self, out: &mut String) -> &'static str {
+        match self {
+            Payload::Search(resp) => write_response(resp, out),
+            Payload::Batch(responses) => write_batch_response(responses, out),
+            Payload::Json(j) => j.write(out),
+            Payload::Text(t) => {
+                out.push_str(t);
+                return "text/plain; version=0.0.4";
+            }
+        }
+        "application/json"
+    }
 }
 
 /// Per-request observation state threaded through the dispatcher: the
@@ -608,7 +652,7 @@ fn route(
         return (200, Payload::Text(text));
     }
     match dispatch(ctx, reader, head, body, obs) {
-        Ok(json) => (200, Payload::Json(json)),
+        Ok(payload) => (200, payload),
         Err(e) => (e.status, Payload::Json(error_body(&e.code, &e.message))),
     }
 }
@@ -639,7 +683,7 @@ fn dispatch(
     head: &RequestHead,
     body: &[u8],
     obs: &mut ReqTrace,
-) -> Result<Json, ApiError> {
+) -> Result<Payload, ApiError> {
     // Route on the path first so a known path with the wrong method
     // answers 405, not 404.
     let path = head.path.split('?').next().unwrap_or("");
@@ -662,7 +706,7 @@ fn dispatch(
             format!("{} requires {}", path, expected.as_str()),
         ));
     }
-    match path {
+    let json = match path {
         "/health" => Ok(Json::obj([
             ("ok", Json::Bool(true)),
             ("version", Json::U64(ctx.handle.version())),
@@ -721,7 +765,7 @@ fn dispatch(
             let resp = snap.search(resolve(&snap, &spec)?, &req)?;
             obs.trace.absorb(&resp.stats.stages);
             obs.approximate = resp.stats.approximate;
-            Ok(response_to_json(&resp))
+            return Ok(Payload::Search(resp));
         }
         "/search_batch" => {
             let j = obs.trace.time(Stage::Parse, || parse_body(body))?;
@@ -745,10 +789,7 @@ fn dispatch(
                 obs.trace.absorb(&r.stats.stages);
                 obs.approximate |= r.stats.approximate;
             }
-            Ok(Json::obj([(
-                "responses",
-                Json::Arr(responses.iter().map(response_to_json).collect()),
-            )]))
+            return Ok(Payload::Batch(responses));
         }
         "/insert" => {
             let j = obs.trace.time(Stage::Parse, || parse_body(body))?;
@@ -803,11 +844,11 @@ fn dispatch(
                     // logged — it checkpoints before acking instead.
                     if let Some(d) = &ctx.durable {
                         let generation = d.rebuild()?;
-                        return Ok(Json::obj([
+                        return Ok(Payload::Json(Json::obj([
                             ("swapped", Json::Bool(true)),
                             ("version", Json::U64(ctx.handle.version())),
                             ("generation", Json::U64(generation)),
-                        ]));
+                        ])));
                     }
                     let task = ctx.handle.spawn_rebuild();
                     let swapped = ctx.handle.install(task)?;
@@ -870,7 +911,8 @@ fn dispatch(
             Ok(Json::obj([("stopping", Json::Bool(true))]))
         }
         _ => unreachable!("path was matched above"),
-    }
+    };
+    json.map(Payload::Json)
 }
 
 #[cfg(test)]
@@ -1296,6 +1338,87 @@ mod tests {
         assert!(entry.get("id").and_then(Json::as_str).is_some());
         assert!(entry.get("wall_ns").and_then(Json::as_u64).unwrap() > 0);
         assert!(entry.get("stages").is_some());
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_body_sized_string_is_refused_quickly_and_starves_nobody() {
+        // The largest body the default cap admits, all of it one JSON
+        // string: valid JSON, not a request. It must cost the worker
+        // milliseconds (it cost ~23 s when the string scanner was
+        // quadratic) and the other worker must keep answering.
+        let server = start(8, 16);
+        let addr = server.addr();
+        let poster = std::thread::spawn(move || {
+            let body = Json::Str("x".repeat(DEFAULT_MAX_BODY_BYTES - 2));
+            let mut client = Client::connect(addr).unwrap();
+            let t = std::time::Instant::now();
+            let (status, j) = client.post("/search", &body).unwrap();
+            (status, j, t.elapsed())
+        });
+        let mut client = Client::connect(addr).unwrap();
+        let mut health_checks = 0;
+        while !poster.is_finished() || health_checks == 0 {
+            let (status, _) = client.get("/health").unwrap();
+            assert_eq!(status, 200);
+            health_checks += 1;
+        }
+        let (status, j, took) = poster.join().unwrap();
+        assert_eq!(status, 400, "{j:?}");
+        assert_eq!(
+            j.get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str),
+            Some("bad_request")
+        );
+        assert!(
+            took < Duration::from_secs(2),
+            "the 1 MiB body took {took:?}"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_request_split_across_two_writes_is_answered_like_one_write() {
+        // `Client` sends head and body in one write; the server must
+        // not come to depend on that.
+        use std::io::{Read as _, Write as _};
+        let server = start(16, 17);
+        let id = server.handle().snapshot().id_for_seq(2).unwrap().get();
+        let body = search_body(id, 4).to_string_compact();
+        let head = format!(
+            "POST /search HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
+            body.len()
+        );
+        let exchange = |gap: Option<Duration>| {
+            let mut raw = TcpStream::connect(server.addr()).unwrap();
+            raw.set_nodelay(true).unwrap();
+            match gap {
+                Some(gap) => {
+                    raw.write_all(head.as_bytes()).unwrap();
+                    std::thread::sleep(gap);
+                    raw.write_all(body.as_bytes()).unwrap();
+                }
+                None => raw.write_all(format!("{head}{body}").as_bytes()).unwrap(),
+            }
+            let mut reply = String::new();
+            raw.read_to_string(&mut reply).unwrap();
+            let (reply_head, reply_body) = reply.split_once("\r\n\r\n").expect("head terminator");
+            let status = reply_head.lines().next().unwrap().to_string();
+            let hits = parse(reply_body).unwrap().get("hits").cloned();
+            (status, hits)
+        };
+        let one_write = exchange(None);
+        assert_eq!(one_write.0, "HTTP/1.1 200 OK");
+        assert_eq!(
+            one_write
+                .1
+                .as_ref()
+                .and_then(Json::as_arr)
+                .map(<[Json]>::len),
+            Some(4)
+        );
+        assert_eq!(exchange(Some(Duration::from_millis(20))), one_write);
         server.shutdown();
     }
 

@@ -4,6 +4,25 @@
 //! answer parsed back equals the in-process one, hit for hit, distance
 //! bit for distance bit (pinned by round-trip proptests).
 //!
+//! The two directions are built differently, on purpose:
+//!
+//! * **Responses stream.** The server answers `/search` and
+//!   `/search_batch` with [`write_response`] /
+//!   [`write_batch_response`], which append the body's bytes straight
+//!   from the `SearchResponse` into the connection's buffer — no
+//!   [`Json`] tree, no allocation once the buffer has grown.
+//!   [`response_to_json`] is the **reference**: the encoder must emit
+//!   exactly the bytes `response_to_json(r).to_string_compact()` emits
+//!   (a proptest in `tests/wire_roundtrip.rs` holds it to that, field
+//!   order, `null` distances and the `stages` guard included), and both
+//!   format every number and string with the one set of formatters in
+//!   [`crate::json`].
+//! * **Requests build a tree.** A body is parsed into a [`Json`] value
+//!   and decoded by [`request_from_json`] / [`query_from_json`] — one
+//!   decoder, shared with everything else that reads the schema. With
+//!   the parser linear that costs ~5 µs on a served search; a second,
+//!   typed decoder could save at most that.
+//!
 //! Schema summary (all keys lowercase):
 //!
 //! ```text
@@ -31,7 +50,7 @@ use gdim_core::{
 use gdim_graph::GraphBuilder;
 use std::time::Duration;
 
-use crate::json::Json;
+use crate::json::{write_bool, write_f64, write_str, write_u64, Json};
 
 /// A malformed (well-formed JSON, wrong shape) wire value; the message
 /// names the offending key.
@@ -358,7 +377,10 @@ fn stages_from_json(j: Option<&Json>) -> Result<gdim_obs::StageTimes, WireError>
     Ok(stages)
 }
 
-/// Serializes a full response.
+/// Serializes a full response as a tree. The server does not call
+/// this — it streams with [`write_response`] — but it defines the bytes
+/// that encoder must produce, and clients and tests that want a
+/// [`Json`] value use it.
 pub fn response_to_json(resp: &SearchResponse) -> Json {
     let hits = Json::Arr(
         resp.hits
@@ -372,6 +394,87 @@ pub fn response_to_json(resp: &SearchResponse) -> Json {
             .collect(),
     );
     Json::obj([("hits", hits), ("stats", stats_to_json(&resp.stats))])
+}
+
+/// Appends `"key":value` for each counter, comma-separated.
+fn write_counters<'a>(fields: impl IntoIterator<Item = (&'a str, u64)>, out: &mut String) {
+    for (i, (key, value)) in fields.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_str(key, out);
+        out.push(':');
+        write_u64(value, out);
+    }
+}
+
+/// Appends the wire form of `resp` to `out`: byte for byte what
+/// `response_to_json(resp).to_string_compact()` returns, written
+/// without building the tree. This is the encoder the server runs.
+pub fn write_response(resp: &SearchResponse, out: &mut String) {
+    out.push_str("{\"hits\":[");
+    for (i, h) in resp.hits.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"id\":");
+        write_u64(h.id.get() as u64, out);
+        out.push_str(",\"distance\":");
+        write_f64(h.distance, out);
+        out.push('}');
+    }
+    out.push_str("],\"stats\":{");
+    let s = &resp.stats;
+    write_counters(
+        [
+            ("candidates_scanned", s.candidates_scanned as u64),
+            ("early_abandoned", s.early_abandoned as u64),
+            ("tombstones_skipped", s.tombstones_skipped as u64),
+            ("words_scanned", s.words_scanned as u64),
+            ("epoch", s.epoch),
+            ("live_graphs", s.live_graphs as u64),
+            ("vf2_calls", s.vf2_calls as u64),
+            ("vf2_pruned", s.vf2_pruned as u64),
+            ("mcs_calls", s.mcs_calls as u64),
+            ("match_time_ns", duration_ns(s.match_time)),
+            ("wall_time_ns", duration_ns(s.wall_time)),
+        ],
+        out,
+    );
+    out.push_str(",\"kernel\":");
+    match s.kernel {
+        Some(k) => write_str(k.name(), out),
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"fused_batch\":");
+    write_bool(s.fused_batch, out);
+    out.push_str(",\"approximate\":");
+    write_bool(s.approximate, out);
+    out.push(',');
+    write_counters(
+        [("ef", s.ef as u64), ("beam_visited", s.beam_visited as u64)],
+        out,
+    );
+    // Same guard as `stats_to_json`: no key at all when nothing was timed.
+    if !s.stages.is_empty() {
+        out.push_str(",\"stages\":{");
+        write_counters(s.stages.iter().map(|(stage, ns)| (stage.name(), ns)), out);
+        out.push('}');
+    }
+    out.push_str("}}");
+}
+
+/// Appends the `/search_batch` body, `{"responses":[…]}`, each element
+/// written by [`write_response`].
+pub fn write_batch_response(responses: &[SearchResponse], out: &mut String) {
+    out.push_str("{\"responses\":[");
+    for (i, r) in responses.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_response(r, out);
+    }
+    out.push_str("]}");
 }
 
 /// Parses a full response.
