@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gdim_core::dspm::{dspm, dspm_reference, DspmConfig};
-use gdim_core::{ContainmentDag, DeltaConfig, DeltaMatrix, FeatureSpace, MappedDatabase, Mapping};
+use gdim_core::{CodeTree, DeltaConfig, DeltaMatrix, FeatureSpace, MappedDatabase, Mapping};
 use gdim_datagen::{chem_db, ChemConfig};
 use gdim_graph::vf2::is_subgraph_iso;
 use gdim_graph::McsOptions;
@@ -47,13 +47,13 @@ fn bench_ablation(c: &mut Criterion) {
         b.iter(|| dspm_reference(&space, &delta, &cfg).iterations)
     });
 
-    // Query mapping: full space (compiled plans, DAG-pruned) vs brute VF2.
-    let dag = ContainmentDag::build(space.features());
-    group.bench_function("map_query_dag_pruned", |b| {
+    // Query mapping: full space (one code-tree search) vs brute VF2.
+    let tree = CodeTree::build(space.features()).expect("mined codes");
+    group.bench_function("map_query_code_tree", |b| {
         b.iter(|| {
             queries
                 .iter()
-                .map(|q| dag.map_query(space.features(), q).0.count_ones())
+                .map(|q| tree.map_query(q).0.count_ones())
                 .sum::<u32>()
         })
     });

@@ -6,8 +6,9 @@
 //! batch scan vs. independent single-query scans at Q ∈ {8, 64}, and
 //! query mapping on a chem workload (64 queries onto p = 128
 //! dimensions): the brute-force loop of independent VF2 tests vs. the
-//! served path — compiled plans, one query context, containment-DAG
-//! pruning — with its time per query and per VF2 call. Medians of
+//! served path — one search over the dimensions' DFS-code prefix
+//! tree — with its time per query and its exact work counts (columns
+//! tested / pruned, extension steps). Medians of
 //! repeated timed runs, written as plain JSON so future PRs can track
 //! the trajectory. The snapshot also records the kernel families
 //! available on the measuring machine and which one runtime detection
@@ -34,10 +35,11 @@
 //!   committed one. Each ratio compares two runs *on the same
 //!   machine*, so the gate is robust to absolute runner speed;
 //!   `--min-frac` (default 0.25) leaves generous headroom for noise.
-//!   The `map_query` row's `vf2_calls` / `vf2_pruned` are fixed by the
-//!   seeds, not the machine, so they must equal the committed integers
-//!   **exactly**: a matcher or DAG change that runs one test more or
-//!   fewer fails here whatever it does to the time.
+//!   The `map_query` row's `vf2_calls` / `vf2_pruned` / `extensions`
+//!   are fixed by the seeds, not the machine, so they must equal the
+//!   committed integers **exactly**: a matcher or code-tree change
+//!   that takes one step more or fewer fails here whatever it does to
+//!   the time.
 //! * `--shards S[,S...]` — also measure the **scatter-gather** scan
 //!   (default `8`): the same store split into S contiguous sub-stores,
 //!   each scanned with the bounded kernel, merged to a global top-10
@@ -186,14 +188,15 @@ struct Speedups {
     map_query: Option<MapQueryRow>,
 }
 
-/// The gated part of the `map_query` row: its workload, the exact VF2
-/// counts, and brute-force time over served-path time.
+/// The gated part of the `map_query` row: its workload, the exact
+/// mapping counts, and brute-force time over served-path time.
 #[derive(Clone, Copy)]
 struct MapQueryRow {
     queries: usize,
     dimensions: usize,
     vf2_calls: usize,
     vf2_pruned: usize,
+    extensions: usize,
     speedup: f64,
 }
 
@@ -204,6 +207,7 @@ fn parse_map_query(line: &str) -> Option<MapQueryRow> {
         dimensions: int("\"dimensions\"")?,
         vf2_calls: int("\"vf2_calls\"")?,
         vf2_pruned: int("\"vf2_pruned\"")?,
+        extensions: int("\"extensions\"")?,
         speedup: field(line, "\"speedup\"")?,
     })
 }
@@ -410,12 +414,12 @@ fn main() {
 
     // Query mapping at the served shape: the brute-force loop (one
     // independent VF2 test per dimension) vs. the served path. The
-    // bits are asserted identical before timing; the VF2 counts depend
-    // only on the seeds below.
+    // bits are asserted identical before timing; the mapping counts
+    // depend only on the seeds below.
     let db = chem_db(60, &ChemConfig::default(), 13);
     let index = GraphIndex::build(db, IndexOptions::default().with_dimensions(128));
     let queries = chem_db(64, &ChemConfig::default(), 99);
-    let (mut vf2_calls, mut vf2_pruned) = (0usize, 0usize);
+    let (mut vf2_calls, mut vf2_pruned, mut extensions) = (0usize, 0usize, 0usize);
     for q in &queries {
         let (bits, s) = index.map_query_with_stats(q);
         assert_eq!(
@@ -425,6 +429,7 @@ fn main() {
         );
         vf2_calls += s.vf2_calls;
         vf2_pruned += s.vf2_pruned;
+        extensions += s.extensions;
     }
     let (unpruned, pruned) = paired_min_ns(
         31,
@@ -446,14 +451,14 @@ fn main() {
         dimensions: index.dimensions().len(),
         vf2_calls,
         vf2_pruned,
+        extensions,
         speedup: unpruned as f64 / pruned.max(1) as f64,
     };
     let ns_per_query = pruned / queries.len() as u64;
-    let ns_per_vf2_call = pruned / vf2_calls.max(1) as u64;
     eprintln!(
         "map_query (p={}, {} queries): unpruned {unpruned} ns, pruned {pruned} ns ({:.2}x), \
-         {ns_per_query} ns/query, {ns_per_vf2_call} ns/vf2 call, vf2 {vf2_calls} ran / \
-         {vf2_pruned} pruned",
+         {ns_per_query} ns/query, {vf2_calls} tested / {vf2_pruned} pruned / {extensions} \
+         extension steps",
         map_row.dimensions, map_row.queries, map_row.speedup
     );
     fresh.map_query = Some(map_row);
@@ -465,8 +470,8 @@ fn main() {
          \"{}\"}},\n  \"binary_scan\": [\n{}\n  ],\n  \"fused_scan\": [\n{}\n  ],\n  \
          \"sharded_scan\": [\n{}\n  ],\n  \"map_query\": {{\"queries\": {}, \
          \"dimensions\": {}, \"unpruned_ns\": {unpruned}, \"pruned_ns\": {pruned}, \
-         \"ns_per_query\": {ns_per_query}, \"ns_per_vf2_call\": {ns_per_vf2_call}, \
-         \"speedup\": {:.2}, \"vf2_calls\": {vf2_calls}, \"vf2_pruned\": {vf2_pruned}}}\n}}\n",
+         \"ns_per_query\": {ns_per_query}, \"speedup\": {:.2}, \"vf2_calls\": {vf2_calls}, \
+         \"vf2_pruned\": {vf2_pruned}, \"extensions\": {extensions}}}\n}}\n",
         map_row.dimensions,
         cpu_kernels.join(", "),
         selected_kernel().name(),
@@ -487,7 +492,7 @@ fn main() {
 
     // The bench-smoke regression gate (see the module docs): binary,
     // weighted, fused and map_query speedups each against their
-    // committed rows, and the map_query VF2 counts exactly.
+    // committed rows, and the map_query counts exactly.
     if let Some(path) = &args.baseline {
         let committed =
             parse_speedups(&std::fs::read_to_string(path).expect("read committed baseline"));
@@ -536,12 +541,14 @@ fn main() {
             Some(want)
                 if (want.queries, want.dimensions) == (map_row.queries, map_row.dimensions) =>
             {
-                let same = (want.vf2_calls, want.vf2_pruned) == (vf2_calls, vf2_pruned);
+                let same = (want.vf2_calls, want.vf2_pruned, want.extensions)
+                    == (vf2_calls, vf2_pruned, extensions);
                 eprintln!(
-                    "bench-smoke map_query counts: fresh {vf2_calls} ran / {vf2_pruned} pruned \
-                     vs committed {} / {} .. {}",
+                    "bench-smoke map_query counts: fresh {vf2_calls} tested / {vf2_pruned} \
+                     pruned / {extensions} steps vs committed {} / {} / {} .. {}",
                     want.vf2_calls,
                     want.vf2_pruned,
+                    want.extensions,
                     if same { "ok" } else { "FAIL" }
                 );
                 gate_failed |= !same;

@@ -59,7 +59,7 @@ use crate::delta::{DeltaConfig, DeltaMatrix, SharedDelta};
 use crate::dspm::{dspm, DspmConfig};
 use crate::dspmap::{dspmap, DspmapConfig};
 use crate::error::GdimError;
-use crate::featurespace::{ContainmentDag, FeatureSpace};
+use crate::featurespace::{CodeTree, CodeTreeCell, FeatureSpace};
 use crate::query::{weighted_w_sq, MappedDatabase, Mapping};
 use crate::scan::Tombstones;
 use crate::search::GraphId;
@@ -277,13 +277,14 @@ pub struct GraphIndex {
     /// Monotone mutation counter (inserts + removes), the freshness
     /// basis for background rebuild snapshots.
     mutations: u64,
-    /// Containment DAG over the **full** feature space, pruning the
-    /// per-feature VF2 of [`GraphIndex::insert`]. Lazy: indexes that
-    /// never insert never pay the pairwise containment build. Clones —
+    /// Code tree over the **full** feature space, mapping the graphs
+    /// of [`GraphIndex::insert`]. Lazy after a build (the miner's
+    /// codes need no checking); filled by [`GraphIndex::from_parts`],
+    /// whose check of the features' codes is the tree build. Clones —
     /// and shards over the same features, see
-    /// [`GraphIndex::share_dags_of`] — share the *cell*, so the first
-    /// insert anywhere builds it for all of them.
-    full_dag: Arc<OnceLock<ContainmentDag>>,
+    /// [`GraphIndex::share_mappers_of`] — share the *cell*, so the
+    /// first insert anywhere builds it for all of them.
+    full_mapper: CodeTreeCell,
     /// Proximity graph for [`Ranker::Approx`](crate::search::Ranker::Approx),
     /// built lazily over the scan store on the first approximate query
     /// (or restored from a v3 snapshot). Derived state: rows inserted
@@ -421,10 +422,9 @@ impl GraphIndex {
 
         let mapped = MappedDatabase::new(&space, &selected, Mapping::Binary)
             .expect("selected dimensions come from the space itself");
-        // Warm the lazy feature containment DAG now: a serving index
-        // should pay the one-time pairwise containment cost at build
-        // time, not on its first query.
-        mapped.containment_dag();
+        // Warm the lazy code tree now: a serving index builds it at
+        // build time, not on its first query.
+        mapped.mapper();
         let stats = IndexStats {
             mined_features: m,
             dimensions: selected.len(),
@@ -466,16 +466,17 @@ impl GraphIndex {
             tombstones,
             inserts_since_rebuild: 0,
             mutations: 0,
-            full_dag: Arc::default(),
+            full_mapper: Arc::default(),
             ann: OnceLock::new(),
         }
     }
 
     /// Reassembles an index from pipeline parts, rebuilding the
     /// derived state (feature space, the flat scan store of binary
-    /// mapped vectors, weighted scan weights) deterministically; the
-    /// containment DAGs stay lazy, so a caller that has them already
-    /// can hand them over ([`GraphIndex::share_dags_of`]). An index
+    /// mapped vectors, weighted scan weights, the full-space code
+    /// tree) deterministically; a caller that has the code trees
+    /// already can hand them over ([`GraphIndex::share_mappers_of`]).
+    /// An index
     /// always stores binary vectors —
     /// [`MappingKind::Weighted`](crate::query::MappingKind::Weighted)
     /// requests are served from the derived DSPM weights, never baked
@@ -488,7 +489,8 @@ impl GraphIndex {
     /// pipeline would.
     ///
     /// Inputs are validated (feature supports must be strictly
-    /// ascending ids into `db`, `weights` must cover the features,
+    /// ascending ids into `db`, every feature's DFS code must spell its
+    /// graph, `weights` must cover the features,
     /// `selected` ids must be in range, `tombstones` must cover `db`);
     /// inconsistencies surface as [`GdimError`], never a panic.
     #[allow(clippy::too_many_arguments)] // assembly seam of the persist decoder and gdim-shard
@@ -523,6 +525,8 @@ impl GraphIndex {
                 prev = Some(gid);
             }
         }
+        // Mapping trusts the codes; building the tree checks them.
+        let full_mapper = CodeTree::build(&features)?;
         let space = FeatureSpace::build(db.len(), features);
         let mapped = MappedDatabase::new(&space, &selected, Mapping::Binary)?;
         if weights.len() != space.num_features() {
@@ -542,6 +546,7 @@ impl GraphIndex {
         index.epoch = epoch;
         index.tombstones = tombstones;
         index.inserts_since_rebuild = inserts_since_rebuild;
+        index.full_mapper = Arc::new(OnceLock::from(full_mapper));
         Ok(index)
     }
 
@@ -868,32 +873,32 @@ impl GraphIndex {
         self.inserts_since_rebuild
     }
 
-    /// The containment DAG over the **full** feature space, built on
-    /// first use — in practice the first insert (the per-query DAG of
-    /// the mapped database covers only the selected dimensions).
-    pub fn full_containment_dag(&self) -> &ContainmentDag {
-        self.full_dag
-            .get_or_init(|| ContainmentDag::build(self.space.features()))
+    /// The [`CodeTree`] over the **full** feature space, built on
+    /// first use — in practice the first insert (the mapped database's
+    /// own tree covers only the selected dimensions).
+    pub fn full_mapper(&self) -> &CodeTree {
+        self.full_mapper.get_or_init(|| {
+            CodeTree::build(self.space.features()).expect("a mined feature's code spells its graph")
+        })
     }
 
-    /// Makes this index use `src`'s two containment-DAG cells (selected
-    /// dimensions and full space) instead of building its own: one DAG
-    /// per feature set, not per shard or per compaction. Only for an
-    /// index over the **same mined features and selection** as `src` —
-    /// a shard split or compacted from it. A DAG is a function of the
-    /// feature graphs alone, so the shared one maps exactly like a
+    /// Makes this index use `src`'s two code-tree cells (selected
+    /// dimensions and full space) instead of its own: one tree per
+    /// feature set, not per shard or per compaction. Only for an index
+    /// over the **same mined features and selection** as `src` — a
+    /// shard split or compacted from it. A tree is a function of the
+    /// features' codes alone, so the shared one maps exactly like a
     /// private one would; sharing the cell (not just a built value)
-    /// means a DAG first needed after the split is still built once.
-    pub fn share_dags_of(&mut self, src: &GraphIndex) {
+    /// means a tree first needed after the split is still built once.
+    pub fn share_mappers_of(&mut self, src: &GraphIndex) {
         debug_assert_eq!(self.space.num_features(), src.space.num_features());
-        self.mapped.share_dag_of(&src.mapped);
-        self.full_dag = Arc::clone(&src.full_dag);
+        self.mapped.share_mapper_of(&src.mapped);
+        self.full_mapper = Arc::clone(&src.full_mapper);
     }
 
     /// Inserts one graph **online**: the graph is mapped against the
-    /// *existing* feature space (the whole space's compiled plans,
-    /// containment-DAG + histogram-pruned — the same loop as query
-    /// mapping, no re-mining), its
+    /// *existing* feature space (one search over the whole space's
+    /// code tree — the same search as query mapping, no re-mining), its
     /// full feature row is stored once beside the space
     /// ([`GraphIndex::inserted_row`]; [`GraphIndex::supports`] folds it
     /// back into the per-feature supports, so the index persists and
@@ -907,10 +912,7 @@ impl GraphIndex {
     /// [`GraphIndex::install`]. Use [`GraphIndex::is_stale`] to decide
     /// when the accumulated drift (per [`RebuildPolicy`]) warrants one.
     pub fn insert(&mut self, g: Graph) -> GraphId {
-        let full_row = self
-            .full_containment_dag()
-            .map_query(self.space.features(), &g)
-            .0;
+        let full_row = self.full_mapper().map_query(&g).0;
         let id = self.db.len() as u32;
         let mut sel_row = Bitset::zeros(self.selected.len());
         for (col, &r) in self.selected.iter().enumerate() {
@@ -1181,22 +1183,22 @@ mod tests {
     #[test]
     fn a_cloned_index_shares_both_containment_dags() {
         // Copy-on-write publishing clones the index per write: what is
-        // immutable (feature space, selected features, DAGs, the built
+        // immutable (feature space, selected features, code trees, the built
         // ANN) and every sealed row chunk must be shared, not copied.
         use crate::chunked::CHUNK;
         let mut index = GraphIndex::build(db(20, 31), IndexOptions::default().with_dimensions(20));
         for g in db(2 * CHUNK + 5, 77) {
-            index.insert(g); // the first insert builds the full-space DAG
+            index.insert(g); // the first insert builds the full-space tree
         }
         index.ann();
         let copy = index.clone();
 
         assert!(Arc::ptr_eq(&index.space, &copy.space));
-        assert!(Arc::ptr_eq(&index.full_dag, &copy.full_dag));
-        assert!(index.full_dag.get().is_some());
+        assert!(Arc::ptr_eq(&index.full_mapper, &copy.full_mapper));
+        assert!(index.full_mapper.get().is_some());
         assert!(std::ptr::eq(
-            index.mapped().containment_dag(),
-            copy.mapped().containment_dag()
+            index.mapped().mapper(),
+            copy.mapped().mapper()
         ));
         assert!(std::ptr::eq(
             index.mapped().features().as_ptr(),
@@ -1248,10 +1250,7 @@ mod tests {
             );
             // The stored full-space row is the graph mapped onto the
             // whole mined space.
-            let mapped = index
-                .full_containment_dag()
-                .map_query(index.feature_space().features(), g)
-                .0;
+            let mapped = index.full_mapper().map_query(g).0;
             assert_eq!(index.inserted_row(id.index()), Some(&mapped), "{id}");
         }
         assert_eq!(index.inserted_row(19), None, "a build-time row");

@@ -78,7 +78,7 @@ pub mod prelude {
     pub use crate::dspm::{dspm, DspmConfig, DspmResult};
     pub use crate::dspmap::{dspmap, DspmapConfig};
     pub use crate::error::GdimError;
-    pub use crate::featurespace::{ContainmentDag, FeatureSpace, MatchStats};
+    pub use crate::featurespace::{CodeTree, FeatureSpace, MatchStats};
     pub use crate::fingerprint::{FingerprintIndex, FINGERPRINT_BITS};
     pub use crate::index::{
         GraphIndex, IndexOptions, RebuildPolicy, RebuildTask, SelectionStrategy,

@@ -55,9 +55,9 @@
 //!
 //! Derived state — the feature space, the flat
 //! [`VectorStore`](crate::scan::VectorStore) of mapped vectors, the
-//! feature [`ContainmentDag`](crate::featurespace::ContainmentDag)
-//! (compiled VF2 plans + the order that prunes query-time calls), and
-//! the weighted scan weights —
+//! [`CodeTree`](crate::featurespace::CodeTree)s that map queries and
+//! inserts (prefix trees over the features' DFS codes), and the
+//! weighted scan weights —
 //! is **not** persisted: it is rebuilt deterministically on load,
 //! which keeps the format small and makes a reloaded index answer
 //! byte-identically to the one that was saved (a dirty index persists
@@ -586,9 +586,9 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<GraphIndex, GdimError> {
     // index (selected id outside the space, wrong weights length);
     // from a file, that is corruption too.
     .map_err(|e| GdimError::Corrupt(format!("inconsistent index payload: {e}")))?;
-    // A serving index pays the one-time pairwise containment cost at
-    // load time, not on its first query.
-    index.mapped().containment_dag();
+    // A serving index builds its query mapper at load time, not on
+    // its first query.
+    index.mapped().mapper();
     if let Some(ann) = ann {
         index.set_ann(ann);
     }
@@ -725,6 +725,47 @@ mod tests {
                 assert!(msg.contains("inconsistent"), "{msg}")
             }
             other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_feature_code_that_is_not_its_graphs_is_corrupt() {
+        // The mapper walks a feature's DFS code, not its graph: a
+        // snapshot whose code names a vertex the graph lacks, skips a
+        // DFS index or spells other labels must not load (and must not
+        // panic or mis-map later). Mutate one field of one code edge
+        // of an otherwise valid snapshot.
+        let idx = index(12, 15);
+        let bytes = idx.to_bytes();
+        let (r, f) = (idx.feature_space().features().iter().enumerate())
+            .find(|(_, f)| f.code.len() >= 2)
+            .expect("a two-edge feature is mined");
+        // The feature's record starts with its graph; its code follows
+        // an 8-byte count, 20 bytes per edge.
+        let mut graph = Vec::new();
+        put_graph(&mut graph, &f.graph);
+        let mut record = Vec::new();
+        put_feature(&mut record, f, &idx.supports()[r]);
+        let at = (0..bytes.len() - record.len())
+            .find(|&i| bytes[i..].starts_with(&record))
+            .expect("the record is in the snapshot");
+        let field = |edge: usize, word: usize| at + graph.len() + 8 + 20 * edge + 4 * word;
+        let last = f.code.len() - 1;
+        for (what, offset, value) in [
+            (
+                "a vertex the graph lacks",
+                field(last, 0),
+                f.graph.vertex_count() as u32,
+            ),
+            ("a skipped DFS index", field(1, 1), f.code.0[1].to + 1),
+            ("another edge label", field(0, 3), f.code.0[0].elabel + 1),
+        ] {
+            let mut bad = bytes.clone();
+            bad[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
+            match GraphIndex::from_bytes(&bad) {
+                Err(GdimError::Corrupt(msg)) => assert!(msg.contains("code"), "{what}: {msg}"),
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
         }
     }
 

@@ -7,11 +7,12 @@
 //!
 //! The mapped path is served by two optimized legs:
 //!
-//! * **matching** — [`MappedDatabase::map_query`] runs the selected
-//!   dimensions' precompiled VF2 plans against a query prepared once,
-//!   pruning calls with the feature [`ContainmentDag`] plus a free
-//!   histogram prescreen (bit-identical to the brute-force loop,
-//!   which survives as [`MappedDatabase::map_query_unpruned`]);
+//! * **matching** — [`MappedDatabase::map_query`] walks the selected
+//!   dimensions' DFS-code prefix tree ([`CodeTree`]) once per query,
+//!   sharing each prefix's partial embedding among the dimensions
+//!   below it (bit-identical to the brute-force loop of independent
+//!   VF2 tests, which survives as
+//!   [`MappedDatabase::map_query_unpruned`]);
 //! * **scanning** — the flat [`VectorStore`] kernel behind
 //!   [`MappedDatabase::scan_topk_masked`], with bounded top-k
 //!   selection and early abandon. The naive full-sort
@@ -19,7 +20,7 @@
 //!   remain as the reference implementations the equivalence tests
 //!   (and benches) compare the kernel against.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use gdim_exec::ExecConfig;
 use gdim_graph::vf2::is_subgraph_iso;
@@ -28,7 +29,7 @@ use gdim_mining::Feature;
 
 use crate::bitset::{weighted_sq_xor_words, Bitset};
 use crate::error::GdimError;
-use crate::featurespace::{ContainmentDag, FeatureSpace, MatchStats};
+use crate::featurespace::{CodeTree, CodeTreeCell, FeatureSpace, MatchStats};
 use crate::scan::{ScanPlan, ScanStats, Tombstones, VectorStore};
 
 /// How database graphs and queries are embedded over the selected
@@ -85,7 +86,7 @@ pub(crate) fn weighted_w_sq(selected: &[u32], weights: &[f64]) -> Vec<f64> {
 /// one linear memory walk.
 ///
 /// `Clone` copies the flat store (16 B/row at `p = 128`) and shares the
-/// rest: the selected features and the containment-DAG cell sit behind
+/// rest: the selected features and the code-tree cell sit behind
 /// `Arc`s.
 #[derive(Debug, Clone)]
 pub struct MappedDatabase {
@@ -95,14 +96,12 @@ pub struct MappedDatabase {
     /// Squared per-dimension weight; uniform `1/p` for [`MappingKind::Binary`].
     w_sq: Vec<f64>,
     kind: MappingKind,
-    /// Compiled plans of `features` and their containment partial
-    /// order, pruning query-time VF2 calls. Built lazily on the first
-    /// mapped query (derived and deterministic, so laziness is
-    /// unobservable in answers) — a database constructed only to
-    /// compare vectors never pays the O(p²) pairwise containment
-    /// prescreen. The *cell* is shared, not only its value: whichever
-    /// clone maps first builds the DAG for all of them.
-    dag: Arc<OnceLock<ContainmentDag>>,
+    /// The prefix tree over `features`' DFS codes that maps queries.
+    /// Built lazily on the first mapped query (derived and
+    /// deterministic, so laziness is unobservable in answers). The
+    /// *cell* is shared, not only its value: whichever clone maps
+    /// first builds the tree for all of them.
+    mapper: CodeTreeCell,
 }
 
 impl MappedDatabase {
@@ -154,7 +153,7 @@ impl MappedDatabase {
             store,
             w_sq,
             kind,
-            dag: Arc::default(),
+            mapper: Arc::default(),
         })
     }
 
@@ -194,19 +193,26 @@ impl MappedDatabase {
         &self.store
     }
 
-    /// The feature containment DAG pruning query mapping, built on
-    /// first use.
-    pub fn containment_dag(&self) -> &ContainmentDag {
-        self.dag
-            .get_or_init(|| ContainmentDag::build(&self.features))
+    /// The [`CodeTree`] over the selected dimensions that maps
+    /// queries, built on first use.
+    ///
+    /// # Panics
+    /// If a selected feature's DFS code does not spell its graph
+    /// (features from the miner always do;
+    /// [`GraphIndex::from_parts`](crate::index::GraphIndex::from_parts)
+    /// rejects the rest).
+    pub fn mapper(&self) -> &CodeTree {
+        self.mapper.get_or_init(|| {
+            CodeTree::build(&self.features).expect("a feature's DFS code spells its graph")
+        })
     }
 
-    /// Makes this database use `src`'s containment-DAG cell instead of
-    /// its own. Only for databases over the **same selected features**
-    /// (the DAG is a function of the feature graphs alone).
-    pub(crate) fn share_dag_of(&mut self, src: &MappedDatabase) {
+    /// Makes this database use `src`'s code-tree cell instead of its
+    /// own. Only for databases over the **same selected features**
+    /// (the tree is a function of the features' codes alone).
+    pub(crate) fn share_mapper_of(&mut self, src: &MappedDatabase) {
         debug_assert_eq!(self.p(), src.p());
-        self.dag = Arc::clone(&src.dag);
+        self.mapper = Arc::clone(&src.mapper);
     }
 
     /// Vector of database graph `i`, materialized from its store row.
@@ -221,8 +227,8 @@ impl MappedDatabase {
     /// construction are **not** extended (the authoritative supports
     /// live in the [`FeatureSpace`], which
     /// [`GraphIndex::insert`](crate::index::GraphIndex::insert) does
-    /// update); the containment DAG derived from them depends only on
-    /// the feature graphs, so query pruning is unaffected.
+    /// update); the code tree depends only on the features' codes, so
+    /// query mapping is unaffected.
     ///
     /// # Panics
     /// If `row` does not cover exactly `p` dimensions.
@@ -230,23 +236,23 @@ impl MappedDatabase {
         self.store.push_row(row);
     }
 
-    /// Maps an (unseen) query onto the selected dimensions via VF2 —
-    /// the "feature matching time" component of the paper's query
-    /// cost — on the dimensions' compiled plans, skipping calls the
-    /// [`ContainmentDag`] and the histogram prescreen prove unnecessary. Bit-identical to
-    /// [`MappedDatabase::map_query_unpruned`].
+    /// Maps an (unseen) query onto the selected dimensions — the
+    /// "feature matching time" component of the paper's query cost —
+    /// with one search over the dimensions' [`CodeTree`]. Bit-identical
+    /// to [`MappedDatabase::map_query_unpruned`].
     pub fn map_query(&self, q: &Graph) -> Bitset {
         self.map_query_with_stats(q).0
     }
 
     /// [`MappedDatabase::map_query`] plus the [`MatchStats`] recording
-    /// how many VF2 calls ran and how many were pruned.
+    /// how many dimensions were tested, how many were pruned, and the
+    /// search's extension steps.
     pub fn map_query_with_stats(&self, q: &Graph) -> (Bitset, MatchStats) {
-        self.containment_dag().map_query(&self.features, q)
+        self.mapper().map_query(q)
     }
 
     /// The unpruned reference mapping: one independent VF2 test per
-    /// selected feature — no DAG, no shared plans or query context.
+    /// selected feature — no tree, no shared plans or query context.
     /// Kept for the equivalence tests and the pruning benches; serving
     /// paths use [`MappedDatabase::map_query`].
     pub fn map_query_unpruned(&self, q: &Graph) -> Bitset {

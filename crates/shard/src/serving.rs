@@ -28,7 +28,7 @@
 //!
 //! * **shared with the previous snapshot** — everything immutable
 //!   after a build or install (feature space, selected features, both
-//!   containment DAGs, the ANN graph once built) and every *sealed
+//!   code trees, the ANN graph once built) and every *sealed
 //!   chunk* of [`CHUNK`](gdim_core::chunked::CHUNK) = 32 rows of the
 //!   per-row state that owns heap memory (the graphs, the full-space
 //!   feature rows of online inserts);

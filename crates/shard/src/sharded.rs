@@ -208,7 +208,7 @@ impl ShardedIndex {
     /// filtered to the kept rows and remapped to the new local ids, and
     /// the same selected dimensions/weights, all live at `epoch`.
     /// `seqs[new]` is the sequence number of kept row `new`. The shard
-    /// maps through `src`'s containment DAGs — the features are
+    /// maps through `src`'s code trees — the features are
     /// identical by construction — instead of building its own.
     fn shard_of_rows(
         src: &GraphIndex,
@@ -254,7 +254,7 @@ impl ShardedIndex {
             0,
         )
         .expect("the kept rows of a consistent index form a consistent shard");
-        index.share_dags_of(src);
+        index.share_mappers_of(src);
         Shard { index, seqs }
     }
 
@@ -827,20 +827,18 @@ mod tests {
         gdim_datagen::chem_db(n, &gdim_datagen::ChemConfig::default(), seed)
     }
 
-    /// Every shard maps through the same two DAG allocations. Asking
-    /// for a shard's full-space DAG builds it if its cell is empty, so
-    /// unshared cells would show up here as distinct pointers.
-    fn assert_one_dag_per_feature_set(idx: &ShardedIndex) {
+    /// Every shard maps through the same two code-tree allocations.
+    /// Asking for a shard's full-space tree builds it if its cell is
+    /// empty, so unshared cells would show up here as distinct
+    /// pointers.
+    fn assert_one_mapper_per_feature_set(idx: &ShardedIndex) {
         let first = &idx.shards[0].index;
         for shard in &idx.shards[1..] {
             assert!(std::ptr::eq(
-                first.mapped().containment_dag(),
-                shard.index.mapped().containment_dag()
+                first.mapped().mapper(),
+                shard.index.mapped().mapper()
             ));
-            assert!(std::ptr::eq(
-                first.full_containment_dag(),
-                shard.index.full_containment_dag()
-            ));
+            assert!(std::ptr::eq(first.full_mapper(), shard.index.full_mapper()));
         }
     }
 
@@ -852,14 +850,14 @@ mod tests {
         let ids: Vec<GraphId> = chem(3, 99).into_iter().map(|g| idx.insert(g)).collect();
         let owners: Vec<u32> = ids.iter().map(|&id| idx.split_id(id).0 .0).collect();
         assert_eq!(owners, [0, 1, 2]);
-        assert_one_dag_per_feature_set(&idx);
+        assert_one_mapper_per_feature_set(&idx);
 
-        // A compacted shard keeps mapping through the same DAGs.
+        // A compacted shard keeps mapping through the same trees.
         idx.remove(ids[1]).unwrap();
         idx.rebuild_shard(ShardId(1)).unwrap();
         assert_eq!(idx.shard(ShardId(1)).unwrap().tombstone_count(), 0);
-        assert_one_dag_per_feature_set(&idx);
+        assert_one_mapper_per_feature_set(&idx);
         idx.insert(chem(1, 100).remove(0));
-        assert_one_dag_per_feature_set(&idx);
+        assert_one_mapper_per_feature_set(&idx);
     }
 }

@@ -54,9 +54,10 @@ fn fingerprint_fragment_vocabulary_matches_datagen_dictionary() {
 
 #[test]
 fn query_mapping_agrees_between_full_space_and_mapped_database() {
-    // Mapping onto the whole mined space (the containment DAG an online
-    // insert uses) and MappedDatabase::map_query (the DAG over the
-    // selected features only) must agree on the selected coordinates.
+    // Mapping onto the whole mined space (the code tree an online
+    // insert uses) and MappedDatabase::map_query (the tree over the
+    // selected features only, with internal-only prefixes) must agree
+    // on the selected coordinates.
     let db = gdim::datagen::chem_db(30, &gdim::datagen::ChemConfig::default(), 9);
     let features = mine(
         &db,
@@ -66,10 +67,10 @@ fn query_mapping_agrees_between_full_space_and_mapped_database() {
     let selected: Vec<u32> = (0..space.num_features() as u32).step_by(3).collect();
     let mapped =
         MappedDatabase::new(&space, &selected, Mapping::Binary).expect("selection in range");
-    let full_dag = ContainmentDag::build(space.features());
+    let full_tree = CodeTree::build(space.features()).expect("mined codes are valid");
     let queries = gdim::datagen::chem_db(5, &gdim::datagen::ChemConfig::default(), 123);
     for q in &queries {
-        let full = full_dag.map_query(space.features(), q).0;
+        let full = full_tree.map_query(q).0;
         let sub = mapped.map_query(q);
         for (col, &r) in selected.iter().enumerate() {
             assert_eq!(

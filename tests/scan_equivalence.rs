@@ -1,16 +1,73 @@
 //! Equivalence contract of the optimized online query path (PR 3):
 //! the flat SoA scan kernel must select and order **exactly** the hits
-//! of the naive full-sort reference scan, and the containment-pruned
-//! query mapping must set exactly the bits of the brute-force VF2
-//! loop — for binary and weighted mappings, every edge-case `k`, and
-//! every thread budget.
+//! of the naive full-sort reference scan, and the code-tree query
+//! mapping must set exactly the bits of the brute-force VF2 loop — for
+//! binary and weighted mappings, every edge-case `k`, and every thread
+//! budget.
 
 use proptest::prelude::*;
 
+use gdim::core::featurespace::STEPS_PER_SIZE;
 use gdim::prelude::*;
 
 fn chem(n: usize, seed: u64) -> Vec<Graph> {
     gdim::datagen::chem_db(n, &gdim::datagen::ChemConfig::default(), seed)
+}
+
+/// Small dense graphs over two vertex and two edge labels: triangles
+/// are frequent, so the mined codes carry backward edges.
+fn synth(n: usize, seed: u64) -> Vec<Graph> {
+    let cfg = gdim::datagen::SynthConfig {
+        avg_edges: 12.0,
+        density: 0.6,
+        num_vlabels: 2,
+        num_elabels: 2,
+    };
+    gdim::datagen::synth_db(n, &cfg, seed)
+}
+
+/// `a` and `b` side by side in one (disconnected) graph.
+fn disjoint_union(a: &Graph, b: &Graph) -> Graph {
+    let shift = a.vertex_count() as u32;
+    let labels = a.vlabels().iter().chain(b.vlabels()).copied().collect();
+    let edges = (a.edges().iter().map(|e| (e.u, e.v, e.label))).chain(
+        b.edges()
+            .iter()
+            .map(|e| (e.u + shift, e.v + shift, e.label)),
+    );
+    Graph::from_parts(labels, edges).unwrap()
+}
+
+/// `g` with every vertex label moved by `dv` and every edge label by `de`.
+fn relabelled(g: &Graph, dv: u32, de: u32) -> Graph {
+    Graph::from_parts(
+        g.vlabels().iter().map(|l| l + dv).collect(),
+        g.edges().iter().map(|e| (e.u, e.v, e.label + de)),
+    )
+    .unwrap()
+}
+
+/// The code-tree mapping of every query, in order on this thread (so
+/// one scratch serves graphs of wildly different sizes back to back),
+/// against the unpruned per-feature VF2 loop. Returns whether any
+/// query crossed the step budget.
+fn assert_tree_equals_unpruned(mapped: &MappedDatabase, queries: &[Graph]) -> bool {
+    let mut crossed = false;
+    for (i, q) in queries.iter().enumerate() {
+        let (bits, stats) = mapped.map_query_with_stats(q);
+        assert_eq!(
+            bits,
+            mapped.map_query_unpruned(q),
+            "query {i} (|V| = {}, |E| = {})",
+            q.vertex_count(),
+            q.edge_count()
+        );
+        assert_eq!(stats.vf2_calls + stats.vf2_pruned, mapped.p(), "query {i}");
+        let budget = STEPS_PER_SIZE * (q.vertex_count() + q.edge_count());
+        assert!(stats.extensions <= budget + 1, "query {i}: {stats:?}");
+        crossed |= stats.extensions > budget;
+    }
+    crossed
 }
 
 /// The naive pre-optimization scan: full ranking (sorted over all `n`
@@ -61,6 +118,98 @@ proptest! {
             let (bits, stats) = idx.map_query_with_stats(q);
             prop_assert_eq!(&bits, &idx.mapped().map_query_unpruned(q));
             prop_assert_eq!(stats.vf2_calls + stats.vf2_pruned, idx.dimensions().len());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// One search over the DFS-code prefix tree ≡ one VF2 test per
+    /// feature: on chem and on cyclic synthetic graphs, over the full
+    /// mined space and over a selection whose prefixes were not
+    /// selected, for ordinary queries and for every degenerate shape a
+    /// client can send — including a star big enough that the search
+    /// gives up and hands over to VF2.
+    #[test]
+    fn code_tree_mapping_is_bit_identical(seed in 0u64..500) {
+        for (db, unseen, cyclic_data) in [
+            (chem(16, seed), chem(3, !seed), false),
+            (synth(16, seed), synth(3, !seed), true),
+        ] {
+            let feats = mine(&db, &MinerConfig::new(Support::Relative(0.2)).with_max_edges(4));
+            let space = FeatureSpace::build(db.len(), feats);
+            let feats = space.features();
+            let all: Vec<u32> = (0..feats.len() as u32).collect();
+            // A chain l–c–l–c over one bond label blows up on a star of
+            // l leaves around c: its l–c–l prefix has n² embeddings
+            // there and none reaches a second c.
+            let chain = feats.iter().position(|f| {
+                let c = &f.code.0;
+                c.len() >= 3
+                    && (0..3).all(|i| (c[i].from, c[i].to) == (i as u32, i as u32 + 1))
+                    && (c[0].elabel, c[0].elabel) == (c[1].elabel, c[2].elabel)
+                    && (c[0].from_label, c[0].to_label) == (c[1].to_label, c[2].to_label)
+            });
+            let chain = chain.expect("both generators mine such a chain at every seed");
+            // Every other feature of two or more edges (and the chain):
+            // no one-edge prefix is a column.
+            let some: Vec<u32> = all
+                .iter()
+                .copied()
+                .filter(|&r| feats[r as usize].graph.edge_count() >= 2)
+                .enumerate()
+                .filter(|&(i, r)| i % 2 == 0 || r as usize == chain)
+                .map(|(_, r)| r)
+                .collect();
+            prop_assert!(some.len() >= 3);
+
+            let edge = &feats[chain].code.0[0];
+            let (leaf, bond, centre) = (edge.from_label, edge.elabel, edge.to_label);
+            let star = |n: u32| {
+                let labels = std::iter::once(centre).chain((0..n).map(|_| leaf)).collect();
+                Graph::from_parts(labels, (1..=n).map(|i| (0, i, bond))).unwrap()
+            };
+            let mut queries = vec![
+                star(800),
+                Graph::from_parts(vec![centre], []).unwrap(),
+                db[0].clone(),
+                Graph::from_parts(vec![], []).unwrap(),
+                star(800),
+                Graph::from_parts(vec![centre, leaf, leaf], []).unwrap(),
+                star(1),
+                disjoint_union(&db[1], &unseen[0]),
+                relabelled(&db[2], 1000, 0),
+                relabelled(&db[2], 0, 1000),
+                disjoint_union(&relabelled(&db[3], 1000, 1000), &db[3]),
+            ];
+            queries.extend(db.iter().skip(4).take(3).cloned());
+            queries.extend(unseen);
+            // A graph known to hold a feature with a backward DFS edge
+            // (4-edge chem patterns rarely have a ring to close).
+            let cyclic = feats.iter().position(|f| f.code.0.iter().any(|e| !e.is_forward()));
+            prop_assert!(cyclic.is_some() || !cyclic_data, "dense synth graphs mine a cycle");
+            let full = MappedDatabase::new(&space, &all, Mapping::Binary).unwrap();
+            let part = MappedDatabase::new(&space, &some, Mapping::Binary).unwrap();
+            if let Some(r) = cyclic {
+                let holder = &db[feats[r].support[0] as usize];
+                prop_assert!(full.map_query(holder).get(r), "the cyclic feature must be found");
+                queries.push(holder.clone());
+            }
+            for mapped in [&full, &part] {
+                let crossed = assert_tree_equals_unpruned(mapped, &queries);
+                prop_assert!(crossed, "the 800-leaf star must cross the step budget");
+            }
+            let roots = part
+                .features()
+                .iter()
+                .map(|f| f.code.0[0].from_label)
+                .collect::<std::collections::BTreeSet<_>>()
+                .len();
+            prop_assert!(
+                part.mapper().node_count() > part.p() + roots,
+                "the selection must leave internal-only prefixes"
+            );
         }
     }
 }

@@ -134,6 +134,13 @@ fn concurrent_inserts_and_reads_stay_coherent() {
             });
         }
         for g in &extra {
+            // Force the interleaving: a search completes between any
+            // two inserts (ten inserts take less time than a reader
+            // thread needs to start).
+            let seen = served.load(Ordering::Relaxed);
+            while served.load(Ordering::Relaxed) == seen {
+                std::thread::yield_now();
+            }
             let gid = handle.insert(g.clone());
             // The published snapshot already contains the insert.
             assert_eq!(handle.snapshot().graph(gid).unwrap(), g);
