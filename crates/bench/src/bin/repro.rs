@@ -5,8 +5,8 @@
 //! ```
 //!
 //! Fig. 3 is a proof illustration (no experiment). Results print as
-//! tables; shapes to compare against the paper are noted inline and a
-//! captured run is recorded in EXPERIMENTS.md.
+//! tables; shapes to compare against the paper are noted inline (a
+//! committed, gated capture is ROADMAP item 1).
 
 use gdim_bench::context::Context;
 use gdim_bench::figs;

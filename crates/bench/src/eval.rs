@@ -6,9 +6,7 @@
 
 use std::time::{Duration, Instant};
 
-use gdim_core::{
-    kendall_tau_topk, precision, rank_distance_inv, FeatureSpace, MappedDatabase, Mapping,
-};
+use gdim_core::{kendall_tau_topk, precision, rank_distance_inv, FeatureSpace, MappedDatabase};
 use gdim_graph::Graph;
 
 /// Aggregated quality/time numbers for one algorithm on one workload.
@@ -36,14 +34,17 @@ pub fn evaluate_selection(
     truth: &[Vec<u32>],
     ks: &[usize],
 ) -> EvalResult {
-    let mapped = MappedDatabase::new(space, selection, Mapping::Binary)
-        .expect("selection ids come from the same space");
-    evaluate_mapped(&mapped, queries, truth, ks)
+    let mapped =
+        MappedDatabase::new(space, selection).expect("selection ids come from the same space");
+    evaluate_mapped(&mapped, None, queries, truth, ks)
 }
 
-/// Evaluates a prebuilt mapped database over a query workload.
+/// Evaluates a prebuilt mapped database over a query workload, ranked
+/// by the binary distance (`w_sq = None`) or by the weighted ablation
+/// under the given squared per-dimension weights.
 pub fn evaluate_mapped(
     mapped: &MappedDatabase,
+    w_sq: Option<&[f64]>,
     queries: &[Graph],
     truth: &[Vec<u32>],
     ks: &[usize],
@@ -60,12 +61,12 @@ pub fn evaluate_mapped(
         let t0 = Instant::now();
         let qvec = mapped.map_query(q);
         let t_match = t0.elapsed();
-        let approx: Vec<u32> = mapped
-            .scan_topk_masked(&qvec, kmax.min(mapped.len()), None)
-            .0
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect();
+        let k = kmax.min(mapped.len());
+        let (hits, _) = match w_sq {
+            None => mapped.scan_topk_masked(&qvec, k, None),
+            Some(w_sq) => mapped.scan_topk_with_masked(&qvec, k, w_sq, None),
+        };
+        let approx: Vec<u32> = hits.into_iter().map(|(id, _)| id).collect();
         let t_all = t0.elapsed();
         match_total += t_match;
         query_total += t_all;

@@ -1,17 +1,18 @@
 //! One function per paper figure. Each prints the measured table/series
 //! corresponding to the figure, with the same relative-to-benchmark
-//! normalization §6 uses. EXPERIMENTS.md records a captured run next to
-//! the paper's reported shapes.
+//! normalization §6 uses. No captured run is committed yet: ROADMAP
+//! item 1 (a gated `BENCH_repro.json`) is where one would live.
 
 use std::time::Instant;
 
-use gdim_core::{correlation_score, dspm, DspmConfig, FingerprintIndex, MappedDatabase, Mapping};
+use gdim_core::query::weighted_w_sq;
+use gdim_core::{correlation_score, dspm, DspmConfig, FingerprintIndex, MappedDatabase};
 use gdim_datagen::SynthConfig;
 use gdim_graph::{delta as graph_delta, Dissimilarity, McsOptions};
 
 use crate::algo::{dspmap_select, Algo};
 use crate::context::{exact_rankings, prepare, Context, Dataset};
-use crate::eval::{evaluate_rankings, evaluate_selection};
+use crate::eval::{evaluate_mapped, evaluate_rankings, evaluate_selection};
 use crate::scale::Scale;
 use crate::table::{dur, f3, Table};
 
@@ -27,10 +28,8 @@ pub fn fig1(ctx: &Context) {
 
     let sel_dspm = dspm(space, delta, &DspmConfig::new(p)).selected;
     let sel_orig: Vec<u32> = (0..space.num_features() as u32).collect();
-    let md_dspm =
-        MappedDatabase::new(space, &sel_dspm, Mapping::Binary).expect("dspm selection in range");
-    let md_orig =
-        MappedDatabase::new(space, &sel_orig, Mapping::Binary).expect("full selection in range");
+    let md_dspm = MappedDatabase::new(space, &sel_dspm).expect("dspm selection in range");
+    let md_orig = MappedDatabase::new(space, &sel_orig).expect("full selection in range");
 
     let bins = 10usize;
     let hist = |vals: &[f64]| -> Vec<f64> {
@@ -130,7 +129,7 @@ pub fn fig2(ctx: &Context) {
     t.print();
     println!(
         "shape check: the paper reports DSPM well below Sample; on this generator DSPM \
-         converges toward Sample's level from above (see EXPERIMENTS.md, Fig 2 analysis)\n"
+         converges toward Sample's level from above\n"
     );
 }
 
@@ -400,10 +399,8 @@ pub fn fig7(ctx: &Context) {
 
     let sel_dspm = dspm(space, delta, &DspmConfig::new(p)).selected;
     let sel_orig: Vec<u32> = (0..space.num_features() as u32).collect();
-    let md_dspm =
-        MappedDatabase::new(space, &sel_dspm, Mapping::Binary).expect("dspm selection in range");
-    let md_orig =
-        MappedDatabase::new(space, &sel_orig, Mapping::Binary).expect("full selection in range");
+    let md_dspm = MappedDatabase::new(space, &sel_dspm).expect("dspm selection in range");
+    let md_orig = MappedDatabase::new(space, &sel_orig).expect("full selection in range");
 
     // Bin queries by vertex count, as the paper does (10-12 .. 18-20).
     let bins: [(usize, usize); 5] = [(10, 12), (12, 14), (14, 16), (16, 18), (18, 20)];
@@ -558,8 +555,7 @@ pub fn fig9(ctx: &Context) {
         let sample_eval = evaluate_selection(space, &sample_sel, queries, truth.as_slice(), &[k]);
 
         // Mapped vs exact query time.
-        let md = MappedDatabase::new(space, &map_sel, Mapping::Binary)
-            .expect("dspmap selection in range");
+        let md = MappedDatabase::new(space, &map_sel).expect("dspmap selection in range");
         let t0 = Instant::now();
         for q in queries {
             let v = md.map_query(q);
@@ -608,12 +604,10 @@ pub fn ablation(ctx: &Context) {
     let p = ctx.scale.default_p().min(space.num_features());
 
     let res = dspm(space, delta, &DspmConfig::new(p));
-    let binary = MappedDatabase::new(space, &res.selected, Mapping::Binary)
-        .expect("dspm selection in range");
-    let weighted = MappedDatabase::new(space, &res.selected, Mapping::Weighted(&res.weights))
-        .expect("dspm weights cover the space");
-    let eb = crate::eval::evaluate_mapped(&binary, queries, truth, &ks);
-    let ew = crate::eval::evaluate_mapped(&weighted, queries, truth, &ks);
+    let mapped = MappedDatabase::new(space, &res.selected).expect("dspm selection in range");
+    let w_sq = weighted_w_sq(&res.selected, &res.weights);
+    let eb = evaluate_mapped(&mapped, None, queries, truth, &ks);
+    let ew = evaluate_mapped(&mapped, Some(&w_sq), queries, truth, &ks);
     println!("-- binary (paper) vs weighted mapping: precision --");
     let mut t = Table::new(
         &{

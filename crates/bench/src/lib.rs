@@ -11,9 +11,9 @@
 //! behind the corresponding paper figure. `--scale full` switches from
 //! the fast defaults to paper-scale workloads.
 //!
-//! The Criterion benches under `benches/` cover the microbenchmark
-//! surface (MCS, VF2, gSpan, DSPM phases, query path, DSPMap) and the
-//! ablations called out in DESIGN.md.
+//! The four `*_baseline` binaries record and gate the committed
+//! `BENCH_*.json` perf snapshots (scan + mapping, ANN, WAL + publish,
+//! serving).
 
 pub mod algo;
 pub mod context;

@@ -1,8 +1,7 @@
-//! Shared workload of the scan microbenchmarks: the synthetic vector
-//! stores and the naive full-sort baseline used by **both**
-//! `benches/scan.rs` (criterion) and the `scan_baseline` binary (which
-//! records the committed `BENCH_scan.json` snapshot) — one definition,
-//! so the two measurements can never drift apart.
+//! Shared workload of the scan gates: the synthetic vector stores and
+//! the naive full-sort baseline used by the `scan_baseline` binary
+//! (which records the committed `BENCH_scan.json` snapshot) and by
+//! `ann_baseline`.
 
 use gdim_core::scan::{ScanPlan, ScanStats, VectorStore};
 use gdim_core::{Bitset, ExecConfig};

@@ -34,13 +34,6 @@ impl Bitset {
         Bitset { len, words }
     }
 
-    /// Number of backing words (`len.div_ceil(64)`), the row stride of
-    /// a word-matrix layout over same-length vectors.
-    #[inline]
-    pub fn word_len(&self) -> usize {
-        self.words.len()
-    }
-
     /// Number of bits.
     #[inline]
     pub fn len(&self) -> usize {
@@ -227,7 +220,7 @@ mod tests {
         for i in [0, 63, 64, 129] {
             b.set(i);
         }
-        assert_eq!(b.word_len(), 3);
+        assert_eq!(b.words().len(), 3);
         let rebuilt = Bitset::from_words(b.words().to_vec(), 130);
         assert_eq!(rebuilt, b);
         // Garbage above `len` in the last word is cleared.

@@ -77,13 +77,6 @@ impl DeltaMatrix {
         DeltaMatrix { n, vals }
     }
 
-    /// Builds a matrix from precomputed condensed values (row-major upper
-    /// triangle, rows `i` holding pairs `(i, i+1..n)`).
-    pub fn from_condensed(n: usize, vals: Vec<f64>) -> Self {
-        assert_eq!(vals.len(), n * (n.max(1) - 1) / 2);
-        DeltaMatrix { n, vals }
-    }
-
     #[inline]
     fn row_start(n: usize, i: usize) -> usize {
         // Σ_{r<i} (n−1−r) = i·n − i(i+1)/2 − i... expanded directly:

@@ -1,7 +1,8 @@
 //! The feature space `F` of §4–5: mined features, the binary matrix
 //! `[y_ir]` as bitset rows, and the two inverted lists of §5.1.2 —
 //! `IF_r` (graphs containing feature `f_r`) and `IG_i` (features
-//! contained in graph `g_i`).
+//! contained in graph `g_i`: row `y_i` read as a set, which is how
+//! DSPM walks it).
 //!
 //! **Unseen graphs** (queries, online inserts) are mapped onto a
 //! feature set by one search, [`CodeTree::map_query`]. The features
@@ -612,8 +613,6 @@ pub struct FeatureSpace {
     features: Vec<Feature>,
     /// `rows[i]` = bitset of features contained in graph `i` (binary `y_i`).
     rows: Vec<Bitset>,
-    /// `IG_i`: sorted feature ids contained in graph `i`.
-    ig: Vec<Vec<u32>>,
 }
 
 impl FeatureSpace {
@@ -621,18 +620,15 @@ impl FeatureSpace {
     /// `IF_r` directly — no isomorphism tests are repeated).
     pub fn build(n_graphs: usize, features: Vec<Feature>) -> Self {
         let mut rows = vec![Bitset::zeros(features.len()); n_graphs];
-        let mut ig = vec![Vec::new(); n_graphs];
         for (r, f) in features.iter().enumerate() {
             for &gid in &f.support {
                 rows[gid as usize].set(r);
-                ig[gid as usize].push(r as u32);
             }
         }
         FeatureSpace {
             n_graphs,
             features,
             rows,
-            ig,
         }
     }
 
@@ -664,12 +660,6 @@ impl FeatureSpace {
     #[inline]
     pub fn if_list(&self, r: usize) -> &[u32] {
         &self.features[r].support
-    }
-
-    /// Inverted list `IG_i` (sorted feature ids contained in graph `i`).
-    #[inline]
-    pub fn ig_list(&self, i: usize) -> &[u32] {
-        &self.ig[i]
     }
 
     /// `|sup(f_r)|`.
@@ -741,12 +731,14 @@ mod tests {
         for r in 0..s.num_features() {
             for &gid in s.if_list(r) {
                 assert!(s.row(gid as usize).get(r));
-                assert!(s.ig_list(gid as usize).contains(&(r as u32)));
             }
         }
-        for i in 0..s.num_graphs() {
-            assert_eq!(s.row(i).count_ones() as usize, s.ig_list(i).len());
-        }
+        // ... and the rows hold nothing else: as many bits as supports.
+        let bits: usize = (0..s.num_graphs())
+            .map(|i| s.row(i).count_ones() as usize)
+            .sum();
+        let supports: usize = (0..s.num_features()).map(|r| s.if_list(r).len()).sum();
+        assert_eq!(bits, supports);
     }
 
     #[test]

@@ -1,13 +1,20 @@
-//! High-level index API: the one-type entry point a downstream
-//! application uses. [`GraphIndex::build`] runs the whole paper
-//! pipeline (gSpan mining → δ matrix or DSPMap blocks → dimension
-//! selection → mapped database) behind a single builder. The built
-//! index is a **serving surface**: it answers typed
+//! The built index: one selected dimension set, the binary vectors of
+//! the graphs it holds, and the graphs themselves.
+//! [`GraphIndex::build`] runs the whole paper pipeline (gSpan mining →
+//! δ matrix or DSPMap blocks → dimension selection → mapped database)
+//! behind a single builder. The built index answers typed
 //! [`SearchRequest`](crate::search::SearchRequest)s through
 //! [`GraphIndex::search`] / [`GraphIndex::search_batch`] (see
 //! [`crate::search`] for the ranker spectrum), and it persists to a
 //! versioned binary format ([`GraphIndex::save`] / [`GraphIndex::load`])
 //! so a server builds once and serves from disk.
+//!
+//! A `GraphIndex` is also exactly what one **shard** of `gdim-shard`'s
+//! `ShardedIndex` is (a one-shard `ShardedIndex` answers bit-identically
+//! to the bare index), and that is where a long-lived service holds it:
+//! the sharded index owns the lifecycle — rebuilds, background
+//! installs, the refusal of a snapshot that missed later writes — and
+//! this type supplies the parts of it that are per shard.
 //!
 //! ```
 //! use gdim_core::index::{GraphIndex, IndexOptions};
@@ -27,29 +34,29 @@
 //!
 //! # Live updates
 //!
-//! The index is **dynamic**: the database may change while queries are
-//! in flight.
+//! The index is **dynamic**: rows come and go between builds.
 //!
 //! * [`GraphIndex::insert`] maps the new graph against the *existing*
-//!   feature space (containment-DAG-pruned VF2, no re-mining) and
-//!   appends its vector to the scan store in place.
+//!   feature space (one code-tree search, no re-mining) and appends
+//!   its vector to the scan store in place.
 //! * [`GraphIndex::remove`] tombstones an entry — ids stay stable, and
 //!   every ranker skips dead rows.
-//! * Both leave the selected dimensions slightly stale; once the
-//!   configured [`RebuildPolicy`] is exceeded ([`GraphIndex::is_stale`])
-//!   a **full re-mine/re-select** over the live graphs restores batch
-//!   quality: synchronously via [`GraphIndex::rebuild`], or off-thread
-//!   via [`GraphIndex::spawn_rebuild`] + [`GraphIndex::install`]
-//!   (cancellable, and installation refuses a snapshot that missed
-//!   later mutations). Each installed rebuild bumps
-//!   [`GraphIndex::epoch`]; a query always answers against exactly one
-//!   epoch and reports it in its stats.
+//! * Both leave the index slightly stale: dead rows still cost a scan
+//!   step, and features the new graphs would have made frequent stay
+//!   invisible. [`GraphIndex::is_stale`] says when the configured
+//!   [`RebuildPolicy`] is exceeded; acting on it is the owner's job. A
+//!   `ShardedIndex` compacts the stale shard against the retained
+//!   selection, or re-runs [`GraphIndex::build`] over the live graphs
+//!   (re-mine, re-select, re-split) and swaps the result in; either
+//!   way the replacement carries the next [`GraphIndex::epoch`], and a
+//!   query answers against exactly one epoch and reports it in its
+//!   stats.
 
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use gdim_exec::{BackgroundTask, CancelToken, ExecConfig};
+use gdim_exec::{CancelToken, ExecConfig};
 use gdim_graph::{Dissimilarity, Graph};
 use gdim_mining::{mine, MinerConfig, Support};
 
@@ -60,7 +67,7 @@ use crate::dspm::{dspm, DspmConfig};
 use crate::dspmap::{dspmap, DspmapConfig};
 use crate::error::GdimError;
 use crate::featurespace::{CodeTree, CodeTreeCell, FeatureSpace};
-use crate::query::{weighted_w_sq, MappedDatabase, Mapping};
+use crate::query::{weighted_w_sq, MappedDatabase};
 use crate::scan::Tombstones;
 use crate::search::GraphId;
 
@@ -85,8 +92,7 @@ pub enum SelectionStrategy {
 }
 
 /// Staleness policy of a dynamic index: how much online churn is
-/// tolerated before [`GraphIndex::is_stale`] asks for a full
-/// re-mine/re-select rebuild.
+/// tolerated before [`GraphIndex::is_stale`] asks for a rebuild.
 ///
 /// Inserts are served from the *existing* feature space (features the
 /// new graphs would have made frequent are invisible until a rebuild)
@@ -221,9 +227,9 @@ pub struct IndexStats {
 /// not O(rows × allocations):
 ///
 /// * **shared** (an `Arc` bump, never copied again): everything that is
-///   immutable after a build or install — the build-time
+///   immutable after a build — the build-time
 ///   [`FeatureSpace`], the selected features of the [`MappedDatabase`],
-///   both containment-DAG cells, the ANN graph once built — and every
+///   both code-tree cells, the ANN graph once built — and every
 ///   *sealed chunk* of the two append-only row containers that own heap
 ///   memory per row (the graphs; the full-space feature rows of graphs
 ///   inserted online);
@@ -245,7 +251,7 @@ pub struct IndexStats {
 pub struct GraphIndex {
     /// The graphs, row `i` = graph id `i` (append-only, chunk-shared).
     db: ChunkedVec<Graph>,
-    /// The feature space **as built** (or installed, or loaded): its
+    /// The feature space **as built** (or loaded): its
     /// rows and supports cover the first `space.num_graphs()` rows and
     /// never change afterwards.
     space: Arc<FeatureSpace>,
@@ -260,12 +266,14 @@ pub struct GraphIndex {
     /// Normalized squared per-dimension weights for
     /// [`MappingKind::Weighted`](crate::query::MappingKind::Weighted) requests, derived from `weights`.
     w_sq_weighted: Vec<f64>,
-    /// The full build configuration. Rebuilds re-run the identical
-    /// pipeline from it; its δ part drives every exact re-ranking.
+    /// The full build configuration. The owner's rebuild re-runs the
+    /// identical pipeline from it; its δ part drives every exact
+    /// re-ranking.
     opts: IndexOptions,
     stats: IndexStats,
-    /// Rebuild generation: 0 for a fresh build, +1 per installed
-    /// rebuild. A request is answered entirely within one epoch and
+    /// Rebuild generation: 0 for a fresh build, otherwise what
+    /// [`GraphIndex::from_parts`] was handed (a shard's owner counts
+    /// its rebuilds). A request is answered entirely within one epoch and
     /// reports it in [`SearchStats::epoch`](crate::search::SearchStats::epoch).
     epoch: u64,
     /// Liveness of every row; removed graphs stay addressable (ids are
@@ -274,9 +282,6 @@ pub struct GraphIndex {
     /// Inserts accumulated since the last rebuild (one half of the
     /// [`RebuildPolicy`] staleness test).
     inserts_since_rebuild: usize,
-    /// Monotone mutation counter (inserts + removes), the freshness
-    /// basis for background rebuild snapshots.
-    mutations: u64,
     /// Code tree over the **full** feature space, mapping the graphs
     /// of [`GraphIndex::insert`]. Lazy after a build (the miner's
     /// codes need no checking); filled by [`GraphIndex::from_parts`],
@@ -289,8 +294,8 @@ pub struct GraphIndex {
     /// built lazily over the scan store on the first approximate query
     /// (or restored from a v3 snapshot). Derived state: rows inserted
     /// after the build are served from an exact-scanned pending tail,
-    /// and an installed rebuild drops it (the fresh index starts with
-    /// an empty cell), so it can never serve rows of a dead epoch. The
+    /// and a rebuilt index starts with an empty cell, so the graph can
+    /// never serve rows of a dead epoch. The
     /// cell is per clone (a graph built over `n` rows must not appear in
     /// an older snapshot holding fewer); the built graph is shared.
     ann: OnceLock<Arc<crate::ann::AnnIndex>>,
@@ -305,7 +310,6 @@ impl std::fmt::Debug for GraphIndex {
             .field("features", &self.space.num_features())
             .field("dimensions", &self.selected.len())
             .field("dissimilarity", &self.opts.delta.kind)
-            .field("mapping", &self.mapped.kind())
             .finish_non_exhaustive()
     }
 }
@@ -322,7 +326,7 @@ impl GraphIndex {
     /// the pipeline's phase boundaries (before mining, before
     /// δ/selection, before mapping): returns `None` once `cancel` is
     /// observed, discarding the partial work. This is the job a
-    /// background rebuild runs ([`GraphIndex::spawn_rebuild`]).
+    /// background rebuild runs.
     pub fn build_cancellable(
         db: Vec<Graph>,
         opts: IndexOptions,
@@ -336,8 +340,7 @@ impl GraphIndex {
         if db.is_empty() {
             // An empty database still yields a servable (empty) index.
             let space = FeatureSpace::build(0, Vec::new());
-            let mapped =
-                MappedDatabase::new(&space, &[], Mapping::Binary).expect("empty mapping is valid");
+            let mapped = MappedDatabase::new(&space, &[]).expect("empty mapping is valid");
             return Some(Self::assemble(
                 db,
                 space,
@@ -420,7 +423,7 @@ impl GraphIndex {
             return None;
         }
 
-        let mapped = MappedDatabase::new(&space, &selected, Mapping::Binary)
+        let mapped = MappedDatabase::new(&space, &selected)
             .expect("selected dimensions come from the space itself");
         // Warm the lazy code tree now: a serving index builds it at
         // build time, not on its first query.
@@ -465,7 +468,6 @@ impl GraphIndex {
             epoch: 0,
             tombstones,
             inserts_since_rebuild: 0,
-            mutations: 0,
             full_mapper: Arc::default(),
             ann: OnceLock::new(),
         }
@@ -528,7 +530,7 @@ impl GraphIndex {
         // Mapping trusts the codes; building the tree checks them.
         let full_mapper = CodeTree::build(&features)?;
         let space = FeatureSpace::build(db.len(), features);
-        let mapped = MappedDatabase::new(&space, &selected, Mapping::Binary)?;
+        let mapped = MappedDatabase::new(&space, &selected)?;
         if weights.len() != space.num_features() {
             return Err(GdimError::WeightsMismatch {
                 expected: space.num_features(),
@@ -602,7 +604,7 @@ impl GraphIndex {
 
     /// The underlying feature space (all mined features) **as built**:
     /// its rows and inverted lists cover the graphs the index was
-    /// built, installed or loaded with. Graphs inserted online since
+    /// built or loaded with. Graphs inserted online since
     /// are recorded beside it ([`GraphIndex::inserted_row`]);
     /// [`GraphIndex::supports`] is the view over both.
     pub fn feature_space(&self) -> &FeatureSpace {
@@ -694,16 +696,6 @@ impl GraphIndex {
         self.opts.delta.exec = exec;
     }
 
-    /// The staleness policy for online updates.
-    pub fn rebuild_policy(&self) -> &RebuildPolicy {
-        &self.opts.rebuild
-    }
-
-    /// Replaces the staleness policy.
-    pub fn set_rebuild_policy(&mut self, rebuild: RebuildPolicy) {
-        self.opts.rebuild = rebuild;
-    }
-
     /// Normalized squared per-dimension weights serving
     /// [`MappingKind::Weighted`](crate::query::MappingKind::Weighted)
     /// requests (derived from [`GraphIndex::weights`] over the selected
@@ -718,8 +710,8 @@ impl GraphIndex {
     /// ([`Ranker::Approx`](crate::search::Ranker::Approx)), building
     /// it on first use with [`AnnParams::default`](crate::ann::AnnParams::default). Derived state,
     /// like the scan store itself: deterministic from the store, never
-    /// required for correctness of the exact rankers, dropped by an
-    /// installed rebuild. Call this to warm the graph ahead of serving
+    /// required for correctness of the exact rankers, absent from a
+    /// rebuilt index. Call this to warm the graph ahead of serving
     /// traffic (the build is O(n·ef_construction) distance
     /// evaluations).
     pub fn ann(&self) -> &crate::ann::AnnIndex {
@@ -816,14 +808,14 @@ impl GraphIndex {
         (ranking, stats)
     }
 
-    /// Maps a query graph onto the index's dimensions (containment-DAG
-    /// pruned; see [`MappedDatabase::map_query`]).
+    /// Maps a query graph onto the index's dimensions (one code-tree
+    /// search; see [`MappedDatabase::map_query`]).
     pub fn map_query(&self, q: &Graph) -> Bitset {
         self.mapped.map_query(q)
     }
 
-    /// [`GraphIndex::map_query`] plus the pruning counters — how many
-    /// VF2 feature tests ran versus were skipped.
+    /// [`GraphIndex::map_query`] plus the search's counters — how many
+    /// dimensions were tested, how many pruned, in how many steps.
     pub fn map_query_with_stats(&self, q: &Graph) -> (Bitset, crate::featurespace::MatchStats) {
         self.mapped.map_query_with_stats(q)
     }
@@ -859,8 +851,9 @@ impl GraphIndex {
 
     // ------------------------------------------------- live updates
 
-    /// The index's rebuild generation: 0 for a fresh build, +1 for
-    /// every installed rebuild. Any single request is answered against
+    /// The index's rebuild generation: 0 for a fresh build, the value
+    /// its owner assembled it with otherwise
+    /// ([`GraphIndex::from_parts`]). Any single request is answered against
     /// exactly one epoch (a search holds the index borrowed for its
     /// whole duration) and reports it in
     /// [`SearchStats::epoch`](crate::search::SearchStats::epoch).
@@ -908,9 +901,8 @@ impl GraphIndex {
     ///
     /// The selected dimensions themselves are *not* revisited:
     /// features the new graph would have made frequent stay invisible
-    /// until the next [`GraphIndex::rebuild`] /
-    /// [`GraphIndex::install`]. Use [`GraphIndex::is_stale`] to decide
-    /// when the accumulated drift (per [`RebuildPolicy`]) warrants one.
+    /// until the owner rebuilds. Use [`GraphIndex::is_stale`] to decide
+    /// when the accumulated drift (per [`RebuildPolicy`]) warrants it.
     pub fn insert(&mut self, g: Graph) -> GraphId {
         let full_row = self.full_mapper().map_query(&g).0;
         let id = self.db.len() as u32;
@@ -925,7 +917,6 @@ impl GraphIndex {
         self.db.push(g);
         self.tombstones.push_live();
         self.inserts_since_rebuild += 1;
-        self.mutations += 1;
         GraphId(id)
     }
 
@@ -945,11 +936,7 @@ impl GraphIndex {
                 len: self.db.len(),
             });
         }
-        let newly = self.tombstones.mark_dead(i);
-        if newly {
-            self.mutations += 1;
-        }
-        Ok(newly)
+        Ok(self.tombstones.mark_dead(i))
     }
 
     /// Whether accumulated churn exceeds the [`RebuildPolicy`]: at
@@ -960,128 +947,6 @@ impl GraphIndex {
         let policy = &self.opts.rebuild;
         (self.inserts_since_rebuild > 0 && self.inserts_since_rebuild >= policy.max_inserts)
             || self.tombstones.dead_fraction() > policy.max_tombstone_frac
-    }
-
-    /// Clones of the live (non-tombstoned) graphs, in id order — the
-    /// database a rebuild runs over.
-    pub fn live_graphs(&self) -> Vec<Graph> {
-        self.db
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| !self.tombstones.is_dead(i))
-            .map(|(_, g)| g.clone())
-            .collect()
-    }
-
-    /// Synchronous full rebuild: re-runs the entire pipeline
-    /// (re-mine → re-select → re-map) over the live graphs with the
-    /// retained [`IndexOptions`], compacting tombstones away, and
-    /// swaps the result in. The epoch advances by one; the rebuilt
-    /// index is **bit-identical** to [`GraphIndex::build`] over
-    /// [`GraphIndex::live_graphs`] (tombstoned graphs drop out, later
-    /// ids shift down).
-    pub fn rebuild(&mut self) {
-        let fresh = GraphIndex::build(self.live_graphs(), self.opts.clone());
-        self.install_fresh(fresh);
-    }
-
-    /// [`GraphIndex::rebuild`], but only when [`GraphIndex::is_stale`];
-    /// returns whether a rebuild ran.
-    pub fn rebuild_if_stale(&mut self) -> bool {
-        if self.is_stale() {
-            self.rebuild();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Starts a full rebuild on a background thread (one
-    /// [`BackgroundTask`] from `gdim-exec`) over a snapshot of the
-    /// live graphs, leaving `self` free to keep serving — and mutating
-    /// — meanwhile. Cancellation ([`RebuildTask::cancel`], or dropping
-    /// the handle) is observed at the pipeline's phase boundaries.
-    /// Pass the handle back to [`GraphIndex::install`] to swap the
-    /// result in.
-    pub fn spawn_rebuild(&self) -> RebuildTask {
-        let graphs = self.live_graphs();
-        let opts = self.opts.clone();
-        RebuildTask {
-            task: BackgroundTask::spawn(move |token| {
-                GraphIndex::build_cancellable(graphs, opts, token)
-            }),
-            basis: self.mutations,
-        }
-    }
-
-    /// Waits for a [`GraphIndex::spawn_rebuild`] job and atomically
-    /// swaps its result in (the caller's `&mut` exclusivity *is* the
-    /// atomicity: no concurrent reader can observe a half-installed
-    /// index). The epoch advances by one.
-    ///
-    /// Returns `Ok(true)` when installed, `Ok(false)` when the job
-    /// observed cancellation (the index is unchanged), and
-    /// [`GdimError::StaleRebuild`] when inserts/removes landed after
-    /// the snapshot was taken — installing it would silently drop
-    /// them, so the caller should spawn a fresh rebuild instead.
-    ///
-    /// A task must be installed on the index that spawned it; a task
-    /// from another index is rejected as stale too (the mutation
-    /// bases cannot agree except by coincidence).
-    pub fn install(&mut self, task: RebuildTask) -> Result<bool, GdimError> {
-        if self.mutations != task.basis {
-            // The snapshot is stale; stop the worker and report.
-            // `abs_diff`: a foreign task's basis may exceed ours.
-            task.cancel();
-            return Err(GdimError::StaleRebuild {
-                missed: self.mutations.abs_diff(task.basis),
-            });
-        }
-        match task.task.join() {
-            None => Ok(false),
-            Some(fresh) => {
-                self.install_fresh(fresh);
-                Ok(true)
-            }
-        }
-    }
-
-    /// Swaps a freshly built index in, preserving the epoch chain, the
-    /// mutation basis, and the serving-side knobs: the exec budget and
-    /// the rebuild policy belong to the serving machine, not to the
-    /// snapshot ([`GraphIndex::set_exec`] / [`GraphIndex::set_rebuild_policy`]
-    /// calls made while a background rebuild ran must survive its
-    /// installation).
-    fn install_fresh(&mut self, mut fresh: GraphIndex) {
-        fresh.epoch = self.epoch + 1;
-        fresh.mutations = self.mutations;
-        fresh.opts.delta.exec = self.opts.delta.exec;
-        fresh.opts.rebuild = self.opts.rebuild;
-        *self = fresh;
-    }
-}
-
-/// Handle to an in-flight background rebuild (see
-/// [`GraphIndex::spawn_rebuild`]).
-#[derive(Debug)]
-pub struct RebuildTask {
-    task: BackgroundTask<GraphIndex>,
-    /// Mutation count of the index when the snapshot was taken.
-    basis: u64,
-}
-
-impl RebuildTask {
-    /// Requests cooperative cancellation; the rebuild stops at its
-    /// next pipeline phase boundary and [`GraphIndex::install`]
-    /// returns `Ok(false)`.
-    pub fn cancel(&self) {
-        self.task.cancel();
-    }
-
-    /// Non-blocking: whether the background build has ended (finished
-    /// or cancelled).
-    pub fn is_finished(&self) -> bool {
-        self.task.is_finished()
     }
 }
 
@@ -1181,7 +1046,7 @@ mod tests {
     }
 
     #[test]
-    fn a_cloned_index_shares_both_containment_dags() {
+    fn a_cloned_index_shares_both_code_trees() {
         // Copy-on-write publishing clones the index per write: what is
         // immutable (feature space, selected features, code trees, the built
         // ANN) and every sealed row chunk must be shared, not copied.
@@ -1345,100 +1210,6 @@ mod tests {
             Err(GdimError::GraphOutOfRange { id: 99, len: 10 }) => {}
             other => panic!("expected GraphOutOfRange, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn staleness_policy_triggers_and_rebuild_clears_it() {
-        let policy = RebuildPolicy {
-            max_inserts: 2,
-            max_tombstone_frac: 0.3,
-        };
-        let mut index = GraphIndex::build(
-            db(12, 35),
-            IndexOptions::default()
-                .with_dimensions(15)
-                .with_rebuild_policy(policy),
-        );
-        assert!(!index.is_stale());
-        let extra = db(2, 78);
-        index.insert(extra[0].clone());
-        assert!(!index.is_stale());
-        index.insert(extra[1].clone());
-        assert!(index.is_stale(), "2 inserts reach max_inserts");
-        assert_eq!(index.epoch(), 0);
-        assert!(index.rebuild_if_stale());
-        assert_eq!(index.epoch(), 1);
-        assert!(!index.is_stale());
-        assert_eq!(index.pending_inserts(), 0);
-        assert_eq!(index.len(), 14);
-        // Tombstone fraction: 5 of 14 dead (0.357 > 0.3) flips staleness.
-        for i in 0..5u32 {
-            index.remove(crate::search::GraphId(i)).unwrap();
-            assert_eq!(index.is_stale(), i == 4, "after removing {}", i + 1);
-        }
-        index.rebuild();
-        assert_eq!(index.epoch(), 2);
-        assert_eq!(index.len(), 9);
-        assert_eq!(index.tombstone_count(), 0);
-    }
-
-    #[test]
-    fn background_rebuild_installs_or_reports_staleness() {
-        let mut index = GraphIndex::build(db(10, 37), IndexOptions::default().with_dimensions(12));
-        let extra = db(2, 79);
-        index.insert(extra[0].clone());
-
-        // A mutation after the snapshot makes installation refuse.
-        let task = index.spawn_rebuild();
-        index.insert(extra[1].clone());
-        match index.install(task) {
-            Err(GdimError::StaleRebuild { missed: 1 }) => {}
-            other => panic!("expected StaleRebuild, got {other:?}"),
-        }
-        assert_eq!(index.epoch(), 0, "nothing installed");
-
-        // A quiet index installs the snapshot and bumps the epoch.
-        let task = index.spawn_rebuild();
-        assert!(index.install(task).unwrap());
-        assert_eq!(index.epoch(), 1);
-        assert_eq!(index.pending_inserts(), 0);
-        // The installed index equals a synchronous rebuild's answers.
-        let q = index.graph(3).unwrap().clone();
-        let resp = index.search(&q, &SearchRequest::new(3)).unwrap();
-        assert_eq!(resp.hits[0].id.get(), 3);
-        assert_eq!(resp.stats.epoch, 1);
-
-        // Cancellation before the build starts yields Ok(false).
-        let task = index.spawn_rebuild();
-        task.cancel();
-        let installed = index.install(task).unwrap();
-        if installed {
-            // The race is legal: the build may already have passed its
-            // first poll. Either way the index stays consistent.
-            assert_eq!(index.epoch(), 2);
-        } else {
-            assert_eq!(index.epoch(), 1);
-        }
-    }
-
-    #[test]
-    fn serving_knobs_survive_a_background_install() {
-        // set_exec / set_rebuild_policy are serving-machine knobs, not
-        // snapshot state: changing them while a rebuild runs must not
-        // be reverted by installing it (they also do not count as
-        // mutations, so the install is not refused).
-        let mut index = GraphIndex::build(db(8, 39), IndexOptions::default().with_dimensions(10));
-        let task = index.spawn_rebuild();
-        index.set_exec(ExecConfig::new(5));
-        let policy = RebuildPolicy {
-            max_inserts: 3,
-            max_tombstone_frac: 0.9,
-        };
-        index.set_rebuild_policy(policy);
-        assert!(index.install(task).unwrap());
-        assert_eq!(index.epoch(), 1);
-        assert_eq!(index.exec().threads, 5);
-        assert_eq!(index.rebuild_policy(), &policy);
     }
 
     #[test]

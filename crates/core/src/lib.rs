@@ -40,7 +40,7 @@
 //! let space = FeatureSpace::build(db.len(), features);
 //! let delta = DeltaMatrix::compute(&db, &DeltaConfig::default());
 //! let result = dspm(&space, &delta, &DspmConfig::new(32));
-//! let mapped = MappedDatabase::new(&space, &result.selected, Mapping::Binary).unwrap();
+//! let mapped = MappedDatabase::new(&space, &result.selected).unwrap();
 //! let (hits, _) = mapped.scan_topk_masked(&mapped.map_query(&db[0]), 5, None);
 //! assert_eq!(hits[0].0, 0); // the graph itself is its own best match
 //! ```
@@ -51,7 +51,6 @@
 pub use gdim_exec as exec;
 
 pub mod ann;
-pub mod applications;
 pub mod bitset;
 pub mod chunked;
 pub mod correlation;
@@ -71,7 +70,6 @@ pub mod search;
 /// One-stop imports for downstream users.
 pub mod prelude {
     pub use crate::ann::{AnnIndex, AnnParams, AnnScanStats};
-    pub use crate::applications::{cluster_mapped, ContainmentFilter};
     pub use crate::bitset::Bitset;
     pub use crate::correlation::{correlation_score, jaccard};
     pub use crate::delta::{DeltaConfig, DeltaMatrix, SharedDelta};
@@ -80,12 +78,10 @@ pub mod prelude {
     pub use crate::error::GdimError;
     pub use crate::featurespace::{CodeTree, FeatureSpace, MatchStats};
     pub use crate::fingerprint::{FingerprintIndex, FINGERPRINT_BITS};
-    pub use crate::index::{
-        GraphIndex, IndexOptions, RebuildPolicy, RebuildTask, SelectionStrategy,
-    };
+    pub use crate::index::{GraphIndex, IndexOptions, RebuildPolicy, SelectionStrategy};
     pub use crate::measures::{kendall_tau_topk, precision, rank_distance_inv};
     pub use crate::query::{
-        exact_ranking, exact_ranking_among, exact_topk, MappedDatabase, Mapping, MappingKind,
+        exact_ranking, exact_ranking_among, exact_topk, MappedDatabase, MappingKind,
     };
     pub use crate::scan::{
         available_kernels, selected_kernel, KernelKind, ScanPlan, ScanStats, Tombstones, TopK,

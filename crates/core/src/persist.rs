@@ -42,8 +42,8 @@
 //! The tail exists because the index is **dynamic**: removed graphs
 //! are persisted with their tombstone (ids must stay stable across a
 //! save/load), the epoch survives restarts, and the retained build
-//! options let a reloaded index [`rebuild`](GraphIndex::rebuild) with
-//! exactly the pipeline that produced it.
+//! options let the owner of a reloaded index rebuild it with exactly
+//! the pipeline that produced it.
 //!
 //! v3 is the only format read or written: a header stamped 1 or 2
 //! answers [`GdimError::UnsupportedVersion`] (nothing outside this
@@ -797,7 +797,7 @@ mod tests {
     fn dirty_index_roundtrips_tombstones_epoch_and_options() {
         let db = gdim_datagen::chem_db(14, &gdim_datagen::ChemConfig::default(), 19);
         let extra = gdim_datagen::chem_db(3, &gdim_datagen::ChemConfig::default(), 91);
-        let mut idx = GraphIndex::build(
+        let built = GraphIndex::build(
             db,
             IndexOptions::default()
                 .with_dimensions(18)
@@ -806,7 +806,19 @@ mod tests {
                     max_tombstone_frac: 0.5,
                 }),
         );
-        idx.rebuild(); // epoch 1, so a non-zero epoch is exercised
+        // Reassembled at epoch 1, so a non-zero epoch is exercised.
+        let mut idx = GraphIndex::from_parts(
+            built.graphs().cloned().collect(),
+            built.feature_space().features().to_vec(),
+            built.dimensions().to_vec(),
+            built.weights().to_vec(),
+            built.options().clone(),
+            built.stats().clone(),
+            1,
+            Tombstones::all_live(built.len()),
+            0,
+        )
+        .unwrap();
         for g in &extra {
             idx.insert(g.clone());
         }
@@ -818,7 +830,7 @@ mod tests {
         assert_eq!(back.pending_inserts(), 3);
         assert_eq!(back.tombstone_count(), 2);
         assert_eq!(back.tombstones().dead_ids(), vec![2, 15]);
-        assert_eq!(back.rebuild_policy().max_inserts, 7);
+        assert_eq!(back.options().rebuild.max_inserts, 7);
         assert_eq!(back.len(), idx.len());
         // Byte-stable re-encode, and identical answers — including for
         // a query that *is* an inserted graph.

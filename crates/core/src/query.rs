@@ -32,8 +32,7 @@ use crate::error::GdimError;
 use crate::featurespace::{CodeTree, CodeTreeCell, FeatureSpace, MatchStats};
 use crate::scan::{ScanPlan, ScanStats, Tombstones, VectorStore};
 
-/// How database graphs and queries are embedded over the selected
-/// features.
+/// Which distance a request ranks the binary vectors by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum MappingKind {
@@ -46,24 +45,13 @@ pub enum MappingKind {
     Weighted,
 }
 
-/// How to weight the selected dimensions when building a
-/// [`MappedDatabase`] — the argument of [`MappedDatabase::new`], which
-/// replaced the former panicking `build` / `build_weighted` pair.
-#[derive(Debug, Clone, Copy, Default)]
-pub enum Mapping<'a> {
-    /// The paper's binary φ: uniform per-dimension weight `1/p`.
-    #[default]
-    Binary,
-    /// The weighted ablation: per-dimension weights proportional to the
-    /// squared DSPM weight of each selected feature, normalized to sum
-    /// to 1. The slice must hold one weight per feature of the space.
-    Weighted(&'a [f64]),
-}
-
-/// Normalized squared per-dimension weights for the weighted mapping:
-/// `w_sq[col] ∝ weights[selected[col]]²`, summing to 1 (uniform `1/p`
-/// when every weight is zero).
-pub(crate) fn weighted_w_sq(selected: &[u32], weights: &[f64]) -> Vec<f64> {
+/// Normalized squared per-dimension weights for the weighted ablation
+/// ([`MappingKind::Weighted`]): `w_sq[col] ∝ weights[selected[col]]²`,
+/// summing to 1 (uniform `1/p` when every weight is zero). `weights`
+/// holds one DSPM weight per feature of the space; the result is what
+/// [`MappedDatabase::scan_topk_with_masked`] and
+/// [`MappedDatabase::ranking_with`] take.
+pub fn weighted_w_sq(selected: &[u32], weights: &[f64]) -> Vec<f64> {
     let p = selected.len();
     let raw: Vec<f64> = selected
         .iter()
@@ -80,10 +68,13 @@ pub(crate) fn weighted_w_sq(selected: &[u32], weights: &[f64]) -> Vec<f64> {
     }
 }
 
-/// The mapped multidimensional database `DM`: one vector per database
-/// graph over the `p` selected feature dimensions, stored as a flat
-/// row-major word matrix ([`VectorStore`]) so the sequential scan is
-/// one linear memory walk.
+/// The mapped multidimensional database `DM`: one **binary** vector
+/// (the paper's φ, §4) per database graph over the `p` selected feature
+/// dimensions, stored as a flat row-major word matrix ([`VectorStore`])
+/// so the sequential scan is one linear memory walk. The weighted
+/// ablation is a per-call distance over the same vectors
+/// ([`MappedDatabase::scan_topk_with_masked`]), never a second kind of
+/// database.
 ///
 /// `Clone` copies the flat store (16 B/row at `p = 128`) and shares the
 /// rest: the selected features and the code-tree cell sit behind
@@ -93,9 +84,6 @@ pub struct MappedDatabase {
     /// The selected features — immutable, shared by clones.
     features: Arc<[Feature]>,
     store: VectorStore,
-    /// Squared per-dimension weight; uniform `1/p` for [`MappingKind::Binary`].
-    w_sq: Vec<f64>,
-    kind: MappingKind,
     /// The prefix tree over `features`' DFS codes that maps queries.
     /// Built lazily on the first mapped query (derived and
     /// deterministic, so laziness is unobservable in answers). The
@@ -105,33 +93,16 @@ pub struct MappedDatabase {
 }
 
 impl MappedDatabase {
-    /// Builds the mapped database over the selected feature dimensions.
-    ///
-    /// Replaces the former `build` / `build_weighted` pair (which
-    /// asserted on a wrong [`MappingKind`]): the [`Mapping`] argument
-    /// selects the weighting, and invalid inputs surface as
-    /// [`GdimError`] instead of panicking — out-of-range dimension ids
-    /// as [`GdimError::DimensionOutOfRange`], a weight slice that does
-    /// not cover the space as [`GdimError::WeightsMismatch`].
-    pub fn new(
-        space: &FeatureSpace,
-        selected: &[u32],
-        mapping: Mapping<'_>,
-    ) -> Result<Self, GdimError> {
+    /// Builds the mapped database over the selected feature dimensions;
+    /// an out-of-range dimension id is
+    /// [`GdimError::DimensionOutOfRange`], not a panic.
+    pub fn new(space: &FeatureSpace, selected: &[u32]) -> Result<Self, GdimError> {
         let m = space.num_features();
         if let Some(&bad) = selected.iter().find(|&&r| r as usize >= m) {
             return Err(GdimError::DimensionOutOfRange {
                 id: bad,
                 num_features: m,
             });
-        }
-        if let Mapping::Weighted(w) = mapping {
-            if w.len() != m {
-                return Err(GdimError::WeightsMismatch {
-                    expected: m,
-                    got: w.len(),
-                });
-            }
         }
         let p = selected.len();
         let features: Arc<[Feature]> = selected
@@ -144,15 +115,9 @@ impl MappedDatabase {
                 store.set(gid as usize, col);
             }
         }
-        let (w_sq, kind) = match mapping {
-            Mapping::Binary => (vec![1.0 / p.max(1) as f64; p], MappingKind::Binary),
-            Mapping::Weighted(w) => (weighted_w_sq(selected, w), MappingKind::Weighted),
-        };
         Ok(MappedDatabase {
             features,
             store,
-            w_sq,
-            kind,
             mapper: Arc::default(),
         })
     }
@@ -173,12 +138,6 @@ impl MappedDatabase {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.store.is_empty()
-    }
-
-    /// The mapping kind in use.
-    #[inline]
-    pub fn kind(&self) -> MappingKind {
-        self.kind
     }
 
     /// The selected feature dimensions.
@@ -224,11 +183,13 @@ impl MappedDatabase {
     /// Appends one already-mapped vector (over this database's `p`
     /// selected dimensions) — the mapped-database half of an online
     /// insert. The per-feature support lists cloned into this value at
-    /// construction are **not** extended (the authoritative supports
-    /// live in the [`FeatureSpace`], which
-    /// [`GraphIndex::insert`](crate::index::GraphIndex::insert) does
-    /// update); the code tree depends only on the features' codes, so
-    /// query mapping is unaffected.
+    /// construction are **not** extended (the build-time
+    /// [`FeatureSpace`] does not move either:
+    /// [`GraphIndex::insert`](crate::index::GraphIndex::insert) stores
+    /// the new graph's full feature row beside it, and
+    /// [`GraphIndex::supports`](crate::index::GraphIndex::supports)
+    /// composes the two); the code tree depends only on the features'
+    /// codes, so query mapping is unaffected.
     ///
     /// # Panics
     /// If `row` does not cover exactly `p` dimensions.
@@ -265,44 +226,37 @@ impl MappedDatabase {
         bits
     }
 
-    /// Maps a batch of queries, fanning the per-query VF2 feature
-    /// matching out on the shared exec runtime. Output order matches
+    /// Maps a batch of queries, fanning the per-query code-tree
+    /// searches out on the shared exec runtime. Output order matches
     /// `queries`, identically for every thread budget.
     pub fn map_queries(&self, queries: &[Graph], exec: &ExecConfig) -> Vec<Bitset> {
         gdim_exec::map_tasks(exec, queries.len(), |i| self.map_query(&queries[i]))
     }
 
     /// Distance between two vectors in the mapped space: `√(h/p)` over
-    /// the integer XOR popcount for the binary mapping, the weighted
-    /// accumulation otherwise.
+    /// the integer XOR popcount.
     #[inline]
     pub fn distance(&self, a: &Bitset, b: &Bitset) -> f64 {
-        match self.kind {
-            MappingKind::Binary => (a.xor_count(b) as f64 / self.p().max(1) as f64).sqrt(),
-            MappingKind::Weighted => a.weighted_sq_xor(b, &self.w_sq).sqrt(),
-        }
+        (a.xor_count(b) as f64 / self.p().max(1) as f64).sqrt()
     }
 
     /// Distance from a query vector to database graph `i`.
     #[inline]
     pub fn distance_to(&self, qvec: &Bitset, i: usize) -> f64 {
-        match self.kind {
-            MappingKind::Binary => {
-                let h: u32 = qvec
-                    .words()
-                    .iter()
-                    .zip(self.store.row(i))
-                    .map(|(a, b)| (a ^ b).count_ones())
-                    .sum();
-                (h as f64 / self.p().max(1) as f64).sqrt()
-            }
-            MappingKind::Weighted => {
-                weighted_sq_xor_words(qvec.words(), self.store.row(i), &self.w_sq).sqrt()
-            }
-        }
+        (self.hamming_to(qvec, i) as f64 / self.p().max(1) as f64).sqrt()
     }
 
-    /// The bounded top-k scan under the database's own mapping: the
+    /// `|qvec ⊕ y_i|`, word by word — deliberately not the scan kernel,
+    /// which the reference paths below are compared against.
+    fn hamming_to(&self, qvec: &Bitset, i: usize) -> u32 {
+        qvec.words()
+            .iter()
+            .zip(self.store.row(i))
+            .map(|(a, b)| (a ^ b).count_ones())
+            .sum()
+    }
+
+    /// The bounded top-k scan under the binary distance: the
     /// `k` live database graphs closest to `qvec`, as `(graph id,
     /// distance)` ascending by `(distance, id)` — a deterministic
     /// tie-break, so batch and single-query paths agree for every
@@ -343,7 +297,7 @@ impl MappedDatabase {
     /// answered by one [`VectorStore::scan`] — **fused** into a single
     /// pass over the store when there are two or more — one `(hits,
     /// stats)` pair per query, bit-identical to per-query scans.
-    /// `weights = None` scans under the database's own mapping,
+    /// `weights = None` scans under the binary distance,
     /// `Some(w_sq)` under caller-supplied squared weights; `exec`
     /// bounds the fused row-range fan-out.
     pub fn scan_topk_fused(
@@ -355,9 +309,8 @@ impl MappedDatabase {
         exec: &ExecConfig,
     ) -> Vec<(Vec<(u32, f64)>, ScanStats)> {
         let words: Vec<&[u64]> = qvecs.iter().map(|q| q.words()).collect();
-        let own = matches!(self.kind, MappingKind::Weighted).then_some(self.w_sq.as_slice());
         self.store.scan(&ScanPlan {
-            weights: weights.or(own),
+            weights,
             dead,
             exec: *exec,
             ..ScanPlan::new(&words, k)
@@ -369,28 +322,15 @@ impl MappedDatabase {
     /// implementation** the scan kernel is tested against (selection
     /// and order must agree element-for-element).
     pub fn ranking(&self, qvec: &Bitset) -> Vec<(u32, f64)> {
-        match self.kind {
-            MappingKind::Binary => {
-                let p = self.p().max(1) as f64;
-                let mut all: Vec<(u32, f64)> = (0..self.len())
-                    .map(|i| {
-                        let h: u32 = qvec
-                            .words()
-                            .iter()
-                            .zip(self.store.row(i))
-                            .map(|(a, b)| (a ^ b).count_ones())
-                            .sum();
-                        (i as u32, h as f64)
-                    })
-                    .collect();
-                sort_ranking(&mut all);
-                for e in &mut all {
-                    e.1 = (e.1 / p).sqrt();
-                }
-                all
-            }
-            MappingKind::Weighted => self.ranking_with(qvec, &self.w_sq),
+        let p = self.p().max(1) as f64;
+        let mut all: Vec<(u32, f64)> = (0..self.len())
+            .map(|i| (i as u32, self.hamming_to(qvec, i) as f64))
+            .collect();
+        sort_ranking(&mut all);
+        for e in &mut all {
+            e.1 = (e.1 / p).sqrt();
         }
+        all
     }
 
     /// Full ranking under caller-supplied squared per-dimension weights
@@ -491,7 +431,7 @@ mod tests {
     fn binary_distance_matches_formula() {
         let (_, space) = setup();
         let selected: Vec<u32> = (0..space.num_features().min(16) as u32).collect();
-        let mapped = MappedDatabase::new(&space, &selected, Mapping::Binary).unwrap();
+        let mapped = MappedDatabase::new(&space, &selected).unwrap();
         let p = mapped.p() as f64;
         let a = mapped.vector(0);
         let b = mapped.vector(1);
@@ -503,7 +443,7 @@ mod tests {
     fn db_graph_query_maps_to_own_row() {
         let (db, space) = setup();
         let selected: Vec<u32> = (0..space.num_features().min(20) as u32).collect();
-        let mapped = MappedDatabase::new(&space, &selected, Mapping::Binary).unwrap();
+        let mapped = MappedDatabase::new(&space, &selected).unwrap();
         for i in [0usize, 5, 11] {
             let qvec = mapped.map_query(&db[i]);
             assert_eq!(qvec, mapped.vector(i), "graph {i}");
@@ -517,7 +457,7 @@ mod tests {
     fn topk_is_sorted_and_sized() {
         let (db, space) = setup();
         let selected: Vec<u32> = (0..space.num_features().min(16) as u32).collect();
-        let mapped = MappedDatabase::new(&space, &selected, Mapping::Binary).unwrap();
+        let mapped = MappedDatabase::new(&space, &selected).unwrap();
         let qvec = mapped.map_query(&db[3]);
         let top = mapped.scan_topk_masked(&qvec, 10, None).0;
         assert_eq!(top.len(), 10);
@@ -537,17 +477,22 @@ mod tests {
         let m = space.num_features();
         let weights: Vec<f64> = (0..m).map(|r| (r % 5) as f64).collect();
         let selected: Vec<u32> = (0..m.min(12) as u32).collect();
-        let mapped = MappedDatabase::new(&space, &selected, Mapping::Weighted(&weights)).unwrap();
-        assert_eq!(mapped.kind(), MappingKind::Weighted);
-        let total: f64 = mapped.w_sq.iter().sum();
+        let w_sq = weighted_w_sq(&selected, &weights);
+        let total: f64 = w_sq.iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
         // Max possible distance is 1.
-        let zero = Bitset::zeros(mapped.p());
-        let mut ones = Bitset::zeros(mapped.p());
-        for i in 0..mapped.p() {
+        let zero = Bitset::zeros(selected.len());
+        let mut ones = Bitset::zeros(selected.len());
+        for i in 0..selected.len() {
             ones.set(i);
         }
-        assert!((mapped.distance(&zero, &ones) - 1.0).abs() < 1e-9);
+        assert!((zero.weighted_sq_xor(&ones, &w_sq).sqrt() - 1.0).abs() < 1e-9);
+        // All-zero weights fall back to the uniform 1/p.
+        let p = selected.len();
+        assert_eq!(
+            weighted_w_sq(&selected, &vec![0.0; m]),
+            vec![1.0 / p as f64; p]
+        );
     }
 
     #[test]
@@ -580,7 +525,7 @@ mod tests {
     fn batch_query_mapping_matches_serial_for_any_thread_budget() {
         let (db, space) = setup();
         let selected: Vec<u32> = (0..space.num_features().min(16) as u32).collect();
-        let mapped = MappedDatabase::new(&space, &selected, Mapping::Binary).unwrap();
+        let mapped = MappedDatabase::new(&space, &selected).unwrap();
         let serial: Vec<Bitset> = db.iter().map(|q| mapped.map_query(q)).collect();
         for threads in [1usize, 2, 8] {
             assert_eq!(
@@ -596,20 +541,12 @@ mod tests {
         let (_, space) = setup();
         let m = space.num_features();
         let bad = [0u32, m as u32];
-        match MappedDatabase::new(&space, &bad, Mapping::Binary) {
+        match MappedDatabase::new(&space, &bad) {
             Err(crate::error::GdimError::DimensionOutOfRange { id, num_features }) => {
                 assert_eq!(id, m as u32);
                 assert_eq!(num_features, m);
             }
             other => panic!("expected DimensionOutOfRange, got {other:?}"),
-        }
-        let short = vec![1.0; m.saturating_sub(1)];
-        match MappedDatabase::new(&space, &[0], Mapping::Weighted(&short)) {
-            Err(crate::error::GdimError::WeightsMismatch { expected, got }) => {
-                assert_eq!(expected, m);
-                assert_eq!(got, m - 1);
-            }
-            other => panic!("expected WeightsMismatch, got {other:?}"),
         }
     }
 
@@ -619,7 +556,7 @@ mod tests {
         // smaller id must always come first.
         let (db, space) = setup();
         let selected: Vec<u32> = (0..space.num_features().min(16) as u32).collect();
-        let mapped = MappedDatabase::new(&space, &selected, Mapping::Binary).unwrap();
+        let mapped = MappedDatabase::new(&space, &selected).unwrap();
         let ranked = mapped.ranking(&mapped.map_query(&db[3]));
         for w in ranked.windows(2) {
             assert!(
@@ -633,12 +570,12 @@ mod tests {
 
     #[test]
     fn pruned_query_mapping_is_bit_identical_to_unpruned() {
-        // The containment-DAG + invariant-prescreened mapping must set
+        // The code-tree mapping must set
         // exactly the bits of the brute-force per-feature VF2 loop —
         // for database graphs and unseen queries alike.
         let (db, space) = setup();
         let selected: Vec<u32> = (0..space.num_features() as u32).collect();
-        let mapped = MappedDatabase::new(&space, &selected, Mapping::Binary).unwrap();
+        let mapped = MappedDatabase::new(&space, &selected).unwrap();
         let unseen = gdim_datagen::chem_db(5, &gdim_datagen::ChemConfig::default(), 321);
         let mut pruned_total = 0usize;
         for q in db.iter().take(5).chain(&unseen) {
@@ -654,21 +591,23 @@ mod tests {
     fn bounded_topk_equals_truncated_reference_ranking() {
         let (db, space) = setup();
         let selected: Vec<u32> = (0..space.num_features().min(20) as u32).collect();
-        for mapping in [
-            Mapping::Binary,
-            Mapping::Weighted(&vec![0.7; space.num_features()]),
-        ] {
-            let mapped = MappedDatabase::new(&space, &selected, mapping).unwrap();
-            let qvec = mapped.map_query(&db[2]);
-            let reference = mapped.ranking(&qvec);
-            for k in [0usize, 1, 5, db.len(), db.len() + 5] {
-                let kk = k.min(db.len());
-                assert_eq!(
-                    mapped.scan_topk_masked(&qvec, k, None).0,
-                    &reference[..kk],
-                    "k = {k}"
-                );
-            }
+        let mapped = MappedDatabase::new(&space, &selected).unwrap();
+        let w_sq = weighted_w_sq(&selected, &vec![0.7; space.num_features()]);
+        let qvec = mapped.map_query(&db[2]);
+        let binary = mapped.ranking(&qvec);
+        let weighted = mapped.ranking_with(&qvec, &w_sq);
+        for k in [0usize, 1, 5, db.len(), db.len() + 5] {
+            let kk = k.min(db.len());
+            assert_eq!(
+                mapped.scan_topk_masked(&qvec, k, None).0,
+                &binary[..kk],
+                "k = {k}"
+            );
+            assert_eq!(
+                mapped.scan_topk_with_masked(&qvec, k, &w_sq, None).0,
+                &weighted[..kk],
+                "weighted, k = {k}"
+            );
         }
     }
 
@@ -676,7 +615,7 @@ mod tests {
     fn scan_stats_account_for_every_vector() {
         let (db, space) = setup();
         let selected: Vec<u32> = (0..space.num_features().min(16) as u32).collect();
-        let mapped = MappedDatabase::new(&space, &selected, Mapping::Binary).unwrap();
+        let mapped = MappedDatabase::new(&space, &selected).unwrap();
         let qvec = mapped.map_query(&db[0]);
         let (_, stats) = mapped.scan_topk_masked(&qvec, 3, None);
         assert_eq!(stats.vectors_scanned + stats.early_abandoned, db.len());
@@ -689,7 +628,7 @@ mod tests {
     fn ranking_with_uniform_weights_matches_binary() {
         let (db, space) = setup();
         let selected: Vec<u32> = (0..space.num_features().min(16) as u32).collect();
-        let mapped = MappedDatabase::new(&space, &selected, Mapping::Binary).unwrap();
+        let mapped = MappedDatabase::new(&space, &selected).unwrap();
         let qvec = mapped.map_query(&db[1]);
         let uniform = vec![1.0 / mapped.p() as f64; mapped.p()];
         assert_eq!(mapped.ranking(&qvec), mapped.ranking_with(&qvec, &uniform));

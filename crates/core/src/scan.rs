@@ -245,7 +245,7 @@ impl ScanStats {
 /// A row liveness mask for a dynamic store: removed rows are marked
 /// dead here (ids stay stable) and the masked scan kernels skip them.
 /// The mask is cleared by the next epoch rebuild, which compacts the
-/// database (see [`GraphIndex::rebuild`](crate::index::GraphIndex::rebuild)).
+/// database.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Tombstones {
     words: Vec<u64>,

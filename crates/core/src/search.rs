@@ -280,9 +280,12 @@ pub struct SearchStats {
     /// Live (non-tombstoned) graphs at answer time — the maximum
     /// possible hit count.
     pub live_graphs: usize,
-    /// VF2 subgraph-isomorphism tests run while mapping the query.
+    /// Dimensions the code-tree search *tested* while mapping the
+    /// query ([`MatchStats::vf2_calls`](crate::featurespace::MatchStats::vf2_calls)).
     pub vf2_calls: usize,
-    /// VF2 tests skipped by the containment DAG / histogram prescreen.
+    /// Dimensions decided without a test: a prefix of their DFS code
+    /// is absent from the query
+    /// ([`MatchStats::vf2_pruned`](crate::featurespace::MatchStats::vf2_pruned)).
     pub vf2_pruned: usize,
     /// Exact (MCS-based) dissimilarity evaluations performed.
     pub mcs_calls: usize,

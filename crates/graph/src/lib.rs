@@ -13,8 +13,6 @@
 //! * [`mcs`] — maximum common subgraph (edge count) via anytime
 //!   branch-and-bound, the NP-hard kernel inside both dissimilarities.
 //! * [`dissimilarity`] — the paper's δ1 (Eq. 1) and δ2 (Eq. 2).
-//! * [`ged`](mod@ged) — graph edit distance (A*, anytime), the other NP-hard
-//!   operation §1 names, offered as an alternative dissimilarity.
 //!
 //! The crate is deliberately free of heavyweight dependencies; the only
 //! optional one is `serde` for (de)serializing graphs in downstream
@@ -27,14 +25,12 @@
 pub mod dfscode;
 pub mod dissimilarity;
 pub mod fxhash;
-pub mod ged;
 pub mod graph;
 pub mod io;
 pub mod mcs;
 pub mod vf2;
 
 pub use dissimilarity::{delta, delta_with_mcs, Dissimilarity};
-pub use ged::{ged, ged_dissimilarity, GedCosts, GedOptions, GedOutcome};
 pub use graph::{Edge, Graph, GraphBuilder, GraphError, Neighbor};
 pub use mcs::{mcs_edges, McsOptions, McsOutcome};
 

@@ -8,7 +8,6 @@ mod vf2_reference;
 use proptest::prelude::*;
 
 use gdim_graph::dfscode::min_dfs_code;
-use gdim_graph::ged::{ged, GedOptions};
 use gdim_graph::mcs::{mcs_edges, McsOptions};
 use gdim_graph::vf2::{
     count_embeddings, embeddings, find_embedding, is_subgraph_iso, Pattern, Scratch,
@@ -238,44 +237,5 @@ proptest! {
         let text = gdim_graph::io::write_db(&db);
         let back = gdim_graph::io::parse_db(&text).unwrap();
         prop_assert_eq!(db, back);
-    }
-
-    #[test]
-    fn ged_metric_axioms(
-        a in connected_graph(5, 1, 2, 2),
-        b in connected_graph(5, 1, 2, 2),
-        c in connected_graph(4, 1, 2, 2),
-    ) {
-        let opts = GedOptions::default();
-        let d = |x: &Graph, y: &Graph| {
-            let out = ged(x, y, &opts);
-            prop_assert!(out.exact, "graphs small enough for exact GED");
-            Ok(out.cost)
-        };
-        // Identity and symmetry.
-        prop_assert_eq!(d(&a, &a)?, 0);
-        prop_assert_eq!(d(&a, &b)?, d(&b, &a)?);
-        // Triangle inequality (uniform costs form a metric).
-        let (ab, bc, ac) = (d(&a, &b)?, d(&b, &c)?, d(&a, &c)?);
-        prop_assert!(ac <= ab + bc, "triangle violated: {ac} > {ab}+{bc}");
-        // Delete-all/insert-all ceiling.
-        let ceiling = (a.vertex_count() + a.edge_count()
-            + b.vertex_count() + b.edge_count()) as u32;
-        prop_assert!(ab <= ceiling);
-    }
-
-    #[test]
-    fn ged_single_relabel_costs_at_most_one(
-        g in connected_graph(6, 2, 3, 2),
-        idx in any::<prop::sample::Index>(),
-    ) {
-        let v = idx.index(g.vertex_count()) as u32;
-        let mut labels = g.vlabels().to_vec();
-        labels[v as usize] ^= 1; // flip to a different label
-        let edges: Vec<_> = g.edges().iter().map(|e| (e.u, e.v, e.label)).collect();
-        let changed = Graph::from_parts(labels, edges).unwrap();
-        let out = ged(&g, &changed, &GedOptions::default());
-        prop_assert!(out.exact);
-        prop_assert!(out.cost <= 1, "one relabel costs at most 1, got {}", out.cost);
     }
 }

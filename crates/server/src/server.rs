@@ -55,7 +55,8 @@ pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7171` (`:0` picks a free port).
     pub addr: String,
     /// Connection-handler threads (each serves one connection at a
-    /// time, so this bounds concurrent connections).
+    /// time, so this bounds concurrent connections). A server started
+    /// with `0` runs, and reports, one.
     pub workers: usize,
     /// Request body cap in bytes; larger declared bodies answer `413`.
     pub max_body_bytes: usize,
@@ -244,6 +245,12 @@ impl GdimServer {
         durable: Option<DurableHandle>,
         cfg: ServerConfig,
     ) -> io::Result<GdimServer> {
+        // `workers` is a public field, so `with_workers`' clamp can be
+        // bypassed: clamp here, where the pool and `/stats` read it.
+        let cfg = ServerConfig {
+            workers: cfg.workers.max(1),
+            ..cfg
+        };
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let metrics = ServerMetrics::new(cfg.slow_ms, cfg.ring_capacity, cfg.trace_sample);
@@ -970,6 +977,25 @@ mod tests {
                 assert_eq!(a.distance.to_bits(), b.distance.to_bits());
             }
         }
+        server.shutdown();
+    }
+
+    #[test]
+    fn zero_workers_serve_as_one_and_stats_say_so() {
+        let cfg = ServerConfig {
+            workers: 0,
+            poll_interval: Duration::from_millis(20),
+            ..ServerConfig::new()
+        };
+        let server = GdimServer::start(serving_handle(12, 5), cfg).expect("bind ephemeral port");
+        let mut client = Client::connect(server.addr()).unwrap();
+        let (status, stats) = client.get("/stats").unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(stats.get("workers").and_then(Json::as_u64), Some(1));
+        let id = server.handle().snapshot().id_for_seq(3).unwrap().get();
+        let (status, j) = client.post("/search", &search_body(id, 3)).unwrap();
+        assert_eq!(status, 200, "{j:?}");
+        assert_eq!(crate::wire::response_from_json(&j).unwrap().hits.len(), 3);
         server.shutdown();
     }
 

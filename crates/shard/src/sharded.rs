@@ -594,8 +594,8 @@ impl ShardedIndex {
     }
 
     /// The live graphs across all shards in **sequence order** — the
-    /// database a full rebuild runs over (identical to the id order an
-    /// unsharded index would rebuild in).
+    /// database a full rebuild runs over (identical to the id order of
+    /// an unsharded index grown by the same operations).
     pub fn live_graphs(&self) -> Vec<Graph> {
         let mut rows: Vec<(u64, &Graph)> = Vec::with_capacity(self.live_len());
         for shard in &self.shards {
@@ -671,7 +671,8 @@ impl ShardedIndex {
 
     /// Swaps a re-split index in, preserving the event-stamp chain and
     /// the serving-side exec budget (a knob of the machine, not the
-    /// snapshot — mirroring [`GraphIndex`]'s install semantics).
+    /// snapshot: a [`ShardedIndex::set_exec`] made while a background
+    /// rebuild ran survives its installation).
     fn install_full(&mut self, mut fresh: ShardedIndex) {
         fresh.stamp = self.stamp + 1;
         fresh.muts = vec![fresh.stamp; fresh.shards.len()];
@@ -843,7 +844,7 @@ mod tests {
     }
 
     #[test]
-    fn shards_and_compactions_share_one_containment_dag_per_feature_set() {
+    fn shards_and_compactions_share_one_code_tree_per_feature_set() {
         let opts = ShardedOptions::new(3).with_index(IndexOptions::default().with_dimensions(16));
         let mut idx = ShardedIndex::build(chem(24, 7), opts);
         // 8 live rows per shard: three inserts land on shards 0, 1, 2.

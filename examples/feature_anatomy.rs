@@ -53,8 +53,7 @@ fn main() {
     // Theorem 4.3, empirically: map q and a random subgraph q' ⊆ q;
     // their distances to any database vector differ by at most √(t/p)
     // where t = |F(q)| − |F(q')|.
-    let mapped =
-        MappedDatabase::new(&space, &res.selected, Mapping::Binary).expect("selection in range");
+    let mapped = MappedDatabase::new(&space, &res.selected).expect("selection in range");
     let queries = gdim::datagen::chem_db(20, &gdim::datagen::ChemConfig::default(), 99);
     let mut checked = 0usize;
     let mut worst_slack = f64::INFINITY;

@@ -59,10 +59,8 @@ fn main() {
 
     // And do they answer queries the same way?
     let queries = gdim::datagen::chem_db(10, &gdim::datagen::ChemConfig::default(), 555);
-    let md_map = MappedDatabase::new(&space, &res.selected, Mapping::Binary)
-        .expect("dspmap selection in range");
-    let md_full = MappedDatabase::new(&space, &dspm_res.selected, Mapping::Binary)
-        .expect("dspm selection in range");
+    let md_map = MappedDatabase::new(&space, &res.selected).expect("dspmap selection in range");
+    let md_full = MappedDatabase::new(&space, &dspm_res.selected).expect("dspm selection in range");
     let k = 10;
     let mut agree = 0.0;
     for q in &queries {

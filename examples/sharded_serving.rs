@@ -1,8 +1,9 @@
 //! Sharded serving: partition the database over N shards
 //! ([`ShardedIndex`]), then serve **concurrent** traffic through a
 //! [`ServingHandle`] — multiple reader threads answering a Zipf-skewed
-//! workload lock-free while the main thread inserts graphs and runs a
-//! background rebuild.
+//! workload lock-free while the main thread inserts and removes graphs,
+//! installs a background rebuild, and has a late write refuse a stale
+//! one.
 //!
 //! ```sh
 //! cargo run --release --example sharded_serving
@@ -84,20 +85,36 @@ fn main() -> Result<(), GdimError> {
 
         // Writer: online inserts (readers keep the old snapshot until
         // the next publish), then a background full rebuild.
-        for g in gdim::datagen::chem_db(6, &cfg, 4242) {
-            handle.insert(g);
-        }
+        let inserted: Vec<GraphId> = gdim::datagen::chem_db(6, &cfg, 4242)
+            .into_iter()
+            .map(|g| handle.insert(g))
+            .collect();
         let stale = handle.stale_shards();
         println!(
             "inserted 6 graphs; stale shards now {:?}",
             stale.iter().map(ToString::to_string).collect::<Vec<_>>()
         );
+        // A write landing after the snapshot was taken makes the
+        // install refuse rather than silently drop it: spawn again.
+        let task = handle.spawn_rebuild();
+        handle.remove(inserted[0]).expect("a live id");
+        match handle.install(task) {
+            Err(GdimError::StaleRebuild { missed }) => {
+                println!("late remove invalidated the snapshot ({missed} write missed)");
+            }
+            other => panic!("a stale snapshot must be refused, got {other:?}"),
+        }
+        // A quiet index installs: re-mined over the live graphs, the
+        // tombstone compacted away, every shard at the next epoch.
         let task = handle.spawn_rebuild();
         let installed = handle.install(task).expect("no mutation raced the rebuild");
+        let snap = handle.snapshot();
         println!(
-            "background rebuild installed: {installed}; snapshot version {} with epoch {}",
+            "background rebuild installed: {installed}; snapshot version {} with epoch {}, {} of {} rows live",
             handle.version(),
-            handle.snapshot().epoch()
+            snap.epoch(),
+            snap.live_len(),
+            snap.len()
         );
         stop.store(true, Ordering::Relaxed);
     });

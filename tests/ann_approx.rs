@@ -137,13 +137,19 @@ fn edge_cases_are_well_formed() {
 
 #[test]
 fn pending_inserts_are_served_exactly_until_rebuild() {
-    let mut idx = index(16, 8, 14);
+    // One shard: composed ids are row ids, and the sharded index owns
+    // the rebuild that ends the pending tail.
+    let mut idx = ShardedIndex::build(
+        chem(16, 8),
+        ShardedOptions::new(1).with_index(IndexOptions::default().with_dimensions(14)),
+    );
     // Force the graph before inserting: the new rows land in the
     // pending tail, outside the built graph.
-    idx.ann();
-    let built = idx.ann_if_built().unwrap().built_n();
+    let s0 = ShardId(0);
+    idx.shard(s0).unwrap().ann();
     let extra = chem(3, 4242);
     let ids: Vec<GraphId> = extra.iter().map(|g| idx.insert(g.clone())).collect();
+    let built = idx.shard(s0).unwrap().ann_if_built().unwrap().built_n();
     assert_eq!(built, 16, "inserts must not rebuild the graph");
     // Self-queries must surface the inserted row at distance 0: the
     // tail is scanned exactly, so a pending row can never be missed
@@ -162,7 +168,10 @@ fn pending_inserts_are_served_exactly_until_rebuild() {
     assert!(resp.hits.iter().all(|h| h.id != ids[0]));
     // Rebuild folds the tail in and drops the stale graph.
     idx.rebuild();
-    assert!(idx.ann_if_built().is_none(), "rebuild must invalidate");
+    assert!(
+        idx.shard(s0).unwrap().ann_if_built().is_none(),
+        "rebuild must invalidate"
+    );
     let resp = idx.search(&extra[1], &approx(1, 32)).unwrap();
     assert_eq!(resp.hits[0].distance, 0.0);
 }

@@ -65,8 +65,7 @@ fn query_mapping_agrees_between_full_space_and_mapped_database() {
     );
     let space = FeatureSpace::build(db.len(), features);
     let selected: Vec<u32> = (0..space.num_features() as u32).step_by(3).collect();
-    let mapped =
-        MappedDatabase::new(&space, &selected, Mapping::Binary).expect("selection in range");
+    let mapped = MappedDatabase::new(&space, &selected).expect("selection in range");
     let full_tree = CodeTree::build(space.features()).expect("mined codes are valid");
     let queries = gdim::datagen::chem_db(5, &gdim::datagen::ChemConfig::default(), 123);
     for q in &queries {

@@ -4,6 +4,7 @@
 //! returns the graph itself, ...).
 
 use gdim::core::measures::{precision, topk_ids};
+use gdim::core::query::weighted_w_sq;
 use gdim::core::{dspmap, DspmapConfig, SharedDelta};
 use gdim::prelude::*;
 
@@ -41,8 +42,7 @@ fn build_pipeline(n: usize, seed: u64) -> Pipeline {
 }
 
 fn mean_precision(pl: &Pipeline, selection: &[u32], truth: &[Vec<u32>], k: usize) -> f64 {
-    let mapped =
-        MappedDatabase::new(&pl.space, selection, Mapping::Binary).expect("selection in range");
+    let mapped = MappedDatabase::new(&pl.space, selection).expect("selection in range");
     let mut total = 0.0;
     for (q, exact) in pl.queries.iter().zip(truth) {
         let ids = topk_ids(&mapped.scan_topk_masked(&mapped.map_query(q), k, None).0, k);
@@ -138,7 +138,7 @@ fn database_graphs_retrieve_themselves() {
     let pl = build_pipeline(50, 11);
     let p = 40.min(pl.space.num_features());
     let sel = dspm(&pl.space, &pl.delta, &DspmConfig::new(p)).selected;
-    let mapped = MappedDatabase::new(&pl.space, &sel, Mapping::Binary).expect("selection in range");
+    let mapped = MappedDatabase::new(&pl.space, &sel).expect("selection in range");
     for i in (0..pl.db.len()).step_by(7) {
         let qvec = mapped.map_query(&pl.db[i]);
         let top = mapped.scan_topk_masked(&qvec, 1, None).0;
@@ -175,8 +175,7 @@ fn every_baseline_plugs_into_the_query_engine() {
         ),
     ];
     for (name, sel) in selections {
-        let mapped =
-            MappedDatabase::new(&pl.space, &sel, Mapping::Binary).expect("selection in range");
+        let mapped = MappedDatabase::new(&pl.space, &sel).expect("selection in range");
         let qvec = mapped.map_query(&pl.queries[0]);
         let top = mapped.scan_topk_masked(&qvec, 5, None).0;
         assert_eq!(top.len(), 5, "{name}: top-k underfilled");
@@ -212,15 +211,13 @@ fn weighted_mapping_ablation_runs() {
     let pl = build_pipeline(40, 19);
     let p = 25.min(pl.space.num_features());
     let res = dspm(&pl.space, &pl.delta, &DspmConfig::new(p));
-    let weighted =
-        MappedDatabase::new(&pl.space, &res.selected, Mapping::Weighted(&res.weights)).unwrap();
-    let binary = MappedDatabase::new(&pl.space, &res.selected, Mapping::Binary).unwrap();
-    let q = &pl.queries[0];
-    let (vw, vb) = (weighted.map_query(q), binary.map_query(q));
-    assert_eq!(vw, vb, "query mapping is independent of the weighting");
-    // Distances differ in general, but both are proper metrics on {0,1}^p.
-    let dw = weighted.scan_topk_masked(&vw, 3, None).0;
-    let db_ = binary.scan_topk_masked(&vb, 3, None).0;
+    let mapped = MappedDatabase::new(&pl.space, &res.selected).unwrap();
+    let w_sq = weighted_w_sq(&res.selected, &res.weights);
+    // One set of binary vectors serves both distances; they differ in
+    // general, but both are proper metrics on {0,1}^p.
+    let qvec = mapped.map_query(&pl.queries[0]);
+    let dw = mapped.scan_topk_with_masked(&qvec, 3, &w_sq, None).0;
+    let db_ = mapped.scan_topk_masked(&qvec, 3, None).0;
     assert_eq!(dw.len(), 3);
     assert_eq!(db_.len(), 3);
 }

@@ -8,6 +8,7 @@
 use proptest::prelude::*;
 
 use gdim::core::featurespace::STEPS_PER_SIZE;
+use gdim::core::query::weighted_w_sq;
 use gdim::prelude::*;
 
 fn chem(n: usize, seed: u64) -> Vec<Graph> {
@@ -94,20 +95,23 @@ proptest! {
         let m = space.num_features();
         let selected: Vec<u32> = (0..m.min(p) as u32).collect();
         let weights: Vec<f64> = (0..m).map(|r| ((r * 13 + 7) % 10) as f64 / 10.0).collect();
-        for mapping in [Mapping::Binary, Mapping::Weighted(&weights)] {
-            let mapped = MappedDatabase::new(&space, &selected, mapping).unwrap();
-            for qi in [0usize, 7, 19] {
-                let qvec = mapped.map_query(&db[qi]);
-                for k in [0usize, 1, n, n + 5] {
-                    let fast = mapped.scan_topk_masked(&qvec, k, None).0;
-                    let naive = naive_topk(&mapped, &qvec, k);
-                    prop_assert_eq!(&fast, &naive, "kind {:?}, query {}, k {}", mapped.kind(), qi, k);
-                }
+        let mapped = MappedDatabase::new(&space, &selected).unwrap();
+        let w_sq = weighted_w_sq(&selected, &weights);
+        for qi in [0usize, 7, 19] {
+            let qvec = mapped.map_query(&db[qi]);
+            for k in [0usize, 1, n, n + 5] {
+                let fast = mapped.scan_topk_masked(&qvec, k, None).0;
+                let naive = naive_topk(&mapped, &qvec, k);
+                prop_assert_eq!(&fast, &naive, "binary, query {}, k {}", qi, k);
+                let fast = mapped.scan_topk_with_masked(&qvec, k, &w_sq, None).0;
+                let mut naive = mapped.ranking_with(&qvec, &w_sq);
+                naive.truncate(k);
+                prop_assert_eq!(&fast, &naive, "weighted, query {}, k {}", qi, k);
             }
         }
     }
 
-    /// Containment-pruned query mapping is bit-identical to the
+    /// Code-tree query mapping is bit-identical to the
     /// unpruned per-feature VF2 loop, and the pruning counters add up.
     #[test]
     fn pruned_mapping_is_bit_identical(seed in 0u64..500) {
@@ -189,8 +193,8 @@ proptest! {
             // (4-edge chem patterns rarely have a ring to close).
             let cyclic = feats.iter().position(|f| f.code.0.iter().any(|e| !e.is_forward()));
             prop_assert!(cyclic.is_some() || !cyclic_data, "dense synth graphs mine a cycle");
-            let full = MappedDatabase::new(&space, &all, Mapping::Binary).unwrap();
-            let part = MappedDatabase::new(&space, &some, Mapping::Binary).unwrap();
+            let full = MappedDatabase::new(&space, &all).unwrap();
+            let part = MappedDatabase::new(&space, &some).unwrap();
             if let Some(r) = cyclic {
                 let holder = &db[feats[r].support[0] as usize];
                 prop_assert!(full.map_query(holder).get(r), "the cyclic feature must be found");

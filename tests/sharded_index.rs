@@ -119,7 +119,8 @@ proptest! {
     /// Online churn: the same inserts and removes applied to both
     /// sides stay bit-identical — before any rebuild, after per-shard
     /// compaction rebuilds (which must not change answers at all), and
-    /// after a full re-mine rebuild on both sides.
+    /// after a full re-mine rebuild, whose unsharded reference is a
+    /// fresh build over the live graphs.
     #[test]
     fn churned_index_matches_unsharded_through_rebuilds(seed in 0u64..500) {
         let base = chem(12, seed);
@@ -174,10 +175,16 @@ proptest! {
                     );
                 }
             }
-            // Full rebuild on both sides: re-mine over the live graphs
-            // (same sequence order), bit-identical again.
+            // Full rebuild: re-mine over the live graphs (same sequence
+            // order), bit-identical to building them afresh.
             sharded.rebuild();
-            flat.rebuild();
+            let live = flat
+                .graphs()
+                .enumerate()
+                .filter(|&(i, _)| !flat.tombstones().is_dead(i))
+                .map(|(_, g)| g.clone())
+                .collect();
+            let flat = GraphIndex::build(live, build_opts.clone());
             prop_assert_eq!(sharded.len(), flat.len());
             prop_assert_eq!(sharded.live_len(), sharded.len());
             for q in queries.iter().chain(extra.iter().take(1)) {
@@ -307,15 +314,48 @@ fn shard_rebuild_snapshot_goes_stale_on_later_mutation() {
     assert_eq!(idx.shard(owner).unwrap().tombstone_count(), 0);
     assert_eq!(sharded_hits(&idx, &q, &SearchRequest::new(5)), before);
 
-    // Full-rebuild snapshots are invalidated by any later event too.
+    // Full-rebuild snapshots are invalidated by any later event too,
+    // and a refused install changes nothing.
+    let epoch = idx.epoch();
     let task = idx.spawn_rebuild();
     idx.insert(chem(1, 5)[0].clone());
     match idx.install(task) {
-        Err(GdimError::StaleRebuild { .. }) => {}
+        Err(GdimError::StaleRebuild { missed: 1 }) => {}
         other => panic!("expected StaleRebuild, got {other:?}"),
     }
+    assert_eq!(idx.epoch(), epoch, "nothing installed");
+    // A quiet index installs the snapshot: the next epoch answers, with
+    // every pending insert folded in.
     let task = idx.spawn_rebuild();
     assert!(idx.install(task).unwrap());
+    assert_eq!(idx.epoch(), epoch + 1);
+    assert!(idx.stale_shards().is_empty());
+    let resp = idx.search(&q, &SearchRequest::new(3)).unwrap();
+    assert_eq!(resp.hits[0].distance, 0.0);
+    assert_eq!(resp.stats.epoch, epoch + 1);
+
+    // Cancellation before the build starts yields Ok(false). The race
+    // is legal: the build may already have passed its last poll. Either
+    // way the index stays consistent.
+    let task = idx.spawn_rebuild();
+    task.cancel();
+    let installed = idx.install(task).unwrap();
+    assert_eq!(idx.epoch(), epoch + 1 + installed as u64);
+}
+
+#[test]
+fn set_exec_survives_a_background_install() {
+    // The exec budget is a knob of the serving machine, not snapshot
+    // state: changing it while a rebuild runs must not be reverted by
+    // installing it (nor does it count as a mutation, so the install
+    // is not refused).
+    let mut idx = ShardedIndex::build(chem(8, 39), ShardedOptions::new(1).with_index(opts()));
+    let task = idx.spawn_rebuild();
+    idx.set_exec(ExecConfig::new(5));
+    assert!(idx.install(task).unwrap());
+    assert_eq!(idx.epoch(), 1);
+    assert_eq!(idx.exec().threads, 5);
+    assert_eq!(idx.shard(ShardId(0)).unwrap().exec().threads, 5);
 }
 
 #[test]

@@ -134,8 +134,7 @@ fn theorem_4_3_mapped_distance_bound() {
     );
     let space = FeatureSpace::build(db.len(), features);
     let selected: Vec<u32> = (0..space.num_features() as u32).collect();
-    let mapped =
-        MappedDatabase::new(&space, &selected, Mapping::Binary).expect("selection in range");
+    let mapped = MappedDatabase::new(&space, &selected).expect("selection in range");
     let p = mapped.p() as f64;
 
     let queries = gdim::datagen::chem_db(10, &gdim::datagen::ChemConfig::default(), 100);
