@@ -448,7 +448,7 @@ fn main() {
     );
     let map_row = MapQueryRow {
         queries: queries.len(),
-        dimensions: index.dimensions().len(),
+        dimensions: index.p(),
         vf2_calls,
         vf2_pruned,
         extensions,

@@ -132,13 +132,9 @@ pub fn split_store(store: &VectorStore, shards: usize) -> Vec<(u64, VectorStore)
     let n = store.len();
     (0..shards)
         .map(|s| {
-            let start = s * n / shards;
-            let end = (s + 1) * n / shards;
-            let mut sub = VectorStore::zeros(0, store.bits());
-            for i in start..end {
-                sub.push_row(&store.vector(i));
-            }
-            (start as u64, sub)
+            let (start, end) = (s * n / shards, (s + 1) * n / shards);
+            let rows: Vec<u32> = (start as u32..end as u32).collect();
+            (start as u64, store.gather(&rows))
         })
         .collect()
 }

@@ -217,7 +217,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         "saved {} graphs ({} shards, {} dimensions) to {out}",
         index.len(),
         index.shard_count(),
-        index.dimensions().len()
+        index.p()
     );
     Ok(())
 }

@@ -1,7 +1,7 @@
 //! [`ChunkedVec`]: the append-only row container that makes
 //! [`GraphIndex: Clone`](crate::index::GraphIndex) cost
 //! O(rows / [`CHUNK`] + tail) for per-row state whose elements own heap
-//! memory (the graphs, the full-space feature rows of online inserts).
+//! memory (the graphs).
 //!
 //! Rows live in **sealed chunks** of exactly [`CHUNK`] elements behind
 //! `Arc`s plus one **open tail** of fewer than [`CHUNK`]. A push goes

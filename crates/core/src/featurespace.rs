@@ -258,11 +258,6 @@ impl CodeTree {
         })
     }
 
-    /// Number of columns (features) the tree maps onto.
-    pub fn columns(&self) -> usize {
-        self.columns
-    }
-
     /// Number of tree nodes: one per distinct code prefix, plus one
     /// per distinct first-vertex label.
     pub fn node_count(&self) -> usize {
@@ -604,9 +599,10 @@ fn check_code(f: &Feature) -> Result<(), String> {
 
 /// The multidimensional feature space built over a graph database.
 ///
-/// Immutable once built: a [`GraphIndex`](crate::index::GraphIndex)
-/// holds it behind an `Arc` and records the rows of graphs inserted
-/// online beside it, not in it.
+/// The input of dimension selection, immutable once built. A
+/// [`GraphIndex`](crate::index::GraphIndex) does not retain it: the
+/// build keeps the selected features and their columns and drops the
+/// rest.
 #[derive(Debug, Clone)]
 pub struct FeatureSpace {
     n_graphs: usize,
@@ -793,7 +789,6 @@ mod tests {
         );
         assert!(feats.len() > 4);
         let tree = CodeTree::build(&feats).unwrap();
-        assert_eq!(tree.columns(), feats.len());
         let queries = gdim_datagen::chem_db(4, &gdim_datagen::ChemConfig::default(), 77);
         for q in db.iter().take(3).chain(&queries) {
             let (bits, stats) = tree.map_query(q);

@@ -2,8 +2,12 @@
 //! the graphs it holds, and the graphs themselves.
 //! [`GraphIndex::build`] runs the whole paper pipeline (gSpan mining →
 //! δ matrix or DSPMap blocks → dimension selection → mapped database)
-//! behind a single builder. The built index answers typed
-//! [`SearchRequest`](crate::search::SearchRequest)s through
+//! behind a single builder and keeps what the paper's online system
+//! keeps: the `p` selected dimensions and one binary vector per graph
+//! over them. The `m` mined features are the input of the selection,
+//! not part of the index — the build drops them (only their count
+//! survives, in [`IndexStats::mined_features`]). The built index
+//! answers typed [`SearchRequest`](crate::search::SearchRequest)s through
 //! [`GraphIndex::search`] / [`GraphIndex::search_batch`] (see
 //! [`crate::search`] for the ranker spectrum), and it persists to a
 //! versioned binary format ([`GraphIndex::save`] / [`GraphIndex::load`])
@@ -36,17 +40,18 @@
 //!
 //! The index is **dynamic**: rows come and go between builds.
 //!
-//! * [`GraphIndex::insert`] maps the new graph against the *existing*
-//!   feature space (one code-tree search, no re-mining) and appends
-//!   its vector to the scan store in place.
+//! * [`GraphIndex::insert`] maps the new graph onto the index's
+//!   dimensions exactly as a query is mapped (one code-tree search, no
+//!   re-mining) and appends that vector to the scan store in place.
 //! * [`GraphIndex::remove`] tombstones an entry — ids stay stable, and
 //!   every ranker skips dead rows.
 //! * Both leave the index slightly stale: dead rows still cost a scan
 //!   step, and features the new graphs would have made frequent stay
 //!   invisible. [`GraphIndex::is_stale`] says when the configured
 //!   [`RebuildPolicy`] is exceeded; acting on it is the owner's job. A
-//!   `ShardedIndex` compacts the stale shard against the retained
-//!   selection, or re-runs [`GraphIndex::build`] over the live graphs
+//!   `ShardedIndex` compacts the stale shard ([`GraphIndex::subset`]
+//!   of its live rows, same dimensions), or re-runs
+//!   [`GraphIndex::build`] over the live graphs
 //!   (re-mine, re-select, re-split) and swaps the result in; either
 //!   way the replacement carries the next [`GraphIndex::epoch`], and a
 //!   query answers against exactly one epoch and reports it in its
@@ -66,7 +71,7 @@ use crate::delta::{DeltaConfig, DeltaMatrix, SharedDelta};
 use crate::dspm::{dspm, DspmConfig};
 use crate::dspmap::{dspmap, DspmapConfig};
 use crate::error::GdimError;
-use crate::featurespace::{CodeTree, CodeTreeCell, FeatureSpace};
+use crate::featurespace::FeatureSpace;
 use crate::query::{weighted_w_sq, MappedDatabase};
 use crate::scan::Tombstones;
 use crate::search::GraphId;
@@ -197,8 +202,9 @@ impl IndexOptions {
     }
 }
 
-/// Build-phase statistics, for observability.
-#[derive(Debug, Clone)]
+/// Build-phase statistics, for observability (all zero for an empty
+/// database, which runs no phase).
+#[derive(Debug, Clone, Default)]
 pub struct IndexStats {
     /// Number of frequent features mined (`m`).
     pub mined_features: usize,
@@ -227,19 +233,17 @@ pub struct IndexStats {
 /// not O(rows × allocations):
 ///
 /// * **shared** (an `Arc` bump, never copied again): everything that is
-///   immutable after a build — the build-time
-///   [`FeatureSpace`], the selected features of the [`MappedDatabase`],
-///   both code-tree cells, the ANN graph once built — and every
-///   *sealed chunk* of the two append-only row containers that own heap
-///   memory per row (the graphs; the full-space feature rows of graphs
-///   inserted online);
-/// * **copied**: the open tail of those two containers (fewer than
+///   immutable after a build — the dimensions (the features of the
+///   [`MappedDatabase`]), their code-tree cell, the ANN graph once
+///   built — and every *sealed chunk* of the one append-only container
+///   that owns heap memory per row (the graphs);
+/// * **copied**: the open tail of that container (fewer than
 ///   [`CHUNK`] rows — [`GraphIndex::rows_copied_by_clone`] says how
 ///   many), and the flat per-row words: the scan store (`⌈p/64⌉ × 8` =
 ///   16 B/row at `p = 128`) and the tombstone mask (1 bit/row) —
 ///   ~1.7 µs of `memcpy` at 4,000 rows, which is why they stay flat and
-///   the scan kernels never see a chunk boundary — plus a few
-///   `O(features)` vectors (selection, weights).
+///   the scan kernels never see a chunk boundary — plus the two
+///   `p`-long weight vectors.
 ///
 /// Dropping a clone frees what it copied — a tail — and decrements the
 /// shared counts; the rows themselves are freed by whichever holder
@@ -251,17 +255,10 @@ pub struct IndexStats {
 pub struct GraphIndex {
     /// The graphs, row `i` = graph id `i` (append-only, chunk-shared).
     db: ChunkedVec<Graph>,
-    /// The feature space **as built** (or loaded): its
-    /// rows and supports cover the first `space.num_graphs()` rows and
-    /// never change afterwards.
-    space: Arc<FeatureSpace>,
-    /// Full-space feature rows of the graphs inserted online since:
-    /// `inserted[j]` belongs to row `space.num_graphs() + j`. Stored
-    /// once, row-major; [`GraphIndex::supports`] transposes them when a
-    /// snapshot or a shard split needs per-feature supports.
-    inserted: ChunkedVec<Bitset>,
+    /// The `p` dimensions, the vector of every row over them, and the
+    /// code tree that maps queries and inserts alike.
     mapped: MappedDatabase,
-    selected: Vec<u32>,
+    /// DSPM/DSPMap weight of each dimension (column order).
     weights: Vec<f64>,
     /// Normalized squared per-dimension weights for
     /// [`MappingKind::Weighted`](crate::query::MappingKind::Weighted) requests, derived from `weights`.
@@ -272,9 +269,10 @@ pub struct GraphIndex {
     opts: IndexOptions,
     stats: IndexStats,
     /// Rebuild generation: 0 for a fresh build, otherwise what
-    /// [`GraphIndex::from_parts`] was handed (a shard's owner counts
-    /// its rebuilds). A request is answered entirely within one epoch and
-    /// reports it in [`SearchStats::epoch`](crate::search::SearchStats::epoch).
+    /// [`GraphIndex::subset`] was handed (a shard's owner counts its
+    /// rebuilds) or a snapshot recorded. A request is answered entirely
+    /// within one epoch and reports it in
+    /// [`SearchStats::epoch`](crate::search::SearchStats::epoch).
     epoch: u64,
     /// Liveness of every row; removed graphs stay addressable (ids are
     /// stable) but dead to every ranker until the next rebuild.
@@ -282,14 +280,6 @@ pub struct GraphIndex {
     /// Inserts accumulated since the last rebuild (one half of the
     /// [`RebuildPolicy`] staleness test).
     inserts_since_rebuild: usize,
-    /// Code tree over the **full** feature space, mapping the graphs
-    /// of [`GraphIndex::insert`]. Lazy after a build (the miner's
-    /// codes need no checking); filled by [`GraphIndex::from_parts`],
-    /// whose check of the features' codes is the tree build. Clones —
-    /// and shards over the same features, see
-    /// [`GraphIndex::share_mappers_of`] — share the *cell*, so the
-    /// first insert anywhere builds it for all of them.
-    full_mapper: CodeTreeCell,
     /// Proximity graph for [`Ranker::Approx`](crate::search::Ranker::Approx),
     /// built lazily over the scan store on the first approximate query
     /// (or restored from a v3 snapshot). Derived state: rows inserted
@@ -307,8 +297,8 @@ impl std::fmt::Debug for GraphIndex {
             .field("graphs", &self.db.len())
             .field("tombstones", &self.tombstones.dead_count())
             .field("epoch", &self.epoch)
-            .field("features", &self.space.num_features())
-            .field("dimensions", &self.selected.len())
+            .field("features", &self.stats.mined_features)
+            .field("dimensions", &self.p())
             .field("dissimilarity", &self.opts.delta.kind)
             .finish_non_exhaustive()
     }
@@ -340,24 +330,10 @@ impl GraphIndex {
         if db.is_empty() {
             // An empty database still yields a servable (empty) index.
             let space = FeatureSpace::build(0, Vec::new());
-            let mapped = MappedDatabase::new(&space, &[]).expect("empty mapping is valid");
-            return Some(Self::assemble(
-                db,
-                space,
-                mapped,
-                Vec::new(),
-                Vec::new(),
-                opts,
-                IndexStats {
-                    mined_features: 0,
-                    dimensions: 0,
-                    used_dspmap: false,
-                    delta_pairs: 0,
-                    mining_time: Duration::ZERO,
-                    delta_time: Duration::ZERO,
-                    selection_time: Duration::ZERO,
-                },
-            ));
+            return Some(
+                Self::assemble(db, &space, &[], &[], opts, IndexStats::default())
+                    .expect("empty mapping is valid"),
+            );
         }
         let t0 = Instant::now();
         let features = mine(
@@ -423,11 +399,6 @@ impl GraphIndex {
             return None;
         }
 
-        let mapped = MappedDatabase::new(&space, &selected)
-            .expect("selected dimensions come from the space itself");
-        // Warm the lazy code tree now: a serving index builds it at
-        // build time, not on its first query.
-        mapped.mapper();
         let stats = IndexStats {
             mined_features: m,
             dimensions: selected.len(),
@@ -437,66 +408,66 @@ impl GraphIndex {
             delta_time,
             selection_time,
         };
-        Some(Self::assemble(
-            db, space, mapped, selected, weights, opts, stats,
-        ))
+        let index = Self::assemble(db, &space, &selected, &weights, opts, stats)
+            .expect("the selection comes from the space itself");
+        // Warm the lazy code tree now: a serving index builds it at
+        // build time, not on its first query.
+        index.mapped.mapper();
+        Some(index)
     }
 
     /// The one constructor every path funnels through: a fresh
-    /// (epoch-0, fully live) index.
+    /// (epoch-0, fully live) index over the `selected` features of
+    /// `space`, which is not retained — `weights` (one per feature of
+    /// the space) is cut down to the selected columns with it.
     fn assemble(
         db: Vec<Graph>,
-        space: FeatureSpace,
-        mapped: MappedDatabase,
-        selected: Vec<u32>,
-        weights: Vec<f64>,
+        space: &FeatureSpace,
+        selected: &[u32],
+        weights: &[f64],
         opts: IndexOptions,
         stats: IndexStats,
-    ) -> GraphIndex {
-        let w_sq_weighted = weighted_w_sq(&selected, &weights);
+    ) -> Result<GraphIndex, GdimError> {
+        let mapped = MappedDatabase::new(space, selected)?;
+        if weights.len() != space.num_features() {
+            return Err(GdimError::WeightsMismatch {
+                expected: space.num_features(),
+                got: weights.len(),
+            });
+        }
         let tombstones = Tombstones::all_live(db.len());
-        GraphIndex {
+        Ok(GraphIndex {
             db: db.into_iter().collect(),
-            space: Arc::new(space),
-            inserted: ChunkedVec::default(),
             mapped,
-            selected,
-            weights,
-            w_sq_weighted,
+            w_sq_weighted: weighted_w_sq(selected, weights),
+            weights: selected.iter().map(|&r| weights[r as usize]).collect(),
             opts,
             stats,
             epoch: 0,
             tombstones,
             inserts_since_rebuild: 0,
-            full_mapper: Arc::default(),
             ann: OnceLock::new(),
-        }
+        })
     }
 
-    /// Reassembles an index from pipeline parts, rebuilding the
-    /// derived state (feature space, the flat scan store of binary
-    /// mapped vectors, weighted scan weights, the full-space code
-    /// tree) deterministically; a caller that has the code trees
-    /// already can hand them over ([`GraphIndex::share_mappers_of`]).
-    /// An index
-    /// always stores binary vectors —
-    /// [`MappingKind::Weighted`](crate::query::MappingKind::Weighted)
-    /// requests are served from the derived DSPM weights, never baked
-    /// into the vectors. Shared by
-    /// [`GraphIndex::from_bytes`], and the seam a **sharded** index
-    /// uses to stamp out per-shard indexes that share one globally
-    /// selected dimension set: pass the full mined `features` with
-    /// supports filtered/remapped to the shard's graphs, and the
-    /// shard maps queries and scores rows exactly like the global
-    /// pipeline would.
+    /// Assembles an index from what a snapshot holds — the seam of
+    /// [`GraphIndex::from_bytes`], and the single gate for bytes from
+    /// disk. `features` are the file's feature records with their
+    /// supports, `selected` the ids of the dimensions among them and
+    /// `weights` one weight per record: a file this build wrote holds
+    /// exactly the dimensions (`selected = 0..p`), an older one every
+    /// mined feature, and either way only the selected ones are kept.
+    /// The derived state (the flat scan store of binary mapped
+    /// vectors, the weighted scan weights, the code tree) is rebuilt
+    /// deterministically.
     ///
     /// Inputs are validated (feature supports must be strictly
-    /// ascending ids into `db`, every feature's DFS code must spell its
-    /// graph, `weights` must cover the features,
-    /// `selected` ids must be in range, `tombstones` must cover `db`);
+    /// ascending ids into `db`, every dimension's DFS code must spell
+    /// its graph, `weights` must cover the features, `selected` ids
+    /// must be in range, `tombstones` must cover `db`);
     /// inconsistencies surface as [`GdimError`], never a panic.
-    #[allow(clippy::too_many_arguments)] // assembly seam of the persist decoder and gdim-shard
-    pub fn from_parts(
+    #[allow(clippy::too_many_arguments)] // one argument per section of the snapshot
+    pub(crate) fn from_parts(
         db: Vec<Graph>,
         features: Vec<gdim_mining::Feature>,
         selected: Vec<u32>,
@@ -527,16 +498,6 @@ impl GraphIndex {
                 prev = Some(gid);
             }
         }
-        // Mapping trusts the codes; building the tree checks them.
-        let full_mapper = CodeTree::build(&features)?;
-        let space = FeatureSpace::build(db.len(), features);
-        let mapped = MappedDatabase::new(&space, &selected)?;
-        if weights.len() != space.num_features() {
-            return Err(GdimError::WeightsMismatch {
-                expected: space.num_features(),
-                got: weights.len(),
-            });
-        }
         if tombstones.len() != db.len() {
             return Err(GdimError::Corrupt(format!(
                 "tombstone mask covers {} rows, database has {}",
@@ -544,12 +505,42 @@ impl GraphIndex {
                 db.len()
             )));
         }
-        let mut index = Self::assemble(db, space, mapped, selected, weights, opts, stats);
+        let space = FeatureSpace::build(db.len(), features);
+        let mut index = Self::assemble(db, &space, &selected, &weights, opts, stats)?;
+        // Mapping trusts the codes; building the tree checks them (and
+        // a serving index has its tree before its first query).
+        index.mapped.try_mapper()?;
         index.epoch = epoch;
         index.tombstones = tombstones;
         index.inserts_since_rebuild = inserts_since_rebuild;
-        index.full_mapper = Arc::new(OnceLock::from(full_mapper));
         Ok(index)
+    }
+
+    /// The index over the rows `kept` (ascending ids) of this one, all
+    /// live at `epoch`: their graphs and their vectors, under the same
+    /// dimensions, weights and options. What a shard split and a
+    /// compaction are made of. The dimensions and the code-tree cell
+    /// are shared with `self`, not copied — one tree per dimension
+    /// set, however many shards and compactions descend from a build.
+    ///
+    /// # Panics
+    /// If a kept id is not a row of this index.
+    pub fn subset(&self, kept: &[u32], epoch: u64) -> GraphIndex {
+        GraphIndex {
+            db: kept
+                .iter()
+                .map(|&i| self.db.get(i as usize).expect("kept ids are rows").clone())
+                .collect(),
+            mapped: self.mapped.with_rows(kept),
+            weights: self.weights.clone(),
+            w_sq_weighted: self.w_sq_weighted.clone(),
+            opts: self.opts.clone(),
+            stats: self.stats.clone(),
+            epoch,
+            tombstones: Tombstones::all_live(kept.len()),
+            inserts_since_rebuild: 0,
+            ann: OnceLock::new(),
+        }
     }
 
     /// Number of indexed rows, **including** tombstoned ones (ids stay
@@ -602,65 +593,26 @@ impl GraphIndex {
         &self.stats
     }
 
-    /// The underlying feature space (all mined features) **as built**:
-    /// its rows and inverted lists cover the graphs the index was
-    /// built or loaded with. Graphs inserted online since
-    /// are recorded beside it ([`GraphIndex::inserted_row`]);
-    /// [`GraphIndex::supports`] is the view over both.
-    pub fn feature_space(&self) -> &FeatureSpace {
-        &self.space
-    }
-
-    /// The stored full-space feature row (bit `r` set iff `f_r ⊆ g`)
-    /// of a graph inserted online, or `None` for a row the feature
-    /// space itself covers (or an id out of range).
-    pub fn inserted_row(&self, i: usize) -> Option<&Bitset> {
-        self.inserted.get(i.checked_sub(self.space.num_graphs())?)
-    }
-
-    /// Every mined feature's support over **all** rows: its build-time
-    /// list followed by the ids of the online inserts whose stored row
-    /// holds the feature — ascending, since inserted ids exceed every
-    /// build-time id. This is what a snapshot persists and a shard
-    /// split remaps; it is composed on demand (one pass over the
-    /// inserted rows) because nothing on the serving path reads it.
-    pub fn supports(&self) -> Vec<Vec<u32>> {
-        let mut supports: Vec<Vec<u32>> = self
-            .space
-            .features()
-            .iter()
-            .map(|f| f.support.clone())
-            .collect();
-        let first = self.space.num_graphs();
-        for (j, row) in self.inserted.iter().enumerate() {
-            for r in row.iter_ones() {
-                supports[r].push((first + j) as u32);
-            }
-        }
-        supports
-    }
-
-    /// How many rows' heap state (graph, inserted feature row) a
-    /// [`Clone`] of this index physically copies — the open tails of
-    /// the two row containers, always fewer than
-    /// [`CHUNK`](crate::chunked::CHUNK); every other row is shared.
+    /// How many rows' heap state (their graphs) a [`Clone`] of this
+    /// index physically copies — the open tail of the row container,
+    /// always fewer than [`CHUNK`](crate::chunked::CHUNK); every other
+    /// row is shared.
     pub fn rows_copied_by_clone(&self) -> usize {
-        // Both tails are suffixes of the row range: the longer covers
-        // the shorter.
-        self.db.tail_len().max(self.inserted.tail_len())
+        self.db.tail_len()
     }
 
-    /// The mapped database over the selected dimensions.
+    /// The mapped database: the dimensions
+    /// ([`MappedDatabase::features`]) and every row's vector over them.
     pub fn mapped(&self) -> &MappedDatabase {
         &self.mapped
     }
 
-    /// Selected dimension ids into [`GraphIndex::feature_space`].
-    pub fn dimensions(&self) -> &[u32] {
-        &self.selected
+    /// Number of dimensions `p`.
+    pub fn p(&self) -> usize {
+        self.mapped.p()
     }
 
-    /// DSPM/DSPMap weights over all mined features.
+    /// The DSPM/DSPMap weight of each dimension, in column order.
     pub fn weights(&self) -> &[f64] {
         &self.weights
     }
@@ -853,7 +805,7 @@ impl GraphIndex {
 
     /// The index's rebuild generation: 0 for a fresh build, the value
     /// its owner assembled it with otherwise
-    /// ([`GraphIndex::from_parts`]). Any single request is answered against
+    /// ([`GraphIndex::subset`]). Any single request is answered against
     /// exactly one epoch (a search holds the index borrowed for its
     /// whole duration) and reports it in
     /// [`SearchStats::epoch`](crate::search::SearchStats::epoch).
@@ -866,54 +818,30 @@ impl GraphIndex {
         self.inserts_since_rebuild
     }
 
-    /// The [`CodeTree`] over the **full** feature space, built on
-    /// first use — in practice the first insert (the mapped database's
-    /// own tree covers only the selected dimensions).
-    pub fn full_mapper(&self) -> &CodeTree {
-        self.full_mapper.get_or_init(|| {
-            CodeTree::build(self.space.features()).expect("a mined feature's code spells its graph")
-        })
+    /// Makes this index map through `src`'s code tree instead of its
+    /// own — for indexes loaded separately that descend from one build
+    /// (the shard files of one directory), so they hold one tree, not
+    /// one each. A tree is a function of the dimensions' DFS codes
+    /// alone, so this compares them first: returns `false`, changing
+    /// nothing, when the two indexes' dimensions differ.
+    pub fn share_mapper_of(&mut self, src: &GraphIndex) -> bool {
+        self.mapped.share_mapper_of(&src.mapped)
     }
 
-    /// Makes this index use `src`'s two code-tree cells (selected
-    /// dimensions and full space) instead of its own: one tree per
-    /// feature set, not per shard or per compaction. Only for an index
-    /// over the **same mined features and selection** as `src` — a
-    /// shard split or compacted from it. A tree is a function of the
-    /// features' codes alone, so the shared one maps exactly like a
-    /// private one would; sharing the cell (not just a built value)
-    /// means a tree first needed after the split is still built once.
-    pub fn share_mappers_of(&mut self, src: &GraphIndex) {
-        debug_assert_eq!(self.space.num_features(), src.space.num_features());
-        self.mapped.share_mapper_of(&src.mapped);
-        self.full_mapper = Arc::clone(&src.full_mapper);
-    }
-
-    /// Inserts one graph **online**: the graph is mapped against the
-    /// *existing* feature space (one search over the whole space's
-    /// code tree — the same search as query mapping, no re-mining), its
-    /// full feature row is stored once beside the space
-    /// ([`GraphIndex::inserted_row`]; [`GraphIndex::supports`] folds it
-    /// back into the per-feature supports, so the index persists and
-    /// reloads exactly), and its vector over the selected dimensions is
-    /// appended to the scan store in place. Returns the new graph's
-    /// stable id.
+    /// Inserts one graph **online**: the graph is mapped onto the
+    /// dimensions exactly as a query is ([`GraphIndex::map_query`] —
+    /// one code-tree search, no re-mining) and that vector is appended
+    /// to the scan store in place. The vector is all the index records
+    /// of the graph's features, and all a snapshot needs: a dimension's
+    /// support is its store column. Returns the new graph's stable id.
     ///
     /// The selected dimensions themselves are *not* revisited:
     /// features the new graph would have made frequent stay invisible
     /// until the owner rebuilds. Use [`GraphIndex::is_stale`] to decide
     /// when the accumulated drift (per [`RebuildPolicy`]) warrants it.
     pub fn insert(&mut self, g: Graph) -> GraphId {
-        let full_row = self.full_mapper().map_query(&g).0;
         let id = self.db.len() as u32;
-        let mut sel_row = Bitset::zeros(self.selected.len());
-        for (col, &r) in self.selected.iter().enumerate() {
-            if full_row.get(r as usize) {
-                sel_row.set(col);
-            }
-        }
-        self.mapped.push_row(&sel_row);
-        self.inserted.push(full_row);
+        self.mapped.push_row(&self.mapped.map_query(&g));
         self.db.push(g);
         self.tombstones.push_live();
         self.inserts_since_rebuild += 1;
@@ -964,7 +892,7 @@ mod tests {
         let index = GraphIndex::build(db(40, 3), IndexOptions::default().with_dimensions(30));
         assert_eq!(index.len(), 40);
         assert!(index.stats().mined_features > 0);
-        assert_eq!(index.dimensions().len(), index.stats().dimensions);
+        assert_eq!(index.p(), index.stats().dimensions);
         let q = index.graph(7).unwrap().clone();
         let resp = index.search(&q, &SearchRequest::new(3)).unwrap();
         assert_eq!(resp.hits[0].id.get(), 7);
@@ -1046,21 +974,18 @@ mod tests {
     }
 
     #[test]
-    fn a_cloned_index_shares_both_code_trees() {
+    fn a_cloned_index_shares_its_code_tree() {
         // Copy-on-write publishing clones the index per write: what is
-        // immutable (feature space, selected features, code trees, the built
-        // ANN) and every sealed row chunk must be shared, not copied.
+        // immutable (the dimensions, their code tree, the built ANN)
+        // and every sealed row chunk must be shared, not copied.
         use crate::chunked::CHUNK;
         let mut index = GraphIndex::build(db(20, 31), IndexOptions::default().with_dimensions(20));
         for g in db(2 * CHUNK + 5, 77) {
-            index.insert(g); // the first insert builds the full-space tree
+            index.insert(g);
         }
         index.ann();
         let copy = index.clone();
 
-        assert!(Arc::ptr_eq(&index.space, &copy.space));
-        assert!(Arc::ptr_eq(&index.full_mapper, &copy.full_mapper));
-        assert!(index.full_mapper.get().is_some());
         assert!(std::ptr::eq(
             index.mapped().mapper(),
             copy.mapped().mapper()
@@ -1073,16 +998,10 @@ mod tests {
             index.ann.get().expect("built"),
             copy.ann.get().expect("cloned")
         ));
-        // 25 + 2·CHUNK graphs seal two chunks, 2·CHUNK + 5 inserted
-        // rows seal two.
-        fn two_shared_chunks<T>(a: &ChunkedVec<T>, b: &ChunkedVec<T>) -> bool {
-            let (a, b) = (a.sealed_chunks(), b.sealed_chunks());
-            a.len() == 2 && b.len() == 2 && a.iter().zip(b).all(|(x, y)| Arc::ptr_eq(x, y))
-        }
-        assert!(two_shared_chunks(&index.db, &copy.db));
-        assert!(two_shared_chunks(&index.inserted, &copy.inserted));
-        // What a clone copies is the longer tail: 25 graphs, 5
-        // inserted rows.
+        // 25 + 2·CHUNK graphs seal two chunks; the graphs are the only
+        // per-row heap state there is.
+        let (a, b) = (index.db.sealed_chunks(), copy.db.sealed_chunks());
+        assert!(a.len() == 2 && b.len() == 2 && a.iter().zip(b).all(|(x, y)| Arc::ptr_eq(x, y)));
         assert_eq!(index.rows_copied_by_clone(), 25);
 
         // The copy is a snapshot: the source moving on — through a
@@ -1103,45 +1022,24 @@ mod tests {
     fn insert_maps_against_the_existing_space() {
         let mut index = GraphIndex::build(db(20, 31), IndexOptions::default().with_dimensions(20));
         let newcomers = db(3, 77);
-        let base_features = index.feature_space().num_features();
+        let (p, mined) = (index.p(), index.stats().mined_features);
         for g in &newcomers {
             let id = index.insert(g.clone());
             // The appended vector is exactly the query mapping of the
             // inserted graph — a later self-query scores distance 0.
-            assert_eq!(
-                index.mapped().vector(id.index()),
-                index.map_query(g),
-                "{id}"
-            );
-            // The stored full-space row is the graph mapped onto the
-            // whole mined space.
-            let mapped = index.full_mapper().map_query(g).0;
-            assert_eq!(index.inserted_row(id.index()), Some(&mapped), "{id}");
+            let row = index.mapped().vector(id.index());
+            assert_eq!(row, index.map_query(g), "{id}");
+            assert_eq!(row, index.mapped().map_query_unpruned(g), "{id}");
         }
-        assert_eq!(index.inserted_row(19), None, "a build-time row");
-        assert_eq!(index.inserted_row(23), None, "past the end");
         assert_eq!(index.len(), 23);
         assert_eq!(index.live_len(), 23);
         assert_eq!(index.pending_inserts(), 3);
-        // The build-time space itself does not move without a rebuild.
-        assert_eq!(index.feature_space().num_features(), base_features);
-        assert_eq!(index.feature_space().num_graphs(), 20);
-        // Rows and inverted lists stay consistent through a snapshot:
-        // after a reload, feature r's support holds the new id exactly
-        // where the stored row has bit r.
+        // The dimensions themselves do not move without a rebuild.
+        assert_eq!((index.p(), index.stats().mined_features), (p, mined));
+        // The vector is all the index records of an insert, and enough
+        // for a snapshot to bring the row back.
         let back = GraphIndex::from_bytes(&index.to_bytes()).unwrap();
-        assert_eq!(back.feature_space().num_graphs(), 23);
-        for id in 20..23 {
-            let row = index.inserted_row(id).unwrap();
-            assert_eq!(back.feature_space().row(id), row, "row {id}");
-            for r in 0..base_features {
-                assert_eq!(
-                    back.feature_space().if_list(r).contains(&(id as u32)),
-                    row.get(r),
-                    "feature {r}, row {id}"
-                );
-            }
-        }
+        assert_eq!(back.mapped().store(), index.mapped().store());
         let resp = index.search(&newcomers[1], &SearchRequest::new(1)).unwrap();
         assert_eq!(resp.hits[0].id.get(), 21);
         assert_eq!(resp.hits[0].distance, 0.0);
@@ -1150,17 +1048,20 @@ mod tests {
     #[test]
     fn online_inserts_match_batch_construction() {
         // Mine over 24 graphs, index the first 20 (supports restricted
-        // to them), insert the other 4: rows and composed supports must
-        // equal the space built over all 24 at once (same features, so
-        // they line up exactly).
+        // to them) under four of the features, insert the other 4: the
+        // rows must equal those of the database mapped over all 24 at
+        // once (same features, so they line up exactly) — and the
+        // parts held all m features, of which the index keeps four.
         let all = db(24, 31);
         let feats = mine(
             &all,
             &MinerConfig::new(Support::Relative(0.2)).with_max_edges(4),
         );
         let m = feats.len();
-        assert!(m > 4);
+        assert!(m > 7);
+        let selected = vec![1, 3, 4, 6];
         let full = FeatureSpace::build(all.len(), feats.clone());
+        let batch = MappedDatabase::new(&full, &selected).unwrap();
         let restricted = feats
             .iter()
             .map(|f| gdim_mining::Feature {
@@ -1173,8 +1074,8 @@ mod tests {
         let mut grown = GraphIndex::from_parts(
             all[..20].to_vec(),
             restricted,
-            (0..4).collect(),
-            vec![1.0; m],
+            selected.clone(),
+            (0..m).map(|r| r as f64).collect(),
             donor.options().clone(),
             donor.stats().clone(),
             0,
@@ -1182,14 +1083,18 @@ mod tests {
             0,
         )
         .unwrap();
+        assert_eq!(grown.p(), 4);
+        assert_eq!(grown.weights(), [1.0, 3.0, 4.0, 6.0]);
+        assert!(grown.mapped().codes().eq(batch.codes()));
         for g in &all[20..] {
             grown.insert(g.clone());
         }
-        for (r, support) in grown.supports().iter().enumerate() {
-            assert_eq!(support, full.if_list(r), "feature {r}");
-        }
-        for i in 20..24 {
-            assert_eq!(grown.inserted_row(i), Some(full.row(i)), "graph {i}");
+        assert_eq!(grown.mapped().store(), batch.store());
+        // A snapshot of the grown index records each dimension's
+        // support over all 24 rows.
+        let back = GraphIndex::from_bytes(&grown.to_bytes()).unwrap();
+        for (f, &r) in back.mapped().features().iter().zip(&selected) {
+            assert_eq!(f.support, full.if_list(r as usize), "feature {r}");
         }
     }
 
@@ -1214,15 +1119,16 @@ mod tests {
 
     #[test]
     fn from_parts_rejects_inconsistent_supports() {
-        // The public assembly seam must uphold the no-panic contract:
-        // a support id outside the database, or an unsorted support
-        // list, is a typed error before any derived state is built.
+        // The decoder's assembly seam must uphold the no-panic
+        // contract: a support id outside the database, or an unsorted
+        // support list, is a typed error before any derived state is
+        // built.
         let idx = GraphIndex::build(db(6, 41), IndexOptions::default().with_dimensions(8));
         let assemble = |features| {
             GraphIndex::from_parts(
                 idx.graphs().cloned().collect(),
                 features,
-                idx.dimensions().to_vec(),
+                (0..idx.p() as u32).collect(),
                 idx.weights().to_vec(),
                 idx.options().clone(),
                 idx.stats().clone(),
@@ -1231,20 +1137,20 @@ mod tests {
                 0,
             )
         };
-        let mut features = idx.feature_space().features().to_vec();
+        let mut features = idx.mapped().features().to_vec();
         features[0].support = vec![0, 99];
         match assemble(features) {
             Err(GdimError::Corrupt(msg)) => assert!(msg.contains("99"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
-        let mut features = idx.feature_space().features().to_vec();
+        let mut features = idx.mapped().features().to_vec();
         features[0].support = vec![2, 1];
         match assemble(features) {
             Err(GdimError::Corrupt(msg)) => assert!(msg.contains("ascending"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
         // The unmodified parts still assemble.
-        assert!(assemble(idx.feature_space().features().to_vec()).is_ok());
+        assert!(assemble(idx.mapped().features().to_vec()).is_ok());
     }
 
     #[test]

@@ -45,6 +45,18 @@
 //! options let the owner of a reloaded index rebuild it with exactly
 //! the pipeline that produced it.
 //!
+//! **What `features` holds.** An index keeps its `p` dimensions, not
+//! the `m` features they were selected from, so the encoder writes
+//! exactly the dimensions: `p` feature records in column order, each
+//! support the ascending ids of the rows whose vector has that column
+//! set (build-time rows and online inserts alike), `selected = 0, 1,
+//! …, p − 1`, and `p` weights. A file written while an index still
+//! retained its mined space holds all `m` mined features, the ids of
+//! the selected ones among them and `m` weights; the decoder reads
+//! both the same way — it keeps the features `selected` names, in that
+//! order, with their weights, and discards the rest — so there is one
+//! layout and one decoder.
+//!
 //! v3 is the only format read or written: a header stamped 1 or 2
 //! answers [`GdimError::UnsupportedVersion`] (nothing outside this
 //! repository ever wrote those). The ANN graph is the one piece of
@@ -53,18 +65,16 @@
 //! rebuild, so a serving restart should not have to re-pay the build
 //! to keep its latency budget.
 //!
-//! Derived state — the feature space, the flat
-//! [`VectorStore`](crate::scan::VectorStore) of mapped vectors, the
-//! [`CodeTree`](crate::featurespace::CodeTree)s that map queries and
-//! inserts (prefix trees over the features' DFS codes), and the
+//! Derived state — the flat
+//! [`VectorStore`](crate::scan::VectorStore) of mapped vectors (row
+//! `i` has column `c` set iff `i` is in dimension `c`'s support), the
+//! [`CodeTree`](crate::featurespace::CodeTree) that maps queries and
+//! inserts (a prefix tree over the dimensions' DFS codes), and the
 //! weighted scan weights —
 //! is **not** persisted: it is rebuilt deterministically on load,
 //! which keeps the format small and makes a reloaded index answer
-//! byte-identically to the one that was saved (a dirty index persists
-//! exactly as well: the encoder writes each feature's support as
-//! [`GraphIndex::supports`](GraphIndex::supports) composes it —
-//! build-time list, then the online inserts — so inserted rows
-//! reappear in the rebuilt scan store). The exec budget
+//! byte-identically to the one that was saved, grown and tombstoned
+//! or not. The exec budget
 //! is deliberately not persisted either — core counts belong to the
 //! serving machine, not the index file
 //! ([`GraphIndex::set_exec`](crate::index::GraphIndex::set_exec)).
@@ -73,18 +83,14 @@
 //! [`GdimError::UnsupportedVersion`] for any other format version),
 //! never a panic.
 //!
-//! **Role in the durable layout.** Since the durability PR, an index
-//! file is no longer necessarily the whole story of an index on disk:
-//! under a `--durable` directory it is **one generation of a
-//! log-structured directory** — the per-shard snapshot inside a `gen-NNNNNN/`
-//! checkpoint, paired with a write-ahead log (`wal-NNNNNN.log`) that
-//! holds the mutations acked after the checkpoint was cut. Opening
-//! such a directory loads the newest complete generation via this
-//! module and then replays the log suffix on top (see
-//! `gdim_shard::durable`). The file format itself is unchanged; only
-//! its surroundings grew. Standalone saves via
-//! [`GraphIndex::save`](crate::index::GraphIndex::save) are now
-//! crash-safe (temp file → fsync → rename → fsync parent directory).
+//! **Role in the durable layout.** Under a `--durable` directory
+//! (`gdim_shard::durable`) an index file is one shard's snapshot
+//! inside a `gen-NNNNNN/` checkpoint, beside a write-ahead log
+//! (`wal-NNNNNN.log`) holding the mutations acked after the checkpoint
+//! was cut; opening the directory loads the newest complete generation
+//! through this module and replays the log suffix on top. Every save
+//! ([`GraphIndex::save`](crate::index::GraphIndex::save)) is crash-safe
+//! (temp file → fsync → rename → fsync parent directory).
 
 use gdim_graph::dfscode::{DfsCode, DfsEdge};
 use gdim_graph::{Dissimilarity, Graph, McsOptions};
@@ -135,8 +141,8 @@ fn put_graph(buf: &mut Vec<u8>, g: &Graph) {
 }
 
 /// One feature record. `support` is passed beside the feature because
-/// the index composes it (build-time list + online inserts,
-/// [`GraphIndex::supports`]); `f.support` alone would miss the inserts.
+/// the index keeps it as a store column; `f.support` is whatever the
+/// feature was mined or loaded with and misses the online inserts.
 fn put_feature(buf: &mut Vec<u8>, f: &Feature, support: &[u32]) {
     put_graph(buf, &f.graph);
     put_len(buf, f.code.len());
@@ -155,62 +161,73 @@ fn put_feature(buf: &mut Vec<u8>, f: &Feature, support: &[u32]) {
 
 /// Serializes an index (format documented in the module docs).
 pub(crate) fn encode(index: &GraphIndex) -> Vec<u8> {
-    let mut buf = encode_body(index);
+    let mut buf = Vec::new();
+    encode_head(index, &mut buf);
+    encode_dimensions(index, &mut buf);
     encode_tail(index, &mut buf);
     encode_ann(index, &mut buf);
     buf
 }
 
-/// The body: header + stats + graphs + features + selection + weights
-/// (everything up to the tail).
-fn encode_body(index: &GraphIndex) -> Vec<u8> {
-    let mut buf = Vec::new();
+/// The head: header + stats + graphs (everything up to `features`).
+fn encode_head(index: &GraphIndex, buf: &mut Vec<u8>) {
     buf.extend_from_slice(&MAGIC);
-    put_u32(&mut buf, VERSION);
+    put_u32(buf, VERSION);
 
     let cfg = index.delta_config();
     put_u8(
-        &mut buf,
+        buf,
         match cfg.kind {
             Dissimilarity::MaxNorm => 0,
             Dissimilarity::AvgNorm => 1,
         },
     );
-    put_u8(&mut buf, cfg.mcs.containment_precheck as u8);
-    put_u64(&mut buf, cfg.mcs.node_budget);
+    put_u8(buf, cfg.mcs.containment_precheck as u8);
+    put_u64(buf, cfg.mcs.node_budget);
     // Reserved byte. A built index always stores binary vectors — the
     // weighted mapping is served from the same vectors via the derived
     // DSPM weights, never baked into the mapped database — so there
     // is nothing to record here.
-    put_u8(&mut buf, 0);
+    put_u8(buf, 0);
 
     let stats = index.stats();
-    put_len(&mut buf, stats.mined_features);
-    put_len(&mut buf, stats.dimensions);
-    put_u8(&mut buf, stats.used_dspmap as u8);
-    put_len(&mut buf, stats.delta_pairs);
+    put_len(buf, stats.mined_features);
+    put_len(buf, stats.dimensions);
+    put_u8(buf, stats.used_dspmap as u8);
+    put_len(buf, stats.delta_pairs);
     for t in [stats.mining_time, stats.delta_time, stats.selection_time] {
-        put_u64(&mut buf, t.as_nanos().min(u64::MAX as u128) as u64);
+        put_u64(buf, t.as_nanos().min(u64::MAX as u128) as u64);
     }
 
-    put_len(&mut buf, index.len());
+    put_len(buf, index.len());
     for g in index.graphs() {
-        put_graph(&mut buf, g);
+        put_graph(buf, g);
     }
-    let features = index.feature_space().features();
-    put_len(&mut buf, features.len());
-    for (f, support) in features.iter().zip(index.supports()) {
-        put_feature(&mut buf, f, &support);
+}
+
+/// The `features` / `selected` / `weights` sections: the index's `p`
+/// dimensions, each with its store column as support, selected
+/// `0..p` (see "What `features` holds" in the module docs).
+fn encode_dimensions(index: &GraphIndex, buf: &mut Vec<u8>) {
+    let mapped = index.mapped();
+    let mut supports = vec![Vec::new(); mapped.p()];
+    for i in 0..mapped.len() {
+        for col in mapped.vector(i).iter_ones() {
+            supports[col].push(i as u32);
+        }
     }
-    put_len(&mut buf, index.dimensions().len());
-    for &r in index.dimensions() {
-        put_u32(&mut buf, r);
+    put_len(buf, mapped.p());
+    for (f, support) in mapped.features().iter().zip(&supports) {
+        put_feature(buf, f, support);
     }
-    put_len(&mut buf, index.weights().len());
+    put_len(buf, mapped.p());
+    for col in 0..mapped.p() {
+        put_u32(buf, col as u32);
+    }
+    put_len(buf, index.weights().len());
     for &w in index.weights() {
-        put_f64(&mut buf, w);
+        put_f64(buf, w);
     }
-    buf
 }
 
 /// The tail: retained build options + dynamic state (see the module
@@ -452,13 +469,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<GraphIndex, GdimError> {
     let m = r.len()?;
     let mut features = Reader::vec_for(m);
     for _ in 0..m {
-        let f = r.feature()?;
-        if let Some(&bad) = f.support.iter().find(|&&gid| gid as usize >= n) {
-            return Err(GdimError::Corrupt(format!(
-                "feature support references graph {bad} of {n}"
-            )));
-        }
-        features.push(f);
+        features.push(r.feature()?);
     }
     let p = r.len()?;
     let mut selected = Reader::vec_for(p);
@@ -586,9 +597,6 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<GraphIndex, GdimError> {
     // index (selected id outside the space, wrong weights length);
     // from a file, that is corruption too.
     .map_err(|e| GdimError::Corrupt(format!("inconsistent index payload: {e}")))?;
-    // A serving index builds its query mapper at load time, not on
-    // its first query.
-    index.mapped().mapper();
     if let Some(ann) = ann {
         index.set_ann(ann);
     }
@@ -599,11 +607,34 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<GraphIndex, GdimError> {
 mod tests {
     use super::*;
     use crate::index::IndexOptions;
+    use crate::query::MappingKind;
     use crate::search::{Ranker, SearchRequest};
 
     fn index(n: usize, seed: u64) -> GraphIndex {
         let db = gdim_datagen::chem_db(n, &gdim_datagen::ChemConfig::default(), seed);
         GraphIndex::build(db, IndexOptions::default().with_dimensions(20))
+    }
+
+    /// `a` and `b` answer every ranker under both mappings identically.
+    fn assert_same_answers<'q>(
+        a: &GraphIndex,
+        b: &GraphIndex,
+        queries: impl IntoIterator<Item = &'q Graph>,
+    ) {
+        let approx = Ranker::Approx {
+            ef: 30,
+            verify: None,
+        };
+        let refined = Ranker::Refined { candidates: 6 };
+        for q in queries {
+            for ranker in [Ranker::Mapped, Ranker::Exact, refined, approx] {
+                for mapping in [MappingKind::Binary, MappingKind::Weighted] {
+                    let req = SearchRequest::new(6).ranker(ranker).mapping(mapping);
+                    let (a, b) = (a.search(q, &req).unwrap(), b.search(q, &req).unwrap());
+                    assert_eq!(a.hits, b.hits, "{ranker:?}, {mapping:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -613,7 +644,7 @@ mod tests {
         let back = GraphIndex::from_bytes(&bytes).unwrap();
         assert_eq!(back.len(), idx.len());
         assert!(back.graphs().eq(idx.graphs()));
-        assert_eq!(back.dimensions(), idx.dimensions());
+        assert!(back.mapped().codes().eq(idx.mapped().codes()));
         assert_eq!(back.weights(), idx.weights());
         assert_eq!(back.dissimilarity(), idx.dissimilarity());
         assert_eq!(back.stats().mined_features, idx.stats().mined_features);
@@ -626,20 +657,7 @@ mod tests {
         let idx = index(16, 7);
         let back = GraphIndex::from_bytes(&idx.to_bytes()).unwrap();
         let queries = gdim_datagen::chem_db(3, &gdim_datagen::ChemConfig::default(), 99);
-        for q in &queries {
-            for ranker in [
-                Ranker::Mapped,
-                Ranker::Exact,
-                Ranker::Refined { candidates: 6 },
-            ] {
-                let req = SearchRequest::new(5).ranker(ranker);
-                assert_eq!(
-                    idx.search(q, &req).unwrap().hits,
-                    back.search(q, &req).unwrap().hits,
-                    "{ranker:?}"
-                );
-            }
-        }
+        assert_same_answers(&idx, &back, &queries);
     }
 
     #[test]
@@ -707,7 +725,7 @@ mod tests {
         // the feature space must be Corrupt, not DimensionOutOfRange —
         // callers quarantine index files by matching on Corrupt.
         let idx = index(8, 15);
-        let p = idx.dimensions().len();
+        let p = idx.p();
         let wn = idx.weights().len();
         assert!(p > 0);
         let mut bytes = idx.to_bytes();
@@ -737,15 +755,15 @@ mod tests {
         // of an otherwise valid snapshot.
         let idx = index(12, 15);
         let bytes = idx.to_bytes();
-        let (r, f) = (idx.feature_space().features().iter().enumerate())
-            .find(|(_, f)| f.code.len() >= 2)
-            .expect("a two-edge feature is mined");
+        let f = (idx.mapped().features().iter())
+            .find(|f| f.code.len() >= 2)
+            .expect("a two-edge feature is selected");
         // The feature's record starts with its graph; its code follows
         // an 8-byte count, 20 bytes per edge.
         let mut graph = Vec::new();
         put_graph(&mut graph, &f.graph);
         let mut record = Vec::new();
-        put_feature(&mut record, f, &idx.supports()[r]);
+        put_feature(&mut record, f, &f.support); // fresh build: as mined
         let at = (0..bytes.len() - record.len())
             .find(|&i| bytes[i..].starts_with(&record))
             .expect("the record is in the snapshot");
@@ -809,8 +827,8 @@ mod tests {
         // Reassembled at epoch 1, so a non-zero epoch is exercised.
         let mut idx = GraphIndex::from_parts(
             built.graphs().cloned().collect(),
-            built.feature_space().features().to_vec(),
-            built.dimensions().to_vec(),
+            built.mapped().features().to_vec(),
+            (0..built.p() as u32).collect(),
             built.weights().to_vec(),
             built.options().clone(),
             built.stats().clone(),
@@ -825,7 +843,15 @@ mod tests {
         idx.remove(crate::search::GraphId(2)).unwrap();
         idx.remove(crate::search::GraphId(15)).unwrap(); // an inserted row
         let bytes = idx.to_bytes();
+        // The feature count follows the head: the p dimensions, not
+        // the m features they were selected from.
+        let mut head = Vec::new();
+        encode_head(&idx, &mut head);
+        let count = u64::from_le_bytes(bytes[head.len()..head.len() + 8].try_into().unwrap());
+        assert_eq!(count as usize, idx.p());
+        assert!(idx.p() < idx.stats().mined_features);
         let back = GraphIndex::from_bytes(&bytes).unwrap();
+        assert_eq!(back.stats().mined_features, idx.stats().mined_features);
         assert_eq!(back.epoch(), 1);
         assert_eq!(back.pending_inserts(), 3);
         assert_eq!(back.tombstone_count(), 2);
@@ -835,19 +861,74 @@ mod tests {
         // Byte-stable re-encode, and identical answers — including for
         // a query that *is* an inserted graph.
         assert_eq!(back.to_bytes(), bytes);
-        for q in extra.iter().chain([idx.graph(2).unwrap()]) {
-            for ranker in [
-                Ranker::Mapped,
-                Ranker::Exact,
-                Ranker::Refined { candidates: 6 },
-            ] {
-                let req = SearchRequest::new(6).ranker(ranker);
-                let a = idx.search(q, &req).unwrap();
-                let b = back.search(q, &req).unwrap();
-                assert_eq!(a.hits, b.hits, "{ranker:?}");
-                assert!(a.hits.iter().all(|h| ![2, 15].contains(&h.id.get())));
-            }
+        assert_same_answers(&idx, &back, extra.iter().chain([idx.graph(2).unwrap()]));
+        let own = back.search(&extra[0], &SearchRequest::new(17)).unwrap();
+        assert_eq!(own.hits.len(), 15, "every live row, no dead one");
+        assert!(own.hits.iter().all(|h| ![2, 15].contains(&h.id.get())));
+    }
+
+    #[test]
+    fn a_snapshot_that_still_holds_the_mined_space_loads_and_answers_identically() {
+        // A v3 file in the shape written while an index retained its
+        // mined space — all m features with supports over every row,
+        // the selected ids among them, m weights — built by hand
+        // around the head, tail and ANN section of an index grown past
+        // a chunk seal and tombstoned on both sides of the build line.
+        let db = gdim_datagen::chem_db(14, &gdim_datagen::ChemConfig::default(), 29);
+        let extra = gdim_datagen::chem_db(40, &gdim_datagen::ChemConfig::default(), 92);
+        let mut idx = GraphIndex::build(db.clone(), IndexOptions::default().with_dimensions(18));
+        for g in &extra {
+            idx.insert(g.clone());
         }
+        for id in [2, 15, 53] {
+            idx.remove(crate::search::GraphId(id)).unwrap();
+        }
+        idx.ann();
+        let opts = idx.options();
+        let mined = gdim_mining::mine(
+            &db,
+            &gdim_mining::MinerConfig::new(opts.min_support).with_max_edges(opts.max_pattern_edges),
+        );
+        let (m, p) = (mined.len(), idx.p());
+        assert_eq!(m, idx.stats().mined_features);
+        assert!(m > p);
+        let selected: Vec<u32> = (idx.mapped().codes())
+            .map(|code| mined.iter().position(|f| &f.code == code).unwrap() as u32)
+            .collect();
+        let mut weights = vec![0.5; m];
+        for (&r, &w) in selected.iter().zip(idx.weights()) {
+            weights[r as usize] = w;
+        }
+        let mut bytes = Vec::new();
+        encode_head(&idx, &mut bytes);
+        put_len(&mut bytes, m);
+        for f in &mined {
+            let inserted = (0..extra.len())
+                .filter(|&j| gdim_graph::vf2::is_subgraph_iso(&f.graph, &extra[j]))
+                .map(|j| (db.len() + j) as u32);
+            let support: Vec<u32> = f.support.iter().copied().chain(inserted).collect();
+            put_feature(&mut bytes, f, &support);
+        }
+        put_len(&mut bytes, p);
+        for &r in &selected {
+            put_u32(&mut bytes, r);
+        }
+        put_len(&mut bytes, m);
+        for &w in &weights {
+            put_f64(&mut bytes, w);
+        }
+        encode_tail(&idx, &mut bytes);
+        encode_ann(&idx, &mut bytes);
+
+        // The decoder keeps the selected features and discards the
+        // rest: the loaded index is the index that would have written
+        // the file, byte for byte in today's shape, answer for answer.
+        let old = GraphIndex::from_bytes(&bytes).unwrap();
+        assert_eq!((old.p(), old.weights()), (p, idx.weights()));
+        let today = idx.to_bytes();
+        assert_eq!(old.to_bytes(), today);
+        assert_eq!(GraphIndex::from_bytes(&today).unwrap().to_bytes(), today);
+        assert_same_answers(&old, &idx, extra.iter().take(3).chain(&db[..2]));
     }
 
     #[test]

@@ -23,6 +23,7 @@
 use std::sync::Arc;
 
 use gdim_exec::ExecConfig;
+use gdim_graph::dfscode::DfsCode;
 use gdim_graph::vf2::is_subgraph_iso;
 use gdim_graph::{delta, Dissimilarity, Graph, McsOptions};
 use gdim_mining::Feature;
@@ -140,10 +141,20 @@ impl MappedDatabase {
         self.store.is_empty()
     }
 
-    /// The selected feature dimensions.
+    /// The selected feature dimensions, column `c` = `features()[c]`.
+    /// Their `support` lists are as mined (or loaded) and are not
+    /// maintained afterwards: the authoritative support of a dimension
+    /// is its column of the [store](MappedDatabase::store).
     #[inline]
     pub fn features(&self) -> &[Feature] {
         &self.features
+    }
+
+    /// The dimensions' DFS codes, column by column — what makes two
+    /// selections the same selection (feature ids do not outlive the
+    /// mined space they index).
+    pub fn codes(&self) -> impl Iterator<Item = &DfsCode> + '_ {
+        self.features.iter().map(|f| &f.code)
     }
 
     /// The flat vector storage backing the scan.
@@ -157,21 +168,47 @@ impl MappedDatabase {
     ///
     /// # Panics
     /// If a selected feature's DFS code does not spell its graph
-    /// (features from the miner always do;
-    /// [`GraphIndex::from_parts`](crate::index::GraphIndex::from_parts)
+    /// (features from the miner always do; the snapshot decoder
     /// rejects the rest).
     pub fn mapper(&self) -> &CodeTree {
-        self.mapper.get_or_init(|| {
-            CodeTree::build(&self.features).expect("a feature's DFS code spells its graph")
-        })
+        self.try_mapper()
+            .expect("a feature's DFS code spells its graph")
+    }
+
+    /// [`MappedDatabase::mapper`] for features read from disk: a code
+    /// that does not spell its graph is [`GdimError::Corrupt`], not a
+    /// panic.
+    pub(crate) fn try_mapper(&self) -> Result<&CodeTree, GdimError> {
+        match self.mapper.get() {
+            Some(tree) => Ok(tree),
+            None => {
+                let tree = CodeTree::build(&self.features)?;
+                Ok(self.mapper.get_or_init(|| tree))
+            }
+        }
     }
 
     /// Makes this database use `src`'s code-tree cell instead of its
-    /// own. Only for databases over the **same selected features**
-    /// (the tree is a function of the features' codes alone).
-    pub(crate) fn share_mapper_of(&mut self, src: &MappedDatabase) {
-        debug_assert_eq!(self.p(), src.p());
-        self.mapper = Arc::clone(&src.mapper);
+    /// own, if the two are over the same dimensions — the tree is a
+    /// function of the features' DFS codes alone, so those are
+    /// compared. Returns whether they were (and the cell is shared).
+    pub(crate) fn share_mapper_of(&mut self, src: &MappedDatabase) -> bool {
+        let same = self.codes().eq(src.codes());
+        if same {
+            self.mapper = Arc::clone(&src.mapper);
+        }
+        same
+    }
+
+    /// The database over the rows `kept` of this one, in that order:
+    /// their vectors gathered into a new store, the features and the
+    /// code-tree cell shared.
+    pub(crate) fn with_rows(&self, kept: &[u32]) -> MappedDatabase {
+        MappedDatabase {
+            features: Arc::clone(&self.features),
+            store: self.store.gather(kept),
+            mapper: Arc::clone(&self.mapper),
+        }
     }
 
     /// Vector of database graph `i`, materialized from its store row.
@@ -181,15 +218,9 @@ impl MappedDatabase {
     }
 
     /// Appends one already-mapped vector (over this database's `p`
-    /// selected dimensions) — the mapped-database half of an online
-    /// insert. The per-feature support lists cloned into this value at
-    /// construction are **not** extended (the build-time
-    /// [`FeatureSpace`] does not move either:
-    /// [`GraphIndex::insert`](crate::index::GraphIndex::insert) stores
-    /// the new graph's full feature row beside it, and
-    /// [`GraphIndex::supports`](crate::index::GraphIndex::supports)
-    /// composes the two); the code tree depends only on the features'
-    /// codes, so query mapping is unaffected.
+    /// selected dimensions) — what an online insert stores. The code
+    /// tree depends only on the features' codes, so query mapping is
+    /// unaffected.
     ///
     /// # Panics
     /// If `row` does not cover exactly `p` dimensions.
@@ -224,13 +255,6 @@ impl MappedDatabase {
             }
         }
         bits
-    }
-
-    /// Maps a batch of queries, fanning the per-query code-tree
-    /// searches out on the shared exec runtime. Output order matches
-    /// `queries`, identically for every thread budget.
-    pub fn map_queries(&self, queries: &[Graph], exec: &ExecConfig) -> Vec<Bitset> {
-        gdim_exec::map_tasks(exec, queries.len(), |i| self.map_query(&queries[i]))
     }
 
     /// Distance between two vectors in the mapped space: `√(h/p)` over
@@ -518,21 +542,6 @@ mod tests {
         assert_eq!(r1[0].1, 0.0);
         for w in r1.windows(2) {
             assert!(w[0].1 <= w[1].1);
-        }
-    }
-
-    #[test]
-    fn batch_query_mapping_matches_serial_for_any_thread_budget() {
-        let (db, space) = setup();
-        let selected: Vec<u32> = (0..space.num_features().min(16) as u32).collect();
-        let mapped = MappedDatabase::new(&space, &selected).unwrap();
-        let serial: Vec<Bitset> = db.iter().map(|q| mapped.map_query(q)).collect();
-        for threads in [1usize, 2, 8] {
-            assert_eq!(
-                mapped.map_queries(&db, &ExecConfig::new(threads)),
-                serial,
-                "threads = {threads}"
-            );
         }
     }
 

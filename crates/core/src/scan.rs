@@ -42,12 +42,16 @@
 //!
 //! ## Kernel families
 //!
-//! The scan is memory-bound, so the per-row loops are serviced by
-//! width-optimized kernels from [`gdim_kernels`]: a portable
-//! 4-rows-per-iteration unrolled block kernel, an AVX2 intrinsic
-//! variant selected at runtime via `is_x86_feature_detected!`, and the
-//! original scalar loop as the always-available reference
-//! ([`KernelKind`]). All kernels are **bit-identical** — Hamming
+//! The scan is memory-bound, so the binary loop hands the store to
+//! [`gdim_kernels`] eight rows at a time
+//! ([`hamming_block8_multi_pruned`]: every query's eight distances,
+//! already compared against that query's k-th bound) and a range's
+//! last `< 8` rows one by one ([`hamming_row_kernel`]), each in four
+//! families ([`KernelKind`]): the scalar loop (the always-available
+//! reference), a portable interleaved block, and AVX2 and AVX-512
+//! variants selected at runtime via `is_x86_feature_detected!`. The
+//! weighted loop is this module's own, in 4-row blocks once the
+//! selectors are full. All kernels are **bit-identical** — Hamming
 //! popcounts are exact integers, and the weighted block form
 //! accumulates every row's weights in the same per-row order as the
 //! scalar walk, so distances (and hits) never depend on the kernel.
@@ -98,8 +102,7 @@ use crate::bitset::{weighted_sq_xor_words, Bitset};
 use gdim_exec::ExecConfig;
 
 pub use gdim_kernels::{
-    available_kernels, hamming_block4, hamming_block4_multi, hamming_block8_multi_pruned,
-    hamming_row_kernel, selected_kernel, KernelKind,
+    available_kernels, hamming_block8_multi_pruned, hamming_row_kernel, selected_kernel, KernelKind,
 };
 
 /// Minimum rows per exec-parallel range of a fused scan: below this,
@@ -420,11 +423,21 @@ impl VectorStore {
         &self.words[i * self.stride..(i + 1) * self.stride]
     }
 
-    /// The contiguous words of `rows` consecutive rows starting at
-    /// `i` — the shape the block kernels ([`hamming_block4`]) consume.
-    #[inline]
-    pub fn row_block(&self, i: usize, rows: usize) -> &[u64] {
-        &self.words[i * self.stride..(i + rows) * self.stride]
+    /// The store holding the rows `rows` of this one, in that order —
+    /// what a shard split or a compaction keeps of a store.
+    ///
+    /// # Panics
+    /// If an id is not a row of the store.
+    pub fn gather(&self, rows: &[u32]) -> VectorStore {
+        let mut words = Vec::with_capacity(rows.len() * self.stride);
+        for &i in rows {
+            words.extend_from_slice(self.row(i as usize));
+        }
+        VectorStore {
+            n: rows.len(),
+            words,
+            ..*self
+        }
     }
 
     /// Row `i` materialized as a standalone [`Bitset`].

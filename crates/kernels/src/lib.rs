@@ -7,13 +7,14 @@
 //! the scalar reference loop:
 //!
 //! - [`KernelKind::Unrolled`] — a portable chunked-`u64` kernel that
-//!   processes **4 rows per iteration** ([`hamming_block4_portable`]),
-//!   interleaving the XOR+popcount of four rows inside one word loop so
-//!   each query word is loaded once per block instead of once per row.
-//! - [`KernelKind::Avx2`] — the same 4-row block shape, with each
-//!   row's words processed 256 bits at a time through a
-//!   `target_feature(enable = "avx2")` intrinsic popcount (the
-//!   nibble-LUT `_mm256_shuffle_epi8` + `_mm256_sad_epu8` reduction).
+//!   processes the **8 rows of a block** inside one word loop,
+//!   interleaving their XOR+popcount so each query word is loaded once
+//!   per block instead of once per row.
+//! - [`KernelKind::Avx2`] — the same 8-row block, the block's rows
+//!   held in 256-bit registers across every query of a fused scan and
+//!   counted through a `target_feature(enable = "avx2")` intrinsic
+//!   popcount (the nibble-LUT `_mm256_shuffle_epi8` +
+//!   `_mm256_sad_epu8` reduction).
 //!   Selected at runtime via `is_x86_feature_detected!`; never chosen
 //!   on other architectures or under `--cfg gdim_portable`.
 //! - [`KernelKind::Avx512`] — the AVX2 shape with the shuffle popcount
@@ -49,9 +50,9 @@ use std::sync::OnceLock;
 pub enum KernelKind {
     /// Row-at-a-time `u64` XOR + `count_ones` — the reference loop.
     Scalar,
-    /// Portable 4-rows-per-iteration interleaved block kernel.
+    /// Portable interleaved block kernel (8 rows per word loop).
     Unrolled,
-    /// 4-row block kernel with AVX2 256-bit intrinsic popcount.
+    /// Block kernel with AVX2 256-bit intrinsic popcount.
     Avx2,
     /// AVX2 block shape with the `vpopcntq` single-instruction
     /// popcount and mask-register prune compares (256-bit VL width).
@@ -82,15 +83,6 @@ impl KernelKind {
         ]
         .into_iter()
         .find(|k| s.eq_ignore_ascii_case(k.name()))
-    }
-
-    /// Whether this kernel can run on the current CPU/build.
-    pub fn is_available(self) -> bool {
-        match self {
-            KernelKind::Scalar | KernelKind::Unrolled => true,
-            KernelKind::Avx2 => avx2_available(),
-            KernelKind::Avx512 => avx512_available(),
-        }
     }
 }
 
@@ -168,112 +160,6 @@ pub fn hamming_row(query: &[u64], row: &[u64]) -> u32 {
         .sum()
 }
 
-/// Portable 4-row block kernel: Hamming distance of `query` against
-/// four consecutive rows stored contiguously in `block`
-/// (`block.len() == 4 * stride`). The four accumulations are
-/// interleaved inside a single word loop so each query word is loaded
-/// once per block.
-#[inline]
-pub fn hamming_block4_portable(query: &[u64], block: &[u64], stride: usize) -> [u32; 4] {
-    debug_assert_eq!(query.len(), stride);
-    debug_assert_eq!(block.len(), 4 * stride);
-    let (r0, rest) = block.split_at(stride);
-    let (r1, rest) = rest.split_at(stride);
-    let (r2, r3) = rest.split_at(stride);
-    let mut h = [0u32; 4];
-    for w in 0..stride {
-        let q = query[w];
-        h[0] += (q ^ r0[w]).count_ones();
-        h[1] += (q ^ r1[w]).count_ones();
-        h[2] += (q ^ r2[w]).count_ones();
-        h[3] += (q ^ r3[w]).count_ones();
-    }
-    h
-}
-
-/// Dispatch the 4-row block kernel. `Avx2` silently degrades to the
-/// portable block when the CPU/build lacks AVX2, so the kind is safe
-/// to pass through from configuration.
-#[inline]
-pub fn hamming_block4(kernel: KernelKind, query: &[u64], block: &[u64], stride: usize) -> [u32; 4] {
-    match kernel {
-        KernelKind::Scalar => {
-            let (r0, rest) = block.split_at(stride);
-            let (r1, rest) = rest.split_at(stride);
-            let (r2, r3) = rest.split_at(stride);
-            [
-                hamming_row(query, r0),
-                hamming_row(query, r1),
-                hamming_row(query, r2),
-                hamming_row(query, r3),
-            ]
-        }
-        KernelKind::Unrolled => hamming_block4_portable(query, block, stride),
-        KernelKind::Avx2 => {
-            #[cfg(all(target_arch = "x86_64", not(gdim_portable)))]
-            if let Some(h) = avx2::hamming_block4_checked(query, block, stride) {
-                return h;
-            }
-            hamming_block4_portable(query, block, stride)
-        }
-        KernelKind::Avx512 => {
-            #[cfg(all(target_arch = "x86_64", not(gdim_portable)))]
-            if let Some(h) = avx512::hamming_block4_checked(query, block, stride) {
-                return h;
-            }
-            hamming_block4_portable(query, block, stride)
-        }
-    }
-}
-
-/// Fused multi-query form of [`hamming_block4`]: one dispatch per
-/// 4-row block computes every query's four distances (`out[q]` holds
-/// query `q`'s row distances; `out.len() == queries.len()`). The fused
-/// batch scan calls this once per block, so kernel dispatch is paid
-/// per block — not per `(block, query)` pair — and the AVX2 path keeps
-/// the block's rows resident in registers across all queries.
-#[inline]
-pub fn hamming_block4_multi(
-    kernel: KernelKind,
-    queries: &[&[u64]],
-    block: &[u64],
-    stride: usize,
-    out: &mut [[u32; 4]],
-) {
-    debug_assert_eq!(queries.len(), out.len());
-    debug_assert_eq!(block.len(), 4 * stride);
-    match kernel {
-        KernelKind::Scalar => {
-            for (q, o) in queries.iter().zip(out.iter_mut()) {
-                *o = core::array::from_fn(|j| hamming_row(q, &block[j * stride..(j + 1) * stride]));
-            }
-        }
-        KernelKind::Unrolled => {
-            for (q, o) in queries.iter().zip(out.iter_mut()) {
-                *o = hamming_block4_portable(q, block, stride);
-            }
-        }
-        KernelKind::Avx2 => {
-            #[cfg(all(target_arch = "x86_64", not(gdim_portable)))]
-            if avx2::hamming_block4_multi_checked(queries, block, stride, out) {
-                return;
-            }
-            for (q, o) in queries.iter().zip(out.iter_mut()) {
-                *o = hamming_block4_portable(q, block, stride);
-            }
-        }
-        KernelKind::Avx512 => {
-            #[cfg(all(target_arch = "x86_64", not(gdim_portable)))]
-            if avx512::hamming_block4_multi_checked(queries, block, stride, out) {
-                return;
-            }
-            for (q, o) in queries.iter().zip(out.iter_mut()) {
-                *o = hamming_block4_portable(q, block, stride);
-            }
-        }
-    }
-}
-
 /// Bitmask (bits 0..8) of block rows whose distance is strictly below
 /// `bound` — the portable form of the AVX2 in-register compare.
 #[inline]
@@ -283,13 +169,18 @@ fn prune_mask8(h: &[u32; 8], bound: u32) -> u8 {
         .fold(0u8, |m, (r, &v)| m | (((v < bound) as u8) << r))
 }
 
-/// Portable 8-row pruned step shared by the non-AVX2 arms: two 4-row
-/// portable blocks plus the scalar bound compare.
+/// Portable 8-row pruned step shared by the non-scalar arms: the
+/// eight accumulations interleaved inside a single word loop, so each
+/// query word is loaded once per block, plus the scalar bound compare.
 #[inline]
 fn block8_pruned_portable(q: &[u64], block: &[u64], stride: usize, bound: u32) -> ([u32; 8], u8) {
-    let lo = hamming_block4_portable(q, &block[..4 * stride], stride);
-    let hi = hamming_block4_portable(q, &block[4 * stride..], stride);
-    let h = [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]];
+    debug_assert_eq!(q.len(), stride);
+    let mut h = [0u32; 8];
+    for (w, &qw) in q.iter().enumerate() {
+        for (r, hr) in h.iter_mut().enumerate() {
+            *hr += (qw ^ block[r * stride + w]).count_ones();
+        }
+    }
     let m = prune_mask8(&h, bound);
     (h, m)
 }
@@ -336,21 +227,9 @@ pub fn hamming_block8_multi_pruned(
                 *c = prune_mask8(o, b);
                 any |= *c != 0;
             }
-            any
+            return any;
         }
-        KernelKind::Unrolled => {
-            let mut any = false;
-            for (((q, &b), o), c) in queries
-                .iter()
-                .zip(bounds.iter())
-                .zip(out.iter_mut())
-                .zip(cand.iter_mut())
-            {
-                (*o, *c) = block8_pruned_portable(q, block, stride, b);
-                any |= *c != 0;
-            }
-            any
-        }
+        KernelKind::Unrolled => {}
         KernelKind::Avx2 => {
             #[cfg(all(target_arch = "x86_64", not(gdim_portable)))]
             if let Some(any) =
@@ -358,17 +237,6 @@ pub fn hamming_block8_multi_pruned(
             {
                 return any;
             }
-            let mut any = false;
-            for (((q, &b), o), c) in queries
-                .iter()
-                .zip(bounds.iter())
-                .zip(out.iter_mut())
-                .zip(cand.iter_mut())
-            {
-                (*o, *c) = block8_pruned_portable(q, block, stride, b);
-                any |= *c != 0;
-            }
-            any
         }
         KernelKind::Avx512 => {
             #[cfg(all(target_arch = "x86_64", not(gdim_portable)))]
@@ -377,23 +245,27 @@ pub fn hamming_block8_multi_pruned(
             ) {
                 return any;
             }
-            let mut any = false;
-            for (((q, &b), o), c) in queries
-                .iter()
-                .zip(bounds.iter())
-                .zip(out.iter_mut())
-                .zip(cand.iter_mut())
-            {
-                (*o, *c) = block8_pruned_portable(q, block, stride, b);
-                any |= *c != 0;
-            }
-            any
         }
     }
+    // The portable block: `Unrolled`, and an intrinsic kind the
+    // CPU/build lacks.
+    let mut any = false;
+    for (((q, &b), o), c) in queries
+        .iter()
+        .zip(bounds.iter())
+        .zip(out.iter_mut())
+        .zip(cand.iter_mut())
+    {
+        (*o, *c) = block8_pruned_portable(q, block, stride, b);
+        any |= *c != 0;
+    }
+    any
 }
 
-/// Dispatch the single-row kernel (used for block tails of fewer than
-/// 4 rows). Same degradation rules as [`hamming_block4`].
+/// Dispatch the single-row kernel (used for the last rows of a range,
+/// fewer than a block). `Avx2` / `Avx512` silently degrade to the
+/// scalar loop when the CPU/build lacks them, so the kind is safe to
+/// pass through from configuration.
 #[inline]
 pub fn hamming_row_kernel(kernel: KernelKind, query: &[u64], row: &[u64]) -> u32 {
     match kernel {
@@ -498,103 +370,6 @@ mod avx2 {
             lanes[2] as u32,
             lanes[3] as u32,
         ]
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sum4_epi64(
-        x0: __m256i,
-        x1: __m256i,
-        x2: __m256i,
-        x3: __m256i,
-    ) -> [u32; 4] {
-        lanes_to_u32x4(sum4_epi64_vec(x0, x1, x2, x3))
-    }
-
-    /// # Safety
-    /// Caller must guarantee the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn hamming_block4_avx2(query: &[u64], block: &[u64], stride: usize) -> [u32; 4] {
-        debug_assert_eq!(query.len(), stride);
-        debug_assert_eq!(block.len(), 4 * stride);
-        let mut acc0 = _mm256_setzero_si256();
-        let mut acc1 = _mm256_setzero_si256();
-        let mut acc2 = _mm256_setzero_si256();
-        let mut acc3 = _mm256_setzero_si256();
-        let mut w = 0usize;
-        while w + 4 <= stride {
-            // SAFETY: w + 4 <= stride bounds every unaligned 4-word
-            // load (block holds 4 * stride words).
-            let qv = _mm256_loadu_si256(query.as_ptr().add(w) as *const __m256i);
-            let x0 = _mm256_loadu_si256(block.as_ptr().add(w) as *const __m256i);
-            let x1 = _mm256_loadu_si256(block.as_ptr().add(stride + w) as *const __m256i);
-            let x2 = _mm256_loadu_si256(block.as_ptr().add(2 * stride + w) as *const __m256i);
-            let x3 = _mm256_loadu_si256(block.as_ptr().add(3 * stride + w) as *const __m256i);
-            acc0 = _mm256_add_epi64(acc0, popcount256(_mm256_xor_si256(x0, qv)));
-            acc1 = _mm256_add_epi64(acc1, popcount256(_mm256_xor_si256(x1, qv)));
-            acc2 = _mm256_add_epi64(acc2, popcount256(_mm256_xor_si256(x2, qv)));
-            acc3 = _mm256_add_epi64(acc3, popcount256(_mm256_xor_si256(x3, qv)));
-            w += 4;
-        }
-        let mut h = sum4_epi64(acc0, acc1, acc2, acc3);
-        while w < stride {
-            let q = query[w];
-            h[0] += (q ^ block[w]).count_ones();
-            h[1] += (q ^ block[stride + w]).count_ones();
-            h[2] += (q ^ block[2 * stride + w]).count_ones();
-            h[3] += (q ^ block[3 * stride + w]).count_ones();
-            w += 1;
-        }
-        h
-    }
-
-    /// # Safety
-    /// Caller must guarantee the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn hamming_block4_multi_avx2(
-        queries: &[&[u64]],
-        block: &[u64],
-        stride: usize,
-        out: &mut [[u32; 4]],
-    ) {
-        if stride == 4 {
-            // The dominant shape (256-bit signatures): one vector per
-            // row. Load the block's four rows into registers once and
-            // keep them resident across every query.
-            // SAFETY: stride == 4 means block holds 16 words, bounding
-            // all four unaligned row loads.
-            let r0 = _mm256_loadu_si256(block.as_ptr() as *const __m256i);
-            let r1 = _mm256_loadu_si256(block.as_ptr().add(4) as *const __m256i);
-            let r2 = _mm256_loadu_si256(block.as_ptr().add(8) as *const __m256i);
-            let r3 = _mm256_loadu_si256(block.as_ptr().add(12) as *const __m256i);
-            for (q, o) in queries.iter().zip(out.iter_mut()) {
-                debug_assert_eq!(q.len(), 4);
-                // SAFETY: each query row has exactly stride (4) words.
-                let qv = _mm256_loadu_si256(q.as_ptr() as *const __m256i);
-                *o = sum4_epi64(
-                    popcount256(_mm256_xor_si256(r0, qv)),
-                    popcount256(_mm256_xor_si256(r1, qv)),
-                    popcount256(_mm256_xor_si256(r2, qv)),
-                    popcount256(_mm256_xor_si256(r3, qv)),
-                );
-            }
-        } else {
-            for (q, o) in queries.iter().zip(out.iter_mut()) {
-                *o = hamming_block4_avx2(q, block, stride);
-            }
-        }
-    }
-
-    /// Safe entry: runs the AVX2 block kernel when the CPU supports
-    /// it, `None` otherwise (caller falls back to portable).
-    #[inline]
-    pub fn hamming_block4_checked(query: &[u64], block: &[u64], stride: usize) -> Option<[u32; 4]> {
-        if super::avx2_available() {
-            // SAFETY: AVX2 support was just verified at runtime.
-            Some(unsafe { hamming_block4_avx2(query, block, stride) })
-        } else {
-            None
-        }
     }
 
     /// Row totals of two count vectors that hold two 2-word rows each
@@ -728,9 +503,9 @@ mod avx2 {
                 .zip(out.iter_mut())
                 .zip(cand.iter_mut())
             {
-                let lo = hamming_block4_avx2(q, &block[..4 * stride], stride);
-                let hi = hamming_block4_avx2(q, &block[4 * stride..], stride);
-                *o = [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]];
+                *o = core::array::from_fn(|r| {
+                    hamming_row_avx2(q, &block[r * stride..(r + 1) * stride])
+                });
                 *c = super::prune_mask8(o, b);
                 any |= *c != 0;
             }
@@ -760,26 +535,8 @@ mod avx2 {
         }
     }
 
-    /// Safe entry for the fused multi-query block kernel: `false`
-    /// when the CPU lacks AVX2 (caller falls back to portable).
-    #[inline]
-    pub fn hamming_block4_multi_checked(
-        queries: &[&[u64]],
-        block: &[u64],
-        stride: usize,
-        out: &mut [[u32; 4]],
-    ) -> bool {
-        if super::avx2_available() {
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { hamming_block4_multi_avx2(queries, block, stride, out) };
-            true
-        } else {
-            false
-        }
-    }
-
     /// Safe entry for the single-row AVX2 kernel; see
-    /// [`hamming_block4_checked`].
+    /// [`hamming_block8_multi_pruned_checked`].
     #[inline]
     pub fn hamming_row_checked(query: &[u64], row: &[u64]) -> Option<u32> {
         if super::avx2_available() {
@@ -827,78 +584,6 @@ mod avx512 {
             w += 1;
         }
         h
-    }
-
-    /// # Safety
-    /// Caller must guarantee the CPU supports the `FEATURES` set.
-    #[target_feature(enable = "avx2,avx512f,avx512vl,avx512vpopcntdq")]
-    unsafe fn hamming_block4_avx512(query: &[u64], block: &[u64], stride: usize) -> [u32; 4] {
-        debug_assert_eq!(query.len(), stride);
-        debug_assert_eq!(block.len(), 4 * stride);
-        let mut acc0 = _mm256_setzero_si256();
-        let mut acc1 = _mm256_setzero_si256();
-        let mut acc2 = _mm256_setzero_si256();
-        let mut acc3 = _mm256_setzero_si256();
-        let mut w = 0usize;
-        while w + 4 <= stride {
-            // SAFETY: w + 4 <= stride bounds every unaligned 4-word
-            // load (block holds 4 * stride words).
-            let qv = _mm256_loadu_si256(query.as_ptr().add(w) as *const __m256i);
-            let x0 = _mm256_loadu_si256(block.as_ptr().add(w) as *const __m256i);
-            let x1 = _mm256_loadu_si256(block.as_ptr().add(stride + w) as *const __m256i);
-            let x2 = _mm256_loadu_si256(block.as_ptr().add(2 * stride + w) as *const __m256i);
-            let x3 = _mm256_loadu_si256(block.as_ptr().add(3 * stride + w) as *const __m256i);
-            acc0 = _mm256_add_epi64(acc0, _mm256_popcnt_epi64(_mm256_xor_si256(x0, qv)));
-            acc1 = _mm256_add_epi64(acc1, _mm256_popcnt_epi64(_mm256_xor_si256(x1, qv)));
-            acc2 = _mm256_add_epi64(acc2, _mm256_popcnt_epi64(_mm256_xor_si256(x2, qv)));
-            acc3 = _mm256_add_epi64(acc3, _mm256_popcnt_epi64(_mm256_xor_si256(x3, qv)));
-            w += 4;
-        }
-        // SAFETY: the avx2 reductions only require AVX2, implied here.
-        let mut h = super::avx2::sum4_epi64(acc0, acc1, acc2, acc3);
-        while w < stride {
-            let q = query[w];
-            h[0] += (q ^ block[w]).count_ones();
-            h[1] += (q ^ block[stride + w]).count_ones();
-            h[2] += (q ^ block[2 * stride + w]).count_ones();
-            h[3] += (q ^ block[3 * stride + w]).count_ones();
-            w += 1;
-        }
-        h
-    }
-
-    /// # Safety
-    /// Caller must guarantee the CPU supports the `FEATURES` set.
-    #[target_feature(enable = "avx2,avx512f,avx512vl,avx512vpopcntdq")]
-    unsafe fn hamming_block4_multi_avx512(
-        queries: &[&[u64]],
-        block: &[u64],
-        stride: usize,
-        out: &mut [[u32; 4]],
-    ) {
-        if stride == 4 {
-            // SAFETY: stride == 4 means block holds 16 words, bounding
-            // all four unaligned row loads.
-            let r0 = _mm256_loadu_si256(block.as_ptr() as *const __m256i);
-            let r1 = _mm256_loadu_si256(block.as_ptr().add(4) as *const __m256i);
-            let r2 = _mm256_loadu_si256(block.as_ptr().add(8) as *const __m256i);
-            let r3 = _mm256_loadu_si256(block.as_ptr().add(12) as *const __m256i);
-            for (q, o) in queries.iter().zip(out.iter_mut()) {
-                debug_assert_eq!(q.len(), 4);
-                // SAFETY: each query row has exactly stride (4) words.
-                let qv = _mm256_loadu_si256(q.as_ptr() as *const __m256i);
-                *o = super::avx2::sum4_epi64(
-                    _mm256_popcnt_epi64(_mm256_xor_si256(r0, qv)),
-                    _mm256_popcnt_epi64(_mm256_xor_si256(r1, qv)),
-                    _mm256_popcnt_epi64(_mm256_xor_si256(r2, qv)),
-                    _mm256_popcnt_epi64(_mm256_xor_si256(r3, qv)),
-                );
-            }
-        } else {
-            for (q, o) in queries.iter().zip(out.iter_mut()) {
-                *o = hamming_block4_avx512(q, block, stride);
-            }
-        }
     }
 
     /// The prune step of one query over one 8-row block: `h < bound`
@@ -1013,44 +698,14 @@ mod avx512 {
                 .zip(out.iter_mut())
                 .zip(cand.iter_mut())
             {
-                let lo = hamming_block4_avx512(q, &block[..4 * stride], stride);
-                let hi = hamming_block4_avx512(q, &block[4 * stride..], stride);
-                *o = [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]];
+                *o = core::array::from_fn(|r| {
+                    hamming_row_avx512(q, &block[r * stride..(r + 1) * stride])
+                });
                 *c = super::prune_mask8(o, b);
                 any |= *c != 0;
             }
         }
         any
-    }
-
-    /// Safe entry: runs the AVX-512 block kernel when the CPU supports
-    /// it, `None` otherwise (caller falls back to portable).
-    #[inline]
-    pub fn hamming_block4_checked(query: &[u64], block: &[u64], stride: usize) -> Option<[u32; 4]> {
-        if super::avx512_available() {
-            // SAFETY: the FEATURES set was just verified at runtime.
-            Some(unsafe { hamming_block4_avx512(query, block, stride) })
-        } else {
-            None
-        }
-    }
-
-    /// Safe entry for the fused multi-query block kernel: `false`
-    /// when the CPU lacks the features (caller falls back to portable).
-    #[inline]
-    pub fn hamming_block4_multi_checked(
-        queries: &[&[u64]],
-        block: &[u64],
-        stride: usize,
-        out: &mut [[u32; 4]],
-    ) -> bool {
-        if super::avx512_available() {
-            // SAFETY: the FEATURES set was just verified at runtime.
-            unsafe { hamming_block4_multi_avx512(queries, block, stride, out) };
-            true
-        } else {
-            false
-        }
     }
 
     /// Safe entry for the pruned fused block kernel: `None` when the
@@ -1076,7 +731,7 @@ mod avx512 {
     }
 
     /// Safe entry for the single-row AVX-512 kernel; see
-    /// [`hamming_block4_checked`].
+    /// [`hamming_block8_multi_pruned_checked`].
     #[inline]
     pub fn hamming_row_checked(query: &[u64], row: &[u64]) -> Option<u32> {
         if super::avx512_available() {
@@ -1113,43 +768,12 @@ mod tests {
             let reference: [u32; 4] =
                 core::array::from_fn(|j| hamming_row(&query, &block[j * stride..(j + 1) * stride]));
             for kernel in available_kernels() {
-                assert_eq!(
-                    hamming_block4(kernel, &query, &block, stride),
-                    reference,
-                    "kernel {kernel}, stride {stride}"
-                );
                 for j in 0..4 {
                     assert_eq!(
                         hamming_row_kernel(kernel, &query, &block[j * stride..(j + 1) * stride]),
                         reference[j],
                         "kernel {kernel}, stride {stride}, row {j}"
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fused_multi_kernel_matches_per_query_blocks() {
-        for stride in [0usize, 1, 3, 4, 5, 8, 13] {
-            let block = words(4 * stride, 0x77 + stride as u64);
-            for qn in [0usize, 1, 2, 7, 16] {
-                let queries: Vec<Vec<u64>> = (0..qn)
-                    .map(|i| words(stride, 0x5150 + (i * 31 + stride) as u64))
-                    .collect();
-                let qrefs: Vec<&[u64]> = queries.iter().map(Vec::as_slice).collect();
-                let reference: Vec<[u32; 4]> = qrefs
-                    .iter()
-                    .map(|q| {
-                        core::array::from_fn(|j| {
-                            hamming_row(q, &block[j * stride..(j + 1) * stride])
-                        })
-                    })
-                    .collect();
-                for kernel in available_kernels() {
-                    let mut out = vec![[u32::MAX; 4]; qn];
-                    hamming_block4_multi(kernel, &qrefs, &block, stride, &mut out);
-                    assert_eq!(out, reference, "kernel {kernel}, stride {stride}, qn {qn}");
                 }
             }
         }
@@ -1224,7 +848,6 @@ mod tests {
             assert_eq!(KernelKind::parse(&k.name().to_uppercase()), Some(k));
         }
         assert_eq!(KernelKind::parse("neon"), None);
-        assert!(selected_kernel().is_available());
         assert!(available_kernels().contains(&selected_kernel()));
     }
 }

@@ -733,7 +733,7 @@ fn dispatch(
                 ("graphs", Json::U64(snap.len() as u64)),
                 ("live_graphs", Json::U64(snap.live_len() as u64)),
                 ("shards", Json::U64(snap.shard_count() as u64)),
-                ("dimensions", Json::U64(snap.dimensions().len() as u64)),
+                ("dimensions", Json::U64(snap.p() as u64)),
                 ("workers", Json::U64(ctx.cfg.workers as u64)),
                 (
                     "connections",

@@ -11,8 +11,10 @@
 //!   globally selected dimension set**: the pipeline (gSpan mining → δ
 //!   → DSPM/DSPMap selection) runs once over the whole database, and
 //!   the shards are stamped out from its output (in parallel on
-//!   `gdim-exec`), each holding a contiguous slice of the graphs with
-//!   feature supports remapped to shard-local ids. Because every shard
+//!   `gdim-exec`), each holding a contiguous slice of the graphs and
+//!   of their vectors ([`GraphIndex::subset`](gdim_core::GraphIndex::subset)
+//!   — what a shard keeps of a build is `gdim-core`'s decision, not
+//!   this crate's) and all of them one code tree. Because every shard
 //!   maps queries and scores rows exactly like the global pipeline
 //!   would, a scatter-gather search — per-shard bounded top-k merged
 //!   by `(distance, seq)` — answers **bit-identically** to one
@@ -26,8 +28,8 @@
 //!   exact δ phases and batches. Inserts/removes route to the
 //!   owning shard; each shard tracks its own
 //!   [`RebuildPolicy`](gdim_core::RebuildPolicy) staleness, and only
-//!   dirty shards rebuild (a shard rebuild compacts tombstones against
-//!   the retained global selection; a full [`ShardedIndex::rebuild`]
+//!   dirty shards rebuild (a shard rebuild is the subset of its live
+//!   rows under the same selection; a full [`ShardedIndex::rebuild`]
 //!   re-runs the whole pipeline).
 //! * [`ServingHandle`] — an epoch-swapped concurrent read handle
 //!   (Arc-swap over `Arc<ShardedIndex>` + a version atomic, no new

@@ -222,12 +222,16 @@ impl ShardedIndex {
             )));
         }
         // Every shard must share the selection the scatter-gather
-        // contract relies on.
-        let dims = shards[0].index.dimensions().to_vec();
-        if let Some(bad) = shards.iter().position(|sh| sh.index.dimensions() != dims) {
-            return Err(GdimError::Corrupt(format!(
-                "shard {bad} selected different dimensions than shard 0"
-            )));
+        // contract relies on — and then needs one code tree, not one
+        // per shard file.
+        let (first, rest) = shards.split_first_mut().expect("at least one shard");
+        for (s, shard) in rest.iter_mut().enumerate() {
+            if !shard.index.share_mapper_of(&first.index) {
+                return Err(GdimError::Corrupt(format!(
+                    "shard {} selected different dimensions than shard 0",
+                    s + 1
+                )));
+            }
         }
         Ok(ShardedIndex::from_loaded(
             shards, shard_bits, next_seq, stamp, muts,

@@ -27,11 +27,10 @@
 //! bumps) and mutates the clone:
 //!
 //! * **shared with the previous snapshot** — everything immutable
-//!   after a build or install (feature space, selected features, both
-//!   code trees, the ANN graph once built) and every *sealed
+//!   after a build or install (the dimensions, their code tree, the
+//!   ANN graph once built) and every *sealed
 //!   chunk* of [`CHUNK`](gdim_core::chunked::CHUNK) = 32 rows of the
-//!   per-row state that owns heap memory (the graphs, the full-space
-//!   feature rows of online inserts);
+//!   per-row state that owns heap memory (the graphs);
 //! * **copied** — the open tail of those rows (fewer than 32; a
 //!   chem-sized graph is ~16 allocations, ~0.8 µs to copy), and the
 //!   flat per-row words: the scan store (16 B/row at `p = 128`), the

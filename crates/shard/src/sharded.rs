@@ -6,10 +6,9 @@ use std::sync::Arc;
 
 use gdim_core::search::{search_partitions, search_partitions_batch, Partition};
 use gdim_core::{
-    GdimError, Graph, GraphId, GraphIndex, IndexOptions, SearchRequest, SearchResponse, Tombstones,
+    GdimError, Graph, GraphId, GraphIndex, IndexOptions, SearchRequest, SearchResponse,
 };
 use gdim_exec::{BackgroundTask, ExecConfig};
-use gdim_mining::Feature;
 
 use crate::obs::write_metrics;
 
@@ -110,7 +109,7 @@ impl Clone for Shard {
 /// `insert` or `remove` on a clone-shared index clones only the owning
 /// shard — and that clone is itself structural sharing, not a deep
 /// copy: the shard's [`GraphIndex`] shares its immutable state and
-/// every sealed 32-row chunk of graphs and inserted feature rows with
+/// every sealed 32-row chunk of graphs with
 /// the version it was cloned from, and copies the open tail (fewer than
 /// 32 rows) plus the flat words (scan store 16 B/row at `p = 128`,
 /// `seqs` 8 B/row, tombstones 1 bit/row; see
@@ -146,7 +145,7 @@ impl std::fmt::Debug for ShardedIndex {
             .field("graphs", &self.len())
             .field("live", &self.live_len())
             .field("epoch", &self.epoch())
-            .field("dimensions", &self.dimensions().len())
+            .field("dimensions", &self.p())
             .finish_non_exhaustive()
     }
 }
@@ -162,10 +161,9 @@ impl ShardedIndex {
     /// Runs the **global** pipeline (mining → δ → selection) once over
     /// `db`, then stamps out the shards in parallel on the exec budget.
     /// Graphs are range-partitioned: shard `s` owns the contiguous
-    /// slice `[s·n/N, (s+1)·n/N)`, each shard's feature supports are
-    /// remapped to shard-local ids, and every shard retains the same
-    /// selected dimensions and weights — the invariant behind
-    /// bit-identical scatter-gather answers.
+    /// slice `[s·n/N, (s+1)·n/N)` ([`GraphIndex::subset`]), and every
+    /// shard retains the same selected dimensions and weights — the
+    /// invariant behind bit-identical scatter-gather answers.
     pub fn build(db: Vec<Graph>, opts: ShardedOptions) -> ShardedIndex {
         let global = GraphIndex::build(db, opts.index.clone());
         Self::split_global(global, opts, 0)
@@ -180,14 +178,13 @@ impl ShardedIndex {
         let n = global.len();
         debug_assert_eq!(global.tombstone_count(), 0, "split expects a fresh build");
         let exec = *global.exec();
-        let supports = global.supports();
         let shards: Vec<Arc<Shard>> = gdim_exec::map_tasks(&exec, shards_n, |s| {
             let rows: Vec<u32> =
                 ((s * n / shards_n) as u32..((s + 1) * n / shards_n) as u32).collect();
-            let seqs = rows.iter().map(|&i| i as u64).collect();
-            Arc::new(Self::shard_of_rows(
-                &global, &supports, &rows, base_epoch, seqs,
-            ))
+            Arc::new(Shard {
+                index: global.subset(&rows, base_epoch),
+                seqs: rows.iter().map(|&i| i as u64).collect(),
+            })
         });
         let mut opts = opts;
         opts.shards = shards_n;
@@ -200,62 +197,6 @@ impl ShardedIndex {
             muts: vec![0; shards_n],
             opts,
         }
-    }
-
-    /// One shard over the rows `kept` (ascending ids) of `src`: their
-    /// graphs, the full mined feature set with `supports` (=
-    /// [`GraphIndex::supports`] of `src`, composed once by the caller)
-    /// filtered to the kept rows and remapped to the new local ids, and
-    /// the same selected dimensions/weights, all live at `epoch`.
-    /// `seqs[new]` is the sequence number of kept row `new`. The shard
-    /// maps through `src`'s code trees — the features are
-    /// identical by construction — instead of building its own.
-    fn shard_of_rows(
-        src: &GraphIndex,
-        supports: &[Vec<u32>],
-        kept: &[u32],
-        epoch: u64,
-        seqs: Vec<u64>,
-    ) -> Shard {
-        // old id -> new local id (u32::MAX = not kept).
-        let mut remap = vec![u32::MAX; src.len()];
-        for (new, &old) in kept.iter().enumerate() {
-            remap[old as usize] = new as u32;
-        }
-        let db: Vec<Graph> = kept
-            .iter()
-            .map(|&i| src.graph(i as usize).expect("kept ids are rows of src"))
-            .cloned()
-            .collect();
-        let features: Vec<Feature> = src
-            .feature_space()
-            .features()
-            .iter()
-            .zip(supports)
-            .map(|(f, support)| Feature {
-                graph: f.graph.clone(),
-                code: f.code.clone(),
-                support: support
-                    .iter()
-                    .map(|&g| remap[g as usize])
-                    .filter(|&g| g != u32::MAX)
-                    .collect(),
-            })
-            .collect();
-        let mut index = GraphIndex::from_parts(
-            db,
-            features,
-            src.dimensions().to_vec(),
-            src.weights().to_vec(),
-            src.options().clone(),
-            src.stats().clone(),
-            epoch,
-            Tombstones::all_live(kept.len()),
-            0,
-        )
-        .expect("the kept rows of a consistent index form a consistent shard");
-        index.share_mappers_of(src);
-        Shard { index, seqs }
     }
 
     // ------------------------------------------------- id composition
@@ -359,9 +300,9 @@ impl ShardedIndex {
             .unwrap_or(0)
     }
 
-    /// The selected dimension ids (identical across shards).
-    pub fn dimensions(&self) -> &[u32] {
-        self.shards[0].index.dimensions()
+    /// Number of selected dimensions `p` (identical across shards).
+    pub fn p(&self) -> usize {
+        self.shards[0].index.p()
     }
 
     /// The retained build/serving options.
@@ -447,7 +388,7 @@ impl ShardedIndex {
 
     /// Inserts one graph **online**, routed to the least-loaded shard
     /// (fewest live rows; lowest shard id on ties — deterministic).
-    /// The shard maps it against the shared feature space exactly like
+    /// The shard maps it onto the shared dimensions exactly like
     /// [`GraphIndex::insert`] and appends in place. Returns the
     /// composed global id; the row's sequence number is the global
     /// insertion order, so merged rankings keep treating it exactly
@@ -528,13 +469,14 @@ impl ShardedIndex {
     }
 
     /// Pure compaction of one shard (the job a background shard
-    /// rebuild runs): live graphs, supports filtered/remapped, same
-    /// selection, epoch + 1.
+    /// rebuild runs): the live rows under the same selection, epoch + 1.
     fn compacted(shard: &Shard) -> Shard {
         let idx = &shard.index;
         let live = idx.tombstones().live_ids();
-        let seqs = live.iter().map(|&i| shard.seqs[i as usize]).collect();
-        Self::shard_of_rows(idx, &idx.supports(), &live, idx.epoch() + 1, seqs)
+        Shard {
+            index: idx.subset(&live, idx.epoch() + 1),
+            seqs: live.iter().map(|&i| shard.seqs[i as usize]).collect(),
+        }
     }
 
     /// Starts a **background** compaction of one shard on a dedicated
@@ -686,7 +628,7 @@ impl ShardedIndex {
     /// Answers one typed search request by **scatter-gather** — the
     /// N-partition call of the one query executor
     /// ([`search_partitions`]): the query is mapped once (all shards
-    /// share the feature space), each shard runs its own bounded
+    /// share the dimensions), each shard runs its own bounded
     /// top-k scan (or ANN beam, or exact δ), and the per-shard
     /// rankings merge by `(distance, seq)`. Answers are bit-identical
     /// to [`GraphIndex::search`] over the same database for every
@@ -828,10 +770,9 @@ mod tests {
         gdim_datagen::chem_db(n, &gdim_datagen::ChemConfig::default(), seed)
     }
 
-    /// Every shard maps through the same two code-tree allocations.
-    /// Asking for a shard's full-space tree builds it if its cell is
-    /// empty, so unshared cells would show up here as distinct
-    /// pointers.
+    /// Every shard maps through the same code-tree allocation.
+    /// Asking for a shard's tree builds it if its cell is empty, so
+    /// unshared cells would show up here as distinct pointers.
     fn assert_one_mapper_per_feature_set(idx: &ShardedIndex) {
         let first = &idx.shards[0].index;
         for shard in &idx.shards[1..] {
@@ -839,7 +780,6 @@ mod tests {
                 first.mapped().mapper(),
                 shard.index.mapped().mapper()
             ));
-            assert!(std::ptr::eq(first.full_mapper(), shard.index.full_mapper()));
         }
     }
 
@@ -853,12 +793,49 @@ mod tests {
         assert_eq!(owners, [0, 1, 2]);
         assert_one_mapper_per_feature_set(&idx);
 
-        // A compacted shard keeps mapping through the same trees.
+        // A compacted shard keeps mapping through the same tree.
         idx.remove(ids[1]).unwrap();
         idx.rebuild_shard(ShardId(1)).unwrap();
         assert_eq!(idx.shard(ShardId(1)).unwrap().tombstone_count(), 0);
         assert_one_mapper_per_feature_set(&idx);
         idx.insert(chem(1, 100).remove(0));
         assert_one_mapper_per_feature_set(&idx);
+
+        // So does a reloaded index: the shard files are loaded one by
+        // one, then made to share shard 0's tree.
+        let dir = std::env::temp_dir().join(format!("gdim-one-tree-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        idx.save_dir(&dir).unwrap();
+        let mut back = ShardedIndex::load_dir(&dir).unwrap();
+        assert_one_mapper_per_feature_set(&back);
+        back.insert(chem(1, 101).remove(0));
+        assert_one_mapper_per_feature_set(&back);
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_shard_file_from_another_build_is_corrupt() {
+        // Same shape — shards, rows per shard, number of dimensions —
+        // but other features: shard 1's file is not a shard of the
+        // index whose manifest sits beside it.
+        let opts = ShardedOptions::new(2).with_index(IndexOptions::default().with_dimensions(16));
+        let (ours, theirs) = (
+            ShardedIndex::build(chem(16, 7), opts.clone()),
+            ShardedIndex::build(chem(16, 8), opts),
+        );
+        assert_eq!(ours.p(), theirs.p());
+        let root = std::env::temp_dir().join(format!("gdim-stray-shard-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (dir, other) = (root.join("ours"), root.join("theirs"));
+        ours.save_dir(&dir).unwrap();
+        theirs.save_dir(&other).unwrap();
+        let file = crate::manifest::shard_file(1);
+        std::fs::copy(other.join(&file), dir.join(&file)).unwrap();
+        match ShardedIndex::load_dir(&dir) {
+            Err(GdimError::Corrupt(msg)) => assert!(msg.contains("shard 1 selected"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&root).ok();
     }
 }

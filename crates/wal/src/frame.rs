@@ -266,21 +266,6 @@ impl WalReader {
         let (borrowed, report) = Self::split(&bytes);
         Ok((borrowed.into_iter().map(<[u8]>::to_vec).collect(), report))
     }
-
-    /// Replays the log at `path` through `apply`, one trusted payload
-    /// at a time, then returns the scan report. `apply` gets the
-    /// record's index and payload; its first error aborts the replay.
-    pub fn replay<E: From<io::Error>>(
-        path: impl AsRef<Path>,
-        mut apply: impl FnMut(u64, &[u8]) -> Result<(), E>,
-    ) -> Result<ReplayReport, E> {
-        let bytes = std::fs::read(path).map_err(E::from)?;
-        let (payloads, report) = Self::split(&bytes);
-        for (i, payload) in payloads.iter().enumerate() {
-            apply(i as u64, payload)?;
-        }
-        Ok(report)
-    }
 }
 
 // ------------------------------------------------------------ writer
@@ -409,35 +394,11 @@ impl WalWriter {
         self.check_usable()?;
         let mut buf = Vec::with_capacity(payload.len() + WAL_FRAME_HEADER as usize);
         Self::frame_into(&mut buf, payload)?;
-        self.write_frames(&buf, 1)?;
+        self.write_frame(&buf)?;
         self.policy_sync()?;
         let m = crate::obs::wal_metrics();
         m.append_ns.record_duration(t0.elapsed());
         m.records.inc();
-        m.bytes.set(self.len.min(i64::MAX as u64) as i64);
-        Ok(self.len)
-    }
-
-    /// Appends a batch of records with **one** write and one policy
-    /// sync at the end — the group-commit fast path. Returns the file
-    /// length after the batch.
-    pub fn append_all<'a>(
-        &mut self,
-        payloads: impl IntoIterator<Item = &'a [u8]>,
-    ) -> io::Result<u64> {
-        let t0 = std::time::Instant::now();
-        self.check_usable()?;
-        let mut buf = Vec::new();
-        let mut count = 0u64;
-        for payload in payloads {
-            Self::frame_into(&mut buf, payload)?;
-            count += 1;
-        }
-        self.write_frames(&buf, count)?;
-        self.policy_sync()?;
-        let m = crate::obs::wal_metrics();
-        m.append_ns.record_duration(t0.elapsed());
-        m.records.add(count);
         m.bytes.set(self.len.min(i64::MAX as u64) as i64);
         Ok(self.len)
     }
@@ -458,16 +419,16 @@ impl WalWriter {
         }
     }
 
-    /// Writes framed bytes, advancing the counters only once every
-    /// byte landed. On failure the file may hold a torn partial frame
-    /// after `self.len`; see [`WalWriter::rollback_or_poison`].
-    fn write_frames(&mut self, buf: &[u8], count: u64) -> io::Result<()> {
+    /// Writes one framed record, advancing the counters only once
+    /// every byte landed. On failure the file may hold a torn partial
+    /// frame after `self.len`; see [`WalWriter::rollback_or_poison`].
+    fn write_frame(&mut self, buf: &[u8]) -> io::Result<()> {
         if let Err(e) = self.raw_write(buf) {
             return Err(self.rollback_or_poison(e));
         }
         self.len += buf.len() as u64;
-        self.records += count;
-        self.unsynced += count;
+        self.records += 1;
+        self.unsynced += 1;
         Ok(())
     }
 
@@ -774,12 +735,10 @@ mod tests {
         assert_eq!(w.unsynced, 1);
         w.sync().unwrap();
         assert_eq!(w.unsynced, 0);
-        let batch: Vec<&[u8]> = vec![b"a", b"b", b"c", b"d"];
-        w.append_all(batch).unwrap();
-        assert_eq!(w.records(), 11);
+        assert_eq!(w.records(), 7);
         let (payloads, report) = WalReader::read(&path).unwrap();
         assert!(report.is_clean());
-        assert_eq!(payloads.len(), 11);
+        assert_eq!(payloads.len(), 7);
     }
 
     #[test]

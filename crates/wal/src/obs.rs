@@ -13,7 +13,7 @@ use gdim_obs::{global, Counter, Gauge, Histogram};
 /// The cached instrument handles.
 pub(crate) struct WalMetrics {
     /// Latency of one [`WalWriter::append`](crate::WalWriter::append)
-    /// or `append_all` call (framing + write + policy sync), in ns.
+    /// call (framing + write + policy sync), in ns.
     pub append_ns: Arc<Histogram>,
     /// Latency of the `fsync` (`sync_data`) calls alone, in ns.
     pub fsync_ns: Arc<Histogram>,

@@ -39,7 +39,7 @@ fn main() -> Result<(), GdimError> {
         index,
         index.len(),
         index.shard_count(),
-        index.dimensions().len()
+        index.p()
     );
 
     // Sanity: sharded == unsharded, hit for hit (distances and order).

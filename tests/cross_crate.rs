@@ -1,6 +1,6 @@
 //! Cross-crate consistency tests: text-format round trips through the
 //! whole stack, fingerprint/fragment-vocabulary synchronization, and
-//! the mining → feature-space → query-mapping contract.
+//! the mining → feature-space contract.
 
 use gdim::core::fingerprint::{fingerprint, FRAGMENT_BIT_RANGE};
 use gdim::graph::io;
@@ -49,35 +49,6 @@ fn fingerprint_fragment_vocabulary_matches_datagen_dictionary() {
             bits.get(FRAGMENT_BIT_RANGE.start + i),
             "fragment {i} does not set its own fingerprint bit"
         );
-    }
-}
-
-#[test]
-fn query_mapping_agrees_between_full_space_and_mapped_database() {
-    // Mapping onto the whole mined space (the code tree an online
-    // insert uses) and MappedDatabase::map_query (the tree over the
-    // selected features only, with internal-only prefixes) must agree
-    // on the selected coordinates.
-    let db = gdim::datagen::chem_db(30, &gdim::datagen::ChemConfig::default(), 9);
-    let features = mine(
-        &db,
-        &MinerConfig::new(Support::Relative(0.1)).with_max_edges(4),
-    );
-    let space = FeatureSpace::build(db.len(), features);
-    let selected: Vec<u32> = (0..space.num_features() as u32).step_by(3).collect();
-    let mapped = MappedDatabase::new(&space, &selected).expect("selection in range");
-    let full_tree = CodeTree::build(space.features()).expect("mined codes are valid");
-    let queries = gdim::datagen::chem_db(5, &gdim::datagen::ChemConfig::default(), 123);
-    for q in &queries {
-        let full = full_tree.map_query(q).0;
-        let sub = mapped.map_query(q);
-        for (col, &r) in selected.iter().enumerate() {
-            assert_eq!(
-                sub.get(col),
-                full.get(r as usize),
-                "coordinate {col} (feature {r}) disagrees"
-            );
-        }
     }
 }
 

@@ -31,9 +31,9 @@ fn index_build_and_search_identical_across_thread_budgets() {
     ];
     for threads in [2usize, 8] {
         let parallel = build(threads);
-        assert_eq!(
-            serial.dimensions(),
-            parallel.dimensions(),
+        // The same selection: the dimensions' DFS codes, column by column.
+        assert!(
+            serial.mapped().codes().eq(parallel.mapped().codes()),
             "threads = {threads}"
         );
         assert_eq!(serial.weights(), parallel.weights(), "threads = {threads}");
@@ -65,7 +65,7 @@ fn dspmap_index_identical_across_thread_budgets() {
     };
     let serial = build(1);
     let parallel = build(8);
-    assert_eq!(serial.dimensions(), parallel.dimensions());
+    assert!(serial.mapped().codes().eq(parallel.mapped().codes()));
     assert_eq!(serial.weights(), parallel.weights());
     let q = serial.graph(3).unwrap().clone();
     let req = SearchRequest::new(5);

@@ -121,7 +121,7 @@ proptest! {
         for q in idx.graphs().take(3).chain(&unseen) {
             let (bits, stats) = idx.map_query_with_stats(q);
             prop_assert_eq!(&bits, &idx.mapped().map_query_unpruned(q));
-            prop_assert_eq!(stats.vf2_calls + stats.vf2_pruned, idx.dimensions().len());
+            prop_assert_eq!(stats.vf2_calls + stats.vf2_pruned, idx.p());
         }
     }
 }
@@ -134,7 +134,8 @@ proptest! {
     /// mined space and over a selection whose prefixes were not
     /// selected, for ordinary queries and for every degenerate shape a
     /// client can send — including a star big enough that the search
-    /// gives up and hands over to VF2.
+    /// gives up and hands over to VF2 — and the same for the row an
+    /// online insert of each of them stores.
     #[test]
     fn code_tree_mapping_is_bit_identical(seed in 0u64..500) {
         for (db, unseen, cyclic_data) in [
@@ -214,6 +215,26 @@ proptest! {
                 part.mapper().node_count() > part.p() + roots,
                 "the selection must leave internal-only prefixes"
             );
+
+            // An online insert is a query mapping: the row it stores
+            // equals the unpruned mapping too — for every shape above,
+            // the star that hands over to VF2 included (an index with
+            // every mined feature as a dimension holds the chain).
+            let mut opts = IndexOptions::default()
+                .with_dimensions(usize::MAX)
+                .with_min_support(Support::Relative(0.2));
+            opts.max_pattern_edges = 4;
+            let mut idx = GraphIndex::build(db, opts);
+            prop_assert_eq!(idx.p(), feats.len());
+            prop_assert!(assert_tree_equals_unpruned(idx.mapped(), &queries[..1]));
+            for q in &queries {
+                let id = idx.insert(q.clone());
+                prop_assert_eq!(
+                    idx.mapped().vector(id.index()),
+                    idx.mapped().map_query_unpruned(q),
+                    "|V| = {}, |E| = {}", q.vertex_count(), q.edge_count()
+                );
+            }
         }
     }
 }
@@ -430,19 +451,12 @@ proptest! {
 /// dimensions, squared and normalized (mirrors the index-internal
 /// derivation so the reference scan sees identical weights).
 fn weighted_reference_w_sq(idx: &GraphIndex) -> Vec<f64> {
-    let raw: Vec<f64> = idx
-        .dimensions()
-        .iter()
-        .map(|&r| {
-            let w = idx.weights()[r as usize];
-            w * w
-        })
-        .collect();
+    let raw: Vec<f64> = idx.weights().iter().map(|w| w * w).collect();
     let total: f64 = raw.iter().sum();
     if total > 0.0 {
         raw.iter().map(|x| x / total).collect()
     } else {
-        vec![1.0 / idx.dimensions().len().max(1) as f64; idx.dimensions().len()]
+        vec![1.0 / idx.p().max(1) as f64; idx.p()]
     }
 }
 
@@ -467,7 +481,7 @@ fn stats_counters_add_up_across_rankers() {
                 idx.len(),
                 "{req:?}"
             );
-            assert_eq!(s.vf2_calls + s.vf2_pruned, idx.dimensions().len());
+            assert_eq!(s.vf2_calls + s.vf2_pruned, idx.p());
             assert!(s.words_scanned > 0);
         } else {
             assert_eq!(s.candidates_scanned, 0);
