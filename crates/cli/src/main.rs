@@ -421,13 +421,11 @@ fn cmd_rebuild(args: &[String]) -> Result<(), String> {
     };
     let mut client = connect(&flags)?;
     let body = Json::obj([("mode", Json::Str(mode.to_string()))]);
-    let reply = expect_ok(client.post("/rebuild", &body))?;
+    expect_ok(client.post("/rebuild", &body))?;
     if mode == "background" {
         println!("background rebuild started (watch `gdim stats`)");
-    } else if reply.get("swapped").and_then(Json::as_bool) == Some(true) {
-        println!("rebuilt and swapped in");
     } else {
-        println!("rebuild was cancelled");
+        println!("rebuilt and swapped in");
     }
     Ok(())
 }

@@ -53,10 +53,10 @@ pub enum GdimError {
         /// Number of shards in the index.
         shards: usize,
     },
-    /// A background rebuild snapshot no longer matches the live index:
-    /// inserts or removes landed after the rebuild was spawned, so
-    /// installing it would silently drop them. Spawn a fresh rebuild
-    /// instead.
+    /// A rebuild computed from a snapshot no longer matches the live
+    /// index: inserts or removes landed after the snapshot was taken,
+    /// so installing it would silently drop them. Compute a fresh
+    /// rebuild instead.
     StaleRebuild {
         /// Mutations (inserts + removes) applied since the snapshot.
         missed: u64,
@@ -170,7 +170,7 @@ impl fmt::Display for GdimError {
             GdimError::StaleRebuild { missed } => {
                 write!(
                     f,
-                    "rebuild snapshot is stale: {missed} mutation(s) landed after it was spawned"
+                    "rebuild snapshot is stale: {missed} mutation(s) landed after it was taken"
                 )
             }
             GdimError::TornLog {

@@ -16,9 +16,10 @@
 //! A `GraphIndex` is also exactly what one **shard** of `gdim-shard`'s
 //! `ShardedIndex` is (a one-shard `ShardedIndex` answers bit-identically
 //! to the bare index), and that is where a long-lived service holds it:
-//! the sharded index owns the lifecycle — rebuilds, background
-//! installs, the refusal of a snapshot that missed later writes — and
-//! this type supplies the parts of it that are per shard.
+//! the sharded index owns the lifecycle — a rebuild computed from a
+//! snapshot, its one `install`, the refusal of a result that missed
+//! later writes — and this type supplies the parts of it that are per
+//! shard.
 //!
 //! ```
 //! use gdim_core::index::{GraphIndex, IndexOptions};
@@ -49,19 +50,19 @@
 //!   step, and features the new graphs would have made frequent stay
 //!   invisible. [`GraphIndex::is_stale`] says when the configured
 //!   [`RebuildPolicy`] is exceeded; acting on it is the owner's job. A
-//!   `ShardedIndex` compacts the stale shard ([`GraphIndex::subset`]
-//!   of its live rows, same dimensions), or re-runs
-//!   [`GraphIndex::build`] over the live graphs
-//!   (re-mine, re-select, re-split) and swaps the result in; either
-//!   way the replacement carries the next [`GraphIndex::epoch`], and a
-//!   query answers against exactly one epoch and reports it in its
-//!   stats.
+//!   `ShardedIndex` computes either a compaction of the stale shard
+//!   ([`GraphIndex::subset`] of its live rows, same dimensions) or a
+//!   full rebuild ([`GraphIndex::build`] over the live graphs:
+//!   re-mine, re-select, re-split) from a snapshot, and installs the
+//!   result; either way the replacement carries the next
+//!   [`GraphIndex::epoch`], and a query answers against exactly one
+//!   epoch and reports it in its stats.
 
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use gdim_exec::{CancelToken, ExecConfig};
+use gdim_exec::ExecConfig;
 use gdim_graph::{Dissimilarity, Graph};
 use gdim_mining::{mine, MinerConfig, Support};
 
@@ -308,32 +309,13 @@ impl GraphIndex {
     /// Runs the full pipeline over `db`. Every parallel phase draws on
     /// the single [`IndexOptions::delta`] exec budget.
     pub fn build(db: Vec<Graph>, opts: IndexOptions) -> GraphIndex {
-        Self::build_cancellable(db, opts, &CancelToken::new())
-            .expect("a fresh token is never cancelled")
-    }
-
-    /// [`GraphIndex::build`] with cooperative cancellation, polled at
-    /// the pipeline's phase boundaries (before mining, before
-    /// δ/selection, before mapping): returns `None` once `cancel` is
-    /// observed, discarding the partial work. This is the job a
-    /// background rebuild runs.
-    pub fn build_cancellable(
-        db: Vec<Graph>,
-        opts: IndexOptions,
-        cancel: &CancelToken,
-    ) -> Option<GraphIndex> {
         let exec = opts.delta.exec;
         let delta_cfg = opts.delta.clone();
-        if cancel.is_cancelled() {
-            return None;
-        }
         if db.is_empty() {
             // An empty database still yields a servable (empty) index.
             let space = FeatureSpace::build(0, Vec::new());
-            return Some(
-                Self::assemble(db, &space, &[], &[], opts, IndexStats::default())
-                    .expect("empty mapping is valid"),
-            );
+            return Self::assemble(db, &space, &[], &[], opts, IndexStats::default())
+                .expect("empty mapping is valid");
         }
         let t0 = Instant::now();
         let features = mine(
@@ -341,9 +323,6 @@ impl GraphIndex {
             &MinerConfig::new(opts.min_support).with_max_edges(opts.max_pattern_edges),
         );
         let mining_time = t0.elapsed();
-        if cancel.is_cancelled() {
-            return None;
-        }
         let space = FeatureSpace::build(db.len(), features);
         let m = space.num_features();
         let p = opts.dimensions.min(m);
@@ -395,9 +374,6 @@ impl GraphIndex {
             let pairs = db.len() * db.len().saturating_sub(1) / 2;
             (res.selected, res.weights, pairs, delta_time, t2.elapsed())
         };
-        if cancel.is_cancelled() {
-            return None;
-        }
 
         let stats = IndexStats {
             mined_features: m,
@@ -413,7 +389,7 @@ impl GraphIndex {
         // Warm the lazy code tree now: a serving index builds it at
         // build time, not on its first query.
         index.mapped.mapper();
-        Some(index)
+        index
     }
 
     /// The one constructor every path funnels through: a fresh

@@ -24,7 +24,7 @@
 //! filter-then-verify), [`error::GdimError`] instead of panics on the
 //! query path, versioned binary persistence ([`persist`]), and **live
 //! updates** — online insert/remove with tombstoned rows and
-//! epoch-based background rebuilds (see the [`index`] module docs).
+//! epoch-stamped rebuilds (see the [`index`] module docs).
 //!
 //! Quality is evaluated with the paper's three measures
 //! ([`measures`]: precision, top-k Kendall's tau, inverse rank
@@ -88,7 +88,7 @@ pub mod prelude {
         VectorStore,
     };
     pub use crate::search::{GraphId, Hit, Ranker, SearchRequest, SearchResponse, SearchStats};
-    pub use gdim_exec::{BackgroundTask, CancelToken, ExecConfig};
+    pub use gdim_exec::ExecConfig;
     pub use gdim_graph::{Dissimilarity, Graph, McsOptions};
 }
 

@@ -6,7 +6,9 @@
 //! tasks, run them on a scoped thread pool, and reassemble results **in
 //! task order** so output is byte-identical regardless of thread count.
 //! This crate is the single home for that scaffolding; nothing outside
-//! it spawns threads or touches `std::sync::mpsc` directly.
+//! it fans work out over threads or touches `std::sync::mpsc` directly.
+//! (One long job — a served index rebuild — is a plain named thread
+//! its caller spawns and joins; it needs no primitive of its own.)
 //!
 //! The primitives:
 //!
@@ -17,9 +19,9 @@
 //!   (the shape of condensed-triangle row fills);
 //! * [`map_chunks`] — fixed-size index chunks, flattened in index order
 //!   (the shape of per-item kernels with cheap items);
-//! * [`BackgroundTask`] / [`CancelToken`] — a cancellable handle for
-//!   one long-running job on a dedicated thread (the shape of an index
-//!   rebuild behind a live serving path).
+//! * [`WorkerPool`] / [`CancelToken`] — a fixed pool of dedicated
+//!   threads looping one handler over queued jobs, cooperatively
+//!   cancellable (the shape of a server's connection handlers).
 //!
 //! Determinism contract: when `f` is pure, every function here returns
 //! the same bytes for every thread budget, including `threads = 1`
@@ -244,14 +246,14 @@ where
     out
 }
 
-/// A shared cancellation flag for one [`BackgroundTask`].
+/// A shared cancellation flag for one [`WorkerPool`].
 ///
-/// The task's closure receives a reference and is expected to poll
-/// [`CancelToken::is_cancelled`] at its natural phase boundaries,
-/// returning `None` once cancellation is observed — cancellation is
-/// **cooperative**: a task that never polls simply runs to completion.
-/// Tokens clone cheaply (all clones share the flag), so a caller can
-/// keep one and cancel from another thread.
+/// Every handler call receives a reference and is expected to poll
+/// [`CancelToken::is_cancelled`] at its natural boundaries (a
+/// keep-alive loop between requests) and wind down once it is raised —
+/// cancellation is **cooperative**: a handler that never polls simply
+/// runs to completion. Tokens clone cheaply (all clones share the
+/// flag), so a caller can keep one and cancel from another thread.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
@@ -272,80 +274,6 @@ impl CancelToken {
     /// (or any clone of it).
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Relaxed)
-    }
-}
-
-/// A handle to one long-running job on a dedicated background thread —
-/// the primitive behind index rebuilds that must not block a serving
-/// path.
-///
-/// The job's closure receives the task's [`CancelToken`] and returns
-/// `Some(result)` on completion or `None` once it observes
-/// cancellation. Dropping the handle cancels the token and detaches
-/// the thread (it winds down at its next poll); use
-/// [`BackgroundTask::join`] to wait for and take the result.
-#[derive(Debug)]
-pub struct BackgroundTask<T> {
-    handle: Option<std::thread::JoinHandle<Option<T>>>,
-    token: CancelToken,
-}
-
-impl<T: Send + 'static> BackgroundTask<T> {
-    /// Spawns `job` on a new thread and returns its handle.
-    pub fn spawn<F>(job: F) -> Self
-    where
-        F: FnOnce(&CancelToken) -> Option<T> + Send + 'static,
-    {
-        let token = CancelToken::new();
-        let theirs = token.clone();
-        let handle = std::thread::Builder::new()
-            .name("gdim-background".into())
-            .spawn(move || job(&theirs))
-            .expect("spawn background worker");
-        BackgroundTask {
-            handle: Some(handle),
-            token,
-        }
-    }
-
-    /// Requests cooperative cancellation (see [`CancelToken`]). The
-    /// job keeps running until its next poll; [`BackgroundTask::join`]
-    /// reports what it actually did.
-    pub fn cancel(&self) {
-        self.token.cancel();
-    }
-
-    /// The task's cancellation token.
-    pub fn token(&self) -> &CancelToken {
-        &self.token
-    }
-
-    /// Whether the background thread has finished (successfully,
-    /// cancelled, or panicked) — a non-blocking poll before a
-    /// [`BackgroundTask::join`].
-    pub fn is_finished(&self) -> bool {
-        self.handle
-            .as_ref()
-            .is_none_or(std::thread::JoinHandle::is_finished)
-    }
-
-    /// Blocks until the job ends and returns its result: `Some` on
-    /// completion, `None` if the job observed cancellation. A panic on
-    /// the background thread is resumed on the caller.
-    pub fn join(mut self) -> Option<T> {
-        let handle = self.handle.take().expect("join consumes the handle");
-        match handle.join() {
-            Ok(out) => out,
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
-}
-
-impl<T> Drop for BackgroundTask<T> {
-    fn drop(&mut self) {
-        // Detach, but tell the job to stop at its next poll — a
-        // dropped handle means nobody can ever take the result.
-        self.token.cancel();
     }
 }
 
@@ -567,54 +495,6 @@ mod tests {
         assert_eq!(ExecConfig::serial().effective_threads(100), 1);
         assert!(ExecConfig::new(0).effective_threads(100) >= 1);
         assert_eq!(ExecConfig::new(4).effective_threads(0), 1);
-    }
-
-    #[test]
-    fn background_task_completes_and_joins() {
-        let task = BackgroundTask::spawn(|_| Some(6 * 7));
-        assert_eq!(task.join(), Some(42));
-    }
-
-    #[test]
-    fn background_task_observes_cancellation() {
-        // Gate the job on a channel so the test is deterministic: the
-        // job cannot reach its cancellation poll before we cancel.
-        let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        let task = BackgroundTask::spawn(move |token| {
-            gate_rx.recv().ok();
-            if token.is_cancelled() {
-                return None;
-            }
-            Some(1)
-        });
-        task.cancel();
-        assert!(task.token().is_cancelled());
-        gate_tx.send(()).unwrap();
-        assert_eq!(task.join(), None);
-    }
-
-    #[test]
-    fn dropping_a_background_task_cancels_its_token() {
-        let (tx, rx) = mpsc::channel::<CancelToken>();
-        let task = BackgroundTask::spawn(move |token| {
-            tx.send(token.clone()).ok();
-            Some(())
-        });
-        let token = rx.recv().unwrap();
-        drop(task);
-        assert!(token.is_cancelled());
-    }
-
-    #[test]
-    fn is_finished_turns_true_after_completion() {
-        let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        let task = BackgroundTask::spawn(move |_| {
-            gate_rx.recv().ok();
-            Some(0u8)
-        });
-        assert!(!task.is_finished());
-        gate_tx.send(()).unwrap();
-        assert_eq!(task.join(), Some(0));
     }
 
     #[test]

@@ -58,6 +58,10 @@ pub(crate) fn endpoint_index(path: &str) -> usize {
         .unwrap_or(EP_OTHER)
 }
 
+/// Capacity of the recent-request ring behind `/stats`'
+/// `slow_queries`.
+const RING_CAPACITY: usize = 128;
+
 /// One server's observability state. Shared by every worker thread via
 /// the connection context; all recording methods take `&self`.
 pub(crate) struct ServerMetrics {
@@ -108,7 +112,7 @@ impl ServerMetrics {
     /// registered eagerly so the first scrape already shows all
     /// families at zero — scrapers never have to special-case a cold
     /// server.
-    pub(crate) fn new(slow_ms: u64, ring_capacity: usize, trace_sample: u64) -> ServerMetrics {
+    pub(crate) fn new(slow_ms: u64, trace_sample: u64) -> ServerMetrics {
         let registry = Registry::new();
         let mut requests = Vec::with_capacity(ENDPOINTS.len());
         let mut errors = Vec::with_capacity(ENDPOINTS.len());
@@ -165,7 +169,7 @@ impl ServerMetrics {
                 &[],
             ),
             registry,
-            ring: RequestRing::new(ring_capacity),
+            ring: RequestRing::new(RING_CAPACITY),
             started: Instant::now(),
             boot,
             seq: AtomicU64::new(0),
@@ -369,7 +373,7 @@ mod tests {
 
     #[test]
     fn observe_counts_and_flags_slow_requests() {
-        let m = ServerMetrics::new(1, 8, 1); // slow at 1ms
+        let m = ServerMetrics::new(1, 1); // slow at 1ms
         let ep = endpoint_index("/search");
         let fast = m.observe(
             ep,
@@ -400,7 +404,7 @@ mod tests {
 
     #[test]
     fn error_responses_register_labeled_series() {
-        let m = ServerMetrics::new(0, 8, 1); // slow logging off
+        let m = ServerMetrics::new(0, 1); // slow logging off
         let ep = endpoint_index("/insert");
         m.observe(
             ep,
@@ -428,7 +432,7 @@ mod tests {
 
     #[test]
     fn request_ids_are_unique_and_boot_scoped() {
-        let m = ServerMetrics::new(0, 8, 1);
+        let m = ServerMetrics::new(0, 1);
         let a = m.next_request_id();
         let b = m.next_request_id();
         assert_ne!(a, b);

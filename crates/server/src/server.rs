@@ -14,6 +14,14 @@
 //! lock-free snapshot; admin endpoints go through the handle's writer
 //! path and publish a fresh snapshot.
 //!
+//! `/rebuild` runs [`ShardedIndex::rebuild`] under that writer lock —
+//! on the request's own worker (`mode: sync`) or on one named
+//! `gdim-rebuild` thread (`mode: background`, one at a time). Searches
+//! keep answering from the published snapshot throughout; writes wait
+//! for the build, because a rebuild computed off the lock would be
+//! refused by any write that landed while it ran (see
+//! [`gdim_shard::serving`]).
+//!
 //! # Graceful shutdown
 //!
 //! `POST /shutdown` (or [`GdimServer::request_shutdown`]) only flips a
@@ -32,7 +40,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use gdim_core::{GdimError, Graph, GraphId, SearchRequest, SearchResponse};
-use gdim_exec::{BackgroundTask, CancelToken, WorkerPool};
+use gdim_exec::{CancelToken, WorkerPool};
 use gdim_obs::{Stage, Trace};
 use gdim_shard::{DurableHandle, Reader, ServingHandle, ShardedIndex};
 
@@ -67,9 +75,6 @@ pub struct ServerConfig {
     /// are counted, kept in the slow-query ring, and logged to stderr
     /// with their per-stage breakdown. `0` disables slow logging.
     pub slow_ms: u64,
-    /// Capacity of the recent-request ring behind `/stats`'
-    /// `slow_queries`.
-    pub ring_capacity: usize,
     /// Stage-trace sampling: record per-stage histograms and ring
     /// entries for every Nth request (`1` = all; slow requests are
     /// always recorded regardless).
@@ -88,7 +93,6 @@ impl Default for ServerConfig {
             max_body_bytes: DEFAULT_MAX_BODY_BYTES,
             poll_interval: Duration::from_millis(100),
             slow_ms: 250,
-            ring_capacity: 128,
             trace_sample: 1,
         }
     }
@@ -127,12 +131,6 @@ impl ServerConfig {
     /// Sets the slow-query threshold (`0` disables slow logging).
     pub fn with_slow_ms(mut self, slow_ms: u64) -> Self {
         self.slow_ms = slow_ms;
-        self
-    }
-
-    /// Sets the recent-request ring capacity (min 1).
-    pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
-        self.ring_capacity = capacity.max(1);
         self
     }
 
@@ -195,9 +193,10 @@ struct Ctx {
     /// Per-server observability: labeled counters/histograms, the
     /// slow-query ring, request-id generation. See [`crate::metrics`].
     metrics: ServerMetrics,
-    /// The in-flight background rebuild, if any (one at a time; a
-    /// second `mode: background` request answers `409`).
-    rebuild: Mutex<Option<BackgroundTask<Result<bool, GdimError>>>>,
+    /// The thread running the last background rebuild, if any (one at
+    /// a time; a second `mode: background` request while it runs
+    /// answers `409`).
+    rebuild: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Ctx {
@@ -253,7 +252,7 @@ impl GdimServer {
         };
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let metrics = ServerMetrics::new(cfg.slow_ms, cfg.ring_capacity, cfg.trace_sample);
+        let metrics = ServerMetrics::new(cfg.slow_ms, cfg.trace_sample);
         let ctx = Arc::new(Ctx {
             handle,
             durable,
@@ -857,10 +856,9 @@ fn dispatch(
                             ("generation", Json::U64(generation)),
                         ])));
                     }
-                    let task = ctx.handle.spawn_rebuild();
-                    let swapped = ctx.handle.install(task)?;
+                    ctx.handle.write(ShardedIndex::rebuild);
                     Ok(Json::obj([
-                        ("swapped", Json::Bool(swapped)),
+                        ("swapped", Json::Bool(true)),
                         ("version", Json::U64(ctx.handle.version())),
                     ]))
                 }
@@ -874,22 +872,22 @@ fn dispatch(
                         ));
                     }
                     let mut slot = ctx.rebuild.lock().unwrap_or_else(|e| e.into_inner());
-                    if let Some(prev) = slot.take() {
-                        if !prev.is_finished() {
-                            *slot = Some(prev);
-                            return Err(ApiError::new(
-                                409,
-                                "rebuild_in_flight",
-                                "a background rebuild is already running",
-                            ));
-                        }
-                        let _ = prev.join(); // reap the finished one
+                    if slot.as_ref().is_some_and(|t| !t.is_finished()) {
+                        return Err(ApiError::new(
+                            409,
+                            "rebuild_in_flight",
+                            "a background rebuild is already running",
+                        ));
+                    }
+                    if let Some(done) = slot.take() {
+                        let _ = done.join();
                     }
                     let handle = ctx.handle.clone();
-                    *slot = Some(BackgroundTask::spawn(move |_token| {
-                        let task = handle.spawn_rebuild();
-                        Some(handle.install(task))
-                    }));
+                    let rebuild = std::thread::Builder::new()
+                        .name("gdim-rebuild".to_string())
+                        .spawn(move || handle.write(ShardedIndex::rebuild))
+                        .map_err(GdimError::from)?;
+                    *slot = Some(rebuild);
                     Ok(Json::obj([("started", Json::Bool(true))]))
                 }
                 other => Err(ApiError::new(
@@ -1240,6 +1238,37 @@ mod tests {
             assert_eq!((x.id, x.distance.to_bits()), (y.id, y.distance.to_bits()));
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_background_rebuild_is_one_named_thread_and_one_at_a_time() {
+        let server = start(16, 13);
+        let mut client = Client::connect(server.addr()).unwrap();
+        let bg = Json::obj([("mode", Json::Str("background".into()))]);
+        // Holding the writer lock keeps the rebuild thread waiting in
+        // `ServingHandle::write`, so it is certainly still running.
+        server.handle().write(|_| {
+            let (status, j) = client.post("/rebuild", &bg).unwrap();
+            assert_eq!(status, 200, "{j:?}");
+            assert_eq!(j.get("started").and_then(Json::as_bool), Some(true));
+            let (status, j) = client.post("/rebuild", &bg).unwrap();
+            assert_eq!(status, 409, "{j:?}");
+            let (_, stats) = client.get("/stats").unwrap();
+            assert_eq!(
+                stats.get("rebuild_in_flight").and_then(Json::as_bool),
+                Some(true)
+            );
+        });
+        let rebuild = server.ctx.rebuild.lock().unwrap().take().unwrap();
+        assert_eq!(rebuild.thread().name(), Some("gdim-rebuild"));
+        rebuild.join().unwrap();
+        let (_, stats) = client.get("/stats").unwrap();
+        assert_eq!(stats.get("epoch").and_then(Json::as_u64), Some(1));
+        assert_eq!(
+            stats.get("rebuild_in_flight").and_then(Json::as_bool),
+            Some(false)
+        );
+        server.shutdown();
     }
 
     #[test]

@@ -27,15 +27,17 @@
 //!   serving path's parallelism; `gdim-exec` is for the build, the
 //!   exact δ phases and batches. Inserts/removes route to the
 //!   owning shard; each shard tracks its own
-//!   [`RebuildPolicy`](gdim_core::RebuildPolicy) staleness, and only
-//!   dirty shards rebuild (a shard rebuild is the subset of its live
-//!   rows under the same selection; a full [`ShardedIndex::rebuild`]
-//!   re-runs the whole pipeline).
+//!   [`RebuildPolicy`](gdim_core::RebuildPolicy) staleness. A rebuild
+//!   is a value computed from a snapshot — [`ShardedIndex::compacted`]
+//!   (one shard's live rows under the same selection) or
+//!   [`ShardedIndex::rebuilt`] (the whole pipeline re-run) — and
+//!   [`ShardedIndex::install`] is the one place that applies it,
+//!   refusing a result that missed later writes.
 //! * [`ServingHandle`] — an epoch-swapped concurrent read handle
 //!   (Arc-swap over `Arc<ShardedIndex>` + a version atomic, no new
 //!   dependencies): any number of [`Reader`]s search lock-free in the
-//!   steady state while mutations and background shard rebuilds
-//!   install new snapshots atomically. Mutations are copy-on-write at
+//!   steady state while mutations and installs publish new snapshots
+//!   atomically. Mutations are copy-on-write at
 //!   **shard granularity**, and the copy is structural sharing: the new
 //!   version of the owning shard shares every sealed 32-row chunk (and
 //!   all immutable state) with the previous one and copies a tail plus
@@ -86,4 +88,4 @@ pub use durable::{DurableHandle, RecoveryReport};
 pub use gdim_core::search::{merge_topk, MergedHit};
 pub use gdim_wal::SyncPolicy;
 pub use serving::{Reader, ServingHandle};
-pub use sharded::{ShardId, ShardRebuildTask, ShardedIndex, ShardedOptions, ShardedRebuildTask};
+pub use sharded::{Rebuild, ShardId, ShardedIndex, ShardedOptions};

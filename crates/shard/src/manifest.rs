@@ -75,6 +75,11 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    /// Bytes not yet read.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn u32(&mut self) -> Result<u32, GdimError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
@@ -177,8 +182,12 @@ impl ShardedIndex {
         }
         let next_seq = r.u64()?;
         let stamp = r.u64()?;
-        let mut muts = Vec::with_capacity(shard_count);
-        let mut shards = Vec::with_capacity(shard_count);
+        // Every shard entry takes at least 16 bytes (its stamp and its
+        // sequence count), so the unread bytes bound how many entries
+        // can really follow, whatever `shard_count` claims.
+        let entries = shard_count.min(r.remaining() / 16);
+        let mut muts = Vec::with_capacity(entries);
+        let mut shards = Vec::with_capacity(entries);
         for s in 0..shard_count {
             let m = r.u64()?;
             if m > stamp {
@@ -236,5 +245,122 @@ impl ShardedIndex {
         Ok(ShardedIndex::from_loaded(
             shards, shard_bits, next_seq, stamp, muts,
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::path::PathBuf;
+    use std::sync::OnceLock;
+
+    use gdim_core::{Graph, IndexOptions, SearchRequest};
+
+    use crate::ShardedOptions;
+
+    fn chem(n: usize, seed: u64) -> Vec<Graph> {
+        gdim_datagen::chem_db(n, &gdim_datagen::ChemConfig::default(), seed)
+    }
+
+    /// A saved 3-shard index grown by one insert and one remove (so the
+    /// shards differ in row count and mutation stamp), and its manifest.
+    fn saved() -> &'static (PathBuf, Vec<u8>) {
+        static SAVED: OnceLock<(PathBuf, Vec<u8>)> = OnceLock::new();
+        SAVED.get_or_init(|| {
+            let opts =
+                ShardedOptions::new(3).with_index(IndexOptions::default().with_dimensions(8));
+            let mut idx = ShardedIndex::build(chem(9, 3), opts);
+            idx.insert(chem(1, 4).remove(0));
+            idx.remove(idx.id_for_seq(2).unwrap()).unwrap();
+            let dir =
+                std::env::temp_dir().join(format!("gdim-hostile-manifest-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            idx.save_dir(&dir).unwrap();
+            let back = ShardedIndex::load_dir(&dir).unwrap();
+            assert_eq!(back.manifest_bytes(), idx.manifest_bytes());
+            (dir, idx.manifest_bytes())
+        })
+    }
+
+    /// Writes `manifest` beside the saved shard files and loads them.
+    fn load(manifest: &[u8]) -> Result<ShardedIndex, GdimError> {
+        let dir = &saved().0;
+        std::fs::write(dir.join(MANIFEST_FILE), manifest)?;
+        ShardedIndex::load_dir(dir)
+    }
+
+    /// `(offset, width)` of every integer field of a valid manifest.
+    fn fields(valid: &[u8]) -> Vec<(usize, usize)> {
+        let word = |at: usize| u64::from_le_bytes(valid[at..at + 8].try_into().unwrap());
+        let mut out = vec![(8, 4), (12, 8), (20, 4), (24, 8), (32, 8)];
+        let mut pos = 40;
+        for _ in 0..word(12) {
+            let count = word(pos + 8) as usize;
+            out.extend([(pos, 8), (pos + 8, 8)]);
+            out.extend((0..count).map(|i| (pos + 16 + 8 * i, 8)));
+            pos += 16 + 8 * count;
+        }
+        assert_eq!(pos, valid.len(), "the walk covers the whole manifest");
+        out
+    }
+
+    /// Hostile bytes in the MANIFEST — arbitrary ones, arbitrary ones
+    /// behind a valid magic and version, a valid manifest with one
+    /// byte flipped, or with one integer field (a count, a length,
+    /// a stamp, a sequence number) rewritten to a boundary or random
+    /// value — load or fail with a typed error, never panic, and an
+    /// index that loads answers a search.
+    #[test]
+    fn hostile_manifests_load_or_fail_typed() {
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(160))]
+
+            fn cases(
+                kind in 0u8..4,
+                junk in prop::collection::vec(any::<u8>(), 0..96),
+                at in any::<prop::sample::Index>(),
+                pick in 0usize..8,
+                word in any::<u64>(),
+            ) {
+                let valid = &saved().1;
+                let bytes = match kind {
+                    0 => junk,
+                    1 => [&MAGIC[..], &VERSION.to_le_bytes()[..], &junk].concat(),
+                    2 => {
+                        let mut b = valid.clone();
+                        b[at.index(valid.len())] ^= (word as u8) | 1;
+                        b
+                    }
+                    _ => {
+                        let fields = fields(valid);
+                        let (off, width) = fields[at.index(fields.len())];
+                        let mut old = [0u8; 8];
+                        old[..width].copy_from_slice(&valid[off..off + width]);
+                        let old = u64::from_le_bytes(old);
+                        let len = valid.len() as u64;
+                        let new = [0, 1, u64::MAX, len, len / 16, old + 1, old.wrapping_sub(1), word][pick];
+                        let mut b = valid.clone();
+                        b[off..off + width].copy_from_slice(&new.to_le_bytes()[..width]);
+                        b
+                    }
+                };
+                match load(&bytes) {
+                    Ok(idx) => {
+                        let q = chem(1, 5).remove(0);
+                        prop_assert!(idx.search(&q, &SearchRequest::new(3)).is_ok());
+                    }
+                    Err(e) => prop_assert!(
+                        matches!(
+                            e,
+                            GdimError::Corrupt(_) | GdimError::UnsupportedVersion { .. } | GdimError::Io(_)
+                        ),
+                        "kind {}: unexpected error {:?}", kind, e
+                    ),
+                }
+            }
+        }
+        cases();
+        std::fs::remove_dir_all(&saved().0).ok();
     }
 }

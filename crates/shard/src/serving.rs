@@ -1,7 +1,7 @@
 //! [`ServingHandle`]: the concurrent serving runtime over a
 //! [`ShardedIndex`] — any number of reader threads search **without
-//! taking a lock on the search path** while mutations and background
-//! rebuilds install new snapshots atomically.
+//! taking a lock on the search path** while mutations and rebuilds
+//! install new snapshots atomically.
 //!
 //! The shape is the classic epoch/Arc-swap pattern, built from `std`
 //! primitives only (everything in this workspace is vendored):
@@ -54,6 +54,23 @@
 //! while the sealed chunks live on in the successor. (When a publish
 //! deep-copied the shard, that reader freed ~70,000 allocations, ~5 ms,
 //! on the search path: "readers never block" was true of locks only.)
+//!
+//! # Rebuilds
+//!
+//! A rebuild is a value computed from an immutable snapshot
+//! ([`ShardedIndex::rebuilt`], [`ShardedIndex::compacted`]) and applied
+//! by [`ServingHandle::install`]; the caller owns whatever thread
+//! computes it. Two ways to serve one, both leaving searches unblocked:
+//!
+//! * **under the writer lock** — `handle.write(ShardedIndex::rebuild)`.
+//!   Writes wait for the whole build; none is ever refused. This is
+//!   what the server's `/rebuild` runs, in either mode.
+//! * **off the writer lock** — `handle.snapshot().rebuilt()` on any
+//!   thread, then `handle.install(..)`. Writes proceed meanwhile, and
+//!   any write that lands while the rebuild runs (any write at all for
+//!   a full rebuild, one to its shard for a compaction) gets the
+//!   result refused with [`GdimError::StaleRebuild`] — compute it again
+//!   or keep serving the old one.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,7 +80,7 @@ use std::time::Instant;
 use gdim_core::{GdimError, Graph, GraphId, SearchRequest, SearchResponse};
 
 use crate::obs::write_metrics;
-use crate::sharded::{ShardId, ShardRebuildTask, ShardedIndex, ShardedRebuildTask};
+use crate::sharded::{Rebuild, ShardedIndex};
 
 /// Shared state behind every clone of a [`ServingHandle`] and every
 /// [`Reader`].
@@ -198,63 +215,17 @@ impl ServingHandle {
         })
     }
 
-    /// The currently stale shards (from the current snapshot).
-    pub fn stale_shards(&self) -> Vec<ShardId> {
-        self.snapshot().stale_shards()
-    }
-
-    /// Synchronously compacts one shard and publishes (nothing is
-    /// published on an invalid shard id); see
-    /// [`ShardedIndex::rebuild_shard`]. The writer lock is held for
-    /// the compaction — prefer [`ServingHandle::spawn_shard_rebuild`]
-    /// on a serving path.
-    pub fn rebuild_shard(&self, s: ShardId) -> Result<(), GdimError> {
+    /// Installs a rebuild computed from a snapshot
+    /// ([`ShardedIndex::rebuilt`] / [`ShardedIndex::compacted`] on
+    /// [`ServingHandle::snapshot`]) and publishes — only when
+    /// [`ShardedIndex::install`] accepts it; a refused
+    /// ([`GdimError::StaleRebuild`]) install publishes nothing. Readers
+    /// observe the swap as one version bump: every search answers
+    /// against exactly one snapshot, before or after, never a mix.
+    pub fn install(&self, rebuild: Rebuild) -> Result<(), GdimError> {
         self.mutate(|idx| {
-            let out = idx.rebuild_shard(s);
+            let out = idx.install(rebuild);
             let changed = out.is_ok();
-            (out, changed)
-        })
-    }
-
-    /// Starts a background compaction of one shard; searches keep
-    /// flowing from the published snapshot while it runs. Install the
-    /// result with [`ServingHandle::install_shard`].
-    pub fn spawn_shard_rebuild(&self, s: ShardId) -> Result<ShardRebuildTask, GdimError> {
-        lock(&self.shared.master).spawn_shard_rebuild(s)
-    }
-
-    /// Waits for a background shard rebuild and installs it (one
-    /// `Arc` swap inside the master + one publish; a refused or
-    /// cancelled install publishes nothing). Readers never block on
-    /// this — poll
-    /// [`ShardRebuildTask::is_finished`](crate::ShardRebuildTask::is_finished)
-    /// first to also keep *writers* from blocking on the join.
-    pub fn install_shard(&self, task: ShardRebuildTask) -> Result<bool, GdimError> {
-        self.mutate(|idx| {
-            let out = idx.install_shard(task);
-            let changed = matches!(out, Ok(true));
-            (out, changed)
-        })
-    }
-
-    /// Starts a **full** background rebuild (re-mine → re-select →
-    /// re-split) over a snapshot of the live graphs; see
-    /// [`ShardedIndex::spawn_rebuild`]. The search path keeps serving
-    /// the old snapshots, lock-free, for the whole build.
-    pub fn spawn_rebuild(&self) -> ShardedRebuildTask {
-        lock(&self.shared.master).spawn_rebuild()
-    }
-
-    /// Waits for a full background rebuild and installs it atomically;
-    /// see [`ShardedIndex::install`]. Readers observe the swap as one
-    /// version bump — every search answers against exactly one
-    /// snapshot, before or after, never a mix. A refused
-    /// ([`GdimError::StaleRebuild`]) or cancelled install publishes
-    /// nothing.
-    pub fn install(&self, task: ShardedRebuildTask) -> Result<bool, GdimError> {
-        self.mutate(|idx| {
-            let out = idx.install(task);
-            let changed = matches!(out, Ok(true));
             (out, changed)
         })
     }

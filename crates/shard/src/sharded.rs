@@ -8,7 +8,7 @@ use gdim_core::search::{search_partitions, search_partitions_batch, Partition};
 use gdim_core::{
     GdimError, Graph, GraphId, GraphIndex, IndexOptions, SearchRequest, SearchResponse,
 };
-use gdim_exec::{BackgroundTask, ExecConfig};
+use gdim_exec::ExecConfig;
 
 use crate::obs::write_metrics;
 
@@ -133,7 +133,7 @@ pub struct ShardedIndex {
     /// Monotone event stamp; bumped by every mutation or install.
     stamp: u64,
     /// `muts[s]` = stamp of shard `s`'s last mutation/install — the
-    /// freshness basis for per-shard background rebuilds.
+    /// freshness basis of a compaction of that shard.
     muts: Vec<u64>,
     opts: ShardedOptions,
 }
@@ -429,110 +429,12 @@ impl ShardedIndex {
 
     /// The shards whose accumulated churn exceeds their
     /// [`RebuildPolicy`](gdim_core::RebuildPolicy) — the ones worth a
-    /// [`ShardedIndex::rebuild_shard`].
+    /// [`ShardedIndex::compacted`].
     pub fn stale_shards(&self) -> Vec<ShardId> {
         (0..self.shards.len())
             .filter(|&s| self.shards[s].index.is_stale())
             .map(|s| ShardId(s as u32))
             .collect()
-    }
-
-    /// Rebuilds **one dirty shard** by compacting it against the
-    /// retained global selection: tombstoned rows are dropped (later
-    /// local ids shift down; sequence numbers travel with their rows),
-    /// pending-insert counters reset, and the shard's epoch advances —
-    /// all **without re-mining**, so every live row keeps its exact
-    /// vector and answers are unchanged. The global selection itself
-    /// is only revisited by a full [`ShardedIndex::rebuild`].
-    pub fn rebuild_shard(&mut self, s: ShardId) -> Result<(), GdimError> {
-        if s.index() >= self.shards.len() {
-            return Err(GdimError::ShardOutOfRange {
-                id: s.index(),
-                shards: self.shards.len(),
-            });
-        }
-        let fresh = Self::compacted(&self.shards[s.index()]);
-        self.shards[s.index()] = Arc::new(fresh);
-        self.bump(s.index());
-        Ok(())
-    }
-
-    /// [`ShardedIndex::rebuild_shard`] for every stale shard; returns
-    /// how many rebuilt.
-    pub fn rebuild_stale_shards(&mut self) -> usize {
-        let stale = self.stale_shards();
-        for &s in &stale {
-            self.rebuild_shard(s)
-                .expect("stale_shards returns valid ids");
-        }
-        stale.len()
-    }
-
-    /// Pure compaction of one shard (the job a background shard
-    /// rebuild runs): the live rows under the same selection, epoch + 1.
-    fn compacted(shard: &Shard) -> Shard {
-        let idx = &shard.index;
-        let live = idx.tombstones().live_ids();
-        Shard {
-            index: idx.subset(&live, idx.epoch() + 1),
-            seqs: live.iter().map(|&i| shard.seqs[i as usize]).collect(),
-        }
-    }
-
-    /// Starts a **background** compaction of one shard on a dedicated
-    /// thread (the serving path keeps answering from the old shard
-    /// meanwhile); pass the handle to [`ShardedIndex::install_shard`]
-    /// to swap the result in.
-    pub fn spawn_shard_rebuild(&self, s: ShardId) -> Result<ShardRebuildTask, GdimError> {
-        if s.index() >= self.shards.len() {
-            return Err(GdimError::ShardOutOfRange {
-                id: s.index(),
-                shards: self.shards.len(),
-            });
-        }
-        let snapshot = Arc::clone(&self.shards[s.index()]);
-        Ok(ShardRebuildTask {
-            task: BackgroundTask::spawn(move |token| {
-                if token.is_cancelled() {
-                    return None;
-                }
-                let fresh = Self::compacted(&snapshot);
-                if token.is_cancelled() {
-                    None
-                } else {
-                    Some(fresh)
-                }
-            }),
-            shard: s,
-            basis: self.muts[s.index()],
-        })
-    }
-
-    /// Waits for a [`ShardedIndex::spawn_shard_rebuild`] job and swaps
-    /// the compacted shard in — **atomically per shard**: one `Arc`
-    /// pointer replaces another, the other shards are untouched.
-    /// Returns `Ok(false)` if the job observed cancellation, and
-    /// [`GdimError::StaleRebuild`] when the shard mutated (or was
-    /// rebuilt) after the snapshot — the caller should spawn a fresh
-    /// job.
-    pub fn install_shard(&mut self, task: ShardRebuildTask) -> Result<bool, GdimError> {
-        let s = task.shard.index();
-        if s >= self.shards.len() || self.muts[s] != task.basis {
-            let missed = self
-                .muts
-                .get(s)
-                .map_or(u64::MAX, |&m| m.abs_diff(task.basis));
-            task.cancel();
-            return Err(GdimError::StaleRebuild { missed });
-        }
-        match task.task.join() {
-            None => Ok(false),
-            Some(fresh) => {
-                self.shards[s] = Arc::new(fresh);
-                self.bump(s);
-                Ok(true)
-            }
-        }
     }
 
     /// The live graphs across all shards in **sequence order** — the
@@ -551,76 +453,94 @@ impl ShardedIndex {
         rows.into_iter().map(|(_, g)| g.clone()).collect()
     }
 
-    /// Synchronous **full** rebuild: re-runs the global pipeline
-    /// (re-mine → re-select) over the live graphs in sequence order
-    /// and re-splits into shards — the only operation that revisits
-    /// the selected dimensions. Sequence numbers and ids are reseeded
-    /// `0..n`; every shard's epoch advances past the current maximum.
-    pub fn rebuild(&mut self) {
-        let live = self.live_graphs();
-        let base_epoch = self.epoch() + 1;
-        let global = GraphIndex::build(live, self.opts.index.clone());
-        let fresh = Self::split_global(global, self.opts.clone(), base_epoch);
-        self.install_full(fresh);
-    }
-
-    /// Starts a full rebuild on a background thread over a snapshot of
-    /// the live graphs; the index keeps serving (and mutating)
-    /// meanwhile. The snapshot is a cheap `Arc`-level clone — the
-    /// `O(n)` graph copy itself happens on the background thread, so a
-    /// caller holding a writer lock (the serving handle) is not
-    /// stalled by it. Cancellation is observed at the pipeline's phase
-    /// boundaries. Pass the handle to [`ShardedIndex::install`].
-    pub fn spawn_rebuild(&self) -> ShardedRebuildTask {
-        let snapshot = self.clone(); // N shard-Arc clones, not data
-        let opts = self.opts.clone();
-        let base_epoch = self.epoch() + 1;
-        ShardedRebuildTask {
-            task: BackgroundTask::spawn(move |token| {
-                let live = snapshot.live_graphs();
-                if token.is_cancelled() {
-                    return None;
-                }
-                let global = GraphIndex::build_cancellable(live, opts.index.clone(), token)?;
-                if token.is_cancelled() {
-                    return None;
-                }
-                Some(ShardedIndex::split_global(global, opts, base_epoch))
-            }),
+    /// A **full rebuild** of this index, computed and not applied: the
+    /// global pipeline (re-mine → re-select) re-run over the live
+    /// graphs in sequence order and re-split into shards — the only
+    /// operation that revisits the selected dimensions. Sequence
+    /// numbers and ids are reseeded `0..n`; every shard's epoch is the
+    /// current maximum + 1. `&self` is all it reads, so any thread
+    /// holding a snapshot can compute it while the index keeps serving
+    /// (and mutating); [`ShardedIndex::install`] applies it.
+    pub fn rebuilt(&self) -> Rebuild {
+        let global = GraphIndex::build(self.live_graphs(), self.opts.index.clone());
+        Rebuild {
             basis: self.stamp,
+            fresh: Fresh::Index(Self::split_global(
+                global,
+                self.opts.clone(),
+                self.epoch() + 1,
+            )),
         }
     }
 
-    /// Waits for a [`ShardedIndex::spawn_rebuild`] job and swaps the
-    /// whole re-split index in. `Ok(false)` if the job observed
-    /// cancellation; [`GdimError::StaleRebuild`] when any mutation (or
-    /// shard install) landed after the snapshot.
-    pub fn install(&mut self, task: ShardedRebuildTask) -> Result<bool, GdimError> {
-        if self.stamp != task.basis {
-            task.cancel();
+    /// A **compaction** of one shard, computed and not applied: its
+    /// live rows under the retained global selection (tombstoned rows
+    /// dropped, later local ids shifted down, sequence numbers carried
+    /// with their rows, pending-insert counters reset, epoch + 1) —
+    /// all **without re-mining**, so every live row keeps its exact
+    /// vector and answers are unchanged. [`ShardedIndex::install`]
+    /// applies it.
+    pub fn compacted(&self, s: ShardId) -> Result<Rebuild, GdimError> {
+        let idx = self.shard(s)?;
+        let seqs = &self.shards[s.index()].seqs;
+        let live = idx.tombstones().live_ids();
+        Ok(Rebuild {
+            basis: self.muts[s.index()],
+            fresh: Fresh::Shard(
+                s,
+                Box::new(Shard {
+                    index: idx.subset(&live, idx.epoch() + 1),
+                    seqs: live.iter().map(|&i| seqs[i as usize]).collect(),
+                }),
+            ),
+        })
+    }
+
+    /// Applies a [`ShardedIndex::rebuilt`] or
+    /// [`ShardedIndex::compacted`] result — the only code that swaps
+    /// rebuilt state into an index. A full rebuild replaces every
+    /// shard; a compaction replaces its one shard (one `Arc` pointer
+    /// for another, the other shards untouched). Either way the index
+    /// keeps its own exec budget (a knob of the serving machine, not
+    /// of the snapshot: a [`ShardedIndex::set_exec`] made while the
+    /// rebuild was computed survives its installation).
+    ///
+    /// Refused with [`GdimError::StaleRebuild`], changing nothing, when
+    /// the result missed events: a full rebuild any mutation or install
+    /// since its snapshot, a compaction any in its own shard.
+    pub fn install(&mut self, rebuild: Rebuild) -> Result<(), GdimError> {
+        let now = match &rebuild.fresh {
+            Fresh::Index(_) => Some(self.stamp),
+            Fresh::Shard(s, _) => self.muts.get(s.index()).copied(),
+        };
+        if now != Some(rebuild.basis) {
             return Err(GdimError::StaleRebuild {
-                missed: self.stamp.abs_diff(task.basis),
+                missed: now.map_or(u64::MAX, |m| m.abs_diff(rebuild.basis)),
             });
         }
-        match task.task.join() {
-            None => Ok(false),
-            Some(fresh) => {
-                self.install_full(fresh);
-                Ok(true)
+        let exec = *self.exec();
+        match rebuild.fresh {
+            Fresh::Index(mut fresh) => {
+                fresh.stamp = self.stamp + 1;
+                fresh.muts = vec![fresh.stamp; fresh.shards.len()];
+                fresh.set_exec(exec);
+                *self = fresh;
+            }
+            Fresh::Shard(s, mut fresh) => {
+                fresh.index.set_exec(exec);
+                self.shards[s.index()] = Arc::new(*fresh);
+                self.bump(s.index());
             }
         }
+        Ok(())
     }
 
-    /// Swaps a re-split index in, preserving the event-stamp chain and
-    /// the serving-side exec budget (a knob of the machine, not the
-    /// snapshot: a [`ShardedIndex::set_exec`] made while a background
-    /// rebuild ran survives its installation).
-    fn install_full(&mut self, mut fresh: ShardedIndex) {
-        fresh.stamp = self.stamp + 1;
-        fresh.muts = vec![fresh.stamp; fresh.shards.len()];
-        let exec = *self.exec();
-        fresh.set_exec(exec);
-        *self = fresh;
+    /// Synchronous full rebuild: [`ShardedIndex::rebuilt`], then
+    /// [`ShardedIndex::install`].
+    pub fn rebuild(&mut self) {
+        let fresh = self.rebuilt();
+        self.install(fresh)
+            .expect("a rebuild of the index itself misses no event");
     }
 
     // ------------------------------------------------------- search
@@ -713,53 +633,26 @@ impl ShardedIndex {
     }
 }
 
-/// Handle to an in-flight background **shard** rebuild (compaction) —
-/// see [`ShardedIndex::spawn_shard_rebuild`].
+/// A rebuild computed from a snapshot of a [`ShardedIndex`]
+/// ([`ShardedIndex::rebuilt`] or [`ShardedIndex::compacted`]) and not
+/// yet applied; pass it to [`ShardedIndex::install`]. It records the
+/// event stamp it was computed from, which is what decides whether it
+/// is still current when installed.
 #[derive(Debug)]
-pub struct ShardRebuildTask {
-    task: BackgroundTask<Shard>,
-    shard: ShardId,
-    /// Mutation stamp of the shard when the snapshot was taken.
+pub struct Rebuild {
+    /// The index's event stamp (full rebuild) or the shard's last
+    /// mutation stamp (compaction) when the snapshot was taken.
     basis: u64,
+    fresh: Fresh,
 }
 
-impl ShardRebuildTask {
-    /// The shard being rebuilt.
-    pub fn shard(&self) -> ShardId {
-        self.shard
-    }
-
-    /// Requests cooperative cancellation.
-    pub fn cancel(&self) {
-        self.task.cancel();
-    }
-
-    /// Non-blocking: whether the background job has ended.
-    pub fn is_finished(&self) -> bool {
-        self.task.is_finished()
-    }
-}
-
-/// Handle to an in-flight background **full** rebuild — see
-/// [`ShardedIndex::spawn_rebuild`].
+/// What a [`Rebuild`] replaces.
 #[derive(Debug)]
-pub struct ShardedRebuildTask {
-    task: BackgroundTask<ShardedIndex>,
-    /// Event stamp of the index when the snapshot was taken.
-    basis: u64,
-}
-
-impl ShardedRebuildTask {
-    /// Requests cooperative cancellation; the pipeline stops at its
-    /// next phase boundary.
-    pub fn cancel(&self) {
-        self.task.cancel();
-    }
-
-    /// Non-blocking: whether the background job has ended.
-    pub fn is_finished(&self) -> bool {
-        self.task.is_finished()
-    }
+enum Fresh {
+    /// Every shard: a re-mined, re-split index.
+    Index(ShardedIndex),
+    /// One shard: its compacted replacement.
+    Shard(ShardId, Box<Shard>),
 }
 
 #[cfg(test)]
@@ -795,7 +688,8 @@ mod tests {
 
         // A compacted shard keeps mapping through the same tree.
         idx.remove(ids[1]).unwrap();
-        idx.rebuild_shard(ShardId(1)).unwrap();
+        let compaction = idx.compacted(ShardId(1)).unwrap();
+        idx.install(compaction).unwrap();
         assert_eq!(idx.shard(ShardId(1)).unwrap().tombstone_count(), 0);
         assert_one_mapper_per_feature_set(&idx);
         idx.insert(chem(1, 100).remove(0));

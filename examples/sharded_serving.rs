@@ -2,8 +2,8 @@
 //! ([`ShardedIndex`]), then serve **concurrent** traffic through a
 //! [`ServingHandle`] — multiple reader threads answering a Zipf-skewed
 //! workload lock-free while the main thread inserts and removes graphs,
-//! installs a background rebuild, and has a late write refuse a stale
-//! one.
+//! has a late write refuse a stale compaction, compacts the shards that
+//! went stale, and installs a full rebuild computed from a snapshot.
 //!
 //! ```sh
 //! cargo run --release --example sharded_serving
@@ -57,7 +57,7 @@ fn main() -> Result<(), GdimError> {
     // Readers search lock-free against published snapshots (one atomic
     // load per search in the steady state) while the writer inserts —
     // each insert copy-on-writes only the owning shard (1/N of the
-    // data) — and a full background rebuild re-mines off-thread.
+    // data) — and rebuilds computed from snapshots install atomically.
     let handle = ServingHandle::new(index);
     let workload =
         gdim::datagen::zipf_workload(db.len(), 400, &gdim::datagen::ZipfConfig::default(), 9);
@@ -84,33 +84,49 @@ fn main() -> Result<(), GdimError> {
         }
 
         // Writer: online inserts (readers keep the old snapshot until
-        // the next publish), then a background full rebuild.
+        // the next publish), then rebuilds.
         let inserted: Vec<GraphId> = gdim::datagen::chem_db(6, &cfg, 4242)
             .into_iter()
             .map(|g| handle.insert(g))
             .collect();
-        let stale = handle.stale_shards();
+        let stale = handle.snapshot().stale_shards();
         println!(
             "inserted 6 graphs; stale shards now {:?}",
             stale.iter().map(ToString::to_string).collect::<Vec<_>>()
         );
-        // A write landing after the snapshot was taken makes the
-        // install refuse rather than silently drop it: spawn again.
-        let task = handle.spawn_rebuild();
+        // A rebuild is computed from a snapshot, off the writer lock,
+        // so a write can land meanwhile; install refuses a result that
+        // missed one rather than silently drop it — for a compaction,
+        // a write to its own shard.
+        let snapshot = handle.snapshot();
+        let (owner, _) = snapshot.split_id(inserted[0]);
+        let compaction = snapshot.compacted(owner).expect("the owner of a live id");
         handle.remove(inserted[0]).expect("a live id");
-        match handle.install(task) {
-            Err(GdimError::StaleRebuild { missed }) => {
-                println!("late remove invalidated the snapshot ({missed} write missed)");
+        match handle.install(compaction) {
+            Err(GdimError::StaleRebuild { .. }) => {
+                println!("late remove in {owner} invalidated its compaction");
             }
-            other => panic!("a stale snapshot must be refused, got {other:?}"),
+            other => panic!("a stale compaction must be refused, got {other:?}"),
         }
-        // A quiet index installs: re-mined over the live graphs, the
-        // tombstone compacted away, every shard at the next epoch.
-        let task = handle.spawn_rebuild();
-        let installed = handle.install(task).expect("no mutation raced the rebuild");
+        // Computed again: same selection, live rows only, so answers
+        // are provably unchanged.
+        for s in handle.snapshot().stale_shards() {
+            let compaction = handle.snapshot().compacted(s).expect("a stale shard's id");
+            handle
+                .install(compaction)
+                .expect("nothing wrote to the shard since its snapshot");
+        }
+        assert!(handle.snapshot().stale_shards().is_empty());
+        // A full rebuild re-mines over the live graphs and re-splits,
+        // every shard at the next epoch (any write since its snapshot
+        // would have it refused too).
+        let rebuilt = handle.snapshot().rebuilt();
+        handle
+            .install(rebuilt)
+            .expect("no mutation raced the rebuild");
         let snap = handle.snapshot();
         println!(
-            "background rebuild installed: {installed}; snapshot version {} with epoch {}, {} of {} rows live",
+            "full rebuild installed: snapshot version {} with epoch {}, {} of {} rows live",
             handle.version(),
             snap.epoch(),
             snap.live_len(),

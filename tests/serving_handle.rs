@@ -22,12 +22,12 @@ fn build(db: Vec<Graph>, shards: usize) -> ShardedIndex {
     )
 }
 
-/// Readers search continuously while a full background rebuild
-/// (re-mine → re-select → re-split) runs; the rebuild installs
-/// atomically, and every answer — before and after — is well-formed
-/// and self-consistent. The searches overlap the rebuild by
-/// construction: each reader loops until the rebuild task reports
-/// finished, and only then does the main thread install it.
+/// Readers search continuously while a full rebuild (re-mine →
+/// re-select → re-split) is computed from a snapshot on another
+/// thread; the rebuild installs atomically, and every answer — before
+/// and after — is well-formed and self-consistent. The searches
+/// overlap the rebuild by construction: each reader loops until the
+/// rebuild is computed, and only then is it installed.
 #[test]
 fn readers_search_through_a_background_rebuild_without_blocking() {
     let db = chem(48, 7);
@@ -36,7 +36,7 @@ fn readers_search_through_a_background_rebuild_without_blocking() {
     let searches_during_rebuild = AtomicUsize::new(0);
     let rebuild_running = AtomicBool::new(true);
 
-    let task = handle.snapshot().spawn_rebuild();
+    let snapshot = handle.snapshot();
     std::thread::scope(|scope| {
         for _ in 0..3 {
             let reader = handle.reader();
@@ -59,15 +59,13 @@ fn readers_search_through_a_background_rebuild_without_blocking() {
                 }
             });
         }
-        // Wait out the rebuild on the main thread, then install. The
+        // Compute the rebuild on the main thread, then install. The
         // readers keep counting searches the whole time.
-        while !task.is_finished() {
-            std::thread::yield_now();
-        }
+        let rebuilt = snapshot.rebuilt();
         rebuild_running.store(false, Ordering::Relaxed);
-        // `task` was spawned from the snapshot the handle currently
+        // It was computed from the snapshot the handle currently
         // serves, and nothing mutated: install must succeed.
-        assert!(handle.write(|idx| idx.install(task)).unwrap());
+        handle.install(rebuilt).unwrap();
     });
 
     assert!(
@@ -184,18 +182,22 @@ fn readers_cache_snapshots_until_a_publish() {
     assert_eq!(c.live_len(), a.live_len() + 1);
 }
 
-/// No-op and failed mutations publish nothing: readers are never
-/// forced to refetch an identical snapshot, and `version()` counts
-/// only effective publishes.
+/// No-op and failed mutations publish nothing — nor does a refused
+/// install: readers are never forced to refetch an identical snapshot,
+/// and `version()` counts only effective publishes.
 #[test]
 fn noop_and_failed_mutations_do_not_publish() {
     let handle = ServingHandle::new(build(chem(8, 21), 2));
     let gid = handle.snapshot().id_for_seq(0).unwrap();
+    let compaction = handle.snapshot().compacted(ShardId(0)).unwrap();
     assert!(handle.remove(gid).unwrap());
     let v = handle.version();
     assert!(!handle.remove(gid).unwrap(), "already tombstoned");
     assert!(handle.remove(GraphId(u32::MAX)).is_err());
-    assert!(handle.rebuild_shard(ShardId(9)).is_err());
+    assert!(matches!(
+        handle.install(compaction),
+        Err(GdimError::StaleRebuild { missed: 1 })
+    ));
     assert_eq!(handle.version(), v, "no-ops and failures must not publish");
     // An effective mutation still publishes exactly once.
     handle.insert(chem(1, 5).remove(0));
@@ -203,8 +205,9 @@ fn noop_and_failed_mutations_do_not_publish() {
 }
 
 /// Background **shard** rebuild through the handle: tombstone a few
-/// rows of one shard, compact it off-thread, install — answers are
-/// unchanged, the tombstones are gone, and other shards never moved.
+/// rows of one shard, compact it on another thread from a snapshot,
+/// install — answers are unchanged, the tombstones are gone, and other
+/// shards never moved.
 #[test]
 fn background_shard_rebuild_installs_through_the_handle() {
     let db = chem(16, 17);
@@ -224,11 +227,13 @@ fn background_shard_rebuild_installs_through_the_handle() {
         .map(|h| (snapshot.seq_of(h.id).unwrap(), h.distance))
         .collect();
 
-    let task = handle.spawn_shard_rebuild(ShardId(0)).unwrap();
-    while !task.is_finished() {
-        std::thread::yield_now();
-    }
-    assert!(handle.install_shard(task).unwrap());
+    let compaction = std::thread::scope(|scope| {
+        scope
+            .spawn(|| snapshot.compacted(ShardId(0)).unwrap())
+            .join()
+            .unwrap()
+    });
+    handle.install(compaction).unwrap();
     let after = handle.snapshot();
     assert_eq!(after.shard(ShardId(0)).unwrap().tombstone_count(), 0);
     assert_eq!(after.live_len(), db.len() - 2);

@@ -161,9 +161,12 @@ proptest! {
             // Per-shard compaction: only dirty shards rebuild, against
             // the retained global selection — answers must not move
             // (the unsharded side does nothing).
-            prop_assert!(!sharded.stale_shards().is_empty(), "policy must trip");
-            let rebuilt = sharded.rebuild_stale_shards();
-            prop_assert!(rebuilt > 0);
+            let stale = sharded.stale_shards();
+            prop_assert!(!stale.is_empty(), "policy must trip");
+            for s in stale {
+                let compaction = sharded.compacted(s).unwrap();
+                sharded.install(compaction).unwrap();
+            }
             prop_assert!(sharded.stale_shards().is_empty());
             prop_assert!(sharded.epoch() >= 1, "compaction advances the shard epoch");
             for q in &queries {
@@ -280,7 +283,7 @@ fn composed_ids_route_and_bad_ids_are_typed_errors() {
         Err(GdimError::ShardOutOfRange { id: 9, shards: 4 })
     ));
     assert!(matches!(
-        idx.rebuild_shard(ShardId(9)),
+        idx.compacted(ShardId(9)),
         Err(GdimError::ShardOutOfRange { .. })
     ));
 }
@@ -294,9 +297,9 @@ fn shard_rebuild_snapshot_goes_stale_on_later_mutation() {
     let (owner, _) = idx.split_id(gid);
 
     // A mutation in the same shard after the snapshot: refused.
-    let task = idx.spawn_shard_rebuild(owner).unwrap();
+    let compaction = idx.compacted(owner).unwrap();
     idx.remove(idx.id_for_seq(1).unwrap()).unwrap(); // seq 1 lives in shard 0 too
-    match idx.install_shard(task) {
+    match idx.install(compaction) {
         Err(GdimError::StaleRebuild { .. }) => {}
         other => panic!("expected StaleRebuild, got {other:?}"),
     }
@@ -309,53 +312,96 @@ fn shard_rebuild_snapshot_goes_stale_on_later_mutation() {
         .unwrap()
         .clone();
     let before = sharded_hits(&idx, &q, &SearchRequest::new(5));
-    let task = idx.spawn_shard_rebuild(owner).unwrap();
-    assert!(idx.install_shard(task).unwrap());
+    let compaction = idx.compacted(owner).unwrap();
+    idx.install(compaction).unwrap();
     assert_eq!(idx.shard(owner).unwrap().tombstone_count(), 0);
     assert_eq!(sharded_hits(&idx, &q, &SearchRequest::new(5)), before);
 
     // Full-rebuild snapshots are invalidated by any later event too,
     // and a refused install changes nothing.
     let epoch = idx.epoch();
-    let task = idx.spawn_rebuild();
+    let rebuilt = idx.rebuilt();
     idx.insert(chem(1, 5)[0].clone());
-    match idx.install(task) {
+    match idx.install(rebuilt) {
         Err(GdimError::StaleRebuild { missed: 1 }) => {}
         other => panic!("expected StaleRebuild, got {other:?}"),
     }
     assert_eq!(idx.epoch(), epoch, "nothing installed");
     // A quiet index installs the snapshot: the next epoch answers, with
     // every pending insert folded in.
-    let task = idx.spawn_rebuild();
-    assert!(idx.install(task).unwrap());
+    let rebuilt = idx.rebuilt();
+    idx.install(rebuilt).unwrap();
     assert_eq!(idx.epoch(), epoch + 1);
     assert!(idx.stale_shards().is_empty());
     let resp = idx.search(&q, &SearchRequest::new(3)).unwrap();
     assert_eq!(resp.hits[0].distance, 0.0);
     assert_eq!(resp.stats.epoch, epoch + 1);
+}
 
-    // Cancellation before the build starts yields Ok(false). The race
-    // is legal: the build may already have passed its last poll. Either
-    // way the index stays consistent.
-    let task = idx.spawn_rebuild();
-    task.cancel();
-    let installed = idx.install(task).unwrap();
-    assert_eq!(idx.epoch(), epoch + 1 + installed as u64);
+#[test]
+fn a_compaction_goes_stale_only_on_its_own_shard() {
+    // The basis of a compaction is its own shard's last event: a write
+    // to another shard after the snapshot is not missed by it, so the
+    // install goes through and the answer shows both.
+    let db = chem(10, 99);
+    let mut idx = ShardedIndex::build(db, ShardedOptions::new(2).with_index(opts()));
+    let (s0, s1) = (ShardId(0), ShardId(1));
+    let dead = idx.id_for_seq(0).unwrap(); // seqs 0..5 live in shard 0
+    idx.remove(dead).unwrap();
+    let compaction = idx.compacted(s0).unwrap();
+    // Inserts route to the shard with the fewest live rows (4 in
+    // shard 0 now): take two from shard 1 so the write lands there.
+    for seq in [5, 6] {
+        idx.remove(idx.id_for_seq(seq).unwrap()).unwrap();
+    }
+    let extra = chem(1, 1234).remove(0);
+    let id = idx.insert(extra.clone());
+    assert_eq!(
+        idx.split_id(id).0,
+        s1,
+        "the write landed in the other shard"
+    );
+
+    let epoch0 = idx.shard(s0).unwrap().epoch();
+    idx.install(compaction).unwrap();
+    assert_eq!(idx.shard(s0).unwrap().tombstone_count(), 0);
+    assert_eq!(idx.shard(s0).unwrap().epoch(), epoch0 + 1);
+    let resp = idx.search(&extra, &SearchRequest::new(10)).unwrap();
+    assert_eq!(resp.hits[0].distance, 0.0, "the write is served");
+    assert_eq!(idx.split_id(resp.hits[0].id).0, s1);
+    assert!(
+        resp.hits.iter().all(|h| idx.seq_of(h.id).unwrap() != 0),
+        "the compacted-away row is gone"
+    );
+    assert_eq!(idx.live_len(), 8);
 }
 
 #[test]
 fn set_exec_survives_a_background_install() {
     // The exec budget is a knob of the serving machine, not snapshot
-    // state: changing it while a rebuild runs must not be reverted by
-    // installing it (nor does it count as a mutation, so the install
-    // is not refused).
-    let mut idx = ShardedIndex::build(chem(8, 39), ShardedOptions::new(1).with_index(opts()));
-    let task = idx.spawn_rebuild();
+    // state: changing it while a rebuild or a compaction is computed
+    // must not be reverted by installing it (nor does it count as a
+    // mutation, so the install is not refused). Shard 0 matters twice:
+    // batches are mapped on its budget.
+    let mut idx = ShardedIndex::build(chem(8, 39), ShardedOptions::new(2).with_index(opts()));
+    let rebuilt = idx.rebuilt();
     idx.set_exec(ExecConfig::new(5));
-    assert!(idx.install(task).unwrap());
+    idx.install(rebuilt).unwrap();
     assert_eq!(idx.epoch(), 1);
     assert_eq!(idx.exec().threads, 5);
-    assert_eq!(idx.shard(ShardId(0)).unwrap().exec().threads, 5);
+    for s in [ShardId(0), ShardId(1)] {
+        assert_eq!(idx.shard(s).unwrap().exec().threads, 5);
+    }
+
+    idx.remove(idx.id_for_seq(0).unwrap()).unwrap();
+    let compaction = idx.compacted(ShardId(0)).unwrap();
+    idx.set_exec(ExecConfig::new(3));
+    idx.install(compaction).unwrap();
+    assert_eq!(idx.shard(ShardId(0)).unwrap().tombstone_count(), 0);
+    assert_eq!(idx.exec().threads, 3);
+    for s in [ShardId(0), ShardId(1)] {
+        assert_eq!(idx.shard(s).unwrap().exec().threads, 3);
+    }
 }
 
 #[test]
