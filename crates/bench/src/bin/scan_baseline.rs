@@ -8,7 +8,11 @@
 //! dimensions): the brute-force loop of independent VF2 tests vs. the
 //! served path — one search over the dimensions' DFS-code prefix
 //! tree — with its time per query and its exact work counts (columns
-//! tested / pruned, extension steps). Medians of
+//! tested / pruned, extension steps), and the δ fill DSPM is built on:
+//! one serial MCS search per pair of the end-to-end benchmark's 48 base
+//! graphs (`chem_db(48, .., 42)`) at `DeltaConfig::default()`, with its
+//! time per search node and its exact totals (nodes, common edges,
+//! pairs stopped by the budget). Medians of
 //! repeated timed runs, written as plain JSON so future PRs can track
 //! the trajectory. The snapshot also records the kernel families
 //! available on the measuring machine and which one runtime detection
@@ -39,7 +43,10 @@
 //!   are fixed by the seeds, not the machine, so they must equal the
 //!   committed integers **exactly**: a matcher or code-tree change
 //!   that takes one step more or fewer fails here whatever it does to
-//!   the time.
+//!   the time. The `mcs` row's `nodes` / `edges` / `inexact` are gated
+//!   the same way: most pairs stop at the node budget, so a search that
+//!   visits one node more or fewer changes δ, and fails here however
+//!   fast it is. Its `ns_per_node` is reported, not gated.
 //! * `--shards S[,S...]` — also measure the **scatter-gather** scan
 //!   (default `8`): the same store split into S contiguous sub-stores,
 //!   each scanned with the bounded kernel, merged to a global top-10
@@ -63,8 +70,9 @@ use gdim_bench::scanwork::{
     synth_queries,
 };
 use gdim_core::scan::{available_kernels, selected_kernel};
-use gdim_core::{Bitset, ExecConfig, GraphId, GraphIndex, IndexOptions};
+use gdim_core::{Bitset, DeltaConfig, ExecConfig, GraphId, GraphIndex, IndexOptions};
 use gdim_datagen::{chem_db, ChemConfig};
+use gdim_graph::mcs_edges;
 use gdim_shard::merge_topk;
 
 /// Median wall time (ns) of `reps` runs of `f`.
@@ -178,7 +186,7 @@ fn field(line: &str, key: &str) -> Option<f64> {
 /// The gated speedups of a snapshot produced by this binary
 /// (line-oriented; one row per line): binary (p = 256 and p = 128) and
 /// weighted kernel-vs-naive by `n`, fused-vs-independent by `(n, q)`,
-/// and the `map_query` row.
+/// and the `map_query` row — plus the `mcs` row, which has counts only.
 #[derive(Default)]
 struct Speedups {
     binary: Vec<(usize, f64)>,
@@ -186,6 +194,7 @@ struct Speedups {
     weighted: Vec<(usize, f64)>,
     fused: Vec<(usize, usize, f64)>,
     map_query: Option<MapQueryRow>,
+    mcs: Option<McsRow>,
 }
 
 /// The gated part of the `map_query` row: its workload, the exact
@@ -212,11 +221,36 @@ fn parse_map_query(line: &str) -> Option<MapQueryRow> {
     })
 }
 
+/// The gated part of the `mcs` row: its workload and the exact totals
+/// of the δ fill over it.
+#[derive(Clone, Copy, PartialEq)]
+struct McsRow {
+    graphs: usize,
+    node_budget: u64,
+    nodes: u64,
+    edges: u64,
+    inexact: u64,
+}
+
+fn parse_mcs(line: &str) -> Option<McsRow> {
+    let int = |key: &str| field(line, key).map(|v| v as u64);
+    Some(McsRow {
+        graphs: int("\"graphs\"")? as usize,
+        node_budget: int("\"node_budget\"")?,
+        nodes: int("\"nodes\"")?,
+        edges: int("\"edges\"")?,
+        inexact: int("\"inexact\"")?,
+    })
+}
+
 fn parse_speedups(json: &str) -> Speedups {
     let mut out = Speedups::default();
     for line in json.lines() {
         if line.contains("\"map_query\"") {
             out.map_query = parse_map_query(line);
+        }
+        if line.contains("\"mcs\"") {
+            out.mcs = parse_mcs(line);
         }
         let Some(n) = field(line, "\"n\"") else {
             continue;
@@ -463,15 +497,50 @@ fn main() {
     );
     fresh.map_query = Some(map_row);
 
+    // The δ fill DSPM is built on, serially: one MCS search per pair of
+    // the benchmark's base graphs, in `DeltaMatrix` orientation.
+    let base = chem_db(48, &ChemConfig::default(), 42);
+    let mcs_opts = DeltaConfig::default().mcs;
+    let fill = || {
+        let mut totals = McsRow {
+            graphs: base.len(),
+            node_budget: mcs_opts.node_budget,
+            nodes: 0,
+            edges: 0,
+            inexact: 0,
+        };
+        for (i, g) in base.iter().enumerate() {
+            for h in &base[i + 1..] {
+                let out = mcs_edges(g, h, &mcs_opts);
+                totals.nodes += out.nodes;
+                totals.edges += out.edges as u64;
+                totals.inexact += u64::from(!out.exact);
+            }
+        }
+        totals
+    };
+    let mcs_row = fill();
+    let fill_ns = median_ns(3, fill);
+    let pairs = base.len() * (base.len() - 1) / 2;
+    let ns_per_node = fill_ns as f64 / mcs_row.nodes.max(1) as f64;
+    eprintln!(
+        "mcs ({} graphs, {pairs} pairs, budget {}): {fill_ns} ns serial, {ns_per_node:.1} \
+         ns/node, {} nodes / {} edges / {} inexact",
+        mcs_row.graphs, mcs_row.node_budget, mcs_row.nodes, mcs_row.edges, mcs_row.inexact
+    );
+    fresh.mcs = Some(mcs_row);
+
     let cpu_kernels: Vec<String> = kernels.iter().map(|k| format!("\"{k}\"")).collect();
     let json = format!(
         "{{\n  \"workload\": \"synthetic 256-bit vectors (25% density), binary top-10; chem \
-         map_query p={}\",\n  \"cpu\": {{\"available_kernels\": [{}], \"selected_kernel\": \
-         \"{}\"}},\n  \"binary_scan\": [\n{}\n  ],\n  \"fused_scan\": [\n{}\n  ],\n  \
-         \"sharded_scan\": [\n{}\n  ],\n  \"map_query\": {{\"queries\": {}, \
+         map_query p={}; chem mcs delta fill\",\n  \"cpu\": {{\"available_kernels\": [{}], \
+         \"selected_kernel\": \"{}\"}},\n  \"binary_scan\": [\n{}\n  ],\n  \"fused_scan\": \
+         [\n{}\n  ],\n  \"sharded_scan\": [\n{}\n  ],\n  \"map_query\": {{\"queries\": {}, \
          \"dimensions\": {}, \"unpruned_ns\": {unpruned}, \"pruned_ns\": {pruned}, \
          \"ns_per_query\": {ns_per_query}, \"speedup\": {:.2}, \"vf2_calls\": {vf2_calls}, \
-         \"vf2_pruned\": {vf2_pruned}, \"extensions\": {extensions}}}\n}}\n",
+         \"vf2_pruned\": {vf2_pruned}, \"extensions\": {extensions}}},\n  \"mcs\": \
+         {{\"graphs\": {}, \"pairs\": {pairs}, \"node_budget\": {}, \"fill_ns\": {fill_ns}, \
+         \"ns_per_node\": {ns_per_node:.1}, \"nodes\": {}, \"edges\": {}, \"inexact\": {}}}\n}}\n",
         map_row.dimensions,
         cpu_kernels.join(", "),
         selected_kernel().name(),
@@ -480,7 +549,12 @@ fn main() {
         shard_rows.join(",\n"),
         map_row.queries,
         map_row.dimensions,
-        map_row.speedup
+        map_row.speedup,
+        mcs_row.graphs,
+        mcs_row.node_budget,
+        mcs_row.nodes,
+        mcs_row.edges,
+        mcs_row.inexact
     );
     std::fs::write(&args.out, &json).expect("write baseline json");
     eprintln!("wrote {}", args.out);
@@ -492,7 +566,7 @@ fn main() {
 
     // The bench-smoke regression gate (see the module docs): binary,
     // weighted, fused and map_query speedups each against their
-    // committed rows, and the map_query counts exactly.
+    // committed rows, and the map_query and mcs counts exactly.
     if let Some(path) = &args.baseline {
         let committed =
             parse_speedups(&std::fs::read_to_string(path).expect("read committed baseline"));
@@ -555,6 +629,29 @@ fn main() {
             }
             _ => {
                 eprintln!("bench-smoke: {path} has no map_query row for this workload");
+                gate_failed = true;
+            }
+        }
+        match committed.mcs {
+            Some(want)
+                if (want.graphs, want.node_budget) == (mcs_row.graphs, mcs_row.node_budget) =>
+            {
+                let same = want == mcs_row;
+                eprintln!(
+                    "bench-smoke mcs counts: fresh {} nodes / {} edges / {} inexact vs committed \
+                     {} / {} / {} .. {}",
+                    mcs_row.nodes,
+                    mcs_row.edges,
+                    mcs_row.inexact,
+                    want.nodes,
+                    want.edges,
+                    want.inexact,
+                    if same { "ok" } else { "FAIL" }
+                );
+                gate_failed |= !same;
+            }
+            _ => {
+                eprintln!("bench-smoke: {path} has no mcs row for this workload");
                 gate_failed = true;
             }
         }

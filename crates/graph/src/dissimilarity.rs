@@ -51,19 +51,6 @@ pub fn delta(kind: Dissimilarity, g1: &Graph, g2: &Graph, opts: &McsOptions) -> 
     kind.eval(g1, g2, out.edges)
 }
 
-/// Computes δ(g1, g2) and also returns the MCS size, for callers that
-/// cache `|E(mcs))|` (e.g. the dissimilarity-matrix engine, which
-/// evaluates both δ1 and δ2 from one search).
-pub fn delta_with_mcs(
-    kind: Dissimilarity,
-    g1: &Graph,
-    g2: &Graph,
-    opts: &McsOptions,
-) -> (f64, u32) {
-    let out = mcs_edges(g1, g2, opts);
-    (kind.eval(g1, g2, out.edges), out.edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,14 +110,5 @@ mod tests {
         for kind in [Dissimilarity::MaxNorm, Dissimilarity::AvgNorm] {
             assert_eq!(delta(kind, &a, &b, &opts), delta(kind, &b, &a, &opts));
         }
-    }
-
-    #[test]
-    fn delta_with_mcs_exposes_kernel() {
-        let a = path(4);
-        let b = path(6);
-        let (d, m) = delta_with_mcs(Dissimilarity::AvgNorm, &a, &b, &McsOptions::default());
-        assert_eq!(m, 3);
-        assert!((d - (1.0 - 6.0 / 8.0)).abs() < 1e-12);
     }
 }

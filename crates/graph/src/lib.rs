@@ -30,7 +30,7 @@ pub mod io;
 pub mod mcs;
 pub mod vf2;
 
-pub use dissimilarity::{delta, delta_with_mcs, Dissimilarity};
+pub use dissimilarity::{delta, Dissimilarity};
 pub use graph::{Edge, Graph, GraphBuilder, GraphError, Neighbor};
 pub use mcs::{mcs_edges, McsOptions, McsOutcome};
 

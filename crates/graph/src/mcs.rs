@@ -9,13 +9,48 @@
 //!
 //! * vertex-label domain pruning,
 //! * an upper bound from per-`(endpoint labels, edge label)`-triple
-//!   matching capacities,
+//!   matching capacities and from degree matching,
 //! * greedy-first candidate ordering so the incumbent is good early, and
-//! * a **node budget** making the search *anytime*: on small labeled
-//!   graphs (the paper's datasets have 10–20 vertices) the search is
-//!   exact well within the default budget; on adversarial inputs it
-//!   degrades gracefully to the best mapping found, reporting
-//!   [`McsOutcome::exact`] `= false`.
+//! * a **node budget** making the search *anytime*: when the budget runs
+//!   out the search returns the best mapping found and reports
+//!   [`McsOutcome::exact`] `= false`. On molecule-like graphs of 10–20
+//!   vertices (`gdim_datagen::chem_db(16, ..)`, the 120 pairs) that is
+//!   common, not adversarial: 82 pairs stop at the matrix budget of
+//!   16,384 nodes and 25 still stop at the default 500,000.
+//!
+//! Because so many pairs stop at the budget, δ depends on the exact
+//! order in which the search visits nodes; the tree (decision order,
+//! candidate order, bound, budget accounting) is therefore part of the
+//! contract, pinned by the proptests against the reference search in
+//! `tests/mcs_reference/`.
+//!
+//! # Incremental state
+//!
+//! A node costs O(degree) plus one scan of the undecided vertices to pick
+//! the next one: nothing is recounted from the graphs and nothing is
+//! allocated. Deciding a q vertex `v` (map it to `t` vertex
+//! `w`, or skip it) and undoing that decision update, for the vertices
+//! adjacent to `v` and `w` only, counters whose invariants hold at every
+//! node:
+//!
+//! * `q_open[u]` = undecided neighbours of `u`, `q_anchored[u]` = mapped
+//!   neighbours of `u`, `t_open[x]` = unused neighbours of `x`;
+//! * `class_extra` = Σ over edge classes of `min(open q edges, open t
+//!   edges)`;
+//! * `mapped_cap` = Σ over mapped `u` of `min(q_open[u],
+//!   t_open[map[u]])`;
+//! * `ge` holds, per vertex label and threshold `1 ≤ d ≤ cap` (`cap` the
+//!   smaller of the two graphs' largest degree among vertices of that
+//!   label, so `ge` has O(|E(q)|) entries), `[#undecided q, #unused t]`
+//!   vertices of that label with open degree ≥ `d`; `pair_sum` = Σ of
+//!   the smaller of each pair is the sorted-descending degree pairing
+//!   `Σ_i min(q⁽ⁱ⁾, t⁽ⁱ⁾)` summed per label, since the i-th largest of
+//!   each side is ≥ `d` exactly for `i <` that side's count ≥ `d`.
+//!
+//! Edge labels between t vertices are read from a per-t-vertex scratch
+//! row (the neighbours of the vertex being mapped are marked, read and
+//! unmarked), not from a |V(t)|² table: the exact rankers run this
+//! search against query graphs of any size, so its memory stays linear.
 
 use crate::fxhash::FxHashMap;
 use crate::graph::Graph;
@@ -43,19 +78,8 @@ impl Default for McsOptions {
     }
 }
 
-impl McsOptions {
-    /// A tiny budget turning the search into a label-guided greedy
-    /// heuristic (first descent only, roughly).
-    pub fn greedy() -> Self {
-        McsOptions {
-            node_budget: 64,
-            containment_precheck: true,
-        }
-    }
-}
-
 /// Result of an MCS computation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct McsOutcome {
     /// Number of edges in the best common subgraph found.
     pub edges: u32,
@@ -135,6 +159,11 @@ fn containment_shortcut(g1: &Graph, g2: &Graph) -> Option<McsOutcome> {
 
 const UNDECIDED: VertexId = VertexId::MAX;
 const SKIPPED: VertexId = VertexId::MAX - 1;
+/// `t_lab` entry of a t vertex not adjacent to the one being mapped.
+const NO_EDGE: u64 = u64::MAX;
+/// Sides of a `ge` pair.
+const Q_SIDE: usize = 0;
+const T_SIDE: usize = 1;
 
 /// Edge-compatibility class: (smaller endpoint label, edge label, larger
 /// endpoint label). Only edges in the same class can map to one another.
@@ -154,13 +183,43 @@ struct Search<'a> {
     /// Dense triple-class index per q edge.
     q_edge_class: Vec<u32>,
     /// Per class: q edges still matchable-or-matched.
-    potential: Vec<i32>,
+    potential: Vec<u32>,
     /// Per class: matched pairs so far.
-    matched_by_class: Vec<i32>,
+    matched_by_class: Vec<u32>,
     /// Per class: total t edges.
-    t_total: Vec<i32>,
+    t_total: Vec<u32>,
+    /// Σ_class min(potential − matched, t_total − matched).
+    class_extra: u32,
     map: Vec<VertexId>,
     used: Vec<bool>,
+    /// The q vertex mapped onto each used t vertex.
+    inv: Vec<VertexId>,
+    q_open: Vec<u32>,
+    q_anchored: Vec<u32>,
+    t_open: Vec<u32>,
+    /// Per q vertex: the range of `cand_pool` holding the t vertices of
+    /// its label with degree > 0, ascending.
+    q_cands: Vec<(u32, u32)>,
+    cand_pool: Vec<VertexId>,
+    /// Per vertex: `(base, cap)` of its label's thresholds in `ge`
+    /// (`cap` = 0 when no vertex of the other graph can pair with it).
+    q_span: Vec<(u32, u32)>,
+    t_span: Vec<(u32, u32)>,
+    /// `[q count, t count]` per `(label, degree threshold)`.
+    ge: Vec<[u32; 2]>,
+    pair_sum: u32,
+    mapped_cap: u32,
+    /// Candidates of every node on the current path, `(gain, open, tv)`.
+    stack: Vec<(u32, u32, VertexId)>,
+    /// Edges resolved by the maps on the current path: `class << 1 |
+    /// matched`.
+    undo: Vec<u32>,
+    /// Scratch, zero between uses: per t vertex, its gain for the q
+    /// vertex being branched on.
+    gain_acc: Vec<u32>,
+    /// Scratch, [`NO_EDGE`] between uses: per t vertex, the label of its
+    /// edge to the t vertex being mapped.
+    t_lab: Vec<u64>,
     matched: u32,
     best: u32,
     best_map: Vec<VertexId>,
@@ -189,38 +248,95 @@ impl<'a> Search<'a> {
         let t_classes: Vec<u32> = (0..t.edge_count())
             .map(|i| class_of(triple_of(t, i), &mut nclasses))
             .collect();
-        let mut potential = vec![0i32; nclasses as usize];
+        let mut potential = vec![0u32; nclasses as usize];
         for &c in &q_edge_class {
             potential[c as usize] += 1;
         }
-        let mut t_total = vec![0i32; nclasses as usize];
+        let mut t_total = vec![0u32; nclasses as usize];
         for &c in &t_classes {
             t_total[c as usize] += 1;
         }
         let ub0: u32 = potential
             .iter()
             .zip(&t_total)
-            .map(|(&a, &b)| a.min(b) as u32)
+            .map(|(&a, &b)| a.min(b))
             .sum();
-        let order = decision_order(q);
-        Search {
+
+        // Candidate lists and largest degrees per label of q's
+        // non-isolated vertices.
+        let (nq, nt) = (q.vertex_count(), t.vertex_count());
+        let mut ranges: FxHashMap<u32, (u32, u32)> = FxHashMap::default();
+        let mut spans: FxHashMap<u32, (u32, u32)> = FxHashMap::default();
+        let mut cand_pool = Vec::new();
+        let mut q_cands = vec![(0, 0); nq];
+        for qv in (0..nq as VertexId).filter(|&v| q.degree(v) > 0) {
+            let label = q.vlabel(qv);
+            q_cands[qv as usize] = *ranges.entry(label).or_insert_with(|| {
+                let lo = cand_pool.len() as u32;
+                cand_pool.extend(
+                    (0..nt as VertexId).filter(|&tv| t.vlabel(tv) == label && t.degree(tv) > 0),
+                );
+                (lo, cand_pool.len() as u32)
+            });
+            let max_q = &mut spans.entry(label).or_default().0;
+            *max_q = (*max_q).max(q.degree(qv) as u32);
+        }
+        for tv in 0..nt as VertexId {
+            if let Some((_, max_t)) = spans.get_mut(&t.vlabel(tv)) {
+                *max_t = (*max_t).max(t.degree(tv) as u32);
+            }
+        }
+        // No vertex of the side with the smaller largest degree reaches a
+        // higher threshold, so thresholds stop there.
+        let mut thresholds = 0u32;
+        for span in spans.values_mut() {
+            let cap = span.0.min(span.1);
+            *span = (thresholds, cap);
+            thresholds += cap;
+        }
+        let span_of = |g: &Graph, v: VertexId| spans.get(&g.vlabel(v)).copied().unwrap_or((0, 0));
+
+        let mut search = Search {
             q,
             t,
-            order,
+            order: decision_order(q),
             q_edge_class,
             potential,
             matched_by_class: vec![0; nclasses as usize],
             t_total,
-            map: vec![UNDECIDED; q.vertex_count()],
-            used: vec![false; t.vertex_count()],
+            class_extra: ub0,
+            map: vec![UNDECIDED; nq],
+            used: vec![false; nt],
+            inv: vec![UNDECIDED; nt],
+            q_open: (0..nq as VertexId).map(|v| q.degree(v) as u32).collect(),
+            q_anchored: vec![0; nq],
+            t_open: (0..nt as VertexId).map(|v| t.degree(v) as u32).collect(),
+            q_cands,
+            cand_pool,
+            q_span: (0..nq as VertexId).map(|v| span_of(q, v)).collect(),
+            t_span: (0..nt as VertexId).map(|v| span_of(t, v)).collect(),
+            ge: vec![[0, 0]; thresholds as usize],
+            pair_sum: 0,
+            mapped_cap: 0,
+            stack: Vec::new(),
+            undo: Vec::new(),
+            gain_acc: vec![0; nt],
+            t_lab: vec![NO_EDGE; nt],
             matched: 0,
             best: 0,
-            best_map: vec![SKIPPED; q.vertex_count()],
+            best_map: vec![SKIPPED; nq],
             ub0,
             nodes: 0,
             budget,
             exact: true,
+        };
+        for qv in 0..nq {
+            search.enter(Q_SIDE, search.q_span[qv], search.q_open[qv]);
         }
+        for tv in 0..nt {
+            search.enter(T_SIDE, search.t_span[tv], search.t_open[tv]);
+        }
+        search
     }
 
     fn run(&mut self) {
@@ -243,105 +359,15 @@ impl<'a> Search<'a> {
     ///   (handshake: any common subgraph's degree sum is twice its edge
     ///   count, and an injective label-respecting assignment cannot beat
     ///   the sorted pairing).
+    ///
+    /// Both are kept current by the decisions (see the module docs), so
+    /// this is O(1).
     fn bound(&self) -> u32 {
-        let mut class_extra = 0i32;
-        for c in 0..self.potential.len() {
-            let open_q = self.potential[c] - self.matched_by_class[c];
-            let open_t = self.t_total[c] - self.matched_by_class[c];
-            class_extra += open_q.min(open_t);
+        if self.matched + self.class_extra <= self.best {
+            return self.matched + self.class_extra; // already pruned; skip the heavier bound
         }
-        let class_extra = class_extra.max(0) as u32;
-        if self.matched + class_extra <= self.best {
-            return self.matched + class_extra; // already pruned; skip the heavier bound
-        }
-        let struct_extra = self.structural_capacity();
-        self.matched + class_extra.min(struct_extra)
-    }
-
-    fn structural_capacity(&self) -> u32 {
-        // (a) mapped -> undecided edges.
-        let mut mapped_cap = 0u32;
-        // (b) undecided-undecided degree lists, per vertex label.
-        let mut q_degs: Vec<(u32, u32)> = Vec::new(); // (label, open degree)
-        for (qv, &tv) in self.map.iter().enumerate() {
-            match tv {
-                UNDECIDED => {
-                    let open = self
-                        .q
-                        .neighbors(qv as VertexId)
-                        .iter()
-                        .filter(|nb| self.map[nb.to as usize] == UNDECIDED)
-                        .count() as u32;
-                    if open > 0 {
-                        q_degs.push((self.q.vlabel(qv as VertexId), open));
-                    }
-                }
-                SKIPPED => {}
-                _ => {
-                    let q_open = self
-                        .q
-                        .neighbors(qv as VertexId)
-                        .iter()
-                        .filter(|nb| self.map[nb.to as usize] == UNDECIDED)
-                        .count() as u32;
-                    if q_open == 0 {
-                        continue;
-                    }
-                    let t_open = self
-                        .t
-                        .neighbors(tv)
-                        .iter()
-                        .filter(|nb| !self.used[nb.to as usize])
-                        .count() as u32;
-                    mapped_cap += q_open.min(t_open);
-                }
-            }
-        }
-        let mut t_degs: Vec<(u32, u32)> = Vec::new();
-        for tv in 0..self.t.vertex_count() {
-            if self.used[tv] {
-                continue;
-            }
-            let open = self
-                .t
-                .neighbors(tv as VertexId)
-                .iter()
-                .filter(|nb| !self.used[nb.to as usize])
-                .count() as u32;
-            if open > 0 {
-                t_degs.push((self.t.vlabel(tv as VertexId), open));
-            }
-        }
-        // Sorted-pairing per label: descending degree within each label.
-        q_degs.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
-        t_degs.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
-        let mut pair_sum = 0u32;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < q_degs.len() && j < t_degs.len() {
-            match q_degs[i].0.cmp(&t_degs[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let label = q_degs[i].0;
-                    while i < q_degs.len()
-                        && j < t_degs.len()
-                        && q_degs[i].0 == label
-                        && t_degs[j].0 == label
-                    {
-                        pair_sum += q_degs[i].1.min(t_degs[j].1);
-                        i += 1;
-                        j += 1;
-                    }
-                    while i < q_degs.len() && q_degs[i].0 == label {
-                        i += 1;
-                    }
-                    while j < t_degs.len() && t_degs[j].0 == label {
-                        j += 1;
-                    }
-                }
-            }
-        }
-        mapped_cap + pair_sum / 2
+        let struct_extra = self.mapped_cap + self.pair_sum / 2;
+        self.matched + self.class_extra.min(struct_extra)
     }
 
     /// Returns `false` when the search should stop entirely (budget
@@ -369,41 +395,36 @@ impl<'a> Search<'a> {
         // McSplit-style rule that concentrates matched edges early so
         // both the incumbent and the bound bite sooner.
         let qv = self.pick_vertex();
-        let ql = self.q.vlabel(qv);
 
         // Candidate targets, greedy-ordered by immediate gain, then by
         // remaining capacity (helps the first descent land near the
-        // optimum, which matters for the anytime contract).
-        let mut cands: Vec<(u32, u32, VertexId)> = Vec::new();
-        for tv in 0..self.t.vertex_count() as VertexId {
-            if self.used[tv as usize] || self.t.vlabel(tv) != ql || self.t.degree(tv) == 0 {
-                continue;
-            }
-            let open = self
-                .t
-                .neighbors(tv)
-                .iter()
-                .filter(|nb| !self.used[nb.to as usize])
-                .count() as u32;
-            cands.push((self.gain(qv, tv), open, tv));
-        }
-        cands.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(b.1.cmp(&a.1)).then(a.2.cmp(&b.2)));
+        // optimum, which matters for the anytime contract). They sit on
+        // the shared stack above this node's ancestors' candidates and
+        // below its descendants', which truncate back before returning.
+        let base = self.stack.len();
+        self.push_candidates(qv);
+        let end = self.stack.len();
+        self.stack[base..end]
+            .sort_unstable_by(|a, b| b.0.cmp(&a.0).then(b.1.cmp(&a.1)).then(a.2.cmp(&b.2)));
 
-        for (_, _, tv) in cands {
+        for i in base..end {
+            let tv = self.stack[i].2;
             self.nodes += 1;
             let undo = self.apply_map(qv, tv);
             let cont = self.dfs(depth + 1);
             self.undo_map(qv, tv, undo);
             if !cont {
+                self.stack.truncate(base);
                 return false;
             }
         }
+        self.stack.truncate(base);
 
         // Skip branch: leave qv unmatched.
         self.nodes += 1;
-        let undo = self.apply_skip(qv);
+        self.apply_skip(qv);
         let cont = self.dfs(depth + 1);
-        self.undo_skip(qv, undo);
+        self.undo_skip(qv);
         cont
     }
 
@@ -416,16 +437,11 @@ impl<'a> Search<'a> {
             if self.map[qv as usize] != UNDECIDED {
                 continue;
             }
-            let mut anchored = 0u32;
-            let mut open = 0u32;
-            for nb in self.q.neighbors(qv) {
-                match self.map[nb.to as usize] {
-                    UNDECIDED => open += 1,
-                    SKIPPED => {}
-                    _ => anchored += 1,
-                }
-            }
-            let key = (anchored, open, u32::MAX - qv);
+            let key = (
+                self.q_anchored[qv as usize],
+                self.q_open[qv as usize],
+                u32::MAX - qv,
+            );
             if chosen.is_none() || key > best_key {
                 best_key = key;
                 chosen = Some(qv);
@@ -434,77 +450,249 @@ impl<'a> Search<'a> {
         chosen.expect("dfs is called with an undecided vertex remaining")
     }
 
-    /// Number of q edges incident to `qv` that become matched if
-    /// `qv → tv`.
-    fn gain(&self, qv: VertexId, tv: VertexId) -> u32 {
-        let mut g = 0;
-        for nb in self.q.neighbors(qv) {
+    /// Pushes `(gain, open, tv)` for every unused candidate of `qv`,
+    /// where `gain` counts the q edges incident to `qv` that become
+    /// matched if `qv → tv`: each mapped neighbour `u` of `qv` credits
+    /// the t neighbours of `map[u]` joined by `u`'s edge label.
+    fn push_candidates(&mut self, qv: VertexId) {
+        let (q, t) = (self.q, self.t);
+        for nb in q.neighbors(qv) {
             let m = self.map[nb.to as usize];
-            if m < SKIPPED && self.t.edge_label(m, tv) == Some(nb.elabel) {
-                g += 1;
+            if m < SKIPPED {
+                for w in t.neighbors(m).iter().filter(|w| w.elabel == nb.elabel) {
+                    self.gain_acc[w.to as usize] += 1;
+                }
             }
         }
-        g
+        let (lo, hi) = self.q_cands[qv as usize];
+        for &tv in &self.cand_pool[lo as usize..hi as usize] {
+            if !self.used[tv as usize] {
+                let tvi = tv as usize;
+                self.stack.push((self.gain_acc[tvi], self.t_open[tvi], tv));
+            }
+        }
+        for nb in q.neighbors(qv) {
+            let m = self.map[nb.to as usize];
+            if m < SKIPPED {
+                for w in t.neighbors(m) {
+                    self.gain_acc[w.to as usize] = 0;
+                }
+            }
+        }
     }
 
-    /// Applies `qv → tv`; returns per-edge outcome deltas for undo as
-    /// (eid, matched) pairs for resolved edges.
-    fn apply_map(&mut self, qv: VertexId, tv: VertexId) -> Vec<(u32, bool)> {
-        self.map[qv as usize] = tv;
-        self.used[tv as usize] = true;
-        let mut resolved = Vec::new();
-        for nb in self.q.neighbors(qv).to_vec() {
+    /// Applies `qv → tv`; returns the undo-stack height to unwind to.
+    fn apply_map(&mut self, qv: VertexId, tv: VertexId) -> usize {
+        let (q, t) = (self.q, self.t);
+        let (qi, ti) = (qv as usize, tv as usize);
+        self.leave(Q_SIDE, self.q_span[qi], self.q_open[qi]);
+        self.map[qi] = tv;
+        self.mapped_cap += self.q_open[qi].min(self.t_open[ti]);
+        self.leave(T_SIDE, self.t_span[ti], self.t_open[ti]);
+        self.used[ti] = true;
+        self.inv[ti] = qv;
+        for nb in t.neighbors(tv) {
+            self.t_close(nb.to);
+            self.t_lab[nb.to as usize] = nb.elabel as u64;
+        }
+        let undo = self.undo.len();
+        for nb in q.neighbors(qv) {
+            self.q_close(nb.to);
+            self.q_anchored[nb.to as usize] += 1;
             let m = self.map[nb.to as usize];
-            if m == UNDECIDED || m == SKIPPED {
+            if m >= SKIPPED {
                 continue; // skipped neighbors were accounted at skip time
             }
-            let class = self.q_edge_class[nb.eid as usize] as usize;
-            if self.t.edge_label(m, tv) == Some(nb.elabel) {
+            let class = self.q_edge_class[nb.eid as usize];
+            let c = class as usize;
+            if self.t_lab[m as usize] == nb.elabel as u64 {
                 self.matched += 1;
-                self.matched_by_class[class] += 1;
-                resolved.push((nb.eid, true));
+                self.matched_by_class[c] += 1;
+                self.class_extra -= 1;
+                self.undo.push(class << 1 | 1);
             } else {
-                self.potential[class] -= 1;
-                resolved.push((nb.eid, false));
+                self.lose(c);
+                self.undo.push(class << 1);
             }
         }
-        resolved
+        for nb in t.neighbors(tv) {
+            self.t_lab[nb.to as usize] = NO_EDGE;
+        }
+        undo
     }
 
-    fn undo_map(&mut self, qv: VertexId, tv: VertexId, resolved: Vec<(u32, bool)>) {
-        for (eid, was_match) in resolved {
-            let class = self.q_edge_class[eid as usize] as usize;
-            if was_match {
+    fn undo_map(&mut self, qv: VertexId, tv: VertexId, undo: usize) {
+        let (q, t) = (self.q, self.t);
+        let (qi, ti) = (qv as usize, tv as usize);
+        while self.undo.len() > undo {
+            let resolved = self.undo.pop().expect("the loop condition holds an entry");
+            let c = (resolved >> 1) as usize;
+            if resolved & 1 == 1 {
                 self.matched -= 1;
-                self.matched_by_class[class] -= 1;
+                self.matched_by_class[c] -= 1;
+                self.class_extra += 1;
             } else {
-                self.potential[class] += 1;
+                self.regain(c);
             }
         }
-        self.used[tv as usize] = false;
-        self.map[qv as usize] = UNDECIDED;
+        for nb in q.neighbors(qv) {
+            self.q_reopen(nb.to);
+            self.q_anchored[nb.to as usize] -= 1;
+        }
+        for nb in t.neighbors(tv) {
+            self.t_reopen(nb.to);
+        }
+        self.used[ti] = false;
+        self.enter(T_SIDE, self.t_span[ti], self.t_open[ti]);
+        self.mapped_cap -= self.q_open[qi].min(self.t_open[ti]);
+        self.map[qi] = UNDECIDED;
+        self.enter(Q_SIDE, self.q_span[qi], self.q_open[qi]);
     }
 
     /// Skips `qv`: every incident edge whose other endpoint is not
     /// already skipped is lost.
-    fn apply_skip(&mut self, qv: VertexId) -> Vec<u32> {
+    fn apply_skip(&mut self, qv: VertexId) {
+        let q = self.q;
+        self.leave(Q_SIDE, self.q_span[qv as usize], self.q_open[qv as usize]);
         self.map[qv as usize] = SKIPPED;
-        let mut lost = Vec::new();
-        for nb in self.q.neighbors(qv) {
+        for nb in q.neighbors(qv) {
+            self.q_close(nb.to);
             if self.map[nb.to as usize] != SKIPPED {
-                let class = self.q_edge_class[nb.eid as usize] as usize;
-                self.potential[class] -= 1;
-                lost.push(nb.eid);
+                self.lose(self.q_edge_class[nb.eid as usize] as usize);
             }
         }
-        lost
     }
 
-    fn undo_skip(&mut self, qv: VertexId, lost: Vec<u32>) {
-        for eid in lost {
-            self.potential[self.q_edge_class[eid as usize] as usize] += 1;
+    fn undo_skip(&mut self, qv: VertexId) {
+        let q = self.q;
+        for nb in q.neighbors(qv) {
+            self.q_reopen(nb.to);
+            if self.map[nb.to as usize] != SKIPPED {
+                self.regain(self.q_edge_class[nb.eid as usize] as usize);
+            }
         }
         self.map[qv as usize] = UNDECIDED;
+        self.enter(Q_SIDE, self.q_span[qv as usize], self.q_open[qv as usize]);
+    }
+
+    /// One open q edge of class `c` can no longer match: its class term
+    /// `min(open q, open t)` drops when q was the smaller side.
+    fn lose(&mut self, c: usize) {
+        if self.potential[c] <= self.t_total[c] {
+            self.class_extra -= 1;
+        }
+        self.potential[c] -= 1;
+    }
+
+    /// Undoes [`Self::lose`].
+    fn regain(&mut self, c: usize) {
+        self.potential[c] += 1;
+        if self.potential[c] <= self.t_total[c] {
+            self.class_extra += 1;
+        }
+    }
+
+    /// A neighbour of q vertex `v` was decided.
+    fn q_close(&mut self, v: VertexId) {
+        let open = self.q_open[v as usize];
+        self.q_open[v as usize] = open - 1;
+        match self.map[v as usize] {
+            UNDECIDED => self.shrink(Q_SIDE, self.q_span[v as usize], open),
+            SKIPPED => {}
+            m => {
+                if open <= self.t_open[m as usize] {
+                    self.mapped_cap -= 1;
+                }
+            }
+        }
+    }
+
+    /// Undoes [`Self::q_close`].
+    fn q_reopen(&mut self, v: VertexId) {
+        let open = self.q_open[v as usize];
+        self.q_open[v as usize] = open + 1;
+        match self.map[v as usize] {
+            UNDECIDED => self.grow(Q_SIDE, self.q_span[v as usize], open),
+            SKIPPED => {}
+            m => {
+                if open < self.t_open[m as usize] {
+                    self.mapped_cap += 1;
+                }
+            }
+        }
+    }
+
+    /// A neighbour of t vertex `w` was used.
+    fn t_close(&mut self, w: VertexId) {
+        let open = self.t_open[w as usize];
+        self.t_open[w as usize] = open - 1;
+        if self.used[w as usize] {
+            if open <= self.q_open[self.inv[w as usize] as usize] {
+                self.mapped_cap -= 1;
+            }
+        } else {
+            self.shrink(T_SIDE, self.t_span[w as usize], open);
+        }
+    }
+
+    /// Undoes [`Self::t_close`].
+    fn t_reopen(&mut self, w: VertexId) {
+        let open = self.t_open[w as usize];
+        self.t_open[w as usize] = open + 1;
+        if self.used[w as usize] {
+            if open < self.q_open[self.inv[w as usize] as usize] {
+                self.mapped_cap += 1;
+            }
+        } else {
+            self.grow(T_SIDE, self.t_span[w as usize], open);
+        }
+    }
+
+    /// A vertex with open degree `open` joins `side`'s counts for its
+    /// label.
+    fn enter(&mut self, side: usize, (base, cap): (u32, u32), open: u32) {
+        for i in base..base + open.min(cap) {
+            self.inc(side, i as usize);
+        }
+    }
+
+    /// Undoes [`Self::enter`].
+    fn leave(&mut self, side: usize, (base, cap): (u32, u32), open: u32) {
+        for i in base..base + open.min(cap) {
+            self.dec(side, i as usize);
+        }
+    }
+
+    /// A counted vertex's open degree falls from `open` to `open − 1`.
+    fn shrink(&mut self, side: usize, (base, cap): (u32, u32), open: u32) {
+        if open <= cap {
+            self.dec(side, (base + open - 1) as usize);
+        }
+    }
+
+    /// A counted vertex's open degree rises from `open` to `open + 1`.
+    fn grow(&mut self, side: usize, (base, cap): (u32, u32), open: u32) {
+        if open < cap {
+            self.inc(side, (base + open) as usize);
+        }
+    }
+
+    /// `ge[i][side] += 1`, keeping `pair_sum` = Σ min over `ge`.
+    fn inc(&mut self, side: usize, i: usize) {
+        let c = &mut self.ge[i];
+        if c[side] < c[1 - side] {
+            self.pair_sum += 1;
+        }
+        c[side] += 1;
+    }
+
+    /// `ge[i][side] -= 1`, keeping `pair_sum` = Σ min over `ge`.
+    fn dec(&mut self, side: usize, i: usize) {
+        let c = &mut self.ge[i];
+        c[side] -= 1;
+        if c[side] < c[1 - side] {
+            self.pair_sum -= 1;
+        }
     }
 }
 
@@ -695,13 +883,6 @@ mod tests {
         let out = mcs_edges(&g1, &g2b, &opts);
         assert!(!out.exact);
         assert!(out.edges <= 6);
-    }
-
-    #[test]
-    fn greedy_options_still_reasonable() {
-        let g = triangle(1);
-        let out = mcs_edges(&g, &g, &McsOptions::greedy());
-        assert_eq!(out.edges, 3); // containment shortcut handles identity
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Property-based tests for the graph substrate: canonical-form
-//! invariance, MCS correctness against brute force, VF2 soundness and
-//! completeness (and the compiled matcher against the reference it
-//! replaced), and dissimilarity axioms.
+//! invariance, MCS correctness against brute force (and the search
+//! against the reference it replaced), VF2 soundness and completeness
+//! (and the compiled matcher against the reference it replaced), and
+//! dissimilarity axioms.
 
+mod mcs_reference;
 mod vf2_reference;
 
 use proptest::prelude::*;
@@ -143,6 +145,24 @@ proptest! {
         let b = mcs_edges(&g2, &g1, &opts);
         prop_assert_eq!(a.edges, b.edges);
         prop_assert!(a.edges as usize <= g1.edge_count().min(g2.edge_count()));
+    }
+
+    #[test]
+    fn mcs_search_tree_equals_reference(
+        // Isolated vertices, disconnected and dense graphs, and labels
+        // only one side carries reach every branch of the bookkeeping.
+        g1 in any_graph(9, 20, 3, 2),
+        g2 in any_graph(10, 24, 3, 2),
+    ) {
+        for node_budget in [1, 64, 1_024, 16_384] {
+            for containment_precheck in [false, true] {
+                let opts = McsOptions { node_budget, containment_precheck };
+                prop_assert_eq!(
+                    mcs_edges(&g1, &g2, &opts),
+                    mcs_reference::mcs_edges(&g1, &g2, &opts)
+                );
+            }
+        }
     }
 
     #[test]
