@@ -6,19 +6,20 @@
 //!
 //! ```text
 //! cargo run --release -p gdim-bench --bin serve_baseline -- \
-//!     [--out PATH] [--graphs N] [--shards S] [--dimensions P]
-//!     [--clients C] [--requests R] [--target-qps Q] [--batch B]
-//!     [--zipf S] [--seed S]
-//!     [--baseline PATH] [--min-qps-frac F] [--max-p99-frac F]
-//!     [--max-overhead-frac F]
+//!     [--out PATH] [--baseline PATH]
 //! ```
 //!
-//! Each of the `C` client threads owns one keep-alive connection and
-//! paces itself at `Q / C` requests per second: send, wait for the
-//! full response, sleep until the next tick (no sleep when behind, so
-//! an overloaded server shows up as achieved QPS < target rather than
-//! as unbounded queueing). Latency is measured send-to-parsed-response
-//! per request; quantiles come from the pooled sorted sample.
+//! The workload is fixed: 300 chem graphs in 4 shards of 16
+//! dimensions, 4 clients, 2,000 top-10 requests per pass at a 2,000
+//! QPS target, Zipf exponent 1.0, seed 42 — the same in CI's
+//! serve-smoke and in the committed file.
+//!
+//! Each client thread owns one keep-alive connection and paces itself
+//! at its share of the target: send, wait for the full response, sleep
+//! until the next tick (no sleep when behind, so an overloaded server
+//! shows up as achieved QPS < target rather than as unbounded
+//! queueing). Latency is measured send-to-parsed-response per request;
+//! quantiles come from the pooled sorted sample.
 //!
 //! The run is **two servers, interleaved passes**: one fully
 //! instrumented (stage tracing + slow-query ring on every request,
@@ -29,31 +30,30 @@
 //! snapshot gains `uninstrumented_p50_us` and `overhead_p50_frac` —
 //! the observability tax at the median, which the CI gate pins.
 //!
+//! Before the load phase the `wire` block times the JSON codec on one
+//! served-shape response (a real `k = 10` answer from the index just
+//! built): `encode_tree_ns` (`response_to_json` + `to_string_compact`,
+//! the reference path), `encode_stream_ns` (`write_response` into a
+//! reused buffer, what the server runs), `parse_response_ns` (what
+//! `Client::post` pays), and the parser's cost per byte on that
+//! response repeated to 1 KiB and to 64 KiB.
+//!
 //! Gates:
 //!
-//! * `--min-qps-frac F` — fail if fresh `achieved_qps` drops below
-//!   `F ×` the committed one from `--baseline` (default 0.25:
-//!   generous, because the committed number may come from different
-//!   hardware).
-//! * `--max-p99-frac F` — fail if fresh `p99_us` exceeds `F ×` the
-//!   committed one (default 4.0, same reasoning).
-//! * `--max-overhead-frac F` — fail if instrumented p50 exceeds
-//!   uninstrumented p50 by more than `F` (default 0.05), with 25 µs
-//!   of absolute grace so µs-scale scheduler noise cannot flake the
-//!   gate. Runs whenever the bench runs — no committed file needed.
-//! * the **codec ratios** — before the load phase the `wire` block
-//!   times the JSON codec on one served-shape response (a real `k = 10`
-//!   answer from the index just built): `encode_tree_ns`
-//!   (`response_to_json` + `to_string_compact`, the reference path),
-//!   `encode_stream_ns` (`write_response` into a reused buffer, what
-//!   the server runs), `parse_response_ns` (what `Client::post` pays),
-//!   and the parser's cost per byte on that response repeated to 1 KiB
-//!   and to 64 KiB. Two same-run ratios are gated, with fixed
-//!   thresholds and no flag, because no runner speed can fake either:
-//!   the tree path must cost at least 2.5 × the streaming one (else
-//!   the server is building trees again), and a byte of a 64 KiB
-//!   document at most 4 × a byte of a 1 KiB one (else parsing is
-//!   super-linear again: the quadratic string scanner measured ~30 ×).
+//! * against `--baseline`: fresh `achieved_qps` ≥ [`MIN_QPS_FRAC`] ×
+//!   the committed one, and fresh `p99_us` ≤ [`MAX_P99_MULT`] × the
+//!   committed one — generous, because the committed numbers may come
+//!   from different hardware;
+//! * always, the **observability tax**: instrumented p50 may exceed
+//!   uninstrumented p50 by at most [`MAX_OVERHEAD_FRAC`], with
+//!   [`OVERHEAD_GRACE_US`] of absolute grace so µs-scale scheduler
+//!   noise cannot flake the gate;
+//! * always, the **codec ratios**, same-run so no runner speed can fake
+//!   either: the tree path must cost at least [`MIN_TREE_OVER_STREAM`] ×
+//!   the streaming one (else the server is building trees again), and a
+//!   byte of a 64 KiB document at most [`MAX_64K_OVER_1K`] × a byte of a
+//!   1 KiB one (else parsing is super-linear again: the quadratic
+//!   string scanner measured ~30 ×).
 //!
 //! Every served answer is asserted **bit-identical** to the in-process
 //! [`ServingHandle`] answer for the same query before timing starts —
@@ -63,104 +63,48 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use gdim_bench::gate::{fixed, int, ns_per_call, quantile, write_snapshot, Args, Gate, Rule};
 use gdim_core::{GraphId, IndexOptions, SearchRequest, SearchResponse};
 use gdim_datagen::{chem_db, zipf_workload, ChemConfig, ZipfConfig};
 use gdim_server::wire::{response_from_json, response_to_json, write_response};
 use gdim_server::{Client, GdimServer, Json, ServerConfig};
 use gdim_shard::{ServingHandle, ShardedIndex, ShardedOptions};
 
-struct Args {
-    out: String,
-    graphs: usize,
-    shards: usize,
-    dimensions: usize,
-    clients: usize,
-    requests: usize,
-    target_qps: f64,
-    batch: usize,
-    zipf: f64,
-    seed: u64,
-    baseline: Option<String>,
-    min_qps_frac: f64,
-    max_p99_frac: f64,
-    max_overhead_frac: f64,
-}
+const GRAPHS: usize = 300;
+const SHARDS: usize = 4;
+const DIMENSIONS: usize = 16;
+/// Load clients, and the server's worker threads.
+const CLIENTS: usize = 4;
+/// Requests per pass.
+const REQUESTS: usize = 2_000;
+const TARGET_QPS: f64 = 2_000.0;
+const ZIPF: f64 = 1.0;
+const SEED: u64 = 42;
+const K: usize = 10;
+/// Fresh `achieved_qps` must stay at or above a quarter of the
+/// committed one...
+const MIN_QPS_FRAC: Rule = Rule::AtLeast(0.25);
+/// ...and fresh `p99_us` at or below four times the committed one.
+const MAX_P99_MULT: Rule = Rule::AtMost(4.0);
+/// Instrumented p50 may exceed uninstrumented p50 by this fraction...
+const MAX_OVERHEAD_FRAC: f64 = 0.05;
+/// ...plus this many µs.
+const OVERHEAD_GRACE_US: f64 = 25.0;
+/// Below this the server has gone back to building a tree per answer.
+const MIN_TREE_OVER_STREAM: f64 = 2.5;
+/// Above this the parser's cost per byte grows with the document.
+const MAX_64K_OVER_1K: f64 = 4.0;
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        out: "BENCH_serve.json".to_string(),
-        graphs: 300,
-        shards: 4,
-        dimensions: 16,
-        clients: 4,
-        requests: 2000,
-        target_qps: 2000.0,
-        batch: 8,
-        zipf: 1.0,
-        seed: 42,
-        baseline: None,
-        min_qps_frac: 0.25,
-        max_p99_frac: 4.0,
-        max_overhead_frac: 0.05,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
-        match arg.as_str() {
-            "--out" => args.out = value("--out"),
-            "--graphs" => args.graphs = value("--graphs").parse().expect("--graphs: integer"),
-            "--shards" => args.shards = value("--shards").parse().expect("--shards: integer"),
-            "--dimensions" => {
-                args.dimensions = value("--dimensions")
-                    .parse()
-                    .expect("--dimensions: integer")
-            }
-            "--clients" => args.clients = value("--clients").parse().expect("--clients: integer"),
-            "--requests" => {
-                args.requests = value("--requests").parse().expect("--requests: integer")
-            }
-            "--target-qps" => {
-                args.target_qps = value("--target-qps").parse().expect("--target-qps: number")
-            }
-            "--batch" => args.batch = value("--batch").parse().expect("--batch: integer"),
-            "--zipf" => args.zipf = value("--zipf").parse().expect("--zipf: number"),
-            "--seed" => args.seed = value("--seed").parse().expect("--seed: integer"),
-            "--baseline" => args.baseline = Some(value("--baseline")),
-            "--min-qps-frac" => {
-                args.min_qps_frac = value("--min-qps-frac")
-                    .parse()
-                    .expect("--min-qps-frac: number")
-            }
-            "--max-p99-frac" => {
-                args.max_p99_frac = value("--max-p99-frac")
-                    .parse()
-                    .expect("--max-p99-frac: number")
-            }
-            "--max-overhead-frac" => {
-                args.max_overhead_frac = value("--max-overhead-frac")
-                    .parse()
-                    .expect("--max-overhead-frac: number")
-            }
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    assert!(
-        args.clients >= 1 && args.requests >= args.clients,
-        "need clients ≥ 1, requests ≥ clients"
-    );
-    args
-}
-
-fn search_body(id: u32, k: usize) -> Json {
+fn search_body(id: u32) -> Json {
     Json::obj([
         ("query", Json::obj([("id", Json::U64(id as u64))])),
-        ("k", Json::U64(k as u64)),
+        ("k", Json::U64(K as u64)),
     ])
 }
 
 /// One paced closed-loop client: `ids` queries at `interval` spacing.
 /// Returns per-request latencies (µs) and the error count.
-fn run_client(addr: SocketAddr, ids: Vec<u32>, interval: Duration, k: usize) -> (Vec<u64>, u64) {
+fn run_client(addr: SocketAddr, ids: Vec<u32>, interval: Duration) -> (Vec<u64>, u64) {
     let mut client = Client::connect(addr).expect("connect load client");
     let mut latencies = Vec::with_capacity(ids.len());
     let mut errors = 0u64;
@@ -172,7 +116,7 @@ fn run_client(addr: SocketAddr, ids: Vec<u32>, interval: Duration, k: usize) -> 
         }
         next += interval; // fixed schedule: lateness is not forgiven
         let t = Instant::now();
-        match client.post("/search", &search_body(id, k)) {
+        match client.post("/search", &search_body(id)) {
             Ok((200, _)) => latencies.push(t.elapsed().as_micros() as u64),
             Ok(_) | Err(_) => errors += 1,
         }
@@ -180,48 +124,28 @@ fn run_client(addr: SocketAddr, ids: Vec<u32>, interval: Duration, k: usize) -> 
     (latencies, errors)
 }
 
-fn quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// A numeric field out of a committed snapshot (parsed with the
-/// server's own JSON module — one source of truth for the format).
-fn baseline_field(json: &Json, key: &str) -> Option<f64> {
-    json.get(key).and_then(Json::as_f64)
-}
-
-/// One full closed-loop pass against `addr`: C paced clients, the
+/// One full closed-loop pass against `addr`: the paced clients, the
 /// whole workload. Returns sorted latencies (µs), errors, and wall.
-fn run_pass(
-    addr: SocketAddr,
-    args: &Args,
-    ids: &Arc<Vec<u32>>,
-    k: usize,
-) -> (Vec<u64>, u64, Duration) {
-    let per_client = args.requests / args.clients;
-    let interval = Duration::from_secs_f64(args.clients as f64 / args.target_qps);
+fn run_pass(addr: SocketAddr, ids: &Arc<Vec<u32>>) -> (Vec<u64>, u64, Duration) {
+    let per_client = REQUESTS / CLIENTS;
+    let interval = Duration::from_secs_f64(CLIENTS as f64 / TARGET_QPS);
     let t0 = Instant::now();
-    let workers: Vec<_> = (0..args.clients)
+    let workers: Vec<_> = (0..CLIENTS)
         .map(|c| {
             let ids = Arc::clone(ids);
-            let clients = args.clients;
             std::thread::spawn(move || {
                 let slice: Vec<u32> = ids
                     .iter()
                     .skip(c)
-                    .step_by(clients)
+                    .step_by(CLIENTS)
                     .take(per_client)
                     .copied()
                     .collect();
-                run_client(addr, slice, interval, k)
+                run_client(addr, slice, interval)
             })
         })
         .collect();
-    let mut latencies: Vec<u64> = Vec::with_capacity(per_client * args.clients);
+    let mut latencies: Vec<u64> = Vec::with_capacity(REQUESTS);
     let mut errors = 0u64;
     for w in workers {
         let (lat, err) = w.join().expect("load client thread");
@@ -233,36 +157,9 @@ fn run_pass(
     (latencies, errors, wall)
 }
 
-/// Mean nanoseconds per call of `f`: the fastest of five batches of
-/// `iters` calls.
-fn ns_per_call<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
-    (0..5)
-        .map(|_| {
-            let t = Instant::now();
-            for _ in 0..iters {
-                std::hint::black_box(f());
-            }
-            t.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// The `wire` block: codec timings on one served-shape response.
-struct WireCosts {
-    response_bytes: usize,
-    encode_tree_ns: f64,
-    encode_stream_ns: f64,
-    parse_response_ns: f64,
-    parse_ns_per_byte_1k: f64,
-    parse_ns_per_byte_64k: f64,
-}
-
-/// Below this the server has gone back to building a tree per answer.
-const MIN_TREE_OVER_STREAM: f64 = 2.5;
-/// Above this the parser's cost per byte grows with the document.
-const MAX_64K_OVER_1K: f64 = 4.0;
-
-fn measure_wire(resp: &SearchResponse) -> WireCosts {
+/// The `wire` block: codec timings on one served-shape response, and
+/// the two same-run ratio gates on them.
+fn measure_wire(resp: &SearchResponse, gate: &mut Gate) -> Json {
     let text = response_to_json(resp).to_string_compact();
     let mut streamed = String::new();
     write_response(resp, &mut streamed);
@@ -282,71 +179,69 @@ fn measure_wire(resp: &SearchResponse) -> WireCosts {
             gdim_server::parse_json(doc).expect("valid document")
         }) / doc.len() as f64
     };
-    WireCosts {
-        response_bytes: text.len(),
-        encode_tree_ns: ns_per_call(2000, || response_to_json(resp).to_string_compact()),
-        encode_stream_ns: ns_per_call(2000, || {
-            streamed.clear();
-            write_response(resp, &mut streamed);
-            streamed.len()
-        }),
-        parse_response_ns: ns_per_call(2000, || {
-            gdim_server::parse_json(&text).expect("valid response")
-        }),
-        parse_ns_per_byte_1k: per_byte(&repeated(1 << 10)),
-        parse_ns_per_byte_64k: per_byte(&repeated(1 << 16)),
-    }
+    let tree = ns_per_call(2000, || response_to_json(resp).to_string_compact());
+    let stream = ns_per_call(2000, || {
+        streamed.clear();
+        write_response(resp, &mut streamed);
+        streamed.len()
+    });
+    let parse = ns_per_call(2000, || {
+        gdim_server::parse_json(&text).expect("valid response")
+    });
+    let (per_byte_1k, per_byte_64k) = (per_byte(&repeated(1 << 10)), per_byte(&repeated(1 << 16)));
+    let ratio = tree / stream;
+    gate.floor("wire encode tree/stream", ratio, MIN_TREE_OVER_STREAM);
+    let growth = per_byte_64k / per_byte_1k;
+    gate.ceiling("wire parse per byte 64 KiB/1 KiB", growth, MAX_64K_OVER_1K);
+    Json::obj([
+        ("response_bytes", int(text.len())),
+        ("encode_tree_ns", fixed(tree, 0)),
+        ("encode_stream_ns", fixed(stream, 0)),
+        ("parse_response_ns", fixed(parse, 0)),
+        ("parse_ns_per_byte_1k", fixed(per_byte_1k, 2)),
+        ("parse_ns_per_byte_64k", fixed(per_byte_64k, 2)),
+    ])
 }
 
 fn main() {
-    let args = parse_args();
-    let k = 10usize;
+    let args = Args::parse("BENCH_serve.json", false);
+    let mut gate = Gate::new("serve-smoke", args.baseline);
 
     eprintln!(
-        "building index: {} graphs, {} shards, {} dimensions (seed {})...",
-        args.graphs, args.shards, args.dimensions, args.seed
+        "building index: {GRAPHS} graphs, {SHARDS} shards, {DIMENSIONS} dimensions (seed {SEED})..."
     );
-    let db = chem_db(args.graphs, &ChemConfig::default(), args.seed);
+    let db = chem_db(GRAPHS, &ChemConfig::default(), SEED);
     let index = ShardedIndex::build(
         db,
-        ShardedOptions::new(args.shards)
-            .with_index(IndexOptions::default().with_dimensions(args.dimensions)),
+        ShardedOptions::new(SHARDS).with_index(IndexOptions::default().with_dimensions(DIMENSIONS)),
     );
     let handle = ServingHandle::new(index);
     // Two servers over the same index: the default (fully
     // instrumented — per-request stage traces and ring pushes) and a
     // minimally-instrumented twin (tracing sampled out, slow logging
     // off). The difference between them is the observability tax.
-    let server = GdimServer::start(
-        handle.clone(),
-        ServerConfig::new().with_workers(args.clients.max(2)),
-    )
-    .expect("bind loopback server");
+    let server = GdimServer::start(handle.clone(), ServerConfig::new().with_workers(CLIENTS))
+        .expect("bind loopback server");
     let server_min = GdimServer::start(
         handle.clone(),
         ServerConfig::new()
-            .with_workers(args.clients.max(2))
+            .with_workers(CLIENTS)
             .with_slow_ms(0)
             .with_trace_sample(u64::MAX),
     )
     .expect("bind minimal-instrumentation server");
     let addr = server.addr();
     let addr_min = server_min.addr();
-    eprintln!("serving on {addr} with {} workers", args.clients.max(2));
+    eprintln!("serving on {addr} with {CLIENTS} workers");
 
     // Zipf-skewed traffic over the live graphs, by insertion seq →
     // composed id.
     let snap = handle.snapshot();
-    let seqs = zipf_workload(
-        args.graphs,
-        args.requests,
-        &ZipfConfig {
-            exponent: args.zipf,
-            shuffle: true,
-        },
-        args.seed,
-    );
-    let ids: Vec<u32> = seqs
+    let zipf = ZipfConfig {
+        exponent: ZIPF,
+        shuffle: true,
+    };
+    let ids: Vec<u32> = zipf_workload(GRAPHS, REQUESTS, &zipf, SEED)
         .iter()
         .map(|&s| {
             snap.id_for_seq(s as u64)
@@ -361,12 +256,12 @@ fn main() {
         let mut probe = Client::connect(addr).expect("probe client");
         for &id in ids.iter().take(16) {
             let (status, j) = probe
-                .post("/search", &search_body(id, k))
+                .post("/search", &search_body(id))
                 .expect("probe search");
             assert_eq!(status, 200, "probe failed: {j:?}");
             let served = response_from_json(&j).expect("parse served response");
             let local = snap
-                .search(snap.graph(GraphId(id)).unwrap(), &SearchRequest::new(k))
+                .search(snap.graph(GraphId(id)).unwrap(), &SearchRequest::new(K))
                 .unwrap();
             assert_eq!(served.hits.len(), local.hits.len(), "hit count for id {id}");
             for (a, b) in served.hits.iter().zip(&local.hits) {
@@ -382,23 +277,12 @@ fn main() {
     }
 
     // The codec on its own, before any load: same run, same response,
-    // so the two ratios gated at the end are machine-independent.
-    let WireCosts {
-        response_bytes,
-        encode_tree_ns,
-        encode_stream_ns,
-        parse_response_ns,
-        parse_ns_per_byte_1k,
-        parse_ns_per_byte_64k,
-    } = {
+    // so the two ratios it gates are machine-independent.
+    let wire = {
         let q = snap.graph(GraphId(ids[0])).unwrap();
-        measure_wire(&snap.search(q, &SearchRequest::new(k)).unwrap())
+        measure_wire(&snap.search(q, &SearchRequest::new(K)).unwrap(), &mut gate)
     };
-    eprintln!(
-        "wire: {response_bytes} B response: encode tree {encode_tree_ns:.0} ns / stream \
-         {encode_stream_ns:.0} ns, parse {parse_response_ns:.0} ns; parse per byte \
-         {parse_ns_per_byte_1k:.2} ns at 1 KiB, {parse_ns_per_byte_64k:.2} ns at 64 KiB"
-    );
+    eprintln!("wire: {wire}");
 
     // The timed runs, interleaved U,I then I,U so cold-start and
     // frequency-governor drift hit both modes symmetrically (neither
@@ -411,26 +295,18 @@ fn main() {
     let mut p50_full = u64::MAX;
     let mut p50_min = u64::MAX;
     for pass in 0..2 {
-        let order: [bool; 2] = if pass % 2 == 0 {
-            [false, true] // uninstrumented first
-        } else {
-            [true, false]
-        };
-        let mut pass_p50_u = 0;
-        let mut pass_p50_i = 0;
-        for instrumented in order {
+        let (mut pass_p50_u, mut pass_p50_i) = (0, 0);
+        for instrumented in [pass == 1, pass == 0] {
+            let (lat, err, pass_wall) = run_pass(if instrumented { addr } else { addr_min }, &ids);
+            errors += err;
             if instrumented {
-                let (lat_i, err_i, wall_i) = run_pass(addr, &args, &ids, k);
-                pass_p50_i = quantile(&lat_i, 0.50);
+                pass_p50_i = quantile(&lat, 0.50);
                 p50_full = p50_full.min(pass_p50_i);
-                errors += err_i;
-                wall += wall_i;
-                latencies.extend(lat_i);
+                wall += pass_wall;
+                latencies.extend(lat);
             } else {
-                let (lat_u, err_u, _) = run_pass(addr_min, &args, &ids, k);
-                pass_p50_u = quantile(&lat_u, 0.50);
+                pass_p50_u = quantile(&lat, 0.50);
                 p50_min = p50_min.min(pass_p50_u);
-                errors += err_u;
             }
         }
         eprintln!(
@@ -457,98 +333,36 @@ fn main() {
     );
     let max_us = latencies.last().copied().unwrap_or(0);
     eprintln!(
-        "{total} requests in {wall:.2?}: achieved {achieved_qps:.0} qps (target {:.0}), \
-         p50 {p50} µs, p99 {p99} µs, p999 {p999} µs, max {max_us} µs",
-        args.target_qps
+        "{total} requests in {wall:.2?}: achieved {achieved_qps:.0} qps (target {TARGET_QPS:.0}), \
+         p50 {p50} µs, p99 {p99} µs, p999 {p999} µs, max {max_us} µs"
     );
 
-    let json = format!(
-        "{{\n  \"schema\": \"gdim-serve-bench-v1\",\n  \"graphs\": {},\n  \"shards\": {},\n  \
-         \"dimensions\": {},\n  \"clients\": {},\n  \"requests\": {total},\n  \"k\": {k},\n  \
-         \"zipf_exponent\": {},\n  \"target_qps\": {},\n  \"achieved_qps\": {achieved_qps:.1},\n  \
-         \"mean_us\": {mean_us:.1},\n  \"p50_us\": {p50},\n  \"p99_us\": {p99},\n  \
-         \"p999_us\": {p999},\n  \"max_us\": {max_us},\n  \
-         \"uninstrumented_p50_us\": {p50_min},\n  \
-         \"overhead_p50_frac\": {overhead_frac:.4},\n  \"errors\": {errors},\n  \
-         \"wire\": {{\n    \"response_bytes\": {response_bytes},\n    \
-         \"encode_tree_ns\": {encode_tree_ns:.0},\n    \
-         \"encode_stream_ns\": {encode_stream_ns:.0},\n    \
-         \"parse_response_ns\": {parse_response_ns:.0},\n    \
-         \"parse_ns_per_byte_1k\": {parse_ns_per_byte_1k:.2},\n    \
-         \"parse_ns_per_byte_64k\": {parse_ns_per_byte_64k:.2}\n  }}\n}}\n",
-        args.graphs, args.shards, args.dimensions, args.clients, args.zipf, args.target_qps
-    );
-    std::fs::write(&args.out, &json).expect("write snapshot");
-    eprintln!("wrote {}", args.out);
+    let snapshot = Json::obj([
+        ("schema", Json::Str("gdim-serve-bench-v1".into())),
+        ("graphs", int(GRAPHS)),
+        ("shards", int(SHARDS)),
+        ("dimensions", int(DIMENSIONS)),
+        ("clients", int(CLIENTS)),
+        ("requests", int(total)),
+        ("k", int(K)),
+        ("zipf_exponent", Json::F64(ZIPF)),
+        ("target_qps", Json::F64(TARGET_QPS)),
+        ("achieved_qps", fixed(achieved_qps, 1)),
+        ("mean_us", fixed(mean_us, 1)),
+        ("p50_us", Json::U64(p50)),
+        ("p99_us", Json::U64(p99)),
+        ("p999_us", Json::U64(p999)),
+        ("max_us", Json::U64(max_us)),
+        ("uninstrumented_p50_us", Json::U64(p50_min)),
+        ("overhead_p50_frac", fixed(overhead_frac, 4)),
+        ("errors", Json::U64(errors)),
+        ("wire", wire),
+    ]);
+    write_snapshot(&args.out, &snapshot, &["wire"]);
 
-    // The perf gate against a committed snapshot.
-    if let Some(path) = &args.baseline {
-        let text = std::fs::read_to_string(path).expect("read committed baseline");
-        let committed = gdim_server::parse_json(&text).expect("parse committed baseline");
-        let mut failed = false;
-        if let Some(want_qps) = baseline_field(&committed, "achieved_qps") {
-            let floor = want_qps * args.min_qps_frac;
-            let verdict = if achieved_qps < floor { "FAIL" } else { "ok" };
-            eprintln!(
-                "serve-smoke qps: fresh {achieved_qps:.0} vs committed {want_qps:.0} \
-                 (floor {floor:.0}) .. {verdict}"
-            );
-            failed |= achieved_qps < floor;
-        }
-        if let Some(want_p99) = baseline_field(&committed, "p99_us") {
-            let ceil = want_p99 * args.max_p99_frac;
-            let verdict = if (p99 as f64) > ceil { "FAIL" } else { "ok" };
-            eprintln!(
-                "serve-smoke p99: fresh {p99} µs vs committed {want_p99:.0} µs \
-                 (ceiling {ceil:.0}) .. {verdict}"
-            );
-            failed |= (p99 as f64) > ceil;
-        }
-        if failed {
-            eprintln!("serve-smoke: FAILED the serving perf gate");
-            std::process::exit(1);
-        }
-        eprintln!("serve-smoke: gate passed");
-    }
-
-    // The codec gates: both sides of each ratio come from this run.
-    let encode_ratio = encode_tree_ns / encode_stream_ns;
-    let parse_ratio = parse_ns_per_byte_64k / parse_ns_per_byte_1k;
-    let (encode_ok, parse_ok) = (
-        encode_ratio >= MIN_TREE_OVER_STREAM,
-        parse_ratio <= MAX_64K_OVER_1K,
-    );
-    let verdict = |ok: bool| if ok { "ok" } else { "FAIL" };
-    eprintln!(
-        "wire encode: tree / stream {encode_ratio:.2}x (floor {MIN_TREE_OVER_STREAM}x) .. {}",
-        verdict(encode_ok)
-    );
-    eprintln!(
-        "wire parse: per byte at 64 KiB / at 1 KiB {parse_ratio:.2}x \
-         (ceiling {MAX_64K_OVER_1K}x) .. {}",
-        verdict(parse_ok)
-    );
-    if !(encode_ok && parse_ok) {
-        eprintln!("wire: the JSON codec failed a same-run ratio gate");
-        std::process::exit(1);
-    }
-
-    // The instrumentation-overhead gate needs no committed file: both
-    // sides were measured in this run. 25 µs of absolute grace keeps
-    // µs-scale scheduler noise from flaking the fraction.
-    let ceiling = p50_min as f64 * (1.0 + args.max_overhead_frac) + 25.0;
-    let verdict = if (p50_full as f64) > ceiling {
-        "FAIL"
-    } else {
-        "ok"
-    };
-    eprintln!(
-        "obs-overhead p50: instrumented {p50_full} µs vs uninstrumented {p50_min} µs \
-         ({overhead_frac:+.1}%, ceiling {ceiling:.0} µs) .. {verdict}",
-        overhead_frac = overhead_frac * 100.0
-    );
-    if (p50_full as f64) > ceiling {
-        eprintln!("obs-overhead: instrumentation exceeded --max-overhead-frac");
-        std::process::exit(1);
-    }
+    let checks = [("achieved_qps", MIN_QPS_FRAC), ("p99_us", MAX_P99_MULT)];
+    gate.compare("", &[], &snapshot, &checks);
+    let ceiling = p50_min as f64 * (1.0 + MAX_OVERHEAD_FRAC) + OVERHEAD_GRACE_US;
+    gate.ceiling("obs-overhead instrumented p50 µs", p50_full as f64, ceiling);
+    gate.exit();
 }

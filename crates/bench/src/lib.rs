@@ -13,12 +13,16 @@
 //!
 //! The four `*_baseline` binaries record and gate the committed
 //! `BENCH_*.json` perf snapshots (scan + mapping, ANN, WAL + publish,
-//! serving).
+//! serving) through one shared module, [`gate`]: each takes `--out
+//! PATH` and `--baseline PATH`, and `scan`, `ann` and `wal` take
+//! `--smoke` for CI's smaller sizes. Every check prints its verdict
+//! before a failing run exits 1.
 
 pub mod algo;
 pub mod context;
 pub mod eval;
 pub mod figs;
+pub mod gate;
 pub mod scale;
 pub mod scanwork;
 pub mod table;

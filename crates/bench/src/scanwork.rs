@@ -3,8 +3,27 @@
 //! (which records the committed `BENCH_scan.json` snapshot) and by
 //! `ann_baseline`.
 
-use gdim_core::scan::{ScanPlan, ScanStats, VectorStore};
+use gdim_core::scan::{available_kernels, selected_kernel, ScanPlan, ScanStats, VectorStore};
 use gdim_core::{Bitset, ExecConfig};
+use gdim_server::Json;
+
+/// The kernel families available on this machine and the one runtime
+/// detection selected, printed and returned as a snapshot's `cpu` key,
+/// so a committed number is never compared against a run on a
+/// different instruction set blindly.
+pub fn cpu_kernels() -> Json {
+    let names: Vec<&str> = available_kernels().iter().map(|k| k.name()).collect();
+    let selected = selected_kernel().name();
+    eprintln!(
+        "cpu kernels: available [{}], selected {selected}",
+        names.join(", ")
+    );
+    let names = names.iter().map(|k| Json::Str(k.to_string())).collect();
+    Json::obj([
+        ("available_kernels", Json::Arr(names)),
+        ("selected_kernel", Json::Str(selected.into())),
+    ])
+}
 
 /// One query through [`VectorStore::scan`] on the selected kernel —
 /// the kernel side of every kernel-vs-naive comparison (binary for

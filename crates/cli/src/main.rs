@@ -12,7 +12,7 @@
 //! ```text
 //! gdim search (--id N | --query FILE) [--k K]
 //!             [--ranker mapped|exact|refined:C|approx:EF[:C]]
-//!             [--mapping binary|weighted] [--budget B] [--json]
+//!             [--mapping binary|weighted] [--json]
 //! gdim insert --graph FILE        # inserts every graph in the gSpan file
 //! gdim remove --id N
 //! gdim rebuild [--background]
@@ -74,7 +74,7 @@ commands:
               (--id N | --query FILE) [--k K=10]
               [--ranker mapped|exact|refined:C|approx:EF[:C]]
               [--mapping binary|weighted]
-              [--budget B] [--json] [--addr HOST:PORT]
+              [--json] [--addr HOST:PORT]
   insert    insert every graph from a gSpan file; prints assigned ids
               --graph FILE [--addr HOST:PORT]
   remove    tombstone a graph        --id N [--addr HOST:PORT]
@@ -366,9 +366,6 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
             "weighted" => MappingKind::Weighted,
             _ => return Err(format!("--mapping: bad value {m:?}")),
         });
-    }
-    if let Some(b) = flags.num::<u64>("--budget")? {
-        req = req.budget(b);
     }
     let mut body = gdim_server::wire::request_to_json(&req);
     if let Json::Obj(pairs) = &mut body {

@@ -4,8 +4,8 @@
 //! The paper's workload is *online*: build the DS-preserved mapping
 //! once, then answer a stream of top-k queries (§6 answers each query
 //! by mapping + sequential scan). This module shapes that workload as
-//! explicit values — a [`SearchRequest`] selects `k`, a [`Ranker`], the
-//! [`MappingKind`] and an optional MCS budget; a [`SearchResponse`]
+//! explicit values — a [`SearchRequest`] selects `k`, a [`Ranker`] and
+//! the [`MappingKind`]; a [`SearchResponse`]
 //! carries typed [`Hit`]s plus [`SearchStats`] observability (vectors
 //! fully evaluated vs. early-abandoned vs. tombstone-skipped, MCS
 //! calls, the answering epoch, wall time) so a server can meter every
@@ -40,10 +40,9 @@
 //!
 //! [`Ranker`], [`MappingKind`], and [`SearchRequest`] are
 //! `#[non_exhaustive]`: build requests with [`SearchRequest::new`] and
-//! the [`SearchRequest::ranker`]/[`SearchRequest::mapping`]/
-//! [`SearchRequest::budget`] builder methods, so future rankers,
-//! mappings, and request knobs stay additive instead of breaking
-//! changes.
+//! the [`SearchRequest::ranker`]/[`SearchRequest::mapping`] builder
+//! methods, so future rankers, mappings, and request knobs stay
+//! additive instead of breaking changes.
 //!
 //! ```
 //! use gdim_core::index::{GraphIndex, IndexOptions};
@@ -182,13 +181,13 @@ pub enum Ranker {
 /// A typed top-k search request.
 ///
 /// [`SearchRequest::default`] gives the paper's configuration: `k =
-/// 10`, [`Ranker::Mapped`], [`MappingKind::Binary`], the index's own
-/// MCS budget. Marked `#[non_exhaustive]` so request knobs stay
+/// 10`, [`Ranker::Mapped`], [`MappingKind::Binary`]. Exact and refined
+/// ranking always run at the index's δ budget, the one its dimensions
+/// were selected at. Marked `#[non_exhaustive]` so request knobs stay
 /// additive: construct with [`SearchRequest::new`] (or `default()`)
 /// and refine with the [`ranker`](SearchRequest::ranker) /
-/// [`mapping`](SearchRequest::mapping) /
-/// [`budget`](SearchRequest::budget) builder methods — never a struct
-/// literal.
+/// [`mapping`](SearchRequest::mapping) builder methods — never a
+/// struct literal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct SearchRequest {
@@ -202,9 +201,6 @@ pub struct SearchRequest {
     /// Distance weighting of the mapped scan ([`MappingKind::Weighted`]
     /// reuses the index's DSPM weights; ignored by [`Ranker::Exact`]).
     pub mapping: MappingKind,
-    /// Optional MCS node-budget override for the exact/refined phases
-    /// (`None` = the budget the index's δ engine was configured with).
-    pub budget: Option<u64>,
 }
 
 impl Default for SearchRequest {
@@ -213,7 +209,6 @@ impl Default for SearchRequest {
             k: 10,
             ranker: Ranker::Mapped,
             mapping: MappingKind::Binary,
-            budget: None,
         }
     }
 }
@@ -225,8 +220,7 @@ impl SearchRequest {
     /// ```
     /// use gdim_core::search::{Ranker, SearchRequest};
     /// let req = SearchRequest::new(10)
-    ///     .ranker(Ranker::Approx { ef: 64, verify: None })
-    ///     .budget(50_000);
+    ///     .ranker(Ranker::Approx { ef: 64, verify: None });
     /// assert_eq!(req.k, 10);
     /// ```
     pub fn new(k: usize) -> Self {
@@ -245,12 +239,6 @@ impl SearchRequest {
     /// Sets the mapped-distance weighting.
     pub fn mapping(mut self, mapping: MappingKind) -> Self {
         self.mapping = mapping;
-        self
-    }
-
-    /// Sets the MCS node-budget override.
-    pub fn budget(mut self, node_budget: u64) -> Self {
-        self.budget = Some(node_budget);
         self
     }
 }
@@ -796,7 +784,7 @@ fn approx_response(
 /// and never surface as hits. The δ fan-out inside each leg owns the
 /// exec budget.
 fn exact_response(parts: &[Partition<'_>], query: &Graph, req: &SearchRequest) -> SearchResponse {
-    let mcs = mcs_for(parts[0].index, req);
+    let mcs = mcs_for(parts);
     let tr = Instant::now();
     let legs = run_legs(parts, |part| {
         let idx = part.index;
@@ -847,7 +835,7 @@ fn gather(
         // rows exist); count the δ calls actually made.
         stats.mcs_calls = merged.len();
         let tr = Instant::now();
-        merged = refine(parts, query, &merged, &mcs_for(parts[0].index, req));
+        merged = refine(parts, query, &merged, &mcs_for(parts));
         stats.stages.add(Stage::Refine, tr.elapsed());
     }
     // Only verified candidates are ever returned, so `take` caps a
@@ -901,17 +889,10 @@ fn refine(
     out
 }
 
-/// The MCS options of a request: the index's δ configuration with the
-/// request's node-budget override applied.
-fn mcs_for(index: &GraphIndex, req: &SearchRequest) -> McsOptions {
-    let base = index.delta_config().mcs;
-    match req.budget {
-        None => base,
-        Some(node_budget) => McsOptions {
-            node_budget,
-            ..base
-        },
-    }
+/// The MCS options of exact and refined ranking: the index's δ
+/// configuration, the budget its dimensions were selected at.
+fn mcs_for(parts: &[Partition<'_>]) -> McsOptions {
+    parts[0].index.delta_config().mcs
 }
 
 /// One merged answer: the global id, the distance, and the row's
@@ -1261,17 +1242,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn budget_override_reaches_the_exact_phase() {
-        let idx = index(10, 19);
-        let q = idx.graph(3).unwrap().clone();
-        let req = SearchRequest::new(3).ranker(Ranker::Exact).budget(64);
-        // A tiny budget still yields a well-formed, complete response.
-        let resp = idx.search(&q, &req).unwrap();
-        assert_eq!(resp.hits.len(), 3);
-        assert_eq!(resp.stats.mcs_calls, 10);
     }
 
     #[test]

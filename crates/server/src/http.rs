@@ -21,7 +21,8 @@ use std::fmt;
 /// Hard cap on the request head (request line + all headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
-/// Default cap on a request body; configurable per server.
+/// Cap on a request body: a larger declared `content-length` answers
+/// `413` before any of the body is read.
 pub const DEFAULT_MAX_BODY_BYTES: usize = 1024 * 1024;
 
 /// The request methods the server routes.

@@ -20,7 +20,7 @@
 //!
 //! | Endpoint | Method | Body | Answer |
 //! |---|---|---|---|
-//! | `/search` | POST | `{"query": {"id": n} \| {"graph": …}, "k", "ranker", "mapping", "budget"}` | `{"hits", "stats"}` |
+//! | `/search` | POST | `{"query": {"id": n} \| {"graph": …}, "k", "ranker", "mapping"}` | `{"hits", "stats"}` |
 //! | `/search_batch` | POST | `{"queries": […], …options}` | `{"responses": […]}` (fused scan) |
 //! | `/insert` | POST | `{"graph": {"v": […], "e": [[u,v,label]…]}}` | `{"id", "version"}` |
 //! | `/remove` | POST | `{"id": n}` | `{"removed", "version"}` |

@@ -66,8 +66,6 @@ pub struct ServerConfig {
     /// time, so this bounds concurrent connections). A server started
     /// with `0` runs, and reports, one.
     pub workers: usize,
-    /// Request body cap in bytes; larger declared bodies answer `413`.
-    pub max_body_bytes: usize,
     /// Socket read timeout — how often idle connections poll the
     /// shutdown flag, i.e. the worst-case drain latency.
     pub poll_interval: Duration,
@@ -90,7 +88,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers,
-            max_body_bytes: DEFAULT_MAX_BODY_BYTES,
             poll_interval: Duration::from_millis(100),
             slow_ms: 250,
             trace_sample: 1,
@@ -113,12 +110,6 @@ impl ServerConfig {
     /// Sets the worker count (min 1).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Sets the body cap.
-    pub fn with_max_body_bytes(mut self, cap: usize) -> Self {
-        self.max_body_bytes = cap;
         self
     }
 
@@ -532,10 +523,10 @@ fn read_request(
             }
         }
     };
-    if head.content_length > ctx.cfg.max_body_bytes {
+    if head.content_length > DEFAULT_MAX_BODY_BYTES {
         return Err(HttpError::BodyTooLarge {
             declared: head.content_length,
-            limit: ctx.cfg.max_body_bytes,
+            limit: DEFAULT_MAX_BODY_BYTES,
         });
     }
     let need = head.content_length;
@@ -1158,6 +1149,21 @@ mod tests {
                 .and_then(Json::as_str),
             Some("graph_out_of_range")
         );
+        // A per-request MCS budget is refused: exact ranking runs at
+        // the index's δ budget only.
+        let with_budget = Json::obj([
+            ("query", Json::obj([("id", Json::U64(0))])),
+            ("ranker", Json::Str("exact".into())),
+            ("budget", Json::U64(5)),
+        ]);
+        let (status, j) = client.post("/search", &with_budget).unwrap();
+        assert_eq!(status, 400, "{j:?}");
+        assert_eq!(
+            j.get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str),
+            Some("bad_request")
+        );
         server.shutdown();
     }
 
@@ -1479,17 +1485,24 @@ mod tests {
 
     #[test]
     fn oversized_bodies_are_refused_with_413() {
-        let cfg = ServerConfig::new()
-            .with_workers(1)
-            .with_max_body_bytes(64)
-            .with_poll_interval(Duration::from_millis(20));
-        let server = GdimServer::start(serving_handle(8, 10), cfg).unwrap();
-        let mut client = Client::connect(server.addr()).unwrap();
-        let big = Json::obj([("pad", Json::Str("x".repeat(256)))]);
-        let (status, j) = client.post("/search", &big).unwrap();
-        assert_eq!(status, 413, "{j:?}");
+        // The declared length alone decides: the head claims one byte
+        // over the cap and no body is ever sent.
+        use std::io::{Read as _, Write as _};
+        let server = start(8, 10);
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        let head = format!(
+            "POST /search HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n",
+            DEFAULT_MAX_BODY_BYTES + 1
+        );
+        raw.write_all(head.as_bytes()).unwrap();
+        let mut reply = String::new();
+        raw.read_to_string(&mut reply).unwrap();
+        let (reply_head, reply_body) = reply.split_once("\r\n\r\n").expect("head terminator");
+        assert!(reply_head.starts_with("HTTP/1.1 413"), "{reply_head}");
         assert_eq!(
-            j.get("error")
+            parse(reply_body)
+                .unwrap()
+                .get("error")
                 .and_then(|e| e.get("code"))
                 .and_then(Json::as_str),
             Some("body_too_large")

@@ -31,7 +31,7 @@
 //! request   {"query": <query>, "k": 10, "ranker": "mapped" | "exact"
 //!            | {"refined": {"candidates": 20}}
 //!            | {"approx": {"ef": 64, "verify": null | n}},
-//!            "mapping": "binary" | "weighted", "budget": null | n}
+//!            "mapping": "binary" | "weighted"}
 //! response  {"hits": [{"id": 3, "distance": 0.0}, ...],
 //!            "stats": <stats>}
 //! stats     every `SearchStats` counter by field name; durations in
@@ -186,7 +186,6 @@ pub fn request_to_json(req: &SearchRequest) -> Json {
         ("k", Json::U64(req.k as u64)),
         ("ranker", ranker),
         ("mapping", Json::Str(mapping.into())),
-        ("budget", req.budget.map_or(Json::Null, Json::U64)),
     ])
 }
 
@@ -238,14 +237,16 @@ pub fn request_from_json(j: &Json) -> Result<SearchRequest, WireError> {
             _ => return Err(bad("mapping must be \"binary\" or \"weighted\"")),
         };
     }
+    // Older clients send `"budget": null`. A number is refused rather
+    // than ignored: exact and refined ranking run at the index's own δ
+    // budget, and a client that asked for another must not silently
+    // get it.
     match j.get("budget") {
-        None => {}
-        Some(Json::Null) => req.budget = None,
-        Some(b) => {
-            req.budget = Some(
-                b.as_u64()
-                    .ok_or_else(|| bad("budget must be an integer or null"))?,
-            )
+        None | Some(Json::Null) => {}
+        Some(_) => {
+            return Err(bad(
+                "budget is no longer accepted: exact and refined ranking use the index's δ budget",
+            ))
         }
     }
     Ok(req)
@@ -600,8 +601,7 @@ mod tests {
             SearchRequest::new(0),
             SearchRequest::new(7)
                 .ranker(Ranker::Exact)
-                .mapping(MappingKind::Weighted)
-                .budget(12345),
+                .mapping(MappingKind::Weighted),
             SearchRequest::new(3).ranker(Ranker::Refined { candidates: 9 }),
             SearchRequest::new(8).ranker(Ranker::Approx {
                 ef: 64,
@@ -741,17 +741,21 @@ mod tests {
     /// keep working (the wire contract is additive-only).
     #[test]
     fn old_client_payloads_still_parse() {
-        // A request exactly as a pre-ANN client would send it.
+        // A request exactly as a pre-ANN client would send it, with
+        // the `"budget": null` every older encoder emitted.
         let old_req = "{\"k\": 7, \"ranker\": {\"refined\": {\"candidates\": 12}}, \
-             \"mapping\": \"weighted\", \"budget\": 900}";
+             \"mapping\": \"weighted\", \"budget\": null}";
         let req = request_from_json(&parse(old_req).unwrap()).unwrap();
         assert_eq!(
             req,
             SearchRequest::new(7)
                 .ranker(Ranker::Refined { candidates: 12 })
                 .mapping(MappingKind::Weighted)
-                .budget(900)
         );
+        // A budget it asked for is refused, not silently replaced by
+        // the index's own.
+        let with_budget = old_req.replace("null", "900");
+        assert!(request_from_json(&parse(&with_budget).unwrap()).is_err());
         // A response as an old server would emit it: no approximate /
         // ef / beam_visited keys. They default off.
         let old_resp = "{\"hits\": [{\"id\": 3, \"distance\": 0.25}], \

@@ -125,7 +125,7 @@ proptest! {
 
     /// Every request shape round-trips exactly: all four rankers
     /// (approximate with and without verification), both mappings,
-    /// budget present and absent, every k.
+    /// every k.
     #[test]
     fn search_requests_round_trip_exactly(
         k in 0usize..200,
@@ -133,8 +133,6 @@ proptest! {
         candidates in 1usize..500,
         ef in 1usize..2000,
         weighted in any::<bool>(),
-        budget in any::<u64>(),
-        with_budget in any::<bool>(),
     ) {
         let mut req = SearchRequest::new(k).ranker(match ranker_pick {
             0 => Ranker::Mapped,
@@ -145,9 +143,6 @@ proptest! {
         });
         if weighted {
             req = req.mapping(MappingKind::Weighted);
-        }
-        if with_budget {
-            req = req.budget(budget);
         }
         let back = request_from_json(&reparse(&request_to_json(&req))).unwrap();
         prop_assert_eq!(back, req);
