@@ -211,6 +211,14 @@ impl From<io::Error> for GdimError {
     }
 }
 
+/// Bytes of a durable format (snapshot, MANIFEST) that the shared
+/// codec refused are a corrupt file.
+impl From<gdim_wal::codec::CodecError> for GdimError {
+    fn from(e: gdim_wal::codec::CodecError) -> Self {
+        GdimError::Corrupt(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

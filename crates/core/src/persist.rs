@@ -79,9 +79,13 @@
 //! serving machine, not the index file
 //! ([`GraphIndex::set_exec`](crate::index::GraphIndex::set_exec)).
 //!
-//! Every structural defect surfaces as [`GdimError::Corrupt`] (or
-//! [`GdimError::UnsupportedVersion`] for any other format version),
-//! never a panic.
+//! The bytes are written and read with the shared [`gdim_wal::codec`]
+//! (graphs at `u64` width). Every count above — `n`, `m`, `p`, a
+//! length, `built_n`, an ANN degree — obeys the count rule of
+//! [`Reader::count`](gdim_wal::codec::Reader::count); the stats are
+//! plain counters. Every structural defect surfaces as
+//! [`GdimError::Corrupt`] (or [`GdimError::UnsupportedVersion`] for
+//! any other format version), never a panic.
 //!
 //! **Role in the durable layout.** Under a `--durable` directory
 //! (`gdim_shard::durable`) an index file is one shard's snapshot
@@ -93,8 +97,11 @@
 //! (temp file → fsync → rename → fsync parent directory).
 
 use gdim_graph::dfscode::{DfsCode, DfsEdge};
-use gdim_graph::{Dissimilarity, Graph, McsOptions};
+use gdim_graph::{Dissimilarity, McsOptions};
 use gdim_mining::{Feature, Support};
+use gdim_wal::codec::{
+    put_count, put_f64, put_graph, put_u32, put_u64, put_u8, CodecError, Reader, Width,
+};
 
 use crate::delta::DeltaConfig;
 use crate::error::GdimError;
@@ -104,56 +111,23 @@ use crate::scan::Tombstones;
 pub(crate) const MAGIC: [u8; 8] = *b"GDIMIDX\0";
 /// The one format version this build reads and writes.
 pub(crate) const VERSION: u32 = 3;
+/// The width of every count in the format (an ANN degree excepted).
+const W: Width = Width::U64;
 
 // ---------------------------------------------------------------- write
-
-fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_len(buf: &mut Vec<u8>, v: usize) {
-    put_u64(buf, v as u64);
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
-fn put_graph(buf: &mut Vec<u8>, g: &Graph) {
-    put_len(buf, g.vertex_count());
-    for &l in g.vlabels() {
-        put_u32(buf, l);
-    }
-    put_len(buf, g.edge_count());
-    for e in g.edges() {
-        put_u32(buf, e.u);
-        put_u32(buf, e.v);
-        put_u32(buf, e.label);
-    }
-}
 
 /// One feature record. `support` is passed beside the feature because
 /// the index keeps it as a store column; `f.support` is whatever the
 /// feature was mined or loaded with and misses the online inserts.
 fn put_feature(buf: &mut Vec<u8>, f: &Feature, support: &[u32]) {
-    put_graph(buf, &f.graph);
-    put_len(buf, f.code.len());
+    put_graph(buf, &f.graph, W);
+    put_count(buf, f.code.len(), W);
     for e in &f.code.0 {
-        put_u32(buf, e.from);
-        put_u32(buf, e.to);
-        put_u32(buf, e.from_label);
-        put_u32(buf, e.elabel);
-        put_u32(buf, e.to_label);
+        for v in [e.from, e.to, e.from_label, e.elabel, e.to_label] {
+            put_u32(buf, v);
+        }
     }
-    put_len(buf, support.len());
+    put_count(buf, support.len(), W);
     for &gid in support {
         put_u32(buf, gid);
     }
@@ -191,17 +165,17 @@ fn encode_head(index: &GraphIndex, buf: &mut Vec<u8>) {
     put_u8(buf, 0);
 
     let stats = index.stats();
-    put_len(buf, stats.mined_features);
-    put_len(buf, stats.dimensions);
+    put_u64(buf, stats.mined_features as u64);
+    put_u64(buf, stats.dimensions as u64);
     put_u8(buf, stats.used_dspmap as u8);
-    put_len(buf, stats.delta_pairs);
+    put_u64(buf, stats.delta_pairs as u64);
     for t in [stats.mining_time, stats.delta_time, stats.selection_time] {
         put_u64(buf, t.as_nanos().min(u64::MAX as u128) as u64);
     }
 
-    put_len(buf, index.len());
+    put_count(buf, index.len(), W);
     for g in index.graphs() {
-        put_graph(buf, g);
+        put_graph(buf, g, W);
     }
 }
 
@@ -216,15 +190,15 @@ fn encode_dimensions(index: &GraphIndex, buf: &mut Vec<u8>) {
             supports[col].push(i as u32);
         }
     }
-    put_len(buf, mapped.p());
+    put_count(buf, mapped.p(), W);
     for (f, support) in mapped.features().iter().zip(&supports) {
         put_feature(buf, f, support);
     }
-    put_len(buf, mapped.p());
+    put_count(buf, mapped.p(), W);
     for col in 0..mapped.p() {
         put_u32(buf, col as u32);
     }
-    put_len(buf, index.weights().len());
+    put_count(buf, index.weights().len(), W);
     for &w in index.weights() {
         put_f64(buf, w);
     }
@@ -246,27 +220,20 @@ fn encode_tail(index: &GraphIndex, buf: &mut Vec<u8>) {
     }
     put_u64(buf, opts.max_pattern_edges as u64);
     put_u64(buf, opts.dimensions as u64);
-    match opts.strategy {
-        SelectionStrategy::Dspm => {
-            put_u8(buf, 0);
-            put_u64(buf, 0);
-        }
-        SelectionStrategy::Dspmap { partition_size } => {
-            put_u8(buf, 1);
-            put_u64(buf, partition_size as u64);
-        }
-        SelectionStrategy::Auto { threshold } => {
-            put_u8(buf, 2);
-            put_u64(buf, threshold as u64);
-        }
-    }
+    let (tag, param) = match opts.strategy {
+        SelectionStrategy::Dspm => (0, 0),
+        SelectionStrategy::Dspmap { partition_size } => (1, partition_size),
+        SelectionStrategy::Auto { threshold } => (2, threshold),
+    };
+    put_u8(buf, tag);
+    put_u64(buf, param as u64);
     put_u64(buf, opts.seed);
     put_u64(buf, opts.rebuild.max_inserts as u64);
     put_f64(buf, opts.rebuild.max_tombstone_frac);
     put_u64(buf, index.epoch());
     put_u64(buf, index.pending_inserts() as u64);
     let dead = index.tombstones().dead_ids();
-    put_len(buf, dead.len());
+    put_count(buf, dead.len(), W);
     for id in dead {
         put_u32(buf, id);
     }
@@ -286,11 +253,11 @@ fn encode_ann(index: &GraphIndex, buf: &mut Vec<u8>) {
     put_u64(buf, params.ef_construction as u64);
     put_u64(buf, params.seed);
     put_u32(buf, ann.entry());
-    put_len(buf, ann.built_n());
+    put_count(buf, ann.built_n(), W);
     buf.extend_from_slice(ann.levels());
     for layers in ann.links() {
         for list in layers {
-            put_u32(buf, list.len() as u32);
+            put_count(buf, list.len(), Width::U32);
             for &nb in list {
                 put_u32(buf, nb);
             }
@@ -300,119 +267,24 @@ fn encode_ann(index: &GraphIndex, buf: &mut Vec<u8>) {
 
 // ----------------------------------------------------------------- read
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], GdimError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| {
-                GdimError::Corrupt(format!(
-                    "truncated: wanted {n} bytes at offset {}, file has {}",
-                    self.pos,
-                    self.buf.len()
-                ))
-            })?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, GdimError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, GdimError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, GdimError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, GdimError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// A length prefix, sanity-capped so a corrupt file cannot request
-    /// an absurd element count (each counted element is ≥ 1 byte).
-    fn len(&mut self) -> Result<usize, GdimError> {
-        let v = self.u64()?;
-        if v > self.buf.len() as u64 {
-            return Err(GdimError::Corrupt(format!(
-                "length {v} exceeds file size {}",
-                self.buf.len()
-            )));
-        }
-        Ok(v as usize)
-    }
-
-    /// Pre-allocation for `count` decoded elements, capped: the `len()`
-    /// guard bounds the *count* by the file size, but an in-memory
-    /// element can be ~100× its encoded size (a [`Feature`] is three
-    /// vectors), so trusting the count verbatim would let a corrupt
-    /// file demand an allocation far larger than itself before the
-    /// first element fails to parse. Growth past the cap is amortized.
-    fn vec_for<T>(count: usize) -> Vec<T> {
-        Vec::with_capacity(count.min(4096))
-    }
-
-    fn flag(&mut self) -> Result<bool, GdimError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(GdimError::Corrupt(format!("flag byte {other} not 0/1"))),
-        }
-    }
-
-    fn graph(&mut self) -> Result<Graph, GdimError> {
-        let nv = self.len()?;
-        let mut vlabels = Self::vec_for(nv);
-        for _ in 0..nv {
-            vlabels.push(self.u32()?);
-        }
-        let ne = self.len()?;
-        let mut edges = Self::vec_for(ne);
-        for _ in 0..ne {
-            edges.push((self.u32()?, self.u32()?, self.u32()?));
-        }
-        Graph::from_parts(vlabels, edges)
-            .map_err(|e| GdimError::Corrupt(format!("invalid graph: {e}")))
-    }
-
-    fn feature(&mut self) -> Result<Feature, GdimError> {
-        let graph = self.graph()?;
-        let code_len = self.len()?;
-        let mut code = Self::vec_for(code_len);
-        for _ in 0..code_len {
-            code.push(DfsEdge {
-                from: self.u32()?,
-                to: self.u32()?,
-                from_label: self.u32()?,
-                elabel: self.u32()?,
-                to_label: self.u32()?,
-            });
-        }
-        let sup_len = self.len()?;
-        let mut support = Self::vec_for(sup_len);
-        for _ in 0..sup_len {
-            support.push(self.u32()?);
-        }
-        Ok(Feature {
-            graph,
-            code: DfsCode(code),
-            support,
+/// A feature record written by [`put_feature`].
+fn feature(r: &mut Reader) -> Result<Feature, CodecError> {
+    let graph = r.graph(W)?;
+    let code = r.list(W, 20, |r| {
+        Ok(DfsEdge {
+            from: r.u32()?,
+            to: r.u32()?,
+            from_label: r.u32()?,
+            elabel: r.u32()?,
+            to_label: r.u32()?,
         })
-    }
+    })?;
+    let support = r.list(W, 4, Reader::u32)?;
+    Ok(Feature {
+        graph,
+        code: DfsCode(code),
+        support,
+    })
 }
 
 /// Deserializes an index written by [`encode`], rebuilding derived
@@ -448,9 +320,9 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<GraphIndex, GdimError> {
             )))
         }
     }
-    // Stats are plain counters, not element counts: they must bypass
-    // the allocation-guarding `len()` cap (`delta_pairs` is quadratic
-    // in `n` and legitimately exceeds the file size at scale).
+    // Stats are plain counters, not element counts: they are not held
+    // to the count rule (`delta_pairs` is quadratic in `n` and
+    // legitimately exceeds the file size at scale).
     let stats = IndexStats {
         mined_features: r.u64()? as usize,
         dimensions: r.u64()? as usize,
@@ -461,26 +333,13 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<GraphIndex, GdimError> {
         selection_time: std::time::Duration::from_nanos(r.u64()?),
     };
 
-    let n = r.len()?;
-    let mut db = Reader::vec_for(n);
-    for _ in 0..n {
-        db.push(r.graph()?);
-    }
-    let m = r.len()?;
-    let mut features = Reader::vec_for(m);
-    for _ in 0..m {
-        features.push(r.feature()?);
-    }
-    let p = r.len()?;
-    let mut selected = Reader::vec_for(p);
-    for _ in 0..p {
-        selected.push(r.u32()?);
-    }
-    let wn = r.len()?;
-    let mut weights = Reader::vec_for(wn);
-    for _ in 0..wn {
-        weights.push(r.f64()?);
-    }
+    // A graph takes at least its two counts; a feature its graph's two
+    // plus its code's and its support's.
+    let db = r.list(W, 16, |r| r.graph(W))?;
+    let n = db.len();
+    let features = r.list(W, 32, feature)?;
+    let selected = r.list(W, 4, Reader::u32)?;
+    let weights = r.list(W, 8, Reader::f64)?;
 
     let delta = DeltaConfig {
         kind,
@@ -530,23 +389,21 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<GraphIndex, GdimError> {
     };
     let epoch = r.u64()?;
     let pending = r.u64()? as usize;
-    let dead_n = r.len()?;
+    let dead = r.list(W, 4, Reader::u32)?;
+    if let Some(w) = dead.windows(2).find(|w| w[1] <= w[0]) {
+        return Err(GdimError::Corrupt(format!(
+            "tombstone ids not strictly ascending at {}",
+            w[1]
+        )));
+    }
     let mut tombstones = Tombstones::all_live(n);
-    let mut prev: Option<u32> = None;
-    for _ in 0..dead_n {
-        let id = r.u32()?;
-        if prev.is_some_and(|p| id <= p) {
-            return Err(GdimError::Corrupt(format!(
-                "tombstone ids not strictly ascending at {id}"
-            )));
-        }
+    for id in dead {
         if id as usize >= n {
             return Err(GdimError::Corrupt(format!(
                 "tombstone id {id} out of {n} graphs"
             )));
         }
         tombstones.mark_dead(id as usize);
-        prev = Some(id);
     }
     // The ANN section: an optional persisted proximity graph (absent,
     // it rebuilds lazily on the first approximate query).
@@ -556,26 +413,21 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<GraphIndex, GdimError> {
             .with_ef_construction(r.u64()? as usize)
             .with_seed(r.u64()?);
         let entry = r.u32()?;
-        let built_n = r.len()?;
+        // A node takes at least its level byte and its layer-0 degree.
+        let built_n = r.count(W, 5)?;
         if built_n > n {
             return Err(GdimError::Corrupt(format!(
                 "ANN graph covers {built_n} rows but the store has {n}"
             )));
         }
         let levels = r.take(built_n)?.to_vec();
-        let mut links = Vec::with_capacity(built_n);
-        for &level in &levels {
-            let mut layers = Vec::with_capacity(level as usize + 1);
-            for _ in 0..=level {
-                let deg = r.u32()? as usize;
-                let mut list = Vec::with_capacity(deg.min(4096));
-                for _ in 0..deg {
-                    list.push(r.u32()?);
-                }
-                layers.push(list);
-            }
-            links.push(layers);
-        }
+        let links = (levels.iter())
+            .map(|&level| {
+                (0..=level)
+                    .map(|_| r.list(Width::U32, 4, Reader::u32))
+                    .collect()
+            })
+            .collect::<Result<_, CodecError>>()?;
         Some(
             crate::ann::AnnIndex::from_parts(params, entry, levels, links)
                 .map_err(|e| GdimError::Corrupt(format!("inconsistent ANN graph: {e}")))?,
@@ -583,12 +435,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<GraphIndex, GdimError> {
     } else {
         None
     };
-    if r.pos != bytes.len() {
-        return Err(GdimError::Corrupt(format!(
-            "{} trailing bytes after index payload",
-            bytes.len() - r.pos
-        )));
-    }
+    r.finish()?;
 
     let index = GraphIndex::from_parts(
         db, features, selected, weights, opts, stats, epoch, tombstones, pending,
@@ -609,6 +456,7 @@ mod tests {
     use crate::index::IndexOptions;
     use crate::query::MappingKind;
     use crate::search::{Ranker, SearchRequest};
+    use gdim_graph::Graph;
 
     fn index(n: usize, seed: u64) -> GraphIndex {
         let db = gdim_datagen::chem_db(n, &gdim_datagen::ChemConfig::default(), seed);
@@ -635,6 +483,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A snapshot written by an earlier build of this encoder: 10
+    /// graphs built with 8 dimensions, an ANN graph over them, then one
+    /// insert (pending) and two removes (tombstones). A round trip
+    /// cannot see a change made the same way to the encoder and the
+    /// decoder; a file written before the change can.
+    const FIXTURE: &[u8] = include_bytes!("../tests/fixtures/v3-small.idx");
+
+    #[test]
+    fn committed_v3_fixture_reencodes_byte_identically() {
+        let idx = GraphIndex::from_bytes(FIXTURE).unwrap();
+        assert_eq!((idx.len(), idx.p()), (11, 8));
+        assert_eq!(idx.pending_inserts(), 1);
+        assert_eq!(idx.tombstones().dead_ids(), vec![1, 6]);
+        assert_eq!(idx.ann_if_built().map(|a| a.built_n()), Some(10));
+        // The three phase times (nanos at offsets 48, 56, 64) come back
+        // verbatim.
+        let nanos = |at: usize| u64::from_le_bytes(FIXTURE[at..at + 8].try_into().unwrap());
+        let s = idx.stats();
+        assert_eq!(
+            [s.mining_time, s.delta_time, s.selection_time].map(|t| t.as_nanos() as u64),
+            [nanos(48), nanos(56), nanos(64)]
+        );
+        assert!(nanos(56) > 0);
+        assert_eq!(idx.to_bytes(), FIXTURE);
     }
 
     #[test]
@@ -761,7 +635,7 @@ mod tests {
         // The feature's record starts with its graph; its code follows
         // an 8-byte count, 20 bytes per edge.
         let mut graph = Vec::new();
-        put_graph(&mut graph, &f.graph);
+        put_graph(&mut graph, &f.graph, W);
         let mut record = Vec::new();
         put_feature(&mut record, f, &f.support); // fresh build: as mined
         let at = (0..bytes.len() - record.len())
@@ -901,7 +775,7 @@ mod tests {
         }
         let mut bytes = Vec::new();
         encode_head(&idx, &mut bytes);
-        put_len(&mut bytes, m);
+        put_count(&mut bytes, m, W);
         for f in &mined {
             let inserted = (0..extra.len())
                 .filter(|&j| gdim_graph::vf2::is_subgraph_iso(&f.graph, &extra[j]))
@@ -909,11 +783,11 @@ mod tests {
             let support: Vec<u32> = f.support.iter().copied().chain(inserted).collect();
             put_feature(&mut bytes, f, &support);
         }
-        put_len(&mut bytes, p);
+        put_count(&mut bytes, p, W);
         for &r in &selected {
             put_u32(&mut bytes, r);
         }
-        put_len(&mut bytes, m);
+        put_count(&mut bytes, m, W);
         for &w in &weights {
             put_f64(&mut bytes, w);
         }

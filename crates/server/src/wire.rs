@@ -536,6 +536,7 @@ pub fn gdim_error_status(e: &GdimError) -> u16 {
 mod tests {
     use super::*;
     use crate::json::parse;
+    use proptest::prelude::*;
 
     fn chem(n: usize, seed: u64) -> Vec<Graph> {
         gdim_datagen::chem_db(n, &gdim_datagen::ChemConfig::default(), seed)
@@ -765,6 +766,134 @@ mod tests {
         assert_eq!(resp.stats.ef, 0);
         assert_eq!(resp.stats.beam_visited, 0);
         assert_eq!(resp.hits.len(), 1);
+    }
+
+    /// Keys and strings the wire decoders branch on.
+    const KEYS: [&str; 14] = [
+        "v",
+        "e",
+        "id",
+        "graph",
+        "query",
+        "k",
+        "ranker",
+        "mapping",
+        "budget",
+        "refined",
+        "candidates",
+        "approx",
+        "ef",
+        "verify",
+    ];
+    const WORDS: [&str; 5] = ["mapped", "exact", "binary", "weighted", "x"];
+
+    /// A JSON tree of depth ≤ `depth` drawn from `words`, one node per
+    /// word (an exhausted source yields `null`).
+    fn arbitrary_json(words: &mut impl Iterator<Item = u64>, depth: u32) -> Json {
+        let Some(w) = words.next() else {
+            return Json::Null;
+        };
+        let pick = (w >> 8) as usize;
+        match w % 8 {
+            0 => Json::Null,
+            1 => Json::Bool(pick.is_multiple_of(2)),
+            2 => Json::U64([0, 1, 2, 3, u32::MAX as u64, 1 << 32, u64::MAX][pick % 7]),
+            3 => Json::I64(-1 - (pick % 3) as i64),
+            4 => Json::F64([0.5, -0.0, 1e300, f64::NAN][pick % 4]),
+            5 => Json::Str(WORDS[pick % WORDS.len()].into()),
+            6 if depth > 0 => Json::Arr(
+                (0..pick % 5)
+                    .map(|_| arbitrary_json(words, depth - 1))
+                    .collect(),
+            ),
+            7 if depth > 0 => Json::Obj(
+                (0..pick % 5)
+                    .map(|i| {
+                        let key = KEYS[(pick / 5 + 3 * i) % KEYS.len()].to_string();
+                        (key, arbitrary_json(words, depth - 1))
+                    })
+                    .collect(),
+            ),
+            _ => Json::U64(pick as u64 % 4),
+        }
+    }
+
+    fn nodes(j: &Json) -> usize {
+        1 + match j {
+            Json::Arr(items) => items.iter().map(nodes).sum(),
+            Json::Obj(pairs) => pairs.iter().map(|(_, v)| nodes(v)).sum(),
+            _ => 0,
+        }
+    }
+
+    /// Replaces node `*n` (in preorder) of `j` by `with`.
+    fn replace_nth(j: &mut Json, n: &mut usize, with: &mut Option<Json>) {
+        if *n == 0 {
+            if let Some(w) = with.take() {
+                *j = w;
+            }
+            return;
+        }
+        *n -= 1;
+        match j {
+            Json::Arr(items) => items.iter_mut().for_each(|c| replace_nth(c, n, with)),
+            Json::Obj(pairs) => pairs.iter_mut().for_each(|(_, c)| replace_nth(c, n, with)),
+            _ => {}
+        }
+    }
+
+    /// A valid `/search` body: options plus an inline query graph.
+    fn valid_body() -> Json {
+        let req = SearchRequest::new(5)
+            .ranker(Ranker::Approx {
+                ef: 64,
+                verify: Some(9),
+            })
+            .mapping(MappingKind::Weighted);
+        let Json::Obj(mut pairs) = request_to_json(&req) else {
+            unreachable!("requests encode as objects")
+        };
+        let query = query_to_json(&QuerySpec::Graph(chem(1, 3).remove(0)));
+        pairs.push(("query".into(), query));
+        Json::Obj(pairs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        /// Arbitrary depth-bounded JSON trees, and a valid `/search`
+        /// body with one node replaced by such a tree: the graph, query
+        /// and request decoders answer `Ok` or a `WireError`, never
+        /// panic, and what they accept survives its own encode → decode.
+        #[test]
+        fn hostile_wire_values_decode_or_fail_typed(
+            mutated in any::<bool>(),
+            words in prop::collection::vec(any::<u64>(), 1..48),
+            at in any::<prop::sample::Index>(),
+        ) {
+            let mut words = words.into_iter();
+            let body = if mutated {
+                let mut body = valid_body();
+                let mut n = at.index(nodes(&body));
+                replace_nth(&mut body, &mut n, &mut Some(arbitrary_json(&mut words, 2)));
+                body
+            } else {
+                arbitrary_json(&mut words, 4)
+            };
+            let query = body.get("query").unwrap_or(&body);
+            let graph = query.get("graph").unwrap_or(query);
+            for j in [&body, query, graph] {
+                if let Ok(g) = graph_from_json(j) {
+                    prop_assert_eq!(graph_from_json(&graph_to_json(&g)), Ok(g));
+                }
+                if let Ok(q) = query_from_json(j) {
+                    prop_assert_eq!(query_from_json(&query_to_json(&q)), Ok(q));
+                }
+                if let Ok(r) = request_from_json(j) {
+                    prop_assert_eq!(request_from_json(&request_to_json(&r)), Ok(r));
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,12 +24,15 @@
 //! budget is deliberately not persisted (it belongs to the serving
 //! machine); set it after loading with
 //! [`ShardedIndex::set_exec`](crate::ShardedIndex::set_exec).
-//! Structural defects surface as [`GdimError::Corrupt`], never a
-//! panic.
+//! The bytes are written and read with the shared
+//! [`gdim_wal::codec`]; both counts obey the count rule of
+//! [`Reader::count`](gdim_wal::codec::Reader::count). Structural
+//! defects surface as [`GdimError::Corrupt`], never a panic.
 
 use std::path::Path;
 
 use gdim_core::{GdimError, GraphIndex};
+use gdim_wal::codec::{put_count, put_u32, put_u64, Reader, Width};
 
 use crate::sharded::{Shard, ShardedIndex};
 
@@ -44,77 +47,19 @@ pub(crate) fn shard_file(s: usize) -> String {
     format!("shard-{s:04}.idx")
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], GdimError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| {
-                GdimError::Corrupt(format!(
-                    "manifest truncated: wanted {n} bytes at offset {}, file has {}",
-                    self.pos,
-                    self.buf.len()
-                ))
-            })?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    /// Bytes not yet read.
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn u32(&mut self) -> Result<u32, GdimError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, GdimError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// A length prefix, sanity-capped by the file size (each counted
-    /// element is ≥ 8 encoded bytes).
-    fn len(&mut self) -> Result<usize, GdimError> {
-        let v = self.u64()?;
-        if v > self.buf.len() as u64 {
-            return Err(GdimError::Corrupt(format!(
-                "manifest length {v} exceeds file size {}",
-                self.buf.len()
-            )));
-        }
-        Ok(v as usize)
-    }
-}
-
 impl ShardedIndex {
     /// Serializes the manifest (layout in the [module docs](self)).
     pub fn manifest_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.extend_from_slice(&MAGIC);
         put_u32(&mut buf, VERSION);
-        put_u64(&mut buf, self.shard_count() as u64);
+        put_count(&mut buf, self.shard_count(), Width::U64);
         put_u32(&mut buf, self.shard_bits());
         put_u64(&mut buf, self.next_seq());
         put_u64(&mut buf, self.stamp());
         for (s, shard) in self.shards().iter().enumerate() {
             put_u64(&mut buf, self.muts()[s]);
-            put_u64(&mut buf, shard.seqs.len() as u64);
+            put_count(&mut buf, shard.seqs.len(), Width::U64);
             for &seq in &shard.seqs {
                 put_u64(&mut buf, seq);
             }
@@ -150,10 +95,7 @@ impl ShardedIndex {
     pub fn load_dir(dir: impl AsRef<Path>) -> Result<ShardedIndex, GdimError> {
         let dir = dir.as_ref();
         let bytes = std::fs::read(dir.join(MANIFEST_FILE))?;
-        let mut r = Reader {
-            buf: &bytes,
-            pos: 0,
-        };
+        let mut r = Reader::new(&bytes);
         if r.take(8)? != MAGIC {
             return Err(GdimError::Corrupt(
                 "bad magic (not a gdim shard manifest)".into(),
@@ -166,14 +108,13 @@ impl ShardedIndex {
                 supported: VERSION,
             });
         }
-        let shard_count = r.len()?;
+        // A shard entry takes at least its stamp and its sequence count.
+        let shard_count = r.count(Width::U64, 16)?;
         if shard_count == 0 {
             return Err(GdimError::Corrupt("manifest declares zero shards".into()));
         }
         let shard_bits = r.u32()?;
-        let expected_bits = (shard_count.max(1) as u32)
-            .next_power_of_two()
-            .trailing_zeros();
+        let expected_bits = shard_count.next_power_of_two().trailing_zeros();
         if shard_bits != expected_bits {
             return Err(GdimError::Corrupt(format!(
                 "shard_bits {shard_bits} inconsistent with {shard_count} shards \
@@ -182,12 +123,8 @@ impl ShardedIndex {
         }
         let next_seq = r.u64()?;
         let stamp = r.u64()?;
-        // Every shard entry takes at least 16 bytes (its stamp and its
-        // sequence count), so the unread bytes bound how many entries
-        // can really follow, whatever `shard_count` claims.
-        let entries = shard_count.min(r.remaining() / 16);
-        let mut muts = Vec::with_capacity(entries);
-        let mut shards = Vec::with_capacity(entries);
+        let mut muts = Vec::with_capacity(shard_count);
+        let mut shards = Vec::with_capacity(shard_count);
         for s in 0..shard_count {
             let m = r.u64()?;
             if m > stamp {
@@ -196,23 +133,17 @@ impl ShardedIndex {
                 )));
             }
             muts.push(m);
-            let count = r.len()?;
-            let mut seqs = Vec::with_capacity(count.min(4096));
-            let mut prev: Option<u64> = None;
-            for _ in 0..count {
-                let seq = r.u64()?;
-                if seq >= next_seq {
-                    return Err(GdimError::Corrupt(format!(
-                        "shard {s} row sequence {seq} not below next_seq {next_seq}"
-                    )));
-                }
-                if prev.is_some_and(|p| seq <= p) {
-                    return Err(GdimError::Corrupt(format!(
-                        "shard {s} row sequences not strictly ascending at {seq}"
-                    )));
-                }
-                prev = Some(seq);
-                seqs.push(seq);
+            let seqs = r.list(Width::U64, 8, Reader::u64)?;
+            if let Some(seq) = seqs.iter().find(|&&seq| seq >= next_seq) {
+                return Err(GdimError::Corrupt(format!(
+                    "shard {s} row sequence {seq} not below next_seq {next_seq}"
+                )));
+            }
+            if let Some(w) = seqs.windows(2).find(|w| w[1] <= w[0]) {
+                return Err(GdimError::Corrupt(format!(
+                    "shard {s} row sequences not strictly ascending at {}",
+                    w[1]
+                )));
             }
             let index = GraphIndex::load(dir.join(shard_file(s)))?;
             if index.len() != seqs.len() {
@@ -224,12 +155,7 @@ impl ShardedIndex {
             }
             shards.push(Shard { index, seqs });
         }
-        if r.pos != bytes.len() {
-            return Err(GdimError::Corrupt(format!(
-                "{} trailing bytes after the manifest payload",
-                bytes.len() - r.pos
-            )));
-        }
+        r.finish()?;
         // Every shard must share the selection the scatter-gather
         // contract relies on — and then needs one code tree, not one
         // per shard file.
@@ -303,6 +229,35 @@ mod tests {
         }
         assert_eq!(pos, valid.len(), "the walk covers the whole manifest");
         out
+    }
+
+    /// The literal manifest of a 2-shard index grown by one insert and
+    /// one remove. A round trip cannot see a change made the same way
+    /// to the encoder and the decoder; this can.
+    #[test]
+    fn manifest_bytes_are_pinned() {
+        let opts = ShardedOptions::new(2).with_index(IndexOptions::default().with_dimensions(8));
+        let mut idx = ShardedIndex::build(chem(6, 3), opts);
+        idx.insert(chem(1, 4).remove(0));
+        idx.remove(idx.id_for_seq(2).unwrap()).unwrap();
+        let le = |v: u64| v.to_le_bytes();
+        let expected: Vec<u8> = [
+            &b"GDIMSHRD"[..],
+            &1u32.to_le_bytes(), // version
+            &le(2),              // shards
+            &1u32.to_le_bytes(), // shard_bits
+            &le(7),              // next_seq
+            &le(2),              // stamp
+            &le(2),              // shard 0: muts
+            &le(4),              //          seq count
+            &[le(0), le(1), le(2), le(6)].concat(),
+            &le(0), // shard 1: muts
+            &le(3), //          seq count
+            &[le(3), le(4), le(5)].concat(),
+        ]
+        .concat();
+        assert_eq!(expected.len(), 128);
+        assert_eq!(idx.manifest_bytes(), expected);
     }
 
     /// Hostile bytes in the MANIFEST — arbitrary ones, arbitrary ones

@@ -557,6 +557,7 @@ impl WalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("gdim-wal-frame-{tag}-{}", std::process::id()));
@@ -803,6 +804,56 @@ mod tests {
         let (payloads, report) = WalReader::read(&path).unwrap();
         assert!(report.is_clean());
         assert_eq!(payloads, vec![b"acked".to_vec(), b"recovered".to_vec()]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary logs, and a valid log with junk appended, one byte
+        /// flipped, one 4-byte window rewritten to a boundary or random
+        /// value, or cut short: `split` trusts at most the input, one
+        /// record per payload, and re-framing the trusted payloads
+        /// (`len · crc32 · payload`) reproduces the trusted bytes.
+        #[test]
+        fn hostile_logs_split_into_a_reframable_prefix(
+            kind in 0u8..5,
+            junk in prop::collection::vec(any::<u8>(), 0..96),
+            at in any::<prop::sample::Index>(),
+            pick in 0usize..7,
+            word in any::<u64>(),
+        ) {
+            let mut valid = Vec::new();
+            for r in records() {
+                WalWriter::frame_into(&mut valid, &r).unwrap();
+            }
+            let bytes = match kind {
+                0 => junk,
+                1 => [&valid[..], &junk].concat(),
+                2 => {
+                    let mut b = valid.clone();
+                    b[at.index(valid.len())] ^= (word >> 8) as u8 | 1;
+                    b
+                }
+                3 => {
+                    let off = at.index(valid.len() - 3);
+                    let old = u32::from_le_bytes(valid[off..off + 4].try_into().unwrap());
+                    let len = valid.len() as u32;
+                    let new = [0, 1, u32::MAX, len, old.wrapping_add(1), old.wrapping_sub(1), word as u32][pick];
+                    let mut b = valid.clone();
+                    b[off..off + 4].copy_from_slice(&new.to_le_bytes());
+                    b
+                }
+                _ => valid[..at.index(valid.len() + 1)].to_vec(),
+            };
+            let (payloads, report) = WalReader::split(&bytes);
+            prop_assert!(report.trusted_bytes <= bytes.len() as u64);
+            prop_assert_eq!(report.records, payloads.len() as u64);
+            let mut reframed = Vec::new();
+            for p in &payloads {
+                WalWriter::frame_into(&mut reframed, p).unwrap();
+            }
+            prop_assert!(reframed[..] == bytes[..report.trusted_bytes as usize]);
+        }
     }
 
     #[test]

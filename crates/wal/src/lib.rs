@@ -20,6 +20,12 @@
 //! * [`record`] — the mutation schema logged by the durable serving
 //!   layer: [`WalRecord::Insert`] / [`WalRecord::Remove`], encoded
 //!   compactly and decoded with typed errors.
+//! * [`codec`] — the one byte codec every durable format is written
+//!   and read with (WAL records here, the index snapshot in
+//!   `gdim-core`, the shard MANIFEST in `gdim-shard`): `put_*`
+//!   writers, one graph encoding, and one bounds-checked
+//!   [`codec::Reader`] that trusts a count only once the bytes behind
+//!   it exist ([`codec::Reader::count`]).
 //!
 //! The framing contract is what makes crash recovery provable: a
 //! writer that fsyncs a record before acking it guarantees the acked
@@ -32,6 +38,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod codec;
 pub mod frame;
 pub mod fsutil;
 pub(crate) mod obs;

@@ -14,14 +14,17 @@
 //! id        u32    composed GraphId being tombstoned
 //! ```
 //!
-//! Decoding is paranoid: counts are checked against the bytes actually
-//! present *before* any allocation, trailing bytes are an error, and a
-//! rebuilt graph re-validates the simple-graph invariants (no
-//! self-loops, no parallel edges). A CRC-valid frame whose payload
+//! The graph is [`codec::put_graph`](crate::codec::put_graph) at
+//! `u32` width. Decoding is paranoid: a count is trusted only once the
+//! bytes behind it exist ([`Reader::count`]), trailing bytes are an
+//! error, and a rebuilt graph re-validates the simple-graph invariants
+//! (no self-loops, no parallel edges). A CRC-valid frame whose payload
 //! fails here means the log was written by something else — the
 //! durable layer surfaces that as a corrupt log, never a panic.
 
 use gdim_graph::{Graph, GraphError};
+
+use crate::codec::{put_graph, put_u32, CodecError, Reader, Width};
 
 /// One durable mutation, as logged before it is applied and acked.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,41 +73,21 @@ impl std::fmt::Display for RecordError {
 
 impl std::error::Error for RecordError {}
 
+impl From<CodecError> for RecordError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated(at) | CodecError::Count(at, _) => {
+                RecordError::UnexpectedEof { at }
+            }
+            CodecError::Flag(_, byte) => RecordError::UnknownTag(byte),
+            CodecError::Graph(e) => RecordError::BadGraph(e),
+            CodecError::Trailing(extra) => RecordError::TrailingBytes { extra },
+        }
+    }
+}
+
 const TAG_INSERT: u8 = 1;
 const TAG_REMOVE: u8 = 2;
-
-/// Cursor over a record payload with EOF-checked little-endian reads.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], RecordError> {
-        if self.bytes.len() - self.pos < n {
-            return Err(RecordError::UnexpectedEof { at: self.pos });
-        }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, RecordError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, RecordError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-}
 
 impl WalRecord {
     /// Encodes the record as a WAL frame payload.
@@ -112,9 +95,8 @@ impl WalRecord {
         match self {
             WalRecord::Insert(g) => WalRecord::encode_insert(g),
             WalRecord::Remove(id) => {
-                let mut buf = Vec::with_capacity(5);
-                buf.push(TAG_REMOVE);
-                buf.extend_from_slice(&id.to_le_bytes());
+                let mut buf = vec![TAG_REMOVE];
+                put_u32(&mut buf, *id);
                 buf
             }
         }
@@ -126,59 +108,21 @@ impl WalRecord {
     pub fn encode_insert(g: &Graph) -> Vec<u8> {
         let mut buf = Vec::with_capacity(1 + 8 + 4 * g.vertex_count() + 12 * g.edge_count());
         buf.push(TAG_INSERT);
-        buf.extend_from_slice(&(g.vertex_count() as u32).to_le_bytes());
-        for &l in g.vlabels() {
-            buf.extend_from_slice(&l.to_le_bytes());
-        }
-        buf.extend_from_slice(&(g.edge_count() as u32).to_le_bytes());
-        for e in g.edges() {
-            buf.extend_from_slice(&e.u.to_le_bytes());
-            buf.extend_from_slice(&e.v.to_le_bytes());
-            buf.extend_from_slice(&e.label.to_le_bytes());
-        }
+        put_graph(&mut buf, g, Width::U32);
         buf
     }
 
-    /// Decodes a WAL frame payload. Counts are validated against the
-    /// bytes present before any allocation, so garbage cannot request
-    /// absurd buffers even when its CRC happens to check out.
+    /// Decodes a WAL frame payload. Garbage cannot request absurd
+    /// buffers even when its CRC happens to check out: see the
+    /// [module docs](self).
     pub fn decode(payload: &[u8]) -> Result<WalRecord, RecordError> {
-        let mut c = Cursor::new(payload);
-        let record = match c.u8()? {
-            TAG_INSERT => {
-                let nv = c.u32()? as usize;
-                // Compare in u64: `nv * 4` can overflow usize on
-                // 32-bit targets, which would let CRC-valid garbage
-                // slip past this guard into a multi-GiB allocation.
-                if (c.remaining() as u64) < nv as u64 * 4 {
-                    return Err(RecordError::UnexpectedEof { at: c.pos });
-                }
-                let mut vlabels = Vec::with_capacity(nv);
-                for _ in 0..nv {
-                    vlabels.push(c.u32()?);
-                }
-                let ne = c.u32()? as usize;
-                if (c.remaining() as u64) < ne as u64 * 12 {
-                    return Err(RecordError::UnexpectedEof { at: c.pos });
-                }
-                let mut edges = Vec::with_capacity(ne);
-                for _ in 0..ne {
-                    let u = c.u32()?;
-                    let v = c.u32()?;
-                    let l = c.u32()?;
-                    edges.push((u, v, l));
-                }
-                let graph = Graph::from_parts(vlabels, edges).map_err(RecordError::BadGraph)?;
-                WalRecord::Insert(graph)
-            }
-            TAG_REMOVE => WalRecord::Remove(c.u32()?),
+        let mut r = Reader::new(payload);
+        let record = match r.u8()? {
+            TAG_INSERT => WalRecord::Insert(r.graph(Width::U32)?),
+            TAG_REMOVE => WalRecord::Remove(r.u32()?),
             t => return Err(RecordError::UnknownTag(t)),
         };
-        if c.remaining() > 0 {
-            return Err(RecordError::TrailingBytes {
-                extra: c.remaining(),
-            });
-        }
+        r.finish()?;
         Ok(record)
     }
 }
@@ -187,6 +131,7 @@ impl WalRecord {
 mod tests {
     use super::*;
     use gdim_graph::GraphBuilder;
+    use proptest::prelude::*;
 
     fn sample_graph() -> Graph {
         let mut b = GraphBuilder::new();
@@ -208,6 +153,24 @@ mod tests {
             WalRecord::Insert(h) => assert_eq!(h, g),
             other => panic!("decoded {other:?}"),
         }
+    }
+
+    /// The literal payloads: a round trip cannot see a change made the
+    /// same way to the encoder and the decoder; these can.
+    #[test]
+    fn payload_bytes_are_pinned() {
+        #[rustfmt::skip]
+        let insert = [
+            1, // tag
+            3, 0, 0, 0, // nv
+            3, 0, 0, 0, 1, 0, 0, 0, 4, 0, 0, 0, // vlabels
+            2, 0, 0, 0, // ne
+            0, 0, 0, 0, 1, 0, 0, 0, 7, 0, 0, 0, // (0, 1, 7)
+            1, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, // (1, 2, 2)
+        ];
+        assert_eq!(WalRecord::Insert(sample_graph()).encode(), insert);
+        assert_eq!(WalRecord::encode_insert(&sample_graph()), insert);
+        assert_eq!(WalRecord::Remove(0x8000_0005).encode(), [2, 5, 0, 0, 0x80]);
     }
 
     #[test]
@@ -272,6 +235,51 @@ mod tests {
             WalRecord::decode(&bytes),
             Err(RecordError::TrailingBytes { extra: 1 })
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary payloads, and valid `Insert` / `Remove` payloads
+        /// with one byte flipped, one `u32` field rewritten to a
+        /// boundary or random value, or cut / extended, decode to a
+        /// record or a typed error, never a panic; a record that
+        /// decodes survives its own encode → decode.
+        #[test]
+        fn hostile_payloads_decode_or_fail_typed(
+            kind in 0u8..4,
+            junk in prop::collection::vec(any::<u8>(), 0..64),
+            at in any::<prop::sample::Index>(),
+            pick in 0usize..7,
+            word in any::<u64>(),
+        ) {
+            let valid = match word % 2 {
+                0 => WalRecord::Insert(sample_graph()).encode(),
+                _ => WalRecord::Remove(word as u32).encode(),
+            };
+            let bytes = match kind {
+                0 => junk,
+                1 => {
+                    let mut b = valid.clone();
+                    b[at.index(valid.len())] ^= (word >> 8) as u8 | 1;
+                    b
+                }
+                // Every field after the tag is a u32 at 1 + 4i.
+                2 => {
+                    let off = 1 + 4 * at.index((valid.len() - 1) / 4);
+                    let old = u32::from_le_bytes(valid[off..off + 4].try_into().unwrap());
+                    let len = valid.len() as u32;
+                    let new = [0, 1, u32::MAX, len, old.wrapping_add(1), old.wrapping_sub(1), word as u32][pick];
+                    let mut b = valid.clone();
+                    b[off..off + 4].copy_from_slice(&new.to_le_bytes());
+                    b
+                }
+                _ => [&valid[..at.index(valid.len() + 1)], &junk].concat(),
+            };
+            if let Ok(rec) = WalRecord::decode(&bytes) {
+                prop_assert_eq!(WalRecord::decode(&rec.encode()), Ok(rec));
+            }
+        }
     }
 
     #[test]

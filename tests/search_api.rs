@@ -188,3 +188,64 @@ fn load_rejects_non_index_files() {
     let missing = GraphIndex::load("/nonexistent/gdim.idx").unwrap_err();
     assert!(matches!(missing, GdimError::Io(_)), "{missing}");
 }
+
+/// A v3 snapshot written by an earlier build of the encoder, with
+/// tombstones, a pending insert and an ANN section (pinned byte for
+/// byte by `gdim-core`'s persist tests).
+const SNAPSHOT: &[u8] = include_bytes!("../crates/core/tests/fixtures/v3-small.idx");
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Hostile snapshots — arbitrary bytes, arbitrary bytes behind a
+    /// valid magic and version, the fixture with one byte flipped, or
+    /// with one 4-byte-aligned 4- or 8-byte window rewritten to a
+    /// boundary or random value — load an index that answers a mapped
+    /// and an approximate search, or fail with a typed error; never
+    /// panic.
+    #[test]
+    fn hostile_snapshots_load_or_fail_typed(
+        kind in 0u8..4,
+        junk in prop::collection::vec(any::<u8>(), 0..128),
+        at in any::<prop::sample::Index>(),
+        wide in any::<bool>(),
+        pick in 0usize..7,
+        word in any::<u64>(),
+    ) {
+        let bytes = match kind {
+            0 => junk,
+            1 => [&SNAPSHOT[..12], &junk].concat(),
+            2 => {
+                let mut b = SNAPSHOT.to_vec();
+                b[at.index(SNAPSHOT.len())] ^= (word >> 8) as u8 | 1;
+                b
+            }
+            _ => {
+                let width = if wide { 8 } else { 4 };
+                let off = 4 * at.index((SNAPSHOT.len() - width) / 4 + 1);
+                let mut old = [0u8; 8];
+                old[..width].copy_from_slice(&SNAPSHOT[off..off + width]);
+                let old = u64::from_le_bytes(old);
+                let len = SNAPSHOT.len() as u64;
+                let new = [0, 1, u64::MAX, len, old.wrapping_add(1), old.wrapping_sub(1), word][pick];
+                let mut b = SNAPSHOT.to_vec();
+                b[off..off + width].copy_from_slice(&new.to_le_bytes()[..width]);
+                b
+            }
+        };
+        match GraphIndex::from_bytes(&bytes) {
+            Ok(idx) => {
+                let q = chem(1, 5).remove(0);
+                let approx = Ranker::Approx { ef: 16, verify: None };
+                for ranker in [Ranker::Mapped, approx] {
+                    let req = SearchRequest::new(3).ranker(ranker);
+                    prop_assert!(idx.search(&q, &req).is_ok(), "kind {}: {:?}", kind, ranker);
+                }
+            }
+            Err(e) => prop_assert!(
+                matches!(e, GdimError::Corrupt(_) | GdimError::UnsupportedVersion { .. }),
+                "kind {}: unexpected error {:?}", kind, e
+            ),
+        }
+    }
+}
