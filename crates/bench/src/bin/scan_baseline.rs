@@ -65,6 +65,7 @@ use gdim_bench::scanwork::{
 use gdim_core::{Bitset, DeltaConfig, ExecConfig, GraphId, GraphIndex, IndexOptions};
 use gdim_datagen::{chem_db, ChemConfig};
 use gdim_graph::mcs_edges;
+use gdim_graph::vf2::is_subgraph_iso;
 use gdim_server::Json;
 use gdim_shard::merge_topk;
 
@@ -241,9 +242,10 @@ fn main() {
     }
 
     // Query mapping at the served shape: the brute-force loop (one
-    // independent VF2 test per dimension) vs. the served path. The
-    // bits are asserted identical before timing; the mapping counts
-    // depend only on the seeds below.
+    // independent VF2 test per dimension, its pattern graph spelled out
+    // once up front) vs. the served path. The bits are asserted
+    // identical before timing; the mapping counts depend only on the
+    // seeds below.
     let db = chem_db(60, &ChemConfig::default(), 13);
     let index = GraphIndex::build(db, IndexOptions::default().with_dimensions(128));
     let queries = chem_db(64, &ChemConfig::default(), 99);
@@ -259,12 +261,18 @@ fn main() {
         vf2_pruned += s.vf2_pruned;
         extensions += s.extensions;
     }
+    let patterns: Vec<_> = index
+        .mapped()
+        .codes()
+        .iter()
+        .map(|c| c.to_graph())
+        .collect();
     let (unpruned, pruned) = paired_min_ns(
         31,
         || {
             queries
                 .iter()
-                .map(|q| index.mapped().map_query_unpruned(q).count_ones())
+                .map(|q| patterns.iter().filter(|f| is_subgraph_iso(f, q)).count() as u32)
                 .sum::<u32>()
         },
         || {

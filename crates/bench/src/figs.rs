@@ -605,7 +605,12 @@ pub fn ablation(ctx: &Context) {
 
     let res = dspm(space, delta, &DspmConfig::new(p));
     let mapped = MappedDatabase::new(space, &res.selected).expect("dspm selection in range");
-    let w_sq = weighted_w_sq(&res.selected, &res.weights);
+    let w_sq = weighted_w_sq(
+        &res.selected
+            .iter()
+            .map(|&r| res.weights[r as usize])
+            .collect::<Vec<_>>(),
+    );
     let eb = evaluate_mapped(&mapped, None, queries, truth, &ks);
     let ew = evaluate_mapped(&mapped, Some(&w_sq), queries, truth, &ks);
     println!("-- binary (paper) vs weighted mapping: precision --");

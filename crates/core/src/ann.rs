@@ -173,7 +173,7 @@ fn splitmix64(x: u64) -> u64 {
 /// [`VectorStore`] — see the module docs for the contract. Built by
 /// [`AnnIndex::build`], queried through [`AnnIndex::query`] with a
 /// caller-supplied distance key (so one graph serves both the binary
-/// and the weighted metric), persisted as the optional v3 section of
+/// and the weighted metric), persisted as the optional section of
 /// the index format (see [`crate::persist`]).
 #[derive(Debug, Clone)]
 pub struct AnnIndex {

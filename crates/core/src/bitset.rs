@@ -4,7 +4,6 @@
 
 /// A fixed-length bitset.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Bitset {
     len: usize,
     words: Vec<u64>,

@@ -33,7 +33,7 @@
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
-use gdim_graph::dfscode::DfsEdge;
+use gdim_graph::dfscode::DfsCode;
 use gdim_graph::fxhash::FxHashMap;
 use gdim_graph::vf2::{self, Pattern};
 use gdim_graph::{ELabel, Graph, GraphBuilder, VLabel};
@@ -164,16 +164,17 @@ fn fallback_counter() -> &'static gdim_obs::Counter {
 }
 
 impl CodeTree {
-    /// Builds the tree over `features` (column `r` = `features[r]`).
+    /// Builds the tree over `codes` (column `r` = `codes[r]`).
     ///
-    /// Every code is checked against its feature's graph first — the
-    /// search trusts the code's indices and labels — so a feature set
-    /// read from hostile bytes surfaces here as [`GdimError::Corrupt`]:
-    /// the first edge must be `(0, 1)`, a forward edge must introduce
-    /// exactly the next DFS index from an existing one, labels must
-    /// agree per index, and the code must spell the feature graph's
-    /// vertex labels and edge set.
-    pub fn build(features: &[Feature]) -> Result<Self, GdimError> {
+    /// Every code is checked first — the search trusts its indices and
+    /// labels — so codes read from hostile bytes surface here as
+    /// [`GdimError::Corrupt`]: the code must be non-empty, its first
+    /// edge `(0, 1)`, a forward edge must introduce exactly the next DFS
+    /// index from an existing one, a backward edge must join two placed
+    /// vertices, labels must agree per index, and no vertex pair may
+    /// carry two edges — so the code spells one simple connected graph,
+    /// [`DfsCode::to_graph`].
+    pub fn build(codes: &[DfsCode]) -> Result<Self, GdimError> {
         // A pointer trie first (`children` as lists), flattened below.
         struct Trie {
             node: Node,
@@ -195,10 +196,11 @@ impl CodeTree {
         let mut keys: FxHashMap<(ELabel, VLabel), u32> = FxHashMap::default();
         let mut key_labels = Vec::new();
         let mut max_vertices = 0;
-        for (col, f) in features.iter().enumerate() {
-            check_code(f).map_err(|why| GdimError::Corrupt(format!("feature {col}: {why}")))?;
-            max_vertices = max_vertices.max(f.graph.vertex_count());
-            let l0 = f.code.0[0].from_label;
+        for (col, code) in codes.iter().enumerate() {
+            let vertices = check_code(code)
+                .map_err(|why| GdimError::Corrupt(format!("dimension {col}: {why}")))?;
+            max_vertices = max_vertices.max(vertices);
+            let l0 = code.0[0].from_label;
             let root = roots
                 .iter()
                 .copied()
@@ -209,12 +211,12 @@ impl CodeTree {
                     trie.len() - 1
                 });
             let mut at = root;
-            for (i, e) in f.code.0.iter().enumerate() {
+            for (i, e) in code.0.iter().enumerate() {
                 let key = *keys.entry((e.elabel, e.to_label)).or_insert_with(|| {
                     key_labels.push((e.elabel, e.to_label));
                     key_labels.len() as u32 - 1
                 });
-                let last = i + 1 == f.code.len();
+                let last = i + 1 == code.len();
                 // A second column with the same code (a dimension
                 // selected twice) becomes a sibling, not a clash.
                 let found = trie[at].children.iter().copied().find(|&c| {
@@ -251,7 +253,7 @@ impl CodeTree {
         Ok(CodeTree {
             nodes,
             roots: roots.len(),
-            columns: features.len(),
+            columns: codes.len(),
             key_labels,
             keys,
             max_vertices,
@@ -554,10 +556,10 @@ impl Search<'_> {
     }
 }
 
-/// Whether `f.code` is a DFS code of exactly `f.graph` (vertex ids =
-/// DFS indices), as the miner writes it.
-fn check_code(f: &Feature) -> Result<(), String> {
-    let code = &f.code.0;
+/// Whether `code` is a DFS code of one simple connected graph, as the
+/// miner writes it; returns that graph's vertex count.
+fn check_code(code: &DfsCode) -> Result<usize, String> {
+    let code = &code.0;
     let first = code.first().ok_or("empty DFS code")?;
     // Labels by DFS index, as the code introduces them.
     let mut labels = vec![first.from_label];
@@ -581,28 +583,23 @@ fn check_code(f: &Feature) -> Result<(), String> {
             return Err(format!("code edge {i} relabels a placed vertex"));
         }
     }
-    let g = &f.graph;
-    if labels != g.vlabels() || code.len() != g.edge_count() {
-        return Err("DFS code and feature graph differ in vertices or edge count".into());
-    }
-    let spells = |e: &DfsEdge| g.edge_label(e.from, e.to) == Some(e.elabel);
     let mut pairs: Vec<(u32, u32)> = code
         .iter()
         .map(|e| (e.from.min(e.to), e.from.max(e.to)))
         .collect();
     pairs.sort_unstable();
-    if !code.iter().all(spells) || pairs.windows(2).any(|w| w[0] == w[1]) {
-        return Err("DFS code and feature graph differ in edges".into());
+    if let Some(w) = pairs.windows(2).find(|w| w[0] == w[1]) {
+        return Err(format!("code joins {} and {} twice", w[0].0, w[0].1));
     }
-    Ok(())
+    Ok(labels.len())
 }
 
 /// The multidimensional feature space built over a graph database.
 ///
 /// The input of dimension selection, immutable once built. A
 /// [`GraphIndex`](crate::index::GraphIndex) does not retain it: the
-/// build keeps the selected features and their columns and drops the
-/// rest.
+/// build keeps the selected features' DFS codes and columns and drops
+/// the rest.
 #[derive(Debug, Clone)]
 pub struct FeatureSpace {
     n_graphs: usize,
@@ -716,9 +713,17 @@ mod tests {
         (db, space)
     }
 
+    /// The features' codes, column order.
+    fn codes(features: &[Feature]) -> Vec<DfsCode> {
+        features.iter().map(|f| f.code.clone()).collect()
+    }
+
     /// `q` mapped onto the whole space, the way an online insert does it.
     fn map_full(s: &FeatureSpace, q: &Graph) -> Bitset {
-        CodeTree::build(s.features()).unwrap().map_query(q).0
+        CodeTree::build(&codes(s.features()))
+            .unwrap()
+            .map_query(q)
+            .0
     }
 
     #[test]
@@ -788,7 +793,7 @@ mod tests {
             &MinerConfig::new(Support::Relative(0.2)).with_max_edges(4),
         );
         assert!(feats.len() > 4);
-        let tree = CodeTree::build(&feats).unwrap();
+        let tree = CodeTree::build(&codes(&feats)).unwrap();
         let queries = gdim_datagen::chem_db(4, &gdim_datagen::ChemConfig::default(), 77);
         for q in db.iter().take(3).chain(&queries) {
             let (bits, stats) = tree.map_query(q);
@@ -816,9 +821,9 @@ mod tests {
             .iter()
             .position(|f| f.graph.vlabel(0) == 1)
             .expect("the label-1 edge is mined");
-        let picked: Vec<Feature> = [tri, other, tri]
+        let picked: Vec<DfsCode> = [tri, other, tri]
             .iter()
-            .map(|&r| s.features()[r].clone())
+            .map(|&r| s.features()[r].code.clone())
             .collect();
         let tree = CodeTree::build(&picked).unwrap();
         // Roots 0 and 1; under 0 the chain edge – path – two triangles.
@@ -836,25 +841,28 @@ mod tests {
 
     #[test]
     fn a_code_that_is_not_its_graphs_is_corrupt() {
+        // A dimension is its code: a code that spells no simple
+        // connected graph is corrupt.
         let (_, s) = space();
         let tri = s
             .features()
             .iter()
             .find(|f| f.graph.edge_count() == 3)
             .expect("the triangle is mined");
-        let mutated = |edit: &dyn Fn(&mut Feature)| {
-            let mut f = tri.clone();
-            edit(&mut f);
-            CodeTree::build(&[f])
+        let mutated = |edit: &dyn Fn(&mut DfsCode)| {
+            let mut code = tri.code.clone();
+            edit(&mut code);
+            CodeTree::build(&[code])
         };
         assert!(mutated(&|_| {}).is_ok());
-        let cases: [&dyn Fn(&mut Feature); 6] = [
-            &|f| f.code.0[1].to = 7,        // skips DFS indices
-            &|f| f.code.0[2].from = 9,      // names a vertex the graph lacks
-            &|f| f.code.0[0].to_label = 4,  // labels disagree per index
-            &|f| f.code.0.swap(0, 1),       // does not start at (0, 1)
-            &|f| f.code.0[2] = f.code.0[1], // an edge twice, one missing
-            &|f| f.code.0.clear(),          // no code at all
+        let cases: [&dyn Fn(&mut DfsCode); 7] = [
+            &|c| c.0[1].to = 7,       // skips DFS indices
+            &|c| c.0[2].from = 9,     // names a vertex never placed
+            &|c| c.0[0].to_label = 4, // labels disagree per index
+            &|c| c.0.swap(0, 1),      // does not start at (0, 1)
+            &|c| c.0[2] = c.0[1],     // an edge twice, one missing
+            &|c| c.0.push(c.0[2]),    // a backward edge twice
+            &|c| c.0.clear(),         // no code at all
         ];
         for (i, edit) in cases.iter().enumerate() {
             match mutated(edit) {
@@ -862,15 +870,6 @@ mod tests {
                 other => panic!("case {i}: expected Corrupt, got {other:?}"),
             }
         }
-        // A well-formed code of a different graph (the path's).
-        let path = s
-            .features()
-            .iter()
-            .find(|f| f.graph.edge_count() == 2)
-            .expect("the path is mined");
-        let mut f = tri.clone();
-        f.code = path.code.clone();
-        assert!(matches!(CodeTree::build(&[f]), Err(GdimError::Corrupt(_))));
     }
 
     #[test]
@@ -884,7 +883,7 @@ mod tests {
             &MinerConfig::new(Support::Absolute(2)),
         );
         assert!(feats.iter().any(|f| f.graph.edge_count() == 4));
-        let tree = CodeTree::build(&feats).unwrap();
+        let tree = CodeTree::build(&codes(&feats)).unwrap();
         let star = |n: u32| {
             Graph::from_parts(vec![0; n as usize + 1], (1..=n).map(|i| (0, i, 0))).unwrap()
         };

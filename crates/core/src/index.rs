@@ -63,6 +63,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use gdim_exec::ExecConfig;
+use gdim_graph::dfscode::DfsCode;
 use gdim_graph::{Dissimilarity, Graph};
 use gdim_mining::{mine, MinerConfig, Support};
 
@@ -72,9 +73,8 @@ use crate::delta::{DeltaConfig, DeltaMatrix, SharedDelta};
 use crate::dspm::{dspm, DspmConfig};
 use crate::dspmap::{dspmap, DspmapConfig};
 use crate::error::GdimError;
-use crate::featurespace::FeatureSpace;
 use crate::query::{weighted_w_sq, MappedDatabase};
-use crate::scan::Tombstones;
+use crate::scan::{Tombstones, VectorStore};
 use crate::search::GraphId;
 
 /// How dimensions are computed.
@@ -234,7 +234,7 @@ pub struct IndexStats {
 /// not O(rows × allocations):
 ///
 /// * **shared** (an `Arc` bump, never copied again): everything that is
-///   immutable after a build — the dimensions (the features of the
+///   immutable after a build — the dimensions (the DFS codes of the
 ///   [`MappedDatabase`]), their code-tree cell, the ANN graph once
 ///   built — and every *sealed chunk* of the one append-only container
 ///   that owns heap memory per row (the graphs);
@@ -283,7 +283,7 @@ pub struct GraphIndex {
     inserts_since_rebuild: usize,
     /// Proximity graph for [`Ranker::Approx`](crate::search::Ranker::Approx),
     /// built lazily over the scan store on the first approximate query
-    /// (or restored from a v3 snapshot). Derived state: rows inserted
+    /// (or restored from a snapshot). Derived state: rows inserted
     /// after the build are served from an exact-scanned pending tail,
     /// and a rebuilt index starts with an empty cell, so the graph can
     /// never serve rows of a dead epoch. The
@@ -309,13 +309,13 @@ impl GraphIndex {
     /// Runs the full pipeline over `db`. Every parallel phase draws on
     /// the single [`IndexOptions::delta`] exec budget.
     pub fn build(db: Vec<Graph>, opts: IndexOptions) -> GraphIndex {
+        use crate::featurespace::FeatureSpace;
         let exec = opts.delta.exec;
         let delta_cfg = opts.delta.clone();
         if db.is_empty() {
             // An empty database still yields a servable (empty) index.
-            let space = FeatureSpace::build(0, Vec::new());
-            return Self::assemble(db, &space, &[], &[], opts, IndexStats::default())
-                .expect("empty mapping is valid");
+            let mapped = MappedDatabase::from_parts(Vec::new(), VectorStore::zeros(0, 0));
+            return Self::assemble(db, mapped, Vec::new(), opts, IndexStats::default());
         }
         let t0 = Instant::now();
         let features = mine(
@@ -384,8 +384,12 @@ impl GraphIndex {
             delta_time,
             selection_time,
         };
-        let index = Self::assemble(db, &space, &selected, &weights, opts, stats)
-            .expect("the selection comes from the space itself");
+        // The index keeps the selected columns of the space, and their
+        // weights; the space itself is dropped here.
+        let mapped =
+            MappedDatabase::new(&space, &selected).expect("the selection comes from the space");
+        let weights = selected.iter().map(|&r| weights[r as usize]).collect();
+        let index = Self::assemble(db, mapped, weights, opts, stats);
         // Warm the lazy code tree now: a serving index builds it at
         // build time, not on its first query.
         index.mapped.mapper();
@@ -393,60 +397,45 @@ impl GraphIndex {
     }
 
     /// The one constructor every path funnels through: a fresh
-    /// (epoch-0, fully live) index over the `selected` features of
-    /// `space`, which is not retained — `weights` (one per feature of
-    /// the space) is cut down to the selected columns with it.
+    /// (epoch-0, fully live) index over `db` whose rows are `mapped`,
+    /// with `weights` one per dimension.
     fn assemble(
         db: Vec<Graph>,
-        space: &FeatureSpace,
-        selected: &[u32],
-        weights: &[f64],
+        mapped: MappedDatabase,
+        weights: Vec<f64>,
         opts: IndexOptions,
         stats: IndexStats,
-    ) -> Result<GraphIndex, GdimError> {
-        let mapped = MappedDatabase::new(space, selected)?;
-        if weights.len() != space.num_features() {
-            return Err(GdimError::WeightsMismatch {
-                expected: space.num_features(),
-                got: weights.len(),
-            });
-        }
-        let tombstones = Tombstones::all_live(db.len());
-        Ok(GraphIndex {
+    ) -> GraphIndex {
+        GraphIndex {
+            tombstones: Tombstones::all_live(db.len()),
             db: db.into_iter().collect(),
             mapped,
-            w_sq_weighted: weighted_w_sq(selected, weights),
-            weights: selected.iter().map(|&r| weights[r as usize]).collect(),
+            w_sq_weighted: weighted_w_sq(&weights),
+            weights,
             opts,
             stats,
             epoch: 0,
-            tombstones,
             inserts_since_rebuild: 0,
             ann: OnceLock::new(),
-        })
+        }
     }
 
     /// Assembles an index from what a snapshot holds — the seam of
     /// [`GraphIndex::from_bytes`], and the single gate for bytes from
-    /// disk. `features` are the file's feature records with their
-    /// supports, `selected` the ids of the dimensions among them and
-    /// `weights` one weight per record: a file this build wrote holds
-    /// exactly the dimensions (`selected = 0..p`), an older one every
-    /// mined feature, and either way only the selected ones are kept.
-    /// The derived state (the flat scan store of binary mapped
-    /// vectors, the weighted scan weights, the code tree) is rebuilt
-    /// deterministically.
+    /// disk: the graphs, the dimensions' DFS codes, the store of every
+    /// row's vector over them (tombstoned rows included), one weight
+    /// per dimension, the options and the dynamic state. The code tree
+    /// and the weighted scan weights are derived from them.
     ///
-    /// Inputs are validated (feature supports must be strictly
-    /// ascending ids into `db`, every dimension's DFS code must spell
-    /// its graph, `weights` must cover the features, `selected` ids
-    /// must be in range, `tombstones` must cover `db`);
-    /// inconsistencies surface as [`GdimError`], never a panic.
+    /// Inputs are validated (one store row per graph, one store column
+    /// and one weight per code, a tombstone mask over every graph,
+    /// well-formed codes); inconsistencies surface as
+    /// [`GdimError::Corrupt`], never a panic.
     #[allow(clippy::too_many_arguments)] // one argument per section of the snapshot
     pub(crate) fn from_parts(
         db: Vec<Graph>,
-        features: Vec<gdim_mining::Feature>,
-        selected: Vec<u32>,
+        codes: Vec<DfsCode>,
+        store: VectorStore,
         weights: Vec<f64>,
         opts: IndexOptions,
         stats: IndexStats,
@@ -454,35 +443,19 @@ impl GraphIndex {
         tombstones: Tombstones,
         inserts_since_rebuild: usize,
     ) -> Result<GraphIndex, GdimError> {
-        // Validate supports before FeatureSpace::build indexes rows by
-        // them (and before the sorted-list invariants downstream code
-        // relies on are silently violated).
-        for (r, f) in features.iter().enumerate() {
-            let mut prev: Option<u32> = None;
-            for &gid in &f.support {
-                if gid as usize >= db.len() {
-                    return Err(GdimError::Corrupt(format!(
-                        "feature {r} support references graph {gid} of {}",
-                        db.len()
-                    )));
-                }
-                if prev.is_some_and(|p| gid <= p) {
-                    return Err(GdimError::Corrupt(format!(
-                        "feature {r} support ids not strictly ascending at {gid}"
-                    )));
-                }
-                prev = Some(gid);
-            }
-        }
-        if tombstones.len() != db.len() {
+        let (n, p) = (db.len(), codes.len());
+        if (store.len(), store.bits(), weights.len(), tombstones.len()) != (n, p, p, n) {
             return Err(GdimError::Corrupt(format!(
-                "tombstone mask covers {} rows, database has {}",
-                tombstones.len(),
-                db.len()
+                "{n} graphs and {p} dimensions, but a store of {} rows × {} bits, \
+                 {} weights and a tombstone mask over {} rows",
+                store.len(),
+                store.bits(),
+                weights.len(),
+                tombstones.len()
             )));
         }
-        let space = FeatureSpace::build(db.len(), features);
-        let mut index = Self::assemble(db, &space, &selected, &weights, opts, stats)?;
+        let mapped = MappedDatabase::from_parts(codes, store);
+        let mut index = Self::assemble(db, mapped, weights, opts, stats);
         // Mapping trusts the codes; building the tree checks them (and
         // a serving index has its tree before its first query).
         index.mapped.try_mapper()?;
@@ -502,21 +475,14 @@ impl GraphIndex {
     /// # Panics
     /// If a kept id is not a row of this index.
     pub fn subset(&self, kept: &[u32], epoch: u64) -> GraphIndex {
-        GraphIndex {
-            db: kept
-                .iter()
-                .map(|&i| self.db.get(i as usize).expect("kept ids are rows").clone())
-                .collect(),
-            mapped: self.mapped.with_rows(kept),
-            weights: self.weights.clone(),
-            w_sq_weighted: self.w_sq_weighted.clone(),
-            opts: self.opts.clone(),
-            stats: self.stats.clone(),
-            epoch,
-            tombstones: Tombstones::all_live(kept.len()),
-            inserts_since_rebuild: 0,
-            ann: OnceLock::new(),
-        }
+        let db = (kept.iter())
+            .map(|&i| self.db.get(i as usize).expect("kept ids are rows").clone())
+            .collect();
+        let mapped = self.mapped.with_rows(kept);
+        let (opts, stats) = (self.opts.clone(), self.stats.clone());
+        let mut index = Self::assemble(db, mapped, self.weights.clone(), opts, stats);
+        index.epoch = epoch;
+        index
     }
 
     /// Number of indexed rows, **including** tombstoned ones (ids stay
@@ -578,7 +544,7 @@ impl GraphIndex {
     }
 
     /// The mapped database: the dimensions
-    /// ([`MappedDatabase::features`]) and every row's vector over them.
+    /// ([`MappedDatabase::codes`]) and every row's vector over them.
     pub fn mapped(&self) -> &MappedDatabase {
         &self.mapped
     }
@@ -967,8 +933,8 @@ mod tests {
             copy.mapped().mapper()
         ));
         assert!(std::ptr::eq(
-            index.mapped().features().as_ptr(),
-            copy.mapped().features().as_ptr()
+            index.mapped().codes().as_ptr(),
+            copy.mapped().codes().as_ptr()
         ));
         assert!(Arc::ptr_eq(
             index.ann.get().expect("built"),
@@ -1023,35 +989,30 @@ mod tests {
 
     #[test]
     fn online_inserts_match_batch_construction() {
-        // Mine over 24 graphs, index the first 20 (supports restricted
-        // to them) under four of the features, insert the other 4: the
-        // rows must equal those of the database mapped over all 24 at
-        // once (same features, so they line up exactly) — and the
-        // parts held all m features, of which the index keeps four.
+        // Mine over 24 graphs, index the first 20 under four of the
+        // features, insert the other 4: the rows must equal those of
+        // the database mapped over all 24 at once (same features, so
+        // they line up exactly).
+        use crate::featurespace::FeatureSpace;
         let all = db(24, 31);
         let feats = mine(
             &all,
             &MinerConfig::new(Support::Relative(0.2)).with_max_edges(4),
         );
-        let m = feats.len();
-        assert!(m > 7);
+        assert!(feats.len() > 7);
         let selected = vec![1, 3, 4, 6];
-        let full = FeatureSpace::build(all.len(), feats.clone());
+        let full = FeatureSpace::build(all.len(), feats);
         let batch = MappedDatabase::new(&full, &selected).unwrap();
-        let restricted = feats
-            .iter()
-            .map(|f| gdim_mining::Feature {
-                graph: f.graph.clone(),
-                code: f.code.clone(),
-                support: f.support.iter().copied().filter(|&g| g < 20).collect(),
-            })
-            .collect();
+        let first = full.restrict_graphs(&(0..20).collect::<Vec<_>>());
         let donor = GraphIndex::build(Vec::new(), IndexOptions::default());
         let mut grown = GraphIndex::from_parts(
             all[..20].to_vec(),
-            restricted,
-            selected.clone(),
-            (0..m).map(|r| r as f64).collect(),
+            batch.codes().to_vec(),
+            MappedDatabase::new(&first, &selected)
+                .unwrap()
+                .store()
+                .clone(),
+            vec![1.0, 3.0, 4.0, 6.0],
             donor.options().clone(),
             donor.stats().clone(),
             0,
@@ -1060,18 +1021,15 @@ mod tests {
         )
         .unwrap();
         assert_eq!(grown.p(), 4);
-        assert_eq!(grown.weights(), [1.0, 3.0, 4.0, 6.0]);
-        assert!(grown.mapped().codes().eq(batch.codes()));
         for g in &all[20..] {
             grown.insert(g.clone());
         }
         assert_eq!(grown.mapped().store(), batch.store());
-        // A snapshot of the grown index records each dimension's
-        // support over all 24 rows.
+        // A snapshot of the grown index holds every row, inserts
+        // included.
         let back = GraphIndex::from_bytes(&grown.to_bytes()).unwrap();
-        for (f, &r) in back.mapped().features().iter().zip(&selected) {
-            assert_eq!(f.support, full.if_list(r as usize), "feature {r}");
-        }
+        assert_eq!(back.mapped().store(), batch.store());
+        assert_eq!(back.weights(), [1.0, 3.0, 4.0, 6.0]);
     }
 
     #[test]
@@ -1096,37 +1054,32 @@ mod tests {
     #[test]
     fn from_parts_rejects_inconsistent_supports() {
         // The decoder's assembly seam must uphold the no-panic
-        // contract: a support id outside the database, or an unsorted
-        // support list, is a typed error before any derived state is
-        // built.
+        // contract: a store whose rows or columns (the dimensions'
+        // supports) do not match the graphs and the codes is a typed
+        // error before any derived state is built.
         let idx = GraphIndex::build(db(6, 41), IndexOptions::default().with_dimensions(8));
-        let assemble = |features| {
+        let (n, p) = (idx.len(), idx.p());
+        let assemble = |store: VectorStore| {
             GraphIndex::from_parts(
                 idx.graphs().cloned().collect(),
-                features,
-                (0..idx.p() as u32).collect(),
+                idx.mapped().codes().to_vec(),
+                store,
                 idx.weights().to_vec(),
                 idx.options().clone(),
                 idx.stats().clone(),
                 0,
-                Tombstones::all_live(idx.len()),
+                Tombstones::all_live(n),
                 0,
             )
         };
-        let mut features = idx.mapped().features().to_vec();
-        features[0].support = vec![0, 99];
-        match assemble(features) {
-            Err(GdimError::Corrupt(msg)) => assert!(msg.contains("99"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-        let mut features = idx.mapped().features().to_vec();
-        features[0].support = vec![2, 1];
-        match assemble(features) {
-            Err(GdimError::Corrupt(msg)) => assert!(msg.contains("ascending"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
+        for (rows, bits) in [(n + 1, p), (n - 1, p), (n, p + 1)] {
+            match assemble(VectorStore::zeros(rows, bits)) {
+                Err(GdimError::Corrupt(msg)) => assert!(msg.contains("store"), "{msg}"),
+                other => panic!("{rows}×{bits}: expected Corrupt, got {other:?}"),
+            }
         }
         // The unmodified parts still assemble.
-        assert!(assemble(idx.mapped().features().to_vec()).is_ok());
+        assert!(assemble(idx.mapped().store().clone()).is_ok());
     }
 
     #[test]

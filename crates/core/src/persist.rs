@@ -1,26 +1,24 @@
 //! Versioned binary persistence for [`GraphIndex`]: build once, serve
 //! from disk.
 //!
-//! Layout of the current format, **v3** (all integers little-endian,
+//! Layout of the current format, **v4** (all integers little-endian,
 //! lengths as `u64`):
 //!
 //! ```text
 //! magic    8 B   b"GDIMIDX\0"
-//! version  u32   3
+//! version  u32   4
 //! δ kind   u8    0 = δ1 (MaxNorm), 1 = δ2 (AvgNorm)
 //! precheck u8    MCS containment pre-check flag
 //! budget   u64   MCS node budget
-//! reserved u8    must be 0 (an index stores binary vectors;
-//!                weighted requests are served from derived weights)
-//! stats    mined_features u64 · dimensions u64 · used_dspmap u8 ·
-//!          delta_pairs u64 · three phase times as nanos u64
+//! stats    mined_features u64 · used_dspmap u8 · delta_pairs u64 ·
+//!          three phase times as nanos u64
 //! db       n u64, then per graph: |V| u64 · vlabels u32* ·
 //!          |E| u64 · (u, v, label) u32³ per edge
-//! features m u64, then per feature: pattern graph (as above) ·
-//!          code len u64 · (from, to, l_from, l_e, l_to) u32⁵ per edge ·
-//!          support len u64 · graph ids u32*
-//! selected p u64 · feature ids u32*
-//! weights  len u64 · IEEE-754 bit patterns u64*
+//! dims     p u64, then per dimension: code len u64 ·
+//!          (from, to, l_from, l_e, l_to) u32⁵ per edge
+//! rows     n × ⌈p/64⌉ store words u64, row-major, tombstoned rows
+//!          included; every bit at or above p is 0
+//! weights  p IEEE-754 bit patterns u64, column order
 //! -- tail (dynamic-index state + build options) ---------------------
 //! options  min_support tag u8 (0 = relative, 1 = absolute) ·
 //!          value u64 (f64 bits when relative) ·
@@ -45,45 +43,36 @@
 //! options let the owner of a reloaded index rebuild it with exactly
 //! the pipeline that produced it.
 //!
-//! **What `features` holds.** An index keeps its `p` dimensions, not
-//! the `m` features they were selected from, so the encoder writes
-//! exactly the dimensions: `p` feature records in column order, each
-//! support the ascending ids of the rows whose vector has that column
-//! set (build-time rows and online inserts alike), `selected = 0, 1,
-//! …, p − 1`, and `p` weights. A file written while an index still
-//! retained its mined space holds all `m` mined features, the ids of
-//! the selected ones among them and `m` weights; the decoder reads
-//! both the same way — it keeps the features `selected` names, in that
-//! order, with their weights, and discards the rest — so there is one
-//! layout and one decoder.
+//! **What `dims` and `rows` hold.** Exactly what the index holds: its
+//! `p` dimensions — each a DFS code, whose pattern graph is
+//! [`DfsCode::to_graph`] — and one binary vector per row over them,
+//! the words of the scan [`VectorStore`] as they are. A dimension's
+//! support is its store column, so no support list is written, and
+//! the `m` mined features the dimensions were chosen from are not
+//! part of the index (only their count, in the stats).
 //!
-//! v3 is the only format read or written: a header stamped 1 or 2
+//! v4 is the only format read or written: a header stamped 1, 2 or 3
 //! answers [`GdimError::UnsupportedVersion`] (nothing outside this
-//! repository ever wrote those). The ANN graph is the one piece of
-//! *derived* state that **is** persisted when present: unlike the scan
-//! store it costs O(n·ef_construction) distance evaluations to
+//! repository ever wrote those). The ANN graph is persisted when
+//! present: it costs O(n·ef_construction) distance evaluations to
 //! rebuild, so a serving restart should not have to re-pay the build
 //! to keep its latency budget.
 //!
-//! Derived state — the flat
-//! [`VectorStore`](crate::scan::VectorStore) of mapped vectors (row
-//! `i` has column `c` set iff `i` is in dimension `c`'s support), the
-//! [`CodeTree`](crate::featurespace::CodeTree) that maps queries and
-//! inserts (a prefix tree over the dimensions' DFS codes), and the
-//! weighted scan weights —
-//! is **not** persisted: it is rebuilt deterministically on load,
-//! which keeps the format small and makes a reloaded index answer
-//! byte-identically to the one that was saved, grown and tombstoned
-//! or not. The exec budget
-//! is deliberately not persisted either — core counts belong to the
-//! serving machine, not the index file
+//! Derived state — the [`CodeTree`](crate::featurespace::CodeTree)
+//! that maps queries and inserts (a prefix tree over the dimensions'
+//! DFS codes) and the weighted scan weights — is **not** persisted: it
+//! is rebuilt deterministically on load, so a reloaded index answers
+//! byte-identically to the one that was saved, grown and tombstoned or
+//! not. The exec budget is deliberately not persisted either — core
+//! counts belong to the serving machine, not the index file
 //! ([`GraphIndex::set_exec`](crate::index::GraphIndex::set_exec)).
 //!
 //! The bytes are written and read with the shared [`gdim_wal::codec`]
-//! (graphs at `u64` width). Every count above — `n`, `m`, `p`, a
-//! length, `built_n`, an ANN degree — obeys the count rule of
+//! (graphs at `u64` width). Every count above — `n`, `p`, a length,
+//! `built_n`, an ANN degree — obeys the count rule of
 //! [`Reader::count`](gdim_wal::codec::Reader::count); the stats are
-//! plain counters. Every structural defect surfaces as
+//! plain counters, and the row and weight sections take their lengths
+//! from `n` and `p`. Every structural defect surfaces as
 //! [`GdimError::Corrupt`] (or [`GdimError::UnsupportedVersion`] for
 //! any other format version), never a panic.
 //!
@@ -98,7 +87,7 @@
 
 use gdim_graph::dfscode::{DfsCode, DfsEdge};
 use gdim_graph::{Dissimilarity, McsOptions};
-use gdim_mining::{Feature, Support};
+use gdim_mining::Support;
 use gdim_wal::codec::{
     put_count, put_f64, put_graph, put_u32, put_u64, put_u8, CodecError, Reader, Width,
 };
@@ -106,32 +95,15 @@ use gdim_wal::codec::{
 use crate::delta::DeltaConfig;
 use crate::error::GdimError;
 use crate::index::{GraphIndex, IndexOptions, IndexStats, RebuildPolicy, SelectionStrategy};
-use crate::scan::Tombstones;
+use crate::scan::{Tombstones, VectorStore};
 
 pub(crate) const MAGIC: [u8; 8] = *b"GDIMIDX\0";
 /// The one format version this build reads and writes.
-pub(crate) const VERSION: u32 = 3;
+pub(crate) const VERSION: u32 = 4;
 /// The width of every count in the format (an ANN degree excepted).
 const W: Width = Width::U64;
 
 // ---------------------------------------------------------------- write
-
-/// One feature record. `support` is passed beside the feature because
-/// the index keeps it as a store column; `f.support` is whatever the
-/// feature was mined or loaded with and misses the online inserts.
-fn put_feature(buf: &mut Vec<u8>, f: &Feature, support: &[u32]) {
-    put_graph(buf, &f.graph, W);
-    put_count(buf, f.code.len(), W);
-    for e in &f.code.0 {
-        for v in [e.from, e.to, e.from_label, e.elabel, e.to_label] {
-            put_u32(buf, v);
-        }
-    }
-    put_count(buf, support.len(), W);
-    for &gid in support {
-        put_u32(buf, gid);
-    }
-}
 
 /// Serializes an index (format documented in the module docs).
 pub(crate) fn encode(index: &GraphIndex) -> Vec<u8> {
@@ -143,7 +115,7 @@ pub(crate) fn encode(index: &GraphIndex) -> Vec<u8> {
     buf
 }
 
-/// The head: header + stats + graphs (everything up to `features`).
+/// The head: header + stats + graphs (everything up to `dims`).
 fn encode_head(index: &GraphIndex, buf: &mut Vec<u8>) {
     buf.extend_from_slice(&MAGIC);
     put_u32(buf, VERSION);
@@ -158,15 +130,9 @@ fn encode_head(index: &GraphIndex, buf: &mut Vec<u8>) {
     );
     put_u8(buf, cfg.mcs.containment_precheck as u8);
     put_u64(buf, cfg.mcs.node_budget);
-    // Reserved byte. A built index always stores binary vectors — the
-    // weighted mapping is served from the same vectors via the derived
-    // DSPM weights, never baked into the mapped database — so there
-    // is nothing to record here.
-    put_u8(buf, 0);
 
     let stats = index.stats();
     put_u64(buf, stats.mined_features as u64);
-    put_u64(buf, stats.dimensions as u64);
     put_u8(buf, stats.used_dspmap as u8);
     put_u64(buf, stats.delta_pairs as u64);
     for t in [stats.mining_time, stats.delta_time, stats.selection_time] {
@@ -179,26 +145,26 @@ fn encode_head(index: &GraphIndex, buf: &mut Vec<u8>) {
     }
 }
 
-/// The `features` / `selected` / `weights` sections: the index's `p`
-/// dimensions, each with its store column as support, selected
-/// `0..p` (see "What `features` holds" in the module docs).
+/// The `dims` / `rows` / `weights` sections: the index's `p` codes,
+/// its store words and its `p` weights (see "What `dims` and `rows`
+/// hold" in the module docs).
 fn encode_dimensions(index: &GraphIndex, buf: &mut Vec<u8>) {
     let mapped = index.mapped();
-    let mut supports = vec![Vec::new(); mapped.p()];
-    for i in 0..mapped.len() {
-        for col in mapped.vector(i).iter_ones() {
-            supports[col].push(i as u32);
+    put_count(buf, mapped.p(), W);
+    for code in mapped.codes() {
+        put_count(buf, code.len(), W);
+        for e in &code.0 {
+            for v in [e.from, e.to, e.from_label, e.elabel, e.to_label] {
+                put_u32(buf, v);
+            }
         }
     }
-    put_count(buf, mapped.p(), W);
-    for (f, support) in mapped.features().iter().zip(&supports) {
-        put_feature(buf, f, support);
+    let store = mapped.store();
+    for i in 0..store.len() {
+        for &w in store.row(i) {
+            put_u64(buf, w);
+        }
     }
-    put_count(buf, mapped.p(), W);
-    for col in 0..mapped.p() {
-        put_u32(buf, col as u32);
-    }
-    put_count(buf, index.weights().len(), W);
     for &w in index.weights() {
         put_f64(buf, w);
     }
@@ -267,10 +233,10 @@ fn encode_ann(index: &GraphIndex, buf: &mut Vec<u8>) {
 
 // ----------------------------------------------------------------- read
 
-/// A feature record written by [`put_feature`].
-fn feature(r: &mut Reader) -> Result<Feature, CodecError> {
-    let graph = r.graph(W)?;
-    let code = r.list(W, 20, |r| {
+/// A DFS code written by [`encode_dimensions`] (checked for form when
+/// the code tree is built).
+fn code(r: &mut Reader) -> Result<DfsCode, CodecError> {
+    let edges = r.list(W, 20, |r| {
         Ok(DfsEdge {
             from: r.u32()?,
             to: r.u32()?,
@@ -279,12 +245,20 @@ fn feature(r: &mut Reader) -> Result<Feature, CodecError> {
             to_label: r.u32()?,
         })
     })?;
-    let support = r.list(W, 4, Reader::u32)?;
-    Ok(Feature {
-        graph,
-        code: DfsCode(code),
-        support,
-    })
+    Ok(DfsCode(edges))
+}
+
+/// `len` little-endian `u64`s (a `len` that overflowed, `None`, is
+/// corrupt). The bytes are taken first, so the vector is bounded by
+/// the input.
+fn words(r: &mut Reader, len: Option<usize>) -> Result<Vec<u64>, GdimError> {
+    let bytes = len
+        .and_then(|len| len.checked_mul(8))
+        .ok_or_else(|| GdimError::Corrupt("section length overflows".into()))?;
+    Ok(r.take(bytes)?
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+        .collect())
 }
 
 /// Deserializes an index written by [`encode`], rebuilding derived
@@ -312,34 +286,30 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<GraphIndex, GdimError> {
     };
     let containment_precheck = r.flag()?;
     let node_budget = r.u64()?;
-    match r.u8()? {
-        0 => {}
-        other => {
-            return Err(GdimError::Corrupt(format!(
-                "reserved byte is {other}, expected 0"
-            )))
-        }
-    }
     // Stats are plain counters, not element counts: they are not held
     // to the count rule (`delta_pairs` is quadratic in `n` and
     // legitimately exceeds the file size at scale).
-    let stats = IndexStats {
+    let mut stats = IndexStats {
         mined_features: r.u64()? as usize,
-        dimensions: r.u64()? as usize,
         used_dspmap: r.flag()?,
         delta_pairs: r.u64()? as usize,
         mining_time: std::time::Duration::from_nanos(r.u64()?),
         delta_time: std::time::Duration::from_nanos(r.u64()?),
         selection_time: std::time::Duration::from_nanos(r.u64()?),
+        ..IndexStats::default()
     };
 
-    // A graph takes at least its two counts; a feature its graph's two
-    // plus its code's and its support's.
+    // A graph takes at least its two counts, a code its one.
     let db = r.list(W, 16, |r| r.graph(W))?;
     let n = db.len();
-    let features = r.list(W, 32, feature)?;
-    let selected = r.list(W, 4, Reader::u32)?;
-    let weights = r.list(W, 8, Reader::f64)?;
+    let codes = r.list(W, 8, code)?;
+    let p = codes.len();
+    stats.dimensions = p;
+    let store = VectorStore::from_words(n, p, words(&mut r, n.checked_mul(p.div_ceil(64)))?)?;
+    let weights = words(&mut r, Some(p))?
+        .into_iter()
+        .map(f64::from_bits)
+        .collect();
 
     let delta = DeltaConfig {
         kind,
@@ -438,11 +408,11 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<GraphIndex, GdimError> {
     r.finish()?;
 
     let index = GraphIndex::from_parts(
-        db, features, selected, weights, opts, stats, epoch, tombstones, pending,
+        db, codes, store, weights, opts, stats, epoch, tombstones, pending,
     )
     // Structurally valid bytes can still describe an inconsistent
-    // index (selected id outside the space, wrong weights length);
-    // from a file, that is corruption too.
+    // index (a code that spells no graph); from a file, that is
+    // corruption too.
     .map_err(|e| GdimError::Corrupt(format!("inconsistent index payload: {e}")))?;
     if let Some(ann) = ann {
         index.set_ann(ann);
@@ -490,24 +460,51 @@ mod tests {
     /// insert (pending) and two removes (tombstones). A round trip
     /// cannot see a change made the same way to the encoder and the
     /// decoder; a file written before the change can.
-    const FIXTURE: &[u8] = include_bytes!("../tests/fixtures/v3-small.idx");
+    const FIXTURE: &[u8] = include_bytes!("../tests/fixtures/v4-small.idx");
+
+    /// Where the `dims`, `rows` and `weights` sections of `idx`'s
+    /// snapshot start, and where each code's first edge sits.
+    fn sections(idx: &GraphIndex) -> (usize, usize, usize, Vec<usize>) {
+        let mut head = Vec::new();
+        encode_head(idx, &mut head);
+        let dims = head.len();
+        let mut at = dims + 8;
+        let mut edges = Vec::new();
+        for code in idx.mapped().codes() {
+            edges.push(at + 8);
+            at += 8 + 20 * code.len();
+        }
+        let weights = at + 8 * idx.len() * idx.mapped().store().stride();
+        (dims, at, weights, edges)
+    }
 
     #[test]
-    fn committed_v3_fixture_reencodes_byte_identically() {
+    fn committed_v4_fixture_reencodes_byte_identically() {
         let idx = GraphIndex::from_bytes(FIXTURE).unwrap();
         assert_eq!((idx.len(), idx.p()), (11, 8));
+        assert_eq!(idx.stats().dimensions, 8);
         assert_eq!(idx.pending_inserts(), 1);
         assert_eq!(idx.tombstones().dead_ids(), vec![1, 6]);
         assert_eq!(idx.ann_if_built().map(|a| a.built_n()), Some(10));
-        // The three phase times (nanos at offsets 48, 56, 64) come back
+        // The three phase times (nanos at offsets 39, 47, 55) come back
         // verbatim.
         let nanos = |at: usize| u64::from_le_bytes(FIXTURE[at..at + 8].try_into().unwrap());
         let s = idx.stats();
         assert_eq!(
             [s.mining_time, s.delta_time, s.selection_time].map(|t| t.as_nanos() as u64),
-            [nanos(48), nanos(56), nanos(64)]
+            [nanos(39), nanos(47), nanos(55)]
         );
-        assert!(nanos(56) > 0);
+        assert!(nanos(47) > 0);
+        // Every row, the tombstoned ones included, is its store words.
+        let (_, rows, weights, _) = sections(&idx);
+        let words: Vec<u64> = (0..idx.len())
+            .flat_map(|i| idx.mapped().store().row(i).to_vec())
+            .collect();
+        let stored: Vec<u64> = FIXTURE[rows..weights]
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        assert_eq!(stored, words);
         assert_eq!(idx.to_bytes(), FIXTURE);
     }
 
@@ -518,7 +515,7 @@ mod tests {
         let back = GraphIndex::from_bytes(&bytes).unwrap();
         assert_eq!(back.len(), idx.len());
         assert!(back.graphs().eq(idx.graphs()));
-        assert!(back.mapped().codes().eq(idx.mapped().codes()));
+        assert_eq!(back.mapped().codes(), idx.mapped().codes());
         assert_eq!(back.weights(), idx.weights());
         assert_eq!(back.dissimilarity(), idx.dissimilarity());
         assert_eq!(back.stats().mined_features, idx.stats().mined_features);
@@ -584,34 +581,28 @@ mod tests {
         let idx = index(6, 13);
         let mut bytes = idx.to_bytes();
         // Layout: magic 8 + version 4 + kind 1 + precheck 1 + budget 8
-        // + mapping 1 = 23; mined_features u64 @23, dimensions u64 @31,
-        // used_dspmap u8 @39, delta_pairs u64 @40.
+        // = 22; mined_features u64 @22, used_dspmap u8 @30,
+        // delta_pairs u64 @31.
         let huge: u64 = 1_999_000;
         assert!(huge > bytes.len() as u64);
-        bytes[40..48].copy_from_slice(&huge.to_le_bytes());
+        bytes[31..39].copy_from_slice(&huge.to_le_bytes());
         let back = GraphIndex::from_bytes(&bytes).expect("counters bypass the length cap");
         assert_eq!(back.stats().delta_pairs, huge as usize);
     }
 
     #[test]
     fn inconsistent_payload_surfaces_as_corrupt() {
-        // Structurally parseable bytes whose selected ids point outside
-        // the feature space must be Corrupt, not DimensionOutOfRange —
-        // callers quarantine index files by matching on Corrupt.
-        let idx = index(8, 15);
-        let p = idx.p();
-        let wn = idx.weights().len();
-        assert!(p > 0);
-        let mut bytes = idx.to_bytes();
-        // The selected ids are the p u32s immediately before the
-        // weights block (8-byte count + 8 bytes per weight), which is
-        // followed by the options/dynamic-state tail.
-        let mut tail = Vec::new();
-        encode_tail(&idx, &mut tail);
-        let mut ann = Vec::new();
-        encode_ann(&idx, &mut ann);
-        let sel_start = bytes.len() - ann.len() - tail.len() - (8 + 8 * wn) - 4 * p;
-        bytes[sel_start..sel_start + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        // Structurally parseable bytes whose code spells no graph (its
+        // second edge skips a DFS index) must be Corrupt — callers
+        // quarantine index files by matching on Corrupt.
+        let idx = GraphIndex::from_bytes(FIXTURE).unwrap();
+        let (_, _, _, edges) = sections(&idx);
+        let col = (idx.mapped().codes().iter())
+            .position(|c| c.len() >= 2 && c.0[1].is_forward())
+            .expect("a two-edge path dimension");
+        let to = edges[col] + 20 + 4;
+        let mut bytes = FIXTURE.to_vec();
+        bytes[to..to + 4].copy_from_slice(&(idx.mapped().codes()[col].0[1].to + 1).to_le_bytes());
         match GraphIndex::from_bytes(&bytes) {
             Err(GdimError::Corrupt(msg)) => {
                 assert!(msg.contains("inconsistent"), "{msg}")
@@ -622,40 +613,52 @@ mod tests {
 
     #[test]
     fn a_feature_code_that_is_not_its_graphs_is_corrupt() {
-        // The mapper walks a feature's DFS code, not its graph: a
-        // snapshot whose code names a vertex the graph lacks, skips a
-        // DFS index or spells other labels must not load (and must not
-        // panic or mis-map later). Mutate one field of one code edge
-        // of an otherwise valid snapshot.
-        let idx = index(12, 15);
-        let bytes = idx.to_bytes();
-        let f = (idx.mapped().features().iter())
-            .find(|f| f.code.len() >= 2)
-            .expect("a two-edge feature is selected");
-        // The feature's record starts with its graph; its code follows
-        // an 8-byte count, 20 bytes per edge.
-        let mut graph = Vec::new();
-        put_graph(&mut graph, &f.graph, W);
-        let mut record = Vec::new();
-        put_feature(&mut record, f, &f.support); // fresh build: as mined
-        let at = (0..bytes.len() - record.len())
-            .find(|&i| bytes[i..].starts_with(&record))
-            .expect("the record is in the snapshot");
-        let field = |edge: usize, word: usize| at + graph.len() + 8 + 20 * edge + 4 * word;
-        let last = f.code.len() - 1;
+        // A dimension is stored as its code alone: a code that spells
+        // no graph (an edge from a vertex it never placed, a loop, a
+        // vertex relabelled) must not load, and must not panic or
+        // mis-map later. Mutate one field of one code edge.
+        let idx = GraphIndex::from_bytes(FIXTURE).unwrap();
+        let (_, _, _, edges) = sections(&idx);
+        let col = (idx.mapped().codes().iter())
+            .position(|c| c.len() >= 2)
+            .expect("a two-edge dimension");
+        let code = &idx.mapped().codes()[col];
+        let field = |edge: usize, word: usize| edges[col] + 20 * edge + 4 * word;
+        let last = code.len() - 1;
         for (what, offset, value) in [
             (
-                "a vertex the graph lacks",
+                "a vertex never placed",
                 field(last, 0),
-                f.graph.vertex_count() as u32,
+                code.vertex_count() as u32,
             ),
-            ("a skipped DFS index", field(1, 1), f.code.0[1].to + 1),
-            ("another edge label", field(0, 3), f.code.0[0].elabel + 1),
+            ("a loop", field(1, 1), code.0[1].from),
+            ("a relabelled vertex", field(1, 2), code.0[1].from_label + 1),
         ] {
-            let mut bad = bytes.clone();
+            let mut bad = FIXTURE.to_vec();
             bad[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
             match GraphIndex::from_bytes(&bad) {
                 Err(GdimError::Corrupt(msg)) => assert!(msg.contains("code"), "{what}: {msg}"),
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn v4_rows_that_break_their_rules_are_corrupt() {
+        // A row word with a bit at or above p, and a row section one
+        // word short: each is Corrupt, not a panic and not an index.
+        let idx = GraphIndex::from_bytes(FIXTURE).unwrap();
+        assert!(!idx.p().is_multiple_of(64));
+        let (_, rows, _, _) = sections(&idx);
+        let mut stray = FIXTURE.to_vec();
+        stray[rows + 7] |= 0x80; // bit 63 of row 0
+        let short = [&FIXTURE[..rows], &FIXTURE[rows + 8..]].concat();
+        for (what, bytes, says) in [
+            ("a bit at or above p", stray, "at or above p"),
+            ("a short row section", short, ""),
+        ] {
+            match GraphIndex::from_bytes(&bytes) {
+                Err(GdimError::Corrupt(msg)) => assert!(msg.contains(says), "{what}: {msg}"),
                 other => panic!("{what}: expected Corrupt, got {other:?}"),
             }
         }
@@ -672,13 +675,13 @@ mod tests {
     #[test]
     fn older_format_versions_are_unsupported() {
         let idx = index(6, 17);
-        for old in [1u32, 2] {
+        for old in [1u32, 2, 3] {
             let mut bytes = idx.to_bytes();
             bytes[8..12].copy_from_slice(&old.to_le_bytes());
             match GraphIndex::from_bytes(&bytes) {
                 Err(GdimError::UnsupportedVersion {
                     found,
-                    supported: 3,
+                    supported: 4,
                 }) => assert_eq!(found, old),
                 other => panic!("version {old}: expected UnsupportedVersion, got {other:?}"),
             }
@@ -701,8 +704,8 @@ mod tests {
         // Reassembled at epoch 1, so a non-zero epoch is exercised.
         let mut idx = GraphIndex::from_parts(
             built.graphs().cloned().collect(),
-            built.mapped().features().to_vec(),
-            (0..built.p() as u32).collect(),
+            built.mapped().codes().to_vec(),
+            built.mapped().store().clone(),
             built.weights().to_vec(),
             built.options().clone(),
             built.stats().clone(),
@@ -717,7 +720,7 @@ mod tests {
         idx.remove(crate::search::GraphId(2)).unwrap();
         idx.remove(crate::search::GraphId(15)).unwrap(); // an inserted row
         let bytes = idx.to_bytes();
-        // The feature count follows the head: the p dimensions, not
+        // The dimension count follows the head: the p dimensions, not
         // the m features they were selected from.
         let mut head = Vec::new();
         encode_head(&idx, &mut head);
@@ -739,70 +742,6 @@ mod tests {
         let own = back.search(&extra[0], &SearchRequest::new(17)).unwrap();
         assert_eq!(own.hits.len(), 15, "every live row, no dead one");
         assert!(own.hits.iter().all(|h| ![2, 15].contains(&h.id.get())));
-    }
-
-    #[test]
-    fn a_snapshot_that_still_holds_the_mined_space_loads_and_answers_identically() {
-        // A v3 file in the shape written while an index retained its
-        // mined space — all m features with supports over every row,
-        // the selected ids among them, m weights — built by hand
-        // around the head, tail and ANN section of an index grown past
-        // a chunk seal and tombstoned on both sides of the build line.
-        let db = gdim_datagen::chem_db(14, &gdim_datagen::ChemConfig::default(), 29);
-        let extra = gdim_datagen::chem_db(40, &gdim_datagen::ChemConfig::default(), 92);
-        let mut idx = GraphIndex::build(db.clone(), IndexOptions::default().with_dimensions(18));
-        for g in &extra {
-            idx.insert(g.clone());
-        }
-        for id in [2, 15, 53] {
-            idx.remove(crate::search::GraphId(id)).unwrap();
-        }
-        idx.ann();
-        let opts = idx.options();
-        let mined = gdim_mining::mine(
-            &db,
-            &gdim_mining::MinerConfig::new(opts.min_support).with_max_edges(opts.max_pattern_edges),
-        );
-        let (m, p) = (mined.len(), idx.p());
-        assert_eq!(m, idx.stats().mined_features);
-        assert!(m > p);
-        let selected: Vec<u32> = (idx.mapped().codes())
-            .map(|code| mined.iter().position(|f| &f.code == code).unwrap() as u32)
-            .collect();
-        let mut weights = vec![0.5; m];
-        for (&r, &w) in selected.iter().zip(idx.weights()) {
-            weights[r as usize] = w;
-        }
-        let mut bytes = Vec::new();
-        encode_head(&idx, &mut bytes);
-        put_count(&mut bytes, m, W);
-        for f in &mined {
-            let inserted = (0..extra.len())
-                .filter(|&j| gdim_graph::vf2::is_subgraph_iso(&f.graph, &extra[j]))
-                .map(|j| (db.len() + j) as u32);
-            let support: Vec<u32> = f.support.iter().copied().chain(inserted).collect();
-            put_feature(&mut bytes, f, &support);
-        }
-        put_count(&mut bytes, p, W);
-        for &r in &selected {
-            put_u32(&mut bytes, r);
-        }
-        put_count(&mut bytes, m, W);
-        for &w in &weights {
-            put_f64(&mut bytes, w);
-        }
-        encode_tail(&idx, &mut bytes);
-        encode_ann(&idx, &mut bytes);
-
-        // The decoder keeps the selected features and discards the
-        // rest: the loaded index is the index that would have written
-        // the file, byte for byte in today's shape, answer for answer.
-        let old = GraphIndex::from_bytes(&bytes).unwrap();
-        assert_eq!((old.p(), old.weights()), (p, idx.weights()));
-        let today = idx.to_bytes();
-        assert_eq!(old.to_bytes(), today);
-        assert_eq!(GraphIndex::from_bytes(&today).unwrap().to_bytes(), today);
-        assert_same_answers(&old, &idx, extra.iter().take(3).chain(&db[..2]));
     }
 
     #[test]

@@ -26,7 +26,6 @@ use gdim_exec::ExecConfig;
 use gdim_graph::dfscode::DfsCode;
 use gdim_graph::vf2::is_subgraph_iso;
 use gdim_graph::{delta, Dissimilarity, Graph, McsOptions};
-use gdim_mining::Feature;
 
 use crate::bitset::{weighted_sq_xor_words, Bitset};
 use crate::error::GdimError;
@@ -47,20 +46,14 @@ pub enum MappingKind {
 }
 
 /// Normalized squared per-dimension weights for the weighted ablation
-/// ([`MappingKind::Weighted`]): `w_sq[col] ∝ weights[selected[col]]²`,
-/// summing to 1 (uniform `1/p` when every weight is zero). `weights`
-/// holds one DSPM weight per feature of the space; the result is what
+/// ([`MappingKind::Weighted`]): `w_sq[col] ∝ weights[col]²`, summing
+/// to 1 (uniform `1/p` when every weight is zero). `weights` holds the
+/// DSPM weight of each dimension in column order; the result is what
 /// [`MappedDatabase::scan_topk_with_masked`] and
 /// [`MappedDatabase::ranking_with`] take.
-pub fn weighted_w_sq(selected: &[u32], weights: &[f64]) -> Vec<f64> {
-    let p = selected.len();
-    let raw: Vec<f64> = selected
-        .iter()
-        .map(|&r| {
-            let x = weights[r as usize];
-            x * x
-        })
-        .collect();
+pub fn weighted_w_sq(weights: &[f64]) -> Vec<f64> {
+    let p = weights.len();
+    let raw: Vec<f64> = weights.iter().map(|x| x * x).collect();
     let total: f64 = raw.iter().sum();
     if total > 0.0 {
         raw.iter().map(|x| x / total).collect()
@@ -77,15 +70,19 @@ pub fn weighted_w_sq(selected: &[u32], weights: &[f64]) -> Vec<f64> {
 /// ([`MappedDatabase::scan_topk_with_masked`]), never a second kind of
 /// database.
 ///
+/// A dimension is its DFS code (the pattern graph is
+/// [`DfsCode::to_graph`]); its support is its column of the store.
+///
 /// `Clone` copies the flat store (16 B/row at `p = 128`) and shares the
-/// rest: the selected features and the code-tree cell sit behind
+/// rest: the dimensions' codes and the code-tree cell sit behind
 /// `Arc`s.
 #[derive(Debug, Clone)]
 pub struct MappedDatabase {
-    /// The selected features — immutable, shared by clones.
-    features: Arc<[Feature]>,
+    /// The dimensions' DFS codes, column order — immutable, shared by
+    /// clones.
+    codes: Arc<[DfsCode]>,
     store: VectorStore,
-    /// The prefix tree over `features`' DFS codes that maps queries.
+    /// The prefix tree over `codes` that maps queries.
     /// Built lazily on the first mapped query (derived and
     /// deterministic, so laziness is unobservable in answers). The
     /// *cell* is shared, not only its value: whichever clone maps
@@ -105,28 +102,38 @@ impl MappedDatabase {
                 num_features: m,
             });
         }
-        let p = selected.len();
-        let features: Arc<[Feature]> = selected
+        let codes = selected
             .iter()
-            .map(|&r| space.features()[r as usize].clone())
+            .map(|&r| space.features()[r as usize].code.clone())
             .collect();
-        let mut store = VectorStore::zeros(space.num_graphs(), p);
+        let mut store = VectorStore::zeros(space.num_graphs(), selected.len());
         for (col, &r) in selected.iter().enumerate() {
             for &gid in space.if_list(r as usize) {
                 store.set(gid as usize, col);
             }
         }
-        Ok(MappedDatabase {
-            features,
+        Ok(Self::from_parts(codes, store))
+    }
+
+    /// The database over dimensions `codes` whose rows are `store` —
+    /// what a snapshot holds. The codes are checked when the code tree
+    /// is built ([`MappedDatabase::try_mapper`]).
+    ///
+    /// # Panics
+    /// If the store's rows are not `codes.len()` bits wide.
+    pub(crate) fn from_parts(codes: Vec<DfsCode>, store: VectorStore) -> Self {
+        assert_eq!(store.bits(), codes.len(), "one store column per dimension");
+        MappedDatabase {
+            codes: codes.into(),
             store,
             mapper: Arc::default(),
-        })
+        }
     }
 
     /// Number of dimensions `p`.
     #[inline]
     pub fn p(&self) -> usize {
-        self.features.len()
+        self.codes.len()
     }
 
     /// Number of database vectors.
@@ -141,20 +148,13 @@ impl MappedDatabase {
         self.store.is_empty()
     }
 
-    /// The selected feature dimensions, column `c` = `features()[c]`.
-    /// Their `support` lists are as mined (or loaded) and are not
-    /// maintained afterwards: the authoritative support of a dimension
-    /// is its column of the [store](MappedDatabase::store).
+    /// The dimensions' DFS codes, column `c` = `codes()[c]` — what
+    /// makes two selections the same selection (feature ids do not
+    /// outlive the mined space they index). A dimension's support is
+    /// its column of the [store](MappedDatabase::store).
     #[inline]
-    pub fn features(&self) -> &[Feature] {
-        &self.features
-    }
-
-    /// The dimensions' DFS codes, column by column — what makes two
-    /// selections the same selection (feature ids do not outlive the
-    /// mined space they index).
-    pub fn codes(&self) -> impl Iterator<Item = &DfsCode> + '_ {
-        self.features.iter().map(|f| &f.code)
+    pub fn codes(&self) -> &[DfsCode] {
+        &self.codes
     }
 
     /// The flat vector storage backing the scan.
@@ -167,22 +167,19 @@ impl MappedDatabase {
     /// queries, built on first use.
     ///
     /// # Panics
-    /// If a selected feature's DFS code does not spell its graph
-    /// (features from the miner always do; the snapshot decoder
-    /// rejects the rest).
+    /// If a dimension's DFS code is malformed (codes from the miner
+    /// never are; the snapshot decoder rejects the rest).
     pub fn mapper(&self) -> &CodeTree {
-        self.try_mapper()
-            .expect("a feature's DFS code spells its graph")
+        self.try_mapper().expect("a mined DFS code is well formed")
     }
 
-    /// [`MappedDatabase::mapper`] for features read from disk: a code
-    /// that does not spell its graph is [`GdimError::Corrupt`], not a
-    /// panic.
+    /// [`MappedDatabase::mapper`] for codes read from disk: a malformed
+    /// code is [`GdimError::Corrupt`], not a panic.
     pub(crate) fn try_mapper(&self) -> Result<&CodeTree, GdimError> {
         match self.mapper.get() {
             Some(tree) => Ok(tree),
             None => {
-                let tree = CodeTree::build(&self.features)?;
+                let tree = CodeTree::build(&self.codes)?;
                 Ok(self.mapper.get_or_init(|| tree))
             }
         }
@@ -190,10 +187,10 @@ impl MappedDatabase {
 
     /// Makes this database use `src`'s code-tree cell instead of its
     /// own, if the two are over the same dimensions — the tree is a
-    /// function of the features' DFS codes alone, so those are
-    /// compared. Returns whether they were (and the cell is shared).
+    /// function of the DFS codes alone, so those are compared. Returns
+    /// whether they were (and the cell is shared).
     pub(crate) fn share_mapper_of(&mut self, src: &MappedDatabase) -> bool {
-        let same = self.codes().eq(src.codes());
+        let same = self.codes == src.codes;
         if same {
             self.mapper = Arc::clone(&src.mapper);
         }
@@ -201,11 +198,11 @@ impl MappedDatabase {
     }
 
     /// The database over the rows `kept` of this one, in that order:
-    /// their vectors gathered into a new store, the features and the
+    /// their vectors gathered into a new store, the codes and the
     /// code-tree cell shared.
     pub(crate) fn with_rows(&self, kept: &[u32]) -> MappedDatabase {
         MappedDatabase {
-            features: Arc::clone(&self.features),
+            codes: Arc::clone(&self.codes),
             store: self.store.gather(kept),
             mapper: Arc::clone(&self.mapper),
         }
@@ -219,8 +216,7 @@ impl MappedDatabase {
 
     /// Appends one already-mapped vector (over this database's `p`
     /// selected dimensions) — what an online insert stores. The code
-    /// tree depends only on the features' codes, so query mapping is
-    /// unaffected.
+    /// tree depends only on the codes, so query mapping is unaffected.
     ///
     /// # Panics
     /// If `row` does not cover exactly `p` dimensions.
@@ -244,13 +240,13 @@ impl MappedDatabase {
     }
 
     /// The unpruned reference mapping: one independent VF2 test per
-    /// selected feature — no tree, no shared plans or query context.
-    /// Kept for the equivalence tests and the pruning benches; serving
-    /// paths use [`MappedDatabase::map_query`].
+    /// dimension, against the graph its code spells — no tree, no
+    /// shared plans or query context. Kept for the equivalence tests;
+    /// serving paths use [`MappedDatabase::map_query`].
     pub fn map_query_unpruned(&self, q: &Graph) -> Bitset {
         let mut bits = Bitset::zeros(self.p());
-        for (col, f) in self.features.iter().enumerate() {
-            if is_subgraph_iso(&f.graph, q) {
+        for (col, code) in self.codes.iter().enumerate() {
+            if is_subgraph_iso(&code.to_graph(), q) {
                 bits.set(col);
             }
         }
@@ -499,24 +495,20 @@ mod tests {
     fn weighted_mapping_normalizes() {
         let (_, space) = setup();
         let m = space.num_features();
-        let weights: Vec<f64> = (0..m).map(|r| (r % 5) as f64).collect();
-        let selected: Vec<u32> = (0..m.min(12) as u32).collect();
-        let w_sq = weighted_w_sq(&selected, &weights);
+        let weights: Vec<f64> = (0..m.min(12)).map(|r| (r % 5) as f64).collect();
+        let p = weights.len();
+        let w_sq = weighted_w_sq(&weights);
         let total: f64 = w_sq.iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
         // Max possible distance is 1.
-        let zero = Bitset::zeros(selected.len());
-        let mut ones = Bitset::zeros(selected.len());
-        for i in 0..selected.len() {
+        let zero = Bitset::zeros(p);
+        let mut ones = Bitset::zeros(p);
+        for i in 0..p {
             ones.set(i);
         }
         assert!((zero.weighted_sq_xor(&ones, &w_sq).sqrt() - 1.0).abs() < 1e-9);
         // All-zero weights fall back to the uniform 1/p.
-        let p = selected.len();
-        assert_eq!(
-            weighted_w_sq(&selected, &vec![0.0; m]),
-            vec![1.0 / p as f64; p]
-        );
+        assert_eq!(weighted_w_sq(&vec![0.0; p]), vec![1.0 / p as f64; p]);
     }
 
     #[test]
@@ -601,7 +593,7 @@ mod tests {
         let (db, space) = setup();
         let selected: Vec<u32> = (0..space.num_features().min(20) as u32).collect();
         let mapped = MappedDatabase::new(&space, &selected).unwrap();
-        let w_sq = weighted_w_sq(&selected, &vec![0.7; space.num_features()]);
+        let w_sq = weighted_w_sq(&vec![0.7; selected.len()]);
         let qvec = mapped.map_query(&db[2]);
         let binary = mapped.ranking(&qvec);
         let weighted = mapped.ranking_with(&qvec, &w_sq);

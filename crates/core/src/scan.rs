@@ -36,9 +36,8 @@
 //!
 //! Every scan reports [`ScanStats`] (vectors fully scanned, rows
 //! abandoned early, words touched) so the serving layer can prove the
-//! savings per request. The store is **derived state**: it is rebuilt
-//! deterministically from the feature space on index load and is never
-//! persisted (see [`crate::persist`]).
+//! savings per request. A snapshot stores the store's words as they are
+//! (see [`crate::persist`]).
 //!
 //! ## Kernel families
 //!
@@ -49,21 +48,13 @@
 //! last `< 8` rows one by one ([`hamming_row_kernel`]), each in four
 //! families ([`KernelKind`]): the scalar loop (the always-available
 //! reference), a portable interleaved block, and AVX2 and AVX-512
-//! variants selected at runtime via `is_x86_feature_detected!`. The
-//! weighted loop is this module's own, in 4-row blocks once the
-//! selectors are full. All kernels are **bit-identical** — Hamming
-//! popcounts are exact integers, and the weighted block form
-//! accumulates every row's weights in the same per-row order as the
-//! scalar walk, so distances (and hits) never depend on the kernel.
+//! variants selected at runtime via `is_x86_feature_detected!`. All
+//! kernels are **bit-identical** — Hamming popcounts are exact
+//! integers — so distances (and hits) never depend on the kernel.
 //! [`ScanPlan::new`] picks [`selected_kernel`]; equivalence tests and
-//! benches pin [`ScanPlan::kernel`] explicitly. (In the weighted loop
-//! of a non-scalar kind, the early-abandon check inside a 4-row block
-//! compares against the bound held at block entry; the bound only ever
-//! tightens, so a stale bound abandons strictly fewer rows — every
-//! abandoned row is one the scalar walk would also have abandoned, and
-//! every extra fully-computed row is rejected by the selector. Hits
-//! stay bit-identical; only the work counters may differ from the
-//! scalar trace.)
+//! benches pin [`ScanPlan::kernel`] explicitly. The weighted loop is
+//! this module's own and goes one row at a time whatever the kernel,
+//! so its hits and its work counters are the same for every kind.
 //!
 //! ## Fused multi-query scan
 //!
@@ -99,6 +90,7 @@
 //!   bit-identical.
 
 use crate::bitset::{weighted_sq_xor_words, Bitset};
+use crate::error::GdimError;
 use gdim_exec::ExecConfig;
 
 pub use gdim_kernels::{
@@ -374,6 +366,34 @@ impl VectorStore {
         store
     }
 
+    /// A store of `n` rows of `bits` bits read back from their words,
+    /// `stride` per row, row-major — what a snapshot holds. A wrong word
+    /// count, or a bit set at or above `bits`, is
+    /// [`GdimError::Corrupt`].
+    pub(crate) fn from_words(n: usize, bits: usize, words: Vec<u64>) -> Result<Self, GdimError> {
+        let stride = bits.div_ceil(64);
+        if Some(words.len()) != n.checked_mul(stride) {
+            return Err(GdimError::Corrupt(format!(
+                "{} store words for {n} rows of {bits} bits",
+                words.len()
+            )));
+        }
+        if !bits.is_multiple_of(64) {
+            let stray = !0u64 << (bits % 64);
+            if let Some(i) = (0..n).find(|i| words[(i + 1) * stride - 1] & stray != 0) {
+                return Err(GdimError::Corrupt(format!(
+                    "row {i} sets a bit at or above p = {bits}"
+                )));
+            }
+        }
+        Ok(VectorStore {
+            n,
+            bits,
+            stride,
+            words,
+        })
+    }
+
     /// Sets bit `bit` of row `row`.
     #[inline]
     pub fn set(&mut self, row: usize, bit: usize) {
@@ -466,13 +486,11 @@ impl VectorStore {
     ///   query's distance computed while the words are hot in cache,
     ///   `plan.exec` fanning a batch out over row ranges (never
     ///   queries). One query is one range on the calling thread. Every
-    ///   `plan.kernel` returns bit-identical hits; a weighted scan on a
-    ///   non-scalar kind abandons against the bound held at 4-row block
-    ///   entry, so its work counters — never its hits, never the stats
-    ///   identity — may differ from the scalar trace. At one range a
-    ///   batch's per-query trace is exactly the single scan's; with
-    ///   more ranges the work counters can exceed it, each range
-    ///   re-filling its own selector before its bound prunes.
+    ///   `plan.kernel` returns bit-identical hits (the weighted loop
+    ///   does not use it). At one range a batch's per-query trace is
+    ///   exactly the single scan's; with more ranges the work counters
+    ///   can exceed it, each range re-filling its own selector before
+    ///   its bound prunes.
     pub fn scan(&self, plan: &ScanPlan<'_>) -> Vec<(Vec<(u32, f64)>, ScanStats)> {
         let ScanPlan {
             queries,
@@ -516,8 +534,7 @@ impl VectorStore {
             Some(w_sq) => {
                 debug_assert!(w_sq.len() >= self.bits);
                 let parts = gdim_exec::map_tasks(&plan.exec, ranges, |t| {
-                    let (start, end) = range(t);
-                    self.weighted_fused_range(queries, k, w_sq, start, end, mask, kernel)
+                    self.weighted_fused_range(queries, k, w_sq, range(t), mask)
                 });
                 reduce_ranges(parts, Self::weighted_hits)
             }
@@ -639,113 +656,71 @@ impl VectorStore {
         out
     }
 
-    /// One row range of a fused weighted scan, in blocks of 4 rows —
-    /// of 1 row while the selectors fill (same `k`, same live rows:
-    /// they fill together), for the scalar kernel, and for the last
-    /// `< 4` rows — each handed to [`VectorStore::weighted_block`] once
-    /// per query.
-    #[allow(clippy::too_many_arguments)]
+    /// One row range of a fused weighted scan, one row at a time: per
+    /// query, every live row accumulates its squared weighted distance
+    /// word by word (bits low-to-high — the naive order, so sums are
+    /// bit-identical) and is abandoned as soon as its running total
+    /// strictly exceeds the query's k-th bound (∞ while the selector
+    /// fills) with words still unread.
     fn weighted_fused_range(
         &self,
         queries: &[&[u64]],
         k: usize,
         w_sq: &[f64],
-        start: usize,
-        end: usize,
+        (start, end): (usize, usize),
         mask: Option<&Tombstones>,
-        kernel: KernelKind,
     ) -> RangeScan<OrdF64> {
         let mut out: RangeScan<OrdF64> = queries
             .iter()
             .map(|_| (TopK::new(k), ScanStats::default()))
             .collect();
-        let blocked = !matches!(kernel, KernelKind::Scalar);
-        let mut to_fill = k;
-        let mut i = start;
-        while i < end {
-            let rows = if blocked && to_fill == 0 && i + 4 <= end {
-                4
-            } else {
-                1
-            };
-            let mut live = [false; 4];
-            for (r, l) in live.iter_mut().take(rows).enumerate() {
-                *l = !mask.is_some_and(|t| t.is_dead(i + r));
-            }
-            let alive = live.iter().filter(|&&l| l).count();
-            to_fill = to_fill.saturating_sub(alive);
+        for i in start..end {
+            let dead = mask.is_some_and(|t| t.is_dead(i));
             for (query, (sel, stats)) in queries.iter().zip(&mut out) {
-                stats.tombstones_skipped += rows - alive;
-                if alive == 0 {
-                    continue;
-                }
-                if rows == 4 {
-                    self.weighted_block(query, i, live, w_sq, sel, stats);
+                if dead {
+                    stats.tombstones_skipped += 1;
                 } else {
-                    self.weighted_block(query, i, [live[0]], w_sq, sel, stats);
+                    self.weighted_row(query, i, w_sq, sel, stats);
                 }
             }
-            i += rows;
         }
         out
     }
 
-    /// The weighted step of one query over rows `i..i + R`: every live
-    /// row accumulates its squared weighted distance word by word (bits
-    /// low-to-high — the naive order, so sums are bit-identical for
-    /// every block size) and is abandoned as soon as its running total
-    /// strictly exceeds the k-th bound held at block entry (∞ while the
-    /// selector fills) with words still unread. The bound only
-    /// tightens, so a block-stale bound abandons a subset of what the
-    /// row-by-row trace abandons, and every extra fully-summed row is
-    /// rejected by the selector. Kept out of line: inlined into the
-    /// range loop, a single 100k-row scan measures ~20 % slower.
+    /// The weighted step of one query over row `i` (see
+    /// [`VectorStore::weighted_fused_range`]). Kept out of line:
+    /// inlined into the range loop, a single 100k-row scan at p = 256
+    /// measures 20–40 % slower (p = 128: no difference).
     #[inline(never)]
-    fn weighted_block<const R: usize>(
+    fn weighted_row(
         &self,
         query: &[u64],
         i: usize,
-        live: [bool; R],
         w_sq: &[f64],
         sel: &mut TopK<OrdF64>,
         stats: &mut ScanStats,
     ) {
-        let b0 = sel.bound().map_or(f64::INFINITY, |&(OrdF64(b), _)| b);
-        let base = i * self.stride;
+        let bound = sel.bound().map_or(f64::INFINITY, |&(OrdF64(b), _)| b);
+        let row = self.row(i);
         let last = self.stride - 1;
-        let mut active = live;
-        let mut totals = [0.0f64; R];
-        let mut touched = [0usize; R];
-        for (w, &q) in query.iter().enumerate() {
+        let mut total = 0.0f64;
+        for (w, (&q, &r)) in query.iter().zip(row).enumerate() {
             let block = &w_sq[w * 64..];
-            for j in 0..R {
-                if !active[j] {
-                    continue;
-                }
-                let mut x = q ^ self.words[base + j * self.stride + w];
-                while x != 0 {
-                    let bit = x.trailing_zeros() as usize;
-                    x &= x - 1;
-                    totals[j] += block[bit];
-                }
-                touched[j] = w + 1;
-                if totals[j] > b0 && w < last {
-                    active[j] = false;
-                }
+            let mut x = q ^ r;
+            while x != 0 {
+                let bit = x.trailing_zeros() as usize;
+                x &= x - 1;
+                total += block[bit];
             }
-        }
-        for j in 0..R {
-            if !live[j] {
-                continue;
-            }
-            stats.words_scanned += touched[j];
-            if active[j] {
-                stats.vectors_scanned += 1;
-                sel.offer(OrdF64(totals[j]), (i + j) as u32);
-            } else {
+            if total > bound && w < last {
+                stats.words_scanned += w + 1;
                 stats.early_abandoned += 1;
+                return;
             }
         }
+        stats.words_scanned += self.stride;
+        stats.vectors_scanned += 1;
+        sel.offer(OrdF64(total), i as u32);
     }
 }
 
@@ -1149,7 +1124,7 @@ mod tests {
     #[test]
     fn every_kernel_matches_the_scalar_scan_bit_for_bit() {
         // 150 bits → stride 3 (odd word tail for AVX2); n = 23 leaves
-        // a 3-row tail after the 4-row blocks.
+        // a 7-row tail after the 8-row blocks.
         let s = random_store(23, 150, 7);
         let q = random_store(1, 150, 99);
         let mut dead = Tombstones::all_live(23);
@@ -1164,16 +1139,8 @@ mod tests {
                 for kernel in available_kernels() {
                     let got = scan1(&s, q.row(0), k, None, mask, kernel);
                     assert_eq!(got, reference, "binary kernel {kernel}, k {k}");
-                    let (whits, wstats) = scan1(&s, q.row(0), k, Some(&w_sq), mask, kernel);
-                    assert_eq!(whits, wref.0, "weighted kernel {kernel}, k {k}");
-                    // Weighted block abandons against a per-block
-                    // stale bound, so counters may differ from the
-                    // scalar trace — but the identity must hold.
-                    assert_eq!(
-                        wstats.vectors_scanned + wstats.early_abandoned + wstats.tombstones_skipped,
-                        23,
-                        "weighted kernel {kernel}, k {k}"
-                    );
+                    let got = scan1(&s, q.row(0), k, Some(&w_sq), mask, kernel);
+                    assert_eq!(got, wref, "weighted kernel {kernel}, k {k}");
                 }
             }
         }

@@ -19,9 +19,9 @@
 //!   (the shape of condensed-triangle row fills);
 //! * [`map_chunks`] — fixed-size index chunks, flattened in index order
 //!   (the shape of per-item kernels with cheap items);
-//! * [`WorkerPool`] / [`CancelToken`] — a fixed pool of dedicated
-//!   threads looping one handler over queued jobs, cooperatively
-//!   cancellable (the shape of a server's connection handlers).
+//! * [`WorkerPool`] — a fixed pool of dedicated threads looping one
+//!   handler over queued jobs (the shape of a server's connection
+//!   handlers).
 //!
 //! Determinism contract: when `f` is pure, every function here returns
 //! the same bytes for every thread budget, including `threads = 1`
@@ -38,7 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, OnceLock};
 
@@ -246,52 +246,16 @@ where
     out
 }
 
-/// A shared cancellation flag for one [`WorkerPool`].
-///
-/// Every handler call receives a reference and is expected to poll
-/// [`CancelToken::is_cancelled`] at its natural boundaries (a
-/// keep-alive loop between requests) and wind down once it is raised —
-/// cancellation is **cooperative**: a handler that never polls simply
-/// runs to completion. Tokens clone cheaply (all clones share the
-/// flag), so a caller can keep one and cancel from another thread.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Raises the flag. Idempotent; never blocks.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether [`CancelToken::cancel`] has been called on this token
-    /// (or any clone of it).
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-    }
-}
-
 /// A fixed pool of dedicated worker threads consuming jobs from a
 /// shared queue — the shape of a network server's connection handlers,
 /// where jobs arrive over time (unlike [`map_tasks`], whose task count
 /// is known up front) and each may run for a long, unknown while.
 ///
-/// Every worker runs the same handler; the handler receives the pool's
-/// [`CancelToken`] so long-lived jobs (say, a keep-alive connection
-/// loop) can poll it and wind down cooperatively. Shutdown is
-/// two-speed:
-///
-/// * [`WorkerPool::drain_join`] — graceful: the queue closes, workers
-///   finish every already-submitted job, then exit and are joined;
-/// * [`WorkerPool::cancel`] first — fast drain: in-flight handlers
-///   observe the token at their next poll and cut their jobs short,
-///   then `drain_join` reaps them.
+/// Every worker runs the same handler. Shutdown is
+/// [`WorkerPool::drain_join`] (or a drop): the queue closes, workers
+/// finish every already-submitted job, then exit and are joined. A
+/// long-lived job (say, a keep-alive connection loop) that must wind
+/// down early polls a flag of its owner's.
 ///
 /// Jobs are `FnOnce`-free by design: the pool is for homogeneous work
 /// (one handler, many job values), which keeps it allocation-free per
@@ -299,14 +263,12 @@ impl CancelToken {
 pub struct WorkerPool<T: Send + 'static> {
     tx: Option<mpsc::Sender<T>>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    token: CancelToken,
 }
 
 impl<T: Send + 'static> std::fmt::Debug for WorkerPool<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
             .field("workers", &self.workers.len())
-            .field("cancelled", &self.token.is_cancelled())
             .finish_non_exhaustive()
     }
 }
@@ -317,7 +279,7 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// threads (`{name}-{i}`) for debuggers and panic messages.
     pub fn new<F>(workers: usize, name: &str, handler: F) -> Self
     where
-        F: Fn(T, &CancelToken) + Send + Sync + 'static,
+        F: Fn(T) + Send + Sync + 'static,
     {
         let workers = workers.max(1);
         let (tx, rx) = mpsc::channel::<T>();
@@ -327,12 +289,10 @@ impl<T: Send + 'static> WorkerPool<T> {
         // serializes but job execution does not.
         let rx = Arc::new(std::sync::Mutex::new(rx));
         let handler = Arc::new(handler);
-        let token = CancelToken::new();
         let handles = (0..workers)
             .map(|i| {
                 let rx = Arc::clone(&rx);
                 let handler = Arc::clone(&handler);
-                let token = token.clone();
                 std::thread::Builder::new()
                     .name(format!("{name}-{i}"))
                     .spawn(move || loop {
@@ -345,7 +305,7 @@ impl<T: Send + 'static> WorkerPool<T> {
                             .unwrap_or_else(std::sync::PoisonError::into_inner)
                             .recv();
                         match job {
-                            Ok(job) => handler(job, &token),
+                            Ok(job) => handler(job),
                             Err(_) => break, // queue closed and empty
                         }
                     })
@@ -355,7 +315,6 @@ impl<T: Send + 'static> WorkerPool<T> {
         WorkerPool {
             tx: Some(tx),
             workers: handles,
-            token,
         }
     }
 
@@ -372,19 +331,6 @@ impl<T: Send + 'static> WorkerPool<T> {
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.workers.len()
-    }
-
-    /// The pool's cancellation token (shared with every handler call).
-    pub fn token(&self) -> &CancelToken {
-        &self.token
-    }
-
-    /// Raises the pool token so in-flight handlers can cut long jobs
-    /// short at their next poll. Queued jobs still run (their handlers
-    /// see the raised token immediately); call
-    /// [`WorkerPool::drain_join`] to finish the shutdown.
-    pub fn cancel(&self) {
-        self.token.cancel();
     }
 
     /// Graceful shutdown: closes the queue (new [`WorkerPool::submit`]s
@@ -411,11 +357,10 @@ impl<T: Send + 'static> WorkerPool<T> {
 
 impl<T: Send + 'static> Drop for WorkerPool<T> {
     fn drop(&mut self) {
-        // An implicitly dropped pool cancels (don't strand long jobs)
-        // and still drains/joins — dropping a server must not leak
-        // running threads. `shutdown` is idempotent: after
-        // `drain_join`, `workers` is already empty.
-        self.token.cancel();
+        // An implicitly dropped pool still drains and joins —
+        // dropping a server must not leak running threads. `shutdown`
+        // is idempotent: after `drain_join`, `workers` is already
+        // empty.
         if !std::thread::panicking() {
             self.shutdown();
         }
@@ -502,7 +447,7 @@ mod tests {
         let done = Arc::new(AtomicUsize::new(0));
         let pool = {
             let done = Arc::clone(&done);
-            WorkerPool::new(4, "test-pool", move |job: usize, _| {
+            WorkerPool::new(4, "test-pool", move |job: usize| {
                 done.fetch_add(job, Ordering::SeqCst);
             })
         };
@@ -525,7 +470,7 @@ mod tests {
         let pool = {
             let done = Arc::clone(&done);
             let gate_rx = Arc::clone(&gate_rx);
-            WorkerPool::new(2, "drain-pool", move |first: bool, _| {
+            WorkerPool::new(2, "drain-pool", move |first: bool| {
                 if first {
                     gate_rx.lock().unwrap().recv().ok();
                 }
@@ -544,18 +489,26 @@ mod tests {
     }
 
     #[test]
-    fn worker_pool_cancel_reaches_handlers_and_submit_fails_after_drain() {
-        let observed = Arc::new(AtomicBool::new(false));
-        let pool = {
-            let observed = Arc::clone(&observed);
-            WorkerPool::new(1, "cancel-pool", move |(): (), token: &CancelToken| {
-                observed.store(token.is_cancelled(), Ordering::SeqCst);
-            })
-        };
-        pool.cancel();
-        pool.submit(()).unwrap();
-        pool.drain_join();
-        assert!(observed.load(Ordering::SeqCst), "handler saw the token");
+    fn worker_pool_submit_fails_once_its_workers_are_gone() {
+        // Every worker exits on a panicking job: the queue then has no
+        // consumer, and a submit hands the job back instead of queueing
+        // it where nothing will ever run it.
+        let pool = WorkerPool::new(1, "gone-pool", |job: u8| {
+            assert_ne!(job, 0, "job 0 kills its worker");
+        });
+        pool.submit(0).unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while pool.submit(1).is_ok() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the worker never exited"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert_eq!(pool.submit(7), Err(7));
+        // The worker's panic resumes on whoever reaps the pool.
+        let reaped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.drain_join()));
+        assert!(reaped.is_err());
     }
 
     #[test]
@@ -563,13 +516,13 @@ mod tests {
         let done = Arc::new(AtomicUsize::new(0));
         {
             let done = Arc::clone(&done);
-            let pool = WorkerPool::new(3, "drop-pool", move |_: u8, _| {
+            let pool = WorkerPool::new(3, "drop-pool", move |_: u8| {
                 done.fetch_add(1, Ordering::SeqCst);
             });
             for _ in 0..10 {
                 pool.submit(1).unwrap();
             }
-            // Implicit drop: cancels, drains, joins.
+            // Implicit drop: drains, joins.
         }
         assert_eq!(done.load(Ordering::SeqCst), 10);
     }

@@ -20,7 +20,6 @@ use crate::{ELabel, VLabel, VertexId};
 /// `to`); backward edges have `from > to` (closing a cycle to an
 /// ancestor).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DfsEdge {
     /// DFS index of the source vertex.
     pub from: u32,
@@ -78,7 +77,6 @@ pub fn edge_cmp(a: &DfsEdge, b: &DfsEdge) -> Ordering {
 
 /// A DFS code: a sequence of [`DfsEdge`]s.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DfsCode(pub Vec<DfsEdge>);
 
 impl PartialOrd for DfsCode {

@@ -14,7 +14,6 @@ use crate::mcs::{mcs_edges, McsOptions};
 
 /// Which of the paper's dissimilarities to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Dissimilarity {
     /// δ1: normalized by `max{|E(q)|, |E(g)|}` (Eq. 1).
     MaxNorm,

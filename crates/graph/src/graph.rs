@@ -15,7 +15,6 @@ use crate::{ELabel, VLabel, VertexId};
 
 /// An undirected labeled edge. Stored with `u < v` once built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Edge {
     /// Smaller endpoint.
     pub u: VertexId,
@@ -27,7 +26,6 @@ pub struct Edge {
 
 /// Entry of an adjacency list: the neighbor reached over one edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Neighbor {
     /// Neighboring vertex.
     pub to: VertexId,
@@ -66,7 +64,6 @@ impl std::error::Error for GraphError {}
 /// after which the graph is immutable — graphs in a database are shared
 /// read-only across threads.
 #[derive(Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Graph {
     vlabels: Vec<VLabel>,
     edges: Vec<Edge>,

@@ -14,10 +14,8 @@
 //!   branch-and-bound, the NP-hard kernel inside both dissimilarities.
 //! * [`dissimilarity`] — the paper's δ1 (Eq. 1) and δ2 (Eq. 2).
 //!
-//! The crate is deliberately free of heavyweight dependencies; the only
-//! optional one is `serde` for (de)serializing graphs in downstream
-//! applications. Persistence within this workspace uses the plain-text
-//! gSpan format implemented in [`io`].
+//! The crate is deliberately free of dependencies. Graphs are read and
+//! written as text in the gSpan format implemented in [`io`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -169,11 +169,11 @@ fn prune_mask8(h: &[u32; 8], bound: u32) -> u8 {
         .fold(0u8, |m, (r, &v)| m | (((v < bound) as u8) << r))
 }
 
-/// Portable 8-row pruned step shared by the non-scalar arms: the
-/// eight accumulations interleaved inside a single word loop, so each
-/// query word is loaded once per block, plus the scalar bound compare.
+/// The portable 8-row block: the eight accumulations interleaved
+/// inside a single word loop, so each query word is loaded once per
+/// block.
 #[inline]
-fn block8_pruned_portable(q: &[u64], block: &[u64], stride: usize, bound: u32) -> ([u32; 8], u8) {
+fn block8_portable(q: &[u64], block: &[u64], stride: usize) -> [u32; 8] {
     debug_assert_eq!(q.len(), stride);
     let mut h = [0u32; 8];
     for (w, &qw) in q.iter().enumerate() {
@@ -181,8 +181,7 @@ fn block8_pruned_portable(q: &[u64], block: &[u64], stride: usize, bound: u32) -
             *hr += (qw ^ block[r * stride + w]).count_ones();
         }
     }
-    let m = prune_mask8(&h, bound);
-    (h, m)
+    h
 }
 
 /// The fused scan's hot step: every query's distances against an
@@ -215,21 +214,10 @@ pub fn hamming_block8_multi_pruned(
     debug_assert_eq!(queries.len(), cand.len());
     debug_assert_eq!(block.len(), 8 * stride);
     match kernel {
-        KernelKind::Scalar => {
-            let mut any = false;
-            for (((q, &b), o), c) in queries
-                .iter()
-                .zip(bounds.iter())
-                .zip(out.iter_mut())
-                .zip(cand.iter_mut())
-            {
-                *o = core::array::from_fn(|j| hamming_row(q, &block[j * stride..(j + 1) * stride]));
-                *c = prune_mask8(o, b);
-                any |= *c != 0;
-            }
-            return any;
-        }
-        KernelKind::Unrolled => {}
+        KernelKind::Scalar | KernelKind::Unrolled => {}
+        // Strides 1 and 3 have no register shape, and the portable
+        // block beats counting them row by row with intrinsics.
+        KernelKind::Avx2 | KernelKind::Avx512 if stride < 4 && stride != 2 => {}
         KernelKind::Avx2 => {
             #[cfg(all(target_arch = "x86_64", not(gdim_portable)))]
             if let Some(any) =
@@ -247,8 +235,9 @@ pub fn hamming_block8_multi_pruned(
             }
         }
     }
-    // The portable block: `Unrolled`, and an intrinsic kind the
-    // CPU/build lacks.
+    // `Scalar` row by row; otherwise the portable block (`Unrolled`, a
+    // stride without a register shape, or an intrinsic kind the
+    // CPU/build lacks).
     let mut any = false;
     for (((q, &b), o), c) in queries
         .iter()
@@ -256,7 +245,12 @@ pub fn hamming_block8_multi_pruned(
         .zip(out.iter_mut())
         .zip(cand.iter_mut())
     {
-        (*o, *c) = block8_pruned_portable(q, block, stride, b);
+        *o = if kernel == KernelKind::Scalar {
+            core::array::from_fn(|j| hamming_row(q, &block[j * stride..(j + 1) * stride]))
+        } else {
+            block8_portable(q, block, stride)
+        };
+        *c = prune_mask8(o, b);
         any |= *c != 0;
     }
     any

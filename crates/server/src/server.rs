@@ -40,7 +40,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use gdim_core::{GdimError, Graph, GraphId, SearchRequest, SearchResponse};
-use gdim_exec::{CancelToken, WorkerPool};
+use gdim_exec::WorkerPool;
 use gdim_obs::{Stage, Trace};
 use gdim_shard::{DurableHandle, Reader, ServingHandle, ShardedIndex};
 
@@ -258,7 +258,7 @@ impl GdimServer {
             Arc::new(WorkerPool::new(
                 ctx.cfg.workers,
                 "gdim-serve",
-                move |stream, token: &CancelToken| handle_connection(&ctx, stream, token),
+                move |stream| handle_connection(&ctx, stream),
             ))
         };
         let acceptor = {
@@ -362,7 +362,7 @@ impl Drop for GdimServer {
 }
 
 /// Serves one connection for its whole keep-alive lifetime.
-fn handle_connection(ctx: &Ctx, mut stream: TcpStream, token: &CancelToken) {
+fn handle_connection(ctx: &Ctx, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(ctx.cfg.poll_interval));
     let reader = ctx.handle.reader();
@@ -374,7 +374,7 @@ fn handle_connection(ctx: &Ctx, mut stream: TcpStream, token: &CancelToken) {
     let mut text = String::new();
     let mut out: Vec<u8> = Vec::new();
     loop {
-        match read_request(&mut stream, &mut inbox, ctx, token) {
+        match read_request(&mut stream, &mut inbox, ctx) {
             Ok(Some(head)) => {
                 ctx.counters.requests.fetch_add(1, Ordering::Relaxed);
                 let m = &ctx.metrics;
@@ -403,7 +403,7 @@ fn handle_connection(ctx: &Ctx, mut stream: TcpStream, token: &CancelToken) {
                         eprintln!("{}", error_log_line(&rid, ENDPOINTS[ep], status, j));
                     }
                 }
-                let keep = head.keep_alive && !ctx.stopping() && !token.is_cancelled();
+                let keep = head.keep_alive && !ctx.stopping();
                 let ser = std::time::Instant::now();
                 text.clear();
                 let content_type = payload.write(&mut text);
@@ -466,7 +466,6 @@ fn read_request(
     stream: &mut TcpStream,
     inbox: &mut Inbox,
     ctx: &Ctx,
-    token: &CancelToken,
 ) -> Result<Option<RequestHead>, HttpError> {
     let Inbox {
         carry,
@@ -504,7 +503,7 @@ fn read_request(
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                if ctx.stopping() || token.is_cancelled() {
+                if ctx.stopping() {
                     // Mid-head: the request is torn by the drain; idle:
                     // just close.
                     return if started {
@@ -541,7 +540,7 @@ fn read_request(
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                if ctx.stopping() || token.is_cancelled() {
+                if ctx.stopping() {
                     return Err(HttpError::Torn);
                 }
             }

@@ -49,7 +49,7 @@
 //! broken by each row's **sequence number** (global insertion order),
 //! so merged rankings equal the unsharded `(distance, id)` order.
 //!
-//! Persistence is a manifest plus one v3 index file per shard
+//! Persistence is a manifest plus one v4 index file per shard
 //! ([`ShardedIndex::save_dir`] / [`ShardedIndex::load_dir`]), round-
 //! tripping to byte-identical files and answers — every file published
 //! crash-safely (temp → fsync → rename → parent fsync). For serving

@@ -1,6 +1,6 @@
 //! Sharded persistence: a directory holding one **manifest** (the
 //! shard layout, sequence numbers, and rebuild bases) plus one
-//! versioned v3 index file per shard (written by
+//! versioned v4 index file per shard (written by
 //! [`GraphIndex::save`](gdim_core::GraphIndex::save), so each shard
 //! file is independently loadable and inspectable).
 //!
@@ -68,7 +68,7 @@ impl ShardedIndex {
     }
 
     /// Saves the index into `dir` (created if missing): the manifest
-    /// plus one v3 index file per shard. Re-saving an unchanged index
+    /// plus one v4 index file per shard. Re-saving an unchanged index
     /// reproduces every file byte-identically.
     ///
     /// Every file is published **crash-safely** (temp file → fsync →

@@ -1,4 +1,4 @@
-//! The one byte codec behind every durable format: the v3 index
+//! The one byte codec behind every durable format: the v4 index
 //! snapshot (`gdim_core::persist`), the shard MANIFEST
 //! (`gdim_shard::manifest`) and WAL record payloads
 //! ([`record`](crate::record)). Each of those modules owns only its

@@ -86,3 +86,25 @@ fn delta_matrix_and_shared_delta_agree() {
         }
     }
 }
+
+#[test]
+fn every_mined_feature_is_the_graph_its_code_spells() {
+    // A dimension is stored as its DFS code alone, so the pattern graph
+    // the miner returns must be exactly `code.to_graph()`.
+    let synth = gdim::datagen::SynthConfig::default();
+    let chem = gdim::datagen::ChemConfig::default();
+    let opts = IndexOptions::default();
+    let cfg = MinerConfig::new(opts.min_support).with_max_edges(opts.max_pattern_edges);
+    for seed in [7, 42, 99] {
+        for db in [
+            gdim::datagen::chem_db(48, &chem, seed),
+            gdim::datagen::synth_db(48, &synth, seed),
+        ] {
+            let features = mine(&db, &cfg);
+            assert!(!features.is_empty(), "seed {seed}");
+            for f in &features {
+                assert_eq!(f.graph, f.code.to_graph(), "seed {seed}: {:?}", f.code);
+            }
+        }
+    }
+}

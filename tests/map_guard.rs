@@ -55,16 +55,16 @@ fn a_huge_star_falls_back_to_vf2_and_chem_traffic_never_does() {
     assert_eq!(fallbacks(), 0, "no chem graph may reach the guard");
 
     // A 20,000-leaf star over the labels of the most frequent one-edge
-    // dimension. Unguarded, the tree search needs ~20 s for it.
-    let edge = (index.mapped().features().iter())
-        .filter(|f| f.graph.edge_count() == 1)
-        .max_by_key(|f| f.support.len())
+    // dimension (the most rows in its store column). Unguarded, the
+    // tree search needs ~20 s for it.
+    let store = index.mapped().store();
+    let column = |c: usize| (0..store.len()).filter(|&i| store.vector(i).get(c)).count();
+    let col = (0..index.p())
+        .filter(|&c| index.mapped().codes()[c].len() == 1)
+        .max_by_key(|&c| column(c))
         .expect("a one-edge dimension is selected");
-    let (centre, leaf, bond) = (
-        edge.graph.vlabel(0),
-        edge.graph.vlabel(1),
-        edge.graph.edges()[0].label,
-    );
+    let edge = index.mapped().codes()[col].0[0];
+    let (centre, leaf, bond) = (edge.from_label, edge.to_label, edge.elabel);
     let n = 20_000u32;
     let labels = std::iter::once(centre).chain((0..n).map(|_| leaf));
     let star = Graph::from_parts(labels.collect(), (1..=n).map(|i| (0, i, bond))).unwrap();

@@ -212,7 +212,12 @@ fn weighted_mapping_ablation_runs() {
     let p = 25.min(pl.space.num_features());
     let res = dspm(&pl.space, &pl.delta, &DspmConfig::new(p));
     let mapped = MappedDatabase::new(&pl.space, &res.selected).unwrap();
-    let w_sq = weighted_w_sq(&res.selected, &res.weights);
+    let w_sq = weighted_w_sq(
+        &res.selected
+            .iter()
+            .map(|&r| res.weights[r as usize])
+            .collect::<Vec<_>>(),
+    );
     // One set of binary vectors serves both distances; they differ in
     // general, but both are proper metrics on {0,1}^p.
     let qvec = mapped.map_query(&pl.queries[0]);

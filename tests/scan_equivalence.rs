@@ -94,9 +94,9 @@ proptest! {
         let space = FeatureSpace::build(db.len(), feats);
         let m = space.num_features();
         let selected: Vec<u32> = (0..m.min(p) as u32).collect();
-        let weights: Vec<f64> = (0..m).map(|r| ((r * 13 + 7) % 10) as f64 / 10.0).collect();
+        let weights: Vec<f64> = (0..selected.len()).map(|r| ((r * 13 + 7) % 10) as f64 / 10.0).collect();
         let mapped = MappedDatabase::new(&space, &selected).unwrap();
-        let w_sq = weighted_w_sq(&selected, &weights);
+        let w_sq = weighted_w_sq(&weights);
         for qi in [0usize, 7, 19] {
             let qvec = mapped.map_query(&db[qi]);
             for k in [0usize, 1, n, n + 5] {
@@ -206,9 +206,9 @@ proptest! {
                 prop_assert!(crossed, "the 800-leaf star must cross the step budget");
             }
             let roots = part
-                .features()
+                .codes()
                 .iter()
-                .map(|f| f.code.0[0].from_label)
+                .map(|c| c.0[0].from_label)
                 .collect::<std::collections::BTreeSet<_>>()
                 .len();
             prop_assert!(
@@ -410,10 +410,20 @@ proptest! {
                         }
                     }
                 }
-                // Weighted fusion has no kernel parameter (the scalar
-                // accumulation is the kernel); hits stay bit-identical
-                // to singles even where multi-range counters diverge.
+                // The weighted loop is one loop whatever the kernel:
+                // single scans agree on hits and work counters across
+                // every kind. Fused hits stay bit-identical to singles
+                // even where multi-range counters diverge.
                 let weights = Some(w_sq.as_slice());
+                for q in &qrefs {
+                    let single = |kernel| {
+                        store.scan(&ScanPlan { weights, dead, kernel, ..ScanPlan::new(&[q], k) }).remove(0)
+                    };
+                    let scalar = single(KernelKind::Scalar);
+                    for kernel in available_kernels() {
+                        prop_assert_eq!(&single(kernel), &scalar, "weighted kernel {}", kernel);
+                    }
+                }
                 let fused = store.scan(&ScanPlan { weights, dead, exec, ..ScanPlan::new(&qrefs, k) });
                 for (q, (hits, stats)) in qrefs.iter().zip(&fused) {
                     let (single_hits, _) = store

@@ -189,10 +189,10 @@ fn load_rejects_non_index_files() {
     assert!(matches!(missing, GdimError::Io(_)), "{missing}");
 }
 
-/// A v3 snapshot written by an earlier build of the encoder, with
+/// A v4 snapshot written by an earlier build of the encoder, with
 /// tombstones, a pending insert and an ANN section (pinned byte for
 /// byte by `gdim-core`'s persist tests).
-const SNAPSHOT: &[u8] = include_bytes!("../crates/core/tests/fixtures/v3-small.idx");
+const SNAPSHOT: &[u8] = include_bytes!("../crates/core/tests/fixtures/v4-small.idx");
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
