@@ -15,8 +15,8 @@
 //!
 //! Exact answers come from the same bounded SoA kernel the serving
 //! path uses ([`VectorStore::scan`]); ANN answers walk the
-//! graph with the identical row kernel as the distance oracle, so the
-//! comparison is ranker-vs-ranker, never kernel-vs-kernel. Medians /
+//! graph with the scalar [`hamming_row`] as the distance oracle, as
+//! the served beam (`GraphIndex::approx_scan_premapped`) does. Medians /
 //! interleaved minima of repeated timed runs, written as plain JSON.
 //!
 //! ```text
@@ -45,7 +45,7 @@ use std::time::Instant;
 use gdim_bench::gate::{fixed, int, paired_min_ns, write_snapshot, Args, Gate, Rule};
 use gdim_bench::scanwork::{cpu_kernels, scan_one, synth_clustered};
 use gdim_core::ann::{AnnIndex, AnnParams};
-use gdim_core::scan::{hamming_row_kernel, selected_kernel, VectorStore};
+use gdim_core::scan::{hamming_row, VectorStore};
 use gdim_core::{Bitset, GraphIndex, IndexOptions};
 use gdim_datagen::{chem_db, zipf_workload, ChemConfig, ZipfConfig};
 use gdim_server::Json;
@@ -74,7 +74,6 @@ fn measure_workload(
 ) -> Vec<Json> {
     let n = store.len();
     let k = 10.min(n);
-    let kernel = selected_kernel();
     let t = Instant::now();
     let ann = AnnIndex::build(store, AnnParams::default());
     let build_ms = t.elapsed().as_millis() as u64;
@@ -98,7 +97,7 @@ fn measure_workload(
         let ann_topk = |q: &Bitset| -> Vec<u32> {
             let qw = q.words();
             let (found, _) = ann.query(
-                |id| hamming_row_kernel(kernel, qw, store.row(id as usize)) as f64,
+                |id| hamming_row(qw, store.row(id as usize)) as f64,
                 ef_query,
                 None,
             );

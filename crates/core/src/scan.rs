@@ -10,10 +10,10 @@
 //!   of arrays): row `i` is the `stride` words of vector `i`, so a
 //!   full scan is a single linear walk over one allocation instead of
 //!   a pointer chase through `n` heap-allocated [`Bitset`] values.
-//! * [`TopK`] — a bounded selector (fixed-size max-heap keyed by
-//!   `(distance, id)`) replacing the full `n`-entry sort: `O(n + k log
-//!   k)` instead of `O(n log n)`, and its worst kept entry is the
-//!   *bound* the kernels prune against.
+//! * [`TopK`] — a bounded selector (fixed-size max-heap of keys that
+//!   carry their row id, so ties break by id) replacing the full
+//!   `n`-entry sort: `O(n + k log k)` instead of `O(n log n)`, and its
+//!   worst kept key is the *bound* the kernels prune against.
 //! * [`VectorStore::scan`] — the **one scan entry point**. A
 //!   [`ScanPlan`] value names the queries, `k`, the distance (binary
 //!   or weighted), the tombstone mask, the kernel family and the exec
@@ -41,15 +41,20 @@
 //!
 //! ## Kernel families
 //!
-//! The scan is memory-bound, so the binary loop hands the store to
-//! [`gdim_kernels`] eight rows at a time
-//! ([`hamming_block8_multi_pruned`]: every query's eight distances,
-//! already compared against that query's k-th bound) and a range's
-//! last `< 8` rows one by one ([`hamming_row_kernel`]), each in four
-//! families ([`KernelKind`]): the scalar loop (the always-available
-//! reference), a portable interleaved block, and AVX2 and AVX-512
-//! variants selected at runtime via `is_x86_feature_detected!`. All
-//! kernels are **bit-identical** — Hamming popcounts are exact
+//! The binary loop walks a range [`CHUNK`] rows at a time and hands
+//! each query the chunk in one [`gdim_kernels::hamming_chunk`] call: every
+//! row's distance plus a candidate mask of the rows strictly below the
+//! query's k-th bound, compared in registers. Tombstoned rows leave the
+//! mask a 64-row word at a time, and only the surviving bits reach the
+//! selector, in ascending row order, each re-checked against the bound
+//! as it tightens inside the chunk. While a selector is still filling,
+//! [`gdim_kernels::fill_cut`] first narrows the chunk to the rows at or
+//! below its own k-th live distance, so a filling selector is offered
+//! about `k` rows, not a chunk. Both come in four families
+//! ([`KernelKind`]): the scalar loop (the always-available reference),
+//! a portable loop with the stride fixed at compile time, and AVX2 and
+//! AVX-512 variants selected at runtime via `is_x86_feature_detected!`.
+//! All kernels are **bit-identical** — Hamming popcounts are exact
 //! integers — so distances (and hits) never depend on the kernel.
 //! [`ScanPlan::new`] picks [`selected_kernel`]; equivalence tests and
 //! benches pin [`ScanPlan::kernel`] explicitly. The weighted loop is
@@ -59,12 +64,12 @@
 //! ## Fused multi-query scan
 //!
 //! A plan answers **all of its queries in one pass**
-//! over the store: per row (or 8-row block), every query's distance is
-//! computed while the row's words are hot in cache, each feeding its
-//! own bounded [`TopK`] — amortizing the store's memory traffic across
-//! the batch. Execution parallelism fans out over **row ranges** (not
-//! queries): each range keeps per-query partial selectors, merged
-//! afterwards by offering the later ranges' kept `(key, id)` pairs
+//! over the store: per chunk (binary) or row (weighted), every query's
+//! distances are computed while the words are hot in cache, each
+//! feeding its own bounded [`TopK`] — amortizing the store's memory
+//! traffic across the batch. Execution parallelism fans out over **row
+//! ranges** (not queries): each range keeps per-query partial
+//! selectors, merged afterwards by offering the later ranges' kept keys
 //! into the first range's selectors — an order-independent reduction,
 //! so results are byte-identical for every thread budget. Per-query hits are
 //! bit-identical to independent single-query scans; with more than one
@@ -93,9 +98,8 @@ use crate::bitset::{weighted_sq_xor_words, Bitset};
 use crate::error::GdimError;
 use gdim_exec::ExecConfig;
 
-pub use gdim_kernels::{
-    available_kernels, hamming_block8_multi_pruned, hamming_row_kernel, selected_kernel, KernelKind,
-};
+pub use gdim_kernels::{available_kernels, hamming_row, selected_kernel, KernelKind};
+use gdim_kernels::{fill_cut, hamming_chunk, CHUNK, CHUNK_WORDS};
 
 /// Minimum rows per exec-parallel range of a fused scan: below this,
 /// per-range selector setup would dominate the scan itself, so small
@@ -169,8 +173,8 @@ fn reduce_ranges<K: Ord + Copy>(
     let mut acc = parts.next().expect("a scan has at least one range");
     for part in parts {
         for ((sel, stats), (other, other_stats)) in acc.iter_mut().zip(part) {
-            for (key, id) in other.heap {
-                sel.offer(key, id);
+            for key in other.heap {
+                sel.offer(key);
             }
             stats.merge(&other_stats);
         }
@@ -296,6 +300,25 @@ impl Tombstones {
     pub fn is_dead(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
         self.words[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// The dead bits of rows `start..start + len` (`len ≤` [`CHUNK`]),
+    /// row `start + r` at bit `r % 64` of word `r / 64` — whole words,
+    /// shifted where `start` is not on a 64-row boundary.
+    fn window(&self, start: usize, len: usize) -> [u64; CHUNK_WORDS] {
+        debug_assert!(len <= CHUNK && start + len <= self.len);
+        let (first, shift) = (start / 64, start % 64);
+        let word = |i: usize| self.words.get(first + i).copied().unwrap_or(0);
+        core::array::from_fn(|w| {
+            let bits = match shift {
+                0 => word(w),
+                s => word(w) >> s | word(w + 1) << (64 - s),
+            };
+            match len.saturating_sub(64 * w) {
+                rest if rest >= 64 => bits,
+                rest => bits & ((1u64 << rest) - 1),
+            }
+        })
     }
 
     /// Tracks one more row, live.
@@ -478,12 +501,12 @@ impl VectorStore {
     ///   (bit-identical sums) and **early-abandoning** a row once its
     ///   running sum strictly exceeds the current k-th bound — sound
     ///   because the per-word contributions are non-negative.
-    /// * **Mask** — `plan.dead` rows are skipped before the distance
-    ///   loop and counted in [`ScanStats::tombstones_skipped`]; `k`
+    /// * **Mask** — `plan.dead` rows never reach the selector and are
+    ///   counted in [`ScanStats::tombstones_skipped`]; `k`
     ///   clamps to the live row count. A mask with no dead rows is
     ///   treated as `None` and never read.
-    /// * **Shape** — one pass over the store, per row block every
-    ///   query's distance computed while the words are hot in cache,
+    /// * **Shape** — one pass over the store, per chunk of rows every
+    ///   query's distances computed while the words are hot in cache,
     ///   `plan.exec` fanning a batch out over row ranges (never
     ///   queries). One query is one range on the calling thread. Every
     ///   `plan.kernel` returns bit-identical hits (the weighted loop
@@ -543,17 +566,17 @@ impl VectorStore {
 
     /// Final normalization of the binary selection: `h ↦ √(h/p)` on
     /// the `k` kept hits only.
-    fn binary_hits(sel: TopK<u32>, bits: usize) -> Vec<(u32, f64)> {
+    fn binary_hits(sel: TopK<u64>, bits: usize) -> Vec<(u32, f64)> {
         let p = bits.max(1) as f64;
         sel.into_sorted()
             .into_iter()
-            .map(|(h, id)| (id, (h as f64 / p).sqrt()))
+            .map(|key| (key as u32, ((key >> 32) as f64 / p).sqrt()))
             .collect()
     }
 
     /// Final normalization of the weighted selection: `sq ↦ √sq` on
     /// the `k` kept hits only.
-    fn weighted_hits(sel: TopK<OrdF64>) -> Vec<(u32, f64)> {
+    fn weighted_hits(sel: TopK<(OrdF64, u32)>) -> Vec<(u32, f64)> {
         sel.into_sorted()
             .into_iter()
             .map(|(OrdF64(sq), id)| (id, sq.sqrt()))
@@ -572,7 +595,11 @@ impl VectorStore {
     /// One row range of a fused binary scan: per-query selectors over
     /// raw integer popcounts (not yet normalized) plus the range's work
     /// counters (identical for every query — binary stats are analytic
-    /// in the range's live count).
+    /// in the range's live count). The range goes [`CHUNK`] rows at a
+    /// time; each query meets a chunk in one [`hamming_chunk`] call
+    /// while its words are hot, against that query's k-th key
+    /// (`u32::MAX` while its selector fills), and only the surviving
+    /// live rows reach the selector, in ascending row order.
     fn binary_fused_range(
         &self,
         queries: &[&[u64]],
@@ -581,68 +608,46 @@ impl VectorStore {
         end: usize,
         mask: Option<&Tombstones>,
         kernel: KernelKind,
-    ) -> RangeScan<u32> {
-        let qn = queries.len();
-        let mut out: RangeScan<u32> = (0..qn)
+    ) -> RangeScan<u64> {
+        let mut out: RangeScan<u64> = queries
+            .iter()
             .map(|_| (TopK::new(k), ScanStats::default()))
             .collect();
-        // Buffers reused across blocks: h8s[j] is query j's eight
-        // block distances, cands[j] its candidate-row bitmask,
-        // bounds[j] the current k-th key the kernel prunes against
-        // (`u32::MAX` while selector j is still filling). One kernel
-        // dispatch per 8-row block serves every query; blocks where no
-        // query has a candidate (the common case once selectors fill)
-        // skip the offer loop entirely.
-        let mut h8s: Vec<[u32; 8]> = vec![[0u32; 8]; qn];
-        let mut cands: Vec<u8> = vec![0u8; qn];
-        let mut bounds: Vec<u32> = vec![u32::MAX; qn];
-        // A candidate above the cached bound never touches the heap; a
-        // kept offer refreshes the bound.
-        let offer = |sel: &mut TopK<u32>, bound: &mut u32, h: u32, id: usize| {
-            if h <= *bound && sel.offer(h, id as u32) {
-                *bound = sel.bound().map_or(u32::MAX, |&(b, _)| b);
-            }
-        };
+        let bound_of = |sel: &TopK<u64>| sel.bound().map_or(u32::MAX, |key| (key >> 32) as u32);
+        let mut dist = [0u32; CHUNK];
+        let mut cand = [0u64; CHUNK_WORDS];
         let mut dead_in_range = 0usize;
-        let mut i = start;
-        while i + 8 <= end {
-            let block = &self.words[i * self.stride..(i + 8) * self.stride];
-            let dead8 = mask.map_or(0u8, |t| {
-                (0..8).fold(0, |m, r| m | (t.is_dead(i + r) as u8) << r)
-            });
-            dead_in_range += dead8.count_ones() as usize;
-            let any = hamming_block8_multi_pruned(
-                kernel,
-                queries,
-                block,
-                self.stride,
-                &bounds,
-                &mut h8s,
-                &mut cands,
-            );
-            if any {
-                for (j, &m) in cands.iter().enumerate() {
-                    let mut live_cands = m & !dead8;
-                    while live_cands != 0 {
-                        let r = live_cands.trailing_zeros() as usize;
-                        live_cands &= live_cands - 1;
-                        offer(&mut out[j].0, &mut bounds[j], h8s[j][r], i + r);
+        for c in (start..end).step_by(CHUNK) {
+            let len = CHUNK.min(end - c);
+            let rows = &self.words[c * self.stride..(c + len) * self.stride];
+            let dead = mask.map_or([0; CHUNK_WORDS], |t| t.window(c, len));
+            dead_in_range += dead.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+            for ((sel, _), q) in out.iter_mut().zip(queries) {
+                let mut bound = bound_of(sel);
+                hamming_chunk(kernel, q, rows, bound, &mut dist, &mut cand);
+                for (word, d) in cand.iter_mut().zip(&dead) {
+                    *word &= !d;
+                }
+                if bound == u32::MAX {
+                    fill_cut(kernel, &mut dist, &mut cand, k);
+                }
+                for (w, &word) in cand.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let r = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        // The chunk was compared against the bound it
+                        // started with. A candidate at or above the
+                        // current one would follow the kept row with that
+                        // distance, so it never touches the heap; a kept
+                        // offer refreshes the bound.
+                        let key = u64::from(dist[r]) << 32 | u64::from((c + r) as u32);
+                        if dist[r] < bound && sel.offer(key) {
+                            bound = bound_of(sel);
+                        }
                     }
                 }
             }
-            i += 8;
-        }
-        while i < end {
-            if mask.is_some_and(|t| t.is_dead(i)) {
-                dead_in_range += 1;
-            } else {
-                let row = self.row(i);
-                for (j, q) in queries.iter().enumerate() {
-                    let h = hamming_row_kernel(kernel, q, row);
-                    offer(&mut out[j].0, &mut bounds[j], h, i);
-                }
-            }
-            i += 1;
         }
         let live_in_range = (end - start) - dead_in_range;
         for (_, stats) in &mut out {
@@ -669,8 +674,8 @@ impl VectorStore {
         w_sq: &[f64],
         (start, end): (usize, usize),
         mask: Option<&Tombstones>,
-    ) -> RangeScan<OrdF64> {
-        let mut out: RangeScan<OrdF64> = queries
+    ) -> RangeScan<(OrdF64, u32)> {
+        let mut out: RangeScan<(OrdF64, u32)> = queries
             .iter()
             .map(|_| (TopK::new(k), ScanStats::default()))
             .collect();
@@ -697,10 +702,10 @@ impl VectorStore {
         query: &[u64],
         i: usize,
         w_sq: &[f64],
-        sel: &mut TopK<OrdF64>,
+        sel: &mut TopK<(OrdF64, u32)>,
         stats: &mut ScanStats,
     ) {
-        let bound = sel.bound().map_or(f64::INFINITY, |&(OrdF64(b), _)| b);
+        let bound = sel.bound().map_or(f64::INFINITY, |(OrdF64(b), _)| b);
         let row = self.row(i);
         let last = self.stride - 1;
         let mut total = 0.0f64;
@@ -720,7 +725,7 @@ impl VectorStore {
         }
         stats.words_scanned += self.stride;
         stats.vectors_scanned += 1;
-        sel.offer(OrdF64(total), i as u32);
+        sel.offer((OrdF64(total), i as u32));
     }
 }
 
@@ -750,19 +755,22 @@ impl Ord for OrdF64 {
     }
 }
 
-/// Bounded top-k selection over `(key, id)` pairs: a fixed-size
-/// max-heap that keeps the `k` smallest pairs seen so far. An offer
-/// that cannot beat the current worst kept pair is rejected in `O(1)`,
-/// so selecting `k` from `n` costs `O(n + k log k)` comparisons
-/// instead of the `O(n log n)` full sort it replaces.
+/// Bounded top-k selection: a fixed-size max-heap that keeps the `k`
+/// smallest keys seen so far. A key carries its row id, so keys are
+/// distinct and ties break by id: the binary scan packs `(h, id)` into
+/// one `u64` (`h << 32 | id`, one integer compare per heap step), the
+/// weighted scan uses `(OrdF64, u32)`. An offer that cannot beat the
+/// current worst kept key is rejected in `O(1)`, so selecting `k` from
+/// `n` costs `O(n + k log k)` comparisons instead of the `O(n log n)`
+/// full sort it replaces.
 #[derive(Debug, Clone)]
 pub struct TopK<K: Ord + Copy> {
     k: usize,
-    heap: std::collections::BinaryHeap<(K, u32)>,
+    heap: std::collections::BinaryHeap<K>,
 }
 
 impl<K: Ord + Copy> TopK<K> {
-    /// A selector keeping the `k` smallest `(key, id)` pairs.
+    /// A selector keeping the `k` smallest keys.
     pub fn new(k: usize) -> Self {
         TopK {
             k,
@@ -770,38 +778,38 @@ impl<K: Ord + Copy> TopK<K> {
         }
     }
 
-    /// The worst pair currently kept, available once the selector is
-    /// full — the pruning bound: any candidate strictly above this key
-    /// can never be selected.
+    /// The worst key currently kept, available once the selector is
+    /// full — the pruning bound: any candidate above this key can never
+    /// be selected.
     #[inline]
-    pub fn bound(&self) -> Option<&(K, u32)> {
+    pub fn bound(&self) -> Option<K> {
         if self.heap.len() == self.k {
-            self.heap.peek()
+            self.heap.peek().copied()
         } else {
             None
         }
     }
 
-    /// Offers a pair; returns whether it was kept.
+    /// Offers a key; returns whether it was kept.
     #[inline]
-    pub fn offer(&mut self, key: K, id: u32) -> bool {
+    pub fn offer(&mut self, key: K) -> bool {
         if self.k == 0 {
             return false;
         }
         if self.heap.len() < self.k {
-            self.heap.push((key, id));
+            self.heap.push(key);
             return true;
         }
         let mut worst = self.heap.peek_mut().expect("full selector is non-empty");
-        let kept = (key, id) < *worst;
+        let kept = key < *worst;
         if kept {
-            *worst = (key, id);
+            *worst = key;
         }
         kept
     }
 
-    /// The kept pairs, ascending by `(key, id)`.
-    pub fn into_sorted(self) -> Vec<(K, u32)> {
+    /// The kept keys, ascending.
+    pub fn into_sorted(self) -> Vec<K> {
         self.heap.into_sorted_vec()
     }
 }
@@ -857,19 +865,19 @@ mod tests {
 
     #[test]
     fn topk_selector_keeps_k_smallest_with_id_ties() {
-        let mut sel: TopK<u32> = TopK::new(3);
-        for (key, id) in [(5, 0), (1, 9), (5, 1), (1, 2), (7, 3), (0, 4)] {
-            sel.offer(key, id);
+        let mut sel: TopK<(u32, u32)> = TopK::new(3);
+        for key in [(5, 0), (1, 9), (5, 1), (1, 2), (7, 3), (0, 4)] {
+            sel.offer(key);
         }
         assert_eq!(sel.into_sorted(), vec![(0, 4), (1, 2), (1, 9)]);
     }
 
     #[test]
     fn zero_k_selector_rejects_everything() {
-        let mut sel: TopK<u32> = TopK::new(0);
-        assert!(!sel.offer(1, 1));
+        let mut sel: TopK<(u32, u32)> = TopK::new(0);
+        assert!(!sel.offer((1, 1)));
         assert!(sel.into_sorted().is_empty());
-        assert!(TopK::<u32>::new(0).bound().is_none());
+        assert!(TopK::<(u32, u32)>::new(0).bound().is_none());
     }
 
     #[test]
@@ -1123,24 +1131,65 @@ mod tests {
 
     #[test]
     fn every_kernel_matches_the_scalar_scan_bit_for_bit() {
-        // 150 bits → stride 3 (odd word tail for AVX2); n = 23 leaves
-        // a 7-row tail after the 8-row blocks.
-        let s = random_store(23, 150, 7);
-        let q = random_store(1, 150, 99);
-        let mut dead = Tombstones::all_live(23);
-        for i in [1usize, 20, 21, 22] {
-            dead.mark_dead(i); // tombstones inside the unrolled tail
-        }
-        let w_sq: Vec<f64> = (0..150).map(|b| 1.0 / (b + 3) as f64).collect();
-        for k in [1usize, 4, 23] {
-            for mask in [None, Some(&dead)] {
-                let reference = scan1(&s, q.row(0), k, None, mask, KernelKind::Scalar);
-                let wref = scan1(&s, q.row(0), k, Some(&w_sq), mask, KernelKind::Scalar);
-                for kernel in available_kernels() {
-                    let got = scan1(&s, q.row(0), k, None, mask, kernel);
-                    assert_eq!(got, reference, "binary kernel {kernel}, k {k}");
-                    let got = scan1(&s, q.row(0), k, Some(&w_sq), mask, kernel);
-                    assert_eq!(got, wref, "weighted kernel {kernel}, k {k}");
+        // n = 23 is one short chunk; 3·CHUNK + 37 is three full chunks
+        // and a tail that is not a multiple of 8 or 64. The widths cover
+        // strides 1–5, the served stride 2 (p = 128) among them, and an
+        // odd word tail (150 bits).
+        let big = 3 * CHUNK + 37;
+        let shapes = [(23, 150)]
+            .into_iter()
+            .chain([64, 128, 150, 256, 320].map(|bits| (big, bits)));
+        for (n, bits) in shapes {
+            let s = random_store(n, bits, 7 + bits as u64);
+            let qs = random_store(3, bits, 99);
+            let queries: Vec<&[u64]> = (0..3).map(|i| qs.row(i)).collect();
+            let mut dead = Tombstones::all_live(n);
+            if n < 64 {
+                for i in [1usize, 20, 21, 22] {
+                    dead.mark_dead(i);
+                }
+            } else {
+                // Both sides of the word boundaries at rows 64 and 448,
+                // a fully dead word (rows 640..704) and the last row.
+                // The fused ranges start at rows 402 and 603, so rows
+                // 448 and 640.. come from the upper word of a shifted
+                // tombstone window.
+                for i in [62usize, 63, 64, 65, 447, 448].into_iter().chain(640..704) {
+                    dead.mark_dead(i);
+                }
+                dead.mark_dead(n - 1);
+            }
+            let w_sq: Vec<f64> = (0..bits).map(|b| 1.0 / (b + 3) as f64).collect();
+            for k in [1usize, 10, n] {
+                for mask in [None, Some(&dead)] {
+                    let at = format!("n {n}, bits {bits}, k {k}, masked {}", mask.is_some());
+                    let reference: Vec<_> = queries
+                        .iter()
+                        .map(|q| scan1(&s, q, k, None, mask, KernelKind::Scalar))
+                        .collect();
+                    let wref = scan1(&s, queries[0], k, Some(&w_sq), mask, KernelKind::Scalar);
+                    for kernel in available_kernels() {
+                        for (q, want) in queries.iter().zip(&reference) {
+                            let got = scan1(&s, q, k, None, mask, kernel);
+                            assert_eq!(&got, want, "binary kernel {kernel}, {at}");
+                        }
+                        let got = scan1(&s, queries[0], k, Some(&w_sq), mask, kernel);
+                        assert_eq!(got, wref, "weighted kernel {kernel}, {at}");
+                        // A fused batch splits into ranges that start off
+                        // a 64-row boundary at 2 and 8 threads.
+                        for threads in [1usize, 2, 8] {
+                            let fused = s.scan(&ScanPlan {
+                                dead: mask,
+                                kernel,
+                                exec: ExecConfig::new(threads),
+                                ..ScanPlan::new(&queries, k)
+                            });
+                            assert_eq!(
+                                fused, reference,
+                                "fused kernel {kernel}, threads {threads}, {at}"
+                            );
+                        }
+                    }
                 }
             }
         }

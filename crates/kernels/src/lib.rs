@@ -2,28 +2,29 @@
 //!
 //! The online phase of the paper's pipeline is a linear scan over the
 //! flat SoA vector store: per row, XOR the query words against the row
-//! words and popcount. That scan is memory-bound, so the kernels here
-//! widen per-row compute two ways while staying **bit-identical** to
-//! the scalar reference loop:
+//! words and popcount. The scan hands this crate one query and a
+//! **chunk** of up to [`CHUNK`] rows at a time ([`hamming_chunk`]); the
+//! kernel writes every row's distance and a candidate bitmask of the
+//! rows strictly below the caller's k-th bound, compared in registers
+//! with no per-row branch. Four families, all **bit-identical** to the
+//! scalar reference loop:
 //!
-//! - [`KernelKind::Unrolled`] — a portable chunked-`u64` kernel that
-//!   processes the **8 rows of a block** inside one word loop,
-//!   interleaving their XOR+popcount so each query word is loaded once
-//!   per block instead of once per row.
-//! - [`KernelKind::Avx2`] — the same 8-row block, the block's rows
-//!   held in 256-bit registers across every query of a fused scan and
-//!   counted through a `target_feature(enable = "avx2")` intrinsic
-//!   popcount (the nibble-LUT `_mm256_shuffle_epi8` +
-//!   `_mm256_sad_epu8` reduction).
-//!   Selected at runtime via `is_x86_feature_detected!`; never chosen
-//!   on other architectures or under `--cfg gdim_portable`.
-//! - [`KernelKind::Avx512`] — the AVX2 shape with the shuffle popcount
-//!   replaced by the single-instruction `vpopcntq`
-//!   (`AVX512VPOPCNTDQ`+`VL`, staying at 256-bit width so no 512-bit
-//!   frequency licensing applies) and the fused prune compare done in
-//!   mask registers. Same runtime gating as AVX2.
-//! - [`KernelKind::Scalar`] — the original row-at-a-time loop, always
-//!   available as the reference and fallback.
+//! - [`KernelKind::Scalar`] — the row-at-a-time [`hamming_row`] loop,
+//!   always available as the reference.
+//! - [`KernelKind::Unrolled`] — the portable loop with the stride fixed
+//!   at compile time for strides 1–4, so the word loop unrolls and the
+//!   query stays in registers.
+//! - [`KernelKind::Avx2`] — 8 rows per step at strides 2 and 4 (p = 128
+//!   and 256), rows in 256-bit registers, counted through a
+//!   `target_feature(enable = "avx2")` intrinsic popcount (the
+//!   nibble-LUT `_mm256_shuffle_epi8` + `_mm256_sad_epu8` reduction);
+//!   other strides run the portable loop compiled with the hardware
+//!   `popcnt`. Selected at runtime via `is_x86_feature_detected!`;
+//!   never chosen on other architectures or under `--cfg gdim_portable`.
+//! - [`KernelKind::Avx512`] — 16 rows per step at strides 2 and 4, rows
+//!   in 512-bit registers, the single-instruction `vpopcntq`
+//!   (`AVX512VPOPCNTDQ`) and the bound compare into a mask register.
+//!   Same runtime gating and fallback as AVX2.
 //!
 //! Hamming distances are exact integer counts, so every kernel returns
 //! the same `u32` for the same row — callers may freely mix kernels
@@ -33,7 +34,8 @@
 //!
 //! This crate deliberately holds the only `unsafe` in the workspace
 //! (`gdim-core` keeps `#![forbid(unsafe_code)]`): the intrinsic paths
-//! live in one small module behind runtime feature detection.
+//! live in one small module per family behind runtime feature
+//! detection.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -50,12 +52,13 @@ use std::sync::OnceLock;
 pub enum KernelKind {
     /// Row-at-a-time `u64` XOR + `count_ones` — the reference loop.
     Scalar,
-    /// Portable interleaved block kernel (8 rows per word loop).
+    /// Portable row loop, the stride a compile-time constant for
+    /// strides 1–4.
     Unrolled,
-    /// Block kernel with AVX2 256-bit intrinsic popcount.
+    /// 8 rows per step in 256-bit AVX2 registers, nibble-LUT popcount.
     Avx2,
-    /// AVX2 block shape with the `vpopcntq` single-instruction
-    /// popcount and mask-register prune compares (256-bit VL width).
+    /// 16 rows per step in 512-bit registers, `vpopcntq` popcount and
+    /// mask-register bound compares.
     Avx512,
 }
 
@@ -92,12 +95,13 @@ impl fmt::Display for KernelKind {
     }
 }
 
-/// Runtime check: can the AVX2 kernel run here? Always `false` off
-/// x86_64 and under `--cfg gdim_portable` (the pinned portable build).
+/// Runtime check: can the AVX2 kernel run here (`AVX2` + `POPCNT`)?
+/// Always `false` off x86_64 and under `--cfg gdim_portable` (the
+/// pinned portable build).
 pub fn avx2_available() -> bool {
     #[cfg(all(target_arch = "x86_64", not(gdim_portable)))]
     {
-        std::arch::is_x86_feature_detected!("avx2")
+        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("popcnt")
     }
     #[cfg(not(all(target_arch = "x86_64", not(gdim_portable))))]
     {
@@ -105,14 +109,14 @@ pub fn avx2_available() -> bool {
     }
 }
 
-/// Runtime check: can the AVX-512 kernel run here? Requires
-/// `AVX512F`+`VL` (256-bit forms) and `AVX512VPOPCNTDQ`; always
+/// Runtime check: can the AVX-512 kernel run here? Requires what the
+/// AVX2 kernel does plus `AVX512F` and `AVX512VPOPCNTDQ`; always
 /// `false` off x86_64 and under `--cfg gdim_portable`.
 pub fn avx512_available() -> bool {
     #[cfg(all(target_arch = "x86_64", not(gdim_portable)))]
     {
-        std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512vl")
+        avx2_available()
+            && std::arch::is_x86_feature_detected!("avx512f")
             && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
     }
     #[cfg(not(all(target_arch = "x86_64", not(gdim_portable))))]
@@ -160,143 +164,212 @@ pub fn hamming_row(query: &[u64], row: &[u64]) -> u32 {
         .sum()
 }
 
-/// Bitmask (bits 0..8) of block rows whose distance is strictly below
-/// `bound` — the portable form of the AVX2 in-register compare.
-#[inline]
-fn prune_mask8(h: &[u32; 8], bound: u32) -> u8 {
-    h.iter()
-        .enumerate()
-        .fold(0u8, |m, (r, &v)| m | (((v < bound) as u8) << r))
-}
+/// Rows one [`hamming_chunk`] call compares. At p = 128 a chunk is
+/// 4 KiB, so it stays in L1 while every query of a fused batch reads
+/// it; and one call per 256 rows leaves the per-call work (dispatch,
+/// tombstone words, the candidate walk) a small share of the scan.
+pub const CHUNK: usize = 256;
 
-/// The portable 8-row block: the eight accumulations interleaved
-/// inside a single word loop, so each query word is loaded once per
-/// block.
+/// Words of a chunk's candidate mask: row `r` is bit `r % 64` of word
+/// `r / 64`.
+pub const CHUNK_WORDS: usize = CHUNK / 64;
+
+/// The scan's hot step: one query against a chunk of rows. `rows` holds
+/// `n ≤ CHUNK` rows row-major, `query.len()` words each. Writes every
+/// row's distance to `dist[..n]` and sets `cand` to the rows whose
+/// distance is **strictly below** `bound` (bits at and above `n`
+/// clear). A caller keeping a bounded top-k selector passes its current
+/// k-th key (`u32::MAX` while it fills): offered in ascending id order,
+/// a row at exactly the bound comes after the kept row with that key,
+/// so it can never displace it, and the strict compare is
+/// selection-identical to offering every row.
+///
+/// # Panics
+/// If the query is empty, `rows` is not a whole number of rows, or it
+/// holds more than [`CHUNK`] of them.
 #[inline]
-fn block8_portable(q: &[u64], block: &[u64], stride: usize) -> [u32; 8] {
-    debug_assert_eq!(q.len(), stride);
-    let mut h = [0u32; 8];
-    for (w, &qw) in q.iter().enumerate() {
-        for (r, hr) in h.iter_mut().enumerate() {
-            *hr += (qw ^ block[r * stride + w]).count_ones();
+pub fn hamming_chunk(
+    kernel: KernelKind,
+    query: &[u64],
+    rows: &[u64],
+    bound: u32,
+    dist: &mut [u32; CHUNK],
+    cand: &mut [u64; CHUNK_WORDS],
+) {
+    let stride = query.len();
+    assert!(
+        stride > 0 && rows.len().is_multiple_of(stride) && rows.len() / stride <= CHUNK,
+        "a chunk is at most {CHUNK} whole rows of {stride} words, not {} words",
+        rows.len()
+    );
+    *cand = [0; CHUNK_WORDS];
+    match kernel {
+        KernelKind::Scalar => return rows_from::<0>(query, rows, 0, bound, dist, cand),
+        KernelKind::Unrolled => {}
+        KernelKind::Avx2 =>
+        {
+            #[cfg(all(target_arch = "x86_64", not(gdim_portable)))]
+            if avx2::chunk_checked(query, rows, bound, dist, cand) {
+                return;
+            }
+        }
+        KernelKind::Avx512 =>
+        {
+            #[cfg(all(target_arch = "x86_64", not(gdim_portable)))]
+            if avx512::chunk_checked(query, rows, bound, dist, cand) {
+                return;
+            }
         }
     }
-    h
+    // `Unrolled`, or an intrinsic kind the CPU/build lacks.
+    portable_from(query, rows, 0, bound, dist, cand);
 }
 
-/// The fused scan's hot step: every query's distances against an
-/// **8-row block** with per-query **bound pruning**, in one dispatch.
-/// For each query `j`, `cand[j]` is set to the bitmask of rows whose
-/// distance is strictly below `bounds[j]`, and `out[j]` is only
-/// guaranteed to be written when that mask is non-zero. Returns
-/// whether any query has any candidate row, so callers can skip their
-/// offer loop for the (overwhelmingly common, once selectors fill)
-/// all-pruned block. Callers maintaining a bounded top-k selector
-/// pass the current k-th key (or `u32::MAX` while the selector is
-/// filling); a row at exactly the bound can never displace an earlier
-/// row with the same key, so the strict compare is
-/// selection-identical to offering every row. On AVX2 the block's
-/// rows stay resident in registers across all queries and the compare
-/// happens in registers too — the no-candidate case touches no memory
-/// beyond the mask byte.
+/// The fill cut: a selector that is not yet full must not be offered a
+/// whole chunk. Given a chunk's distances as [`hamming_chunk`] wrote
+/// them and its live rows `cand`, narrows `cand` to the live rows at or
+/// below the chunk's k-th smallest live distance `d`: at least `k` rows
+/// of the chunk beat anything above `d`, so no such row can be
+/// selected (`k ≥ 1`). Leaves `cand` as is when it holds at most `k`
+/// rows, and overwrites the distances of the rows outside it with
+/// `u32::MAX`.
+/// Distances are small integers, so `d` is found exactly by counting
+/// passes (rows at or below a trial value) bisecting between the
+/// chunk's smallest and largest live distance; the intrinsic kinds run
+/// the passes in vector registers.
 #[inline]
-pub fn hamming_block8_multi_pruned(
+pub fn fill_cut(
     kernel: KernelKind,
-    queries: &[&[u64]],
-    block: &[u64],
-    stride: usize,
-    bounds: &[u32],
-    out: &mut [[u32; 8]],
-    cand: &mut [u8],
-) -> bool {
-    debug_assert_eq!(queries.len(), out.len());
-    debug_assert_eq!(queries.len(), bounds.len());
-    debug_assert_eq!(queries.len(), cand.len());
-    debug_assert_eq!(block.len(), 8 * stride);
+    dist: &mut [u32; CHUNK],
+    cand: &mut [u64; CHUNK_WORDS],
+    k: usize,
+) {
     match kernel {
         KernelKind::Scalar | KernelKind::Unrolled => {}
-        // Strides 1 and 3 have no register shape, and the portable
-        // block beats counting them row by row with intrinsics.
-        KernelKind::Avx2 | KernelKind::Avx512 if stride < 4 && stride != 2 => {}
-        KernelKind::Avx2 => {
+        KernelKind::Avx2 =>
+        {
             #[cfg(all(target_arch = "x86_64", not(gdim_portable)))]
-            if let Some(any) =
-                avx2::hamming_block8_multi_pruned_checked(queries, block, stride, bounds, out, cand)
-            {
-                return any;
+            if avx2::fill_cut_checked(dist, cand, k) {
+                return;
             }
         }
-        KernelKind::Avx512 => {
+        KernelKind::Avx512 =>
+        {
             #[cfg(all(target_arch = "x86_64", not(gdim_portable)))]
-            if let Some(any) = avx512::hamming_block8_multi_pruned_checked(
-                queries, block, stride, bounds, out, cand,
-            ) {
-                return any;
+            if avx512::fill_cut_checked(dist, cand, k) {
+                return;
             }
         }
     }
-    // `Scalar` row by row; otherwise the portable block (`Unrolled`, a
-    // stride without a register shape, or an intrinsic kind the
-    // CPU/build lacks).
-    let mut any = false;
-    for (((q, &b), o), c) in queries
-        .iter()
-        .zip(bounds.iter())
-        .zip(out.iter_mut())
-        .zip(cand.iter_mut())
-    {
-        *o = if kernel == KernelKind::Scalar {
-            core::array::from_fn(|j| hamming_row(q, &block[j * stride..(j + 1) * stride]))
-        } else {
-            block8_portable(q, block, stride)
-        };
-        *c = prune_mask8(o, b);
-        any |= *c != 0;
-    }
-    any
+    fill_cut_body(dist, cand, k);
 }
 
-/// Dispatch the single-row kernel (used for the last rows of a range,
-/// fewer than a block). `Avx2` / `Avx512` silently degrade to the
-/// scalar loop when the CPU/build lacks them, so the kind is safe to
-/// pass through from configuration.
-#[inline]
-pub fn hamming_row_kernel(kernel: KernelKind, query: &[u64], row: &[u64]) -> u32 {
-    match kernel {
-        KernelKind::Scalar | KernelKind::Unrolled => hamming_row(query, row),
-        KernelKind::Avx2 => {
-            #[cfg(all(target_arch = "x86_64", not(gdim_portable)))]
-            if let Some(h) = avx2::hamming_row_checked(query, row) {
-                return h;
-            }
-            hamming_row(query, row)
+/// [`fill_cut`]'s one body, compiled once per family. Fixed-length
+/// loops throughout, so the compiler vectorizes every pass.
+#[inline(always)]
+fn fill_cut_body(dist: &mut [u32; CHUNK], cand: &mut [u64; CHUNK_WORDS], k: usize) {
+    debug_assert!(k > 0, "a cut for an empty selection");
+    if cand.iter().map(|w| w.count_ones() as usize).sum::<usize>() <= k {
+        return;
+    }
+    for (&word, rows) in cand.iter().zip(dist.chunks_exact_mut(64)) {
+        if word == 0 {
+            rows.fill(u32::MAX);
+            continue;
         }
-        KernelKind::Avx512 => {
-            #[cfg(all(target_arch = "x86_64", not(gdim_portable)))]
-            if let Some(h) = avx512::hamming_row_checked(query, row) {
-                return h;
-            }
-            hamming_row(query, row)
+        let mut out = !word;
+        while out != 0 {
+            rows[out.trailing_zeros() as usize] = u32::MAX;
+            out &= out - 1;
         }
+    }
+    let dist: &[u32; CHUNK] = dist;
+    let mut lo = dist.iter().copied().fold(u32::MAX, u32::min);
+    // The largest live distance: `u32::MAX` wraps to 0.
+    let mut hi = dist.iter().map(|&h| h.wrapping_add(1)).fold(0, u32::max) - 1;
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if at_or_below(dist, mid) >= k as u32 {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    for (word, rows) in cand.iter_mut().zip(dist.chunks_exact(64)) {
+        let rows: &[u32; 64] = rows.try_into().expect("64-row word");
+        let mut keep = 0u64;
+        for (b, &h) in rows.iter().enumerate() {
+            keep |= u64::from(h <= lo) << b;
+        }
+        *word &= keep;
+    }
+}
+
+/// Rows of a chunk at or below distance `t`.
+#[inline(always)]
+fn at_or_below(dist: &[u32; CHUNK], t: u32) -> u32 {
+    dist.iter().map(|&h| u32::from(h <= t)).sum()
+}
+
+/// The portable loop over rows `from..` of a chunk: one row at a time,
+/// the candidate bit set from the compare without a branch. `S > 0`
+/// fixes the stride at compile time; `S = 0` reads it from the query.
+#[inline(always)]
+fn rows_from<const S: usize>(
+    query: &[u64],
+    rows: &[u64],
+    from: usize,
+    bound: u32,
+    dist: &mut [u32; CHUNK],
+    cand: &mut [u64; CHUNK_WORDS],
+) {
+    let stride = if S == 0 { query.len() } else { S };
+    let query = &query[..stride];
+    for (r, row) in rows.chunks_exact(stride).enumerate().skip(from) {
+        let h = hamming_row(query, row);
+        dist[r] = h;
+        cand[r / 64] |= u64::from(h < bound) << (r % 64);
+    }
+}
+
+/// [`rows_from`] at the chunk's stride, constant where it is 1–4. The
+/// intrinsic families finish their chunks here too, compiled with the
+/// hardware `popcnt` they enable.
+#[inline(always)]
+fn portable_from(
+    query: &[u64],
+    rows: &[u64],
+    from: usize,
+    bound: u32,
+    dist: &mut [u32; CHUNK],
+    cand: &mut [u64; CHUNK_WORDS],
+) {
+    match query.len() {
+        1 => rows_from::<1>(query, rows, from, bound, dist, cand),
+        2 => rows_from::<2>(query, rows, from, bound, dist, cand),
+        3 => rows_from::<3>(query, rows, from, bound, dist, cand),
+        4 => rows_from::<4>(query, rows, from, bound, dist, cand),
+        _ => rows_from::<0>(query, rows, from, bound, dist, cand),
     }
 }
 
 #[cfg(all(target_arch = "x86_64", not(gdim_portable)))]
 mod avx2 {
-    //! AVX2 intrinsic kernels. The popcount is the nibble-LUT form
+    //! The AVX2 chunk kernel. The popcount is the nibble-LUT form
     //! (Muła): split each byte into nibbles, table-lookup per-nibble
     //! bit counts with `_mm256_shuffle_epi8`, then horizontally sum
     //! bytes into the four u64 lanes with `_mm256_sad_epu8`. Exact
     //! integer counts — bit-identical to `count_ones`.
     #![allow(unsafe_code)]
 
+    use super::{CHUNK, CHUNK_WORDS};
     use core::arch::x86_64::*;
 
     /// Per-nibble popcount LUT, replicated across both 128-bit lanes
     /// (`_mm256_shuffle_epi8` shuffles within lanes).
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn popcount256(v: __m256i) -> __m256i {
+    fn popcount256(v: __m256i) -> __m256i {
         let lut = _mm256_setr_epi8(
             0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, // lane 0
             0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, // lane 1
@@ -308,43 +381,25 @@ mod avx2 {
         _mm256_sad_epu8(cnt, _mm256_setzero_si256())
     }
 
+    /// Per-word popcounts of the four words at `p` XOR the query.
+    ///
     /// # Safety
-    /// Caller must guarantee the CPU supports AVX2.
+    /// The CPU supports AVX2 and `p..p + 4` are readable words.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn hamming_row_avx2(query: &[u64], row: &[u64]) -> u32 {
-        debug_assert_eq!(query.len(), row.len());
-        let n = query.len();
-        let mut acc = _mm256_setzero_si256();
-        let mut w = 0usize;
-        while w + 4 <= n {
-            // SAFETY: w + 4 <= n bounds both unaligned 4-word loads.
-            let q = _mm256_loadu_si256(query.as_ptr().add(w) as *const __m256i);
-            let r = _mm256_loadu_si256(row.as_ptr().add(w) as *const __m256i);
-            acc = _mm256_add_epi64(acc, popcount256(_mm256_xor_si256(q, r)));
-            w += 4;
-        }
-        let mut lanes = [0u64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-        let mut h = (lanes[0] + lanes[1] + lanes[2] + lanes[3]) as u32;
-        while w < n {
-            h += (query[w] ^ row[w]).count_ones();
-            w += 1;
-        }
-        h
+    unsafe fn xor_popcount(p: *const u64, qv: __m256i) -> __m256i {
+        popcount256(_mm256_xor_si256(
+            _mm256_loadu_si256(p as *const __m256i),
+            qv,
+        ))
     }
 
     /// Horizontal reduction of four per-lane u64 count vectors into
     /// the four row totals, entirely in registers: pairwise lane sums
-    /// via unpack, then cross-lane combine via `permute2x128`. Avoids
-    /// four separate store-to-stack reductions per block.
+    /// via unpack, then cross-lane combine via `permute2x128`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sum4_epi64_vec(
-        x0: __m256i,
-        x1: __m256i,
-        x2: __m256i,
-        x3: __m256i,
-    ) -> __m256i {
+    fn sum4_epi64_vec(x0: __m256i, x1: __m256i, x2: __m256i, x3: __m256i) -> __m256i {
         // s01 = [x0.q0+q1, x1.q0+q1 | x0.q2+q3, x1.q2+q3], s23 alike.
         let s01 = _mm256_add_epi64(_mm256_unpacklo_epi64(x0, x1), _mm256_unpackhi_epi64(x0, x1));
         let s23 = _mm256_add_epi64(_mm256_unpacklo_epi64(x2, x3), _mm256_unpackhi_epi64(x2, x3));
@@ -353,24 +408,11 @@ mod avx2 {
         _mm256_add_epi64(lo, hi)
     }
 
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn lanes_to_u32x4(t: __m256i) -> [u32; 4] {
-        let mut lanes = [0u64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, t);
-        [
-            lanes[0] as u32,
-            lanes[1] as u32,
-            lanes[2] as u32,
-            lanes[3] as u32,
-        ]
-    }
-
     /// Row totals of two count vectors that hold two 2-word rows each
     /// (`[r0.w0, r0.w1, r1.w0, r1.w1]`, `[r2.., r3..]`), in row order.
     #[inline]
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sum2x2_epi64_vec(x01: __m256i, x23: __m256i) -> __m256i {
+    fn sum2x2_epi64_vec(x01: __m256i, x23: __m256i) -> __m256i {
         // Unpack pairs word 0s and word 1s as [r0, r2 | r1, r3].
         let s = _mm256_add_epi64(
             _mm256_unpacklo_epi64(x01, x23),
@@ -379,361 +421,301 @@ mod avx2 {
         _mm256_permute4x64_epi64::<0b11_01_10_00>(s)
     }
 
-    /// The prune step of one query over one 8-row block: per-lane
-    /// `h < bound` compare in registers (counts and bounds both fit
-    /// i64, so the signed compare is exact); distances are stored only
-    /// when some row survives. Returns whether any did.
+    /// Rows `r..r + 8` done: `lo` / `hi` hold their distances as u64
+    /// lanes in row order. Packs them to eight u32, stores them and ORs
+    /// the `h < bound` lanes into the mask. Distances are at most
+    /// 64 · stride, far below 2^31, so the signed compare against the
+    /// bound clamped to `i32::MAX` is exact.
+    ///
+    /// # Safety
+    /// The CPU supports AVX2 and `r + 8 ≤ CHUNK`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn prune8(
-        t_lo: __m256i,
-        t_hi: __m256i,
-        bound: u32,
-        out: &mut [u32; 8],
-        cand: &mut u8,
-    ) -> bool {
-        let bv = _mm256_set1_epi64x(bound as i64);
-        let m_lo = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(bv, t_lo)));
-        let m_hi = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(bv, t_hi)));
-        *cand = (m_lo | (m_hi << 4)) as u8;
-        if *cand != 0 {
-            let lo = lanes_to_u32x4(t_lo);
-            let hi = lanes_to_u32x4(t_hi);
-            *out = [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]];
-        }
-        *cand != 0
+    unsafe fn finish8(
+        lo: __m256i,
+        hi: __m256i,
+        bound: __m256i,
+        r: usize,
+        dist: &mut [u32; CHUNK],
+        cand: &mut [u64; CHUNK_WORDS],
+    ) {
+        // [r0, r4, r1, r5, r2, r6, r3, r7] as dwords, then row order.
+        let d = _mm256_permutevar8x32_epi32(
+            _mm256_blend_epi32::<0b1010_1010>(lo, _mm256_slli_epi64::<32>(hi)),
+            _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7),
+        );
+        // SAFETY: r + 8 ≤ CHUNK bounds the eight-dword store.
+        _mm256_storeu_si256(dist.as_mut_ptr().add(r) as *mut __m256i, d);
+        let m = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(bound, d))) as u8;
+        cand[r / 64] |= u64::from(m) << (r % 64);
     }
 
     /// # Safety
-    /// Caller must guarantee the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn hamming_block8_multi_pruned_avx2(
-        queries: &[&[u64]],
-        block: &[u64],
-        stride: usize,
-        bounds: &[u32],
-        out: &mut [[u32; 8]],
-        cand: &mut [u8],
+    /// The CPU supports AVX2 and POPCNT, `query` is not empty, and
+    /// `rows` holds at most `CHUNK` rows of `query.len()` words.
+    #[target_feature(enable = "avx2,popcnt")]
+    unsafe fn chunk(
+        query: &[u64],
+        rows: &[u64],
+        bound: u32,
+        dist: &mut [u32; CHUNK],
+        cand: &mut [u64; CHUNK_WORDS],
+    ) {
+        let stride = query.len();
+        let n = rows.len() / stride;
+        let bv = _mm256_set1_epi32(bound.min(i32::MAX as u32) as i32);
+        let mut r = 0;
+        if stride == 2 {
+            // SAFETY: the query has two words.
+            let qv = _mm256_broadcastsi128_si256(_mm_loadu_si128(query.as_ptr() as *const __m128i));
+            while r + 8 <= n {
+                // SAFETY: rows r..r + 8 are 16 words inside `rows`.
+                let p = rows.as_ptr().add(r * 2);
+                let lo = sum2x2_epi64_vec(xor_popcount(p, qv), xor_popcount(p.add(4), qv));
+                let hi = sum2x2_epi64_vec(xor_popcount(p.add(8), qv), xor_popcount(p.add(12), qv));
+                finish8(lo, hi, bv, r, dist, cand);
+                r += 8;
+            }
+        } else if stride == 4 {
+            // SAFETY: the query has four words.
+            let qv = _mm256_loadu_si256(query.as_ptr() as *const __m256i);
+            while r + 8 <= n {
+                // SAFETY: rows r..r + 8 are 32 words inside `rows`.
+                let p = rows.as_ptr().add(r * 4);
+                let lo = sum4_epi64_vec(
+                    xor_popcount(p, qv),
+                    xor_popcount(p.add(4), qv),
+                    xor_popcount(p.add(8), qv),
+                    xor_popcount(p.add(12), qv),
+                );
+                let hi = sum4_epi64_vec(
+                    xor_popcount(p.add(16), qv),
+                    xor_popcount(p.add(20), qv),
+                    xor_popcount(p.add(24), qv),
+                    xor_popcount(p.add(28), qv),
+                );
+                finish8(lo, hi, bv, r, dist, cand);
+                r += 8;
+            }
+        }
+        super::portable_from(query, rows, r, bound, dist, cand);
+    }
+
+    /// [`super::fill_cut`] with the counting passes in AVX2 registers.
+    #[target_feature(enable = "avx2,popcnt")]
+    fn fill_cut(dist: &mut [u32; CHUNK], cand: &mut [u64; CHUNK_WORDS], k: usize) {
+        super::fill_cut_body(dist, cand, k);
+    }
+
+    /// Safe entry: `false` when the CPU lacks AVX2, otherwise the cut
+    /// is done.
+    #[inline]
+    pub fn fill_cut_checked(
+        dist: &mut [u32; CHUNK],
+        cand: &mut [u64; CHUNK_WORDS],
+        k: usize,
     ) -> bool {
-        let mut any = false;
-        let p = block.as_ptr();
-        if stride == 4 {
-            // SAFETY: stride == 4 means block holds 32 words, bounding
-            // all eight unaligned row loads.
-            let r0 = _mm256_loadu_si256(p as *const __m256i);
-            let r1 = _mm256_loadu_si256(p.add(4) as *const __m256i);
-            let r2 = _mm256_loadu_si256(p.add(8) as *const __m256i);
-            let r3 = _mm256_loadu_si256(p.add(12) as *const __m256i);
-            let r4 = _mm256_loadu_si256(p.add(16) as *const __m256i);
-            let r5 = _mm256_loadu_si256(p.add(20) as *const __m256i);
-            let r6 = _mm256_loadu_si256(p.add(24) as *const __m256i);
-            let r7 = _mm256_loadu_si256(p.add(28) as *const __m256i);
-            // Index-based walk with unchecked accesses: the zip of
-            // four slices costs four pointer updates per query, which
-            // is measurable at 64 queries per 8 rows.
-            for j in 0..queries.len() {
-                // SAFETY: j < queries.len() == bounds/out/cand len
-                // (asserted by the dispatching wrapper).
-                let q = *queries.get_unchecked(j);
-                debug_assert_eq!(q.len(), 4);
-                // SAFETY: each query row has exactly stride (4) words.
-                let qv = _mm256_loadu_si256(q.as_ptr() as *const __m256i);
-                let t_lo = sum4_epi64_vec(
-                    popcount256(_mm256_xor_si256(r0, qv)),
-                    popcount256(_mm256_xor_si256(r1, qv)),
-                    popcount256(_mm256_xor_si256(r2, qv)),
-                    popcount256(_mm256_xor_si256(r3, qv)),
-                );
-                let t_hi = sum4_epi64_vec(
-                    popcount256(_mm256_xor_si256(r4, qv)),
-                    popcount256(_mm256_xor_si256(r5, qv)),
-                    popcount256(_mm256_xor_si256(r6, qv)),
-                    popcount256(_mm256_xor_si256(r7, qv)),
-                );
-                any |= prune8(
-                    t_lo,
-                    t_hi,
-                    *bounds.get_unchecked(j),
-                    out.get_unchecked_mut(j),
-                    cand.get_unchecked_mut(j),
-                );
-            }
-        } else if stride == 2 {
-            // 128-bit signatures: two rows per vector, the query in
-            // both halves.
-            // SAFETY: stride == 2 means block holds 16 words, bounding
-            // all four unaligned two-row loads.
-            let r01 = _mm256_loadu_si256(p as *const __m256i);
-            let r23 = _mm256_loadu_si256(p.add(4) as *const __m256i);
-            let r45 = _mm256_loadu_si256(p.add(8) as *const __m256i);
-            let r67 = _mm256_loadu_si256(p.add(12) as *const __m256i);
-            for j in 0..queries.len() {
-                // SAFETY: j < queries.len() == bounds/out/cand len
-                // (asserted by the dispatching wrapper).
-                let q = *queries.get_unchecked(j);
-                debug_assert_eq!(q.len(), 2);
-                // SAFETY: each query row has exactly stride (2) words.
-                let qv = _mm256_broadcastsi128_si256(_mm_loadu_si128(q.as_ptr() as *const __m128i));
-                let t_lo = sum2x2_epi64_vec(
-                    popcount256(_mm256_xor_si256(r01, qv)),
-                    popcount256(_mm256_xor_si256(r23, qv)),
-                );
-                let t_hi = sum2x2_epi64_vec(
-                    popcount256(_mm256_xor_si256(r45, qv)),
-                    popcount256(_mm256_xor_si256(r67, qv)),
-                );
-                any |= prune8(
-                    t_lo,
-                    t_hi,
-                    *bounds.get_unchecked(j),
-                    out.get_unchecked_mut(j),
-                    cand.get_unchecked_mut(j),
-                );
-            }
-        } else {
-            for (((q, &b), o), c) in queries
-                .iter()
-                .zip(bounds.iter())
-                .zip(out.iter_mut())
-                .zip(cand.iter_mut())
-            {
-                *o = core::array::from_fn(|r| {
-                    hamming_row_avx2(q, &block[r * stride..(r + 1) * stride])
-                });
-                *c = super::prune_mask8(o, b);
-                any |= *c != 0;
-            }
+        if !super::avx2_available() {
+            return false;
         }
-        any
+        // SAFETY: AVX2 and POPCNT were just verified at runtime.
+        unsafe { fill_cut(dist, cand, k) };
+        true
     }
 
-    /// Safe entry for the pruned fused block kernel: `None` when the
-    /// CPU lacks AVX2 (caller falls back to portable), otherwise the
-    /// kernel's any-candidate flag.
+    /// Safe entry: `false` when the CPU lacks AVX2 (the caller falls
+    /// back to the portable loop), otherwise the chunk is done.
     #[inline]
-    pub fn hamming_block8_multi_pruned_checked(
-        queries: &[&[u64]],
-        block: &[u64],
-        stride: usize,
-        bounds: &[u32],
-        out: &mut [[u32; 8]],
-        cand: &mut [u8],
-    ) -> Option<bool> {
-        if super::avx2_available() {
-            // SAFETY: AVX2 support was just verified at runtime.
-            Some(unsafe {
-                hamming_block8_multi_pruned_avx2(queries, block, stride, bounds, out, cand)
-            })
-        } else {
-            None
+    pub fn chunk_checked(
+        query: &[u64],
+        rows: &[u64],
+        bound: u32,
+        dist: &mut [u32; CHUNK],
+        cand: &mut [u64; CHUNK_WORDS],
+    ) -> bool {
+        debug_assert!(!query.is_empty() && rows.len() / query.len() <= CHUNK);
+        if !super::avx2_available() {
+            return false;
         }
-    }
-
-    /// Safe entry for the single-row AVX2 kernel; see
-    /// [`hamming_block8_multi_pruned_checked`].
-    #[inline]
-    pub fn hamming_row_checked(query: &[u64], row: &[u64]) -> Option<u32> {
-        if super::avx2_available() {
-            // SAFETY: AVX2 support was just verified at runtime.
-            Some(unsafe { hamming_row_avx2(query, row) })
-        } else {
-            None
-        }
+        // SAFETY: AVX2 and POPCNT were just verified at runtime; the
+        // row shape was asserted by `hamming_chunk`, the only caller.
+        unsafe { chunk(query, rows, bound, dist, cand) };
+        true
     }
 }
 
 #[cfg(all(target_arch = "x86_64", not(gdim_portable)))]
 mod avx512 {
-    //! AVX-512 intrinsic kernels at 256-bit `VL` width: the AVX2 block
-    //! shapes with the nibble-LUT popcount replaced by the
-    //! single-instruction `vpopcntq` (`AVX512VPOPCNTDQ`), and the
-    //! fused prune compare done with `vpcmpuq` into mask registers.
-    //! Staying at 256 bits keeps the row/register layout identical to
-    //! the AVX2 module and avoids 512-bit frequency licensing. Exact
+    //! The AVX-512 chunk kernel at full 512-bit width: 16 rows per
+    //! step, the single-instruction `vpopcntq` (`AVX512VPOPCNTDQ`), the
+    //! row sums packed to sixteen u32 by one two-source permute, and
+    //! the bound compared with `vpcmpud` into a mask register. Exact
     //! integer counts — bit-identical to `count_ones`.
     #![allow(unsafe_code)]
 
+    use super::{CHUNK, CHUNK_WORDS};
     use core::arch::x86_64::*;
 
+    /// Per-word popcounts of the eight words at `p` XOR the query.
+    ///
     /// # Safety
-    /// Caller must guarantee the CPU supports the `FEATURES` set.
-    #[target_feature(enable = "avx2,avx512f,avx512vl,avx512vpopcntdq")]
-    unsafe fn hamming_row_avx512(query: &[u64], row: &[u64]) -> u32 {
-        debug_assert_eq!(query.len(), row.len());
-        let n = query.len();
-        let mut acc = _mm256_setzero_si256();
-        let mut w = 0usize;
-        while w + 4 <= n {
-            // SAFETY: w + 4 <= n bounds both unaligned 4-word loads.
-            let q = _mm256_loadu_si256(query.as_ptr().add(w) as *const __m256i);
-            let r = _mm256_loadu_si256(row.as_ptr().add(w) as *const __m256i);
-            acc = _mm256_add_epi64(acc, _mm256_popcnt_epi64(_mm256_xor_si256(q, r)));
-            w += 4;
-        }
-        let mut lanes = [0u64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-        let mut h = (lanes[0] + lanes[1] + lanes[2] + lanes[3]) as u32;
-        while w < n {
-            h += (query[w] ^ row[w]).count_ones();
-            w += 1;
-        }
-        h
+    /// The CPU supports AVX-512F and VPOPCNTDQ, and `p..p + 8` are
+    /// readable words.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    unsafe fn xor_popcount(p: *const u64, qv: __m512i) -> __m512i {
+        _mm512_popcnt_epi64(_mm512_xor_si512(_mm512_loadu_si512(p as *const _), qv))
     }
 
-    /// The prune step of one query over one 8-row block: `h < bound`
-    /// per lane, straight into mask registers; distances are stored
-    /// only when some row survives. Returns whether any did.
+    /// Per 128-bit lane `i`, the word-pair sums of rows `i` of `x` and
+    /// `i` of `y` for count vectors holding four 2-word rows each:
+    /// `[x0, y0, x1, y1, x2, y2, x3, y3]`.
     #[inline]
-    #[target_feature(enable = "avx2,avx512f,avx512vl,avx512vpopcntdq")]
-    unsafe fn prune8(
-        t_lo: __m256i,
-        t_hi: __m256i,
+    #[target_feature(enable = "avx512f")]
+    fn pair_sums(x: __m512i, y: __m512i) -> __m512i {
+        _mm512_add_epi64(_mm512_unpacklo_epi64(x, y), _mm512_unpackhi_epi64(x, y))
+    }
+
+    /// The distances of the eight 4-word rows at `p`, as u64 lanes
+    /// `[r0, r2, r1, r3, r4, r6, r5, r7]`: `pair_sums` of two 2-row
+    /// vectors gives half-row sums `[r0a, r2a | r0b, r2b | r1a, r3a |
+    /// r1b, r3b]`, and adding the a and b 128-bit lanes of two such
+    /// sums leaves whole rows.
+    ///
+    /// # Safety
+    /// The CPU supports AVX-512F and VPOPCNTDQ, and `p..p + 32` are
+    /// readable words.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    unsafe fn quad_sums(p: *const u64, qv: __m512i) -> __m512i {
+        let s01 = pair_sums(xor_popcount(p, qv), xor_popcount(p.add(8), qv));
+        let s23 = pair_sums(xor_popcount(p.add(16), qv), xor_popcount(p.add(24), qv));
+        _mm512_add_epi64(
+            _mm512_shuffle_i64x2::<0b10_00_10_00>(s01, s23),
+            _mm512_shuffle_i64x2::<0b11_01_11_01>(s01, s23),
+        )
+    }
+
+    /// Rows `r..r + 16` done: `lo` / `hi` hold rows `r..r + 8` and
+    /// `r + 8..r + 16` as u64 lanes, row `j` at dword `idx[j]` of
+    /// `lo:hi`. Packs them to sixteen u32 in row order, stores them and
+    /// ORs the `h < bound` lanes into the mask.
+    ///
+    /// # Safety
+    /// The CPU supports AVX-512F and `r + 16 ≤ CHUNK`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn finish16(
+        lo: __m512i,
+        hi: __m512i,
+        idx: __m512i,
+        bound: __m512i,
+        r: usize,
+        dist: &mut [u32; CHUNK],
+        cand: &mut [u64; CHUNK_WORDS],
+    ) {
+        let d = _mm512_permutex2var_epi32(lo, idx, hi);
+        // SAFETY: r + 16 ≤ CHUNK bounds the sixteen-dword store.
+        _mm512_storeu_si512(dist.as_mut_ptr().add(r) as *mut _, d);
+        let m = _mm512_cmplt_epu32_mask(d, bound);
+        cand[r / 64] |= u64::from(m) << (r % 64);
+    }
+
+    /// # Safety
+    /// The CPU supports AVX2, POPCNT, AVX-512F and VPOPCNTDQ, `query`
+    /// is not empty, and `rows` holds at most `CHUNK` rows of
+    /// `query.len()` words.
+    #[target_feature(enable = "avx2,popcnt,avx512f,avx512vpopcntdq")]
+    unsafe fn chunk(
+        query: &[u64],
+        rows: &[u64],
         bound: u32,
-        out: &mut [u32; 8],
-        cand: &mut u8,
-    ) -> bool {
-        let bv = _mm256_set1_epi64x(bound as i64);
-        *cand = _mm256_cmplt_epu64_mask(t_lo, bv) | (_mm256_cmplt_epu64_mask(t_hi, bv) << 4);
-        if *cand != 0 {
-            let lo = super::avx2::lanes_to_u32x4(t_lo);
-            let hi = super::avx2::lanes_to_u32x4(t_hi);
-            *out = [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]];
-        }
-        *cand != 0
-    }
-
-    /// # Safety
-    /// Caller must guarantee the CPU supports the `FEATURES` set.
-    #[target_feature(enable = "avx2,avx512f,avx512vl,avx512vpopcntdq")]
-    unsafe fn hamming_block8_multi_pruned_avx512(
-        queries: &[&[u64]],
-        block: &[u64],
-        stride: usize,
-        bounds: &[u32],
-        out: &mut [[u32; 8]],
-        cand: &mut [u8],
-    ) -> bool {
-        let mut any = false;
-        let p = block.as_ptr();
-        if stride == 4 {
-            // SAFETY: stride == 4 means block holds 32 words, bounding
-            // all eight unaligned row loads.
-            let r0 = _mm256_loadu_si256(p as *const __m256i);
-            let r1 = _mm256_loadu_si256(p.add(4) as *const __m256i);
-            let r2 = _mm256_loadu_si256(p.add(8) as *const __m256i);
-            let r3 = _mm256_loadu_si256(p.add(12) as *const __m256i);
-            let r4 = _mm256_loadu_si256(p.add(16) as *const __m256i);
-            let r5 = _mm256_loadu_si256(p.add(20) as *const __m256i);
-            let r6 = _mm256_loadu_si256(p.add(24) as *const __m256i);
-            let r7 = _mm256_loadu_si256(p.add(28) as *const __m256i);
-            for j in 0..queries.len() {
-                // SAFETY: j < queries.len() == bounds/out/cand len
-                // (asserted by the dispatching wrapper).
-                let q = *queries.get_unchecked(j);
-                debug_assert_eq!(q.len(), 4);
-                // SAFETY: each query row has exactly stride (4) words.
-                let qv = _mm256_loadu_si256(q.as_ptr() as *const __m256i);
-                let t_lo = super::avx2::sum4_epi64_vec(
-                    _mm256_popcnt_epi64(_mm256_xor_si256(r0, qv)),
-                    _mm256_popcnt_epi64(_mm256_xor_si256(r1, qv)),
-                    _mm256_popcnt_epi64(_mm256_xor_si256(r2, qv)),
-                    _mm256_popcnt_epi64(_mm256_xor_si256(r3, qv)),
-                );
-                let t_hi = super::avx2::sum4_epi64_vec(
-                    _mm256_popcnt_epi64(_mm256_xor_si256(r4, qv)),
-                    _mm256_popcnt_epi64(_mm256_xor_si256(r5, qv)),
-                    _mm256_popcnt_epi64(_mm256_xor_si256(r6, qv)),
-                    _mm256_popcnt_epi64(_mm256_xor_si256(r7, qv)),
-                );
-                any |= prune8(
-                    t_lo,
-                    t_hi,
-                    *bounds.get_unchecked(j),
-                    out.get_unchecked_mut(j),
-                    cand.get_unchecked_mut(j),
-                );
+        dist: &mut [u32; CHUNK],
+        cand: &mut [u64; CHUNK_WORDS],
+    ) {
+        let stride = query.len();
+        let n = rows.len() / stride;
+        let bv = _mm512_set1_epi32(bound as i32);
+        let mut r = 0;
+        if stride == 2 {
+            // `pair_sums` of rows 0–3 and 4–7 puts row j at u64 lane
+            // 2j (j < 4) or 2(j − 4) + 1.
+            let idx = _mm512_setr_epi32(0, 4, 8, 12, 2, 6, 10, 14, 16, 20, 24, 28, 18, 22, 26, 30);
+            // SAFETY: the query has two words.
+            let qv = _mm512_broadcast_i32x4(_mm_loadu_si128(query.as_ptr() as *const __m128i));
+            while r + 16 <= n {
+                // SAFETY: rows r..r + 16 are 32 words inside `rows`.
+                let p = rows.as_ptr().add(r * 2);
+                let lo = pair_sums(xor_popcount(p, qv), xor_popcount(p.add(8), qv));
+                let hi = pair_sums(xor_popcount(p.add(16), qv), xor_popcount(p.add(24), qv));
+                finish16(lo, hi, idx, bv, r, dist, cand);
+                r += 16;
             }
-        } else if stride == 2 {
-            // 128-bit signatures: two rows per vector, the query in
-            // both halves.
-            // SAFETY: stride == 2 means block holds 16 words, bounding
-            // all four unaligned two-row loads.
-            let r01 = _mm256_loadu_si256(p as *const __m256i);
-            let r23 = _mm256_loadu_si256(p.add(4) as *const __m256i);
-            let r45 = _mm256_loadu_si256(p.add(8) as *const __m256i);
-            let r67 = _mm256_loadu_si256(p.add(12) as *const __m256i);
-            for j in 0..queries.len() {
-                // SAFETY: j < queries.len() == bounds/out/cand len
-                // (asserted by the dispatching wrapper).
-                let q = *queries.get_unchecked(j);
-                debug_assert_eq!(q.len(), 2);
-                // SAFETY: each query row has exactly stride (2) words.
-                let qv = _mm256_broadcastsi128_si256(_mm_loadu_si128(q.as_ptr() as *const __m128i));
-                let t_lo = super::avx2::sum2x2_epi64_vec(
-                    _mm256_popcnt_epi64(_mm256_xor_si256(r01, qv)),
-                    _mm256_popcnt_epi64(_mm256_xor_si256(r23, qv)),
+        } else if stride == 4 {
+            // `quad_sums` puts row j of its eight at u64 lane
+            // 0, 2, 1, 3, 4, 6, 5, 7.
+            let idx = _mm512_setr_epi32(0, 4, 2, 6, 8, 12, 10, 14, 16, 20, 18, 22, 24, 28, 26, 30);
+            // SAFETY: the query has four words.
+            let qv = _mm512_broadcast_i64x4(_mm256_loadu_si256(query.as_ptr() as *const __m256i));
+            while r + 16 <= n {
+                // SAFETY: rows r..r + 16 are 64 words inside `rows`.
+                let p = rows.as_ptr().add(r * 4);
+                finish16(
+                    quad_sums(p, qv),
+                    quad_sums(p.add(32), qv),
+                    idx,
+                    bv,
+                    r,
+                    dist,
+                    cand,
                 );
-                let t_hi = super::avx2::sum2x2_epi64_vec(
-                    _mm256_popcnt_epi64(_mm256_xor_si256(r45, qv)),
-                    _mm256_popcnt_epi64(_mm256_xor_si256(r67, qv)),
-                );
-                any |= prune8(
-                    t_lo,
-                    t_hi,
-                    *bounds.get_unchecked(j),
-                    out.get_unchecked_mut(j),
-                    cand.get_unchecked_mut(j),
-                );
-            }
-        } else {
-            for (((q, &b), o), c) in queries
-                .iter()
-                .zip(bounds.iter())
-                .zip(out.iter_mut())
-                .zip(cand.iter_mut())
-            {
-                *o = core::array::from_fn(|r| {
-                    hamming_row_avx512(q, &block[r * stride..(r + 1) * stride])
-                });
-                *c = super::prune_mask8(o, b);
-                any |= *c != 0;
+                r += 16;
             }
         }
-        any
+        super::portable_from(query, rows, r, bound, dist, cand);
     }
 
-    /// Safe entry for the pruned fused block kernel: `None` when the
-    /// CPU lacks the features (caller falls back to portable),
-    /// otherwise the kernel's any-candidate flag.
+    /// [`super::fill_cut`] with the counting passes in 512-bit registers.
+    #[target_feature(enable = "avx2,popcnt,avx512f,avx512vpopcntdq")]
+    fn fill_cut(dist: &mut [u32; CHUNK], cand: &mut [u64; CHUNK_WORDS], k: usize) {
+        super::fill_cut_body(dist, cand, k);
+    }
+
+    /// Safe entry: `false` when the CPU lacks the features, otherwise
+    /// the cut is done.
     #[inline]
-    pub fn hamming_block8_multi_pruned_checked(
-        queries: &[&[u64]],
-        block: &[u64],
-        stride: usize,
-        bounds: &[u32],
-        out: &mut [[u32; 8]],
-        cand: &mut [u8],
-    ) -> Option<bool> {
-        if super::avx512_available() {
-            // SAFETY: the FEATURES set was just verified at runtime.
-            Some(unsafe {
-                hamming_block8_multi_pruned_avx512(queries, block, stride, bounds, out, cand)
-            })
-        } else {
-            None
+    pub fn fill_cut_checked(
+        dist: &mut [u32; CHUNK],
+        cand: &mut [u64; CHUNK_WORDS],
+        k: usize,
+    ) -> bool {
+        if !super::avx512_available() {
+            return false;
         }
+        // SAFETY: every enabled feature was just verified at runtime.
+        unsafe { fill_cut(dist, cand, k) };
+        true
     }
 
-    /// Safe entry for the single-row AVX-512 kernel; see
-    /// [`hamming_block8_multi_pruned_checked`].
+    /// Safe entry: `false` when the CPU lacks the features (the caller
+    /// falls back to the portable loop), otherwise the chunk is done.
     #[inline]
-    pub fn hamming_row_checked(query: &[u64], row: &[u64]) -> Option<u32> {
-        if super::avx512_available() {
-            // SAFETY: the FEATURES set was just verified at runtime.
-            Some(unsafe { hamming_row_avx512(query, row) })
-        } else {
-            None
+    pub fn chunk_checked(
+        query: &[u64],
+        rows: &[u64],
+        bound: u32,
+        dist: &mut [u32; CHUNK],
+        cand: &mut [u64; CHUNK_WORDS],
+    ) -> bool {
+        debug_assert!(!query.is_empty() && rows.len() / query.len() <= CHUNK);
+        if !super::avx512_available() {
+            return false;
         }
+        // SAFETY: every enabled feature was just verified at runtime;
+        // the row shape was asserted by `hamming_chunk`, the only
+        // caller.
+        unsafe { chunk(query, rows, bound, dist, cand) };
+        true
     }
 }
 
@@ -755,79 +737,94 @@ mod tests {
     }
 
     #[test]
-    fn every_kernel_matches_the_scalar_reference() {
-        for stride in [0usize, 1, 2, 3, 4, 5, 7, 8, 13, 16, 31] {
+    fn every_kernel_matches_the_scalar_row_on_every_chunk_shape() {
+        for stride in 1usize..=6 {
+            let p = 64 * stride as u32;
             let query = words(stride, 0xabcd ^ stride as u64);
-            let block = words(4 * stride, 0x1234 + stride as u64);
-            let reference: [u32; 4] =
-                core::array::from_fn(|j| hamming_row(&query, &block[j * stride..(j + 1) * stride]));
-            for kernel in available_kernels() {
-                for j in 0..4 {
-                    assert_eq!(
-                        hamming_row_kernel(kernel, &query, &block[j * stride..(j + 1) * stride]),
-                        reference[j],
-                        "kernel {kernel}, stride {stride}, row {j}"
-                    );
+            let store = words(CHUNK * stride, 0x1234 + stride as u64);
+            let reference: Vec<u32> = store
+                .chunks_exact(stride)
+                .map(|row| hamming_row(&query, row))
+                .collect();
+            for n in 0..=CHUNK {
+                let rows = &store[..n * stride];
+                // "Prune everything", 1, a bound straddling the real
+                // distances, "prune nothing" at p + 1 and at MAX.
+                let mid = words(1, (stride * 1000 + n) as u64)[0] as u32 % (p + 2);
+                for bound in [0, 1, mid, p + 1, u32::MAX] {
+                    let mut want = [0u64; CHUNK_WORDS];
+                    for (r, &h) in reference[..n].iter().enumerate() {
+                        want[r / 64] |= u64::from(h < bound) << (r % 64);
+                    }
+                    for kernel in available_kernels() {
+                        let mut dist = [u32::MAX; CHUNK];
+                        let mut cand = [!0u64; CHUNK_WORDS];
+                        hamming_chunk(kernel, &query, rows, bound, &mut dist, &mut cand);
+                        let at = format!("kernel {kernel}, stride {stride}, n {n}, bound {bound}");
+                        assert_eq!(cand, want, "{at}");
+                        assert_eq!(dist[..n], reference[..n], "{at}");
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn pruned_fused_kernel_matches_reference_and_bound_semantics() {
-        for stride in [0usize, 1, 2, 3, 4, 5, 8, 13] {
-            let block = words(8 * stride, 0x99 + stride as u64);
-            for qn in [0usize, 1, 2, 7, 16] {
-                let queries: Vec<Vec<u64>> = (0..qn)
-                    .map(|i| words(stride, 0xbead + (i * 17 + stride) as u64))
+    fn every_kernel_cuts_a_filling_chunk_at_its_kth_live_distance() {
+        for p in [1u32, 64, 128, 320] {
+            for n in [0usize, 1, 9, 10, 11, 64, 100, 255, CHUNK] {
+                let soup = words(CHUNK + CHUNK_WORDS, (p as usize * 7919 + n) as u64);
+                let dist: [u32; CHUNK] = core::array::from_fn(|r| soup[r] as u32 % (p + 1));
+                // Rows past n and a scatter of dead rows are not live.
+                let live: [u64; CHUNK_WORDS] = core::array::from_fn(|w| {
+                    let in_range = match n.saturating_sub(64 * w) {
+                        rest if rest >= 64 => !0,
+                        rest => (1u64 << rest) - 1,
+                    };
+                    in_range & (soup[CHUNK + w] | soup[CHUNK + w] >> 1)
+                });
+                let mut sorted: Vec<u32> = (0..CHUNK)
+                    .filter(|&r| live[r / 64] >> (r % 64) & 1 == 1)
+                    .map(|r| dist[r])
                     .collect();
-                let qrefs: Vec<&[u64]> = queries.iter().map(Vec::as_slice).collect();
-                let reference: Vec<[u32; 8]> = qrefs
-                    .iter()
-                    .map(|q| {
-                        core::array::from_fn(|j| {
-                            hamming_row(q, &block[j * stride..(j + 1) * stride])
-                        })
-                    })
-                    .collect();
-                // Per-query bounds spanning "prune everything" (0),
-                // "prune nothing" (MAX), and values straddling the
-                // real distances so some rows survive.
-                let bounds: Vec<u32> = (0..qn)
-                    .map(|j| match j % 4 {
-                        0 => 0,
-                        1 => u32::MAX,
-                        2 => reference[j].iter().copied().min().unwrap_or(0),
-                        _ => reference[j].iter().copied().max().unwrap_or(0).max(1),
-                    })
-                    .collect();
-                let want_cand: Vec<u8> = (0..qn)
-                    .map(|j| prune_mask8(&reference[j], bounds[j]))
-                    .collect();
-                let want_any = want_cand.iter().any(|&m| m != 0);
-                for kernel in available_kernels() {
-                    let mut out = vec![[u32::MAX; 8]; qn];
-                    let mut cand = vec![0xffu8; qn];
-                    let any = hamming_block8_multi_pruned(
-                        kernel, &qrefs, &block, stride, &bounds, &mut out, &mut cand,
-                    );
-                    assert_eq!(any, want_any, "kernel {kernel}, stride {stride}, qn {qn}");
-                    assert_eq!(cand, want_cand, "kernel {kernel}, stride {stride}, qn {qn}");
-                    for j in 0..qn {
-                        // Distances are only contracted for rows the
-                        // candidate mask kept.
-                        for r in 0..8 {
-                            if (cand[j] >> r) & 1 == 1 {
-                                assert_eq!(
-                                    out[j][r], reference[j][r],
-                                    "kernel {kernel}, stride {stride}, qn {qn}, q {j}, row {r}"
-                                );
-                            }
+                sorted.sort_unstable();
+                for k in [1usize, 10, 1 + soup[0] as usize % CHUNK, CHUNK] {
+                    let want: [u64; CHUNK_WORDS] = match sorted.get(k) {
+                        // More than k live rows: keep those at or
+                        // below the k-th smallest live distance.
+                        Some(_) => core::array::from_fn(|w| {
+                            (0..64).fold(0, |m, b| {
+                                m | u64::from(dist[64 * w + b] <= sorted[k - 1]) << b
+                            }) & live[w]
+                        }),
+                        None => live,
+                    };
+                    for kernel in available_kernels() {
+                        let (mut d, mut cand) = (dist, live);
+                        fill_cut(kernel, &mut d, &mut cand, k);
+                        let at = format!("kernel {kernel}, p {p}, n {n}, k {k}");
+                        assert_eq!(cand, want, "{at}");
+                        for r in (0..CHUNK).filter(|&r| live[r / 64] >> (r % 64) & 1 == 1) {
+                            assert_eq!(d[r], dist[r], "{at}, live row {r}");
                         }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a chunk is at most")]
+    fn a_chunk_longer_than_chunk_rows_is_refused() {
+        let rows = vec![0u64; 2 * (CHUNK + 1)];
+        hamming_chunk(
+            selected_kernel(),
+            &[0, 0],
+            &rows,
+            0,
+            &mut [0; CHUNK],
+            &mut [0; CHUNK_WORDS],
+        );
     }
 
     #[test]

@@ -320,9 +320,10 @@ proptest! {
     /// Fused multi-query scans (PR 6) are **bit-identical** to the
     /// corresponding per-query single scans — for every available
     /// kernel, thread budgets 1/2/8, masked and unmasked stores, and
-    /// the edge cases that stress the 8-row fused blocks: row counts
-    /// off/at/past block boundaries, `Q ∈ {0, 1, …}`, `k` of 0 and
-    /// larger than the store, dead rows sprinkled through blocks, and
+    /// the edge cases that stress the chunked scan: row counts off/at/
+    /// past 8- and 64-row boundaries and past two 256-row chunks,
+    /// `Q ∈ {0, 1, …}`, `k` of 0 and larger than the store, dead rows
+    /// sprinkled through the chunks' mask words, and
     /// an all-dead store. Masked scans must never surface a dead row,
     /// and the fused work counters keep the scan-stats identity.
     #[test]
