@@ -1,5 +1,5 @@
 //! `ann_baseline` — records the committed `BENCH_ann.json` snapshot:
-//! the proximity-graph ANN ranker ([`AnnIndex`]) vs. the exact fused
+//! the proximity-graph ANN ranker ([`AnnIndex`]) vs. the exact chunk
 //! scan kernel, measured as **recall@10 and single-query latency/QPS**
 //! over an `ef` sweep on two workloads with genuine neighbor
 //! structure:
@@ -184,7 +184,7 @@ fn main() {
     let chem_rows = measure_workload("chem", &chem_store, &chem_queries, &mut gate);
     rows.extend(chem_rows);
 
-    let workload = "ANN proximity graph vs exact fused kernel, top-10; zipf = clustered 256-bit \
+    let workload = "ANN proximity graph vs exact chunk kernel, top-10; zipf = clustered 256-bit \
                     vectors + zipf self-queries, chem = mapped chem store p=128";
     let snapshot = Json::obj([
         ("workload", Json::Str(workload.into())),

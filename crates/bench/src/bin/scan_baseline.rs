@@ -6,8 +6,6 @@
 //!   weighted, on synthetic vector stores (n ∈ {1k, 10k, 100k}, p = 256,
 //!   top-10), and the binary pair again at p = 128, the two-word stride
 //!   the end-to-end benchmark serves;
-//! * the fused multi-query batch scan vs. independent single-query
-//!   scans at Q ∈ {8, 64};
 //! * the scatter-gather scan: the same store split into 8 contiguous
 //!   sub-stores, each scanned with the bounded kernel and merged to a
 //!   global top-10 with `gdim_shard::merge_topk` — the per-partition
@@ -37,12 +35,9 @@
 //! depends on runner speed:
 //!
 //! * against `--baseline`, each speedup (`binary_speedup`,
-//!   `binary_p128_speedup`, `weighted_speedup`, a fused
-//!   `fused_qps_speedup`, the `map_query` `speedup`) must stay at or
-//!   above [`MIN_FRAC`] of its committed row. Fused rows are gated only
-//!   from n = [`MIN_FUSED_N`]: below it thread spawns dominate the fused
-//!   pass, and the n = 1,000 rows read 0.15–0.25× (q = 8) and
-//!   0.6–0.8× (q = 64).
+//!   `binary_p128_speedup`, `weighted_speedup`, the `map_query`
+//!   `speedup`) must stay at or above [`MIN_FRAC`] of its committed
+//!   row.
 //! * against `--baseline`, the `map_query` row's `vf2_calls` /
 //!   `vf2_pruned` / `extensions` and the `mcs` row's `nodes` / `edges` /
 //!   `inexact` must **equal** the committed integers: they are fixed by
@@ -62,10 +57,9 @@
 
 use gdim_bench::gate::{fixed, int, median_ns, paired_min_ns, write_snapshot, Args, Gate, Rule};
 use gdim_bench::scanwork::{
-    cpu_kernels, naive_fullsort_topk, naive_weighted_topk, scan_fused, scan_one, split_store,
-    synth, synth_queries,
+    cpu_kernels, naive_fullsort_topk, naive_weighted_topk, scan_one, split_store, synth,
 };
-use gdim_core::{Bitset, DeltaConfig, ExecConfig, GraphId, GraphIndex, IndexOptions};
+use gdim_core::{DeltaConfig, GraphId, GraphIndex, IndexOptions};
 use gdim_datagen::{chem_db, ChemConfig};
 use gdim_graph::mcs_edges;
 use gdim_graph::vf2::is_subgraph_iso;
@@ -86,16 +80,13 @@ const MIN_FRAC: Rule = Rule::AtLeast(0.25);
 const MAX_SHARD_OVERHEAD: f64 = 1.6;
 /// Below this many rows per shard the sharded scan is not gated.
 const MIN_ROWS_PER_SHARD: usize = 256;
-/// Below this store size the fused rows are not gated.
-const MIN_FUSED_N: usize = 10_000;
 
 fn main() {
     let args = Args::parse("BENCH_scan.json", true);
     let mut gate = Gate::new("bench-smoke", args.baseline);
-    let exec = ExecConfig::default();
     let cpu = cpu_kernels();
     let sizes = if args.smoke { &SIZES[..2] } else { &SIZES[..] };
-    let (mut rows, mut fused_rows, mut shard_rows) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut rows, mut shard_rows) = (Vec::new(), Vec::new());
     for &n in sizes {
         let (store, q) = synth(n, 256, SEED);
         let reps = if n >= 100_000 { 21 } else { 51 };
@@ -145,55 +136,6 @@ fn main() {
             &speedups.map(|key| (key, MIN_FRAC)),
         );
         rows.push(row);
-
-        // Fused multi-query batch: Q queries answered in one pass over
-        // the store vs. Q independent single-query kernel calls — the
-        // aggregate-throughput trade `search_batch` rides on (one query
-        // is the same range loop on both sides, so the sweep starts
-        // at 8). Hits are asserted bit-identical before timing.
-        let queries: Vec<Bitset> = synth_queries(64, 256, SEED);
-        for qn in [8usize, 64] {
-            let words: Vec<&[u64]> = queries[..qn].iter().map(Bitset::words).collect();
-            let fused_answers = scan_fused(&store, &words, 10, &exec);
-            for (j, (hits, _)) in fused_answers.iter().enumerate() {
-                let (single, _) = scan_one(&store, words[j], 10, None);
-                assert_eq!(
-                    *hits, single,
-                    "fused batch must be bit-identical to independent scans"
-                );
-            }
-            let (independent_ns, fused_ns) = paired_min_ns(
-                reps,
-                || {
-                    words
-                        .iter()
-                        .map(|w| scan_one(&store, w, 10, None).0[0].0)
-                        .sum::<u32>()
-                },
-                || scan_fused(&store, &words, 10, &exec)[0].0[0].0,
-            );
-            let fused_speedup = independent_ns as f64 / fused_ns.max(1) as f64;
-            eprintln!(
-                "n={n} fused q={qn}: independent {independent_ns} ns, fused {fused_ns} ns \
-                 ({fused_speedup:.2}x)"
-            );
-            let row = Json::obj([
-                ("n", int(n)),
-                ("q", int(qn)),
-                ("k", int(10)),
-                ("independent_ns", Json::U64(independent_ns)),
-                ("fused_ns", Json::U64(fused_ns)),
-                ("fused_qps_speedup", fixed(fused_speedup, 2)),
-            ]);
-            if n < MIN_FUSED_N {
-                let label = format!("fused_scan n={n} q={qn} fused_qps_speedup");
-                gate.ungated(&label, fused_speedup, "thread spawns dominate");
-            } else {
-                let checks = [("fused_qps_speedup", MIN_FRAC)];
-                gate.compare("fused_scan", &["n", "q"], &row, &checks);
-            }
-            fused_rows.push(row);
-        }
 
         // Scatter-gather overhead: per-shard bounded kernels merged to
         // a global top-10 on (distance, seq), against the single-store
@@ -350,7 +292,6 @@ fn main() {
         ("workload", Json::Str(workload)),
         ("cpu", cpu),
         ("binary_scan", Json::Arr(rows)),
-        ("fused_scan", Json::Arr(fused_rows)),
         ("sharded_scan", Json::Arr(shard_rows)),
         ("map_query", map_row),
         ("mcs", mcs_row),

@@ -428,7 +428,6 @@ mod tests {
     fn committed_snapshots_gate_their_smoke_runs() {
         let cases = [
             r#"scan binary_scan {"n": 10000, "binary_speedup": 1}"#,
-            r#"scan fused_scan {"n": 10000, "q": 8, "fused_qps_speedup": 1}"#,
             r#"scan map_query {"queries": 64, "dimensions": 128, "extensions": 1}"#,
             r#"scan mcs {"graphs": 48, "node_budget": 16384, "nodes": 1}"#,
             r#"ann ann {"workload": "zipf", "n": 100000, "ef": 16, "ann_qps": 1}"#,

@@ -4,7 +4,7 @@
 //! `ann_baseline`.
 
 use gdim_core::scan::{available_kernels, selected_kernel, ScanPlan, ScanStats, VectorStore};
-use gdim_core::{Bitset, ExecConfig};
+use gdim_core::Bitset;
 use gdim_server::Json;
 
 /// The kernel families available on this machine and the one runtime
@@ -34,25 +34,9 @@ pub fn scan_one(
     k: usize,
     weights: Option<&[f64]>,
 ) -> (Vec<(u32, f64)>, ScanStats) {
-    store
-        .scan(&ScanPlan {
-            weights,
-            ..ScanPlan::new(&[words], k)
-        })
-        .remove(0)
-}
-
-/// A fused batch through [`VectorStore::scan`]: every query answered
-/// in one pass over the store, row ranges fanned out on `exec`.
-pub fn scan_fused(
-    store: &VectorStore,
-    queries: &[&[u64]],
-    k: usize,
-    exec: &ExecConfig,
-) -> Vec<(Vec<(u32, f64)>, ScanStats)> {
     store.scan(&ScanPlan {
-        exec: *exec,
-        ..ScanPlan::new(queries, k)
+        weights,
+        ..ScanPlan::new(words, k)
     })
 }
 
@@ -83,24 +67,6 @@ pub fn synth(n: usize, bits: usize, seed: u64) -> (VectorStore, Bitset) {
         }
     }
     (store, q)
-}
-
-/// `qn` synthetic query vectors with the same ~25% density — the
-/// fused multi-query batch workload. Seeded independently of the
-/// store stream so queries and rows are uncorrelated.
-pub fn synth_queries(qn: usize, bits: usize, seed: u64) -> Vec<Bitset> {
-    let mut state = seed ^ 0x71e5_7a7c_b00c_5eed;
-    (0..qn)
-        .map(|_| {
-            let mut q = Bitset::zeros(bits);
-            for b in 0..bits {
-                if splitmix(&mut state).is_multiple_of(4) {
-                    q.set(b);
-                }
-            }
-            q
-        })
-        .collect()
 }
 
 /// Naive weighted reference: every row's full squared distance

@@ -3,7 +3,7 @@
 //! the serving surface's one **deliberately inexact** path.
 //!
 //! The mapped scan is exact but O(n) per query; at millions of graphs
-//! even the fused SIMD kernels blow a latency budget. A navigable
+//! even the SIMD chunk kernels blow a latency budget. A navigable
 //! small-world graph over the same [`VectorStore`] rows answers a
 //! top-k query in sub-linear time with *measured* (not guaranteed)
 //! recall — the standard scale lever for vector search

@@ -8,7 +8,8 @@
 //! not part of the index — the build drops them (only their count
 //! survives, in [`IndexStats::mined_features`]). The built index
 //! answers typed [`SearchRequest`](crate::search::SearchRequest)s through
-//! [`GraphIndex::search`] / [`GraphIndex::search_batch`] (see
+//! [`GraphIndex::search`], one query at a time
+//! ([`GraphIndex::search_batch`] is that call per query; see
 //! [`crate::search`] for the ranker spectrum), and it persists to a
 //! versioned binary format ([`GraphIndex::save`] / [`GraphIndex::load`])
 //! so a server builds once and serves from disk.
@@ -139,7 +140,7 @@ pub struct IndexOptions {
     /// δ computation configuration (dissimilarity kind, MCS budget).
     /// Its embedded [`DeltaConfig::exec`] is the **single parallelism
     /// budget** for the whole build and the index's query entry points
-    /// (δ matrix, DSPM/DSPMap, exact ranking, batch query mapping) —
+    /// (δ matrix, DSPM/DSPMap, exact ranking) —
     /// set it via [`IndexOptions::with_threads`] / [`IndexOptions::with_exec`].
     pub delta: DeltaConfig,
     /// RNG seed (DSPMap partitioning).

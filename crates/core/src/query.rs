@@ -279,8 +279,7 @@ impl MappedDatabase {
     /// The bounded top-k scan under the binary distance: the
     /// `k` live database graphs closest to `qvec`, as `(graph id,
     /// distance)` ascending by `(distance, id)` — a deterministic
-    /// tie-break, so batch and single-query paths agree for every
-    /// thread budget — plus the per-scan work counters. Rows marked in
+    /// tie-break — plus the per-scan work counters. Rows marked in
     /// the optional [`Tombstones`] mask are skipped by the kernel and
     /// never appear in the hits (the dynamic-index serving path;
     /// `None` or a mask with no dead rows costs nothing). The naive
@@ -292,9 +291,10 @@ impl MappedDatabase {
         k: usize,
         dead: Option<&Tombstones>,
     ) -> (Vec<(u32, f64)>, ScanStats) {
-        self.scan_topk_fused(&[qvec], k, None, dead, &ExecConfig::serial())
-            .pop()
-            .expect("one query, one answer")
+        self.store.scan(&ScanPlan {
+            dead,
+            ..ScanPlan::new(qvec.words(), k)
+        })
     }
 
     /// [`MappedDatabase::scan_topk_masked`] under caller-supplied
@@ -308,32 +308,10 @@ impl MappedDatabase {
         w_sq: &[f64],
         dead: Option<&Tombstones>,
     ) -> (Vec<(u32, f64)>, ScanStats) {
-        self.scan_topk_fused(&[qvec], k, Some(w_sq), dead, &ExecConfig::serial())
-            .pop()
-            .expect("one query, one answer")
-    }
-
-    /// The batch form of the two scans above: every query vector
-    /// answered by one [`VectorStore::scan`] — **fused** into a single
-    /// pass over the store when there are two or more — one `(hits,
-    /// stats)` pair per query, bit-identical to per-query scans.
-    /// `weights = None` scans under the binary distance,
-    /// `Some(w_sq)` under caller-supplied squared weights; `exec`
-    /// bounds the fused row-range fan-out.
-    pub fn scan_topk_fused(
-        &self,
-        qvecs: &[&Bitset],
-        k: usize,
-        weights: Option<&[f64]>,
-        dead: Option<&Tombstones>,
-        exec: &ExecConfig,
-    ) -> Vec<(Vec<(u32, f64)>, ScanStats)> {
-        let words: Vec<&[u64]> = qvecs.iter().map(|q| q.words()).collect();
         self.store.scan(&ScanPlan {
-            weights,
+            weights: Some(w_sq),
             dead,
-            exec: *exec,
-            ..ScanPlan::new(&words, k)
+            ..ScanPlan::new(qvec.words(), k)
         })
     }
 

@@ -15,9 +15,9 @@
 //!   `n`-entry sort: `O(n + k log k)` instead of `O(n log n)`, and its
 //!   worst kept key is the *bound* the kernels prune against.
 //! * [`VectorStore::scan`] — the **one scan entry point**. A
-//!   [`ScanPlan`] value names the queries, `k`, the distance (binary
-//!   or weighted), the tombstone mask, the kernel family and the exec
-//!   budget; `scan` picks the loop:
+//!   [`ScanPlan`] value names the query, `k`, the distance (binary
+//!   or weighted), the tombstone mask and the kernel family; `scan`
+//!   picks the loop:
 //!   * *binary* (`weights: None`) ranks by the integer XOR popcount
 //!     `h = |y_q ⊕ y_g|` and defers the `√(h/p)` normalization to the
 //!     final `k` hits, which is sound because `h ↦ √(h/p)` is strictly
@@ -29,10 +29,10 @@
 //!     [`weighted_sq_xor`](crate::bitset::Bitset::weighted_sq_xor) (so
 //!     sums are bit-identical), with **early abandon**: once a row's
 //!     running squared distance exceeds the current k-th bound it can
-//!     never enter the answer, so its remaining words are skipped;
-//!   * every plan runs the same range loops (below); one query is the
-//!     smallest batch and always exactly one range, so a single scan
-//!     stays on the calling thread.
+//!     never enter the answer, so its remaining words are skipped.
+//!
+//!   Either loop is one pass over the whole store on the calling
+//!   thread.
 //!
 //! Every scan reports [`ScanStats`] (vectors fully scanned, rows
 //! abandoned early, words touched) so the serving layer can prove the
@@ -41,8 +41,8 @@
 //!
 //! ## Kernel families
 //!
-//! The binary loop walks a range [`CHUNK`] rows at a time and hands
-//! each query the chunk in one [`gdim_kernels::hamming_chunk`] call: every
+//! The binary loop walks the store [`CHUNK`] rows at a time and hands
+//! the query each chunk in one [`gdim_kernels::hamming_chunk`] call: every
 //! row's distance plus a candidate mask of the rows strictly below the
 //! query's k-th bound, compared in registers. Tombstoned rows leave the
 //! mask a 64-row word at a time, and only the surviving bits reach the
@@ -60,22 +60,6 @@
 //! benches pin [`ScanPlan::kernel`] explicitly. The weighted loop is
 //! this module's own and goes one row at a time whatever the kernel,
 //! so its hits and its work counters are the same for every kind.
-//!
-//! ## Fused multi-query scan
-//!
-//! A plan answers **all of its queries in one pass**
-//! over the store: per chunk (binary) or row (weighted), every query's
-//! distances are computed while the words are hot in cache, each
-//! feeding its own bounded [`TopK`] — amortizing the store's memory
-//! traffic across the batch. Execution parallelism fans out over **row
-//! ranges** (not queries): each range keeps per-query partial
-//! selectors, merged afterwards by offering the later ranges' kept keys
-//! into the first range's selectors — an order-independent reduction,
-//! so results are byte-identical for every thread budget. Per-query hits are
-//! bit-identical to independent single-query scans; with more than one
-//! range the weighted work counters can be higher than a single scan's
-//! (each range re-fills its own selector before its bound starts
-//! pruning), but the [`ScanStats`] identity still holds per query.
 //!
 //! ## Dynamic stores
 //!
@@ -96,38 +80,18 @@
 
 use crate::bitset::{weighted_sq_xor_words, Bitset};
 use crate::error::GdimError;
-use gdim_exec::ExecConfig;
 
 pub use gdim_kernels::{available_kernels, hamming_row, selected_kernel, KernelKind};
 use gdim_kernels::{fill_cut, hamming_chunk, CHUNK, CHUNK_WORDS};
-
-/// Minimum rows per exec-parallel range of a fused scan: below this,
-/// per-range selector setup would dominate the scan itself, so small
-/// stores run as a single range regardless of the thread budget.
-pub const MIN_ROWS_PER_RANGE: usize = 256;
-
-/// How many contiguous row ranges a scan of `queries` queries over `n`
-/// rows splits into: a single query always gets exactly one (it never
-/// spawns); a batch gets up to [`ExecConfig::effective_threads`], none
-/// smaller than [`MIN_ROWS_PER_RANGE`] rows (except the last
-/// remainder).
-fn scan_ranges(n: usize, queries: usize, exec: &ExecConfig) -> usize {
-    if queries < 2 {
-        1
-    } else {
-        exec.effective_threads(n.div_ceil(MIN_ROWS_PER_RANGE).max(1))
-    }
-}
 
 /// One scan request — the argument of [`VectorStore::scan`]. A plain
 /// value: build it with [`ScanPlan::new`] and set the remaining
 /// fields with struct-update syntax.
 #[derive(Debug, Clone, Copy)]
 pub struct ScanPlan<'a> {
-    /// The query vectors' words (each `stride` long), answered
-    /// together in one pass over the store.
-    pub queries: &'a [&'a [u64]],
-    /// Answers wanted per query (clamped to the live row count).
+    /// The query vector's words (`stride` long).
+    pub query: &'a [u64],
+    /// Answers wanted (clamped to the live row count).
     pub k: usize,
     /// `None`: binary (Hamming) distance. `Some(w_sq)`: weighted
     /// distance under these squared per-dimension weights
@@ -138,50 +102,19 @@ pub struct ScanPlan<'a> {
     /// The kernel family (all kinds are bit-identical; `Scalar` is
     /// the reference).
     pub kernel: KernelKind,
-    /// Bounds the row-range fan-out of a batch (two or more queries).
-    pub exec: ExecConfig,
 }
 
 impl<'a> ScanPlan<'a> {
-    /// A binary, unmasked, serial plan on [`selected_kernel`].
-    pub fn new(queries: &'a [&'a [u64]], k: usize) -> Self {
+    /// A binary, unmasked plan on [`selected_kernel`].
+    pub fn new(query: &'a [u64], k: usize) -> Self {
         ScanPlan {
-            queries,
+            query,
             k,
             weights: None,
             dead: None,
             kernel: selected_kernel(),
-            exec: ExecConfig::serial(),
         }
     }
-}
-
-/// One row range of a fused scan: per query, the range's selector and
-/// its work counters.
-type RangeScan<K> = Vec<(TopK<K>, ScanStats)>;
-
-/// The cross-range reduction of a fused scan: folds every later
-/// range's kept `(key, id)` pairs into the first range's selectors
-/// (order-independent, so results are byte-identical for every thread
-/// budget; one range — every single query — is finished as it stands)
-/// and sums the ranges' work counters.
-fn reduce_ranges<K: Ord + Copy>(
-    parts: Vec<RangeScan<K>>,
-    finish: impl Fn(TopK<K>) -> Vec<(u32, f64)>,
-) -> Vec<(Vec<(u32, f64)>, ScanStats)> {
-    let mut parts = parts.into_iter();
-    let mut acc = parts.next().expect("a scan has at least one range");
-    for part in parts {
-        for ((sel, stats), (other, other_stats)) in acc.iter_mut().zip(part) {
-            for key in other.heap {
-                sel.offer(key);
-            }
-            stats.merge(&other_stats);
-        }
-    }
-    acc.into_iter()
-        .map(|(sel, stats)| (finish(sel), stats))
-        .collect()
 }
 
 /// A flat row-major word matrix holding `n` fixed-length binary
@@ -226,19 +159,6 @@ pub struct ScanStats {
     /// `vectors_scanned + early_abandoned + tombstones_skipped` equals
     /// the store size.
     pub tombstones_skipped: usize,
-}
-
-impl ScanStats {
-    /// Accumulates another scan's counters into this one — the
-    /// reduction a fused scan applies across its row ranges (every
-    /// field is a plain sum, so the identity over the store size is
-    /// preserved).
-    pub fn merge(&mut self, other: &ScanStats) {
-        self.vectors_scanned += other.vectors_scanned;
-        self.early_abandoned += other.early_abandoned;
-        self.words_scanned += other.words_scanned;
-        self.tombstones_skipped += other.tombstones_skipped;
-    }
 }
 
 /// A row liveness mask for a dynamic store: removed rows are marked
@@ -302,18 +222,13 @@ impl Tombstones {
         self.words[i / 64] >> (i % 64) & 1 == 1
     }
 
-    /// The dead bits of rows `start..start + len` (`len ≤` [`CHUNK`]),
-    /// row `start + r` at bit `r % 64` of word `r / 64` — whole words,
-    /// shifted where `start` is not on a 64-row boundary.
+    /// The dead bits of rows `start..start + len` (`start` a multiple
+    /// of 64, `len ≤` [`CHUNK`]), row `start + r` at bit `r % 64` of
+    /// word `r / 64`.
     fn window(&self, start: usize, len: usize) -> [u64; CHUNK_WORDS] {
-        debug_assert!(len <= CHUNK && start + len <= self.len);
-        let (first, shift) = (start / 64, start % 64);
-        let word = |i: usize| self.words.get(first + i).copied().unwrap_or(0);
+        debug_assert!(start.is_multiple_of(64) && len <= CHUNK && start + len <= self.len);
         core::array::from_fn(|w| {
-            let bits = match shift {
-                0 => word(w),
-                s => word(w) >> s | word(w + 1) << (64 - s),
-            };
+            let bits = self.words.get(start / 64 + w).copied().unwrap_or(0);
             match len.saturating_sub(64 * w) {
                 rest if rest >= 64 => bits,
                 rest => bits & ((1u64 << rest) - 1),
@@ -488,10 +403,9 @@ impl VectorStore {
         Bitset::from_words(self.row(i).to_vec(), self.bits)
     }
 
-    /// The one scan entry point: answers every query of `plan` with
-    /// its `k` nearest live rows as `(id, distance)` ascending by
-    /// `(distance, id)`, one `(hits, stats)` pair per query in query
-    /// order.
+    /// The one scan entry point: answers `plan.query` with its `k`
+    /// nearest live rows as `(id, distance)` ascending by
+    /// `(distance, id)`, plus the scan's work counters.
     ///
     /// * **Distance** — `plan.weights = None` ranks by the integer XOR
     ///   popcount `h` and reports `√(h/p)` (the square root is taken
@@ -505,18 +419,12 @@ impl VectorStore {
     ///   counted in [`ScanStats::tombstones_skipped`]; `k`
     ///   clamps to the live row count. A mask with no dead rows is
     ///   treated as `None` and never read.
-    /// * **Shape** — one pass over the store, per chunk of rows every
-    ///   query's distances computed while the words are hot in cache,
-    ///   `plan.exec` fanning a batch out over row ranges (never
-    ///   queries). One query is one range on the calling thread. Every
-    ///   `plan.kernel` returns bit-identical hits (the weighted loop
-    ///   does not use it). At one range a batch's per-query trace is
-    ///   exactly the single scan's; with more ranges the work counters
-    ///   can exceed it, each range re-filling its own selector before
-    ///   its bound prunes.
-    pub fn scan(&self, plan: &ScanPlan<'_>) -> Vec<(Vec<(u32, f64)>, ScanStats)> {
+    /// * **Shape** — one pass over the whole store on the calling
+    ///   thread. Every `plan.kernel` returns bit-identical hits (the
+    ///   weighted loop does not use it).
+    pub fn scan(&self, plan: &ScanPlan<'_>) -> (Vec<(u32, f64)>, ScanStats) {
         let ScanPlan {
-            queries,
+            query,
             weights,
             kernel,
             ..
@@ -542,24 +450,24 @@ impl VectorStore {
                 tombstones_skipped: self.n - live,
                 ..ScanStats::default()
             };
-            return vec![(hits, stats); queries.len()];
+            return (hits, stats);
         }
-        let ranges = scan_ranges(self.n, queries.len(), &plan.exec);
-        let range = |t: usize| (t * self.n / ranges, (t + 1) * self.n / ranges);
         match weights {
             None => {
-                let parts = gdim_exec::map_tasks(&plan.exec, ranges, |t| {
-                    let (start, end) = range(t);
-                    self.binary_fused_range(queries, k, start, end, mask, kernel)
-                });
-                reduce_ranges(parts, |sel| Self::binary_hits(sel, self.bits))
+                // Every live row is evaluated in full.
+                let stats = ScanStats {
+                    vectors_scanned: live,
+                    early_abandoned: 0,
+                    words_scanned: live * self.stride,
+                    tombstones_skipped: self.n - live,
+                };
+                let sel = self.binary_scan(query, k, mask, kernel);
+                (Self::binary_hits(sel, self.bits), stats)
             }
             Some(w_sq) => {
                 debug_assert!(w_sq.len() >= self.bits);
-                let parts = gdim_exec::map_tasks(&plan.exec, ranges, |t| {
-                    self.weighted_fused_range(queries, k, w_sq, range(t), mask)
-                });
-                reduce_ranges(parts, Self::weighted_hits)
+                let (sel, stats) = self.weighted_scan(query, k, w_sq, mask);
+                (Self::weighted_hits(sel), stats)
             }
         }
     }
@@ -592,109 +500,81 @@ impl VectorStore {
             .collect()
     }
 
-    /// One row range of a fused binary scan: per-query selectors over
-    /// raw integer popcounts (not yet normalized) plus the range's work
-    /// counters (identical for every query — binary stats are analytic
-    /// in the range's live count). The range goes [`CHUNK`] rows at a
-    /// time; each query meets a chunk in one [`hamming_chunk`] call
-    /// while its words are hot, against that query's k-th key
-    /// (`u32::MAX` while its selector fills), and only the surviving
-    /// live rows reach the selector, in ascending row order.
-    fn binary_fused_range(
+    /// The binary scan: a selector over raw integer popcounts (not yet
+    /// normalized). The store goes [`CHUNK`] rows at a time; each chunk
+    /// is one [`hamming_chunk`] call against the k-th key (`u32::MAX`
+    /// while the selector fills), and only the surviving live rows
+    /// reach the selector, in ascending row order.
+    fn binary_scan(
         &self,
-        queries: &[&[u64]],
+        query: &[u64],
         k: usize,
-        start: usize,
-        end: usize,
         mask: Option<&Tombstones>,
         kernel: KernelKind,
-    ) -> RangeScan<u64> {
-        let mut out: RangeScan<u64> = queries
-            .iter()
-            .map(|_| (TopK::new(k), ScanStats::default()))
-            .collect();
+    ) -> TopK<u64> {
+        let mut sel = TopK::new(k);
         let bound_of = |sel: &TopK<u64>| sel.bound().map_or(u32::MAX, |key| (key >> 32) as u32);
         let mut dist = [0u32; CHUNK];
         let mut cand = [0u64; CHUNK_WORDS];
-        let mut dead_in_range = 0usize;
-        for c in (start..end).step_by(CHUNK) {
-            let len = CHUNK.min(end - c);
+        for c in (0..self.n).step_by(CHUNK) {
+            let len = CHUNK.min(self.n - c);
             let rows = &self.words[c * self.stride..(c + len) * self.stride];
             let dead = mask.map_or([0; CHUNK_WORDS], |t| t.window(c, len));
-            dead_in_range += dead.iter().map(|w| w.count_ones() as usize).sum::<usize>();
-            for ((sel, _), q) in out.iter_mut().zip(queries) {
-                let mut bound = bound_of(sel);
-                hamming_chunk(kernel, q, rows, bound, &mut dist, &mut cand);
-                for (word, d) in cand.iter_mut().zip(&dead) {
-                    *word &= !d;
-                }
-                if bound == u32::MAX {
-                    fill_cut(kernel, &mut dist, &mut cand, k);
-                }
-                for (w, &word) in cand.iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        let r = w * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        // The chunk was compared against the bound it
-                        // started with. A candidate at or above the
-                        // current one would follow the kept row with that
-                        // distance, so it never touches the heap; a kept
-                        // offer refreshes the bound.
-                        let key = u64::from(dist[r]) << 32 | u64::from((c + r) as u32);
-                        if dist[r] < bound && sel.offer(key) {
-                            bound = bound_of(sel);
-                        }
+            let mut bound = bound_of(&sel);
+            hamming_chunk(kernel, query, rows, bound, &mut dist, &mut cand);
+            for (word, d) in cand.iter_mut().zip(&dead) {
+                *word &= !d;
+            }
+            if bound == u32::MAX {
+                fill_cut(kernel, &mut dist, &mut cand, k);
+            }
+            for (w, &word) in cand.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let r = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    // The chunk was compared against the bound it
+                    // started with. A candidate at or above the
+                    // current one would follow the kept row with that
+                    // distance, so it never touches the heap; a kept
+                    // offer refreshes the bound.
+                    let key = u64::from(dist[r]) << 32 | u64::from((c + r) as u32);
+                    if dist[r] < bound && sel.offer(key) {
+                        bound = bound_of(&sel);
                     }
                 }
             }
         }
-        let live_in_range = (end - start) - dead_in_range;
-        for (_, stats) in &mut out {
-            *stats = ScanStats {
-                vectors_scanned: live_in_range,
-                early_abandoned: 0,
-                words_scanned: live_in_range * self.stride,
-                tombstones_skipped: dead_in_range,
-            };
-        }
-        out
+        sel
     }
 
-    /// One row range of a fused weighted scan, one row at a time: per
-    /// query, every live row accumulates its squared weighted distance
-    /// word by word (bits low-to-high — the naive order, so sums are
-    /// bit-identical) and is abandoned as soon as its running total
-    /// strictly exceeds the query's k-th bound (∞ while the selector
-    /// fills) with words still unread.
-    fn weighted_fused_range(
+    /// The weighted scan, one row at a time: every live row
+    /// accumulates its squared weighted distance word by word (bits
+    /// low-to-high — the naive order, so sums are bit-identical) and is
+    /// abandoned as soon as its running total strictly exceeds the k-th
+    /// bound (∞ while the selector fills) with words still unread.
+    fn weighted_scan(
         &self,
-        queries: &[&[u64]],
+        query: &[u64],
         k: usize,
         w_sq: &[f64],
-        (start, end): (usize, usize),
         mask: Option<&Tombstones>,
-    ) -> RangeScan<(OrdF64, u32)> {
-        let mut out: RangeScan<(OrdF64, u32)> = queries
-            .iter()
-            .map(|_| (TopK::new(k), ScanStats::default()))
-            .collect();
-        for i in start..end {
-            let dead = mask.is_some_and(|t| t.is_dead(i));
-            for (query, (sel, stats)) in queries.iter().zip(&mut out) {
-                if dead {
-                    stats.tombstones_skipped += 1;
-                } else {
-                    self.weighted_row(query, i, w_sq, sel, stats);
-                }
+    ) -> (TopK<(OrdF64, u32)>, ScanStats) {
+        let mut sel = TopK::new(k);
+        let mut stats = ScanStats::default();
+        for i in 0..self.n {
+            if mask.is_some_and(|t| t.is_dead(i)) {
+                stats.tombstones_skipped += 1;
+            } else {
+                self.weighted_row(query, i, w_sq, &mut sel, &mut stats);
             }
         }
-        out
+        (sel, stats)
     }
 
-    /// The weighted step of one query over row `i` (see
-    /// [`VectorStore::weighted_fused_range`]). Kept out of line:
-    /// inlined into the range loop, a single 100k-row scan at p = 256
+    /// The weighted step of the query over row `i` (see
+    /// [`VectorStore::weighted_scan`]). Kept out of line:
+    /// inlined into the scan loop, a single 100k-row scan at p = 256
     /// measures 20–40 % slower (p = 128: no difference).
     #[inline(never)]
     fn weighted_row(
@@ -831,25 +711,7 @@ mod tests {
             weights,
             dead,
             kernel,
-            ..ScanPlan::new(&[q], k)
-        })
-        .remove(0)
-    }
-
-    /// A whole batch through [`VectorStore::scan`].
-    fn scan_fused(
-        s: &VectorStore,
-        queries: &[&[u64]],
-        k: usize,
-        weights: Option<&[f64]>,
-        dead: Option<&Tombstones>,
-        exec: &ExecConfig,
-    ) -> Vec<(Vec<(u32, f64)>, ScanStats)> {
-        s.scan(&ScanPlan {
-            weights,
-            dead,
-            exec: *exec,
-            ..ScanPlan::new(queries, k)
+            ..ScanPlan::new(q, k)
         })
     }
 
@@ -1151,9 +1013,6 @@ mod tests {
             } else {
                 // Both sides of the word boundaries at rows 64 and 448,
                 // a fully dead word (rows 640..704) and the last row.
-                // The fused ranges start at rows 402 and 603, so rows
-                // 448 and 640.. come from the upper word of a shifted
-                // tombstone window.
                 for i in [62usize, 63, 64, 65, 447, 448].into_iter().chain(640..704) {
                     dead.mark_dead(i);
                 }
@@ -1175,161 +1034,10 @@ mod tests {
                         }
                         let got = scan1(&s, queries[0], k, Some(&w_sq), mask, kernel);
                         assert_eq!(got, wref, "weighted kernel {kernel}, {at}");
-                        // A fused batch splits into ranges that start off
-                        // a 64-row boundary at 2 and 8 threads.
-                        for threads in [1usize, 2, 8] {
-                            let fused = s.scan(&ScanPlan {
-                                dead: mask,
-                                kernel,
-                                exec: ExecConfig::new(threads),
-                                ..ScanPlan::new(&queries, k)
-                            });
-                            assert_eq!(
-                                fused, reference,
-                                "fused kernel {kernel}, threads {threads}, {at}"
-                            );
-                        }
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn fused_scan_equals_independent_single_scans() {
-        let s = random_store(37, 130, 3);
-        let queries_store = random_store(5, 130, 42);
-        let queries: Vec<&[u64]> = (0..5).map(|i| queries_store.row(i)).collect();
-        let mut dead = Tombstones::all_live(37);
-        for i in [0usize, 13, 36] {
-            dead.mark_dead(i);
-        }
-        let w_sq: Vec<f64> = (0..130)
-            .map(|b| ((b * 11 + 5) % 17) as f64 / 17.0)
-            .collect();
-        let exec = ExecConfig::serial();
-        for k in [0usize, 1, 6, 40] {
-            for mask in [None, Some(&dead)] {
-                let fused = scan_fused(&s, &queries, k, None, mask, &exec);
-                let wfused = scan_fused(&s, &queries, k, Some(&w_sq), mask, &exec);
-                for (j, q) in queries.iter().enumerate() {
-                    assert_eq!(
-                        fused[j],
-                        scan1(&s, q, k, None, mask, selected_kernel()),
-                        "binary query {j}, k {k}"
-                    );
-                    // One range ⇒ the fused weighted trace is exactly
-                    // the single-scan trace, stats included.
-                    assert_eq!(
-                        wfused[j],
-                        scan1(&s, q, k, Some(&w_sq), mask, selected_kernel()),
-                        "weighted query {j}, k {k}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fused_scan_is_thread_invariant() {
-        // n = 2048 spans multiple `MIN_ROWS_PER_RANGE` ranges, so the
-        // range merge actually runs at threads > 1.
-        let s = random_store(2048, 70, 11);
-        let queries_store = random_store(3, 70, 5);
-        let queries: Vec<&[u64]> = (0..3).map(|i| queries_store.row(i)).collect();
-        let mut dead = Tombstones::all_live(2048);
-        for i in (0..2048).step_by(7) {
-            dead.mark_dead(i);
-        }
-        let w_sq: Vec<f64> = (0..70).map(|b| 1.0 / (b + 1) as f64).collect();
-        let serial = ExecConfig::serial();
-        let expect_b = scan_fused(&s, &queries, 9, None, Some(&dead), &serial);
-        let expect_w = scan_fused(&s, &queries, 9, Some(&w_sq), Some(&dead), &serial);
-        for threads in [2usize, 8] {
-            let exec = ExecConfig::new(threads);
-            let got_b = scan_fused(&s, &queries, 9, None, Some(&dead), &exec);
-            let got_w = scan_fused(&s, &queries, 9, Some(&w_sq), Some(&dead), &exec);
-            for j in 0..queries.len() {
-                // Hits are byte-identical for every thread budget; the
-                // binary stats even match exactly (they are analytic).
-                assert_eq!(got_b[j], expect_b[j], "binary query {j}, threads {threads}");
-                assert_eq!(
-                    got_w[j].0, expect_w[j].0,
-                    "weighted query {j}, threads {threads}"
-                );
-                let ws = got_w[j].1;
-                assert_eq!(
-                    ws.vectors_scanned + ws.early_abandoned + ws.tombstones_skipped,
-                    2048,
-                    "weighted stats identity, query {j}, threads {threads}"
-                );
-                // Each single-query scan must agree with the fused one.
-                assert_eq!(
-                    got_b[j].0,
-                    scan1(&s, queries[j], 9, None, Some(&dead), selected_kernel()).0
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn a_single_query_never_splits_ranges() {
-        // n = 2048 would split into 8 ranges for a batch; one query
-        // stays one range, so even the weighted work counters (which
-        // grow with the range count) match the serial plan exactly.
-        let s = random_store(2048, 70, 11);
-        let q = random_store(1, 70, 5);
-        let mut dead = Tombstones::all_live(2048);
-        for i in (0..2048).step_by(7) {
-            dead.mark_dead(i);
-        }
-        let w_sq: Vec<f64> = (0..70).map(|b| 1.0 / (b + 1) as f64).collect();
-        for weights in [None, Some(w_sq.as_slice())] {
-            for mask in [None, Some(&dead)] {
-                let serial = scan_fused(&s, &[q.row(0)], 9, weights, mask, &ExecConfig::serial());
-                let wide = scan_fused(&s, &[q.row(0)], 9, weights, mask, &ExecConfig::new(8));
-                assert_eq!(
-                    wide,
-                    serial,
-                    "weighted {} masked {}",
-                    weights.is_some(),
-                    mask.is_some()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fused_scan_handles_exactly_k_live_rows_and_empty_batches() {
-        let s = random_store(10, 70, 2);
-        let queries_store = random_store(2, 70, 8);
-        let queries: Vec<&[u64]> = (0..2).map(|i| queries_store.row(i)).collect();
-        let exec = ExecConfig::serial();
-        // Exactly k live rows: every live row is a hit.
-        let mut dead = Tombstones::all_live(10);
-        for i in [0usize, 2, 4, 6, 8, 9] {
-            dead.mark_dead(i);
-        }
-        let fused = scan_fused(&s, &queries, 4, None, Some(&dead), &exec);
-        for (j, q) in queries.iter().enumerate() {
-            assert_eq!(
-                fused[j],
-                scan1(&s, q, 4, None, Some(&dead), selected_kernel())
-            );
-            assert_eq!(fused[j].0.len(), 4, "query {j}");
-        }
-        // All rows dead: empty hits, full tombstone accounting.
-        let mut all_dead = Tombstones::all_live(10);
-        for i in 0..10 {
-            all_dead.mark_dead(i);
-        }
-        for (hits, stats) in scan_fused(&s, &queries, 3, None, Some(&all_dead), &exec) {
-            assert!(hits.is_empty());
-            assert_eq!(stats.tombstones_skipped, 10);
-        }
-        // No queries at all: no answers, no work.
-        assert!(scan_fused(&s, &[], 3, None, None, &exec).is_empty());
-        assert!(scan_fused(&s, &[], 3, Some(&[1.0; 70]), None, &exec).is_empty());
     }
 
     #[test]

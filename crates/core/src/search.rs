@@ -30,9 +30,9 @@
 //!   mistake it for an exact response.
 //!
 //! Every request runs through **one executor** —
-//! [`search_partitions`] / [`search_partitions_batch`]: map the query →
-//! per-[`Partition`] scan | fused scan | ANN beam | exact δ → merge by
-//! `(distance, seq)` ([`merge_topk`]) → refine → stats.
+//! [`search_partitions`]: map the query → per-[`Partition`] scan | ANN
+//! beam | exact δ → merge by `(distance, seq)` ([`merge_topk`]) →
+//! refine → stats.
 //! [`GraphIndex::search`] is its 1-partition, identity-id case; the
 //! sharded index (`gdim-shard`) passes one partition per shard, so
 //! every ranker, the verification phase and the stats assembly exist
@@ -287,10 +287,6 @@ pub struct SearchStats {
     /// predates the scan; see [`KernelKind`]). All kernels are
     /// bit-identical, so this is attribution, never semantics.
     pub kernel: Option<KernelKind>,
-    /// Whether this response was answered through the fused multi-query
-    /// batch scan (one pass over the store shared by the whole batch)
-    /// rather than an independent per-query scan.
-    pub fused_batch: bool,
     /// Whether the answer is **approximate** ([`Ranker::Approx`]): the
     /// hit set came from a proximity-graph beam with measured — not
     /// guaranteed — recall. Distances are still exact per row. Always
@@ -325,8 +321,7 @@ impl SearchStats {
     /// (partitions rebuild independently, so the merged value reports
     /// the newest generation that contributed to the answer);
     /// `kernel` keeps the first stamped kind (partitions of one
-    /// process always agree) and `fused_batch` **or**s (the answer
-    /// rode the fused path if any partition did). The approximate
+    /// process always agree). The approximate
     /// fields follow the same shapes: `approximate` **or**s (one
     /// approximate partition makes the whole answer approximate),
     /// `beam_visited` **sums** (it is work), and `ef` takes the
@@ -346,7 +341,6 @@ impl SearchStats {
         self.match_time += other.match_time;
         self.wall_time += other.wall_time;
         self.kernel = self.kernel.or(other.kernel);
-        self.fused_batch |= other.fused_batch;
         self.approximate |= other.approximate;
         self.ef = self.ef.max(other.ef);
         self.beam_visited += other.beam_visited;
@@ -394,9 +388,6 @@ impl std::fmt::Display for SearchStats {
         write!(f, "; epoch {}", self.epoch)?;
         if let Some(kernel) = self.kernel {
             write!(f, "; kernel {}", kernel.name())?;
-        }
-        if self.fused_batch {
-            write!(f, " (fused batch)")?;
         }
         if self.approximate {
             write!(
@@ -487,31 +478,16 @@ impl GraphIndex {
         Ok(search_partitions(&[self.partition()], query, req))
     }
 
-    /// Answers one request for a whole batch of queries
-    /// ([`search_partitions_batch`] over this index as the only
-    /// partition). The per-query VF2 feature matching fans out on the
-    /// index's exec budget; then — for [`Ranker::Mapped`] /
-    /// [`Ranker::Refined`] with more than one query — the vector scans
-    /// run **fused**: one pass over the store answers the whole batch
-    /// (per row, every query's distance is computed while the row's
-    /// words are hot in cache), with execution parallelism over row
-    /// ranges rather than queries (see
-    /// [`VectorStore::scan`](crate::scan::VectorStore::scan)).
-    /// The refined verification keeps its own inner database-side
-    /// fan-out. Output order matches `queries` for any thread budget,
-    /// and every response's **hits** equal the corresponding
-    /// [`GraphIndex::search`] answer; fused responses set
-    /// [`SearchStats::fused_batch`]. Timing stats are metered per
-    /// batch: the shared mapping and fused-scan phases are attributed
-    /// evenly, so each response's `match_time` is the batch average and
-    /// its `wall_time` includes those shares plus the query's own
-    /// assembly/verification work.
+    /// Answers one request for a whole batch of queries: each query
+    /// through [`GraphIndex::search`], in order, on the calling thread.
+    /// Each response is exactly that query's single answer, stats
+    /// included.
     pub fn search_batch(
         &self,
         queries: &[Graph],
         req: &SearchRequest,
     ) -> Result<Vec<SearchResponse>, GdimError> {
-        Ok(search_partitions_batch(&[self.partition()], queries, req))
+        queries.iter().map(|q| self.search(q, req)).collect()
     }
 
     /// This index as the executor's only partition: local ids are the
@@ -585,7 +561,7 @@ fn leg_histogram() -> &'static std::sync::Arc<gdim_obs::Histogram> {
 /// `gdim_shard_scan_ns` sample per partition. A search never forks per
 /// request: concurrent requests are the serving path's parallelism,
 /// and the exec budget is spent inside a leg only where a unit of work
-/// is milliseconds or a whole batch (exact δ, fused row ranges).
+/// is milliseconds (exact δ).
 fn run_legs<T>(parts: &[Partition<'_>], leg: impl Fn(&Partition<'_>) -> T) -> Vec<T> {
     parts
         .iter()
@@ -627,11 +603,7 @@ pub fn search_partitions(
             Ranker::Approx { ef, .. } => approx_response(parts, query, &qvec, req, ef),
             _ => {
                 let ts = Instant::now();
-                let legs = run_legs(parts, |part| {
-                    scan_leg(part, &[&qvec], req)
-                        .pop()
-                        .expect("one query, one leg")
-                });
+                let legs = run_legs(parts, |part| scan_leg(part, &qvec, req));
                 let scan_time = ts.elapsed();
                 let mut resp = gather(parts, legs, query, req);
                 resp.stats.stages.add(Stage::Scan, scan_time);
@@ -643,57 +615,6 @@ pub fn search_partitions(
     };
     resp.stats.wall_time = t0.elapsed();
     resp
-}
-
-/// Answers one request for a whole batch of queries over `parts`.
-/// For [`Ranker::Mapped`] / [`Ranker::Refined`] with two or more
-/// queries, the mapping fans out per query and every partition then
-/// answers **all** queries in one fused pass over its rows (parallel
-/// over row ranges on the exec budget). Every other request answers
-/// query by query through [`search_partitions`]: the exact δ fan-out
-/// is already parallel over each partition, and the approximate beam
-/// has no fused kernel. Output order matches `queries`, and every
-/// response's hits equal the single-query answer bit-for-bit.
-pub fn search_partitions_batch(
-    parts: &[Partition<'_>],
-    queries: &[Graph],
-    req: &SearchRequest,
-) -> Vec<SearchResponse> {
-    if queries.len() < 2 || !matches!(req.ranker, Ranker::Mapped | Ranker::Refined { .. }) {
-        return queries
-            .iter()
-            .map(|q| search_partitions(parts, q, req))
-            .collect();
-    }
-    let exec = parts[0].index.exec();
-    let t0 = Instant::now();
-    let mapped = gdim_exec::map_tasks(exec, queries.len(), |i| {
-        parts[0].index.mapped().map_query_with_stats(&queries[i])
-    });
-    let match_time = t0.elapsed() / queries.len() as u32;
-    let ts = Instant::now();
-    let qvecs: Vec<&Bitset> = mapped.iter().map(|(v, _)| v).collect();
-    // per_part[s][q] — one fused pass per partition.
-    let mut per_part = run_legs(parts, |part| scan_leg(part, &qvecs, req));
-    let scan_share = ts.elapsed() / queries.len() as u32;
-    queries
-        .iter()
-        .enumerate()
-        .map(|(q, query)| {
-            let ti = Instant::now();
-            // Transposed to per-query shape without cloning rankings.
-            let legs = per_part
-                .iter_mut()
-                .map(|legs| std::mem::take(&mut legs[q]))
-                .collect();
-            let mut resp = gather(parts, legs, query, req);
-            resp.stats.fused_batch = true;
-            resp.stats.stages.add(Stage::Scan, scan_share);
-            stamp_match(&mut resp.stats, &mapped[q].1, match_time);
-            resp.stats.wall_time = ti.elapsed() + match_time + scan_share;
-            resp
-        })
-        .collect()
 }
 
 /// Records the query-mapping share of a response.
@@ -717,28 +638,28 @@ fn candidates(req: &SearchRequest) -> (usize, bool) {
 }
 
 /// The scan leg of one partition: a bounded top-k (or
-/// top-`candidates`, for [`Ranker::Refined`]) kernel scan of every
-/// query vector under the requested mapping, tombstone-masked — fused
-/// into one pass for two or more queries.
-fn scan_leg(part: &Partition<'_>, qvecs: &[&Bitset], req: &SearchRequest) -> Vec<Leg> {
+/// top-`candidates`, for [`Ranker::Refined`]) kernel scan of the query
+/// vector under the requested mapping, tombstone-masked.
+fn scan_leg(part: &Partition<'_>, qvec: &Bitset, req: &SearchRequest) -> Leg {
     let idx = part.index;
-    let weights = matches!(req.mapping, MappingKind::Weighted).then(|| idx.weighted_w_sq());
     let k = candidates(req).0.min(idx.len());
-    idx.mapped()
-        .scan_topk_fused(qvecs, k, weights, Some(idx.tombstones()), idx.exec())
-        .into_iter()
-        .map(|(ranked, scan)| {
-            let stats = SearchStats {
-                candidates_scanned: scan.vectors_scanned,
-                early_abandoned: scan.early_abandoned,
-                tombstones_skipped: scan.tombstones_skipped,
-                words_scanned: scan.words_scanned,
-                kernel: Some(selected_kernel()),
-                ..part.leg_stats()
-            };
-            (ranked, stats)
-        })
-        .collect()
+    let dead = Some(idx.tombstones());
+    let (ranked, scan) = match req.mapping {
+        MappingKind::Binary => idx.mapped().scan_topk_masked(qvec, k, dead),
+        MappingKind::Weighted => {
+            idx.mapped()
+                .scan_topk_with_masked(qvec, k, idx.weighted_w_sq(), dead)
+        }
+    };
+    let stats = SearchStats {
+        candidates_scanned: scan.vectors_scanned,
+        early_abandoned: scan.early_abandoned,
+        tombstones_skipped: scan.tombstones_skipped,
+        words_scanned: scan.words_scanned,
+        kernel: Some(selected_kernel()),
+        ..part.leg_stats()
+    };
+    (ranked, stats)
 }
 
 /// The single [`Ranker::Approx`] implementation: each partition walks
@@ -1218,6 +1139,20 @@ mod tests {
         assert_eq!(wgt.hits[0].distance, 0.0);
     }
 
+    /// Every stats field but the timings, for comparing the work two
+    /// answers did.
+    fn work(stats: &SearchStats) -> String {
+        format!(
+            "{:?}",
+            SearchStats {
+                match_time: Duration::ZERO,
+                wall_time: Duration::ZERO,
+                stages: StageTimes::new(),
+                ..*stats
+            }
+        )
+    }
+
     #[test]
     fn batch_matches_single_for_any_thread_budget() {
         let db = gdim_datagen::chem_db(22, &gdim_datagen::ChemConfig::default(), 17);
@@ -1239,6 +1174,11 @@ mod tests {
                 for (q, resp) in queries.iter().zip(&batch) {
                     let single = idx.search(q, req).unwrap();
                     assert_eq!(single.hits, resp.hits, "threads = {threads}");
+                    assert_eq!(
+                        work(&single.stats),
+                        work(&resp.stats),
+                        "threads = {threads}"
+                    );
                 }
             }
         }
@@ -1264,7 +1204,6 @@ mod tests {
             match_time: std::time::Duration::from_micros(10),
             wall_time: std::time::Duration::from_micros(100),
             kernel: None,
-            fused_batch: false,
             approximate: false,
             ef: 0,
             beam_visited: 0,
@@ -1283,7 +1222,6 @@ mod tests {
             match_time: std::time::Duration::from_micros(20),
             wall_time: std::time::Duration::from_micros(50),
             kernel: Some(KernelKind::Unrolled),
-            fused_batch: true,
             approximate: true,
             ef: 48,
             beam_visited: 900,
@@ -1302,9 +1240,8 @@ mod tests {
         assert_eq!(m.mcs_calls, 10);
         assert_eq!(m.match_time, std::time::Duration::from_micros(30));
         assert_eq!(m.wall_time, std::time::Duration::from_micros(150));
-        // `kernel` keeps the first stamped kind; `fused_batch` ors.
+        // `kernel` keeps the first stamped kind.
         assert_eq!(m.kernel, Some(KernelKind::Unrolled));
-        assert!(m.fused_batch);
         // One approximate partition makes the merged answer
         // approximate; beam work sums, the ef setting maxes.
         assert!(m.approximate, "approximate must OR across shards");
@@ -1346,7 +1283,6 @@ mod tests {
             match_time: std::time::Duration::from_micros(120),
             wall_time: std::time::Duration::from_micros(900),
             kernel: Some(KernelKind::Scalar),
-            fused_batch: true,
             approximate: true,
             ef: 64,
             beam_visited: 1234,
@@ -1361,7 +1297,6 @@ mod tests {
             "mcs 5",
             "epoch 2",
             "kernel scalar",
-            "fused batch",
             "APPROXIMATE (ef 64, beam visited 1234)",
             "[ann_beam=",
             "refine=",

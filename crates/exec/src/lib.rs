@@ -1,8 +1,8 @@
 //! # gdim-exec — the workspace's shared parallel-execution runtime
 //!
 //! Every parallel kernel in the workspace (exact MCS ranking, δ-matrix
-//! construction, DSPM weight/distance updates, DSPMap sub-blocks, batch
-//! query mapping) fans work out the same way: split an index space into
+//! construction, DSPM weight/distance updates, DSPMap sub-blocks, the
+//! shard split) fans work out the same way: split an index space into
 //! tasks, run them on a scoped thread pool, and reassemble results **in
 //! task order** so output is byte-identical regardless of thread count.
 //! This crate is the single home for that scaffolding; nothing outside
@@ -45,7 +45,7 @@ use std::sync::{Arc, OnceLock};
 /// The machine's core count, probed once per process.
 /// `std::thread::available_parallelism` re-reads cgroup quota files on
 /// every call (tens of microseconds under containers), which would
-/// dominate small scans if paid per query.
+/// dominate a small fan-out if paid per call.
 fn available_cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |t| t.get()))

@@ -165,9 +165,9 @@ pub fn hamming_row(query: &[u64], row: &[u64]) -> u32 {
 }
 
 /// Rows one [`hamming_chunk`] call compares. At p = 128 a chunk is
-/// 4 KiB, so it stays in L1 while every query of a fused batch reads
-/// it; and one call per 256 rows leaves the per-call work (dispatch,
-/// tombstone words, the candidate walk) a small share of the scan.
+/// 4 KiB, so it stays in L1 while the kernel reads it; and one call
+/// per 256 rows leaves the per-call work (dispatch, tombstone words,
+/// the candidate walk) a small share of the scan.
 pub const CHUNK: usize = 256;
 
 /// Words of a chunk's candidate mask: row `r` is bit `r % 64` of word

@@ -646,7 +646,7 @@ mod tests {
     /// shapes, every escape, 2–4-byte UTF-8, surrogate pairs.
     const CORPUS: [&str; 5] = [
         "{\"hits\":[{\"id\":3,\"distance\":0.25},{\"id\":9,\"distance\":1e-7}],\
-         \"stats\":{\"epoch\":18446744073709551615,\"kernel\":\"avx2\",\"fused_batch\":false,\
+         \"stats\":{\"epoch\":18446744073709551615,\"kernel\":\"avx2\",\"approximate\":false,\
          \"stages\":{\"map\":1200,\"scan\":-0}}}",
         "{\"query\": {\"graph\": {\"v\": [0, 1, 2], \"e\": [[0, 1, 1], [1, 2, 0]]}}, \"k\": 10,\n\
          \"ranker\": {\"approx\": {\"ef\": 64, \"verify\": null}}, \"mapping\": \"binary\"}",

@@ -774,13 +774,16 @@ fn dispatch(
                 .map(query_from_json)
                 .collect::<Result<Vec<_>, _>>()?;
             let snap = reader.current();
-            // The fused path wants one contiguous slice; id queries
-            // clone their stored graph into it.
+            // Every spec resolves before any search runs, so an unknown
+            // id fails the whole request.
             let graphs = specs
                 .iter()
-                .map(|s| resolve(&snap, s).cloned())
+                .map(|s| resolve(&snap, s))
                 .collect::<Result<Vec<_>, _>>()?;
-            let responses = snap.search_batch(&graphs, &req)?;
+            let responses = graphs
+                .into_iter()
+                .map(|g| snap.search(g, &req))
+                .collect::<Result<Vec<_>, _>>()?;
             for r in &responses {
                 obs.trace.absorb(&r.stats.stages);
                 obs.approximate |= r.stats.approximate;
@@ -1022,7 +1025,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_endpoint_matches_in_process_fused_batch() {
+    fn batch_endpoint_answers_each_query_like_in_process_search() {
         let server = start(24, 6);
         let mut client = Client::connect(server.addr()).unwrap();
         let snap = server.handle().snapshot();
@@ -1038,23 +1041,34 @@ mod tests {
         let (status, j) = client.post("/search_batch", &body).unwrap();
         assert_eq!(status, 200, "{j:?}");
         let served: Vec<_> = j.get("responses").and_then(Json::as_arr).unwrap().to_vec();
-        let graphs: Vec<Graph> = ids
-            .iter()
-            .map(|&id| snap.graph(GraphId(id)).unwrap().clone())
-            .collect();
-        let local = snap.search_batch(&graphs, &SearchRequest::new(3)).unwrap();
-        assert_eq!(served.len(), local.len());
-        for (sj, l) in served.iter().zip(&local) {
+        assert_eq!(served.len(), ids.len());
+        for (sj, &id) in served.iter().zip(&ids) {
             let s = crate::wire::response_from_json(sj).unwrap();
-            assert!(
-                s.stats.fused_batch,
-                "batch answers go through the fused path"
-            );
-            for (a, b) in s.hits.iter().zip(&l.hits) {
+            let local = snap
+                .search(snap.graph(GraphId(id)).unwrap(), &SearchRequest::new(3))
+                .unwrap();
+            assert_eq!(s.hits.len(), local.hits.len());
+            for (a, b) in s.hits.iter().zip(&local.hits) {
                 assert_eq!(a.id, b.id);
                 assert_eq!(a.distance.to_bits(), b.distance.to_bits());
             }
         }
+        // One unknown id fails the whole batch, as it fails `/search`.
+        let queries = Json::Arr(
+            [ids[0], 9999]
+                .iter()
+                .map(|&id| Json::obj([("id", Json::U64(id as u64))]))
+                .collect(),
+        );
+        let body = Json::obj([("queries", queries), ("k", Json::U64(3))]);
+        let (status, j) = client.post("/search_batch", &body).unwrap();
+        assert_eq!(status, 404, "{j:?}");
+        assert_eq!(
+            j.get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str),
+            Some("graph_out_of_range")
+        );
         server.shutdown();
     }
 

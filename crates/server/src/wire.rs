@@ -272,7 +272,6 @@ pub fn stats_to_json(s: &SearchStats) -> Json {
             s.kernel
                 .map_or(Json::Null, |k| Json::Str(k.name().to_string())),
         ),
-        ("fused_batch", Json::Bool(s.fused_batch)),
         ("approximate", Json::Bool(s.approximate)),
         ("ef", Json::U64(s.ef as u64)),
         ("beam_visited", Json::U64(s.beam_visited as u64)),
@@ -343,9 +342,6 @@ pub fn stats_from_json(j: &Json) -> Result<SearchStats, WireError> {
         match_time: ns("match_time_ns")?,
         wall_time: ns("wall_time_ns")?,
         kernel,
-        fused_batch: j.get("fused_batch").map_or(Ok(false), |v| {
-            v.as_bool().ok_or_else(|| bad("stats.fused_batch"))
-        })?,
         approximate: j.get("approximate").map_or(Ok(false), |v| {
             v.as_bool().ok_or_else(|| bad("stats.approximate"))
         })?,
@@ -447,8 +443,6 @@ pub fn write_response(resp: &SearchResponse, out: &mut String) {
         Some(k) => write_str(k.name(), out),
         None => out.push_str("null"),
     }
-    out.push_str(",\"fused_batch\":");
-    write_bool(s.fused_batch, out);
     out.push_str(",\"approximate\":");
     write_bool(s.approximate, out);
     out.push(',');
@@ -674,7 +668,6 @@ mod tests {
                 match_time: Duration::from_nanos(123_456_789),
                 wall_time: Duration::from_nanos(987_654_321),
                 kernel: Some(KernelKind::Unrolled),
-                fused_batch: true,
                 approximate: true,
                 ef: 64,
                 beam_visited: 512,
@@ -727,7 +720,6 @@ mod tests {
         assert_eq!(s.match_time, t.match_time);
         assert_eq!(s.wall_time, t.wall_time);
         assert_eq!(s.kernel, t.kernel);
-        assert_eq!(s.fused_batch, t.fused_batch);
         assert_eq!(
             (s.approximate, s.ef, s.beam_visited),
             (t.approximate, t.ef, t.beam_visited)
@@ -766,6 +758,20 @@ mod tests {
         assert_eq!(resp.stats.ef, 0);
         assert_eq!(resp.stats.beam_visited, 0);
         assert_eq!(resp.hits.len(), 1);
+        // A response exactly as a server from before batches were
+        // answered query by query writes it: its stats carry a
+        // `fused_batch` key this build no longer has, and skips.
+        let older = "{\"hits\":[{\"id\":3,\"distance\":0.25}],\"stats\":{\
+             \"candidates_scanned\":4,\"early_abandoned\":0,\"tombstones_skipped\":0,\
+             \"words_scanned\":8,\"epoch\":0,\"live_graphs\":4,\"vf2_calls\":2,\
+             \"vf2_pruned\":1,\"mcs_calls\":0,\"match_time_ns\":1500,\"wall_time_ns\":9000,\
+             \"kernel\":\"avx2\",\"fused_batch\":true,\"approximate\":false,\"ef\":0,\
+             \"beam_visited\":0,\"stages\":{\"map\":1500,\"scan\":700}}}";
+        let resp = response_from_json(&parse(older).unwrap()).unwrap();
+        assert_eq!(resp.hits[0].id, GraphId(3));
+        assert_eq!(resp.stats.candidates_scanned, 4);
+        assert_eq!(resp.stats.kernel, Some(KernelKind::Avx2));
+        assert_eq!(resp.stats.wall_time, Duration::from_nanos(9000));
     }
 
     /// Keys and strings the wire decoders branch on.

@@ -24,8 +24,8 @@
 //!   [`gdim_core::search`] as partitions (a bare `GraphIndex` is the
 //!   1-partition case), which runs the per-shard legs in order on the
 //!   thread that received the request — concurrent requests are the
-//!   serving path's parallelism; `gdim-exec` is for the build, the
-//!   exact δ phases and batches. Inserts/removes route to the
+//!   serving path's parallelism; `gdim-exec` is for the build and the
+//!   exact δ phases. Inserts/removes route to the
 //!   owning shard; each shard tracks its own
 //!   [`RebuildPolicy`](gdim_core::RebuildPolicy) staleness. A rebuild
 //!   is a value computed from a snapshot — [`ShardedIndex::compacted`]

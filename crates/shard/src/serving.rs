@@ -271,14 +271,4 @@ impl Reader {
     pub fn search(&self, query: &Graph, req: &SearchRequest) -> Result<SearchResponse, GdimError> {
         self.current().search(query, req)
     }
-
-    /// Batch variant of [`Reader::search`]; the whole batch answers
-    /// against one snapshot.
-    pub fn search_batch(
-        &self,
-        queries: &[Graph],
-        req: &SearchRequest,
-    ) -> Result<Vec<SearchResponse>, GdimError> {
-        self.current().search_batch(queries, req)
-    }
 }

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use gdim_core::search::{search_partitions, search_partitions_batch, Partition};
+use gdim_core::search::{search_partitions, Partition};
 use gdim_core::{
     GdimError, Graph, GraphId, GraphIndex, IndexOptions, SearchRequest, SearchResponse,
 };
@@ -67,8 +67,7 @@ impl ShardedOptions {
 
     /// Sets the worker-thread budget (`0` = all cores) for the build
     /// pipeline, the shard split, and the parts of a query that are
-    /// milliseconds or a whole batch (exact δ, batch mapping, fused
-    /// batch scans). A single mapped or approximate search never
+    /// milliseconds (exact δ). A mapped or approximate search never
     /// spawns.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.index = self.index.with_threads(threads);
@@ -310,8 +309,8 @@ impl ShardedIndex {
         &self.opts
     }
 
-    /// The parallelism budget of the build pipeline, the exact δ
-    /// phases and batch searches.
+    /// The parallelism budget of the build pipeline and the exact δ
+    /// phases.
     pub fn exec(&self) -> &ExecConfig {
         &self.opts.index.delta.exec
     }
@@ -563,26 +562,16 @@ impl ShardedIndex {
         Ok(search_partitions(&self.partitions(), query, req))
     }
 
-    /// Answers one request for a whole batch of queries
-    /// ([`search_partitions_batch`]): the query mapping fans out per
-    /// query, then — for the mapped/refined rankers — every shard
-    /// answers **all** queries in one pass over its rows through the
-    /// fused scan
-    /// ([`MappedDatabase::scan_topk_fused`](gdim_core::MappedDatabase::scan_topk_fused)),
-    /// parallel over row ranges rather than queries, so the store's
-    /// words are read once per shard instead of once per query. Output
-    /// order matches `queries`, and every response's hits equal the
-    /// corresponding [`ShardedIndex::search`] answer bit-for-bit.
-    /// Timing is metered per batch like [`GraphIndex::search_batch`]:
-    /// `match_time` is the batch average and each response carries an
-    /// even share of the fused scan time; responses set
-    /// [`SearchStats::fused_batch`](gdim_core::SearchStats::fused_batch).
+    /// Answers one request for a whole batch of queries: each query
+    /// through [`ShardedIndex::search`], in order, on the calling
+    /// thread. Each response is exactly that query's single answer,
+    /// stats included.
     pub fn search_batch(
         &self,
         queries: &[Graph],
         req: &SearchRequest,
     ) -> Result<Vec<SearchResponse>, GdimError> {
-        Ok(search_partitions_batch(&self.partitions(), queries, req))
+        queries.iter().map(|q| self.search(q, req)).collect()
     }
 
     /// The shards as the executor's partitions: each with its row→seq

@@ -1,6 +1,6 @@
 //! Serving over the network: build a sharded index, stand up
 //! [`GdimServer`] on an ephemeral loopback port, and speak to it with
-//! the bundled [`Client`] — searches (single and fused batch), a live
+//! the bundled [`Client`] — searches (single and batch), a live
 //! insert, stats, and a graceful drain. The whole stack is hand-rolled
 //! HTTP/1.1 + JSON over `std::net`; no dependencies appear.
 //!
@@ -55,7 +55,8 @@ fn main() -> std::io::Result<()> {
         .all(|(a, b)| a.id == b.id && a.distance.to_bits() == b.distance.to_bits()));
     println!("served hits == in-process hits, bit for bit");
 
-    // Batch: several queries answered in one fused scan over the store.
+    // Batch: several queries in one request, each answered as `/search`
+    // answers it.
     let ids: Vec<u32> = (0..4).map(|s| snap.id_for_seq(s).unwrap().get()).collect();
     let queries = Json::Arr(
         ids.iter()
@@ -68,7 +69,7 @@ fn main() -> std::io::Result<()> {
     )?;
     assert_eq!(status, 200);
     let batch = reply.get("responses").and_then(Json::as_arr).unwrap().len();
-    println!("batch of {batch} queries answered through the fused scan");
+    println!("batch of {batch} queries answered query by query");
 
     // Live insert over the wire: ship a graph, get its id back.
     let extra = gdim::datagen::chem_db(1, &cfg, 99).pop().unwrap();

@@ -6,6 +6,19 @@
 use gdim::core::dspm::dspm;
 use gdim::prelude::*;
 
+/// Every stats field but the timings: the work an answer did.
+fn work(stats: &gdim::core::search::SearchStats) -> String {
+    format!(
+        "{:?}",
+        gdim::core::search::SearchStats {
+            match_time: std::time::Duration::ZERO,
+            wall_time: std::time::Duration::ZERO,
+            stages: Default::default(),
+            ..*stats
+        }
+    )
+}
+
 fn db(n: usize, seed: u64) -> Vec<Graph> {
     gdim::datagen::chem_db(n, &gdim::datagen::ChemConfig::default(), seed)
 }
@@ -73,15 +86,18 @@ fn dspmap_index_identical_across_thread_budgets() {
         serial.search(&q, &req).unwrap().hits,
         parallel.search(&q, &req).unwrap().hits
     );
+    // A batch answers each query as its single search does, at every
+    // thread budget: the same hits and the same work.
     let batch = db(4, 99);
-    let hits =
-        |resps: Vec<gdim::core::search::SearchResponse>| -> Vec<Vec<gdim::core::search::Hit>> {
-            resps.into_iter().map(|r| r.hits).collect()
-        };
-    assert_eq!(
-        hits(serial.search_batch(&batch, &req).unwrap()),
-        hits(parallel.search_batch(&batch, &req).unwrap())
-    );
+    let serial_batch = serial.search_batch(&batch, &req).unwrap();
+    let parallel_batch = parallel.search_batch(&batch, &req).unwrap();
+    for ((q, s), p) in batch.iter().zip(&serial_batch).zip(&parallel_batch) {
+        let single = parallel.search(q, &req).unwrap();
+        assert_eq!(s.hits, p.hits);
+        assert_eq!(p.hits, single.hits);
+        assert_eq!(work(&s.stats), work(&p.stats));
+        assert_eq!(work(&p.stats), work(&single.stats));
+    }
 }
 
 /// δ-matrix bytes are independent of the thread budget.

@@ -245,7 +245,7 @@ proptest! {
     /// The serving layer on top of the kernel: `Mapped` and `Refined`
     /// search hits are byte-identical to the naive reference scan for
     /// every thread budget, under both request mappings, and batch
-    /// answers (which run the exec-chunked scan) equal single answers.
+    /// answers equal single answers.
     #[test]
     fn search_rankers_equal_naive_scan_for_any_thread_budget(seed in 0u64..500) {
         let n = 20;
@@ -304,8 +304,8 @@ proptest! {
     }
 }
 
-/// Deterministic word soup (splitmix64) for the store-level fused
-/// proptests.
+/// Deterministic word soup (splitmix64) for the store-level
+/// proptest.
 fn mix(seed: &mut u64) -> u64 {
     *seed = seed.wrapping_add(0x9e3779b97f4a7c15);
     let mut z = *seed;
@@ -314,34 +314,48 @@ fn mix(seed: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The naive reference of a store scan: every live row's squared
+/// distance, sorted by `(distance, id)`, cut to `k`, and only then
+/// divided by `scale` and square-rooted.
+fn naive_store_topk(
+    live: &[u32],
+    sq: impl Fn(u32) -> f64,
+    scale: f64,
+    k: usize,
+) -> Vec<(u32, f64)> {
+    let mut all: Vec<(u32, f64)> = live.iter().map(|&i| (i, sq(i))).collect();
+    all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    all.truncate(k);
+    all.into_iter()
+        .map(|(i, d)| (i, (d / scale).sqrt()))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Fused multi-query scans (PR 6) are **bit-identical** to the
-    /// corresponding per-query single scans — for every available
-    /// kernel, thread budgets 1/2/8, masked and unmasked stores, and
-    /// the edge cases that stress the chunked scan: row counts off/at/
-    /// past 8- and 64-row boundaries and past two 256-row chunks,
-    /// `Q ∈ {0, 1, …}`, `k` of 0 and larger than the store, dead rows
-    /// sprinkled through the chunks' mask words, and
-    /// an all-dead store. Masked scans must never surface a dead row,
-    /// and the fused work counters keep the scan-stats identity.
+    /// A store scan selects and orders exactly the hits of a naive sort
+    /// of the live rows — for every available kernel, binary (XOR
+    /// popcount over `p`) and weighted, masked and unmasked stores,
+    /// and the edge cases that stress the chunked scan: row counts
+    /// off/at/past 8- and 64-row boundaries and past two 256-row
+    /// chunks, strides 1–5, `k` of 0 and larger than the store, dead
+    /// rows sprinkled through the chunks' mask words, and an all-dead
+    /// store. Masked scans never surface a dead row, and the work
+    /// counters keep the scan-stats identity.
     #[test]
-    fn fused_scans_equal_per_query_singles(
+    fn store_scans_equal_a_naive_sort_of_live_rows(
         seed in 0u64..500,
         n_pick in 0u64..8,
         bits_pick in 0u64..4,
-        qn_pick in 0u64..4,
         k_pick in 0u64..4,
     ) {
         use gdim::core::scan::{available_kernels, KernelKind, ScanPlan, Tombstones, VectorStore};
-        use gdim::core::ExecConfig;
 
         let n = [0usize, 1, 7, 8, 9, 64, 130, 600][n_pick as usize];
         let bits = [1usize, 64, 256, 300][bits_pick as usize];
-        let qn = [0usize, 1, 3, 9][qn_pick as usize];
         let k = [0usize, 1, 5, 200][k_pick as usize];
-        let mut rng = seed ^ ((n as u64) << 32) ^ ((bits as u64) << 16) ^ (qn as u64);
+        let mut rng = seed ^ ((n as u64) << 32) ^ ((bits as u64) << 16);
         let stride = bits.div_ceil(64);
         let mut store = VectorStore::zeros(n, bits);
         for row in 0..n {
@@ -351,7 +365,7 @@ proptest! {
                 }
             }
         }
-        let queries: Vec<Vec<u64>> = (0..qn)
+        let queries: Vec<Vec<u64>> = (0..3)
             .map(|_| {
                 let mut q: Vec<u64> = (0..stride).map(|_| mix(&mut rng)).collect();
                 if !bits.is_multiple_of(64) {
@@ -362,10 +376,9 @@ proptest! {
                 q
             })
             .collect();
-        let qrefs: Vec<&[u64]> = queries.iter().map(Vec::as_slice).collect();
         let w_sq: Vec<f64> = (0..bits).map(|b| ((b * 7 + 3) % 11) as f64 / 11.0).collect();
 
-        // Unmasked, sprinkled-dead (hits block interiors and
+        // Unmasked, sprinkled-dead (hits chunk interiors and mask-word
         // boundaries), and all-dead tombstone shapes.
         let mut sprinkled = Tombstones::all_live(n);
         for i in 0..n {
@@ -379,78 +392,56 @@ proptest! {
         }
         let masks: [Option<&Tombstones>; 3] = [None, Some(&sprinkled), Some(&all_dead)];
 
-        for threads in [1usize, 2, 8] {
-            let exec = ExecConfig::new(threads);
-            for dead in masks {
+        for dead in masks {
+            let live: Vec<u32> = (0..n as u32)
+                .filter(|&i| !dead.is_some_and(|t| t.is_dead(i as usize)))
+                .collect();
+            for q in &queries {
+                let popcount = |i: u32| -> f64 {
+                    q.iter()
+                        .zip(store.row(i as usize))
+                        .map(|(a, b)| (a ^ b).count_ones())
+                        .sum::<u32>() as f64
+                };
+                let weighted = store.weighted_sq_distances(q, &w_sq);
+                let binary_want = naive_store_topk(&live, popcount, bits as f64, k);
+                let weighted_want = naive_store_topk(&live, |i| weighted[i as usize], 1.0, k);
                 for kernel in available_kernels() {
-                    let fused = store.scan(&ScanPlan { dead, kernel, exec, ..ScanPlan::new(&qrefs, k) });
-                    prop_assert_eq!(fused.len(), qn);
-                    for (q, (hits, stats)) in qrefs.iter().zip(&fused) {
-                        let (single_hits, _) = store
-                            .scan(&ScanPlan { dead, kernel, ..ScanPlan::new(&[q], k) })
-                            .remove(0);
-                        prop_assert_eq!(hits, &single_hits,
-                            "binary kernel {} threads {} masked {}",
-                            kernel, threads, dead.is_some());
+                    let plan = ScanPlan { dead, kernel, ..ScanPlan::new(q, k) };
+                    let weighted_plan = ScanPlan { weights: Some(w_sq.as_slice()), ..plan };
+                    for (what, plan, want) in [
+                        ("binary", plan, &binary_want),
+                        ("weighted", weighted_plan, &weighted_want),
+                    ] {
+                        let (hits, stats) = store.scan(&plan);
+                        prop_assert_eq!(&hits, want,
+                            "{} kernel {} masked {}", what, kernel, dead.is_some());
                         // The scan-stats identity covers scans that
                         // actually ran; k = 0 and all-dead stores
                         // short-circuit without touching rows.
-                        if k > 0 && dead.is_none_or(|t| t.live_count() > 0) {
+                        if k > 0 && !live.is_empty() {
                             prop_assert_eq!(
                                 stats.vectors_scanned + stats.early_abandoned
                                     + stats.tombstones_skipped,
                                 n,
-                                "fused binary stats identity (kernel {})", kernel
+                                "{} stats identity (kernel {})", what, kernel
                             );
+                            prop_assert_eq!(stats.tombstones_skipped, n - live.len());
                         }
-                        for &(id, _) in hits {
+                        for &(id, _) in &hits {
                             prop_assert!(
                                 !dead.is_some_and(|t| t.is_dead(id as usize)),
-                                "masked fused scan surfaced dead row {}", id
+                                "masked {} scan surfaced dead row {}", what, id
                             );
                         }
                     }
-                }
-                // The weighted loop is one loop whatever the kernel:
-                // single scans agree on hits and work counters across
-                // every kind. Fused hits stay bit-identical to singles
-                // even where multi-range counters diverge.
-                let weights = Some(w_sq.as_slice());
-                for q in &qrefs {
-                    let single = |kernel| {
-                        store.scan(&ScanPlan { weights, dead, kernel, ..ScanPlan::new(&[q], k) }).remove(0)
-                    };
-                    let scalar = single(KernelKind::Scalar);
-                    for kernel in available_kernels() {
-                        prop_assert_eq!(&single(kernel), &scalar, "weighted kernel {}", kernel);
-                    }
-                }
-                let fused = store.scan(&ScanPlan { weights, dead, exec, ..ScanPlan::new(&qrefs, k) });
-                for (q, (hits, stats)) in qrefs.iter().zip(&fused) {
-                    let (single_hits, _) = store
-                        .scan(&ScanPlan {
-                            weights,
-                            dead,
-                            kernel: KernelKind::Scalar,
-                            ..ScanPlan::new(&[q], k)
-                        })
-                        .remove(0);
-                    prop_assert_eq!(hits, &single_hits,
-                        "weighted threads {} masked {}", threads, dead.is_some());
-                    if k > 0 && dead.is_none_or(|t| t.live_count() > 0) {
-                        prop_assert_eq!(
-                            stats.vectors_scanned + stats.early_abandoned
-                                + stats.tombstones_skipped,
-                            n,
-                            "fused weighted stats identity"
-                        );
-                    }
-                    for &(id, _) in hits {
-                        prop_assert!(
-                            !dead.is_some_and(|t| t.is_dead(id as usize)),
-                            "masked fused weighted scan surfaced dead row {}", id
-                        );
-                    }
+                    // The weighted loop is one loop whatever the kernel:
+                    // its work counters equal the scalar reference's.
+                    prop_assert_eq!(
+                        store.scan(&weighted_plan),
+                        store.scan(&ScanPlan { kernel: KernelKind::Scalar, ..weighted_plan }),
+                        "weighted kernel {}", kernel
+                    );
                 }
             }
         }

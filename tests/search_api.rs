@@ -15,6 +15,19 @@ fn index(n: usize, seed: u64, p: usize) -> GraphIndex {
     GraphIndex::build(chem(n, seed), IndexOptions::default().with_dimensions(p))
 }
 
+/// Every stats field but the timings: the work an answer did.
+fn work(stats: &gdim::core::search::SearchStats) -> String {
+    format!(
+        "{:?}",
+        gdim::core::search::SearchStats {
+            match_time: std::time::Duration::ZERO,
+            wall_time: std::time::Duration::ZERO,
+            stages: Default::default(),
+            ..*stats
+        }
+    )
+}
+
 fn hit_pairs(resp: &SearchResponse) -> Vec<(u32, f64)> {
     resp.hits.iter().map(|h| (h.id.get(), h.distance)).collect()
 }
@@ -169,9 +182,11 @@ fn tie_breaking_is_stable_by_id_and_batch_agrees() {
         );
         let batch = idx_t.search_batch(&queries, &req).unwrap();
         for (q, resp) in queries.iter().zip(&batch) {
+            let single = idx_t.search(q, &req).unwrap();
+            assert_eq!(single.hits, resp.hits, "threads = {threads}");
             assert_eq!(
-                idx_t.search(q, &req).unwrap().hits,
-                resp.hits,
+                work(&single.stats),
+                work(&resp.stats),
                 "threads = {threads}"
             );
         }

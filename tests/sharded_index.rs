@@ -52,6 +52,19 @@ fn requests() -> Vec<SearchRequest> {
 /// A sharded response's hits as `(seq, distance)` — the sharded row's
 /// sequence number is exactly the id the unsharded index gives the
 /// same row.
+/// Every stats field but the timings: the work an answer did.
+fn work(stats: &gdim::core::search::SearchStats) -> String {
+    format!(
+        "{:?}",
+        gdim::core::search::SearchStats {
+            match_time: std::time::Duration::ZERO,
+            wall_time: std::time::Duration::ZERO,
+            stages: Default::default(),
+            ..*stats
+        }
+    )
+}
+
 fn by_seq(idx: &ShardedIndex, resp: &SearchResponse) -> Vec<(u64, f64)> {
     resp.hits
         .iter()
@@ -111,6 +124,7 @@ proptest! {
                 for (q, resp) in queries.iter().zip(&batch) {
                     let single = sharded.search(q, &req).unwrap();
                     prop_assert_eq!(&single.hits, &resp.hits);
+                    prop_assert_eq!(work(&single.stats), work(&resp.stats));
                 }
             }
         }

@@ -37,7 +37,6 @@ fn responses() -> impl Strategy<Value = SearchResponse> {
         proptest::collection::vec(any::<u64>(), 7..=7),
         (0u8..5, 0u8..4, 0u8..4),
         any::<bool>(),
-        any::<bool>(),
     )
         .prop_map(
             |(
@@ -45,7 +44,6 @@ fn responses() -> impl Strategy<Value = SearchResponse> {
                 counters,
                 stage_ns,
                 (kernel_pick, counter_pick, stage_pick),
-                fused,
                 approximate,
             )| {
                 let hits = raw_hits
@@ -84,7 +82,6 @@ fn responses() -> impl Strategy<Value = SearchResponse> {
                         3 => Some(KernelKind::Avx2),
                         _ => Some(KernelKind::Avx512),
                     },
-                    fused_batch: fused,
                     approximate,
                     ef: counter(9) as usize,
                     beam_visited: counter(10) as usize,
@@ -177,7 +174,6 @@ proptest! {
         prop_assert_eq!(s.match_time, t.match_time);
         prop_assert_eq!(s.wall_time, t.wall_time);
         prop_assert_eq!(s.kernel, t.kernel);
-        prop_assert_eq!(s.fused_batch, t.fused_batch);
         prop_assert_eq!(s.approximate, t.approximate);
         prop_assert_eq!(s.ef, t.ef);
         prop_assert_eq!(s.beam_visited, t.beam_visited);
