@@ -15,8 +15,8 @@
 //!
 //! Exact answers come from the same bounded SoA kernel the serving
 //! path uses ([`VectorStore::scan`]); ANN answers walk the
-//! graph with the scalar [`hamming_row`] as the distance oracle, as
-//! the served beam (`GraphIndex::approx_scan_premapped`) does. Medians /
+//! graph keyed by the scalar [`hamming_row`] popcount as a `u64`, the
+//! key the served beam (`GraphIndex::approx_scan_premapped`) uses. Medians /
 //! interleaved minima of repeated timed runs, written as plain JSON.
 //!
 //! ```text
@@ -97,7 +97,7 @@ fn measure_workload(
         let ann_topk = |q: &Bitset| -> Vec<u32> {
             let qw = q.words();
             let (found, _) = ann.query(
-                |id| hamming_row(qw, store.row(id as usize)) as f64,
+                |id| hamming_row(qw, store.row(id as usize)) as u64,
                 ef_query,
                 None,
             );

@@ -662,15 +662,17 @@ impl GraphIndex {
         }
         let dead = &self.tombstones;
         let qwords = qvec.words();
-        // Traversal keys: strictly increasing transforms of the true
-        // distance (integer popcount / squared weighted distance), so
-        // beam order equals distance order and the final formula below
+        // Traversal keys: integer, strictly increasing transforms of
+        // the true distance (the popcount / the bits of the
+        // non-negative squared weighted distance), so beam order
+        // equals distance order and the final formula below
         // reproduces the scan's exact values.
-        let key = |i: u32| -> f64 {
+        let key = |i: u32| -> u64 {
             match mapping {
-                MappingKind::Binary => hamming_row(qwords, store.row(i as usize)) as f64,
+                MappingKind::Binary => hamming_row(qwords, store.row(i as usize)) as u64,
                 MappingKind::Weighted => {
                     weighted_sq_xor_words(qwords, store.row(i as usize), &self.w_sq_weighted)
+                        .to_bits()
                 }
             }
         };
@@ -692,8 +694,8 @@ impl GraphIndex {
             .into_iter()
             .map(|(id, k)| {
                 let d = match mapping {
-                    MappingKind::Binary => (k / p).sqrt(),
-                    MappingKind::Weighted => k.sqrt(),
+                    MappingKind::Binary => (k as f64 / p).sqrt(),
+                    MappingKind::Weighted => f64::from_bits(k).sqrt(),
                 };
                 (id, d)
             })

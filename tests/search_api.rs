@@ -209,6 +209,39 @@ fn load_rejects_non_index_files() {
 /// byte by `gdim-core`'s persist tests).
 const SNAPSHOT: &[u8] = include_bytes!("../crates/core/tests/fixtures/v4-small.idx");
 
+/// Where the fixture's ANN section keeps each neighbor list: per
+/// `(node, layer)` in file order, the byte offset of its `u32` count,
+/// the owner node and the layer's cap (`2·m` on layer 0, `m` above).
+/// The section is the last thing in the file, so its start is the
+/// file length minus its own.
+fn snapshot_ann_lists() -> Vec<(usize, u32, usize)> {
+    let idx = GraphIndex::from_bytes(SNAPSHOT).expect("the fixture loads");
+    let ann = idx.ann_if_built().expect("the fixture carries a graph");
+    let m = ann.params().m;
+    let levels = ann.levels();
+    let lists: Vec<(u32, usize, usize)> = (0..levels.len() as u32)
+        .flat_map(|node| (0..=levels[node as usize] as usize).map(move |layer| (node, layer)))
+        .map(|(node, layer)| (node, layer, ann.neighbors(node, layer).len()))
+        .collect();
+    let bytes: usize = lists.iter().map(|&(_, _, len)| 4 + 4 * len).sum();
+    let mut at = SNAPSHOT.len() - bytes;
+    let mut out = Vec::new();
+    for (node, layer, len) in lists {
+        out.push((at, node, if layer == 0 { 2 * m } else { m }));
+        at += 4 + 4 * len;
+    }
+    assert_eq!(at, SNAPSHOT.len());
+    // flag u8 · m, ef_construction, seed u64 · entry u32 · built_n
+    // u64 · one level byte per node, then the lists.
+    let flag = out[0].0 - (1 + 3 * 8 + 4 + 8 + levels.len());
+    assert_eq!(SNAPSHOT[flag], 1, "the ANN flag precedes the graph");
+    out
+}
+
+fn list_len(at: usize) -> usize {
+    u32::from_le_bytes(SNAPSHOT[at..at + 4].try_into().unwrap()) as usize
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -217,10 +250,11 @@ proptest! {
     /// with one 4-byte-aligned 4- or 8-byte window rewritten to a
     /// boundary or random value — load an index that answers a mapped
     /// and an approximate search, or fail with a typed error; never
-    /// panic.
+    /// panic. An ANN neighbor list made to hold its owner, or grown
+    /// past its layer's cap, is always `Corrupt`.
     #[test]
     fn hostile_snapshots_load_or_fail_typed(
-        kind in 0u8..4,
+        kind in 0u8..6,
         junk in prop::collection::vec(any::<u8>(), 0..128),
         at in any::<prop::sample::Index>(),
         wide in any::<bool>(),
@@ -233,6 +267,32 @@ proptest! {
             2 => {
                 let mut b = SNAPSHOT.to_vec();
                 b[at.index(SNAPSHOT.len())] ^= (word >> 8) as u8 | 1;
+                b
+            }
+            4 | 5 => {
+                let lists = snapshot_ann_lists();
+                let filled: Vec<_> = lists.iter().filter(|&&(at, ..)| list_len(at) > 0).collect();
+                let &(at, node, cap) = if kind == 4 {
+                    filled[at.index(filled.len())]
+                } else {
+                    &lists[at.index(lists.len())]
+                };
+                let len = list_len(at);
+                let mut b = SNAPSHOT.to_vec();
+                if kind == 4 {
+                    // The list's first neighbor becomes its owner.
+                    b[at + 4..at + 8].copy_from_slice(&node.to_le_bytes());
+                } else {
+                    // One neighbor past the cap, every id in range and
+                    // none the owner.
+                    let nodes = lists.last().expect("a graph of ten nodes").1 + 1;
+                    let other = (node + 1) % nodes;
+                    b[at..at + 4].copy_from_slice(&(cap as u32 + 1).to_le_bytes());
+                    let extra = (len..=cap).flat_map(|_| other.to_le_bytes());
+                    b.splice(at + 4..at + 4, extra);
+                }
+                let err = GraphIndex::from_bytes(&b).err();
+                prop_assert!(matches!(err, Some(GdimError::Corrupt(_))), "kind {}: {:?}", kind, err);
                 b
             }
             _ => {
