@@ -64,10 +64,14 @@
 //! every query (over the frozen arrays). Its keys are integers — the
 //! `(key, id)` pair packed into one `u128` (see `Key`), so ordering
 //! two entries is one compare and never touches a float — and its
-//! working set is one sorted array (see `Beam`) in place of the
-//! textbook frontier and result heaps, visiting the same nodes in the
-//! same order. Freezing keeps each list's order, so the frozen graph is
-//! walked exactly as the nested one would be.
+//! working set is one sorted array of the kept nodes (see `Beam`) in
+//! place of the textbook frontier and result heaps, with a heap only
+//! for tombstoned nodes, visiting the same nodes in the same order.
+//! Freezing keeps each list's order, so the frozen graph is walked
+//! exactly as the nested one would be.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use gdim_kernels::hamming_row;
 
@@ -158,8 +162,8 @@ pub struct AnnScanStats {
 /// ascending by `(d, id)` — the same tie-break as the exact kernels'
 /// `(distance, id)` hit order. Packed into one `u128` (`d` in bits
 /// 64.., the id in bits 32..64) so that ordering is a single integer
-/// compare; bits 0..32 are zero in a key and carry the beam's own
-/// [`Beam`] flags in a slot.
+/// compare; bits 0..32 are zero in a key and carry the [`Beam`]'s
+/// expanded flag in a slot.
 ///
 /// Binary rows key on the XOR popcount. Weighted rows key on
 /// `f64::to_bits` of the squared distance: on floats with the sign bit
@@ -662,41 +666,45 @@ fn search_layer<L: Links, F: FnMut(u32) -> u64>(
     beam.into_kept()
 }
 
-/// The working set of one [`search_layer`] call: one array, ascending
-/// by key, of every node still in play — the best `ef` admissible
-/// nodes found so far, plus the inadmissible (tombstoned) ones that
-/// rank ahead of the worst of those and so may still be expanded.
+/// The working set of one [`search_layer`] call: the best `ef`
+/// admissible nodes found so far in one array ascending by key, and
+/// the inadmissible (tombstoned) nodes found but not yet expanded in a
+/// min-heap beside it.
 ///
 /// This is the textbook two-heap beam (a frontier min-heap beside a
-/// result max-heap) without the heaps. That beam always expands the
-/// best unexpanded node it admitted, and stops once that node ranks
-/// past the worst of `ef` kept ones. Once `ef` are kept the worst only
-/// improves, so an admitted node past it can never be expanded and
-/// dropping it changes nothing. Expanding the first unexpanded slot of
-/// this array, over and over, therefore walks the same nodes in the
-/// same order and keeps the same `ef` — with one insert per admitted
-/// node instead of a push on each heap and a pop on overflow.
+/// result max-heap) with the result heap made a sorted array that
+/// doubles as the live part of the frontier. That beam always expands
+/// the best unexpanded node it admitted, and stops once that node
+/// ranks past the worst of `ef` kept ones. Once `ef` are kept the
+/// worst only improves, so an admitted node evicted past it can never
+/// be expanded and forgetting it changes nothing. Expanding the better
+/// of the first unexpanded slot and the heap's top (while it ranks
+/// ahead of the worst kept), over and over, therefore walks the same
+/// nodes in the same order and keeps the same `ef`. Without tombstones
+/// the heap stays empty and each admitted node costs one array insert
+/// instead of a push on each heap and a pop on overflow; with many, the
+/// array still never outgrows `ef` slots.
 struct Beam {
-    /// [`Key`] bits ORed with [`Beam::EXPANDED`] / [`Beam::HELD_OUT`].
-    slots: Vec<u128>,
-    /// Admissible slots; at most `ef`.
-    kept: usize,
+    /// [`Key`] bits, ORed with [`Beam::EXPANDED`] once expanded; at
+    /// most `ef`.
+    kept: Vec<u128>,
+    /// [`Key`] bits of the unexpanded inadmissible nodes, which
+    /// navigate but may not be returned.
+    held_out: BinaryHeap<Reverse<u128>>,
     ef: usize,
-    /// Every slot before this one is expanded.
+    /// Every slot of `kept` before this one is expanded.
     next: usize,
 }
 
 impl Beam {
     /// The slot's node was expanded.
     const EXPANDED: u128 = 1;
-    /// The slot's node navigates but may not be returned (tombstoned).
-    const HELD_OUT: u128 = 2;
 
     fn new(ef: usize) -> Beam {
         let ef = ef.max(1);
         Beam {
-            slots: Vec::with_capacity(ef + 1),
-            kept: 0,
+            kept: Vec::with_capacity(ef + 1),
+            held_out: BinaryHeap::new(),
             ef,
             next: 0,
         }
@@ -704,52 +712,62 @@ impl Beam {
 
     /// Whether a freshly evaluated node joins the beam: while fewer
     /// than `ef` are kept, always; after, only ahead of the worst kept
-    /// one (the last slot, see [`Beam::insert`]).
+    /// one.
     fn admits(&self, cand: Key) -> bool {
-        self.kept < self.ef || self.slots.last().is_some_and(|&worst| cand.0 < worst)
+        self.kept.len() < self.ef || self.kept.last().is_some_and(|&worst| cand.0 < worst)
     }
 
-    /// Inserts `k` in key order. An admissible node past the first
-    /// `ef` evicts the worst kept one; once `ef` are kept, slots past
-    /// the worst of them can never be expanded and are dropped, so the
-    /// last slot is then the worst kept node.
+    /// Adds an admitted node: an admissible one in key order, evicting
+    /// the worst kept one past the first `ef`; an inadmissible one to
+    /// the heap.
     fn insert(&mut self, k: Key, admissible: bool) {
-        let at = self.slots.partition_point(|&s| s < k.0);
-        let flags = if admissible { 0 } else { Beam::HELD_OUT };
-        self.slots.insert(at, k.0 | flags);
-        self.next = self.next.min(at);
-        if admissible {
-            self.kept += 1;
-            if self.kept > self.ef {
-                self.slots.pop();
-                self.kept -= 1;
-            }
+        if !admissible {
+            self.held_out.push(Reverse(k.0));
+            return;
         }
-        if self.kept == self.ef {
-            while self.slots.last().is_some_and(|&s| s & Beam::HELD_OUT != 0) {
-                self.slots.pop();
-            }
+        let at = self.kept.partition_point(|&s| s < k.0);
+        self.kept.insert(at, k.0);
+        self.next = self.next.min(at);
+        if self.kept.len() > self.ef {
+            self.kept.pop();
         }
     }
 
-    /// The best unexpanded node, marked expanded; `None` when every
-    /// slot is.
+    /// The best unexpanded node — the first unexpanded kept slot,
+    /// marked expanded, or the heap's top, popped — or `None` when
+    /// neither is left that may still be expanded.
     fn next(&mut self) -> Option<u32> {
-        while let Some(s) = self.slots.get_mut(self.next) {
+        while self
+            .kept
+            .get(self.next)
+            .is_some_and(|&s| s & Beam::EXPANDED != 0)
+        {
             self.next += 1;
-            if *s & Beam::EXPANDED == 0 {
-                *s |= Beam::EXPANDED;
-                return Some(Key(*s).id());
-            }
         }
-        None
+        let live = self.kept.get(self.next).copied();
+        let held = self
+            .held_out
+            .peek()
+            .map(|r| r.0)
+            .filter(|&h| self.admits(Key(h)));
+        match (live, held) {
+            (Some(l), h) if h.is_none_or(|h| l < h) => {
+                self.kept[self.next] |= Beam::EXPANDED;
+                self.next += 1;
+                Some(Key(l).id())
+            }
+            (_, Some(h)) => {
+                self.held_out.pop();
+                Some(Key(h).id())
+            }
+            _ => None,
+        }
     }
 
     /// The kept nodes, ascending by `(key, id)`.
     fn into_kept(self) -> Vec<Key> {
-        (self.slots.into_iter())
-            .filter(|s| s & Beam::HELD_OUT == 0)
-            .map(|s| Key(s & !(Beam::EXPANDED | Beam::HELD_OUT)))
+        (self.kept.into_iter())
+            .map(|s| Key(s & !Beam::EXPANDED))
             .collect()
     }
 }
