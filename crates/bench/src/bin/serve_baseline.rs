@@ -36,7 +36,13 @@
 //! the reference path), `encode_stream_ns` (`write_response` into a
 //! reused buffer, what the server runs), `parse_response_ns` (what
 //! `Client::post` pays), and the parser's cost per byte on that
-//! response repeated to 1 KiB and to 64 KiB.
+//! response repeated to 1 KiB and to 64 KiB. It also times the request
+//! side on one served-shape `/search` body (that query's graph inline,
+//! default options, compact — what the end-to-end benchmark sends):
+//! `decode_tree_ns` (`parse` + `request_from_json` + `query_from_json`,
+//! the reference and fallback path) and `decode_onepass_ns`
+//! (`decode_search`, what the server runs), after asserting the two
+//! decode the body to equal values.
 //!
 //! Gates:
 //!
@@ -49,11 +55,13 @@
 //!   [`OVERHEAD_GRACE_US`] of absolute grace so µs-scale scheduler
 //!   noise cannot flake the gate;
 //! * always, the **codec ratios**, same-run so no runner speed can fake
-//!   either: the tree path must cost at least [`MIN_TREE_OVER_STREAM`] ×
-//!   the streaming one (else the server is building trees again), and a
+//!   any: the tree encoding must cost at least [`MIN_TREE_OVER_STREAM`]
+//!   × the streaming one (else the server is building trees again), a
 //!   byte of a 64 KiB document at most [`MAX_64K_OVER_1K`] × a byte of a
 //!   1 KiB one (else parsing is super-linear again: the quadratic
-//!   string scanner measured ~30 ×).
+//!   string scanner measured ~30 ×), and the tree decode of a `/search`
+//!   body at least [`MIN_TREE_OVER_ONEPASS`] × the one-pass decode
+//!   (else the one-pass decoder has lost its point).
 //!
 //! Every served answer is asserted **bit-identical** to the in-process
 //! [`ServingHandle`] answer for the same query before timing starts —
@@ -64,10 +72,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gdim_bench::gate::{fixed, int, ns_per_call, quantile, write_snapshot, Args, Gate, Rule};
-use gdim_core::{GraphId, IndexOptions, SearchRequest, SearchResponse};
+use gdim_core::{Graph, GraphId, IndexOptions, SearchRequest, SearchResponse};
 use gdim_datagen::{chem_db, zipf_workload, ChemConfig, ZipfConfig};
-use gdim_server::wire::{response_from_json, response_to_json, write_response};
-use gdim_server::{Client, GdimServer, Json, ServerConfig};
+use gdim_server::wire::{
+    decode_search, query_from_json, query_to_json, request_from_json, request_to_json,
+    response_from_json, response_to_json, write_response,
+};
+use gdim_server::{Client, GdimServer, Json, QuerySpec, ServerConfig};
 use gdim_shard::{ServingHandle, ShardedIndex, ShardedOptions};
 
 const GRAPHS: usize = 300;
@@ -94,6 +105,8 @@ const OVERHEAD_GRACE_US: f64 = 25.0;
 const MIN_TREE_OVER_STREAM: f64 = 2.5;
 /// Above this the parser's cost per byte grows with the document.
 const MAX_64K_OVER_1K: f64 = 4.0;
+/// Below this the server's `/search` decode has gone back to a tree.
+const MIN_TREE_OVER_ONEPASS: f64 = 2.0;
 
 fn search_body(id: u32) -> Json {
     Json::obj([
@@ -157,9 +170,11 @@ fn run_pass(addr: SocketAddr, ids: &Arc<Vec<u32>>) -> (Vec<u64>, u64, Duration) 
     (latencies, errors, wall)
 }
 
-/// The `wire` block: codec timings on one served-shape response, and
-/// the two same-run ratio gates on them.
-fn measure_wire(resp: &SearchResponse, gate: &mut Gate) -> Json {
+/// The `wire` block: codec timings on one served-shape response and
+/// one served-shape `/search` body (`query`'s graph inline, as the
+/// end-to-end benchmark sends it), and the three same-run ratio gates
+/// on them.
+fn measure_wire(query: &Graph, resp: &SearchResponse, gate: &mut Gate) -> Json {
     let text = response_to_json(resp).to_string_compact();
     let mut streamed = String::new();
     write_response(resp, &mut streamed);
@@ -193,6 +208,41 @@ fn measure_wire(resp: &SearchResponse, gate: &mut Gate) -> Json {
     gate.floor("wire encode tree/stream", ratio, MIN_TREE_OVER_STREAM);
     let growth = per_byte_64k / per_byte_1k;
     gate.ceiling("wire parse per byte 64 KiB/1 KiB", growth, MAX_64K_OVER_1K);
+
+    let Json::Obj(mut fields) = request_to_json(&SearchRequest::new(K)) else {
+        unreachable!("requests encode as objects");
+    };
+    fields.insert(
+        0,
+        (
+            "query".into(),
+            query_to_json(&QuerySpec::Graph(query.clone())),
+        ),
+    );
+    let body = Json::Obj(fields).to_string_compact();
+    let decode_tree = || {
+        let j = gdim_server::parse_json(std::hint::black_box(&body)).expect("valid body");
+        let req = request_from_json(&j).expect("valid request");
+        (
+            req,
+            query_from_json(j.get("query").expect("query key")).expect("valid query"),
+        )
+    };
+    let decoded = decode_search(body.as_bytes()).expect("a compact body decodes in one pass");
+    assert_eq!(
+        (decoded.0, QuerySpec::Graph(decoded.1)),
+        decode_tree(),
+        "the one-pass decode must equal the tree decode"
+    );
+    let decode_tree_ns = ns_per_call(2000, decode_tree);
+    let decode_onepass_ns = ns_per_call(2000, || {
+        decode_search(std::hint::black_box(body.as_bytes()))
+    });
+    gate.floor(
+        "wire decode tree/one-pass",
+        decode_tree_ns / decode_onepass_ns,
+        MIN_TREE_OVER_ONEPASS,
+    );
     Json::obj([
         ("response_bytes", int(text.len())),
         ("encode_tree_ns", fixed(tree, 0)),
@@ -200,6 +250,9 @@ fn measure_wire(resp: &SearchResponse, gate: &mut Gate) -> Json {
         ("parse_response_ns", fixed(parse, 0)),
         ("parse_ns_per_byte_1k", fixed(per_byte_1k, 2)),
         ("parse_ns_per_byte_64k", fixed(per_byte_64k, 2)),
+        ("request_bytes", int(body.len())),
+        ("decode_tree_ns", fixed(decode_tree_ns, 0)),
+        ("decode_onepass_ns", fixed(decode_onepass_ns, 0)),
     ])
 }
 
@@ -280,7 +333,11 @@ fn main() {
     // so the two ratios it gates are machine-independent.
     let wire = {
         let q = snap.graph(GraphId(ids[0])).unwrap();
-        measure_wire(&snap.search(q, &SearchRequest::new(K)).unwrap(), &mut gate)
+        measure_wire(
+            q,
+            &snap.search(q, &SearchRequest::new(K)).unwrap(),
+            &mut gate,
+        )
     };
     eprintln!("wire: {wire}");
 

@@ -90,7 +90,12 @@ impl Client {
             Json::Null => String::new(),
             other => other.to_string_compact(),
         };
-        self.request("POST", path, Some(&payload))
+        self.post_text(path, &payload)
+    }
+
+    /// `POST path` with `body` sent byte for byte.
+    pub(crate) fn post_text(&mut self, path: &str, body: &str) -> io::Result<(u16, Json)> {
+        self.request("POST", path, Some(body))
     }
 
     fn request(&mut self, method: &str, path: &str, body: Option<&str>) -> io::Result<(u16, Json)> {

@@ -549,7 +549,7 @@ impl<'a> Parser<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -642,9 +642,12 @@ mod tests {
         .document()
     }
 
-    /// Valid documents the mutation proptest starts from: the served
-    /// shapes, every escape, 2–4-byte UTF-8, surrogate pairs.
-    const CORPUS: [&str; 5] = [
+    /// Valid documents the mutation proptests start from: the served
+    /// shapes, every escape, 2–4-byte UTF-8, surrogate pairs, and (the
+    /// last [`COMPACT_BODIES`]) compact `/search` and `/insert` bodies —
+    /// the shape the one-pass decoders accept, which `wire::tests`
+    /// mutates too.
+    pub(crate) const CORPUS: [&str; 8] = [
         "{\"hits\":[{\"id\":3,\"distance\":0.25},{\"id\":9,\"distance\":1e-7}],\
          \"stats\":{\"epoch\":18446744073709551615,\"kernel\":\"avx2\",\"approximate\":false,\
          \"stages\":{\"map\":1200,\"scan\":-0}}}",
@@ -653,7 +656,15 @@ mod tests {
         "[\"plain\", \"q\\\"b\\\\s\\/n\\nr\\rt\\tb\\bf\\f\", \"\\u0041\\u00e9\\u20ac\\ud83d\\ude00\\u001f\"]",
         "{\"λ é\": \"€ 😀 \u{7f}\", \"\": [true, null, -12, 2.5e+3, \"\"]}",
         "\"one string, nothing else: \\u00e9\\\\ 😀\"",
+        "{\"query\":{\"graph\":{\"v\":[0,1,2,3],\"e\":[[0,1,1],[1,2,0],[2,3,2],[3,0,1]]}},\"k\":10,\
+         \"ranker\":{\"approx\":{\"ef\":64,\"verify\":null}},\"mapping\":\"binary\"}",
+        "{\"mapping\":\"weighted\",\"ranker\":{\"refined\":{\"candidates\":20}},\"k\":7,\
+         \"query\":{\"graph\":{\"e\":[[0,2,1],[1,2,0]],\"v\":[6,0,4294967295]}}}",
+        "{\"graph\":{\"v\":[1,0,2],\"e\":[[2,0,3],[0,1,0],[1,2,1]]}}",
     ];
+
+    /// How many of [`CORPUS`]'s last entries are compact request bodies.
+    pub(crate) const COMPACT_BODIES: usize = 3;
 
     /// What a mutation writes: every byte the scanner branches on, the
     /// pieces of escapes and numbers, a control character, and 2-, 3-
@@ -665,7 +676,7 @@ mod tests {
 
     /// Applies one replace / insert / delete per `(kind, at, pick)`
     /// triple, on `char`s so the result is still a `&str`.
-    fn mutate(doc: &str, edits: &[(u8, usize, usize)]) -> String {
+    pub(crate) fn mutate(doc: &str, edits: &[(u8, usize, usize)]) -> String {
         let mut chars: Vec<char> = doc.chars().collect();
         for &(kind, at, pick) in edits {
             let c = PALETTE[pick % PALETTE.len()];

@@ -9,7 +9,8 @@
 //! * [`http`] — an incremental, bounded HTTP/1.1 request parser and
 //!   response writer with typed protocol errors.
 //! * [`wire`] — the endpoint schema: `SearchRequest` /
-//!   `SearchResponse` / graphs ⇄ JSON, plus the pinned
+//!   `SearchResponse` / graphs ⇄ JSON, the one-pass decoders for
+//!   compact `/search` and `/insert` bodies, and the pinned
 //!   `GdimError` → HTTP-status mapping.
 //! * [`server`] — [`GdimServer`]: acceptor + worker pool +
 //!   keep-alive connection loop + graceful drain.

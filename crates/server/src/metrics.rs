@@ -84,6 +84,9 @@ pub(crate) struct ServerMetrics {
     /// `gdim_slow_requests_total` — requests at or over the slow
     /// threshold.
     slow: Arc<Counter>,
+    /// `gdim_wire_decode_fallback_total` — `/search` and `/insert`
+    /// bodies the one-pass decoder declined, read through the JSON tree.
+    pub(crate) decode_fallback: Arc<Counter>,
     /// `gdim_uptime_ns` — refreshed at scrape time.
     uptime: Arc<Gauge>,
     /// `gdim_index_epoch` / `gdim_live_graphs` /
@@ -158,6 +161,11 @@ impl ServerMetrics {
             slow: registry.counter(
                 "gdim_slow_requests_total",
                 "Requests at or over the slow-query threshold",
+                &[],
+            ),
+            decode_fallback: registry.counter(
+                "gdim_wire_decode_fallback_total",
+                "/search and /insert bodies the one-pass decoder declined (read as a JSON tree)",
                 &[],
             ),
             uptime: registry.gauge("gdim_uptime_ns", "Time since server boot (ns)", &[]),

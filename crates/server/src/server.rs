@@ -41,7 +41,7 @@ use std::time::Duration;
 
 use gdim_core::{GdimError, Graph, GraphId, SearchRequest, SearchResponse};
 use gdim_exec::WorkerPool;
-use gdim_obs::{Stage, Trace};
+use gdim_obs::{Counter, Stage, Trace};
 use gdim_shard::{DurableHandle, Reader, ServingHandle, ShardedIndex};
 
 use crate::http::{
@@ -51,8 +51,8 @@ use crate::http::{
 use crate::json::{parse, Json};
 use crate::metrics::{endpoint_index, error_log_line, slow_log_line, ServerMetrics, ENDPOINTS};
 use crate::wire::{
-    error_body, gdim_error_status, graph_from_json, query_from_json, request_from_json,
-    write_batch_response, write_response, QuerySpec, WireError,
+    decode_insert, decode_search, error_body, gdim_error_status, graph_from_json, query_from_json,
+    request_from_json, write_batch_response, write_response, QuerySpec, WireError,
 };
 
 /// Server knobs. `Default` binds an ephemeral loopback port with a
@@ -664,6 +664,36 @@ fn parse_body(body: &[u8]) -> Result<Json, ApiError> {
     parse(text).map_err(|e| ApiError::new(400, "bad_json", e.to_string()))
 }
 
+/// Reads a `/search` body: in one pass when it has the compact
+/// shape ([`decode_search`]), else — counted in `fallback` — as a JSON
+/// tree, whose decoders accept it or produce the error.
+fn read_search(body: &[u8], fallback: &Counter) -> Result<(SearchRequest, QuerySpec), ApiError> {
+    if let Some((req, g)) = decode_search(body) {
+        return Ok((req, QuerySpec::Graph(g)));
+    }
+    fallback.inc();
+    let j = parse_body(body)?;
+    let req = request_from_json(&j)?;
+    let query = j
+        .get("query")
+        .ok_or_else(|| ApiError::new(400, "bad_request", "missing \"query\""))?;
+    Ok((req, query_from_json(query)?))
+}
+
+/// Reads an `/insert` body the same way ([`decode_insert`], else the
+/// tree).
+fn read_insert(body: &[u8], fallback: &Counter) -> Result<Graph, ApiError> {
+    if let Some(g) = decode_insert(body) {
+        return Ok(g);
+    }
+    fallback.inc();
+    let j = parse_body(body)?;
+    let graph = j
+        .get("graph")
+        .ok_or_else(|| ApiError::new(400, "bad_request", "missing \"graph\""))?;
+    Ok(graph_from_json(graph)?)
+}
+
 /// Resolves a query spec against one snapshot: id queries borrow the
 /// stored graph, inline queries use the shipped one.
 fn resolve<'a>(snap: &'a ShardedIndex, spec: &'a QuerySpec) -> Result<&'a Graph, GdimError> {
@@ -751,12 +781,10 @@ fn dispatch(
             Ok(Json::obj(fields))
         }
         "/search" => {
-            let j = obs.trace.time(Stage::Parse, || parse_body(body))?;
-            let req: SearchRequest = request_from_json(&j)?;
-            let spec = query_from_json(
-                j.get("query")
-                    .ok_or_else(|| ApiError::new(400, "bad_request", "missing \"query\""))?,
-            )?;
+            let fallback = &ctx.metrics.decode_fallback;
+            let (req, spec) = obs
+                .trace
+                .time(Stage::Parse, || read_search(body, fallback))?;
             let snap = reader.current();
             let resp = snap.search(resolve(&snap, &spec)?, &req)?;
             obs.trace.absorb(&resp.stats.stages);
@@ -791,11 +819,10 @@ fn dispatch(
             return Ok(Payload::Batch(responses));
         }
         "/insert" => {
-            let j = obs.trace.time(Stage::Parse, || parse_body(body))?;
-            let g = graph_from_json(
-                j.get("graph")
-                    .ok_or_else(|| ApiError::new(400, "bad_request", "missing \"graph\""))?,
-            )?;
+            let fallback = &ctx.metrics.decode_fallback;
+            let g = obs
+                .trace
+                .time(Stage::Parse, || read_insert(body, fallback))?;
             // In durable mode the record hits the log before the
             // index — under SyncPolicy::Always a 200 means it is on
             // disk; group-commit policies ack before the fsync and
@@ -967,6 +994,90 @@ mod tests {
                 assert_eq!(a.id, b.id);
                 assert_eq!(a.distance.to_bits(), b.distance.to_bits());
             }
+        }
+
+        // The same query shipped inline: compact and with keys
+        // reordered (the one-pass decoder), with whitespace or with
+        // `"budget": null` (the tree): every spelling answers the
+        // in-process hits.
+        let g = snap0.graph(snap0.id_for_seq(13).unwrap()).unwrap().clone();
+        let local = snap0.search(&g, &SearchRequest::new(5)).unwrap();
+        let bits = |hits: &[gdim_core::Hit]| -> Vec<(GraphId, u64)> {
+            hits.iter().map(|h| (h.id, h.distance.to_bits())).collect()
+        };
+        let Json::Obj(graph) = crate::wire::graph_to_json(&g) else {
+            unreachable!("graphs encode as objects")
+        };
+        let body = |graph: Vec<(String, Json)>, fields: &[(&str, Json)]| {
+            let query = Json::obj([("graph", Json::Obj(graph))]);
+            let mut body = vec![("query".to_string(), query)];
+            body.extend(fields.iter().map(|(k, v)| (k.to_string(), v.clone())));
+            Json::Obj(body).to_string_compact()
+        };
+        let compact = body(graph.clone(), &[("k", Json::U64(5))]);
+        let reordered = {
+            let rev: Vec<_> = graph.iter().rev().cloned().collect();
+            let query = Json::obj([("graph", Json::Obj(rev))]);
+            Json::obj([("k", Json::U64(5)), ("query", query)]).to_string_compact()
+        };
+        for text in [
+            compact.clone(),
+            compact.replace(',', ", ").replace(':', ": "),
+            reordered,
+            body(
+                graph.clone(),
+                &[("k", Json::U64(5)), ("budget", Json::Null)],
+            ),
+        ] {
+            let (status, j) = client.post_text("/search", &text).unwrap();
+            assert_eq!(status, 200, "{text}: {j:?}");
+            let served = crate::wire::response_from_json(&j).unwrap();
+            assert_eq!(bits(&served.hits), bits(&local.hits), "{text}");
+        }
+
+        // Malformed inline queries answer exactly what the tree decoders
+        // always answered: status, code and message.
+        let with_edge = |extra: Json| {
+            let mut graph = graph.clone();
+            if let Some((_, Json::Arr(edges))) = graph.iter_mut().find(|(key, _)| key == "e") {
+                edges.push(extra);
+            }
+            body(graph, &[("k", Json::U64(5))])
+        };
+        let e0 = g.edges()[0];
+        let n = g.vertex_count() as u64;
+        let triple =
+            |u: u64, v: u64, l: u64| Json::Arr(vec![Json::U64(u), Json::U64(v), Json::U64(l)]);
+        for (text, message) in [
+            (
+                with_edge(triple(e0.v as u64, e0.u as u64, 1)),
+                format!("graph.e: ParallelEdge({}, {})", e0.u, e0.v),
+            ),
+            (
+                with_edge(triple(0, n, 0)),
+                format!("graph.e: UnknownVertex({n})"),
+            ),
+            (
+                body(graph.clone(), &[("k", Json::F64(1.5))]),
+                "k must be a non-negative integer".to_string(),
+            ),
+            (
+                body(graph.clone(), &[("ranker", Json::Str("fast".into()))]),
+                "ranker must be \"mapped\", \"exact\", {\"refined\": ...}, or {\"approx\": ...}"
+                    .to_string(),
+            ),
+        ] {
+            let (status, j) = client.post_text("/search", &text).unwrap();
+            assert_eq!(status, 400, "{text}: {j:?}");
+            let error = j.get("error").unwrap();
+            assert_eq!(
+                error.get("code").and_then(Json::as_str),
+                Some("bad_request")
+            );
+            assert_eq!(
+                error.get("message").and_then(Json::as_str),
+                Some(format!("malformed wire value: {message}").as_str()),
+            );
         }
         server.shutdown();
     }
@@ -1339,6 +1450,31 @@ mod tests {
                     .is_some(),
                 "missing eager series for {ep}"
             );
+        }
+        // An id query is outside the one-pass shape: the search above
+        // was read through the tree and counted. A compact inline query
+        // is not counted; the same body with whitespace is, once.
+        assert_eq!(
+            expo.type_of("gdim_wire_decode_fallback_total"),
+            Some("counter")
+        );
+        let mut fallbacks = || {
+            let (_, text) = client.get_text("/metrics").unwrap();
+            let expo = gdim_obs::expo::parse(&text).expect("exposition parses");
+            expo.value("gdim_wire_decode_fallback_total", &[]).unwrap()
+        };
+        assert_eq!(fallbacks(), 1.0);
+        let g =
+            crate::wire::query_to_json(&QuerySpec::Graph(snap.graph(GraphId(id)).unwrap().clone()));
+        let compact = Json::obj([("query", g), ("k", Json::U64(5))]).to_string_compact();
+        let pretty = compact.replace(',', ",\n  ").replace(':', ": ");
+        for (text, want) in [(&compact, 1.0), (&pretty, 2.0)] {
+            let (status, j) = Client::connect(server.addr())
+                .unwrap()
+                .post_text("/search", text)
+                .unwrap();
+            assert_eq!(status, 200, "{j:?}");
+            assert_eq!(fallbacks(), want, "{text}");
         }
         // Wrong method answers a typed 405, like every other route.
         let (status, j) = client.post("/metrics", &Json::Null).unwrap();
