@@ -13,14 +13,14 @@
 use std::sync::Arc;
 
 /// Rows per sealed chunk. A clone deep-copies the open tail — on
-/// average `CHUNK / 2` rows at ~1.45 µs each for a chem-sized graph
-/// (~16 allocations: ~0.8 µs to copy, ~0.65 µs to free later) — and
-/// `rows / CHUNK` chunk pointers (~10 ns each, and again on drop).
-/// Measured as served-insert minus owned-insert p50 on a 2-core box, at
-/// 4,000 / 16,000 rows per shard: 64 → 57 / 120 µs, 32 → 30 / 88 µs,
-/// 16 → 27 / 95 µs (the 16,000-row figures are mostly the flat words a
-/// shard also copies). 32 sits on the flat part of that curve. A
-/// constant, not a knob.
+/// average `CHUNK / 2` rows, each a chem-sized graph of four heap
+/// blocks (~0.25–0.4 µs to copy and later free) — and `rows / CHUNK`
+/// chunk pointers (~10 ns each, and again on drop). Measured as
+/// served-insert minus owned-insert p50 on one shard, median of five
+/// runs on a 2-core shared box, at 4,000 / 16,000 rows: 64 → 22 / 33 µs,
+/// 32 → 18 / 32 µs, 16 → 15 / 31 µs (the 16,000-row figures are mostly
+/// the flat words a shard also copies). 16 and 32 overlap from run to
+/// run, and 32 keeps half the chunk pointers. A constant, not a knob.
 pub const CHUNK: usize = 32;
 
 /// An append-only sequence with structurally shared clones (see the

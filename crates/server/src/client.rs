@@ -23,6 +23,9 @@ pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(60);
 #[derive(Debug)]
 pub struct Client {
     addr: SocketAddr,
+    /// `addr` as the `host` header's text, formatted once at connect
+    /// rather than per request.
+    host: String,
     stream: Option<TcpStream>,
     timeout: Duration,
 }
@@ -37,6 +40,7 @@ impl Client {
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "address resolved empty"))?;
         let mut c = Client {
             addr,
+            host: addr.to_string(),
             stream: None,
             timeout: DEFAULT_TIMEOUT,
         };
@@ -135,15 +139,15 @@ impl Client {
         path: &str,
         body: Option<&str>,
     ) -> io::Result<(u16, String)> {
-        let addr = self.addr;
+        // Head and body leave in one write: on this `TCP_NODELAY` socket
+        // two writes are two segments, and the server would wake for a
+        // head whose body has not arrived.
+        let request = request_bytes(method, path, &self.host, body.unwrap_or(""));
         let stream = match self.stream.as_mut() {
             Some(s) => s,
             None => self.reconnect()?,
         };
-        // Head and body leave in one write: on this `TCP_NODELAY` socket
-        // two writes are two segments, and the server would wake for a
-        // head whose body has not arrived.
-        stream.write_all(&request_bytes(method, path, addr, body.unwrap_or("")))?;
+        stream.write_all(&request)?;
         let (status, keep_alive, payload) = read_response(stream)?;
         if !keep_alive {
             self.stream = None;
@@ -264,5 +268,41 @@ mod tests {
             step: 5,
         });
         assert_eq!(torn.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn requests_carry_the_bytes_request_bytes_makes_for_the_address() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let sends = [
+            ("GET", "/health", None),
+            ("POST", "/search", Some("{\"query\":{\"id\":3},\"k\":5} é")),
+        ];
+        let expected: Vec<Vec<u8>> = sends
+            .iter()
+            .map(|&(m, p, b)| request_bytes(m, p, addr, b.unwrap_or("")))
+            .collect();
+        let lengths: Vec<usize> = expected.iter().map(Vec::len).collect();
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut got = Vec::new();
+            for len in lengths {
+                let mut request = vec![0u8; len];
+                conn.read_exact(&mut request).unwrap();
+                got.push(request);
+                conn.write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\n{}")
+                    .unwrap();
+            }
+            got
+        });
+        let mut client = Client::connect(addr).unwrap();
+        for (m, p, b) in sends {
+            let reply = client.try_request_text(m, p, b).unwrap();
+            assert_eq!(reply, (200, "{}".to_string()));
+        }
+        assert_eq!(peer.join().unwrap(), expected);
     }
 }

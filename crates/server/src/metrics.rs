@@ -95,6 +95,10 @@ pub(crate) struct ServerMetrics {
     epoch: Arc<Gauge>,
     live: Arc<Gauge>,
     imbalance: Arc<Gauge>,
+    /// `gdim_process_resident_bytes` — the process's resident memory,
+    /// refreshed at scrape time; `None` (and never rendered) where
+    /// `/proc/self/status` does not exist.
+    resident: Option<Arc<Gauge>>,
     /// Recent completed requests; `slowest()` powers the slow-query
     /// log in `/stats`.
     pub(crate) ring: RequestRing,
@@ -176,6 +180,13 @@ impl ServerMetrics {
                 "Largest shard over mean shard size, in thousandths (1000 = balanced)",
                 &[],
             ),
+            resident: resident_bytes().map(|_| {
+                registry.gauge(
+                    "gdim_process_resident_bytes",
+                    "Resident memory of the server process (VmRSS, bytes)",
+                    &[],
+                )
+            }),
             registry,
             ring: RequestRing::new(RING_CAPACITY),
             started: Instant::now(),
@@ -267,8 +278,12 @@ impl ServerMetrics {
         out
     }
 
-    /// Updates the scrape-time gauges (uptime, index shape).
+    /// Updates the scrape-time gauges (uptime, index shape, resident
+    /// memory).
     fn refresh_gauges(&self, epoch: u64, shard_lens: &[usize]) {
+        if let (Some(gauge), Some(bytes)) = (&self.resident, resident_bytes()) {
+            gauge.set(bytes);
+        }
         let uptime = self.started.elapsed().as_nanos().min(i64::MAX as u128) as i64;
         self.uptime.set(uptime);
         self.epoch.set(epoch.min(i64::MAX as u64) as i64);
@@ -315,6 +330,19 @@ impl ServerMetrics {
             ("slow_queries", Json::Arr(slow)),
         ]
     }
+}
+
+/// The process's resident set size in bytes, read from `/proc/self/status`;
+/// `None` where that file does not exist.
+fn resident_bytes() -> Option<i64> {
+    vm_rss_bytes(&std::fs::read_to_string("/proc/self/status").ok()?)
+}
+
+/// The `VmRSS:` line of a `/proc/<pid>/status` text, in bytes.
+fn vm_rss_bytes(status: &str) -> Option<i64> {
+    let kib = status.lines().find_map(|l| l.strip_prefix("VmRSS:"))?;
+    let kib: i64 = kib.trim().strip_suffix("kB")?.trim_end().parse().ok()?;
+    Some(kib.saturating_mul(1024))
 }
 
 /// Largest shard over mean shard size, in thousandths. 1000 means
@@ -436,6 +464,14 @@ mod tests {
         assert_eq!(imbalance_milli(&[0, 0]), 1000);
         assert_eq!(imbalance_milli(&[5, 5, 5]), 1000);
         assert_eq!(imbalance_milli(&[30, 10, 20]), 1500);
+    }
+
+    #[test]
+    fn vm_rss_is_read_in_bytes_from_a_status_text() {
+        let status = "Name:\tgdim\nVmPeak:\t  90000 kB\nVmRSS:\t   51234 kB\nThreads:\t4\n";
+        assert_eq!(vm_rss_bytes(status), Some(51_234 * 1024));
+        assert_eq!(vm_rss_bytes("Name:\tgdim\n"), None);
+        assert_eq!(vm_rss_bytes("VmRSS:\t12 MB\n"), None);
     }
 
     #[test]

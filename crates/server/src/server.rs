@@ -1438,6 +1438,13 @@ mod tests {
         );
         assert!(expo.value("gdim_uptime_ns", &[]).unwrap() > 0.0);
         assert_eq!(expo.value("gdim_live_graphs", &[]), Some(24.0));
+        // Resident memory is exported where the kernel reports it.
+        if std::path::Path::new("/proc/self/status").exists() {
+            assert_eq!(expo.type_of("gdim_process_resident_bytes"), Some("gauge"));
+            assert!(expo.value("gdim_process_resident_bytes", &[]).unwrap() > 1e6);
+        } else {
+            assert_eq!(expo.type_of("gdim_process_resident_bytes"), None);
+        }
         let hist = expo
             .histogram("gdim_request_latency_ns", &[("endpoint", "search")])
             .expect("search latency histogram reconstructs");

@@ -32,14 +32,14 @@
 //!   chunk* of [`CHUNK`](gdim_core::chunked::CHUNK) = 32 rows of the
 //!   per-row state that owns heap memory (the graphs);
 //! * **copied** — the open tail of those rows (fewer than 32; a
-//!   chem-sized graph is ~16 allocations, ~0.8 µs to copy), and the
+//!   chem-sized graph is four heap blocks, ~0.3 µs to copy), and the
 //!   flat per-row words: the scan store (16 B/row at `p = 128`), the
 //!   row→sequence table (8 B/row) and the tombstone mask (1 bit/row) —
 //!   ~100 KB of `memcpy` at 4,000 rows, a few microseconds, which is
 //!   why they stay flat and the scan never meets a chunk boundary.
 //!
-//! So a served insert costs its mapping plus ~30 µs of publish at
-//! 4,000 rows per shard (~90 µs at 16,000, where the flat words are
+//! So a served insert costs its mapping plus ~20 µs of publish at
+//! 4,000 rows per shard (~30 µs at 16,000, where the flat words are
 //! 400 KB; the copy used to be 7 ms and 30 ms), and a remove — one
 //! tombstone bit — is the publish alone.
 //! `gdim_publish_rows_copied_total` counts the tail rows copied,
