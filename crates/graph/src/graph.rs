@@ -412,14 +412,10 @@ impl GraphBuilder {
 }
 
 #[cfg(test)]
-mod reference;
-
-#[cfg(test)]
 mod tests {
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 
-    use super::reference::NestedGraph;
     use super::*;
 
     /// Path graph a-b-c with labels.
@@ -530,55 +526,80 @@ mod tests {
         assert_eq!(p.edge_label(0, 1), Some(20)); // old (1,2)
     }
 
-    /// `g` and its nested reference `r` agree on every accessor.
-    fn same_accessors(g: &Graph, r: &NestedGraph) -> Result<(), TestCaseError> {
-        prop_assert_eq!(g.vlabels(), r.vlabels());
-        prop_assert_eq!(g.edges(), r.edges());
-        let n = g.vertex_count() as VertexId;
-        for v in 0..n {
-            prop_assert_eq!(g.neighbors(v), r.neighbors(v), "neighbors({})", v);
-            prop_assert_eq!(g.degree(v), r.degree(v), "degree({})", v);
-            for w in 0..n {
-                prop_assert_eq!(g.edge_label(v, w), r.edge_label(v, w));
-                prop_assert_eq!(g.has_edge(v, w), r.has_edge(v, w));
+    /// The fill `GraphBuilder::build` made before the CSR: one `Vec` of
+    /// neighbors per vertex, each sorted after the fill.
+    fn nested_adjacency(mut b: GraphBuilder) -> Vec<Vec<Neighbor>> {
+        b.edges.sort_unstable_by_key(|e| (e.u, e.v));
+        let mut adj: Vec<Vec<Neighbor>> = vec![Vec::new(); b.vlabels.len()];
+        for (eid, e) in b.edges.iter().enumerate() {
+            for (w, to) in [(e.u, e.v), (e.v, e.u)] {
+                adj[w as usize].push(Neighbor {
+                    to,
+                    elabel: e.label,
+                    eid: eid as u32,
+                });
             }
         }
-        prop_assert_eq!(g.connected_components(), r.connected_components());
-        prop_assert_eq!(format!("{g:?}"), format!("{r:?}"));
+        for list in &mut adj {
+            list.sort_unstable_by_key(|n| (n.to, n.elabel));
+        }
+        adj
+    }
+
+    /// `g`'s adjacency is the nested fill of a builder over its own
+    /// parts: every list, degree and per-pair edge lookup.
+    fn adjacency_matches_nested(g: &Graph) -> Result<(), TestCaseError> {
+        let edges = g.edges().iter().map(|e| (e.u, e.v, e.label));
+        let mut b = GraphBuilder::with_vertices(g.vlabels().to_vec());
+        for (u, v, l) in edges {
+            b.edge(u, v, l).expect("a graph's own edges are valid");
+        }
+        let adj = nested_adjacency(b);
+        let n = g.vertex_count() as VertexId;
+        for v in 0..n {
+            let list = &adj[v as usize];
+            prop_assert_eq!(g.neighbors(v), &list[..], "neighbors({})", v);
+            prop_assert_eq!(g.degree(v), list.len(), "degree({})", v);
+            for w in 0..n {
+                let want = list.iter().find(|nb| nb.to == w).map(|nb| nb.elabel);
+                prop_assert_eq!(g.edge_label(v, w), want, "edge_label({}, {})", v, w);
+                prop_assert_eq!(g.has_edge(v, w), want.is_some());
+            }
+        }
         Ok(())
     }
 
-    /// Builds `b` both ways and compares the two graphs, the graphs
-    /// derived from them (edge subgraphs, permutations, a clone), and
-    /// `==` between every pair of those.
+    /// Builds `b` and holds it, a clone, its edge subgraphs and its
+    /// permutations to the nested fill.
     fn csr_matches_nested(b: GraphBuilder) -> Result<(), TestCaseError> {
         let g = b.clone().build();
-        let r = NestedGraph::build(b);
+        let mut sorted = b.edges.clone();
+        sorted.sort_unstable_by_key(|e| (e.u, e.v));
+        prop_assert_eq!(g.vlabels(), &b.vlabels[..]);
+        prop_assert_eq!(g.edges(), &sorted[..]);
+        let adj = nested_adjacency(b);
+        for (v, list) in adj.iter().enumerate() {
+            prop_assert_eq!(g.neighbors(v as VertexId), &list[..], "neighbors({})", v);
+        }
         let (n, m) = (g.vertex_count() as u32, g.edge_count() as u32);
-        let mut pairs = vec![(g.clone(), r.clone())];
+        let mut derived = vec![g.clone()];
         for ids in [
             Vec::new(),
             (0..m).collect(),
             (0..m).rev().collect(),
             (0..m).step_by(2).collect::<Vec<_>>(),
         ] {
-            pairs.push((g.edge_subgraph(&ids), r.edge_subgraph(&ids)));
+            derived.push(g.edge_subgraph(&ids));
         }
         for perm in [
             (0..n).collect::<Vec<_>>(),
             (0..n).rev().collect(),
             (0..n).map(|v| (v + 1) % n).collect(),
         ] {
-            pairs.push((g.permuted(&perm), r.permuted(&perm)));
+            derived.push(g.permuted(&perm));
         }
-        pairs.push((g, r));
-        for (g, r) in &pairs {
-            same_accessors(g, r)?;
-        }
-        for (g1, r1) in &pairs {
-            for (g2, r2) in &pairs {
-                prop_assert_eq!(g1 == g2, r1 == r2, "{:?} vs {:?}", g1, g2);
-            }
+        for d in &derived {
+            adjacency_matches_nested(d)?;
         }
         Ok(())
     }
