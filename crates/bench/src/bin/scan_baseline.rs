@@ -6,11 +6,11 @@
 //!   weighted, on synthetic vector stores (n ∈ {1k, 10k, 100k}, p = 256,
 //!   top-10), and the binary pair again at p = 128, the two-word stride
 //!   the end-to-end benchmark serves;
-//! * the scatter-gather scan: the same store split into 8 contiguous
-//!   sub-stores, each scanned with the bounded kernel and merged to a
-//!   global top-10 with `gdim_shard::merge_topk` — the per-partition
-//!   legs and the merge the query executor runs, in order on one thread
-//!   as here;
+//! * the sharded scan: the same store split into 8 contiguous
+//!   sub-stores, each scanned with the bounded kernel, every leg's hits
+//!   offered to one global top-10 selector keyed `(distance, seq)` —
+//!   the per-partition legs and the selection the query executor runs,
+//!   in order on one thread as here;
 //! * query mapping on a chem workload (64 queries onto p = 128
 //!   dimensions): the brute-force loop of independent VF2 tests vs. the
 //!   served path — one search over the dimensions' DFS-code prefix
@@ -48,29 +48,29 @@
 //!   is reported, not gated.
 //! * always, the sharded scan may take at most [`MAX_SHARD_OVERHEAD`] ×
 //!   the single-store kernel at equal n, from [`MIN_ROWS_PER_SHARD`]
-//!   rows per shard: below that the fixed per-shard selector + merge
-//!   cost is a few µs against a few-µs scan, and the row prints
-//!   `ungated`. The single-store kernel walks 256 rows per kernel call;
-//!   each leg adds a fixed cost that the kernel's speed does not shrink
-//!   (the call, filling its own selector, the merge), so at n = 10,000
+//!   rows per shard: below that the fixed per-shard selector cost is a
+//!   few µs against a few-µs scan, and the row prints `ungated`. The
+//!   single-store kernel walks 256 rows per kernel call; each leg adds
+//!   a fixed cost that the kernel's speed does not shrink (the call,
+//!   filling its own selector, offering its hits), so at n = 10,000
 //!   the ratio reads about 1.5× on an AVX-512 machine.
 
 use gdim_bench::gate::{fixed, int, median_ns, paired_min_ns, write_snapshot, Args, Gate, Rule};
 use gdim_bench::scanwork::{
     cpu_kernels, naive_fullsort_topk, naive_weighted_topk, scan_one, split_store, synth,
 };
-use gdim_core::{DeltaConfig, GraphId, GraphIndex, IndexOptions};
+use gdim_core::scan::{OrdF64, TopK};
+use gdim_core::{DeltaConfig, GraphIndex, IndexOptions};
 use gdim_datagen::{chem_db, ChemConfig};
 use gdim_graph::mcs_edges;
 use gdim_graph::vf2::is_subgraph_iso;
 use gdim_server::Json;
-use gdim_shard::merge_topk;
 
 /// Store sizes measured; `--smoke` takes the first two.
 const SIZES: [usize; 3] = [1_000, 10_000, 100_000];
 /// Splitmix seed of the synthetic vectors.
 const SEED: u64 = 42;
-/// Sub-stores of the scatter-gather scan.
+/// Sub-stores of the sharded scan.
 const SHARDS: usize = 8;
 /// A fresh speedup must stay at or above a quarter of its committed
 /// row.
@@ -137,24 +137,21 @@ fn main() {
         );
         rows.push(row);
 
-        // Scatter-gather overhead: per-shard bounded kernels merged to
-        // a global top-10 on (distance, seq), against the single-store
-        // kernel at equal n.
+        // Sharded overhead: per-shard bounded kernels feeding one
+        // global top-10 on (distance, seq), against the single-store
+        // kernel at equal n. A shard's seq is its global row id.
         let parts = split_store(&store, SHARDS);
         let sharded_scan = || -> Vec<(u32, f64)> {
-            let ranked: Vec<Vec<(u32, f64)>> = parts
-                .iter()
-                .map(|(_, sub)| scan_one(sub, q.words(), 10, None).0)
-                .collect();
-            merge_topk(
-                &ranked,
-                10,
-                |s, local| parts[s].0 + local as u64,
-                |s, local| GraphId((parts[s].0 + local as u64) as u32),
-            )
-            .into_iter()
-            .map(|h| (h.id.get(), h.distance))
-            .collect()
+            let mut sel = TopK::new(10);
+            for (base, sub) in &parts {
+                for (local, d) in scan_one(sub, q.words(), 10, None).0 {
+                    sel.offer((OrdF64(d), base + local as u64));
+                }
+            }
+            sel.into_sorted()
+                .into_iter()
+                .map(|(OrdF64(d), seq)| (seq as u32, d))
+                .collect()
         };
         let (single, _) = scan_one(&store, q.words(), 10, None);
         assert_eq!(

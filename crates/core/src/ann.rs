@@ -646,7 +646,10 @@ fn search_layer<L: Links, F: FnMut(u32) -> u64>(
         seen[w] |= bit;
         was
     };
-    let mut beam = Beam::new(ef);
+    // A beam as wide as the graph already keeps every node it finds,
+    // so a wider request (`ef` is caller input) changes nothing but
+    // the allocation.
+    let mut beam = Beam::new(ef.min(links.nodes()));
     for &e in entries {
         if !mark(e.id()) {
             beam.insert(e, alive(e.id()));

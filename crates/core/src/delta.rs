@@ -53,9 +53,9 @@ pub struct DeltaMatrix {
 
 impl DeltaMatrix {
     /// Computes δ for every pair of `db` in parallel. Row `i` of the
-    /// upper triangle is one task; [`gdim_exec::flat_map_tasks`]
-    /// reassembles rows in index order, which is exactly the condensed
-    /// layout — so the result is byte-identical for any thread budget.
+    /// upper triangle is one task; [`gdim_exec::fill_tasks`] copies
+    /// each row to its offset in the condensed layout as it arrives —
+    /// so the result is byte-identical for any thread budget.
     pub fn compute(db: &[Graph], cfg: &DeltaConfig) -> Self {
         let n = db.len();
         if n < 2 {

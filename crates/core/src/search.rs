@@ -31,8 +31,8 @@
 //!
 //! Every request runs through **one executor** —
 //! [`search_partitions`]: map the query → per-[`Partition`] scan | ANN
-//! beam | exact δ → merge by `(distance, seq)` ([`merge_topk`]) →
-//! refine → stats.
+//! beam | exact δ, each leg feeding one bounded selector keyed
+//! `(distance, seq)` and one [`SearchStats`] → refine.
 //! [`GraphIndex::search`] is its 1-partition, identity-id case; the
 //! sharded index (`gdim-shard`) passes one partition per shard, so
 //! every ranker, the verification phase and the stats assembly exist
@@ -61,8 +61,6 @@
 //! assert_eq!(verified.stats.mcs_calls, 10);
 //! ```
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 use gdim_graph::{Graph, McsOptions};
@@ -70,10 +68,9 @@ use gdim_obs::{Stage, StageTimes};
 
 use crate::bitset::Bitset;
 use crate::error::GdimError;
-use crate::featurespace::MatchStats;
 use crate::index::GraphIndex;
 use crate::query::MappingKind;
-use crate::scan::{selected_kernel, KernelKind, OrdF64};
+use crate::scan::{selected_kernel, KernelKind, OrdF64, TopK};
 
 /// Typed id of an indexed graph (its position in the database the
 /// index was built over).
@@ -263,7 +260,8 @@ pub struct SearchStats {
     pub tombstones_skipped: usize,
     /// 64-bit words read by the scan kernel.
     pub words_scanned: usize,
-    /// The index epoch (rebuild generation) that answered the request.
+    /// The index epoch (rebuild generation) that answered the request
+    /// — for a sharded index, the newest shard's.
     pub epoch: u64,
     /// Live (non-tombstoned) graphs at answer time — the maximum
     /// possible hit count.
@@ -290,11 +288,10 @@ pub struct SearchStats {
     /// Whether the answer is **approximate** ([`Ranker::Approx`]): the
     /// hit set came from a proximity-graph beam with measured — not
     /// guaranteed — recall. Distances are still exact per row. Always
-    /// `false` for the exact rankers; a merged (sharded) answer is
-    /// approximate if any shard's part was.
+    /// `false` for the exact rankers.
     pub approximate: bool,
-    /// The layer-0 beam width that answered an approximate request
-    /// (0 when `approximate` is false). Merges by max.
+    /// The layer-0 beam width the approximate request asked for (0
+    /// when `approximate` is false).
     pub ef: usize,
     /// Distance evaluations the proximity-graph descent + beam
     /// performed — the approximate path's analogue of
@@ -303,59 +300,9 @@ pub struct SearchStats {
     pub beam_visited: usize,
     /// Per-stage breakdown of where the request's time went
     /// ([`gdim_obs::Stage`] vocabulary: map, scan / ann_beam, refine,
-    /// merge — the serving layer adds parse/serialize on top). Sums
-    /// stage-wise across shards, like the time shares above.
+    /// merge — the serving layer adds parse/serialize on top). Every
+    /// shard's leg adds into its ranker's stage.
     pub stages: StageTimes,
-}
-
-impl SearchStats {
-    /// Folds another partition's stats into `self` — the aggregation a
-    /// sharded (scatter-gather) search uses to report one coherent
-    /// [`SearchStats`] for work spread over several indexes, so callers
-    /// never hand-sum stat fields.
-    ///
-    /// Additive work counters (`candidates_scanned`, `early_abandoned`,
-    /// `tombstones_skipped`, `words_scanned`, `vf2_calls`,
-    /// `vf2_pruned`, `mcs_calls`, `live_graphs`) and the time shares
-    /// (`match_time`, `wall_time`) **sum**; `epoch` takes the **max**
-    /// (partitions rebuild independently, so the merged value reports
-    /// the newest generation that contributed to the answer);
-    /// `kernel` keeps the first stamped kind (partitions of one
-    /// process always agree). The approximate
-    /// fields follow the same shapes: `approximate` **or**s (one
-    /// approximate partition makes the whole answer approximate),
-    /// `beam_visited` **sums** (it is work), and `ef` takes the
-    /// **max** (it is a setting, not work — partitions of one request
-    /// always agree, so max is the identity-preserving fold). `stages`
-    /// **sums** stage-wise, matching the time shares.
-    pub fn merge(&mut self, other: &SearchStats) {
-        self.candidates_scanned += other.candidates_scanned;
-        self.early_abandoned += other.early_abandoned;
-        self.tombstones_skipped += other.tombstones_skipped;
-        self.words_scanned += other.words_scanned;
-        self.epoch = self.epoch.max(other.epoch);
-        self.live_graphs += other.live_graphs;
-        self.vf2_calls += other.vf2_calls;
-        self.vf2_pruned += other.vf2_pruned;
-        self.mcs_calls += other.mcs_calls;
-        self.match_time += other.match_time;
-        self.wall_time += other.wall_time;
-        self.kernel = self.kernel.or(other.kernel);
-        self.approximate |= other.approximate;
-        self.ef = self.ef.max(other.ef);
-        self.beam_visited += other.beam_visited;
-        self.stages.merge(&other.stages);
-    }
-
-    /// [`SearchStats::merge`] over any number of partition stats,
-    /// starting from [`SearchStats::default`].
-    pub fn merged<'a>(parts: impl IntoIterator<Item = &'a SearchStats>) -> SearchStats {
-        let mut out = SearchStats::default();
-        for part in parts {
-            out.merge(part);
-        }
-        out
-    }
 }
 
 impl std::fmt::Display for SearchStats {
@@ -491,7 +438,7 @@ impl GraphIndex {
     }
 
     /// This index as the executor's only partition: local ids are the
-    /// global ids and the merge tie-break.
+    /// global ids and the tie-break.
     fn partition(&self) -> Partition<'_> {
         Partition {
             index: self,
@@ -502,7 +449,7 @@ impl GraphIndex {
 }
 
 /// One partition of a search: an index over a subset of the database,
-/// plus how its shard-local rows appear in the merged answer.
+/// plus how its shard-local rows appear in the answer.
 /// [`GraphIndex::search`] runs the executor over a single identity
 /// partition; a sharded index passes one per shard. All partitions of
 /// one search share the same selected dimensions, weights, δ
@@ -512,13 +459,12 @@ pub struct Partition<'a> {
     /// The partition's rows.
     pub index: &'a GraphIndex,
     /// `seqs[local]` = the row's global insertion sequence number —
-    /// the merge tie-break, strictly ascending in `local`. `None`:
-    /// the local id is the sequence number.
+    /// the tie-break between equal distances, unique across the
+    /// partitions of one search and strictly ascending in `local`, so
+    /// a leg's own `(distance, local)` top-k is its `(distance, seq)`
+    /// top-k. `None`: the local id is the sequence number.
     pub seqs: Option<&'a [u64]>,
-    /// First global id of the partition: row `local` answers as
-    /// `GraphId(id_base + local)`. Partitions are passed in ascending
-    /// `id_base` order starting at 0, each owning the ids up to the
-    /// next partition's base.
+    /// Row `local` answers as `GraphId(id_base + local)`.
     pub id_base: u32,
 }
 
@@ -526,25 +472,17 @@ impl Partition<'_> {
     fn seq(&self, local: u32) -> u64 {
         self.seqs.map_or(local as u64, |seqs| seqs[local as usize])
     }
-
-    /// Work counters every leg of this partition starts from.
-    fn leg_stats(&self) -> SearchStats {
-        SearchStats {
-            epoch: self.index.epoch(),
-            live_graphs: self.index.live_len(),
-            ..Default::default()
-        }
-    }
 }
 
-/// One partition's share of an answer: its local `(id, distance)`
-/// ranking, ascending, and the work it cost.
-type Leg = (Vec<(u32, f64)>, SearchStats);
+/// One candidate answer, ordered as the answer is:
+/// `(distance, seq, partition index, local id)`. Sequence numbers are
+/// unique, so the last two fields never decide the order.
+type Candidate = (OrdF64, u64, usize, u32);
 
 /// The process-wide histogram of individual partition legs, in
-/// nanoseconds — the shard-imbalance signal a merged [`SearchStats`]
-/// cannot carry (it only sees the sum). Registered once in the global
-/// registry; recording afterwards is lock-free.
+/// nanoseconds — the shard-imbalance signal a request's
+/// [`SearchStats`] cannot carry (it only sees the sum). Registered
+/// once in the global registry; recording afterwards is lock-free.
 fn leg_histogram() -> &'static std::sync::Arc<gdim_obs::Histogram> {
     static H: std::sync::OnceLock<std::sync::Arc<gdim_obs::Histogram>> = std::sync::OnceLock::new();
     H.get_or_init(|| {
@@ -556,34 +494,22 @@ fn leg_histogram() -> &'static std::sync::Arc<gdim_obs::Histogram> {
     })
 }
 
-/// Runs `leg` once per partition, in order, on the calling thread —
-/// the one place a leg runs, so every plan records one
-/// `gdim_shard_scan_ns` sample per partition. A search never forks per
-/// request: concurrent requests are the serving path's parallelism,
-/// and the exec budget is spent inside a leg only where a unit of work
-/// is milliseconds (exact δ).
-fn run_legs<T>(parts: &[Partition<'_>], leg: impl Fn(&Partition<'_>) -> T) -> Vec<T> {
-    parts
-        .iter()
-        .map(|part| {
-            let t = Instant::now();
-            let out = leg(part);
-            leg_histogram().record_duration(t.elapsed());
-            out
-        })
-        .collect()
-}
-
 /// Answers one typed search request over `parts` — the single query
 /// executor behind [`GraphIndex::search`] (one identity partition)
-/// and the sharded scatter-gather search (one partition per shard).
+/// and the sharded search (one partition per shard).
 /// The query is mapped once (all partitions share the feature space),
-/// each partition runs its leg of the requested ranker — bounded
-/// top-k scan, ANN beam, or exact δ — the legs merge by `(distance,
-/// seq)`, and the refined/verified rankers re-rank the merged
-/// candidates exactly. The legs run in partition order on the calling
-/// thread; answers are bit-identical for every partitioning of the
+/// then each partition runs its leg of the requested ranker — bounded
+/// top-k scan, ANN beam, or exact δ — in partition order on the
+/// calling thread. Every leg adds its work to the request's one
+/// [`SearchStats`] and offers its hits to one bounded selector keyed
+/// `(distance, seq)`; the refined/verified rankers re-rank that set
+/// exactly. Answers are bit-identical for every partitioning of the
 /// same rows.
+///
+/// A search never forks per request: concurrent requests are the
+/// serving path's parallelism, and the exec budget is spent inside a
+/// leg only where a unit of work is milliseconds (exact δ). Each leg
+/// records one `gdim_shard_scan_ns` sample.
 ///
 /// # Panics
 /// If `parts` is empty.
@@ -593,40 +519,71 @@ pub fn search_partitions(
     req: &SearchRequest,
 ) -> SearchResponse {
     let t0 = Instant::now();
-    let mut resp = if matches!(req.ranker, Ranker::Exact) {
-        // Exact never maps the query.
-        exact_response(parts, query, req)
-    } else {
-        let (qvec, matched) = parts[0].index.mapped().map_query_with_stats(query);
-        let match_time = t0.elapsed();
-        let mut resp = match req.ranker {
-            Ranker::Approx { ef, .. } => approx_response(parts, query, &qvec, req, ef),
-            _ => {
-                let ts = Instant::now();
-                let legs = run_legs(parts, |part| scan_leg(part, &qvec, req));
-                let scan_time = ts.elapsed();
-                let mut resp = gather(parts, legs, query, req);
-                resp.stats.stages.add(Stage::Scan, scan_time);
-                resp
-            }
-        };
-        stamp_match(&mut resp.stats, &matched, match_time);
-        resp
+    let live = parts.iter().map(|p| p.index.live_len()).sum();
+    let mut stats = SearchStats {
+        epoch: parts.iter().map(|p| p.index.epoch()).max().unwrap_or(0),
+        live_graphs: live,
+        ..Default::default()
     };
-    resp.stats.wall_time = t0.elapsed();
-    resp
+    // Exact never maps the query.
+    let qvec = (!matches!(req.ranker, Ranker::Exact)).then(|| {
+        let (qvec, matched) = parts[0].index.mapped().map_query_with_stats(query);
+        stats.vf2_calls = matched.vf2_calls;
+        stats.vf2_pruned = matched.vf2_pruned;
+        stats.match_time = t0.elapsed();
+        stats.stages.add(Stage::Map, stats.match_time);
+        qvec
+    });
+    let leg_stage = match req.ranker {
+        Ranker::Exact => Stage::Refine,
+        Ranker::Approx { .. } => Stage::AnnBeam,
+        _ => Stage::Scan,
+    };
+    let (take, verify) = candidates(req);
+    // Sized by the rows that exist, not by the request alone: the
+    // selector allocates its bound up front.
+    let mut sel = TopK::new(take.min(live));
+    let mcs = parts[0].index.delta_config().mcs;
+    let mut merge_time = Duration::ZERO;
+    for (s, part) in parts.iter().enumerate() {
+        let t = Instant::now();
+        let ranked = leg(part, query, qvec.as_ref(), req, take, &mcs, &mut stats);
+        let leg_time = t.elapsed();
+        leg_histogram().record_duration(leg_time);
+        stats.stages.add(leg_stage, leg_time);
+        let t = Instant::now();
+        for (local, distance) in ranked {
+            sel.offer((OrdF64(distance), part.seq(local), s, local));
+        }
+        merge_time += t.elapsed();
+    }
+    let t = Instant::now();
+    let mut kept = sel.into_sorted();
+    stats.stages.add(Stage::Merge, merge_time + t.elapsed());
+    if verify {
+        // Only live rows are kept, so there may be fewer than `take`;
+        // count the δ calls actually made.
+        stats.mcs_calls = kept.len();
+        let t = Instant::now();
+        kept = refine(parts, query, &kept, &mcs);
+        stats.stages.add(Stage::Refine, t.elapsed());
+    }
+    // Only verified candidates are ever returned, so `take` caps a
+    // verifying ranker's answer at `min(k, candidates)`.
+    let hits = kept
+        .into_iter()
+        .take(req.k)
+        .map(|(OrdF64(distance), _, s, local)| Hit {
+            id: GraphId(parts[s].id_base + local),
+            distance,
+        })
+        .collect();
+    stats.wall_time = t0.elapsed();
+    SearchResponse { hits, stats }
 }
 
-/// Records the query-mapping share of a response.
-fn stamp_match(stats: &mut SearchStats, matched: &MatchStats, match_time: Duration) {
-    stats.vf2_calls = matched.vf2_calls;
-    stats.vf2_pruned = matched.vf2_pruned;
-    stats.match_time = match_time;
-    stats.stages.add(Stage::Map, match_time);
-}
-
-/// How many merged candidates the request's scan/beam must produce,
-/// and whether they are then verified exactly (and so cap the answer).
+/// How many candidates the request's scan/beam must produce, and
+/// whether they are then verified exactly (and so cap the answer).
 fn candidates(req: &SearchRequest) -> (usize, bool) {
     match req.ranker {
         Ranker::Refined { candidates } => (candidates, true),
@@ -637,160 +594,87 @@ fn candidates(req: &SearchRequest) -> (usize, bool) {
     }
 }
 
-/// The scan leg of one partition: a bounded top-k (or
-/// top-`candidates`, for [`Ranker::Refined`]) kernel scan of the query
-/// vector under the requested mapping, tombstone-masked.
-fn scan_leg(part: &Partition<'_>, qvec: &Bitset, req: &SearchRequest) -> Leg {
+/// One partition's leg of the requested ranker: its local ranking,
+/// ascending by `(distance, local)`, with its work added to `stats`.
+///
+/// * No query vector ([`Ranker::Exact`]): the full δ ranking of the
+///   live rows. Tombstoned graphs are excluded *before* the δ fan-out,
+///   which owns the exec budget, so dead rows cost no MCS calls.
+/// * [`Ranker::Approx`]: the partition's lazily built proximity graph
+///   plus an exact pass over its pending-insert tail
+///   ([`GraphIndex::approx_scan_premapped`]), best `take`.
+/// * Otherwise: a bounded top-`take` kernel scan of the query vector
+///   under the requested mapping, tombstone-masked.
+fn leg(
+    part: &Partition<'_>,
+    query: &Graph,
+    qvec: Option<&Bitset>,
+    req: &SearchRequest,
+    take: usize,
+    mcs: &McsOptions,
+    stats: &mut SearchStats,
+) -> Vec<(u32, f64)> {
     let idx = part.index;
-    let k = candidates(req).0.min(idx.len());
-    let dead = Some(idx.tombstones());
-    let (ranked, scan) = match req.mapping {
-        MappingKind::Binary => idx.mapped().scan_topk_masked(qvec, k, dead),
-        MappingKind::Weighted => {
-            idx.mapped()
-                .scan_topk_with_masked(qvec, k, idx.weighted_w_sq(), dead)
+    let take = take.min(idx.len());
+    match (qvec, req.ranker) {
+        (None, _) => {
+            let live = idx.tombstones().live_ids();
+            stats.mcs_calls += live.len();
+            crate::query::exact_ranking_among(
+                |i| idx.graph(i as usize).expect("live ids are rows"),
+                &live,
+                query,
+                idx.dissimilarity(),
+                mcs,
+                idx.exec(),
+            )
         }
-    };
-    let stats = SearchStats {
-        candidates_scanned: scan.vectors_scanned,
-        early_abandoned: scan.early_abandoned,
-        tombstones_skipped: scan.tombstones_skipped,
-        words_scanned: scan.words_scanned,
-        kernel: Some(selected_kernel()),
-        ..part.leg_stats()
-    };
-    (ranked, stats)
-}
-
-/// The single [`Ranker::Approx`] implementation: each partition walks
-/// its own lazily built proximity graph plus an exact pass over its
-/// pending-insert tail ([`GraphIndex::approx_scan_premapped`]), and
-/// the beams merge like any scan. With `verify`, the merged candidates
-/// go through the same exact re-ranking as [`Ranker::Refined`], so a
-/// verified approximate answer is bit-identical to `Refined` over that
-/// candidate set.
-fn approx_response(
-    parts: &[Partition<'_>],
-    query: &Graph,
-    qvec: &Bitset,
-    req: &SearchRequest,
-    ef: usize,
-) -> SearchResponse {
-    // Without verification the beam only needs k answers; with it,
-    // the beam must produce the full candidate set to re-rank.
-    let (take, _) = candidates(req);
-    let tb = Instant::now();
-    let legs = run_legs(parts, |part| {
-        let idx = part.index;
-        let (ranked, ann) = idx.approx_scan_premapped(qvec, take.min(idx.len()), ef, req.mapping);
-        let stats = SearchStats {
-            candidates_scanned: ann.tail_scanned,
-            tombstones_skipped: ann.tail_tombstones,
-            approximate: true,
-            ef,
-            beam_visited: ann.beam_visited,
-            ..part.leg_stats()
-        };
-        (ranked, stats)
-    });
-    let beam_time = tb.elapsed();
-    let mut resp = gather(parts, legs, query, req);
-    resp.stats.stages.add(Stage::AnnBeam, beam_time);
-    resp
-}
-
-/// The single [`Ranker::Exact`] implementation: the full δ ranking of
-/// each partition's live rows, merged by `(δ, seq)`. Tombstoned graphs
-/// are excluded *before* the δ fan-out, so dead rows cost no MCS calls
-/// and never surface as hits. The δ fan-out inside each leg owns the
-/// exec budget.
-fn exact_response(parts: &[Partition<'_>], query: &Graph, req: &SearchRequest) -> SearchResponse {
-    let mcs = mcs_for(parts);
-    let tr = Instant::now();
-    let legs = run_legs(parts, |part| {
-        let idx = part.index;
-        let live = idx.tombstones().live_ids();
-        let ranked = crate::query::exact_ranking_among(
-            |i| idx.graph(i as usize).expect("live ids are rows"),
-            &live,
-            query,
-            idx.dissimilarity(),
-            &mcs,
-            idx.exec(),
-        );
-        let stats = SearchStats {
-            mcs_calls: live.len(),
-            ..part.leg_stats()
-        };
-        (ranked, stats)
-    });
-    let delta_time = tr.elapsed();
-    let mut resp = gather(parts, legs, query, req);
-    resp.stats.stages.add(Stage::Refine, delta_time);
-    resp
-}
-
-/// The gather half of every plan: merges the legs by `(distance,
-/// seq)`, re-ranks the merged candidates exactly when the ranker
-/// verifies, truncates to `k` typed hits, and aggregates the stats
-/// via [`SearchStats::merge`].
-fn gather(
-    parts: &[Partition<'_>],
-    legs: Vec<Leg>,
-    query: &Graph,
-    req: &SearchRequest,
-) -> SearchResponse {
-    let mut stats = SearchStats::merged(legs.iter().map(|(_, stats)| stats));
-    let rankings: Vec<Vec<(u32, f64)>> = legs.into_iter().map(|(ranked, _)| ranked).collect();
-    let (take, verify) = candidates(req);
-    let tg = Instant::now();
-    let mut merged = merge_topk(
-        &rankings,
-        take,
-        |s, local| parts[s].seq(local),
-        |s, local| GraphId(parts[s].id_base + local),
-    );
-    stats.stages.add(Stage::Merge, tg.elapsed());
-    if verify {
-        // The masked scan may return fewer than `take` rows (only live
-        // rows exist); count the δ calls actually made.
-        stats.mcs_calls = merged.len();
-        let tr = Instant::now();
-        merged = refine(parts, query, &merged, &mcs_for(parts));
-        stats.stages.add(Stage::Refine, tr.elapsed());
+        (Some(qvec), Ranker::Approx { ef, .. }) => {
+            let (ranked, ann) = idx.approx_scan_premapped(qvec, take, ef, req.mapping);
+            stats.candidates_scanned += ann.tail_scanned;
+            stats.tombstones_skipped += ann.tail_tombstones;
+            stats.beam_visited += ann.beam_visited;
+            stats.approximate = true;
+            stats.ef = ef;
+            ranked
+        }
+        (Some(qvec), _) => {
+            let dead = Some(idx.tombstones());
+            let (ranked, scan) = match req.mapping {
+                MappingKind::Binary => idx.mapped().scan_topk_masked(qvec, take, dead),
+                MappingKind::Weighted => {
+                    idx.mapped()
+                        .scan_topk_with_masked(qvec, take, idx.weighted_w_sq(), dead)
+                }
+            };
+            stats.candidates_scanned += scan.vectors_scanned;
+            stats.early_abandoned += scan.early_abandoned;
+            stats.tombstones_skipped += scan.tombstones_skipped;
+            stats.words_scanned += scan.words_scanned;
+            stats.kernel = Some(selected_kernel());
+            ranked
+        }
     }
-    // Only verified candidates are ever returned, so `take` caps a
-    // verifying ranker's answer at `min(k, candidates)`.
-    let hits = merged
-        .into_iter()
-        .take(req.k)
-        .map(|h| Hit {
-            id: h.id,
-            distance: h.distance,
-        })
-        .collect();
-    SearchResponse { hits, stats }
 }
 
 /// The verification phase of [`Ranker::Refined`] (and a verifying
-/// [`Ranker::Approx`]): exact δ for the merged candidates, computed
-/// per owning partition through the one δ-ranking kernel
+/// [`Ranker::Approx`]): exact δ for the kept candidates, computed per
+/// owning partition through the one δ-ranking kernel
 /// ([`exact_ranking_among`](crate::query::exact_ranking_among),
 /// byte-identical for any thread count) and re-sorted ascending by
 /// `(δ, seq)` — for a single identity partition, `(δ, id)`.
 fn refine(
     parts: &[Partition<'_>],
     query: &Graph,
-    candidates: &[MergedHit],
+    kept: &[Candidate],
     mcs: &McsOptions,
-) -> Vec<MergedHit> {
+) -> Vec<Candidate> {
     let mut locals: Vec<Vec<u32>> = vec![Vec::new(); parts.len()];
-    for hit in candidates {
-        let s = parts.partition_point(|p| p.id_base <= hit.id.get()) - 1;
-        locals[s].push(hit.id.get() - parts[s].id_base);
+    for &(_, _, s, local) in kept {
+        locals[s].push(local);
     }
-    let mut out = Vec::with_capacity(candidates.len());
-    for (part, locals) in parts.iter().zip(&locals) {
+    let mut out = Vec::with_capacity(kept.len());
+    for (s, (part, locals)) in parts.iter().zip(&locals).enumerate() {
         let idx = part.index;
         let ranked = crate::query::exact_ranking_among(
             |i| idx.graph(i as usize).expect("candidates are rows"),
@@ -800,79 +684,13 @@ fn refine(
             mcs,
             idx.exec(),
         );
-        out.extend(ranked.into_iter().map(|(local, distance)| MergedHit {
-            id: GraphId(part.id_base + local),
-            distance,
-            seq: part.seq(local),
-        }));
+        out.extend(
+            ranked
+                .into_iter()
+                .map(|(local, distance)| (OrdF64(distance), part.seq(local), s, local)),
+        );
     }
-    out.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.seq.cmp(&b.seq)));
-    out
-}
-
-/// The MCS options of exact and refined ranking: the index's δ
-/// configuration, the budget its dimensions were selected at.
-fn mcs_for(parts: &[Partition<'_>]) -> McsOptions {
-    parts[0].index.delta_config().mcs
-}
-
-/// One merged answer: the global id, the distance, and the row's
-/// global sequence number (insertion order — the tie-break that makes
-/// merged rankings equal an unpartitioned `(distance, id)` order).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MergedHit {
-    /// Global id (for a sharded index: shard in the high bits, local
-    /// in the low).
-    pub id: GraphId,
-    /// Distance under the ranker that produced the part.
-    pub distance: f64,
-    /// Global insertion sequence number of the row.
-    pub seq: u64,
-}
-
-/// Merges per-partition rankings into the global top-`k` by
-/// `(distance, seq)`.
-///
-/// `parts[s]` is partition `s`'s ranking as `(local_id, distance)`
-/// pairs, **ascending by `(distance, seq)`** — which per-partition
-/// scans satisfy naturally, because local ids are assigned in
-/// insertion order, so within one partition the `(distance, local)`
-/// order *is* the `(distance, seq)` order. `seq_of(part, local)` and
-/// `id_of(part, local)` translate a pair to its sequence number and
-/// global id. Ties at equal distance resolve by the smaller sequence
-/// number, exactly like an unpartitioned index resolves them by the
-/// smaller row id. Runs in `O(total + k log s)` for `s` partitions.
-pub fn merge_topk<S, I>(parts: &[Vec<(u32, f64)>], k: usize, seq_of: S, id_of: I) -> Vec<MergedHit>
-where
-    S: Fn(usize, u32) -> u64,
-    I: Fn(usize, u32) -> GraphId,
-{
-    // Cursor heap over the partition fronts, keyed (distance, seq)
-    // min-first.
-    let mut heap: BinaryHeap<Reverse<(OrdF64, u64, usize)>> =
-        BinaryHeap::with_capacity(parts.len());
-    let mut cursors = vec![0usize; parts.len()];
-    for (s, part) in parts.iter().enumerate() {
-        if let Some(&(local, d)) = part.first() {
-            heap.push(Reverse((OrdF64(d), seq_of(s, local), s)));
-        }
-    }
-    let mut out = Vec::new();
-    while out.len() < k {
-        let Some(Reverse((OrdF64(distance), seq, s))) = heap.pop() else {
-            break; // every part exhausted
-        };
-        let (local, _) = parts[s][cursors[s]];
-        out.push(MergedHit {
-            id: id_of(s, local),
-            distance,
-            seq,
-        });
-        cursors[s] += 1;
-        if let Some(&(next_local, next_d)) = parts[s].get(cursors[s]) {
-            heap.push(Reverse((OrdF64(next_d), seq_of(s, next_local), s)));
-        }
-    }
+    out.sort_unstable();
     out
 }
 
@@ -1185,87 +1003,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_merge_sums_counters_and_maxes_the_epoch() {
-        let mut a_stages = StageTimes::new();
-        a_stages.add_ns(Stage::Scan, 100);
-        let mut b_stages = StageTimes::new();
-        b_stages.add_ns(Stage::Scan, 50);
-        b_stages.add_ns(Stage::Refine, 10);
-        let a = SearchStats {
-            candidates_scanned: 10,
-            early_abandoned: 2,
-            tombstones_skipped: 1,
-            words_scanned: 40,
-            epoch: 3,
-            live_graphs: 11,
-            vf2_calls: 5,
-            vf2_pruned: 7,
-            mcs_calls: 4,
-            match_time: std::time::Duration::from_micros(10),
-            wall_time: std::time::Duration::from_micros(100),
-            kernel: None,
-            approximate: false,
-            ef: 0,
-            beam_visited: 0,
-            stages: a_stages,
-        };
-        let b = SearchStats {
-            candidates_scanned: 20,
-            early_abandoned: 3,
-            tombstones_skipped: 0,
-            words_scanned: 80,
-            epoch: 1,
-            live_graphs: 23,
-            vf2_calls: 1,
-            vf2_pruned: 0,
-            mcs_calls: 6,
-            match_time: std::time::Duration::from_micros(20),
-            wall_time: std::time::Duration::from_micros(50),
-            kernel: Some(KernelKind::Unrolled),
-            approximate: true,
-            ef: 48,
-            beam_visited: 900,
-            stages: b_stages,
-        };
-        let mut m = a;
-        m.merge(&b);
-        assert_eq!(m.candidates_scanned, 30);
-        assert_eq!(m.early_abandoned, 5);
-        assert_eq!(m.tombstones_skipped, 1);
-        assert_eq!(m.words_scanned, 120);
-        assert_eq!(m.epoch, 3, "epoch takes the max, not the sum");
-        assert_eq!(m.live_graphs, 34);
-        assert_eq!(m.vf2_calls, 6);
-        assert_eq!(m.vf2_pruned, 7);
-        assert_eq!(m.mcs_calls, 10);
-        assert_eq!(m.match_time, std::time::Duration::from_micros(30));
-        assert_eq!(m.wall_time, std::time::Duration::from_micros(150));
-        // `kernel` keeps the first stamped kind.
-        assert_eq!(m.kernel, Some(KernelKind::Unrolled));
-        // One approximate partition makes the merged answer
-        // approximate; beam work sums, the ef setting maxes.
-        assert!(m.approximate, "approximate must OR across shards");
-        assert_eq!(m.ef, 48, "ef takes the max, not the sum");
-        assert_eq!(m.beam_visited, 900);
-        // Stage times sum stage-wise, like the time shares.
-        assert_eq!(m.stages.get_ns(Stage::Scan), 150);
-        assert_eq!(m.stages.get_ns(Stage::Refine), 10);
-        // merged() folds from the default: one part is the identity,
-        // and merging the two parts in either order agrees.
-        let folded = SearchStats::merged([&a, &b]);
-        assert_eq!(folded.candidates_scanned, m.candidates_scanned);
-        assert_eq!(folded.epoch, m.epoch);
-        assert_eq!(folded.wall_time, m.wall_time);
-        let single = SearchStats::merged([&a]);
-        assert_eq!(single.candidates_scanned, a.candidates_scanned);
-        assert_eq!(single.epoch, a.epoch);
-        // Default is the merge identity.
-        let empty = SearchStats::merged(std::iter::empty::<&SearchStats>());
-        assert_eq!(empty.candidates_scanned, 0);
-        assert_eq!(empty.epoch, 0);
-    }
-
-    #[test]
     fn stats_display_is_compact_and_complete() {
         let mut stages = StageTimes::new();
         stages.add_ns(Stage::AnnBeam, 700_000);
@@ -1364,74 +1101,5 @@ mod tests {
         assert_eq!(id.to_string(), "g7");
         assert_eq!(id.get(), 7);
         assert_eq!(id.index(), 7usize);
-    }
-
-    /// Contiguous-partition translators: shard `s` owns `offset[s] +
-    /// local`, and the sequence number equals that global row id.
-    fn translators(
-        offsets: &[u64],
-    ) -> (
-        impl Fn(usize, u32) -> u64 + '_,
-        impl Fn(usize, u32) -> GraphId + '_,
-    ) {
-        (
-            move |s: usize, local: u32| offsets[s] + local as u64,
-            move |s: usize, local: u32| GraphId((offsets[s] + local as u64) as u32),
-        )
-    }
-
-    #[test]
-    fn merge_equals_global_sort_with_seq_tiebreak() {
-        // Three shards with overlapping distances and deliberate ties.
-        let parts = vec![
-            vec![(0u32, 0.5), (1, 1.0), (2, 1.0)],
-            vec![(0, 0.5), (1, 2.0)],
-            vec![(0, 0.1), (1, 1.0)],
-        ];
-        let offsets = [0u64, 3, 5];
-        let (seq_of, id_of) = translators(&offsets);
-        let merged = merge_topk(&parts, 10, seq_of, id_of);
-        let got: Vec<(u32, f64)> = merged.iter().map(|h| (h.id.get(), h.distance)).collect();
-        // Global sort by (distance, seq): 5@0.1, 0@0.5, 3@0.5, 1@1.0,
-        // 2@1.0, 6@1.0, 4@2.0.
-        assert_eq!(
-            got,
-            vec![
-                (5, 0.1),
-                (0, 0.5),
-                (3, 0.5),
-                (1, 1.0),
-                (2, 1.0),
-                (6, 1.0),
-                (4, 2.0)
-            ]
-        );
-        // seq mirrors the global id in this layout.
-        assert!(merged.iter().all(|h| h.seq == h.id.get() as u64));
-    }
-
-    #[test]
-    fn k_truncates_and_exhaustion_stops_early() {
-        let parts = vec![vec![(0u32, 1.0)], vec![], vec![(0, 0.0)]];
-        let offsets = [0u64, 1, 1];
-        let (seq_of, id_of) = translators(&offsets);
-        let top1 = merge_topk(&parts, 1, &seq_of, &id_of);
-        assert_eq!(top1.len(), 1);
-        assert_eq!(top1[0].distance, 0.0);
-        let all = merge_topk(&parts, 100, &seq_of, &id_of);
-        assert_eq!(all.len(), 2, "k beyond the total returns everything");
-        assert!(merge_topk(&parts, 0, &seq_of, &id_of).is_empty());
-        let none: Vec<Vec<(u32, f64)>> = Vec::new();
-        assert!(merge_topk(&none, 5, &seq_of, &id_of).is_empty());
-    }
-
-    #[test]
-    fn single_part_passes_through() {
-        let parts = vec![vec![(0u32, 0.25), (1, 0.5), (2, 0.75)]];
-        let offsets = [0u64];
-        let (seq_of, id_of) = translators(&offsets);
-        let merged = merge_topk(&parts, 2, seq_of, id_of);
-        let got: Vec<(u32, f64)> = merged.iter().map(|h| (h.id.get(), h.distance)).collect();
-        assert_eq!(got, vec![(0, 0.25), (1, 0.5)]);
     }
 }

@@ -15,8 +15,8 @@
 //! * [`ExecConfig`] — the one knob callers thread through their
 //!   configuration structs (`0` = all available cores);
 //! * [`map_tasks`] — `results[i] = f(i)`, deterministic order;
-//! * [`flat_map_tasks`] — per-task `Vec`s concatenated in task order
-//!   (the shape of condensed-triangle row fills);
+//! * [`fill_tasks`] — per-task `Vec`s scattered to known offsets of one
+//!   buffer (the shape of condensed-triangle row fills);
 //! * [`map_chunks`] — fixed-size index chunks, flattened in index order
 //!   (the shape of per-item kernels with cheap items);
 //! * [`WorkerPool`] — a fixed pool of dedicated threads looping one
@@ -96,23 +96,26 @@ pub fn workers_spawned() -> u64 {
     WORKERS_SPAWNED.load(Ordering::Relaxed)
 }
 
-/// `results[i] = task(i)` for `i in 0..tasks`, computed on up to
-/// [`ExecConfig::effective_threads`] scoped workers. Output order is
-/// task order regardless of scheduling.
-pub fn map_tasks<T, F>(cfg: &ExecConfig, tasks: usize, task: F) -> Vec<T>
+/// Runs `task(i)` for `i in 0..tasks` on up to
+/// [`ExecConfig::effective_threads`] scoped workers, handing each
+/// result to `sink` on the calling thread as it arrives (in task order
+/// only when serial). The one fan-out body behind [`map_tasks`] and
+/// [`fill_tasks`].
+fn fan_out<T, F, S>(cfg: &ExecConfig, tasks: usize, task: F, mut sink: S)
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
+    S: FnMut(usize, T),
 {
     let workers = cfg.effective_threads(tasks);
     if workers <= 1 {
-        return (0..tasks).map(task).collect();
+        for i in 0..tasks {
+            sink(i, task(i));
+        }
+        return;
     }
-
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, T)>();
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(tasks);
-    slots.resize_with(tasks, || None);
     WORKERS_SPAWNED.fetch_add(workers as u64, Ordering::Relaxed);
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -132,43 +135,34 @@ where
         }
         drop(tx);
         for (i, out) in rx {
-            slots[i] = Some(out);
+            sink(i, out);
         }
     });
+}
+
+/// `results[i] = task(i)` for `i in 0..tasks`, computed on up to
+/// [`ExecConfig::effective_threads`] scoped workers. Output order is
+/// task order regardless of scheduling.
+pub fn map_tasks<T, F>(cfg: &ExecConfig, tasks: usize, task: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let mut slots: Vec<Option<T>> = Vec::with_capacity(tasks);
+    slots.resize_with(tasks, || None);
+    fan_out(cfg, tasks, task, |i, out| slots[i] = Some(out));
     slots
         .into_iter()
         .map(|s| s.expect("every task index sent exactly once"))
         .collect()
 }
 
-/// Runs `task(i)` for each task, concatenating the returned `Vec`s in
-/// task order — the natural shape for condensed-triangle row fills,
-/// where row `i` contributes a variable-length run.
-pub fn flat_map_tasks<T, F>(cfg: &ExecConfig, tasks: usize, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> Vec<T> + Sync,
-{
-    let parts = map_tasks(cfg, tasks, task);
-    // Reserve the exact total up front so growth doubling never
-    // re-copies the data. For fixed-layout outputs whose offsets are
-    // known a priori (condensed triangles), prefer [`fill_tasks`],
-    // which keeps peak memory at ~1x the output size.
-    let total = parts.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    for part in parts {
-        out.extend(part);
-    }
-    out
-}
-
-/// Fixed-layout variant of [`flat_map_tasks`]: when every task's
-/// output position is known a priori, each task's `Vec` is copied into
-/// a `total`-sized preallocated buffer at `offset(i)` **as it
-/// arrives** and freed immediately — peak memory stays at ~1x the
-/// output plus in-flight rows, matching a hand-rolled scatter fill.
-/// This is the primitive behind the condensed δ/distance triangles,
-/// the workspace's largest allocations.
+/// Runs `task(i)` for each task and copies its `Vec` into a
+/// `total`-sized preallocated buffer at `offset(i)` **as it arrives**,
+/// freeing it immediately — peak memory stays at ~1x the output plus
+/// in-flight rows, matching a hand-rolled scatter fill. This is the
+/// primitive behind the condensed δ/distance triangles, the
+/// workspace's largest allocations.
 ///
 /// Each task's output must fit `offset(i)..offset(i) + len` within
 /// `total` without overlapping other tasks; the buffer is seeded with
@@ -186,37 +180,10 @@ where
     F: Fn(usize) -> Vec<T> + Sync,
     O: Fn(usize) -> usize,
 {
-    let workers = cfg.effective_threads(tasks);
     let mut out = vec![init; total];
-    if workers <= 1 {
-        for i in 0..tasks {
-            let part = task(i);
-            let start = offset(i);
-            out[start..start + part.len()].clone_from_slice(&part);
-        }
-        return out;
-    }
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, Vec<T>)>();
-    WORKERS_SPAWNED.fetch_add(workers as u64, Ordering::Relaxed);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let task = &task;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= tasks {
-                    break;
-                }
-                let _ = tx.send((i, task(i)));
-            });
-        }
-        drop(tx);
-        for (i, part) in rx {
-            let start = offset(i);
-            out[start..start + part.len()].clone_from_slice(&part);
-        }
+    fan_out(cfg, tasks, task, |i, part| {
+        let start = offset(i);
+        out[start..start + part.len()].clone_from_slice(&part);
     });
     out
 }
@@ -234,10 +201,14 @@ where
 {
     let chunk = chunk.max(1);
     let tasks = items.div_ceil(chunk);
-    let out = flat_map_tasks(cfg, tasks, |t| {
+    let parts = map_tasks(cfg, tasks, |t| {
         let start = t * chunk;
         task(start..(start + chunk).min(items))
     });
+    let mut out = Vec::with_capacity(items);
+    for part in parts {
+        out.extend(part);
+    }
     debug_assert_eq!(
         out.len(),
         items,
@@ -383,14 +354,14 @@ mod tests {
     }
 
     #[test]
-    fn flat_map_tasks_concatenates_in_task_order() {
-        // Variable-length rows, like condensed-triangle fills.
-        let rows = |i: usize| (0..i).map(|j| (i, j)).collect::<Vec<_>>();
-        let serial = flat_map_tasks(&ExecConfig::serial(), 20, rows);
-        let parallel = flat_map_tasks(&ExecConfig::new(8), 20, rows);
+    fn map_chunks_concatenates_in_index_order() {
+        // Chunks finish out of order on 8 workers; the output may not.
+        let chunk = |r: std::ops::Range<usize>| r.map(|i| (i, i * i)).collect::<Vec<_>>();
+        let serial = map_chunks(&ExecConfig::serial(), 190, 7, chunk);
+        let parallel = map_chunks(&ExecConfig::new(8), 190, 7, chunk);
         assert_eq!(serial, parallel);
-        assert_eq!(serial.len(), 19 * 20 / 2);
-        assert_eq!(serial[0], (1, 0));
+        assert_eq!(serial.len(), 190);
+        assert_eq!(serial[13], (13, 169));
     }
 
     #[test]
@@ -423,7 +394,7 @@ mod tests {
             assert_eq!(serial, parallel, "threads = {threads}");
         }
         // Matches the flat concatenation of the same rows.
-        let flat = flat_map_tasks(&ExecConfig::new(4), n - 1, row);
+        let flat = map_tasks(&ExecConfig::new(4), n - 1, row).concat();
         assert_eq!(serial, flat);
     }
 

@@ -3,8 +3,8 @@
 //! The pipeline vocabulary is fixed ([`Stage`]): parse → map →
 //! ann_beam/scan → refine → merge → serialize. A request carries a
 //! bounded, `Copy` [`StageTimes`] vector (one `u64` of nanoseconds per
-//! stage — no allocation, rides inside `SearchStats` and merges with
-//! it), and the serving layer wraps it in a [`Trace`] that also knows
+//! stage — no allocation, rides inside `SearchStats`), and the
+//! serving layer wraps it in a [`Trace`] that also knows
 //! when the request started.
 
 use std::fmt;
@@ -28,7 +28,7 @@ pub enum Stage {
     AnnBeam,
     /// Exact MCS re-ranking (refined / verified-approx / exact).
     Refine,
-    /// Cross-shard merge of per-shard rankings.
+    /// Selecting the answer from every shard's hits.
     Merge,
     /// Response JSON encode + write (server side).
     Serialize,
@@ -75,7 +75,7 @@ impl Stage {
 ///
 /// `Copy` and allocation-free so it can live inside `SearchStats`
 /// without changing that type's cost model; merging two requests'
-/// vectors (the sharded scatter-gather fold) sums per stage.
+/// vectors sums per stage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimes {
     ns: [u64; STAGE_COUNT],
@@ -106,8 +106,8 @@ impl StageTimes {
         self.ns[stage.index()]
     }
 
-    /// Folds another request-part's stage times in (per-stage
-    /// saturating sums — the same shape as `SearchStats::merge`).
+    /// Folds another request's stage times in (per-stage saturating
+    /// sums).
     pub fn merge(&mut self, other: &StageTimes) {
         for (a, b) in self.ns.iter_mut().zip(&other.ns) {
             *a = a.saturating_add(*b);

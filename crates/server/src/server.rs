@@ -55,6 +55,10 @@ use crate::wire::{
     request_from_json, write_batch_response, write_response, QuerySpec, WireError,
 };
 
+/// Socket read timeout — how often idle connections poll the shutdown
+/// flag, i.e. the worst-case drain latency.
+const POLL_INTERVAL: Duration = Duration::from_millis(100);
+
 /// Server knobs. `Default` binds an ephemeral loopback port with a
 /// small worker pool — the configuration the tests and the load
 /// harness use.
@@ -66,9 +70,6 @@ pub struct ServerConfig {
     /// time, so this bounds concurrent connections). A server started
     /// with `0` runs, and reports, one.
     pub workers: usize,
-    /// Socket read timeout — how often idle connections poll the
-    /// shutdown flag, i.e. the worst-case drain latency.
-    pub poll_interval: Duration,
     /// Slow-query threshold in milliseconds: requests at or over it
     /// are counted, kept in the slow-query ring, and logged to stderr
     /// with their per-stage breakdown. `0` disables slow logging.
@@ -88,7 +89,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers,
-            poll_interval: Duration::from_millis(100),
             slow_ms: 250,
             trace_sample: 1,
         }
@@ -110,12 +110,6 @@ impl ServerConfig {
     /// Sets the worker count (min 1).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Sets the shutdown poll interval.
-    pub fn with_poll_interval(mut self, interval: Duration) -> Self {
-        self.poll_interval = interval;
         self
     }
 
@@ -364,7 +358,7 @@ impl Drop for GdimServer {
 /// Serves one connection for its whole keep-alive lifetime.
 fn handle_connection(ctx: &Ctx, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(ctx.cfg.poll_interval));
+    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let reader = ctx.handle.reader();
     // Every buffer a request needs lives as long as the connection, so
     // a keep-alive request allocates none of them once they have grown:
@@ -957,9 +951,7 @@ mod tests {
     }
 
     fn start(n: usize, seed: u64) -> GdimServer {
-        let cfg = ServerConfig::new()
-            .with_workers(2)
-            .with_poll_interval(Duration::from_millis(20));
+        let cfg = ServerConfig::new().with_workers(2);
         GdimServer::start(serving_handle(n, seed), cfg).expect("bind ephemeral port")
     }
 
@@ -1086,7 +1078,6 @@ mod tests {
     fn zero_workers_serve_as_one_and_stats_say_so() {
         let cfg = ServerConfig {
             workers: 0,
-            poll_interval: Duration::from_millis(20),
             ..ServerConfig::new()
         };
         let server = GdimServer::start(serving_handle(12, 5), cfg).expect("bind ephemeral port");
@@ -1318,9 +1309,7 @@ mod tests {
             ShardedOptions::new(2).with_index(IndexOptions::default().with_dimensions(8)),
         );
         let durable = DurableHandle::create(&dir, idx, SyncPolicy::Always).unwrap();
-        let cfg = ServerConfig::new()
-            .with_workers(2)
-            .with_poll_interval(Duration::from_millis(20));
+        let cfg = ServerConfig::new().with_workers(2);
         let server = GdimServer::start_durable(durable, cfg).unwrap();
         let mut client = Client::connect(server.addr()).unwrap();
 

@@ -3,8 +3,8 @@
 //! The paper's online pipeline (map the query → scan vectors → verify)
 //! is embarrassingly partitionable over the database, and that is the
 //! standard route to scale ("Big Graph Search", Ma et al.): partition
-//! the graphs over shards, scatter each query, gather per-shard top-k
-//! answers into a global one. This crate adds that layer on top of
+//! the graphs over shards, run each query against every shard, and keep
+//! the global top-k of their answers. This crate adds that layer on top of
 //! [`gdim_core::GraphIndex`] with two pillars:
 //!
 //! * [`ShardedIndex`] — N per-shard `GraphIndex`es that **share one
@@ -16,8 +16,8 @@
 //!   — what a shard keeps of a build is `gdim-core`'s decision, not
 //!   this crate's) and all of them one code tree. Because every shard
 //!   maps queries and scores rows exactly like the global pipeline
-//!   would, a scatter-gather search — per-shard bounded top-k merged
-//!   by `(distance, seq)` — answers **bit-identically** to one
+//!   would, a sharded search — per-shard bounded top-k legs feeding
+//!   one selector keyed `(distance, seq)` — answers **bit-identically** to one
 //!   unsharded index over the same database, for every ranker and
 //!   thread budget. There is no sharded copy of the query path: a
 //!   search hands its shards to the one query executor in
@@ -47,7 +47,7 @@
 //! Global ids are composed: shard id in the high bits, shard-local id
 //! in the low bits ([`ShardedIndex::split_id`]). Row order ties are
 //! broken by each row's **sequence number** (global insertion order),
-//! so merged rankings equal the unsharded `(distance, id)` order.
+//! so a sharded ranking equals the unsharded `(distance, id)` order.
 //!
 //! Persistence is a manifest plus one v4 index file per shard
 //! ([`ShardedIndex::save_dir`] / [`ShardedIndex::load_dir`]), round-
@@ -85,7 +85,6 @@ pub mod serving;
 pub mod sharded;
 
 pub use durable::{DurableHandle, RecoveryReport};
-pub use gdim_core::search::{merge_topk, MergedHit};
 pub use gdim_wal::SyncPolicy;
 pub use serving::{Reader, ServingHandle};
 pub use sharded::{Rebuild, ShardId, ShardedIndex, ShardedOptions};

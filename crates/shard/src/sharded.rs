@@ -76,7 +76,8 @@ impl ShardedOptions {
 }
 
 /// One shard: a [`GraphIndex`] over a subset of the database plus the
-/// global sequence number of each local row (the merge tie-break).
+/// global sequence number of each local row (the tie-break between
+/// equal distances).
 #[derive(Debug)]
 pub(crate) struct Shard {
     pub(crate) index: GraphIndex,
@@ -120,8 +121,8 @@ impl Clone for Shard {
 /// Searches are **bit-identical** to a single [`GraphIndex`] over the
 /// same database — hits, order, distances — for every ranker, mapping,
 /// shard count, and thread budget, because the selection pipeline runs
-/// globally and per-shard rankings merge with the same `(distance,
-/// insertion-order)` tie-break an unsharded scan uses.
+/// globally and every shard's hits are selected with the same
+/// `(distance, insertion-order)` tie-break an unsharded scan uses.
 #[derive(Clone)]
 pub struct ShardedIndex {
     shards: Vec<Arc<Shard>>,
@@ -281,9 +282,9 @@ impl ShardedIndex {
     }
 
     /// Live rows per shard, in shard order — the raw material of the
-    /// shard-imbalance gauge (max/mean of this vector): scatter-gather
-    /// latency is gated by the fullest shard, so skew here predicts
-    /// tail latency before it shows up in histograms.
+    /// shard-imbalance gauge (max/mean of this vector): a search runs
+    /// every shard's leg, so skew here shows which shard owns its
+    /// latency before it shows up in histograms.
     pub fn shard_live_lens(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.index.live_len()).collect()
     }
@@ -390,7 +391,7 @@ impl ShardedIndex {
     /// The shard maps it onto the shared dimensions exactly like
     /// [`GraphIndex::insert`] and appends in place. Returns the
     /// composed global id; the row's sequence number is the global
-    /// insertion order, so merged rankings keep treating it exactly
+    /// insertion order, so sharded rankings keep treating it exactly
     /// like an unsharded index would.
     pub fn insert(&mut self, g: Graph) -> GraphId {
         let s = (0..self.shards.len())
@@ -544,16 +545,16 @@ impl ShardedIndex {
 
     // ------------------------------------------------------- search
 
-    /// Answers one typed search request by **scatter-gather** — the
+    /// Answers one typed search request over every shard — the
     /// N-partition call of the one query executor
     /// ([`search_partitions`]): the query is mapped once (all shards
     /// share the dimensions), each shard runs its own bounded
-    /// top-k scan (or ANN beam, or exact δ), and the per-shard
-    /// rankings merge by `(distance, seq)`. Answers are bit-identical
-    /// to [`GraphIndex::search`] over the same database for every
-    /// ranker, mapping, shard count, and thread budget;
-    /// [`SearchStats`](gdim_core::SearchStats) aggregate across shards
-    /// via [`SearchStats::merge`](gdim_core::SearchStats::merge).
+    /// top-k scan (or ANN beam, or exact δ), and every shard's hits
+    /// feed one selector keyed `(distance, seq)`. Answers are
+    /// bit-identical to [`GraphIndex::search`] over the same database
+    /// for every ranker, mapping, shard count, and thread budget; the
+    /// shards add their work into the response's one
+    /// [`SearchStats`](gdim_core::SearchStats).
     ///
     /// The per-shard legs run one after another on the calling thread:
     /// concurrent requests, not a per-request fork, are what keeps the

@@ -7,7 +7,6 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::time::Duration;
 
 use gdim::prelude::*;
 use gdim::server::wire::response_from_json;
@@ -21,9 +20,7 @@ fn start_server(n: usize, seed: u64) -> GdimServer {
         chem(n, seed),
         ShardedOptions::new(2).with_index(IndexOptions::default().with_dimensions(10)),
     );
-    let cfg = ServerConfig::new()
-        .with_workers(4)
-        .with_poll_interval(Duration::from_millis(20));
+    let cfg = ServerConfig::new().with_workers(4);
     GdimServer::start(ServingHandle::new(index), cfg).expect("bind ephemeral port")
 }
 
@@ -248,4 +245,87 @@ fn shutdown_drains_without_dropping_a_full_request() {
     );
     server.wait();
     server.shutdown(); // must not hang
+}
+
+/// `(id, distance bits)` of every hit, in rank order.
+fn hit_bits(resp: &SearchResponse) -> Vec<(u32, u64)> {
+    resp.hits
+        .iter()
+        .map(|h| (h.id.get(), h.distance.to_bits()))
+        .collect()
+}
+
+#[test]
+fn request_sizes_past_the_index_answer_like_the_whole_index() {
+    // `ef`, `k`, `candidates` and `verify` are caller input. Past the
+    // index they change nothing but what the answer echoes: a beam as
+    // wide as a shard's graph keeps every node, and a selector never
+    // holds more than the live rows. Each answer is asked in process
+    // and over the wire, and the two must agree bit for bit.
+    let mut index = ShardedIndex::build(
+        chem(24, 29),
+        ShardedOptions::new(2).with_index(IndexOptions::default().with_dimensions(10)),
+    );
+    for seq in [2u64, 15] {
+        let dead = index.id_for_seq(seq).unwrap();
+        assert!(index.remove(dead).unwrap());
+    }
+    let (n, live) = (index.len(), index.live_len());
+    let server = GdimServer::start(
+        ServingHandle::new(index),
+        ServerConfig::new().with_workers(2),
+    )
+    .expect("bind ephemeral port");
+    let snap = server.handle().snapshot();
+    let id = snap.id_for_seq(3).unwrap();
+    let query = snap.graph(id).unwrap().clone();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut answer = |req: SearchRequest| -> SearchResponse {
+        let local = snap.search(&query, &req).unwrap();
+        let mut body = gdim::server::wire::request_to_json(&req);
+        let Json::Obj(pairs) = &mut body else {
+            unreachable!("a request serializes to an object")
+        };
+        pairs.push((
+            "query".into(),
+            Json::obj([("id", Json::U64(id.get() as u64))]),
+        ));
+        let (status, j) = client.post("/search", &body).unwrap();
+        assert_eq!(status, 200, "{req:?}: {j:?}");
+        let served = response_from_json(&j).expect("parse served response");
+        assert_eq!(hit_bits(&served), hit_bits(&local), "{req:?}");
+        assert_eq!(served.stats.ef, local.stats.ef, "{req:?}");
+        assert_eq!(
+            served.stats.beam_visited, local.stats.beam_visited,
+            "{req:?}"
+        );
+        local
+    };
+    let approx = |ef| SearchRequest::new(10).ranker(Ranker::Approx { ef, verify: None });
+    let at_n = answer(approx(n));
+    for ef in [1usize << 40, usize::MAX] {
+        let wide = answer(approx(ef));
+        assert_eq!(hit_bits(&wide), hit_bits(&at_n), "ef = {ef}");
+        assert_eq!(
+            wide.stats.beam_visited, at_n.stats.beam_visited,
+            "ef = {ef}"
+        );
+        assert_eq!(wide.stats.ef, ef, "stats.ef echoes the request");
+    }
+    for ranker in [
+        Ranker::Mapped,
+        Ranker::Refined {
+            candidates: usize::MAX,
+        },
+        Ranker::Approx {
+            ef: 8,
+            verify: Some(usize::MAX),
+        },
+    ] {
+        let all = answer(SearchRequest::new(usize::MAX).ranker(ranker));
+        assert_eq!(all.hits.len(), live, "{ranker:?}: every live row");
+    }
+    let (status, _) = client.get("/health").unwrap();
+    assert_eq!(status, 200, "the server keeps serving");
+    server.shutdown();
 }

@@ -49,9 +49,6 @@ fn requests() -> Vec<SearchRequest> {
     ]
 }
 
-/// A sharded response's hits as `(seq, distance)` — the sharded row's
-/// sequence number is exactly the id the unsharded index gives the
-/// same row.
 /// Every stats field but the timings: the work an answer did.
 fn work(stats: &gdim::core::search::SearchStats) -> String {
     format!(
@@ -65,6 +62,29 @@ fn work(stats: &gdim::core::search::SearchStats) -> String {
     )
 }
 
+/// The work a sharded answer shares with the unsharded one, field for
+/// field: `(live_graphs, mcs_calls, vf2_calls, vf2_pruned, approximate,
+/// ef, kernel)`.
+fn shared_work(s: &SearchStats) -> (usize, usize, usize, usize, bool, usize, Option<KernelKind>) {
+    (
+        s.live_graphs,
+        s.mcs_calls,
+        s.vf2_calls,
+        s.vf2_pruned,
+        s.approximate,
+        s.ef,
+        s.kernel,
+    )
+}
+
+/// The rows a scan looked at: fully evaluated, abandoned or skipped.
+fn rows_looked_at(s: &SearchStats) -> usize {
+    s.candidates_scanned + s.early_abandoned + s.tombstones_skipped
+}
+
+/// A sharded response's hits as `(seq, distance)` — the sharded row's
+/// sequence number is exactly the id the unsharded index gives the
+/// same row.
 fn by_seq(idx: &ShardedIndex, resp: &SearchResponse) -> Vec<(u64, f64)> {
     resp.hits
         .iter()
@@ -93,7 +113,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Fresh build: every shard count and thread budget answers every
-    /// request bit-identically to the unsharded index.
+    /// request bit-identically to the unsharded index, and does the
+    /// same work. A weighted scan abandons rows against its own leg's
+    /// k-th bound, so only its total of rows looked at is shared; a
+    /// binary scan evaluates every live row in full, so each of its
+    /// counters is. After a compaction the answer reports the newest
+    /// shard's epoch.
     #[test]
     fn fresh_build_matches_unsharded_for_all_shard_and_thread_counts(seed in 0u64..500) {
         let db = chem(14, seed);
@@ -111,11 +136,24 @@ proptest! {
                 flat.set_exec(ExecConfig::new(threads));
                 for q in queries.iter().chain(db.iter().take(2)) {
                     for req in requests() {
+                        let (sr, fr) = (sharded.search(q, &req).unwrap(), flat.search(q, &req).unwrap());
                         prop_assert_eq!(
-                            sharded_hits(&sharded, q, &req),
-                            flat_hits(&flat, q, &req),
+                            by_seq(&sharded, &sr),
+                            by_id(&fr),
                             "shards {}, threads {}, {:?}", shards, threads, req
                         );
+                        let (s, f) = (&sr.stats, &fr.stats);
+                        prop_assert_eq!(shared_work(s), shared_work(f), "shards {}, {:?}", shards, req);
+                        if f.kernel.is_some() {
+                            prop_assert_eq!(rows_looked_at(s), rows_looked_at(f), "shards {}, {:?}", shards, req);
+                            if matches!(req.mapping, MappingKind::Binary) {
+                                prop_assert_eq!(
+                                    (s.candidates_scanned, s.early_abandoned, s.tombstones_skipped, s.words_scanned),
+                                    (f.candidates_scanned, f.early_abandoned, f.tombstones_skipped, f.words_scanned),
+                                    "shards {}, {:?}", shards, req
+                                );
+                            }
+                        }
                     }
                 }
                 // Batch answers equal single answers, query for query.
@@ -126,6 +164,18 @@ proptest! {
                     prop_assert_eq!(&single.hits, &resp.hits);
                     prop_assert_eq!(work(&single.stats), work(&resp.stats));
                 }
+            }
+            // Compact the last shard, then the first: the answer's
+            // epoch is the newest shard's, never the first partition's
+            // or a sum.
+            for s in [shards - 1, 0] {
+                let rebuild = sharded.compacted(ShardId(s as u32)).unwrap();
+                sharded.install(rebuild).unwrap();
+                let resp = sharded.search(&queries[0], &SearchRequest::new(5)).unwrap();
+                let newest = (0..shards)
+                    .map(|s| sharded.shard(ShardId(s as u32)).unwrap().epoch())
+                    .max();
+                prop_assert_eq!(Some(resp.stats.epoch), newest, "shards {}", shards);
             }
         }
     }
