@@ -44,7 +44,7 @@ use std::time::Instant;
 
 use gdim_bench::gate::{fixed, int, paired_min_ns, write_snapshot, Args, Gate, Rule};
 use gdim_bench::scanwork::{cpu_kernels, scan_one, synth_clustered};
-use gdim_core::ann::{AnnIndex, AnnParams};
+use gdim_core::ann::AnnIndex;
 use gdim_core::scan::{hamming_row, VectorStore};
 use gdim_core::{Bitset, GraphIndex, IndexOptions};
 use gdim_datagen::{chem_db, zipf_workload, ChemConfig, ZipfConfig};
@@ -75,7 +75,7 @@ fn measure_workload(
     let n = store.len();
     let k = 10.min(n);
     let t = Instant::now();
-    let ann = AnnIndex::build(store, AnnParams::default());
+    let ann = AnnIndex::build(store);
     let build_ms = t.elapsed().as_millis() as u64;
     // Exact ground truth, once per query (ids only — recall compares
     // sets, the distances are bit-identical by construction anyway).

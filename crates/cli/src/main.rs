@@ -11,8 +11,7 @@
 //!
 //! ```text
 //! gdim search (--id N | --query FILE) [--k K]
-//!             [--ranker mapped|exact|refined:C|approx:EF[:C]]
-//!             [--mapping binary|weighted] [--json]
+//!             [--ranker mapped|exact|refined:C|approx:EF[:C]] [--json]
 //! gdim insert --graph FILE        # inserts every graph in the gSpan file
 //! gdim remove --id N
 //! gdim rebuild [--background]
@@ -39,6 +38,10 @@
 //! `gdim recover --verify DIR` replays a durable directory offline and
 //! reports its health without serving.
 //!
+//! Every subcommand refuses a flag it does not take, naming it, so a
+//! typo never runs with a default in its place. Ranking is binary; no
+//! flag selects another distance.
+//!
 //! Graph files use the gSpan text format (`t # i` / `v id label` /
 //! `e u v label` lines) that `gdim-graph`'s io module reads and
 //! writes. Argument parsing is hand-rolled like the bench binaries —
@@ -46,7 +49,7 @@
 
 use std::process::ExitCode;
 
-use gdim_core::{IndexOptions, MappingKind, Ranker, SearchRequest};
+use gdim_core::{IndexOptions, Ranker, SearchRequest};
 use gdim_graph::{io as graph_io, Graph};
 use gdim_server::wire::{graph_to_json, response_from_json};
 use gdim_server::{Client, GdimServer, Json, ServerConfig};
@@ -73,8 +76,8 @@ commands:
   search    top-k search against a running server
               (--id N | --query FILE) [--k K=10]
               [--ranker mapped|exact|refined:C|approx:EF[:C]]
-              [--mapping binary|weighted]
               [--json] [--addr HOST:PORT]
+              ranking is binary (the paper's distance)
   insert    insert every graph from a gSpan file; prints assigned ids
               --graph FILE [--addr HOST:PORT]
   remove    tombstone a graph        --id N [--addr HOST:PORT]
@@ -124,13 +127,27 @@ fn main() -> ExitCode {
     }
 }
 
+/// The flags that name the database to index or serve (see
+/// [`load_index`]).
+const SOURCE_FLAGS: [&str; 6] = [
+    "--index",
+    "--db",
+    "--synthetic",
+    "--seed",
+    "--shards",
+    "--dimensions",
+];
+
 /// Minimal flag cursor: `--flag value` pairs plus boolean flags.
 struct Flags {
     pairs: Vec<(String, Option<String>)>,
 }
 
 impl Flags {
-    fn parse(args: &[String], boolean: &[&str]) -> Result<Flags, String> {
+    /// Reads the flags a subcommand takes: each of `boolean` stands
+    /// alone, each of `valued` takes the next argument. Any other flag
+    /// is an error that names it.
+    fn parse(args: &[String], boolean: &[&str], valued: &[&str]) -> Result<Flags, String> {
         let mut pairs = Vec::new();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
@@ -139,12 +156,14 @@ impl Flags {
             }
             if boolean.contains(&arg.as_str()) {
                 pairs.push((arg.clone(), None));
-            } else {
+            } else if valued.contains(&arg.as_str()) {
                 let value = it
                     .next()
                     .ok_or_else(|| format!("{arg} needs a value"))?
                     .clone();
                 pairs.push((arg.clone(), Some(value)));
+            } else {
+                return Err(format!("unknown flag {arg} (see `gdim --help`)"));
             }
         }
         Ok(Flags { pairs })
@@ -204,7 +223,7 @@ fn load_index(flags: &Flags) -> Result<ShardedIndex, String> {
 }
 
 fn cmd_build(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &[], &[&SOURCE_FLAGS[..], &["--out"]].concat())?;
     let out = flags
         .get("--out")
         .ok_or("build needs --out DIR")?
@@ -236,7 +255,8 @@ fn sync_policy(flags: &Flags) -> Result<SyncPolicy, String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let serving = ["--addr", "--workers", "--slow-ms", "--durable", "--fsync"];
+    let flags = Flags::parse(args, &[], &[&SOURCE_FLAGS[..], &serving].concat())?;
     let mut cfg = ServerConfig::new().with_addr(flags.get("--addr").unwrap_or(DEFAULT_ADDR));
     if let Some(w) = flags.num::<usize>("--workers")? {
         cfg = cfg.with_workers(w);
@@ -345,7 +365,8 @@ fn parse_ranker(r: &str) -> Result<Ranker, String> {
 }
 
 fn cmd_search(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["--json"])?;
+    let valued = ["--id", "--query", "--k", "--ranker", "--addr"];
+    let flags = Flags::parse(args, &["--json"], &valued)?;
     let query = match (flags.num::<u32>("--id")?, flags.get("--query")) {
         (Some(id), None) => Json::obj([("id", Json::U64(id as u64))]),
         (None, Some(path)) => {
@@ -359,13 +380,6 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
     let mut req = SearchRequest::new(flags.num::<usize>("--k")?.unwrap_or(10));
     if let Some(r) = flags.get("--ranker") {
         req = req.ranker(parse_ranker(r)?);
-    }
-    if let Some(m) = flags.get("--mapping") {
-        req = req.mapping(match m {
-            "binary" => MappingKind::Binary,
-            "weighted" => MappingKind::Weighted,
-            _ => return Err(format!("--mapping: bad value {m:?}")),
-        });
     }
     let mut body = gdim_server::wire::request_to_json(&req);
     if let Json::Obj(pairs) = &mut body {
@@ -384,7 +398,7 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_insert(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &[], &["--graph", "--addr"])?;
     let path = flags.get("--graph").ok_or("insert needs --graph FILE")?;
     let db = read_gspan(path)?;
     let mut client = connect(&flags)?;
@@ -398,7 +412,7 @@ fn cmd_insert(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_remove(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &[], &["--id", "--addr"])?;
     let id = flags.num::<u32>("--id")?.ok_or("remove needs --id N")?;
     let mut client = connect(&flags)?;
     let reply = expect_ok(client.post("/remove", &Json::obj([("id", Json::U64(id as u64))])))?;
@@ -410,7 +424,7 @@ fn cmd_remove(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_rebuild(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["--background"])?;
+    let flags = Flags::parse(args, &["--background"], &["--addr"])?;
     let mode = if flags.has("--background") {
         "background"
     } else {
@@ -428,7 +442,7 @@ fn cmd_rebuild(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_checkpoint(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &[], &["--addr"])?;
     let mut client = connect(&flags)?;
     let reply = expect_ok(client.post("/checkpoint", &Json::Null))?;
     let generation = reply.get("generation").and_then(Json::as_u64).unwrap_or(0);
@@ -437,7 +451,7 @@ fn cmd_checkpoint(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_recover(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &[], &["--verify"])?;
     let dir = flags.get("--verify").ok_or("recover needs --verify DIR")?;
     let report = DurableHandle::verify(dir).map_err(|e| format!("verifying {dir}: {e}"))?;
     println!("{dir}: {report}");
@@ -445,7 +459,7 @@ fn cmd_recover(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &[], &["--addr"])?;
     let mut client = connect(&flags)?;
     let reply = expect_ok(client.get("/stats"))?;
     if let Json::Obj(pairs) = &reply {
@@ -483,12 +497,12 @@ fn print_pipeable(text: &str) -> Result<(), String> {
 }
 
 fn cmd_metrics(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &[], &["--addr"])?;
     print_pipeable(&fetch_metrics(&flags)?)
 }
 
 fn cmd_top(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &[], &["--addr"])?;
     let text = fetch_metrics(&flags)?;
     let expo = gdim_obs::expo::parse(&text).map_err(|e| format!("bad exposition: {e}"))?;
     print_pipeable(&render_top(&expo))
@@ -577,7 +591,7 @@ fn render_top(expo: &gdim_obs::Exposition) -> String {
 }
 
 fn cmd_stop(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &[], &["--addr"])?;
     let mut client = connect(&flags)?;
     expect_ok(client.post("/shutdown", &Json::Null))?;
     println!("server is draining");
@@ -613,6 +627,31 @@ mod tests {
         for bad in ["", "appro", "approx:", "approx:x", "approx:8:", "refined:"] {
             assert!(parse_ranker(bad).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn unknown_flags_are_refused_by_name() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        // A typo of `--k` must not run at the default k, and the
+        // weighted distance is not served under any flag: both fail
+        // while parsing, before any connection is tried.
+        for (argv, flag) in [
+            (&["--id", "3", "--kk", "5"][..], "--kk"),
+            (&["--id", "3", "--mapping", "weighted"][..], "--mapping"),
+            (&["--mapping", "binary", "--id", "3"][..], "--mapping"),
+        ] {
+            let err = cmd_search(&args(argv)).unwrap_err();
+            assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+        }
+        // A flag is known only to the subcommands that take it.
+        let err = cmd_remove(&args(&["--id", "3", "--json"])).unwrap_err();
+        assert!(err.contains("unknown flag --json"), "{err}");
+        let err = cmd_build(&args(&["--out", "x", "--workers", "2"])).unwrap_err();
+        assert!(err.contains("unknown flag --workers"), "{err}");
+        // What a subcommand takes still parses.
+        let flags = Flags::parse(&args(&["--k", "5", "--json"]), &["--json"], &["--k"]).unwrap();
+        assert_eq!(flags.num::<usize>("--k").unwrap(), Some(5));
+        assert!(flags.has("--json"));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   their distances are.
 //! * **Deterministic builds.** Layer assignment hashes `(seed, id)`
 //!   through splitmix64 instead of drawing from an RNG stream, so the
-//!   same store + params always yields byte-identical graphs — on any
+//!   same store always yields byte-identical graphs — on any
 //!   machine, any thread budget, any insertion history replay.
 //! * **Deletions filter, never break navigation.** Tombstoned rows
 //!   stay in the graph as *waypoints* (removing them would tear the
@@ -41,13 +41,13 @@
 //! The structure is the classic two-phase HNSW descent: greedy
 //! best-first on the upper layers (beam width 1), then a bounded beam
 //! of width `ef` on layer 0. Construction inserts rows in id order
-//! with beam width [`AnnParams::ef_construction`], linking each new
-//! node bidirectionally to up to `m` discovered neighbors chosen by
+//! with beam width `EF_CONSTRUCTION` (100), linking each new node
+//! bidirectionally to up to `M` (16) discovered neighbors chosen by
 //! the **diversity heuristic** (keep a candidate only if it is closer
 //! to the new node than to any neighbor already kept — this preserves
 //! the long-range links that keep clustered stores navigable), and
 //! re-selecting with the same heuristic when a list overflows its cap
-//! (`m` on upper layers, `2·m` on layer 0).
+//! (`M` on upper layers, `2·M` on layer 0).
 //!
 //! **Two layouts, one beam.** Construction needs lists it can push to
 //! and trim, so [`AnnIndex::build`] grows nested `links[node][layer]`
@@ -81,65 +81,16 @@ use crate::scan::{Tombstones, VectorStore};
 /// astronomically unlikely; the clamp just bounds the descent loop.
 const MAX_LEVEL: usize = 24;
 
-/// Construction parameters of an [`AnnIndex`].
-///
-/// Marked `#[non_exhaustive]`: build values with
-/// [`AnnParams::default`] plus the `with_*` setters so future knobs
-/// stay additive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct AnnParams {
-    /// Neighbors linked per new node, and the list cap on upper
-    /// layers (layer 0 caps at `2·m`). Clamped to ≥ 2.
-    pub m: usize,
-    /// Beam width while constructing (quality/cost of the build).
-    /// Clamped to ≥ `m`.
-    pub ef_construction: usize,
-    /// Seed of the deterministic per-id layer assignment.
-    pub seed: u64,
-}
+/// Neighbors linked per new node, and the list cap on upper layers
+/// (layer 0 caps at `2·M`). Written to and checked by the snapshot's
+/// ANN section ([`crate::persist`]), like the two constants below.
+pub(crate) const M: usize = 16;
 
-impl Default for AnnParams {
-    fn default() -> Self {
-        AnnParams {
-            m: 16,
-            ef_construction: 100,
-            seed: 0x9D1A_77C4_5EED_0001,
-        }
-    }
-}
+/// Beam width while constructing (quality/cost of the build).
+pub(crate) const EF_CONSTRUCTION: usize = 100;
 
-impl AnnParams {
-    /// Sets the per-node link count `m`.
-    pub fn with_m(mut self, m: usize) -> Self {
-        self.m = m;
-        self
-    }
-
-    /// Sets the construction beam width.
-    pub fn with_ef_construction(mut self, ef: usize) -> Self {
-        self.ef_construction = ef;
-        self
-    }
-
-    /// Sets the layer-assignment seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// The params with degenerate values clamped into the valid range
-    /// (`m ≥ 2` so the level distribution is well-defined,
-    /// `ef_construction ≥ m` so every insert can find `m` neighbors).
-    fn normalized(self) -> Self {
-        let m = self.m.max(2);
-        AnnParams {
-            m,
-            ef_construction: self.ef_construction.max(m),
-            seed: self.seed,
-        }
-    }
-}
+/// Seed of the deterministic per-id layer assignment.
+pub(crate) const SEED: u64 = 0x9D1A_77C4_5EED_0001;
 
 /// Work counters of one beam search — what
 /// [`SearchStats::beam_visited`](crate::search::SearchStats::beam_visited)
@@ -199,12 +150,12 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Neighbor cap of a list on `layer` for link count `m`.
-fn cap(m: usize, layer: usize) -> usize {
+/// Neighbor cap of a list on `layer`.
+fn cap(layer: usize) -> usize {
     if layer == 0 {
-        m.saturating_mul(2)
+        2 * M
     } else {
-        m
+        M
     }
 }
 
@@ -226,7 +177,6 @@ trait Links {
 /// the index format (see [`crate::persist`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnnIndex {
-    params: AnnParams,
     /// Top layer of each node. The graph covers rows
     /// `0..levels.len()` (`built_n`); store rows appended later are
     /// the caller's pending exact-scanned tail.
@@ -262,12 +212,10 @@ impl AnnIndex {
     /// Builds the proximity graph over **all** current rows of the
     /// store (tombstoned rows included — they keep the graph navigable
     /// and are filtered at query time), then freezes it. Deterministic:
-    /// same store and params ⇒ byte-identical graph.
-    pub fn build(store: &VectorStore, params: AnnParams) -> AnnIndex {
-        let params = params.normalized();
+    /// same store ⇒ byte-identical graph.
+    pub fn build(store: &VectorStore) -> AnnIndex {
         let n = store.len();
         let mut graph = Builder {
-            params,
             store,
             levels: Vec::with_capacity(n),
             links: Vec::with_capacity(n),
@@ -284,7 +232,7 @@ impl AnnIndex {
             max_level,
             ..
         } = graph;
-        AnnIndex::freeze(params, entry, max_level, levels, links)
+        AnnIndex::freeze(entry, max_level, levels, links)
             .expect("an ANN graph holds at most u32::MAX links")
     }
 
@@ -293,7 +241,6 @@ impl AnnIndex {
     /// return. Errs if the lists hold more ids, or more slots, than
     /// `u32` offsets can index.
     fn freeze(
-        params: AnnParams,
         entry: u32,
         max_level: u8,
         levels: Vec<u8>,
@@ -324,7 +271,6 @@ impl AnnIndex {
             }
         }
         Ok(AnnIndex {
-            params,
             levels,
             offsets,
             ids,
@@ -332,11 +278,6 @@ impl AnnIndex {
             entry,
             max_level,
         })
-    }
-
-    /// Construction parameters the graph was built with.
-    pub fn params(&self) -> AnnParams {
-        self.params
     }
 
     /// Rows covered by the graph — store rows `built_n..` were
@@ -381,16 +322,14 @@ impl AnnIndex {
     /// seam of [`crate::persist`]), then freezes it like
     /// [`AnnIndex::build`] does. Returns a human-readable reason on
     /// the first violation: a layer count that disagrees with a level,
-    /// a list longer than its layer's cap (`2·m` on layer 0, `m`
+    /// a list longer than its layer's cap (`2·M` on layer 0, `M`
     /// above), a neighbor out of range or equal to its owner, or an
     /// entry off the top layer.
     pub fn from_parts(
-        params: AnnParams,
         entry: u32,
         levels: Vec<u8>,
         links: Vec<Vec<Vec<u32>>>,
     ) -> Result<AnnIndex, String> {
-        let params = params.normalized();
         let built_n = levels.len();
         if links.len() != built_n {
             return Err(format!(
@@ -399,7 +338,7 @@ impl AnnIndex {
             ));
         }
         if built_n == 0 {
-            return AnnIndex::freeze(params, 0, 0, levels, links);
+            return AnnIndex::freeze(0, 0, levels, links);
         }
         if entry as usize >= built_n {
             return Err(format!("ann entry {entry} out of {built_n} nodes"));
@@ -417,7 +356,7 @@ impl AnnIndex {
             }
             max_level = max_level.max(level);
             for (layer, list) in layers.iter().enumerate() {
-                let cap = cap(params.m, layer);
+                let cap = cap(layer);
                 if list.len() > cap {
                     return Err(format!(
                         "ann node {id} has {} neighbors on layer {layer}, over its cap {cap}",
@@ -437,7 +376,7 @@ impl AnnIndex {
                 "ann entry {entry} is not on the top layer {max_level}"
             ));
         }
-        AnnIndex::freeze(params, entry, max_level, levels, links)
+        AnnIndex::freeze(entry, max_level, levels, links)
     }
 
     /// Answers one query over the graph: greedy descent from the top
@@ -471,22 +410,19 @@ impl AnnIndex {
     }
 }
 
-impl AnnParams {
-    /// Deterministic layer of node `id`: splitmix64 of `(seed, id)`
-    /// mapped to `(0, 1]`, then the geometric `⌊-ln(u) / ln(m)⌋`.
-    fn level_for(&self, id: u32) -> u8 {
-        let h = splitmix64(self.seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        // Top 53 bits, +1 so u ∈ (0, 1] and ln(u) is finite.
-        let u = ((h >> 11) + 1) as f64 / (1u64 << 53) as f64;
-        let ml = 1.0 / (self.m as f64).ln();
-        ((-u.ln() * ml) as usize).min(MAX_LEVEL) as u8
-    }
+/// Deterministic layer of node `id`: splitmix64 of `(SEED, id)`
+/// mapped to `(0, 1]`, then the geometric `⌊-ln(u) / ln(M)⌋`.
+fn level_for(id: u32) -> u8 {
+    let h = splitmix64(SEED ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    // Top 53 bits, +1 so u ∈ (0, 1] and ln(u) is finite.
+    let u = ((h >> 11) + 1) as f64 / (1u64 << 53) as f64;
+    let ml = 1.0 / (M as f64).ln();
+    ((-u.ln() * ml) as usize).min(MAX_LEVEL) as u8
 }
 
 /// The graph while [`AnnIndex::build`] grows it: `links[node][layer]`
 /// lists, pushed and trimmed in place, frozen once every row is in.
 struct Builder<'s> {
-    params: AnnParams,
     store: &'s VectorStore,
     levels: Vec<u8>,
     links: Vec<Vec<Vec<u32>>>,
@@ -510,7 +446,7 @@ impl Builder<'_> {
     /// One construction insert: assign a layer, descend greedily to
     /// it, then beam + bidirectionally link on every layer down to 0.
     fn insert_node(&mut self, id: u32) {
-        let level = self.params.level_for(id) as usize;
+        let level = level_for(id) as usize;
         let first = self.levels.is_empty();
         self.levels.push(level as u8);
         self.links.push(vec![Vec::new(); level + 1]);
@@ -532,19 +468,12 @@ impl Builder<'_> {
         }
         let mut entries = vec![ep];
         for layer in (0..=level.min(top)).rev() {
-            let found = search_layer(
-                self,
-                &mut key,
-                &entries,
-                layer,
-                self.params.ef_construction,
-                None,
-            );
-            let chosen = self.select_diverse(&found, self.params.m);
+            let found = search_layer(self, &mut key, &entries, layer, EF_CONSTRUCTION, None);
+            let chosen = self.select_diverse(&found, M);
             for &nb in &chosen {
                 self.links[idx][layer].push(nb);
                 self.links[nb as usize][layer].push(id);
-                if self.links[nb as usize][layer].len() > cap(self.params.m, layer) {
+                if self.links[nb as usize][layer].len() > cap(layer) {
                     self.trim(nb, layer);
                 }
             }
@@ -597,7 +526,7 @@ impl Builder<'_> {
             .map(|&nb| Key::new(hamming_row(self.store.row(nb as usize), own_row) as u64, nb))
             .collect();
         keyed.sort_unstable();
-        self.links[node as usize][layer] = self.select_diverse(&keyed, cap(self.params.m, layer));
+        self.links[node as usize][layer] = self.select_diverse(&keyed, cap(layer));
     }
 }
 
@@ -839,32 +768,26 @@ mod tests {
     #[test]
     fn build_is_deterministic_and_well_formed() {
         let store = random_store(300, 192, 7);
-        let a = AnnIndex::build(&store, AnnParams::default());
-        let b = AnnIndex::build(&store, AnnParams::default());
+        let a = AnnIndex::build(&store);
+        let b = AnnIndex::build(&store);
         assert_eq!(a, b);
         assert_eq!(a.built_n(), 300);
         // Caps hold everywhere; all ids in range; entry on top layer.
         for (id, layers) in nested(&a).iter().enumerate() {
             assert_eq!(layers.len(), a.levels[id] as usize + 1);
             for (layer, list) in layers.iter().enumerate() {
-                assert!(
-                    list.len() <= cap(a.params.m, layer),
-                    "node {id} layer {layer}"
-                );
+                assert!(list.len() <= cap(layer), "node {id} layer {layer}");
                 assert!(list.iter().all(|&nb| (nb as usize) < 300));
                 assert!(!list.contains(&(id as u32)), "self-link at {id}");
             }
         }
         assert_eq!(a.levels[a.entry as usize], a.max_level);
-        // A different seed reshuffles the layers.
-        let c = AnnIndex::build(&store, AnnParams::default().with_seed(99));
-        assert_ne!(a.levels, c.levels);
     }
 
     #[test]
     fn beam_recall_is_high_on_a_random_store() {
         let store = clustered_store(2000, 128, 11);
-        let ann = AnnIndex::build(&store, AnnParams::default());
+        let ann = AnnIndex::build(&store);
         let mut hitrate = 0usize;
         let mut total_evals = 0usize;
         let queries = 25;
@@ -895,7 +818,7 @@ mod tests {
     #[test]
     fn filtered_beam_never_returns_dead_rows() {
         let store = random_store(200, 96, 3);
-        let ann = AnnIndex::build(&store, AnnParams::default());
+        let ann = AnnIndex::build(&store);
         let mut dead = Tombstones::all_live(200);
         for i in (0..200).step_by(3) {
             dead.mark_dead(i);
@@ -917,7 +840,7 @@ mod tests {
         // connected and an ef = n beam must enumerate every live row —
         // the property the verify ≡ refined serving test leans on.
         let store = random_store(33, 64, 5);
-        let ann = AnnIndex::build(&store, AnnParams::default());
+        let ann = AnnIndex::build(&store);
         let (got, _) = ann.query(
             |i| hamming_row(store.row(0), store.row(i as usize)) as u64,
             33,
@@ -931,13 +854,13 @@ mod tests {
     #[test]
     fn empty_and_singleton_stores_are_well_formed() {
         let empty = VectorStore::zeros(0, 64);
-        let ann = AnnIndex::build(&empty, AnnParams::default());
+        let ann = AnnIndex::build(&empty);
         assert_eq!(ann.built_n(), 0);
         let (got, evals) = ann.query(|_| 0, 8, None);
         assert!(got.is_empty());
         assert_eq!(evals, 0);
         let one = random_store(1, 64, 1);
-        let ann = AnnIndex::build(&one, AnnParams::default());
+        let ann = AnnIndex::build(&one);
         let (got, _) = ann.query(
             |i| hamming_row(one.row(0), one.row(i as usize)) as u64,
             4,
@@ -949,10 +872,10 @@ mod tests {
     #[test]
     fn from_parts_validates_structure() {
         let store = random_store(50, 64, 13);
-        let ann = AnnIndex::build(&store, AnnParams::default());
+        let ann = AnnIndex::build(&store);
         let links = nested(&ann);
         let parts = |links: Vec<Vec<Vec<u32>>>| {
-            AnnIndex::from_parts(ann.params(), ann.entry(), ann.levels().to_vec(), links)
+            AnnIndex::from_parts(ann.entry(), ann.levels().to_vec(), links)
         };
         assert_eq!(
             parts(links.clone()),
@@ -960,9 +883,7 @@ mod tests {
             "faithful parts validate"
         );
         // Entry out of range.
-        assert!(
-            AnnIndex::from_parts(ann.params(), 99, ann.levels().to_vec(), links.clone()).is_err()
-        );
+        assert!(AnnIndex::from_parts(99, ann.levels().to_vec(), links.clone()).is_err());
         // Neighbor id out of range.
         let mut bad = links.clone();
         bad[0][0].push(1000);
@@ -972,12 +893,10 @@ mod tests {
         bad[0].push(Vec::new());
         assert!(parts(bad).is_err());
         // Level/links length mismatch.
-        assert!(
-            AnnIndex::from_parts(ann.params(), ann.entry(), vec![0; 49], links.clone()).is_err()
-        );
+        assert!(AnnIndex::from_parts(ann.entry(), vec![0; 49], links.clone()).is_err());
         // A list over its layer's cap (`2·m` on layer 0).
         let mut bad = links.clone();
-        bad[0][0].resize(2 * ann.params().m + 1, 1);
+        bad[0][0].resize(2 * M + 1, 1);
         let err = parts(bad).unwrap_err();
         assert!(err.contains("over its cap"), "{err}");
         // A self-link.
@@ -992,7 +911,7 @@ mod tests {
         // n > 2m + 1, so layer-0 lists overflow and trim: 46 nodes end
         // at the full cap of 32. Recorded from the nested-list layout
         // before the graph was frozen; freezing must not move a link.
-        let ann = AnnIndex::build(&clustered_store(2000, 128, 11), AnnParams::default());
+        let ann = AnnIndex::build(&clustered_store(2000, 128, 11));
         let full = (0..2000).filter(|&i| ann.neighbors(i, 0).len() == 32);
         assert_eq!(full.count(), 46);
         assert_eq!(ann.max_level(), 2);
@@ -1023,7 +942,7 @@ mod tests {
             } else {
                 random_store(n, bits, seed)
             };
-            let ann = AnnIndex::build(&store, AnnParams::default());
+            let ann = AnnIndex::build(&store);
             let ef = [1, 10, 32, n][ef_pick];
             // No mask, one dead row, ~25 %, ~90 %.
             let per_mille = [0, 0, 250, 900][dead_pick];
@@ -1249,7 +1168,7 @@ mod tests {
     #[test]
     fn level_assignment_is_geometric_ish() {
         let store = random_store(2000, 64, 17);
-        let ann = AnnIndex::build(&store, AnnParams::default());
+        let ann = AnnIndex::build(&store);
         let ground = ann.levels().iter().filter(|&&l| l == 0).count();
         // With m = 16, ~93.75% of nodes should sit on layer 0 alone.
         assert!(ground > 1700, "{ground} of 2000 on layer 0");

@@ -141,7 +141,7 @@ pub struct IndexOptions {
     /// Its embedded [`DeltaConfig::exec`] is the **single parallelism
     /// budget** for the whole build and the index's query entry points
     /// (δ matrix, DSPM/DSPMap, exact ranking) —
-    /// set it via [`IndexOptions::with_threads`] / [`IndexOptions::with_exec`].
+    /// set it via [`IndexOptions::with_threads`].
     pub delta: DeltaConfig,
     /// RNG seed (DSPMap partitioning).
     pub seed: u64,
@@ -188,12 +188,6 @@ impl IndexOptions {
     /// parallel phase of the build and the built index's queries.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.delta.exec = ExecConfig::new(threads);
-        self
-    }
-
-    /// Sets the full parallelism budget.
-    pub fn with_exec(mut self, exec: ExecConfig) -> Self {
-        self.delta.exec = exec;
         self
     }
 
@@ -262,8 +256,8 @@ pub struct GraphIndex {
     mapped: MappedDatabase,
     /// DSPM/DSPMap weight of each dimension (column order).
     weights: Vec<f64>,
-    /// Normalized squared per-dimension weights for
-    /// [`MappingKind::Weighted`](crate::query::MappingKind::Weighted) requests, derived from `weights`.
+    /// Normalized squared per-dimension weights of the weighted
+    /// ablation scan, derived from `weights`.
     w_sq_weighted: Vec<f64>,
     /// The full build configuration. The owner's rebuild re-runs the
     /// identical pipeline from it; its δ part drives every exact
@@ -591,31 +585,27 @@ impl GraphIndex {
         self.opts.delta.exec = exec;
     }
 
-    /// Normalized squared per-dimension weights serving
+    /// Normalized squared per-dimension weights of the
     /// [`MappingKind::Weighted`](crate::query::MappingKind::Weighted)
-    /// requests (derived from [`GraphIndex::weights`] over the selected
-    /// dimensions) — what the query executor (or a harness driving the
-    /// scan directly) passes to
+    /// ablation (derived from [`GraphIndex::weights`] over the selected
+    /// dimensions) — what a caller driving the weighted scan passes to
     /// [`MappedDatabase::scan_topk_with_masked`](crate::query::MappedDatabase::scan_topk_with_masked).
+    /// The query executor ranks by the binary distance only.
     pub fn weighted_w_sq(&self) -> &[f64] {
         &self.w_sq_weighted
     }
 
     /// The proximity-graph ANN over the scan store
     /// ([`Ranker::Approx`](crate::search::Ranker::Approx)), building
-    /// it on first use with [`AnnParams::default`](crate::ann::AnnParams::default). Derived state,
+    /// it on first use. Derived state,
     /// like the scan store itself: deterministic from the store, never
     /// required for correctness of the exact rankers, absent from a
     /// rebuilt index. Call this to warm the graph ahead of serving
     /// traffic (the build is O(n·ef_construction) distance
     /// evaluations).
     pub fn ann(&self) -> &crate::ann::AnnIndex {
-        self.ann.get_or_init(|| {
-            Arc::new(crate::ann::AnnIndex::build(
-                self.mapped.store(),
-                Default::default(),
-            ))
-        })
+        self.ann
+            .get_or_init(|| Arc::new(crate::ann::AnnIndex::build(self.mapped.store())))
     }
 
     /// The ANN graph if one was already built or restored — the
@@ -640,8 +630,10 @@ impl GraphIndex {
     /// the same final formulas as
     /// [`MappedDatabase::distance_to`](crate::query::MappedDatabase::distance_to),
     /// so every returned distance is bit-identical to what the exact
-    /// scan reports for that row. This is the per-partition beam leg
-    /// of the query executor ([`crate::search::search_partitions`]).
+    /// scan reports for that row. The query executor's per-partition
+    /// beam leg ([`crate::search::search_partitions`]) passes
+    /// [`MappingKind::Binary`](crate::query::MappingKind::Binary);
+    /// `Weighted` keys the same beam by the weighted ablation distance.
     pub fn approx_scan_premapped(
         &self,
         qvec: &Bitset,

@@ -69,7 +69,7 @@ pub mod search;
 
 /// One-stop imports for downstream users.
 pub mod prelude {
-    pub use crate::ann::{AnnIndex, AnnParams, AnnScanStats};
+    pub use crate::ann::{AnnIndex, AnnScanStats};
     pub use crate::bitset::Bitset;
     pub use crate::correlation::{correlation_score, jaccard};
     pub use crate::delta::{DeltaConfig, DeltaMatrix, SharedDelta};

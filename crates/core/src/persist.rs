@@ -32,7 +32,9 @@
 //! tombs    count u64 · strictly ascending dead graph ids u32*
 //! -- ANN section (optional proximity graph) -------------------------
 //! ann flag u8    0 = no graph persisted, 1 = present
-//! ann      (when present) m u64 · ef_construction u64 · seed u64 ·
+//! ann      (when present) m u64 · ef_construction u64 · seed u64
+//!          (always the build's constants 16 · 100 · 0x9D1A77C45EED0001;
+//!          any other value is corrupt) ·
 //!          entry u32 · built_n u64 · per-node level u8* ·
 //!          per node, per layer 0..=level: count u32 · neighbor u32*
 //! ```
@@ -92,6 +94,7 @@ use gdim_wal::codec::{
     put_count, put_f64, put_graph, put_u32, put_u64, put_u8, CodecError, Reader, Width,
 };
 
+use crate::ann;
 use crate::delta::DeltaConfig;
 use crate::error::GdimError;
 use crate::index::{GraphIndex, IndexOptions, IndexStats, RebuildPolicy, SelectionStrategy};
@@ -214,10 +217,9 @@ fn encode_ann(index: &GraphIndex, buf: &mut Vec<u8>) {
         return;
     };
     put_u8(buf, 1);
-    let params = ann.params();
-    put_u64(buf, params.m as u64);
-    put_u64(buf, params.ef_construction as u64);
-    put_u64(buf, params.seed);
+    put_u64(buf, ann::M as u64);
+    put_u64(buf, ann::EF_CONSTRUCTION as u64);
+    put_u64(buf, ann::SEED);
     put_u32(buf, ann.entry());
     put_count(buf, ann.built_n(), W);
     buf.extend_from_slice(ann.levels());
@@ -379,10 +381,14 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<GraphIndex, GdimError> {
     // The ANN section: an optional persisted proximity graph (absent,
     // it rebuilds lazily on the first approximate query).
     let ann = if r.flag()? {
-        let params = crate::ann::AnnParams::default()
-            .with_m(r.u64()? as usize)
-            .with_ef_construction(r.u64()? as usize)
-            .with_seed(r.u64()?);
+        // Every graph is built with the same three constants; a file
+        // that names others holds a graph this build cannot produce.
+        let params = [r.u64()?, r.u64()?, r.u64()?];
+        if params != [ann::M as u64, ann::EF_CONSTRUCTION as u64, ann::SEED] {
+            return Err(GdimError::Corrupt(format!(
+                "ANN parameters {params:?} are not this build's"
+            )));
+        }
         let entry = r.u32()?;
         // A node takes at least its level byte and its layer-0 degree.
         let built_n = r.count(W, 5)?;
@@ -400,7 +406,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<GraphIndex, GdimError> {
             })
             .collect::<Result<_, CodecError>>()?;
         Some(
-            crate::ann::AnnIndex::from_parts(params, entry, levels, links)
+            ann::AnnIndex::from_parts(entry, levels, links)
                 .map_err(|e| GdimError::Corrupt(format!("inconsistent ANN graph: {e}")))?,
         )
     } else {
@@ -434,7 +440,9 @@ mod tests {
         GraphIndex::build(db, IndexOptions::default().with_dimensions(20))
     }
 
-    /// `a` and `b` answer every ranker under both mappings identically.
+    /// `a` and `b` answer every ranker identically, and rank
+    /// identically under the weighted ablation (scan and beam), whose
+    /// weights the snapshot carries.
     fn assert_same_answers<'q>(
         a: &GraphIndex,
         b: &GraphIndex,
@@ -445,14 +453,22 @@ mod tests {
             verify: None,
         };
         let refined = Ranker::Refined { candidates: 6 };
+        let weighted = |idx: &GraphIndex, q: &Graph| {
+            let qvec = idx.map_query(q);
+            let dead = Some(idx.tombstones());
+            let scan = idx
+                .mapped()
+                .scan_topk_with_masked(&qvec, 6, idx.weighted_w_sq(), dead);
+            let beam = idx.approx_scan_premapped(&qvec, 6, 30, MappingKind::Weighted);
+            (scan.0, beam.0)
+        };
         for q in queries {
             for ranker in [Ranker::Mapped, Ranker::Exact, refined, approx] {
-                for mapping in [MappingKind::Binary, MappingKind::Weighted] {
-                    let req = SearchRequest::new(6).ranker(ranker).mapping(mapping);
-                    let (a, b) = (a.search(q, &req).unwrap(), b.search(q, &req).unwrap());
-                    assert_eq!(a.hits, b.hits, "{ranker:?}, {mapping:?}");
-                }
+                let req = SearchRequest::new(6).ranker(ranker);
+                let (a, b) = (a.search(q, &req).unwrap(), b.search(q, &req).unwrap());
+                assert_eq!(a.hits, b.hits, "{ranker:?}");
             }
+            assert_eq!(weighted(a, q), weighted(b, q));
         }
     }
 
@@ -805,5 +821,19 @@ mod tests {
             GraphIndex::from_bytes(&bad),
             Err(GdimError::Corrupt(_))
         ));
+        // So is a section that names other construction parameters
+        // (m, ef_construction, seed) than the ones every graph is
+        // built with.
+        let mut section = Vec::new();
+        encode_ann(&idx, &mut section);
+        let params = bytes.len() - section.len() + 1;
+        for field in 0..3 {
+            let mut bad = bytes.clone();
+            bad[params + 8 * field] ^= 1;
+            match GraphIndex::from_bytes(&bad) {
+                Err(GdimError::Corrupt(e)) => assert!(e.contains("ANN parameters"), "{e}"),
+                other => panic!("field {field}: {other:?}"),
+            }
+        }
     }
 }

@@ -32,7 +32,10 @@ use crate::error::GdimError;
 use crate::featurespace::{CodeTree, CodeTreeCell, FeatureSpace, MatchStats};
 use crate::scan::{ScanPlan, ScanStats, Tombstones, VectorStore};
 
-/// Which distance a request ranks the binary vectors by.
+/// Which distance a library scan or beam ranks the binary vectors by
+/// ([`MappedDatabase::scan_topk_with_masked`],
+/// [`GraphIndex::approx_scan_premapped`](crate::index::GraphIndex::approx_scan_premapped)).
+/// A served search always ranks by [`MappingKind::Binary`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum MappingKind {

@@ -4,8 +4,8 @@
 //! The paper's workload is *online*: build the DS-preserved mapping
 //! once, then answer a stream of top-k queries (§6 answers each query
 //! by mapping + sequential scan). This module shapes that workload as
-//! explicit values — a [`SearchRequest`] selects `k`, a [`Ranker`] and
-//! the [`MappingKind`]; a [`SearchResponse`]
+//! explicit values — a [`SearchRequest`] selects `k` and a [`Ranker`];
+//! a [`SearchResponse`]
 //! carries typed [`Hit`]s plus [`SearchStats`] observability (vectors
 //! fully evaluated vs. early-abandoned vs. tombstone-skipped, MCS
 //! calls, the answering epoch, wall time) so a server can meter every
@@ -14,7 +14,8 @@
 //! Four rankers cover the quality/cost spectrum:
 //!
 //! * [`Ranker::Mapped`] — the paper's fast path: VF2 feature matching,
-//!   then a sequential scan of the mapped vectors. No MCS calls.
+//!   then a sequential scan of the mapped vectors under the paper's
+//!   binary distance. No MCS calls.
 //! * [`Ranker::Exact`] — the slow reference: one MCS-based dissimilarity
 //!   per database graph.
 //! * [`Ranker::Refined`] — filter-then-verify (the pattern surveyed in
@@ -38,11 +39,15 @@
 //! every ranker, the verification phase and the stats assembly exist
 //! exactly once.
 //!
-//! [`Ranker`], [`MappingKind`], and [`SearchRequest`] are
-//! `#[non_exhaustive]`: build requests with [`SearchRequest::new`] and
-//! the [`SearchRequest::ranker`]/[`SearchRequest::mapping`] builder
-//! methods, so future rankers, mappings, and request knobs stay
-//! additive instead of breaking changes.
+//! Ranking is binary, the paper's φ. The weighted distance is an
+//! ablation only the library offers
+//! ([`MappedDatabase::scan_topk_with_masked`](crate::query::MappedDatabase::scan_topk_with_masked)),
+//! never a request option.
+//!
+//! [`Ranker`] and [`SearchRequest`] are `#[non_exhaustive]`: build
+//! requests with [`SearchRequest::new`] and the
+//! [`SearchRequest::ranker`] builder method, so future rankers and
+//! request knobs stay additive instead of breaking changes.
 //!
 //! ```
 //! use gdim_core::index::{GraphIndex, IndexOptions};
@@ -178,12 +183,11 @@ pub enum Ranker {
 /// A typed top-k search request.
 ///
 /// [`SearchRequest::default`] gives the paper's configuration: `k =
-/// 10`, [`Ranker::Mapped`], [`MappingKind::Binary`]. Exact and refined
-/// ranking always run at the index's δ budget, the one its dimensions
-/// were selected at. Marked `#[non_exhaustive]` so request knobs stay
-/// additive: construct with [`SearchRequest::new`] (or `default()`)
-/// and refine with the [`ranker`](SearchRequest::ranker) /
-/// [`mapping`](SearchRequest::mapping) builder methods — never a
+/// 10`, [`Ranker::Mapped`]. Exact and refined ranking always run at
+/// the index's δ budget, the one its dimensions were selected at.
+/// Marked `#[non_exhaustive]` so request knobs stay additive:
+/// construct with [`SearchRequest::new`] (or `default()`) and refine
+/// with the [`ranker`](SearchRequest::ranker) builder method — never a
 /// struct literal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -195,9 +199,6 @@ pub struct SearchRequest {
     pub k: usize,
     /// Ranking strategy.
     pub ranker: Ranker,
-    /// Distance weighting of the mapped scan ([`MappingKind::Weighted`]
-    /// reuses the index's DSPM weights; ignored by [`Ranker::Exact`]).
-    pub mapping: MappingKind,
 }
 
 impl Default for SearchRequest {
@@ -205,7 +206,6 @@ impl Default for SearchRequest {
         SearchRequest {
             k: 10,
             ranker: Ranker::Mapped,
-            mapping: MappingKind::Binary,
         }
     }
 }
@@ -230,12 +230,6 @@ impl SearchRequest {
     /// Sets the ranker.
     pub fn ranker(mut self, ranker: Ranker) -> Self {
         self.ranker = ranker;
-        self
-    }
-
-    /// Sets the mapped-distance weighting.
-    pub fn mapping(mut self, mapping: MappingKind) -> Self {
-        self.mapping = mapping;
         self
     }
 }
@@ -603,8 +597,8 @@ fn candidates(req: &SearchRequest) -> (usize, bool) {
 /// * [`Ranker::Approx`]: the partition's lazily built proximity graph
 ///   plus an exact pass over its pending-insert tail
 ///   ([`GraphIndex::approx_scan_premapped`]), best `take`.
-/// * Otherwise: a bounded top-`take` kernel scan of the query vector
-///   under the requested mapping, tombstone-masked.
+/// * Otherwise: a bounded top-`take` binary kernel scan of the query
+///   vector, tombstone-masked.
 fn leg(
     part: &Partition<'_>,
     query: &Graph,
@@ -630,7 +624,7 @@ fn leg(
             )
         }
         (Some(qvec), Ranker::Approx { ef, .. }) => {
-            let (ranked, ann) = idx.approx_scan_premapped(qvec, take, ef, req.mapping);
+            let (ranked, ann) = idx.approx_scan_premapped(qvec, take, ef, MappingKind::Binary);
             stats.candidates_scanned += ann.tail_scanned;
             stats.tombstones_skipped += ann.tail_tombstones;
             stats.beam_visited += ann.beam_visited;
@@ -639,14 +633,9 @@ fn leg(
             ranked
         }
         (Some(qvec), _) => {
-            let dead = Some(idx.tombstones());
-            let (ranked, scan) = match req.mapping {
-                MappingKind::Binary => idx.mapped().scan_topk_masked(qvec, take, dead),
-                MappingKind::Weighted => {
-                    idx.mapped()
-                        .scan_topk_with_masked(qvec, take, idx.weighted_w_sq(), dead)
-                }
-            };
+            let (ranked, scan) = idx
+                .mapped()
+                .scan_topk_masked(qvec, take, Some(idx.tombstones()));
             stats.candidates_scanned += scan.vectors_scanned;
             stats.early_abandoned += scan.early_abandoned;
             stats.tombstones_skipped += scan.tombstones_skipped;
@@ -806,36 +795,37 @@ mod tests {
     #[test]
     fn candidates_scanned_shrinks_under_a_tight_bound() {
         // A self-query with k = 1 pins the k-th bound to distance 0
-        // almost immediately; on a multi-word weighted scan every row
+        // almost immediately; on a multi-word weighted scan (the
+        // library's ablation, over an index's own weights) every row
         // that differs within its first word is then abandoned early,
-        // so candidates_scanned counts only the fully-evaluated rows.
+        // so vectors_scanned counts only the fully-evaluated rows.
         let db = gdim_datagen::chem_db(40, &gdim_datagen::ChemConfig::default(), 31);
         let idx = GraphIndex::build(db, IndexOptions::default().with_dimensions(100));
         assert!(
             idx.mapped().store().stride() >= 2,
             "need a multi-word scan for early abandon"
         );
-        let q = idx.graph(0).unwrap().clone();
-        let req = SearchRequest::new(1).mapping(MappingKind::Weighted);
-        let resp = idx.search(&q, &req).unwrap();
+        let qvec = idx.map_query(idx.graph(0).unwrap());
+        let scan = |k| {
+            let dead = Some(idx.tombstones());
+            (idx.mapped())
+                .scan_topk_with_masked(&qvec, k, idx.weighted_w_sq(), dead)
+                .1
+        };
         let n = idx.len();
-        assert_eq!(
-            resp.stats.candidates_scanned + resp.stats.early_abandoned,
-            n
-        );
+        let tight = scan(1);
+        assert_eq!(tight.vectors_scanned + tight.early_abandoned, n);
         assert!(
-            resp.stats.early_abandoned > 0,
+            tight.early_abandoned > 0,
             "tight bound should abandon some rows"
         );
-        assert!(resp.stats.candidates_scanned < n);
+        assert!(tight.vectors_scanned < n);
         // Wide k cannot abandon anything: every row is fully scanned.
-        let wide = idx
-            .search(&q, &SearchRequest::new(n).mapping(MappingKind::Weighted))
-            .unwrap();
-        assert_eq!(wide.stats.candidates_scanned, n);
-        assert_eq!(wide.stats.early_abandoned, 0);
+        let wide = scan(n);
+        assert_eq!(wide.vectors_scanned, n);
+        assert_eq!(wide.early_abandoned, 0);
         // Fewer words are read under the tight bound.
-        assert!(resp.stats.words_scanned < wide.stats.words_scanned);
+        assert!(tight.words_scanned < wide.words_scanned);
     }
 
     #[test]
@@ -846,23 +836,11 @@ mod tests {
         // database whenever rows were early-abandoned or tombstoned.
         let idx = index(30, 47);
         let q = idx.graph(0).unwrap().clone();
-        for req in [
-            SearchRequest::new(3),
-            SearchRequest::new(1).mapping(MappingKind::Weighted),
-        ] {
-            let resp = idx.search(&q, &req).unwrap();
-            let (_, kernel) = match req.mapping {
-                MappingKind::Binary => {
-                    idx.mapped()
-                        .scan_topk_masked(&idx.map_query(&q), req.k, Some(idx.tombstones()))
-                }
-                MappingKind::Weighted => idx.mapped().scan_topk_with_masked(
-                    &idx.map_query(&q),
-                    req.k,
-                    idx.weighted_w_sq(),
-                    Some(idx.tombstones()),
-                ),
-            };
+        for k in [1, 3] {
+            let resp = idx.search(&q, &SearchRequest::new(k)).unwrap();
+            let (_, kernel) =
+                idx.mapped()
+                    .scan_topk_masked(&idx.map_query(&q), k, Some(idx.tombstones()));
             assert_eq!(resp.stats.candidates_scanned, kernel.vectors_scanned);
             assert_eq!(
                 resp.stats.candidates_scanned
@@ -882,24 +860,20 @@ mod tests {
             assert!(idx.remove(GraphId(dead)).unwrap());
         }
         let q = idx.graph(2).unwrap().clone(); // query *is* a tombstoned graph
-        for (ranker, mapping) in [
-            (Ranker::Mapped, MappingKind::Binary),
-            (Ranker::Mapped, MappingKind::Weighted),
-            (Ranker::Refined { candidates: 30 }, MappingKind::Binary),
-            (Ranker::Exact, MappingKind::Binary),
-            (
-                Ranker::Approx {
-                    ef: 24,
-                    verify: None,
-                },
-                MappingKind::Binary,
-            ),
+        for ranker in [
+            Ranker::Mapped,
+            Ranker::Refined { candidates: 30 },
+            Ranker::Exact,
+            Ranker::Approx {
+                ef: 24,
+                verify: None,
+            },
         ] {
-            let req = SearchRequest::new(24).ranker(ranker).mapping(mapping);
+            let req = SearchRequest::new(24).ranker(ranker);
             let resp = idx.search(&q, &req).unwrap();
             assert!(
                 resp.hits.iter().all(|h| ![2, 3, 11].contains(&h.id.get())),
-                "{ranker:?}/{mapping:?}: dead id in hits"
+                "{ranker:?}: dead id in hits"
             );
             assert_eq!(resp.hits.len(), 21, "{ranker:?}: one hit per live graph");
             assert_eq!(resp.stats.live_graphs, 21);
@@ -946,15 +920,20 @@ mod tests {
 
     #[test]
     fn weighted_mapping_serves_from_the_same_index() {
+        // The weighted ablation is a library scan over the index's own
+        // rows and weights, beside the served binary ranking.
         let idx = index(20, 13);
         let q = idx.graph(6).unwrap().clone();
         let bin = idx.search(&q, &SearchRequest::new(5)).unwrap();
-        let wgt = idx
-            .search(&q, &SearchRequest::new(5).mapping(MappingKind::Weighted))
-            .unwrap();
+        let (wgt, _) = idx.mapped().scan_topk_with_masked(
+            &idx.map_query(&q),
+            5,
+            idx.weighted_w_sq(),
+            Some(idx.tombstones()),
+        );
         // Both place the graph itself first at distance 0.
-        assert_eq!(bin.hits[0].id, wgt.hits[0].id);
-        assert_eq!(wgt.hits[0].distance, 0.0);
+        assert_eq!(bin.hits[0].id.get(), wgt[0].0);
+        assert_eq!(wgt[0].1, 0.0);
     }
 
     /// Every stats field but the timings, for comparing the work two

@@ -657,8 +657,8 @@ pub(crate) mod tests {
         "{\"λ é\": \"€ 😀 \u{7f}\", \"\": [true, null, -12, 2.5e+3, \"\"]}",
         "\"one string, nothing else: \\u00e9\\\\ 😀\"",
         "{\"query\":{\"graph\":{\"v\":[0,1,2,3],\"e\":[[0,1,1],[1,2,0],[2,3,2],[3,0,1]]}},\"k\":10,\
-         \"ranker\":{\"approx\":{\"ef\":64,\"verify\":null}},\"mapping\":\"binary\"}",
-        "{\"mapping\":\"weighted\",\"ranker\":{\"refined\":{\"candidates\":20}},\"k\":7,\
+         \"ranker\":{\"approx\":{\"ef\":64,\"verify\":null}}}",
+        "{\"ranker\":{\"refined\":{\"candidates\":20}},\"k\":7,\
          \"query\":{\"graph\":{\"e\":[[0,2,1],[1,2,0]],\"v\":[6,0,4294967295]}}}",
         "{\"graph\":{\"v\":[1,0,2],\"e\":[[2,0,3],[0,1,0],[1,2,1]]}}",
     ];

@@ -21,7 +21,7 @@
 //!
 //! | Endpoint | Method | Body | Answer |
 //! |---|---|---|---|
-//! | `/search` | POST | `{"query": {"id": n} \| {"graph": …}, "k", "ranker", "mapping"}` | `{"hits", "stats"}` |
+//! | `/search` | POST | `{"query": {"id": n} \| {"graph": …}, "k", "ranker"}`; ranking is binary (`"mapping": "binary"` is accepted, any other value is a 400) | `{"hits", "stats"}` |
 //! | `/search_batch` | POST | `{"queries": […], …options}` | `{"responses": […]}`, one `/search` answer per query |
 //! | `/insert` | POST | `{"graph": {"v": […], "e": [[u,v,label]…]}}` | `{"id", "version"}` |
 //! | `/remove` | POST | `{"id": n}` | `{"removed", "version"}` |

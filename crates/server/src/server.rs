@@ -989,9 +989,9 @@ mod tests {
         }
 
         // The same query shipped inline: compact and with keys
-        // reordered (the one-pass decoder), with whitespace or with
-        // `"budget": null` (the tree): every spelling answers the
-        // in-process hits.
+        // reordered (the one-pass decoder), with whitespace, with
+        // `"budget": null` or with `"mapping": "binary"` (the tree):
+        // every spelling answers the in-process hits.
         let g = snap0.graph(snap0.id_for_seq(13).unwrap()).unwrap().clone();
         let local = snap0.search(&g, &SearchRequest::new(5)).unwrap();
         let bits = |hits: &[gdim_core::Hit]| -> Vec<(GraphId, u64)> {
@@ -1019,6 +1019,10 @@ mod tests {
             body(
                 graph.clone(),
                 &[("k", Json::U64(5)), ("budget", Json::Null)],
+            ),
+            body(
+                graph.clone(),
+                &[("k", Json::U64(5)), ("mapping", Json::Str("binary".into()))],
             ),
         ] {
             let (status, j) = client.post_text("/search", &text).unwrap();
@@ -1056,6 +1060,11 @@ mod tests {
             (
                 body(graph.clone(), &[("ranker", Json::Str("fast".into()))]),
                 "ranker must be \"mapped\", \"exact\", {\"refined\": ...}, or {\"approx\": ...}"
+                    .to_string(),
+            ),
+            (
+                body(graph.clone(), &[("mapping", Json::Str("weighted".into()))]),
+                "mapping must be \"binary\": ranking is binary, the weighted distance is not served"
                     .to_string(),
             ),
         ] {

@@ -23,8 +23,8 @@
 //!   `SearchRequest` and a `Graph`, no [`Json`] tree. They accept only
 //!   the compact shape every encoder in this workspace writes (inline
 //!   query graph, keys in any order and each at most once, no
-//!   whitespace, no escapes) and *decline* anything else; the server
-//!   then parses the body into a tree and runs [`request_from_json`] /
+//!   whitespace, no escapes, no `mapping`) and *decline* anything
+//!   else; the server then parses the body into a tree and runs [`request_from_json`] /
 //!   [`query_from_json`] / [`graph_from_json`], which stay the
 //!   **reference** and the only source of errors. Whenever a one-pass
 //!   decoder returns, the tree decoders return the same values for the
@@ -41,8 +41,7 @@
 //! query     {"id": 3} | {"graph": <graph>}
 //! request   {"query": <query>, "k": 10, "ranker": "mapped" | "exact"
 //!            | {"refined": {"candidates": 20}}
-//!            | {"approx": {"ef": 64, "verify": null | n}},
-//!            "mapping": "binary" | "weighted"}
+//!            | {"approx": {"ef": 64, "verify": null | n}}}
 //! response  {"hits": [{"id": 3, "distance": 0.0}, ...],
 //!            "stats": <stats>}
 //! stats     every `SearchStats` counter by field name; durations in
@@ -52,11 +51,14 @@
 //! ```
 //!
 //! Absent request fields take the [`SearchRequest`] defaults, so
-//! `{"query": {"id": 0}}` is a complete request.
+//! `{"query": {"id": 0}}` is a complete request. Ranking is binary:
+//! older clients send `"mapping": "binary"` (and `"budget": null`),
+//! which still parse and change nothing; any other `mapping` is a
+//! 400 `bad_request`.
 
 use gdim_core::scan::KernelKind;
 use gdim_core::{
-    GdimError, Graph, GraphId, Hit, MappingKind, Ranker, SearchRequest, SearchResponse, SearchStats,
+    GdimError, Graph, GraphId, Hit, Ranker, SearchRequest, SearchResponse, SearchStats,
 };
 use gdim_graph::GraphBuilder;
 use std::time::Duration;
@@ -187,17 +189,7 @@ pub fn request_to_json(req: &SearchRequest) -> Json {
         // peer rejects it loudly instead of silently re-ranking.
         ref other => Json::Str(format!("{other:?}")),
     };
-    let mapping = match req.mapping {
-        MappingKind::Weighted => "weighted",
-        // Binary, and the on-the-wire default for any future mapping
-        // (`MappingKind` is non-exhaustive).
-        _ => "binary",
-    };
-    Json::obj([
-        ("k", Json::U64(req.k as u64)),
-        ("ranker", ranker),
-        ("mapping", Json::Str(mapping.into())),
-    ])
+    Json::obj([("k", Json::U64(req.k as u64)), ("ranker", ranker)])
 }
 
 /// Parses request options from the body object; absent keys keep the
@@ -241,17 +233,17 @@ pub fn request_from_json(j: &Json) -> Result<SearchRequest, WireError> {
             )),
         };
     }
-    if let Some(m) = j.get("mapping") {
-        req.mapping = match m.as_str() {
-            Some("binary") => MappingKind::Binary,
-            Some("weighted") => MappingKind::Weighted,
-            _ => return Err(bad("mapping must be \"binary\" or \"weighted\"")),
-        };
+    // Older clients send `"mapping": "binary"` and `"budget": null`.
+    // Anything else is refused rather than ignored: ranking is binary,
+    // exact and refined ranking run at the index's own δ budget, and a
+    // client that asked for another must not silently get it.
+    match j.get("mapping") {
+        None => {}
+        Some(m) if m.as_str() == Some("binary") => {}
+        Some(_) => return Err(bad(
+            "mapping must be \"binary\": ranking is binary, the weighted distance is not served",
+        )),
     }
-    // Older clients send `"budget": null`. A number is refused rather
-    // than ignored: exact and refined ranking run at the index's own δ
-    // budget, and a client that asked for another must not silently
-    // get it.
     match j.get("budget") {
         None | Some(Json::Null) => {}
         Some(_) => {
@@ -264,32 +256,31 @@ pub fn request_from_json(j: &Json) -> Result<SearchRequest, WireError> {
 }
 
 /// Decodes a compact `/search` body in one pass, with no [`Json`]
-/// tree: `{"query":{"graph":<graph>}}` plus any of `k`, `ranker` and
-/// `mapping`, keys in any order, each at most once, no whitespace and
+/// tree: `{"query":{"graph":<graph>}}` plus either of `k` and
+/// `ranker`, keys in any order, each at most once, no whitespace and
 /// no string escapes.
 ///
 /// `None` means *declined*, not *malformed*: whitespace, an `id`
-/// query, `"budget"`, an unknown or repeated key, a number that is not
-/// a plain integer in range, or a graph its builder refuses. The caller
-/// then reads the body with [`crate::json::parse`], [`request_from_json`]
-/// and [`query_from_json`], which accept it or say what is wrong.
+/// query, `"mapping"`, `"budget"`, an unknown or repeated key, a
+/// number that is not a plain integer in range, or a graph its
+/// builder refuses. The caller then reads the body with
+/// [`crate::json::parse`], [`request_from_json`] and
+/// [`query_from_json`], which accept it or say what is wrong.
 /// Whenever this returns, those decoders return the same request and
 /// graph for the same bytes.
 pub fn decode_search(body: &[u8]) -> Option<(SearchRequest, Graph)> {
-    let (mut graph, mut k, mut ranker, mut mapping) = (None, None, None, None);
+    let (mut graph, mut k, mut ranker) = (None, None, None);
     Compact::whole(body, |r| {
         r.object(|r, key| match key {
             b"query" => once(&mut graph, r.graph_object()?),
             b"k" => once(&mut k, r.usize()?),
             b"ranker" => once(&mut ranker, r.ranker()?),
-            b"mapping" => once(&mut mapping, r.mapping()?),
             _ => None,
         })
     })?;
     let mut req = SearchRequest::default();
     req.k = k.unwrap_or(req.k);
     req.ranker = ranker.unwrap_or(req.ranker);
-    req.mapping = mapping.unwrap_or(req.mapping);
     Some((req, graph?))
 }
 
@@ -519,14 +510,6 @@ impl<'a> Compact<'a> {
             return Some(None);
         }
         self.usize().map(Some)
-    }
-
-    fn mapping(&mut self) -> Option<MappingKind> {
-        match self.string()? {
-            b"binary" => Some(MappingKind::Binary),
-            b"weighted" => Some(MappingKind::Weighted),
-            _ => None,
-        }
     }
 }
 
@@ -874,20 +857,16 @@ mod tests {
         let reqs = [
             SearchRequest::default(),
             SearchRequest::new(0),
-            SearchRequest::new(7)
-                .ranker(Ranker::Exact)
-                .mapping(MappingKind::Weighted),
+            SearchRequest::new(7).ranker(Ranker::Exact),
             SearchRequest::new(3).ranker(Ranker::Refined { candidates: 9 }),
             SearchRequest::new(8).ranker(Ranker::Approx {
                 ef: 64,
                 verify: None,
             }),
-            SearchRequest::new(5)
-                .ranker(Ranker::Approx {
-                    ef: 128,
-                    verify: Some(40),
-                })
-                .mapping(MappingKind::Weighted),
+            SearchRequest::new(5).ranker(Ranker::Approx {
+                ef: 128,
+                verify: Some(40),
+            }),
         ];
         for req in reqs {
             let j = parse(&request_to_json(&req).to_string_compact()).unwrap();
@@ -1015,20 +994,23 @@ mod tests {
     #[test]
     fn old_client_payloads_still_parse() {
         // A request exactly as a pre-ANN client would send it, with
-        // the `"budget": null` every older encoder emitted.
+        // the `"mapping": "binary"` and `"budget": null` every older
+        // encoder emitted.
         let old_req = "{\"k\": 7, \"ranker\": {\"refined\": {\"candidates\": 12}}, \
-             \"mapping\": \"weighted\", \"budget\": null}";
+             \"mapping\": \"binary\", \"budget\": null}";
         let req = request_from_json(&parse(old_req).unwrap()).unwrap();
         assert_eq!(
             req,
-            SearchRequest::new(7)
-                .ranker(Ranker::Refined { candidates: 12 })
-                .mapping(MappingKind::Weighted)
+            SearchRequest::new(7).ranker(Ranker::Refined { candidates: 12 })
         );
         // A budget it asked for is refused, not silently replaced by
-        // the index's own.
+        // the index's own; so is a distance other than the binary one.
         let with_budget = old_req.replace("null", "900");
         assert!(request_from_json(&parse(&with_budget).unwrap()).is_err());
+        let weighted = old_req.replace("binary", "weighted");
+        let err = request_from_json(&parse(&weighted).unwrap()).unwrap_err();
+        assert!(err.0.contains("ranking is binary"), "{err}");
+        old_mapping_is_served_like_none();
         // A response as an old server would emit it: no approximate /
         // ef / beam_visited keys. They default off.
         let old_resp = "{\"hits\": [{\"id\": 3, \"distance\": 0.25}], \
@@ -1052,6 +1034,69 @@ mod tests {
         assert_eq!(resp.stats.candidates_scanned, 4);
         assert_eq!(resp.stats.kernel, Some(KernelKind::Avx2));
         assert_eq!(resp.stats.wall_time, Duration::from_nanos(9000));
+    }
+
+    /// Served, on `/search` and `/search_batch`: a body with
+    /// `"mapping": "binary"` answers the same bytes as the same body
+    /// without the key, timings aside (hits, distances and work
+    /// counters), and `"mapping": "weighted"` answers 400 `bad_request`.
+    fn old_mapping_is_served_like_none() {
+        use crate::{Client, GdimServer, ServerConfig};
+        use gdim_shard::{ServingHandle, ShardedIndex, ShardedOptions};
+
+        /// The answer's text with every timing field dropped.
+        fn untimed(j: &Json) -> String {
+            fn strip(j: &Json) -> Json {
+                match j {
+                    Json::Obj(pairs) => Json::Obj(
+                        (pairs.iter())
+                            .filter(|(k, _)| {
+                                !["match_time_ns", "wall_time_ns", "stages"].contains(&k.as_str())
+                            })
+                            .map(|(k, v)| (k.clone(), strip(v)))
+                            .collect(),
+                    ),
+                    Json::Arr(items) => Json::Arr(items.iter().map(strip).collect()),
+                    other => other.clone(),
+                }
+            }
+            strip(j).to_string_compact()
+        }
+
+        let opts = gdim_core::IndexOptions::default().with_dimensions(8);
+        let index = ShardedIndex::build(chem(16, 4), ShardedOptions::new(2).with_index(opts));
+        let cfg = ServerConfig::new().with_workers(1);
+        let server = GdimServer::start(ServingHandle::new(index), cfg).unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        let id = server.handle().snapshot().id_for_seq(3).unwrap().get();
+        let by_id = Json::obj([("id", Json::U64(u64::from(id)))]);
+        let inline = query_to_json(&QuerySpec::Graph(chem(1, 9).remove(0)));
+        for (path, key, queries) in [
+            ("/search", "query", inline.clone()),
+            ("/search_batch", "queries", Json::Arr(vec![by_id, inline])),
+        ] {
+            let body = |mapping: Option<&str>| {
+                let mut pairs = vec![(key.to_string(), queries.clone())];
+                pairs.push(("k".into(), Json::U64(5)));
+                pairs.extend(mapping.map(|m| ("mapping".to_string(), Json::Str(m.into()))));
+                Json::Obj(pairs)
+            };
+            let (status, plain) = client.post(path, &body(None)).unwrap();
+            assert_eq!(status, 200, "{path}: {plain:?}");
+            let (status, binary) = client.post(path, &body(Some("binary"))).unwrap();
+            assert_eq!(status, 200, "{path}: {binary:?}");
+            assert_eq!(untimed(&binary), untimed(&plain), "{path}");
+            let (status, weighted) = client.post(path, &body(Some("weighted"))).unwrap();
+            assert_eq!(status, 400, "{path}: {weighted:?}");
+            let error = weighted.get("error").unwrap();
+            assert_eq!(
+                error.get("code").and_then(Json::as_str),
+                Some("bad_request")
+            );
+            let message = error.get("message").and_then(Json::as_str).unwrap();
+            assert!(message.contains("ranking is binary"), "{path}: {message}");
+        }
+        server.shutdown();
     }
 
     /// Keys and strings the wire decoders branch on.
@@ -1130,12 +1175,10 @@ mod tests {
 
     /// A valid `/search` body: options plus an inline query graph.
     fn valid_body() -> Json {
-        let req = SearchRequest::new(5)
-            .ranker(Ranker::Approx {
-                ef: 64,
-                verify: Some(9),
-            })
-            .mapping(MappingKind::Weighted);
+        let req = SearchRequest::new(5).ranker(Ranker::Approx {
+            ef: 64,
+            verify: Some(9),
+        });
         let Json::Obj(mut pairs) = request_to_json(&req) else {
             unreachable!("requests encode as objects")
         };
@@ -1162,11 +1205,19 @@ mod tests {
 
     /// Decline-or-equal: where a one-pass decoder returns, the tree
     /// decoders return the same values for the same bytes (so where
-    /// they fail, it declined). Returns which decoders returned.
+    /// they fail, it declined). A body that names a `mapping` always
+    /// declines. Returns which decoders returned.
     fn decline_or_equal(text: &str) -> Result<[bool; 2], TestCaseError> {
         let search = decode_search(text.as_bytes());
         let insert = decode_insert(text.as_bytes());
         let accepted = [search.is_some(), insert.is_some()];
+        // An accepted compact body holds no string but its keys and a
+        // ranker name, so a `"mapping"` in it would be the key.
+        prop_assert!(
+            search.is_none() || !text.contains("\"mapping\""),
+            "{}",
+            text
+        );
         if let Some((req, g)) = search {
             prop_assert_eq!(
                 Ok((req, QuerySpec::Graph(g))),
@@ -1187,8 +1238,8 @@ mod tests {
         let search = |fields: &str| format!("{{\"query\":{{\"graph\":{graph}}}{fields}}}");
         let accepted = [
             search(""),
-            search(",\"k\":10,\"ranker\":\"mapped\",\"mapping\":\"binary\""),
-            search(",\"ranker\":\"exact\",\"k\":0,\"mapping\":\"weighted\""),
+            search(",\"k\":10,\"ranker\":\"mapped\""),
+            search(",\"ranker\":\"exact\",\"k\":0"),
             search(",\"ranker\":{\"refined\":{\"candidates\":20}}"),
             search(",\"ranker\":{\"approx\":{\"ef\":64}}"),
             search(",\"ranker\":{\"approx\":{\"verify\":null,\"ef\":64}}"),
@@ -1224,6 +1275,8 @@ mod tests {
             search(",\"ranker\":{}"),
             search(",\"ranker\":{\"refined\":{\"candidates\":1},\"approx\":{\"ef\":1}}"),
             search(",\"ranker\":{\"approx\":{\"ef\":1,\"x\":1}}"),
+            search(",\"k\":10,\"ranker\":\"mapped\",\"mapping\":\"binary\""),
+            search(",\"ranker\":\"exact\",\"k\":0,\"mapping\":\"weighted\""),
             search(",\"mapping\":\"bin\\u0061ry\""),
             search("}"),
             "{\"query\":{\"graph\":{\"v\":[0,1],\"e\":[[0,1,0],[1,0,1]]}}}".into(),
@@ -1269,14 +1322,18 @@ mod tests {
         /// panic, and what they accept survives its own encode → decode.
         /// The compact bytes of each also go through the one-pass
         /// decoders, which decline or return what the tree decoders do.
+        /// Either body may carry a `mapping` — a number, `null`,
+        /// `"weighted"`, an escaped string or `"binary"` — and a
+        /// request decodes only if that value is `"binary"`.
         #[test]
         fn hostile_wire_values_decode_or_fail_typed(
             mutated in any::<bool>(),
             words in prop::collection::vec(any::<u64>(), 1..48),
             at in any::<prop::sample::Index>(),
+            mapping in 0usize..6,
         ) {
             let mut words = words.into_iter();
-            let body = if mutated {
+            let mut body = if mutated {
                 let mut body = valid_body();
                 let mut n = at.index(nodes(&body));
                 replace_nth(&mut body, &mut n, &mut Some(arbitrary_json(&mut words, 2)));
@@ -1284,6 +1341,21 @@ mod tests {
             } else {
                 arbitrary_json(&mut words, 4)
             };
+            // Index 5: the body as drawn.
+            let values = [
+                Json::U64(1),
+                Json::Null,
+                Json::Str("weighted".into()),
+                Json::Str("bin\"ary\n".into()),
+                Json::Str("binary".into()),
+            ];
+            if let (Some(value), Json::Obj(pairs)) = (values.get(mapping), &mut body) {
+                pairs.retain(|(k, _)| k != "mapping");
+                pairs.push(("mapping".into(), value.clone()));
+            }
+            if let (Some(m), Ok(_)) = (body.get("mapping"), request_from_json(&body)) {
+                prop_assert_eq!(m.as_str(), Some("binary"));
+            }
             let query = body.get("query").unwrap_or(&body);
             let graph = query.get("graph").unwrap_or(query);
             for j in [&body, query, graph] {

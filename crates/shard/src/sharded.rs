@@ -64,15 +64,6 @@ impl ShardedOptions {
         self.index = index;
         self
     }
-
-    /// Sets the worker-thread budget (`0` = all cores) for the build
-    /// pipeline, the shard split, and the parts of a query that are
-    /// milliseconds (exact δ). A mapped or approximate search never
-    /// spawns.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.index = self.index.with_threads(threads);
-        self
-    }
 }
 
 /// One shard: a [`GraphIndex`] over a subset of the database plus the
@@ -119,7 +110,7 @@ impl Clone for Shard {
 /// O(tail) per write instead of O(shard).
 ///
 /// Searches are **bit-identical** to a single [`GraphIndex`] over the
-/// same database — hits, order, distances — for every ranker, mapping,
+/// same database — hits, order, distances — for every ranker,
 /// shard count, and thread budget, because the selection pipeline runs
 /// globally and every shard's hits are selected with the same
 /// `(distance, insertion-order)` tie-break an unsharded scan uses.
@@ -320,7 +311,7 @@ impl ShardedIndex {
     /// (e.g. after [`ShardedIndex::load_dir`], which cannot know the
     /// serving machine's core count at save time).
     pub fn set_exec(&mut self, exec: ExecConfig) {
-        self.opts.index = self.opts.index.clone().with_exec(exec);
+        self.opts.index.delta.exec = exec;
         for s in 0..self.shards.len() {
             self.shard_mut(s).index.set_exec(exec);
         }
@@ -552,7 +543,7 @@ impl ShardedIndex {
     /// top-k scan (or ANN beam, or exact δ), and every shard's hits
     /// feed one selector keyed `(distance, seq)`. Answers are
     /// bit-identical to [`GraphIndex::search`] over the same database
-    /// for every ranker, mapping, shard count, and thread budget; the
+    /// for every ranker, shard count, and thread budget; the
     /// shards add their work into the response's one
     /// [`SearchStats`](gdim_core::SearchStats).
     ///

@@ -27,8 +27,9 @@ proptest! {
 
     /// Whatever the beam does, its output is trustworthy: every hit is
     /// a live (never tombstoned) row, every distance is exactly the
-    /// kernel distance of that row under the requested mapping, order
-    /// is strict by `(distance, id)`, and stats say `approximate`.
+    /// kernel distance of that row, order is strict by `(distance,
+    /// id)`, and stats say `approximate`. The same holds for the
+    /// library's beam keyed by the weighted ablation distance.
     #[test]
     fn approx_hits_are_live_rows_with_genuine_distances(
         seed in 0u64..500,
@@ -44,37 +45,37 @@ proptest! {
         let queries = chem(2, !seed);
         for q in &queries {
             let qvec = idx.map_query(q);
-            for mapping in [MappingKind::Binary, MappingKind::Weighted] {
-                let req = approx(k, ef).mapping(mapping);
-                let resp = idx.search(q, &req).unwrap();
-                prop_assert!(resp.stats.approximate);
-                prop_assert_eq!(resp.stats.ef, ef);
-                prop_assert!(resp.hits.len() <= k);
-                for w in resp.hits.windows(2) {
+            let resp = idx.search(q, &approx(k, ef)).unwrap();
+            prop_assert!(resp.stats.approximate);
+            prop_assert_eq!(resp.stats.ef, ef);
+            let served = resp.hits.iter().map(|h| (h.id.get(), h.distance)).collect();
+            let (weighted, _) = idx.approx_scan_premapped(&qvec, k, ef, MappingKind::Weighted);
+            for (mapping, hits) in [(MappingKind::Binary, served), (MappingKind::Weighted, weighted)] {
+                prop_assert!(hits.len() <= k);
+                for w in hits.windows(2) {
                     prop_assert!(
-                        w[0].distance < w[1].distance
-                            || (w[0].distance == w[1].distance && w[0].id < w[1].id),
+                        w[0].1 < w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0),
                         "not sorted by (distance, id)"
                     );
                 }
-                for h in &resp.hits {
+                for &(id, distance) in &hits {
                     prop_assert!(
-                        !idx.tombstones().is_dead(h.id.get() as usize),
-                        "dead row {} surfaced", h.id
+                        !idx.tombstones().is_dead(id as usize),
+                        "dead row {} surfaced", id
                     );
                     let want = match mapping {
                         MappingKind::Weighted => weighted_sq_xor_words(
                             qvec.words(),
-                            idx.mapped().store().row(h.id.get() as usize),
+                            idx.mapped().store().row(id as usize),
                             idx.weighted_w_sq(),
                         )
                         .sqrt(),
-                        _ => idx.mapped().distance_to(&qvec, h.id.get() as usize),
+                        _ => idx.mapped().distance_to(&qvec, id as usize),
                     };
                     prop_assert_eq!(
-                        h.distance.to_bits(),
+                        distance.to_bits(),
                         want.to_bits(),
-                        "fabricated distance for row {}", h.id
+                        "fabricated {:?} distance for row {}", mapping, id
                     );
                 }
             }
@@ -96,25 +97,21 @@ proptest! {
         let idx = index(n, seed, 16);
         let queries = chem(3, seed ^ 0xA11C);
         for q in queries.iter().chain(idx.graphs().take(2)) {
-            for mapping in [MappingKind::Binary, MappingKind::Weighted] {
-                let approx_req = SearchRequest::new(k)
-                    .ranker(Ranker::Approx { ef: n, verify: Some(c) })
-                    .mapping(mapping);
-                let refined_req = SearchRequest::new(k)
-                    .ranker(Ranker::Refined { candidates: c })
-                    .mapping(mapping);
-                let a = idx.search(q, &approx_req).unwrap();
-                let r = idx.search(q, &refined_req).unwrap();
-                let bits = |resp: &SearchResponse| -> Vec<(u32, u64)> {
-                    resp.hits
-                        .iter()
-                        .map(|h| (h.id.get(), h.distance.to_bits()))
-                        .collect()
-                };
-                prop_assert_eq!(bits(&a), bits(&r), "verify must equal Refined");
-                prop_assert_eq!(a.stats.mcs_calls, r.stats.mcs_calls);
-                prop_assert!(a.stats.approximate && !r.stats.approximate);
-            }
+            let approx_req = SearchRequest::new(k)
+                .ranker(Ranker::Approx { ef: n, verify: Some(c) });
+            let refined_req = SearchRequest::new(k)
+                .ranker(Ranker::Refined { candidates: c });
+            let a = idx.search(q, &approx_req).unwrap();
+            let r = idx.search(q, &refined_req).unwrap();
+            let bits = |resp: &SearchResponse| -> Vec<(u32, u64)> {
+                resp.hits
+                    .iter()
+                    .map(|h| (h.id.get(), h.distance.to_bits()))
+                    .collect()
+            };
+            prop_assert_eq!(bits(&a), bits(&r), "verify must equal Refined");
+            prop_assert_eq!(a.stats.mcs_calls, r.stats.mcs_calls);
+            prop_assert!(a.stats.approximate && !r.stats.approximate);
         }
     }
 }

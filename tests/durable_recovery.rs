@@ -7,7 +7,7 @@
 //! crash at any instant, including mid-frame — reopen, and assert the
 //! recovered index answers **bit-identically** (hits and distances) to
 //! an index built from exactly the mutation prefix whose log frames
-//! survived the cut, across mappings, rankers, shard counts {1,2,8},
+//! survived the cut, across rankers, shard counts {1,2,8},
 //! and thread budgets {1,2,8}. Torn tails surface as reports (and
 //! damaged trusted prefixes as typed [`GdimError`]s), never panics.
 
@@ -30,7 +30,6 @@ fn opts() -> IndexOptions {
 fn requests() -> Vec<SearchRequest> {
     vec![
         SearchRequest::new(5),
-        SearchRequest::new(5).mapping(MappingKind::Weighted),
         SearchRequest::new(4).ranker(Ranker::Refined { candidates: 6 }),
         SearchRequest::new(3).ranker(Ranker::Exact),
     ]

@@ -2,8 +2,7 @@
 //! that owns the lifecycle: a one-shard [`ShardedIndex`] (whose composed
 //! ids are plain row ids) grown by online `insert` and rebuilt must be
 //! **bit-identical** to `GraphIndex::build` over the same final graph
-//! set — hits and order, binary and weighted mappings, every thread
-//! budget — and `remove` + rebuild must match building without the
+//! set — hits and order, every thread budget — and `remove` + rebuild must match building without the
 //! removed graphs. Before a rebuild, tombstoned rows must never
 //! surface from any ranker. The staleness thresholds of the
 //! [`RebuildPolicy`] are pinned on the way.
@@ -45,8 +44,8 @@ proptest! {
     /// Grow a base index by `insert` until the rebuild policy trips —
     /// at exactly `max_inserts`, not before — rebuild, and compare
     /// against a fresh batch build over the same final graph set:
-    /// answers must agree bit-for-bit for both mappings, the mapped and
-    /// refined rankers, and threads 1/2/8.
+    /// answers must agree bit-for-bit for the mapped and refined
+    /// rankers and threads 1/2/8.
     #[test]
     fn insert_grown_index_equals_fresh_build(seed in 0u64..500) {
         let base = chem(10, seed);
@@ -77,14 +76,12 @@ proptest! {
             prop_assert!(shard.mapped().codes().eq(fresh.mapped().codes()));
             prop_assert_eq!(shard.weights(), fresh.weights());
             for q in all.iter().take(3).chain(&queries) {
-                for mapping in [MappingKind::Binary, MappingKind::Weighted] {
-                    let req = SearchRequest::new(6).mapping(mapping);
-                    prop_assert_eq!(
-                        hits(&grown, q, &req),
-                        flat_hits(&fresh, q, &req),
-                        "threads {}, mapping {:?}", threads, mapping
-                    );
-                }
+                let req = SearchRequest::new(6);
+                prop_assert_eq!(
+                    hits(&grown, q, &req),
+                    flat_hits(&fresh, q, &req),
+                    "threads {}", threads
+                );
                 let req = SearchRequest::new(4)
                     .ranker(Ranker::Refined { candidates: 8 });
                 prop_assert_eq!(hits(&grown, q, &req), flat_hits(&fresh, q, &req));
@@ -131,7 +128,7 @@ proptest! {
     }
 
     /// Between a remove and the rebuild, tombstoned rows never appear
-    /// in hits — any ranker, any mapping — and the scan counters keep
+    /// in hits — any ranker — and the scan counters keep
     /// accounting for every row.
     #[test]
     fn tombstoned_rows_never_surface_before_the_rebuild(seed in 0u64..500) {
@@ -144,13 +141,8 @@ proptest! {
         prop_assert!(!dead.is_empty());
         let live = 15 - dead.len();
         for q in db.iter().take(4) {
-            for (ranker, mapping) in [
-                (Ranker::Mapped, MappingKind::Binary),
-                (Ranker::Mapped, MappingKind::Weighted),
-                (Ranker::Refined { candidates: 15 }, MappingKind::Binary),
-                (Ranker::Exact, MappingKind::Binary),
-            ] {
-                let req = SearchRequest::new(15).ranker(ranker).mapping(mapping);
+            for ranker in [Ranker::Mapped, Ranker::Refined { candidates: 15 }, Ranker::Exact] {
+                let req = SearchRequest::new(15).ranker(ranker);
                 let resp = idx.search(q, &req).unwrap();
                 for h in &resp.hits {
                     prop_assert!(!dead.contains(&h.id.get()), "{:?}: dead {} in hits", ranker, h.id);

@@ -47,11 +47,7 @@ fn single_searches_never_spawn_workers() {
         two.insert(g);
     }
     assert!(two.len() >= 600);
-    let requests = [
-        SearchRequest::new(6),
-        SearchRequest::new(6).mapping(MappingKind::Weighted),
-        approx,
-    ];
+    let requests = [SearchRequest::new(6), approx];
 
     let spawned = gdim::exec::workers_spawned();
     for req in &requests {

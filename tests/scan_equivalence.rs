@@ -2,8 +2,8 @@
 //! the flat SoA scan kernel must select and order **exactly** the hits
 //! of the naive full-sort reference scan, and the code-tree query
 //! mapping must set exactly the bits of the brute-force VF2 loop — for
-//! binary and weighted mappings, every edge-case `k`, and every thread
-//! budget.
+//! the binary distance and the weighted ablation, every edge-case `k`,
+//! and every thread budget.
 
 use proptest::prelude::*;
 
@@ -244,8 +244,9 @@ proptest! {
 
     /// The serving layer on top of the kernel: `Mapped` and `Refined`
     /// search hits are byte-identical to the naive reference scan for
-    /// every thread budget, under both request mappings, and batch
-    /// answers equal single answers.
+    /// every thread budget, and batch answers equal single answers. The
+    /// library's weighted scan over the same index equals its naive
+    /// reference too.
     #[test]
     fn search_rankers_equal_naive_scan_for_any_thread_budget(seed in 0u64..500) {
         let n = 20;
@@ -258,28 +259,22 @@ proptest! {
             );
             for q in idx.graphs().take(2).chain(&queries) {
                 let qvec = idx.map_query(q);
-                for mapping in [MappingKind::Binary, MappingKind::Weighted] {
-                    let naive = match mapping {
-                        MappingKind::Weighted => {
-                            // The weighted request is served from the same
-                            // binary vectors with the DSPM-derived weights;
-                            // rebuild that reference through the public
-                            // reference scan.
-                            let mut full = idx.mapped().ranking_with(
-                                &qvec,
-                                &weighted_reference_w_sq(&idx),
-                            );
-                            full.truncate(6);
-                            full
-                        }
-                        _ => naive_topk(idx.mapped(), &qvec, 6),
-                    };
-                    let req = SearchRequest::new(6).mapping(mapping);
-                    let resp = idx.search(q, &req).unwrap();
-                    let got: Vec<(u32, f64)> =
-                        resp.hits.iter().map(|h| (h.id.get(), h.distance)).collect();
-                    prop_assert_eq!(&got, &naive, "threads {}, mapping {:?}", threads, mapping);
-                }
+                let resp = idx.search(q, &SearchRequest::new(6)).unwrap();
+                let got: Vec<(u32, f64)> =
+                    resp.hits.iter().map(|h| (h.id.get(), h.distance)).collect();
+                prop_assert_eq!(&got, &naive_topk(idx.mapped(), &qvec, 6), "threads {}", threads);
+                // The weighted ablation scans the same binary vectors
+                // with the DSPM-derived weights; rebuild that reference
+                // through the public reference scan.
+                let mut naive = idx.mapped().ranking_with(&qvec, &weighted_reference_w_sq(&idx));
+                naive.truncate(6);
+                let (got, _) = idx.mapped().scan_topk_with_masked(
+                    &qvec,
+                    6,
+                    idx.weighted_w_sq(),
+                    Some(idx.tombstones()),
+                );
+                prop_assert_eq!(&got, &naive, "threads {}, weighted", threads);
             }
             // Refined candidate generation rides the same kernel: with
             // candidates == n every candidate is verified, so it must
@@ -448,8 +443,8 @@ proptest! {
     }
 }
 
-/// The squared per-dimension weights a [`MappingKind::Weighted`]
-/// request uses: the index's DSPM weights over the selected
+/// The squared per-dimension weights of the weighted ablation scan:
+/// the index's DSPM weights over the selected
 /// dimensions, squared and normalized (mirrors the index-internal
 /// derivation so the reference scan sees identical weights).
 fn weighted_reference_w_sq(idx: &GraphIndex) -> Vec<f64> {

@@ -71,7 +71,6 @@ fn save_load_roundtrip_yields_byte_identical_hits() {
     // final byte-stability check covers the persisted ANN section.
     let reqs = [
         SearchRequest::new(6),
-        SearchRequest::new(6).mapping(MappingKind::Weighted),
         SearchRequest::new(6).ranker(Ranker::Refined { candidates: 10 }),
         SearchRequest::new(6).ranker(Ranker::Exact),
         SearchRequest::new(6).ranker(Ranker::Approx {
@@ -211,30 +210,31 @@ const SNAPSHOT: &[u8] = include_bytes!("../crates/core/tests/fixtures/v4-small.i
 
 /// Where the fixture's ANN section keeps each neighbor list: per
 /// `(node, layer)` in file order, the byte offset of its `u32` count,
-/// the owner node and the layer's cap (`2·m` on layer 0, `m` above).
-/// The section is the last thing in the file, so its start is the
-/// file length minus its own.
+/// the owner node and the layer's cap (`2·m` on layer 0, `m` above,
+/// with `m` read from the section). The section is the last thing in
+/// the file, so its start is the file length minus its own.
 fn snapshot_ann_lists() -> Vec<(usize, u32, usize)> {
     let idx = GraphIndex::from_bytes(SNAPSHOT).expect("the fixture loads");
     let ann = idx.ann_if_built().expect("the fixture carries a graph");
-    let m = ann.params().m;
     let levels = ann.levels();
     let lists: Vec<(u32, usize, usize)> = (0..levels.len() as u32)
         .flat_map(|node| (0..=levels[node as usize] as usize).map(move |layer| (node, layer)))
         .map(|(node, layer)| (node, layer, ann.neighbors(node, layer).len()))
         .collect();
     let bytes: usize = lists.iter().map(|&(_, _, len)| 4 + 4 * len).sum();
-    let mut at = SNAPSHOT.len() - bytes;
+    // flag u8 · m, ef_construction, seed u64 · entry u32 · built_n
+    // u64 · one level byte per node, then the lists.
+    let first = SNAPSHOT.len() - bytes;
+    let flag = first - (1 + 3 * 8 + 4 + 8 + levels.len());
+    assert_eq!(SNAPSHOT[flag], 1, "the ANN flag precedes the graph");
+    let m = u64::from_le_bytes(SNAPSHOT[flag + 1..flag + 9].try_into().unwrap()) as usize;
+    let mut at = first;
     let mut out = Vec::new();
     for (node, layer, len) in lists {
         out.push((at, node, if layer == 0 { 2 * m } else { m }));
         at += 4 + 4 * len;
     }
     assert_eq!(at, SNAPSHOT.len());
-    // flag u8 · m, ef_construction, seed u64 · entry u32 · built_n
-    // u64 · one level byte per node, then the lists.
-    let flag = out[0].0 - (1 + 3 * 8 + 4 + 8 + levels.len());
-    assert_eq!(SNAPSHOT[flag], 1, "the ANN flag precedes the graph");
     out
 }
 

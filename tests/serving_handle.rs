@@ -328,7 +328,7 @@ proptest! {
         // The refined ranker reads candidate graphs by id (MCS is the
         // slow part of this test, hence one query and three candidates).
         let queries: Vec<&Graph> = pool.iter().step_by(97).collect();
-        let scans = [SearchRequest::new(5), SearchRequest::new(5).mapping(MappingKind::Weighted)];
+        let scan = SearchRequest::new(5);
         let refined = SearchRequest::new(3).ranker(Ranker::Refined { candidates: 3 });
         for (prefix, snap) in &retained {
             let owned = replayed(&base, &ops[..*prefix]);
@@ -343,7 +343,7 @@ proptest! {
                     prop_assert_eq!(snap.seq_of(id).ok(), owned.seq_of(id).ok());
                 }
             }
-            let pairs = queries.iter().flat_map(|q| scans.iter().map(move |req| (q, req)));
+            let pairs = queries.iter().map(|q| (q, &scan));
             for (q, req) in pairs.chain([(&queries[0], &refined)]) {
                 let (a, b) = (snap.search(q, req).unwrap(), owned.search(q, req).unwrap());
                 prop_assert_eq!(a.hits, b.hits, "prefix {} {:?}", prefix, req);

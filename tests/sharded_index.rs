@@ -1,7 +1,7 @@
 //! Equivalence contract of the sharded index (gdim-shard): a
 //! [`ShardedIndex`] must answer **bit-identically** to a single
 //! [`GraphIndex`] over the same database — hits, order, distances —
-//! for every ranker, mapping, shard count ∈ {1, 2, 8}, and thread
+//! for every ranker, shard count ∈ {1, 2, 8}, and thread
 //! budget ∈ {1, 2, 8}, including after online insert/remove, after
 //! per-shard (compaction) rebuilds, and after a full re-mine rebuild.
 //! Sharded hits are translated through each row's sequence number,
@@ -25,7 +25,7 @@ fn opts() -> IndexOptions {
     IndexOptions::default().with_dimensions(16)
 }
 
-/// Requests covering the ranker × mapping spectrum. The approximate
+/// Requests covering the ranker spectrum. The approximate
 /// ranker is included with `ef` far above the database sizes used
 /// here: the beams are exhaustive at that width, so even the one
 /// deliberately inexact ranker must answer bit-identically to the
@@ -33,19 +33,16 @@ fn opts() -> IndexOptions {
 fn requests() -> Vec<SearchRequest> {
     vec![
         SearchRequest::new(6),
-        SearchRequest::new(6).mapping(MappingKind::Weighted),
         SearchRequest::new(4).ranker(Ranker::Refined { candidates: 7 }),
         SearchRequest::new(4).ranker(Ranker::Exact),
         SearchRequest::new(6).ranker(Ranker::Approx {
             ef: 64,
             verify: None,
         }),
-        SearchRequest::new(4)
-            .ranker(Ranker::Approx {
-                ef: 64,
-                verify: Some(7),
-            })
-            .mapping(MappingKind::Weighted),
+        SearchRequest::new(4).ranker(Ranker::Approx {
+            ef: 64,
+            verify: Some(7),
+        }),
     ]
 }
 
@@ -75,11 +72,6 @@ fn shared_work(s: &SearchStats) -> (usize, usize, usize, usize, bool, usize, Opt
         s.ef,
         s.kernel,
     )
-}
-
-/// The rows a scan looked at: fully evaluated, abandoned or skipped.
-fn rows_looked_at(s: &SearchStats) -> usize {
-    s.candidates_scanned + s.early_abandoned + s.tombstones_skipped
 }
 
 /// A sharded response's hits as `(seq, distance)` — the sharded row's
@@ -145,14 +137,11 @@ proptest! {
                         let (s, f) = (&sr.stats, &fr.stats);
                         prop_assert_eq!(shared_work(s), shared_work(f), "shards {}, {:?}", shards, req);
                         if f.kernel.is_some() {
-                            prop_assert_eq!(rows_looked_at(s), rows_looked_at(f), "shards {}, {:?}", shards, req);
-                            if matches!(req.mapping, MappingKind::Binary) {
-                                prop_assert_eq!(
-                                    (s.candidates_scanned, s.early_abandoned, s.tombstones_skipped, s.words_scanned),
-                                    (f.candidates_scanned, f.early_abandoned, f.tombstones_skipped, f.words_scanned),
-                                    "shards {}, {:?}", shards, req
-                                );
-                            }
+                            prop_assert_eq!(
+                                (s.candidates_scanned, s.early_abandoned, s.tombstones_skipped, s.words_scanned),
+                                (f.candidates_scanned, f.early_abandoned, f.tombstones_skipped, f.words_scanned),
+                                "shards {}, {:?}", shards, req
+                            );
                         }
                     }
                 }
@@ -485,7 +474,6 @@ fn empty_database_shards_and_serves() {
 fn scan_requests() -> Vec<SearchRequest> {
     vec![
         SearchRequest::new(5),
-        SearchRequest::new(7).mapping(MappingKind::Weighted),
         SearchRequest::new(3).ranker(Ranker::Refined { candidates: 10 }),
     ]
 }

@@ -121,26 +121,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every request shape round-trips exactly: all four rankers
-    /// (approximate with and without verification), both mappings,
-    /// every k.
+    /// (approximate with and without verification), every k.
     #[test]
     fn search_requests_round_trip_exactly(
         k in 0usize..200,
         ranker_pick in 0u8..5,
         candidates in 1usize..500,
         ef in 1usize..2000,
-        weighted in any::<bool>(),
     ) {
-        let mut req = SearchRequest::new(k).ranker(match ranker_pick {
+        let req = SearchRequest::new(k).ranker(match ranker_pick {
             0 => Ranker::Mapped,
             1 => Ranker::Exact,
             2 => Ranker::Refined { candidates },
             3 => Ranker::Approx { ef, verify: None },
             _ => Ranker::Approx { ef, verify: Some(candidates) },
         });
-        if weighted {
-            req = req.mapping(MappingKind::Weighted);
-        }
         let back = request_from_json(&reparse(&request_to_json(&req))).unwrap();
         prop_assert_eq!(back, req);
     }
