@@ -50,6 +50,9 @@
 //!   the single-store kernel at equal n, from [`MIN_ROWS_PER_SHARD`]
 //!   rows per shard: below that the fixed per-shard selector cost is a
 //!   few µs against a few-µs scan, and the row prints `ungated`. The
+//!   ratio gated is the median over [`OVERHEAD_ROUNDS`] rounds of each
+//!   round's interleaved-minimum ratio, so a burst from another tenant
+//!   during one round cannot carry it over the ceiling. The
 //!   single-store kernel walks 256 rows per kernel call; each leg adds
 //!   a fixed cost that the kernel's speed does not shrink (the call,
 //!   filling its own selector, offering its hits), so at n = 10,000
@@ -80,6 +83,9 @@ const MIN_FRAC: Rule = Rule::AtLeast(0.25);
 const MAX_SHARD_OVERHEAD: f64 = 1.6;
 /// Below this many rows per shard the sharded scan is not gated.
 const MIN_ROWS_PER_SHARD: usize = 256;
+/// Rounds of the sharded-overhead measurement; the median round is
+/// gated and recorded.
+const OVERHEAD_ROUNDS: usize = 5;
 
 fn main() {
     let args = Args::parse("BENCH_scan.json", true);
@@ -159,13 +165,25 @@ fn main() {
             single,
             "the sharded scan must be bit-identical to the single-store kernel"
         );
-        let (kernel_pair_ns, merged_ns) = paired_min_ns(
-            reps,
-            || scan_one(&store, q.words(), 10, None).0[0].0,
-            &sharded_scan,
+        let mut rounds: Vec<(f64, u64, u64)> = (0..OVERHEAD_ROUNDS)
+            .map(|_| {
+                let (kernel_ns, merged_ns) = paired_min_ns(
+                    reps,
+                    || scan_one(&store, q.words(), 10, None).0[0].0,
+                    &sharded_scan,
+                );
+                let ratio = merged_ns as f64 / kernel_ns.max(1) as f64;
+                (ratio, kernel_ns, merged_ns)
+            })
+            .collect();
+        rounds.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let ratios: Vec<String> = rounds.iter().map(|r| format!("{:.2}", r.0)).collect();
+        let (overhead, kernel_pair_ns, merged_ns) = rounds[OVERHEAD_ROUNDS / 2];
+        eprintln!(
+            "n={n} shards={SHARDS}: merged {merged_ns} ns vs kernel {kernel_pair_ns} ns \
+             (median round; round ratios {})",
+            ratios.join(" ")
         );
-        let overhead = merged_ns as f64 / kernel_pair_ns.max(1) as f64;
-        eprintln!("n={n} shards={SHARDS}: merged {merged_ns} ns vs kernel {kernel_pair_ns} ns");
         let label = format!("sharded_scan n={n} shards={SHARDS} overhead");
         if n / SHARDS >= MIN_ROWS_PER_SHARD {
             gate.ceiling(&label, overhead, MAX_SHARD_OVERHEAD);

@@ -29,12 +29,20 @@
 //! counts its extension steps and past [`STEPS_PER_SIZE`] steps per
 //! vertex-plus-edge of the graph hands the undecided features to
 //! independent VF2 tests.
+//!
+//! **Repeated queries** skip the search on the served path:
+//! [`CodeTree::map_query_cached`] looks the graph up in a small
+//! per-thread table first (see [`MAP_CACHE_SETS`]). The answer is a
+//! function of the tree and the graph alone, so a hit returns the bits
+//! and the [`MatchStats`] the search would have produced.
 
 use std::cell::RefCell;
+use std::hash::Hasher;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use gdim_graph::dfscode::DfsCode;
-use gdim_graph::fxhash::FxHashMap;
+use gdim_graph::fxhash::{FxHashMap, FxHasher};
 use gdim_graph::vf2::{self, Pattern};
 use gdim_graph::{ELabel, Graph, GraphBuilder, VLabel};
 use gdim_mining::Feature;
@@ -105,6 +113,9 @@ struct Node {
 /// through one tree.
 #[derive(Debug)]
 pub struct CodeTree {
+    /// Process-unique, stamped by [`CodeTree::build`]: names the tree
+    /// in the map cache's keys.
+    id: u64,
     /// Breadth-first: the vertex nodes first, every parent before its
     /// children.
     nodes: Vec<Node>,
@@ -161,6 +172,109 @@ fn fallback_counter() -> &'static gdim_obs::Counter {
             &[],
         )
     })
+}
+
+/// Sets of the per-thread map cache. With [`MAP_CACHE_WAYS`] ways each
+/// the table holds 1,024 mappings per thread, more than the end-to-end
+/// benchmark's hot query pool.
+pub const MAP_CACHE_SETS: usize = 256;
+
+/// Ways per set of the map cache, least recently used evicted first.
+pub const MAP_CACHE_WAYS: usize = 4;
+
+/// Longest cache key, in bytes; a larger graph is mapped uncached and
+/// counted as a miss, so no entry holds more than this plus its bits.
+/// A chem query's key averages ~73 B; a 20,000-leaf star's would be
+/// ~120 KB.
+pub const MAP_CACHE_MAX_KEY: usize = 1024;
+
+/// One remembered mapping.
+#[derive(Debug)]
+struct CacheEntry {
+    /// The key, then the bits' words little-endian: one heap block.
+    block: Box<[u8]>,
+    stats: MatchStats,
+}
+
+/// The per-thread table behind [`CodeTree::map_query_cached`]:
+/// [`MAP_CACHE_SETS`] sets of [`MAP_CACHE_WAYS`] ways, each set most
+/// recently used first.
+///
+/// A key is the tree's process-unique id, then the graph's vertex
+/// count, vertex labels, edge count and sorted edge list `(u, v,
+/// label)`, all as LEB128 varints: prefix-free, so equal keys mean the
+/// same tree and an identical graph, and the answer is exact.
+///
+/// Resident bytes at capacity: 1,024 slots of 40 B (40 KiB), the key
+/// buffer (~1 KiB) and one heap block per entry, its key plus
+/// `8 ⌈p / 64⌉` B of bits. Over the end-to-end benchmark's chem
+/// queries at p = 128 a block averages 89 B, and a full table holds
+/// 133,047 B requested, ~145 KiB in glibc chunks (counting allocator,
+/// 2,048 distinct queries through one thread). Were every key at the
+/// [`MAP_CACHE_MAX_KEY`] cap it would hold ~1.1 MiB.
+#[derive(Debug)]
+struct MapCache {
+    slots: Box<[Option<CacheEntry>]>,
+    key: Vec<u8>,
+}
+
+thread_local! {
+    /// Allocated on the thread's first cached mapping.
+    static MAP_CACHE: RefCell<Option<MapCache>> = const { RefCell::new(None) };
+}
+
+/// `gdim_map_cache_hits_total` and `gdim_map_cache_misses_total`.
+fn cache_counters() -> &'static (Arc<gdim_obs::Counter>, Arc<gdim_obs::Counter>) {
+    static C: OnceLock<(Arc<gdim_obs::Counter>, Arc<gdim_obs::Counter>)> = OnceLock::new();
+    C.get_or_init(|| {
+        let registry = gdim_obs::global();
+        (
+            registry.counter(
+                "gdim_map_cache_hits_total",
+                "Served query mappings answered from the per-thread map cache",
+                &[],
+            ),
+            registry.counter(
+                "gdim_map_cache_misses_total",
+                "Served query mappings that ran the code-tree search (over-cap graphs included)",
+                &[],
+            ),
+        )
+    })
+}
+
+/// Appends `x` to `out` as an LEB128 varint.
+fn put_varint(out: &mut Vec<u8>, mut x: u64) {
+    while x >= 0x80 {
+        out.push(x as u8 | 0x80);
+        x >>= 7;
+    }
+    out.push(x as u8);
+}
+
+/// Writes the cache key of `q` under tree `id` into `key` (see
+/// [`MapCache`]); `false` if it would pass [`MAP_CACHE_MAX_KEY`].
+fn write_key(id: u64, q: &Graph, key: &mut Vec<u8>) -> bool {
+    key.clear();
+    // A vertex takes at least one byte and an edge three.
+    if q.vertex_count() + 3 * q.edge_count() > MAP_CACHE_MAX_KEY {
+        return false;
+    }
+    put_varint(key, id);
+    put_varint(key, q.vertex_count() as u64);
+    for &l in q.vlabels() {
+        put_varint(key, l.into());
+    }
+    put_varint(key, q.edge_count() as u64);
+    for e in q.edges() {
+        if key.len() > MAP_CACHE_MAX_KEY {
+            return false;
+        }
+        for x in [e.u, e.v, e.label] {
+            put_varint(key, x.into());
+        }
+    }
+    key.len() <= MAP_CACHE_MAX_KEY
 }
 
 impl CodeTree {
@@ -250,7 +364,9 @@ impl CodeTree {
             nodes[i].children = (start, nodes.len() as u32);
             i += 1;
         }
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         Ok(CodeTree {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             nodes,
             roots: roots.len(),
             columns: codes.len(),
@@ -298,6 +414,60 @@ impl CodeTree {
                 extensions: search.steps,
             };
             (search.bits, stats)
+        })
+    }
+
+    /// [`CodeTree::map_query`] through this thread's map cache — the
+    /// served path's one mapping call. A hit returns the bits and the
+    /// [`MatchStats`] the search returns for this tree and graph, so
+    /// only the time differs; a graph whose key passes
+    /// [`MAP_CACHE_MAX_KEY`] is mapped uncached. Counted in
+    /// `gdim_map_cache_hits_total` / `gdim_map_cache_misses_total`.
+    pub fn map_query_cached(&self, q: &Graph) -> (Bitset, MatchStats) {
+        let (hits, misses) = cache_counters();
+        MAP_CACHE.with(|cell| {
+            let mut cell = cell.borrow_mut();
+            let cache = cell.get_or_insert_with(|| MapCache {
+                slots: (0..MAP_CACHE_SETS * MAP_CACHE_WAYS).map(|_| None).collect(),
+                key: Vec::with_capacity(MAP_CACHE_MAX_KEY),
+            });
+            if !write_key(self.id, q, &mut cache.key) {
+                misses.inc();
+                return self.map_query(q);
+            }
+            let key = &cache.key[..];
+            let bits_len = 8 * self.columns.div_ceil(64);
+            let mut h = FxHasher::default();
+            h.write(key);
+            let set = (h.finish() >> 56) as usize % MAP_CACHE_SETS;
+            let ways = &mut cache.slots[set * MAP_CACHE_WAYS..][..MAP_CACHE_WAYS];
+            let found = ways.iter().position(|e| {
+                e.as_ref().is_some_and(|e| {
+                    e.block.len() == key.len() + bits_len && e.block[..key.len()] == *key
+                })
+            });
+            if let Some(way) = found {
+                hits.inc();
+                ways[..=way].rotate_right(1);
+                let e = ways[0].as_ref().expect("the way just found");
+                let words = (e.block[key.len()..].chunks_exact(8))
+                    .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+                    .collect();
+                return (Bitset::from_words(words, self.columns), e.stats);
+            }
+            misses.inc();
+            let (bits, stats) = self.map_query(q);
+            let mut block = Vec::with_capacity(key.len() + bits_len);
+            block.extend_from_slice(key);
+            for w in bits.words() {
+                block.extend_from_slice(&w.to_le_bytes());
+            }
+            ways.rotate_right(1);
+            ways[0] = Some(CacheEntry {
+                block: block.into_boxed_slice(),
+                stats,
+            });
+            (bits, stats)
         })
     }
 

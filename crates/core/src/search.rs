@@ -7,9 +7,8 @@
 //! explicit values — a [`SearchRequest`] selects `k` and a [`Ranker`];
 //! a [`SearchResponse`]
 //! carries typed [`Hit`]s plus [`SearchStats`] observability (vectors
-//! fully evaluated vs. early-abandoned vs. tombstone-skipped, MCS
-//! calls, the answering epoch, wall time) so a server can meter every
-//! answer.
+//! evaluated vs. tombstone-skipped, MCS calls, the answering epoch,
+//! wall time) so a server can meter every answer.
 //!
 //! Four rankers cover the quality/cost spectrum:
 //!
@@ -235,20 +234,16 @@ impl SearchRequest {
 }
 
 /// Per-request observability counters. The scan counters prove what
-/// the kernels saved: `candidates_scanned + early_abandoned +
-/// tombstones_skipped` equals the index size whenever a scan ran, and
-/// `vf2_calls + vf2_pruned` equals the number of selected dimensions.
+/// the kernels saved: `candidates_scanned + tombstones_skipped` equals
+/// the index size whenever a scan ran, and `vf2_calls + vf2_pruned`
+/// equals the number of selected dimensions.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SearchStats {
-    /// Database vectors whose mapped distance was **fully** evaluated
-    /// (0 for [`Ranker::Exact`], which never maps the query).
-    /// Early-abandoned and tombstone-skipped vectors are counted
-    /// separately — this is the work the kernel actually did, not the
-    /// pre-PR-3 "all candidates in the database".
+    /// Database vectors whose mapped distance was evaluated (0 for
+    /// [`Ranker::Exact`], which never maps the query). Tombstone-skipped
+    /// vectors are counted separately — this is the work the kernel
+    /// actually did, not "all candidates in the database".
     pub candidates_scanned: usize,
-    /// Vectors the scan abandoned early because their running distance
-    /// already exceeded the k-th bound.
-    pub early_abandoned: usize,
     /// Tombstoned (removed-but-not-yet-compacted) rows the scan
     /// skipped without evaluating.
     pub tombstones_skipped: usize,
@@ -270,7 +265,10 @@ pub struct SearchStats {
     /// Exact (MCS-based) dissimilarity evaluations performed.
     pub mcs_calls: usize,
     /// Time spent matching features into the query (VF2) — the paper's
-    /// "feature matching time" share of the query cost.
+    /// "feature matching time" share of the query cost. A query this
+    /// thread mapped recently is answered from the map cache
+    /// ([`CodeTree::map_query_cached`](crate::featurespace::CodeTree::map_query_cached)):
+    /// the time shrinks, the counters above do not change.
     pub match_time: Duration,
     /// End-to-end time answering the request.
     pub wall_time: Duration,
@@ -310,9 +308,6 @@ impl std::fmt::Display for SearchStats {
             "scanned {} of {} live rows ({} words)",
             self.candidates_scanned, self.live_graphs, self.words_scanned
         )?;
-        if self.early_abandoned > 0 {
-            write!(f, ", {} abandoned early", self.early_abandoned)?;
-        }
         if self.tombstones_skipped > 0 {
             write!(f, ", {} tombstoned", self.tombstones_skipped)?;
         }
@@ -492,9 +487,9 @@ fn leg_histogram() -> &'static std::sync::Arc<gdim_obs::Histogram> {
 /// executor behind [`GraphIndex::search`] (one identity partition)
 /// and the sharded search (one partition per shard).
 /// The query is mapped once (all partitions share the feature space),
-/// then each partition runs its leg of the requested ranker — bounded
-/// top-k scan, ANN beam, or exact δ — in partition order on the
-/// calling thread. Every leg adds its work to the request's one
+/// through the calling thread's map cache, then each partition runs
+/// its leg of the requested ranker — bounded top-k scan, ANN beam, or
+/// exact δ — in partition order on the calling thread. Every leg adds its work to the request's one
 /// [`SearchStats`] and offers its hits to one bounded selector keyed
 /// `(distance, seq)`; the refined/verified rankers re-rank that set
 /// exactly. Answers are bit-identical for every partitioning of the
@@ -521,7 +516,7 @@ pub fn search_partitions(
     };
     // Exact never maps the query.
     let qvec = (!matches!(req.ranker, Ranker::Exact)).then(|| {
-        let (qvec, matched) = parts[0].index.mapped().map_query_with_stats(query);
+        let (qvec, matched) = parts[0].index.mapped().mapper().map_query_cached(query);
         stats.vf2_calls = matched.vf2_calls;
         stats.vf2_pruned = matched.vf2_pruned;
         stats.match_time = t0.elapsed();
@@ -637,7 +632,6 @@ fn leg(
                 .mapped()
                 .scan_topk_masked(qvec, take, Some(idx.tombstones()));
             stats.candidates_scanned += scan.vectors_scanned;
-            stats.early_abandoned += scan.early_abandoned;
             stats.tombstones_skipped += scan.tombstones_skipped;
             stats.words_scanned += scan.words_scanned;
             stats.kernel = Some(selected_kernel());
@@ -833,7 +827,7 @@ mod tests {
         // Pins the post-PR-3 meaning of `candidates_scanned`: the rows
         // whose distance the kernel *fully* evaluated — identical to
         // the kernel's own `vectors_scanned` counter, never the whole
-        // database whenever rows were early-abandoned or tombstoned.
+        // database whenever rows were tombstoned.
         let idx = index(30, 47);
         let q = idx.graph(0).unwrap().clone();
         for k in [1, 3] {
@@ -843,11 +837,9 @@ mod tests {
                     .scan_topk_masked(&idx.map_query(&q), k, Some(idx.tombstones()));
             assert_eq!(resp.stats.candidates_scanned, kernel.vectors_scanned);
             assert_eq!(
-                resp.stats.candidates_scanned
-                    + resp.stats.early_abandoned
-                    + resp.stats.tombstones_skipped,
+                resp.stats.candidates_scanned + resp.stats.tombstones_skipped,
                 idx.len(),
-                "fully-evaluated + abandoned + tombstoned covers the index"
+                "evaluated + tombstoned covers the index"
             );
         }
     }
@@ -890,9 +882,7 @@ mod tests {
                 Ranker::Mapped => {
                     assert_eq!(resp.stats.tombstones_skipped, 3);
                     assert_eq!(
-                        resp.stats.candidates_scanned
-                            + resp.stats.early_abandoned
-                            + resp.stats.tombstones_skipped,
+                        resp.stats.candidates_scanned + resp.stats.tombstones_skipped,
                         24
                     );
                 }
@@ -988,7 +978,6 @@ mod tests {
         stages.add_ns(Stage::Refine, 150_000);
         let stats = SearchStats {
             candidates_scanned: 90,
-            early_abandoned: 7,
             tombstones_skipped: 3,
             words_scanned: 400,
             epoch: 2,
@@ -1007,7 +996,6 @@ mod tests {
         let line = stats.to_string();
         for needle in [
             "scanned 90 of 97",
-            "7 abandoned",
             "3 tombstoned",
             "vf2 12 ran / 8 pruned",
             "mcs 5",

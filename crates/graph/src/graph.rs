@@ -90,7 +90,11 @@ impl Graph {
         vlabels: Vec<VLabel>,
         edges: impl IntoIterator<Item = (VertexId, VertexId, ELabel)>,
     ) -> Result<Self, GraphError> {
+        let edges = edges.into_iter();
         let mut b = GraphBuilder::with_vertices(vlabels);
+        let (m, _) = edges.size_hint();
+        b.edges.reserve_exact(m);
+        b.links.reserve_exact(2 * m);
         for (u, v, l) in edges {
             b.edge(u, v, l)?;
         }
@@ -284,15 +288,27 @@ fn counts(items: impl Iterator<Item = u32>) -> Vec<(u32, u32)> {
 }
 
 /// Incremental builder enforcing the [`Graph`] invariants.
+///
+/// The parallel-edge check walks the adjacency built so far, kept as
+/// linked lists threaded through two flat arrays rather than one `Vec`
+/// per vertex: a builder is at most four heap blocks (labels, edges,
+/// per-vertex heads, per-slot links) whatever the graph's size.
 #[derive(Default, Clone)]
 pub struct GraphBuilder {
     vlabels: Vec<VLabel>,
     edges: Vec<Edge>,
-    /// `nbrs[v]` = vertices joined to `v` so far, so the parallel-edge
-    /// check costs O(min degree), not a scan of every earlier edge —
-    /// builders also decode graphs that arrive over the network.
-    nbrs: Vec<Vec<VertexId>>,
+    /// Per vertex: `(degree, newest slot of its list or NO_SLOT)`.
+    heads: Vec<(u32, u32)>,
+    /// Slot `2 * eid` is edge `eid` in its `u`'s list, `2 * eid + 1` in
+    /// its `v`'s; `links[slot]` is the next older slot of that list or
+    /// [`NO_SLOT`]. The check costs O(min degree), not a scan of every
+    /// earlier edge — builders also decode graphs that arrive over the
+    /// network.
+    links: Vec<u32>,
 }
+
+/// End of a [`GraphBuilder`] adjacency list.
+const NO_SLOT: u32 = u32::MAX;
 
 impl GraphBuilder {
     /// Empty builder.
@@ -303,16 +319,17 @@ impl GraphBuilder {
     /// Builder pre-seeded with vertices carrying the given labels.
     pub fn with_vertices(vlabels: Vec<VLabel>) -> Self {
         Self {
-            nbrs: vec![Vec::new(); vlabels.len()],
+            heads: vec![(0, NO_SLOT); vlabels.len()],
             vlabels,
             edges: Vec::new(),
+            links: Vec::new(),
         }
     }
 
     /// Adds a vertex and returns its id.
     pub fn vertex(&mut self, label: VLabel) -> VertexId {
         self.vlabels.push(label);
-        self.nbrs.push(Vec::new());
+        self.heads.push((0, NO_SLOT));
         (self.vlabels.len() - 1) as VertexId
     }
 
@@ -333,9 +350,19 @@ impl GraphBuilder {
         if self.has_edge(a, b) {
             return Err(GraphError::ParallelEdge(a, b));
         }
+        // Slots, offsets and `NO_SLOT` share the u32 range.
+        assert!(
+            self.edges.len() < (1 << 31) - 1,
+            "a graph has fewer than 2^31 - 1 edges"
+        );
+        let slot = self.links.len() as u32;
         self.edges.push(Edge { u: a, v: b, label });
-        self.nbrs[a as usize].push(b);
-        self.nbrs[b as usize].push(a);
+        for (w, slot) in [(a, slot), (b, slot + 1)] {
+            let (degree, head) = &mut self.heads[w as usize];
+            self.links.push(*head);
+            *head = slot;
+            *degree += 1;
+        }
         Ok(())
     }
 
@@ -357,12 +384,22 @@ impl GraphBuilder {
         } else {
             (v, u)
         };
-        self.nbrs.get(a as usize).is_some_and(|n| n.contains(&b))
+        let Some(&(_, mut slot)) = self.heads.get(a as usize) else {
+            return false;
+        };
+        while slot != NO_SLOT {
+            let e = &self.edges[slot as usize / 2];
+            if (if slot % 2 == 0 { e.v } else { e.u }) == b {
+                return true;
+            }
+            slot = self.links[slot as usize];
+        }
+        false
     }
 
     /// Current degree of `v` (0 for a vertex never added).
     pub fn degree(&self, v: VertexId) -> usize {
-        self.nbrs.get(v as usize).map_or(0, Vec::len)
+        self.heads.get(v as usize).map_or(0, |&(d, _)| d as usize)
     }
 
     /// Finalizes into an immutable [`Graph`] with sorted adjacency.
@@ -374,16 +411,15 @@ impl GraphBuilder {
     /// per-list sort.
     pub fn build(mut self) -> Graph {
         self.edges.sort_unstable_by_key(|e| (e.u, e.v));
-        let slots = 2 * self.edges.len();
-        u32::try_from(slots).expect("a graph has fewer than 2^31 edges: offsets are u32");
+        let slots = self.links.len();
         // `offsets[w + 1]` starts at the first slot of `w`'s list and is
         // advanced as the list fills, ending at its last slot + 1, which
         // is where the list of `w + 1` starts.
         let mut offsets = vec![0u32; self.vlabels.len() + 1];
         let mut start = 0u32;
-        for (slot, list) in offsets[1..].iter_mut().zip(&self.nbrs) {
+        for (slot, &(degree, _)) in offsets[1..].iter_mut().zip(&self.heads) {
             *slot = start;
-            start += list.len() as u32;
+            start += degree;
         }
         let hole = Neighbor {
             to: 0,

@@ -1481,6 +1481,20 @@ mod tests {
             assert_eq!(status, 200, "{j:?}");
             assert_eq!(fallbacks(), want, "{text}");
         }
+        // The same search twice on one connection, and so on one worker
+        // thread: the second maps its query from that thread's cache.
+        let mut cache_hits = || {
+            let (status, _) = client.post("/search", &search_body(id, 5)).unwrap();
+            assert_eq!(status, 200);
+            let (_, text) = client.get_text("/metrics").unwrap();
+            let expo = gdim_obs::expo::parse(&text).expect("exposition parses");
+            for name in ["gdim_map_cache_hits_total", "gdim_map_cache_misses_total"] {
+                assert_eq!(expo.type_of(name), Some("counter"), "{name}");
+            }
+            expo.value("gdim_map_cache_hits_total", &[]).unwrap()
+        };
+        let first = cache_hits();
+        assert!(cache_hits() > first);
         // Wrong method answers a typed 405, like every other route.
         let (status, j) = client.post("/metrics", &Json::Null).unwrap();
         assert_eq!(status, 405, "{j:?}");

@@ -518,7 +518,6 @@ impl<'a> Compact<'a> {
 pub fn stats_to_json(s: &SearchStats) -> Json {
     let mut fields = vec![
         ("candidates_scanned", Json::U64(s.candidates_scanned as u64)),
-        ("early_abandoned", Json::U64(s.early_abandoned as u64)),
         ("tombstones_skipped", Json::U64(s.tombstones_skipped as u64)),
         ("words_scanned", Json::U64(s.words_scanned as u64)),
         ("epoch", Json::U64(s.epoch)),
@@ -590,7 +589,6 @@ pub fn stats_from_json(j: &Json) -> Result<SearchStats, WireError> {
     };
     Ok(SearchStats {
         candidates_scanned: count("candidates_scanned")?,
-        early_abandoned: count("early_abandoned")?,
         tombstones_skipped: count("tombstones_skipped")?,
         words_scanned: count("words_scanned")?,
         epoch: j
@@ -686,7 +684,6 @@ pub fn write_response(resp: &SearchResponse, out: &mut String) {
     write_counters(
         [
             ("candidates_scanned", s.candidates_scanned as u64),
-            ("early_abandoned", s.early_abandoned as u64),
             ("tombstones_skipped", s.tombstones_skipped as u64),
             ("words_scanned", s.words_scanned as u64),
             ("epoch", s.epoch),
@@ -916,7 +913,6 @@ mod tests {
             ],
             stats: SearchStats {
                 candidates_scanned: 90,
-                early_abandoned: 4,
                 tombstones_skipped: 6,
                 words_scanned: 360,
                 epoch: 3,
@@ -947,18 +943,8 @@ mod tests {
         }
         let (s, t) = (&back.stats, &resp.stats);
         assert_eq!(
-            (
-                s.candidates_scanned,
-                s.early_abandoned,
-                s.tombstones_skipped,
-                s.words_scanned
-            ),
-            (
-                t.candidates_scanned,
-                t.early_abandoned,
-                t.tombstones_skipped,
-                t.words_scanned
-            )
+            (s.candidates_scanned, s.tombstones_skipped, s.words_scanned),
+            (t.candidates_scanned, t.tombstones_skipped, t.words_scanned)
         );
         assert_eq!(
             (
@@ -1021,10 +1007,11 @@ mod tests {
         assert_eq!(resp.stats.beam_visited, 0);
         assert_eq!(resp.hits.len(), 1);
         // A response exactly as a server from before batches were
-        // answered query by query writes it: its stats carry a
-        // `fused_batch` key this build no longer has, and skips.
+        // answered query by query writes it: its stats carry the
+        // `fused_batch` and `early_abandoned` keys this build no longer
+        // has, and skips.
         let older = "{\"hits\":[{\"id\":3,\"distance\":0.25}],\"stats\":{\
-             \"candidates_scanned\":4,\"early_abandoned\":0,\"tombstones_skipped\":0,\
+             \"candidates_scanned\":4,\"early_abandoned\":5,\"tombstones_skipped\":0,\
              \"words_scanned\":8,\"epoch\":0,\"live_graphs\":4,\"vf2_calls\":2,\
              \"vf2_pruned\":1,\"mcs_calls\":0,\"match_time_ns\":1500,\"wall_time_ns\":9000,\
              \"kernel\":\"avx2\",\"fused_batch\":true,\"approximate\":false,\"ef\":0,\
@@ -1032,6 +1019,7 @@ mod tests {
         let resp = response_from_json(&parse(older).unwrap()).unwrap();
         assert_eq!(resp.hits[0].id, GraphId(3));
         assert_eq!(resp.stats.candidates_scanned, 4);
+        assert_eq!(resp.stats.tombstones_skipped, 0);
         assert_eq!(resp.stats.kernel, Some(KernelKind::Avx2));
         assert_eq!(resp.stats.wall_time, Duration::from_nanos(9000));
     }

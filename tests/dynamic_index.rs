@@ -152,9 +152,7 @@ proptest! {
                 if matches!(ranker, Ranker::Mapped) {
                     prop_assert_eq!(resp.stats.tombstones_skipped, dead.len());
                     prop_assert_eq!(
-                        resp.stats.candidates_scanned
-                            + resp.stats.early_abandoned
-                            + resp.stats.tombstones_skipped,
+                        resp.stats.candidates_scanned + resp.stats.tombstones_skipped,
                         15
                     );
                 }

@@ -138,8 +138,8 @@ proptest! {
                         prop_assert_eq!(shared_work(s), shared_work(f), "shards {}, {:?}", shards, req);
                         if f.kernel.is_some() {
                             prop_assert_eq!(
-                                (s.candidates_scanned, s.early_abandoned, s.tombstones_skipped, s.words_scanned),
-                                (f.candidates_scanned, f.early_abandoned, f.tombstones_skipped, f.words_scanned),
+                                (s.candidates_scanned, s.tombstones_skipped, s.words_scanned),
+                                (f.candidates_scanned, f.tombstones_skipped, f.words_scanned),
                                 "shards {}, {:?}", shards, req
                             );
                         }
@@ -496,7 +496,7 @@ fn small_shards_match_unsharded_answers() {
             let stats = sharded.search(q, &req).unwrap().stats;
             assert_eq!(stats.kernel, Some(selected_kernel()));
             assert_eq!(
-                stats.candidates_scanned + stats.early_abandoned + stats.tombstones_skipped,
+                stats.candidates_scanned + stats.tombstones_skipped,
                 sharded.len(),
                 "stats identity for {req:?}"
             );
@@ -525,7 +525,7 @@ fn small_shards_respect_tombstones() {
     let stats = sharded.search(&db[7], &req).unwrap().stats;
     assert_eq!(stats.tombstones_skipped, 3);
     assert_eq!(
-        stats.candidates_scanned + stats.early_abandoned + stats.tombstones_skipped,
+        stats.candidates_scanned + stats.tombstones_skipped,
         sharded.len()
     );
 }
@@ -545,7 +545,7 @@ fn single_shard_is_the_unsharded_index() {
         );
         assert_eq!(a.hits, b.hits, "{req:?}");
         assert_eq!(a.stats.candidates_scanned, b.stats.candidates_scanned);
-        assert_eq!(a.stats.early_abandoned, b.stats.early_abandoned);
+        assert_eq!(a.stats.tombstones_skipped, b.stats.tombstones_skipped);
         assert_eq!(a.stats.words_scanned, b.stats.words_scanned);
     }
 }

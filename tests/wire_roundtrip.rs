@@ -65,7 +65,6 @@ fn responses() -> impl Strategy<Value = SearchResponse> {
                 };
                 let stats = SearchStats {
                     candidates_scanned: counter(0) as usize,
-                    early_abandoned: counter(1) as usize,
                     tombstones_skipped: counter(2) as usize,
                     words_scanned: counter(3) as usize,
                     epoch: counter(4),
@@ -158,7 +157,6 @@ proptest! {
         }
         let (s, t) = (&back.stats, &resp.stats);
         prop_assert_eq!(s.candidates_scanned, t.candidates_scanned);
-        prop_assert_eq!(s.early_abandoned, t.early_abandoned);
         prop_assert_eq!(s.tombstones_skipped, t.tombstones_skipped);
         prop_assert_eq!(s.words_scanned, t.words_scanned);
         prop_assert_eq!(s.epoch, t.epoch);
