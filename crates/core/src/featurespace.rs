@@ -37,17 +37,17 @@
 //! and the [`MatchStats`] the search would have produced.
 
 use std::cell::RefCell;
-use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use gdim_graph::dfscode::DfsCode;
-use gdim_graph::fxhash::{FxHashMap, FxHasher};
+use gdim_graph::fxhash::FxHashMap;
 use gdim_graph::vf2::{self, Pattern};
 use gdim_graph::{ELabel, Graph, GraphBuilder, VLabel};
 use gdim_mining::Feature;
 
 use crate::bitset::Bitset;
+use crate::cache::{key_hash, put_varint, SetAssoc};
 use crate::error::GdimError;
 
 /// Per-query counters of the feature-matching leg.
@@ -196,9 +196,8 @@ struct CacheEntry {
     stats: MatchStats,
 }
 
-/// The per-thread table behind [`CodeTree::map_query_cached`]:
-/// [`MAP_CACHE_SETS`] sets of [`MAP_CACHE_WAYS`] ways, each set most
-/// recently used first.
+/// The per-thread table behind [`CodeTree::map_query_cached`]: a
+/// [`SetAssoc`] of [`MAP_CACHE_SETS`] sets of [`MAP_CACHE_WAYS`] ways.
 ///
 /// A key is the tree's process-unique id, then the graph's vertex
 /// count, vertex labels, edge count and sorted edge list `(u, v,
@@ -214,7 +213,7 @@ struct CacheEntry {
 /// [`MAP_CACHE_MAX_KEY`] cap it would hold ~1.1 MiB.
 #[derive(Debug)]
 struct MapCache {
-    slots: Box<[Option<CacheEntry>]>,
+    table: SetAssoc<CacheEntry>,
     key: Vec<u8>,
 }
 
@@ -241,15 +240,6 @@ fn cache_counters() -> &'static (Arc<gdim_obs::Counter>, Arc<gdim_obs::Counter>)
             ),
         )
     })
-}
-
-/// Appends `x` to `out` as an LEB128 varint.
-fn put_varint(out: &mut Vec<u8>, mut x: u64) {
-    while x >= 0x80 {
-        out.push(x as u8 | 0x80);
-        x >>= 7;
-    }
-    out.push(x as u8);
 }
 
 /// Writes the cache key of `q` under tree `id` into `key` (see
@@ -427,29 +417,21 @@ impl CodeTree {
         let (hits, misses) = cache_counters();
         MAP_CACHE.with(|cell| {
             let mut cell = cell.borrow_mut();
-            let cache = cell.get_or_insert_with(|| MapCache {
-                slots: (0..MAP_CACHE_SETS * MAP_CACHE_WAYS).map(|_| None).collect(),
+            let MapCache { table, key } = cell.get_or_insert_with(|| MapCache {
+                table: SetAssoc::new(MAP_CACHE_SETS, MAP_CACHE_WAYS),
                 key: Vec::with_capacity(MAP_CACHE_MAX_KEY),
             });
-            if !write_key(self.id, q, &mut cache.key) {
+            if !write_key(self.id, q, key) {
                 misses.inc();
                 return self.map_query(q);
             }
-            let key = &cache.key[..];
             let bits_len = 8 * self.columns.div_ceil(64);
-            let mut h = FxHasher::default();
-            h.write(key);
-            let set = (h.finish() >> 56) as usize % MAP_CACHE_SETS;
-            let ways = &mut cache.slots[set * MAP_CACHE_WAYS..][..MAP_CACHE_WAYS];
-            let found = ways.iter().position(|e| {
-                e.as_ref().is_some_and(|e| {
-                    e.block.len() == key.len() + bits_len && e.block[..key.len()] == *key
-                })
+            let hash = key_hash(key);
+            let found = table.get(hash, |e| {
+                e.block.len() == key.len() + bits_len && e.block[..key.len()] == **key
             });
-            if let Some(way) = found {
+            if let Some(e) = found {
                 hits.inc();
-                ways[..=way].rotate_right(1);
-                let e = ways[0].as_ref().expect("the way just found");
                 let words = (e.block[key.len()..].chunks_exact(8))
                     .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
                     .collect();
@@ -462,11 +444,13 @@ impl CodeTree {
             for w in bits.words() {
                 block.extend_from_slice(&w.to_le_bytes());
             }
-            ways.rotate_right(1);
-            ways[0] = Some(CacheEntry {
-                block: block.into_boxed_slice(),
-                stats,
-            });
+            table.insert(
+                hash,
+                CacheEntry {
+                    block: block.into_boxed_slice(),
+                    stats,
+                },
+            );
             (bits, stats)
         })
     }

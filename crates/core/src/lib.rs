@@ -52,6 +52,7 @@ pub use gdim_exec as exec;
 
 pub mod ann;
 pub mod bitset;
+pub mod cache;
 pub mod chunked;
 pub mod correlation;
 pub mod delta;

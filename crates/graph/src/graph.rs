@@ -91,10 +91,7 @@ impl Graph {
         edges: impl IntoIterator<Item = (VertexId, VertexId, ELabel)>,
     ) -> Result<Self, GraphError> {
         let edges = edges.into_iter();
-        let mut b = GraphBuilder::with_vertices(vlabels);
-        let (m, _) = edges.size_hint();
-        b.edges.reserve_exact(m);
-        b.links.reserve_exact(2 * m);
+        let mut b = GraphBuilder::with_capacity(vlabels, edges.size_hint().0);
         for (u, v, l) in edges {
             b.edge(u, v, l)?;
         }
@@ -318,11 +315,18 @@ impl GraphBuilder {
 
     /// Builder pre-seeded with vertices carrying the given labels.
     pub fn with_vertices(vlabels: Vec<VLabel>) -> Self {
+        Self::with_capacity(vlabels, 0)
+    }
+
+    /// [`GraphBuilder::with_vertices`] with room for `edges` edges. A
+    /// graph of exactly that many edges, from a `vlabels` with no spare
+    /// capacity, is built with no reallocation; `edges` is only a hint.
+    pub fn with_capacity(vlabels: Vec<VLabel>, edges: usize) -> Self {
         Self {
             heads: vec![(0, NO_SLOT); vlabels.len()],
             vlabels,
-            edges: Vec::new(),
-            links: Vec::new(),
+            edges: Vec::with_capacity(edges),
+            links: Vec::with_capacity(2 * edges),
         }
     }
 

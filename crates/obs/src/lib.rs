@@ -10,8 +10,8 @@
 //!   [`Histogram`] whose [`HistogramSnapshot`]s merge exactly across
 //!   shards/threads and estimate p50/p90/p99/p999.
 //! * [`trace`] — per-request stage attribution: the [`Stage`] pipeline
-//!   vocabulary (parse → map → ann_beam/scan → refine → merge →
-//!   serialize), the bounded `Copy` [`StageTimes`] vector that rides
+//!   vocabulary (cache → parse → map → ann_beam/scan → refine → merge
+//!   → serialize), the bounded `Copy` [`StageTimes`] vector that rides
 //!   inside `SearchStats`, and the cheap [`Trace`] span timer.
 //! * [`ring`] — a bounded non-blocking ring of recently completed
 //!   [`RequestRecord`]s (request id, endpoint, status, wall time,

@@ -1,7 +1,7 @@
 //! Per-request stage attribution: where a query's wall time went.
 //!
-//! The pipeline vocabulary is fixed ([`Stage`]): parse → map →
-//! ann_beam/scan → refine → merge → serialize. A request carries a
+//! The pipeline vocabulary is fixed ([`Stage`]): cache → parse → map
+//! → ann_beam/scan → refine → merge → serialize. A request carries a
 //! bounded, `Copy` [`StageTimes`] vector (one `u64` of nanoseconds per
 //! stage — no allocation, rides inside `SearchStats`), and the
 //! serving layer wraps it in a [`Trace`] that also knows
@@ -11,13 +11,16 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 /// Number of pipeline stages ([`Stage::ALL`]).
-pub const STAGE_COUNT: usize = 7;
+pub const STAGE_COUNT: usize = 8;
 
 /// One stage of the query pipeline. Stages are attribution, never
 /// semantics: a request touches only the stages its ranker runs
 /// (e.g. `AnnBeam` replaces `Scan` for the approximate tier).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
+    /// A `/search` answered from the server's result cache: the lookup
+    /// that replaced parse, map, scan and merge (server side).
+    Cache,
     /// HTTP body + wire-schema decode (server side).
     Parse,
     /// VF2 feature matching of the query into the dimension space.
@@ -37,6 +40,7 @@ pub enum Stage {
 impl Stage {
     /// Every stage, in pipeline order.
     pub const ALL: [Stage; STAGE_COUNT] = [
+        Stage::Cache,
         Stage::Parse,
         Stage::Map,
         Stage::Scan,
@@ -49,6 +53,7 @@ impl Stage {
     /// The stable snake_case name (wire and metric label).
     pub fn name(self) -> &'static str {
         match self {
+            Stage::Cache => "cache",
             Stage::Parse => "parse",
             Stage::Map => "map",
             Stage::Scan => "scan",

@@ -14,6 +14,8 @@
 //!   `GdimError` → HTTP-status mapping.
 //! * [`server`] — [`GdimServer`]: acceptor + worker pool +
 //!   keep-alive connection loop + graceful drain.
+//! * [`result_cache`] — each worker's table of earlier `/search`
+//!   answers, keyed by snapshot and body bytes.
 //! * [`client`] — [`Client`]: a keep-alive client speaking the same
 //!   protocol, shared by the CLI, tests, and the load harness.
 //!
@@ -65,6 +67,7 @@ pub mod client;
 pub mod http;
 pub mod json;
 pub(crate) mod metrics;
+pub mod result_cache;
 pub mod server;
 pub mod wire;
 

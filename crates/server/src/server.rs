@@ -14,6 +14,19 @@
 //! lock-free snapshot; admin endpoints go through the handle's writer
 //! path and publish a fresh snapshot.
 //!
+//! # Repeated searches
+//!
+//! Each worker keeps a small table of the `/search` answers it served
+//! ([`crate::result_cache`]), keyed by the raw body bytes and the
+//! process-unique id of the snapshot its reader returned
+//! ([`Reader::current_with_id`]); a body is stored on its second miss.
+//! A stored body is answered before it is decoded: no decode, map,
+//! scan or merge. The answer carries the stored hits and every work counter
+//! of the search; `match_time_ns` is 0, `wall_time_ns` is the lookup,
+//! and the lookup is the one engine stage, `cache`. Every publish
+//! stamps a new id, so a write or a rebuild retires every older entry.
+//! `/search_batch` is not cached.
+//!
 //! `/rebuild` runs [`ShardedIndex::rebuild`] under that writer lock —
 //! on the request's own worker (`mode: sync`) or on one named
 //! `gdim-rebuild` thread (`mode: background`, one at a time). Searches
@@ -50,6 +63,7 @@ use crate::http::{
 };
 use crate::json::{parse, Json};
 use crate::metrics::{endpoint_index, error_log_line, slow_log_line, ServerMetrics, ENDPOINTS};
+use crate::result_cache;
 use crate::wire::{
     decode_insert, decode_search, error_body, gdim_error_status, graph_from_json, query_from_json,
     request_from_json, write_batch_response, write_response, QuerySpec, WireError,
@@ -775,12 +789,14 @@ fn dispatch(
             Ok(Json::obj(fields))
         }
         "/search" => {
-            let fallback = &ctx.metrics.decode_fallback;
-            let (req, spec) = obs
-                .trace
-                .time(Stage::Parse, || read_search(body, fallback))?;
-            let snap = reader.current();
-            let resp = snap.search(resolve(&snap, &spec)?, &req)?;
+            let (id, snap) = reader.current_with_id();
+            let resp = result_cache::answer(id, body, || {
+                let fallback = &ctx.metrics.decode_fallback;
+                let (req, spec) = obs
+                    .trace
+                    .time(Stage::Parse, || read_search(body, fallback))?;
+                Ok::<_, ApiError>(snap.search(resolve(&snap, &spec)?, &req)?)
+            })?;
             obs.trace.absorb(&resp.stats.stages);
             obs.approximate = resp.stats.approximate;
             return Ok(Payload::Search(resp));
@@ -1481,20 +1497,50 @@ mod tests {
             assert_eq!(status, 200, "{j:?}");
             assert_eq!(fallbacks(), want, "{text}");
         }
-        // The same search twice on one connection, and so on one worker
-        // thread: the second maps its query from that thread's cache.
-        let mut cache_hits = || {
-            let (status, _) = client.post("/search", &search_body(id, 5)).unwrap();
-            assert_eq!(status, 200);
+        // The first body twice more, on the same connection and so on
+        // the same worker thread: its second miss stores it, and the
+        // third request is answered from that thread's result cache,
+        // timed as its one `cache` stage. The same query with another
+        // `k` is a new body: it runs the search, and maps its query
+        // from the thread's map cache. The counters are process-wide
+        // and other tests search too, so they are only seen to rise.
+        let counts = |client: &mut Client| {
             let (_, text) = client.get_text("/metrics").unwrap();
             let expo = gdim_obs::expo::parse(&text).expect("exposition parses");
-            for name in ["gdim_map_cache_hits_total", "gdim_map_cache_misses_total"] {
+            let names = [
+                "gdim_result_cache_hits_total",
+                "gdim_result_cache_misses_total",
+                "gdim_map_cache_hits_total",
+                "gdim_map_cache_misses_total",
+            ];
+            for name in names {
                 assert_eq!(expo.type_of(name), Some("counter"), "{name}");
             }
-            expo.value("gdim_map_cache_hits_total", &[]).unwrap()
+            let cache_stage = expo.histogram("gdim_stage_ns", &[("stage", "cache")]);
+            (names.map(|n| expo.value(n, &[]).unwrap()), cache_stage)
         };
-        let first = cache_hits();
-        assert!(cache_hits() > first);
+        let (status, _) = client.post("/search", &search_body(id, 5)).unwrap();
+        assert_eq!(status, 200);
+        let (before, _) = counts(&mut client);
+        let (status, j) = client.post("/search", &search_body(id, 5)).unwrap();
+        assert_eq!(status, 200);
+        let stats = j.get("stats").unwrap();
+        assert_eq!(stats.get("match_time_ns").and_then(Json::as_u64), Some(0));
+        match stats.get("stages") {
+            Some(Json::Obj(stages)) => {
+                assert_eq!(stages.len(), 1, "{stages:?}");
+                assert_eq!(stages[0].0, "cache");
+            }
+            other => panic!("a hit times its lookup: {other:?}"),
+        }
+        let (hit, cache_stage) = counts(&mut client);
+        assert!(hit[0] > before[0], "the repeat is a result-cache hit");
+        assert!(cache_stage.expect("cache stage exported").p50() > 0);
+        let (status, _) = client.post("/search", &search_body(id, 6)).unwrap();
+        assert_eq!(status, 200);
+        let (after, _) = counts(&mut client);
+        assert!(after[1] > hit[1], "a new body misses");
+        assert!(after[2] > hit[2], "and maps its query from the map cache");
         // Wrong method answers a typed 405, like every other route.
         let (status, j) = client.post("/metrics", &Json::Null).unwrap();
         assert_eq!(status, 405, "{j:?}");

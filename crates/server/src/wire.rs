@@ -113,22 +113,24 @@ pub fn graph_to_json(g: &Graph) -> Json {
 
 /// Parses a graph; rejects out-of-range endpoints and duplicate edges.
 pub fn graph_from_json(j: &Json) -> Result<Graph, WireError> {
-    let vlabels: Vec<u32> = j
+    let labels = j
         .get("v")
         .and_then(Json::as_arr)
-        .ok_or_else(|| bad("graph.v must be an array of vertex labels"))?
-        .iter()
-        .map(|l| {
+        .ok_or_else(|| bad("graph.v must be an array of vertex labels"))?;
+    // Sized from the arrays, so the graph is built with no reallocation.
+    let mut vlabels = Vec::with_capacity(labels.len());
+    for l in labels {
+        vlabels.push(
             l.as_u64()
                 .and_then(|u| u32::try_from(u).ok())
-                .ok_or_else(|| bad("graph.v entries must be u32 labels"))
-        })
-        .collect::<Result<_, _>>()?;
-    let mut b = GraphBuilder::with_vertices(vlabels);
+                .ok_or_else(|| bad("graph.v entries must be u32 labels"))?,
+        );
+    }
     let edges = j
         .get("e")
         .and_then(Json::as_arr)
         .ok_or_else(|| bad("graph.e must be an array of [u, v, label] triples"))?;
+    let mut b = GraphBuilder::with_capacity(vlabels, edges.len());
     for e in edges {
         let t = e
             .as_arr()
@@ -411,45 +413,81 @@ impl<'a> Compact<'a> {
 
     /// `{"v":[…],"e":[…]}` in either order, built with the
     /// [`GraphBuilder`] calls [`graph_from_json`] makes; declines where
-    /// the builder refuses an edge. Every encoder here writes `v` first,
-    /// and then each edge goes straight into the builder; edges that
-    /// come before `v` wait in a buffer.
+    /// the builder refuses an edge. Both arrays are counted before they
+    /// are read, so the builder is sized once and never grows. Every
+    /// encoder here writes `v` first, and then each edge goes straight
+    /// into the builder; edges that come before `v` wait in a buffer.
     fn graph(&mut self) -> Option<Graph> {
-        let (mut builder, mut early, mut seen_e) = (None, Vec::new(), None);
+        let (mut vlabels, mut builder, mut early) = (None, None, None);
         self.object(|r, key| match key {
             b"v" => {
                 // Labels hold no nested array: the commas before the
                 // first `]` size the vector exactly.
                 let rest = &r.bytes[r.at..];
                 let end = rest.iter().position(|&b| b == b']').unwrap_or(rest.len());
-                let mut vlabels =
+                let mut labels =
                     Vec::with_capacity(1 + rest[..end].iter().filter(|&&b| b == b',').count());
                 r.items(|r| {
-                    vlabels.push(r.u32()?);
+                    labels.push(r.u32()?);
                     Some(())
                 })?;
-                once(&mut builder, GraphBuilder::with_vertices(vlabels))
+                once(&mut vlabels, labels)
             }
-            b"e" => {
-                once(&mut seen_e, ())?;
+            b"e" if builder.is_none() && early.is_none() => {
+                let m = r.triples_ahead();
+                let Some(labels) = vlabels.take() else {
+                    let mut edges = Vec::with_capacity(m);
+                    r.items(|r| {
+                        edges.push(r.triple()?);
+                        Some(())
+                    })?;
+                    early = Some(edges);
+                    return Some(());
+                };
+                let b = builder.insert(GraphBuilder::with_capacity(labels, m));
                 r.items(|r| {
                     let [u, v, label] = r.triple()?;
-                    match &mut builder {
-                        Some(b) => b.edge(u, v, label).ok(),
-                        None => {
-                            early.push([u, v, label]);
-                            Some(())
-                        }
-                    }
+                    b.edge(u, v, label).ok()
                 })
             }
             _ => None,
         })?;
-        let (mut b, ()) = (builder?, seen_e?);
-        for [u, v, label] in early {
-            b.edge(u, v, label).ok()?;
-        }
+        let b = match (builder, vlabels, early) {
+            (Some(b), None, None) => b,
+            (None, Some(labels), Some(edges)) => {
+                let mut b = GraphBuilder::with_capacity(labels, edges.len());
+                for [u, v, label] in edges {
+                    b.edge(u, v, label).ok()?;
+                }
+                b
+            }
+            _ => return None,
+        };
         Some(b.build())
+    }
+
+    /// The number of `[…]` items in the array that starts here, counted
+    /// without reading them: the `[` one level down. Only a capacity —
+    /// the items are read and checked after.
+    fn triples_ahead(&self) -> usize {
+        let mut depth = 0usize;
+        let mut items = 0;
+        for &b in &self.bytes[self.at..] {
+            match b {
+                b'[' => {
+                    depth += 1;
+                    items += usize::from(depth == 2);
+                }
+                b']' => {
+                    depth = depth.saturating_sub(1);
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                _ => {}
+            }
+        }
+        items
     }
 
     /// `{"graph":<graph>}`: an `/insert` body, and a `/search` query.

@@ -6,8 +6,9 @@
 //! The shape is the classic epoch/Arc-swap pattern, built from `std`
 //! primitives only (everything in this workspace is vendored):
 //!
-//! * the handle publishes immutable `Arc<ShardedIndex>` **snapshots**
-//!   and bumps an [`AtomicU64`] version per publish;
+//! * the handle publishes immutable `Arc<ShardedIndex>` **snapshots**,
+//!   stamps each with a process-unique id, and bumps an [`AtomicU64`]
+//!   version per publish;
 //! * each thread holds a [`Reader`], which caches the snapshot it last
 //!   saw. Its fast path is one atomic version load — when nothing was
 //!   published since the last search, **no lock is touched**. Only on
@@ -92,9 +93,28 @@ struct Shared {
     master: Mutex<ShardedIndex>,
     /// The snapshot readers fetch. Locked only for `Arc` clones and
     /// pointer swaps — never across real work.
-    published: Mutex<Arc<ShardedIndex>>,
+    published: Mutex<Published>,
     /// Bumped once per publish; the readers' lock-free freshness check.
     version: AtomicU64,
+}
+
+/// A published snapshot and its stamp: an id no other snapshot of this
+/// process — of this handle or of any other — has had or will have, so
+/// whatever a caller derived from one snapshot can be keyed by it.
+#[derive(Clone)]
+struct Published {
+    id: u64,
+    index: Arc<ShardedIndex>,
+}
+
+impl Published {
+    fn stamp(index: ShardedIndex) -> Published {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        Published {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            index: Arc::new(index),
+        }
+    }
 }
 
 /// Recovers a usable guard from a poisoned mutex: the protected values
@@ -129,7 +149,7 @@ impl ServingHandle {
     pub fn new(index: ShardedIndex) -> Self {
         ServingHandle {
             shared: Arc::new(Shared {
-                published: Mutex::new(Arc::new(index.clone())),
+                published: Mutex::new(Published::stamp(index.clone())),
                 master: Mutex::new(index),
                 version: AtomicU64::new(0),
             }),
@@ -150,7 +170,7 @@ impl ServingHandle {
     /// the caller). Per-thread [`Reader`]s avoid even this lock in
     /// their steady state.
     pub fn snapshot(&self) -> Arc<ShardedIndex> {
-        lock(&self.shared.published).clone()
+        Arc::clone(&lock(&self.shared.published).index)
     }
 
     /// A per-thread read handle with a lock-free steady-state search
@@ -160,7 +180,7 @@ impl ServingHandle {
         Reader {
             shared: Arc::clone(&self.shared),
             seen: Cell::new(self.version()),
-            cached: RefCell::new(self.snapshot()),
+            cached: RefCell::new(lock(&self.shared.published).clone()),
         }
     }
 
@@ -194,7 +214,7 @@ impl ServingHandle {
     /// Publishes a snapshot of the master (called with the master lock
     /// held, so publishes are serialized in mutation order).
     fn publish(&self, master: &ShardedIndex) {
-        let snap = Arc::new(master.clone());
+        let snap = Published::stamp(master.clone());
         *lock(&self.shared.published) = snap;
         self.shared.version.fetch_add(1, Ordering::Release);
     }
@@ -240,8 +260,8 @@ pub struct Reader {
     shared: Arc<Shared>,
     /// Version of the cached snapshot.
     seen: Cell<u64>,
-    /// The cached snapshot itself.
-    cached: RefCell<Arc<ShardedIndex>>,
+    /// The cached snapshot itself, with its stamp.
+    cached: RefCell<Published>,
 }
 
 impl std::fmt::Debug for Reader {
@@ -257,13 +277,22 @@ impl Reader {
     /// (with one brief pointer-clone lock) only when a newer one was
     /// published since the last call.
     pub fn current(&self) -> Arc<ShardedIndex> {
+        self.current_with_id().1
+    }
+
+    /// [`Reader::current`] with the snapshot's id, read with it under
+    /// one lock at publish. The id is process-unique: every publish of
+    /// every handle in the process gets a fresh one and none is reused,
+    /// so an answer remembered under it is an answer of this snapshot.
+    pub fn current_with_id(&self) -> (u64, Arc<ShardedIndex>) {
         let v = self.shared.version.load(Ordering::Acquire);
         if v != self.seen.get() {
             let fresh = lock(&self.shared.published).clone();
             *self.cached.borrow_mut() = fresh;
             self.seen.set(v);
         }
-        self.cached.borrow().clone()
+        let cached = self.cached.borrow();
+        (cached.id, Arc::clone(&cached.index))
     }
 
     /// Answers one search against the current snapshot — lock-free in
