@@ -523,6 +523,18 @@ fn render_top(expo: &gdim_obs::Exposition) -> String {
         gauge("gdim_live_graphs"),
         gauge("gdim_index_epoch"),
     );
+    // The served caches' hit ratios, when the server exports them.
+    let ratio = |cache: &str| {
+        let hits = expo.value(&format!("gdim_{cache}_cache_hits_total"), &[])?;
+        let misses = expo.value(&format!("gdim_{cache}_cache_misses_total"), &[])?;
+        let lookups = hits + misses;
+        let share = if lookups > 0.0 { hits / lookups } else { 0.0 };
+        Some(format!("{cache} {:.1} % of {lookups}", 100.0 * share))
+    };
+    let caches: Vec<String> = ["result", "map"].into_iter().filter_map(ratio).collect();
+    if !caches.is_empty() {
+        let _ = writeln!(out, "cache hits   {}", caches.join("   "));
+    }
     // Endpoints come from the scrape itself, so the CLI needs no
     // compiled-in endpoint list and stays compatible across servers.
     let mut endpoints: Vec<(&str, f64)> = expo
@@ -672,9 +684,21 @@ mod tests {
             latency.record(v);
             stage.record(v / 2);
         }
+        for (name, n) in [
+            ("gdim_result_cache_hits_total", 2),
+            ("gdim_result_cache_misses_total", 6),
+            ("gdim_map_cache_hits_total", 3),
+            ("gdim_map_cache_misses_total", 1),
+        ] {
+            registry.counter(name, "cache", &[]).add(n);
+        }
         let expo = gdim_obs::expo::parse(&registry.render()).unwrap();
         let top = render_top(&expo);
         assert!(top.contains("uptime 5s"), "{top}");
+        assert!(
+            top.contains("cache hits   result 25.0 % of 8   map 75.0 % of 4"),
+            "{top}"
+        );
         assert!(top.contains("live graphs 24"), "{top}");
         assert!(top.contains("search"), "{top}");
         assert!(top.contains("scan"), "{top}");

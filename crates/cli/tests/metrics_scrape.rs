@@ -111,9 +111,17 @@ fn real_server_scrape_has_the_full_catalogue() {
         "gdim_uptime_ns",
         "gdim_live_graphs",
         "gdim_slow_requests_total",
+        "gdim_result_cache_hits_total",
+        "gdim_result_cache_misses_total",
+        "gdim_map_cache_hits_total",
+        "gdim_map_cache_misses_total",
     ] {
         assert!(expo.type_of(family).is_some(), "missing family {family}");
     }
+    // The three identical bodies: two misses store the answer, the
+    // third is a hit.
+    let result_hits = expo.value("gdim_result_cache_hits_total", &[]).unwrap();
+    assert!(result_hits >= 1.0, "result cache hits {result_hits}");
     // Latency histograms exist for every serving endpoint, with real
     // samples where we sent traffic.
     for ep in ["search", "search_batch", "insert", "remove", "checkpoint"] {
@@ -145,6 +153,7 @@ fn real_server_scrape_has_the_full_catalogue() {
     assert!(ok);
     assert!(top.contains("endpoint"), "{top}");
     assert!(top.contains("search"), "{top}");
+    assert!(top.contains("cache hits   result"), "{top}");
 
     let (ok, _) = gdim(&addr, "stop");
     assert!(ok);

@@ -37,7 +37,6 @@
 //! and the [`MatchStats`] the search would have produced.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use gdim_graph::dfscode::DfsCode;
@@ -47,7 +46,7 @@ use gdim_graph::{ELabel, Graph, GraphBuilder, VLabel};
 use gdim_mining::Feature;
 
 use crate::bitset::Bitset;
-use crate::cache::{key_hash, put_varint, SetAssoc};
+use crate::cache::{self, put_varint, SetAssoc};
 use crate::error::GdimError;
 
 /// Per-query counters of the feature-matching leg.
@@ -113,8 +112,8 @@ struct Node {
 /// through one tree.
 #[derive(Debug)]
 pub struct CodeTree {
-    /// Process-unique, stamped by [`CodeTree::build`]: names the tree
-    /// in the map cache's keys.
+    /// Process-unique, stamped by [`CodeTree::build`]: the map cache's
+    /// stamp for this tree's mappings.
     id: u64,
     /// Breadth-first: the vertex nodes first, every parent before its
     /// children.
@@ -188,32 +187,24 @@ pub const MAP_CACHE_WAYS: usize = 4;
 /// ~120 KB.
 pub const MAP_CACHE_MAX_KEY: usize = 1024;
 
-/// One remembered mapping.
-#[derive(Debug)]
-struct CacheEntry {
-    /// The key, then the bits' words little-endian: one heap block.
-    block: Box<[u8]>,
-    stats: MatchStats,
-}
-
 /// The per-thread table behind [`CodeTree::map_query_cached`]: a
-/// [`SetAssoc`] of [`MAP_CACHE_SETS`] sets of [`MAP_CACHE_WAYS`] ways.
+/// [`SetAssoc`] of [`MAP_CACHE_SETS`] sets of [`MAP_CACHE_WAYS`] ways,
+/// each entry a mapping stamped with its tree's id.
 ///
-/// A key is the tree's process-unique id, then the graph's vertex
-/// count, vertex labels, edge count and sorted edge list `(u, v,
-/// label)`, all as LEB128 varints: prefix-free, so equal keys mean the
-/// same tree and an identical graph, and the answer is exact.
+/// A key is the graph's vertex count, vertex labels, edge count and
+/// sorted edge list `(u, v, label)`, all as LEB128 varints:
+/// prefix-free, so equal keys under one stamp mean the same tree and an
+/// identical graph, and the answer is exact.
 ///
-/// Resident bytes at capacity: 1,024 slots of 40 B (40 KiB), the key
-/// buffer (~1 KiB) and one heap block per entry, its key plus
-/// `8 ⌈p / 64⌉` B of bits. Over the end-to-end benchmark's chem
-/// queries at p = 128 a block averages 89 B, and a full table holds
-/// 133,047 B requested, ~145 KiB in glibc chunks (counting allocator,
+/// Requested bytes at capacity: 1,024 slots of 88 B (90,112 B), the key
+/// buffer (1 KiB), and per entry its key and `8 ⌈p / 64⌉` B of bits.
+/// Over the end-to-end benchmark's chem queries at p = 128 (keys of
+/// ~72 B) a full table holds 175,462 B requested (counting allocator,
 /// 2,048 distinct queries through one thread). Were every key at the
 /// [`MAP_CACHE_MAX_KEY`] cap it would hold ~1.1 MiB.
 #[derive(Debug)]
 struct MapCache {
-    table: SetAssoc<CacheEntry>,
+    table: SetAssoc<(Bitset, MatchStats)>,
     key: Vec<u8>,
 }
 
@@ -242,15 +233,14 @@ fn cache_counters() -> &'static (Arc<gdim_obs::Counter>, Arc<gdim_obs::Counter>)
     })
 }
 
-/// Writes the cache key of `q` under tree `id` into `key` (see
-/// [`MapCache`]); `false` if it would pass [`MAP_CACHE_MAX_KEY`].
-fn write_key(id: u64, q: &Graph, key: &mut Vec<u8>) -> bool {
+/// Writes the cache key of `q` into `key` (see [`MapCache`]); `false`
+/// if it would pass [`MAP_CACHE_MAX_KEY`].
+fn write_key(q: &Graph, key: &mut Vec<u8>) -> bool {
     key.clear();
     // A vertex takes at least one byte and an edge three.
     if q.vertex_count() + 3 * q.edge_count() > MAP_CACHE_MAX_KEY {
         return false;
     }
-    put_varint(key, id);
     put_varint(key, q.vertex_count() as u64);
     for &l in q.vlabels() {
         put_varint(key, l.into());
@@ -354,9 +344,8 @@ impl CodeTree {
             nodes[i].children = (start, nodes.len() as u32);
             i += 1;
         }
-        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         Ok(CodeTree {
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            id: cache::stamp(),
             nodes,
             roots: roots.len(),
             columns: codes.len(),
@@ -421,37 +410,21 @@ impl CodeTree {
                 table: SetAssoc::new(MAP_CACHE_SETS, MAP_CACHE_WAYS),
                 key: Vec::with_capacity(MAP_CACHE_MAX_KEY),
             });
-            if !write_key(self.id, q, key) {
+            if !write_key(q, key) {
                 misses.inc();
                 return self.map_query(q);
             }
-            let bits_len = 8 * self.columns.div_ceil(64);
-            let hash = key_hash(key);
-            let found = table.get(hash, |e| {
-                e.block.len() == key.len() + bits_len && e.block[..key.len()] == **key
-            });
-            if let Some(e) = found {
-                hits.inc();
-                let words = (e.block[key.len()..].chunks_exact(8))
-                    .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
-                    .collect();
-                return (Bitset::from_words(words, self.columns), e.stats);
-            }
+            let miss = match table.get(key, self.id) {
+                Ok(found) => {
+                    hits.inc();
+                    return found.clone();
+                }
+                Err(miss) => miss,
+            };
             misses.inc();
-            let (bits, stats) = self.map_query(q);
-            let mut block = Vec::with_capacity(key.len() + bits_len);
-            block.extend_from_slice(key);
-            for w in bits.words() {
-                block.extend_from_slice(&w.to_le_bytes());
-            }
-            table.insert(
-                hash,
-                CacheEntry {
-                    block: block.into_boxed_slice(),
-                    stats,
-                },
-            );
-            (bits, stats)
+            let answer = self.map_query(q);
+            table.insert(miss, key, self.id, answer.clone());
+            answer
         })
     }
 

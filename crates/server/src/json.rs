@@ -129,11 +129,6 @@ impl Json {
         }
     }
 
-    /// Whether the value is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
     /// Serializes to a compact string (no whitespace).
     pub fn to_string_compact(&self) -> String {
         let mut out = String::new();

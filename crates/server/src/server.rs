@@ -17,14 +17,15 @@
 //! # Repeated searches
 //!
 //! Each worker keeps a small table of the `/search` answers it served
-//! ([`crate::result_cache`]), keyed by the raw body bytes and the
-//! process-unique id of the snapshot its reader returned
+//! ([`crate::result_cache`]), keyed by the raw body bytes and stamped
+//! with the process-unique id of the snapshot its reader returned
 //! ([`Reader::current_with_id`]); a body is stored on its second miss.
 //! A stored body is answered before it is decoded: no decode, map,
 //! scan or merge. The answer carries the stored hits and every work counter
 //! of the search; `match_time_ns` is 0, `wall_time_ns` is the lookup,
 //! and the lookup is the one engine stage, `cache`. Every publish
-//! stamps a new id, so a write or a rebuild retires every older entry.
+//! stamps a new id, so after a write or a rebuild an older entry
+//! misses, and the body's next store replaces it.
 //! `/search_batch` is not cached.
 //!
 //! `/rebuild` runs [`ShardedIndex::rebuild`] under that writer lock —

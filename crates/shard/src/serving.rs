@@ -7,7 +7,8 @@
 //! primitives only (everything in this workspace is vendored):
 //!
 //! * the handle publishes immutable `Arc<ShardedIndex>` **snapshots**,
-//!   stamps each with a process-unique id, and bumps an [`AtomicU64`]
+//!   stamps each with a process-unique id
+//!   ([`gdim_core::cache::stamp`]), and bumps an [`AtomicU64`]
 //!   version per publish;
 //! * each thread holds a [`Reader`], which caches the snapshot it last
 //!   saw. Its fast path is one atomic version load — when nothing was
@@ -109,9 +110,8 @@ struct Published {
 
 impl Published {
     fn stamp(index: ShardedIndex) -> Published {
-        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         Published {
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            id: gdim_core::cache::stamp(),
             index: Arc::new(index),
         }
     }

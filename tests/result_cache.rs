@@ -14,8 +14,11 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
 
+use gdim::core::SearchStats;
 use gdim::datagen::{chem_db, ChemConfig};
+use gdim::obs::StageTimes;
 use gdim::prelude::*;
 use gdim::server::parse_json;
 use gdim::server::result_cache::{self, RESULT_CACHE_MAX_ENTRY};
@@ -94,30 +97,25 @@ fn search(addr: SocketAddr, body: &str) -> SearchResponse {
     response_from_json(&parse_json(&text).unwrap()).unwrap()
 }
 
-/// Hits as `(id, distance bits)` plus every work counter: all of an
-/// answer but its timings.
+/// Hits as `(id, distance bits)` plus the whole stats with their
+/// timings zeroed: all of an answer but its timings.
 fn work(r: &SearchResponse) -> String {
-    let s = &r.stats;
     let hits: Vec<(u32, u64)> = r
         .hits
         .iter()
         .map(|h| (h.id.get(), h.distance.to_bits()))
         .collect();
-    format!(
-        "{hits:?} scanned {} tomb {} words {} epoch {} live {} vf2 {}/{} mcs {} {:?} approx {} ef {} beam {}",
-        s.candidates_scanned,
-        s.tombstones_skipped,
-        s.words_scanned,
-        s.epoch,
-        s.live_graphs,
-        s.vf2_calls,
-        s.vf2_pruned,
-        s.mcs_calls,
-        s.kernel,
-        s.approximate,
-        s.ef,
-        s.beam_visited
-    )
+    format!("{hits:?} {:?}", untimed(&r.stats))
+}
+
+/// `stats` with `match_time`, `wall_time` and `stages` zeroed.
+fn untimed(stats: &SearchStats) -> SearchStats {
+    SearchStats {
+        match_time: Duration::ZERO,
+        wall_time: Duration::ZERO,
+        stages: StageTimes::new(),
+        ..*stats
+    }
 }
 
 /// Sends `body` and holds the answer to `want`'s work; `hit` says
@@ -130,7 +128,7 @@ fn expect(addr: SocketAddr, body: &str, want: &SearchResponse, hit: bool, what: 
     let delta = (after.0 - before.0, after.1 - before.1);
     assert_eq!(delta, if hit { (1, 0) } else { (0, 1) }, "{what}");
     if hit {
-        assert_eq!(got.stats.match_time, std::time::Duration::ZERO, "{what}");
+        assert_eq!(got.stats.match_time, Duration::ZERO, "{what}");
         let stages: Vec<_> = got.stats.stages.iter().map(|(s, _)| s).collect();
         assert_eq!(stages, [gdim::obs::Stage::Cache], "{what}");
     }
