@@ -21,6 +21,9 @@ use gdim_graph::Graph;
 use gdim_server::{wire, Client, Json};
 use gdim_shard::{DurableHandle, SyncPolicy};
 
+mod serve_child;
+use serve_child::ServeChild;
+
 const BASE_GRAPHS: usize = 12;
 
 fn free_port() -> u16 {
@@ -33,7 +36,7 @@ fn free_port() -> u16 {
         .port()
 }
 
-fn spawn_server(dir: &std::path::Path, addr: &str, first: bool) -> Child {
+fn spawn_server(dir: &std::path::Path, addr: &str, first: bool) -> ServeChild {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_gdim"));
     cmd.args(["serve", "--durable"])
         .arg(dir)
@@ -42,10 +45,8 @@ fn spawn_server(dir: &std::path::Path, addr: &str, first: bool) -> Child {
         // Seed the store on the first boot; later boots must recover.
         cmd.args(["--synthetic", "12", "--dimensions", "12", "--shards", "2"]);
     }
-    cmd.stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn gdim serve")
+    cmd.stdout(Stdio::null()).stderr(Stdio::null());
+    ServeChild(cmd.spawn().expect("spawn gdim serve"))
 }
 
 fn wait_healthy(addr: &str, child: &mut Child) -> Client {

@@ -11,6 +11,9 @@ use std::time::{Duration, Instant};
 
 use gdim_server::{Client, Json};
 
+mod serve_child;
+use serve_child::ServeChild;
+
 fn free_port() -> u16 {
     TcpListener::bind("127.0.0.1:0")
         .unwrap()
@@ -19,8 +22,8 @@ fn free_port() -> u16 {
         .port()
 }
 
-fn spawn_server(addr: &str) -> Child {
-    Command::new(env!("CARGO_BIN_EXE_gdim"))
+fn spawn_server(addr: &str) -> ServeChild {
+    let child = Command::new(env!("CARGO_BIN_EXE_gdim"))
         .args([
             "serve",
             "--synthetic",
@@ -37,7 +40,8 @@ fn spawn_server(addr: &str) -> Child {
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
-        .expect("spawn gdim serve")
+        .expect("spawn gdim serve");
+    ServeChild(child)
 }
 
 fn wait_healthy(addr: &str, child: &mut Child) -> Client {

@@ -53,14 +53,6 @@ pub enum GdimError {
         /// Number of shards in the index.
         shards: usize,
     },
-    /// A rebuild computed from a snapshot no longer matches the live
-    /// index: inserts or removes landed after the snapshot was taken,
-    /// so installing it would silently drop them. Compute a fresh
-    /// rebuild instead.
-    StaleRebuild {
-        /// Mutations (inserts + removes) applied since the snapshot.
-        missed: u64,
-    },
     /// A write-ahead log ended in a torn or unreadable tail that could
     /// not be reconciled with a valid record prefix. Recovery trusts
     /// the prefix before the tear; this error means the log is damaged
@@ -112,7 +104,6 @@ impl GdimError {
             GdimError::Corrupt(_) => "corrupt",
             GdimError::UnsupportedVersion { .. } => "unsupported_version",
             GdimError::ShardOutOfRange { .. } => "shard_out_of_range",
-            GdimError::StaleRebuild { .. } => "stale_rebuild",
             GdimError::TornLog { .. } => "torn_log",
             GdimError::CorruptCheckpoint { .. } => "corrupt_checkpoint",
             GdimError::DurablePoisoned { .. } => "durable_poisoned",
@@ -120,7 +111,7 @@ impl GdimError {
     }
 
     /// Whether the error indicts the *request* (a caller addressed a
-    /// graph/shard/dimension that does not exist, or raced a rebuild)
+    /// graph/shard/dimension that does not exist)
     /// rather than the server's own state (I/O failures, corrupt or
     /// unreadable index files). A serving layer maps caller faults to
     /// 4xx statuses and server faults to 5xx.
@@ -129,8 +120,7 @@ impl GdimError {
             GdimError::GraphOutOfRange { .. }
             | GdimError::DimensionOutOfRange { .. }
             | GdimError::WeightsMismatch { .. }
-            | GdimError::ShardOutOfRange { .. }
-            | GdimError::StaleRebuild { .. } => true,
+            | GdimError::ShardOutOfRange { .. } => true,
             GdimError::Io(_)
             | GdimError::Corrupt(_)
             | GdimError::UnsupportedVersion { .. }
@@ -166,12 +156,6 @@ impl fmt::Display for GdimError {
             }
             GdimError::ShardOutOfRange { id, shards } => {
                 write!(f, "shard id {id} out of range for index of {shards} shards")
-            }
-            GdimError::StaleRebuild { missed } => {
-                write!(
-                    f,
-                    "rebuild snapshot is stale: {missed} mutation(s) landed after it was taken"
-                )
             }
             GdimError::TornLog {
                 trusted,
@@ -245,7 +229,7 @@ mod tests {
         // silently change: adding a variant must extend this test, and
         // respelling a code must fail it.
         let io = GdimError::Io(io::Error::other("x"));
-        let table: [(GdimError, &str, bool); 11] = [
+        let table: [(GdimError, &str, bool); 10] = [
             (
                 GdimError::GraphOutOfRange { id: 0, len: 0 },
                 "graph_out_of_range",
@@ -282,7 +266,6 @@ mod tests {
                 "shard_out_of_range",
                 true,
             ),
-            (GdimError::StaleRebuild { missed: 1 }, "stale_rebuild", true),
             (
                 GdimError::TornLog {
                     trusted: 8,

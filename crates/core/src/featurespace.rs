@@ -108,8 +108,8 @@ struct Node {
 /// Built once per feature set — at index build, and **rebuilt
 /// deterministically on load**: it is derived state, never persisted
 /// (see [`crate::persist`]). Immutable and held in a shared cell by its
-/// users, so clones, shards and compactions over the same features map
-/// through one tree.
+/// users, so clones and shards over the same features map through one
+/// tree.
 #[derive(Debug)]
 pub struct CodeTree {
     /// Process-unique, stamped by [`CodeTree::build`]: the map cache's

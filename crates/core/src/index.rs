@@ -17,10 +17,9 @@
 //! A `GraphIndex` is also exactly what one **shard** of `gdim-shard`'s
 //! `ShardedIndex` is (a one-shard `ShardedIndex` answers bit-identically
 //! to the bare index), and that is where a long-lived service holds it:
-//! the sharded index owns the lifecycle — a rebuild computed from a
-//! snapshot, its one `install`, the refusal of a result that missed
-//! later writes — and this type supplies the parts of it that are per
-//! shard.
+//! the sharded index owns the lifecycle — its one `rebuild`, applied
+//! where it is computed — and this type supplies the parts of it that
+//! are per shard.
 //!
 //! ```
 //! use gdim_core::index::{GraphIndex, IndexOptions};
@@ -51,13 +50,10 @@
 //!   step, and features the new graphs would have made frequent stay
 //!   invisible. [`GraphIndex::is_stale`] says when the configured
 //!   [`RebuildPolicy`] is exceeded; acting on it is the owner's job. A
-//!   `ShardedIndex` computes either a compaction of the stale shard
-//!   ([`GraphIndex::subset`] of its live rows, same dimensions) or a
-//!   full rebuild ([`GraphIndex::build`] over the live graphs:
-//!   re-mine, re-select, re-split) from a snapshot, and installs the
-//!   result; either way the replacement carries the next
-//!   [`GraphIndex::epoch`], and a query answers against exactly one
-//!   epoch and reports it in its stats.
+//!   `ShardedIndex` rebuilds in place ([`GraphIndex::build`] over the
+//!   live graphs: re-mine, re-select, re-split); every shard of the
+//!   result carries the next [`GraphIndex::epoch`], and a query
+//!   answers against exactly one epoch and reports it in its stats.
 
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -462,10 +458,10 @@ impl GraphIndex {
 
     /// The index over the rows `kept` (ascending ids) of this one, all
     /// live at `epoch`: their graphs and their vectors, under the same
-    /// dimensions, weights and options. What a shard split and a
-    /// compaction are made of. The dimensions and the code-tree cell
-    /// are shared with `self`, not copied — one tree per dimension
-    /// set, however many shards and compactions descend from a build.
+    /// dimensions, weights and options: what a shard split makes of a
+    /// build. The dimensions and the code-tree cell are shared with
+    /// `self`, not copied — one tree per dimension set, however many
+    /// shards descend from a build.
     ///
     /// # Panics
     /// If a kept id is not a row of this index.

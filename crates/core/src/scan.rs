@@ -382,7 +382,7 @@ impl VectorStore {
     }
 
     /// The store holding the rows `rows` of this one, in that order —
-    /// what a shard split or a compaction keeps of a store.
+    /// what a shard split keeps of a store.
     ///
     /// # Panics
     /// If an id is not a row of the store.

@@ -9,7 +9,7 @@
 //! [`Reader`](gdim_shard::Reader) returned
 //! ([`Reader::current_with_id`](gdim_shard::Reader::current_with_id)),
 //! and a hit returns the hits and every work counter the search
-//! returned. Any publish — an insert, a remove, a rebuild, an install —
+//! returned. Any publish — an insert, a remove, a rebuild —
 //! stamps a new id, so an older entry misses and is replaced when its
 //! body is stored again, or ages out; two servers in one process never
 //! share an id. Only a hit's timings are its own: `match_time` is 0,

@@ -32,9 +32,8 @@
 //! on the request's own worker (`mode: sync`) or on one named
 //! `gdim-rebuild` thread (`mode: background`, one at a time). Searches
 //! keep answering from the published snapshot throughout; writes wait
-//! for the build, because a rebuild computed off the lock would be
-//! refused by any write that landed while it ran (see
-//! [`gdim_shard::serving`]).
+//! for the build, which is applied where it is computed, so no write
+//! lands in between (see [`gdim_shard::serving`]).
 //!
 //! # Graceful shutdown
 //!

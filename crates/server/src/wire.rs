@@ -810,13 +810,12 @@ pub fn error_body(code: &str, message: &str) -> Json {
 }
 
 /// The HTTP status a [`GdimError`] answers with: caller faults are
-/// 4xx (404 for addressing a graph that does not exist, 409 for a
-/// rebuild race, 400 otherwise), server faults 500. Pinned by a unit
+/// 4xx (404 for addressing a graph that does not exist, 400
+/// otherwise), server faults 500. Pinned by a unit
 /// test below — changing a mapping is a wire-contract change.
 pub fn gdim_error_status(e: &GdimError) -> u16 {
     match e {
         GdimError::GraphOutOfRange { .. } => 404,
-        GdimError::StaleRebuild { .. } => 409,
         _ if e.is_caller_fault() => 400,
         _ => 500,
     }
@@ -1402,7 +1401,7 @@ mod tests {
     #[test]
     fn gdim_error_statuses_are_pinned() {
         use std::io;
-        let table: [(GdimError, u16); 11] = [
+        let table: [(GdimError, u16); 10] = [
             (GdimError::GraphOutOfRange { id: 1, len: 0 }, 404),
             (
                 GdimError::DimensionOutOfRange {
@@ -1419,7 +1418,6 @@ mod tests {
                 400,
             ),
             (GdimError::ShardOutOfRange { id: 9, shards: 2 }, 400),
-            (GdimError::StaleRebuild { missed: 3 }, 409),
             (GdimError::Io(io::Error::other("x")), 500),
             (GdimError::Corrupt("x".into()), 500),
             (

@@ -26,17 +26,13 @@
 //!   thread that received the request — concurrent requests are the
 //!   serving path's parallelism; `gdim-exec` is for the build and the
 //!   exact δ phases. Inserts/removes route to the
-//!   owning shard; each shard tracks its own
-//!   [`RebuildPolicy`](gdim_core::RebuildPolicy) staleness. A rebuild
-//!   is a value computed from a snapshot — [`ShardedIndex::compacted`]
-//!   (one shard's live rows under the same selection) or
-//!   [`ShardedIndex::rebuilt`] (the whole pipeline re-run) — and
-//!   [`ShardedIndex::install`] is the one place that applies it,
-//!   refusing a result that missed later writes.
+//!   owning shard. [`ShardedIndex::rebuild`] is the one rebuild: it
+//!   re-runs the whole pipeline over the live graphs and re-splits
+//!   them, in place, at the next epoch.
 //! * [`ServingHandle`] — an epoch-swapped concurrent read handle
 //!   (Arc-swap over `Arc<ShardedIndex>` + a version atomic, no new
 //!   dependencies): any number of [`Reader`]s search lock-free in the
-//!   steady state while mutations and installs publish new snapshots
+//!   steady state while mutations and rebuilds publish new snapshots
 //!   atomically. Mutations are copy-on-write at
 //!   **shard granularity**, and the copy is structural sharing: the new
 //!   version of the owning shard shares every sealed 32-row chunk (and
@@ -87,4 +83,4 @@ pub mod sharded;
 pub use durable::{DurableHandle, RecoveryReport};
 pub use gdim_wal::SyncPolicy;
 pub use serving::{Reader, ServingHandle};
-pub use sharded::{Rebuild, ShardId, ShardedIndex, ShardedOptions};
+pub use sharded::{ShardId, ShardedIndex, ShardedOptions};

@@ -1,21 +1,22 @@
 //! Sharded persistence: a directory holding one **manifest** (the
-//! shard layout, sequence numbers, and rebuild bases) plus one
+//! shard layout and sequence numbers) plus one
 //! versioned v4 index file per shard (written by
 //! [`GraphIndex::save`](gdim_core::GraphIndex::save), so each shard
 //! file is independently loadable and inspectable).
 //!
-//! Layout of manifest format **v1** (all integers little-endian):
+//! Layout of manifest format **v2** (all integers little-endian):
 //!
 //! ```text
 //! magic      8 B  b"GDIMSHRD"
-//! version    u32  1
+//! version    u32  2
 //! shards     u64  shard count N (≥ 1)
 //! shard_bits u32  high bits of a composed GraphId (must match N)
 //! next_seq   u64  next global insertion sequence number
-//! stamp      u64  monotone event stamp (rebuild-basis clock)
-//! per shard: muts u64 (last-mutation stamp) ·
-//!            seq count u64 · ascending row sequence numbers u64*
+//! per shard: seq count u64 · ascending row sequence numbers u64*
 //! ```
+//!
+//! Any other version, v1 included, loads as
+//! [`GdimError::UnsupportedVersion`].
 //!
 //! Save → load → save reproduces **byte-identical** files (manifest
 //! and every shard file), and a reloaded index answers byte-
@@ -37,7 +38,7 @@ use gdim_wal::codec::{put_count, put_u32, put_u64, Reader, Width};
 use crate::sharded::{Shard, ShardedIndex};
 
 const MAGIC: [u8; 8] = *b"GDIMSHRD";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Name of the manifest file inside a saved directory.
 pub(crate) const MANIFEST_FILE: &str = "MANIFEST";
@@ -56,9 +57,7 @@ impl ShardedIndex {
         put_count(&mut buf, self.shard_count(), Width::U64);
         put_u32(&mut buf, self.shard_bits());
         put_u64(&mut buf, self.next_seq());
-        put_u64(&mut buf, self.stamp());
-        for (s, shard) in self.shards().iter().enumerate() {
-            put_u64(&mut buf, self.muts()[s]);
+        for shard in self.shards() {
             put_count(&mut buf, shard.seqs.len(), Width::U64);
             for &seq in &shard.seqs {
                 put_u64(&mut buf, seq);
@@ -108,8 +107,8 @@ impl ShardedIndex {
                 supported: VERSION,
             });
         }
-        // A shard entry takes at least its stamp and its sequence count.
-        let shard_count = r.count(Width::U64, 16)?;
+        // A shard entry takes at least its sequence count.
+        let shard_count = r.count(Width::U64, 8)?;
         if shard_count == 0 {
             return Err(GdimError::Corrupt("manifest declares zero shards".into()));
         }
@@ -122,17 +121,8 @@ impl ShardedIndex {
             )));
         }
         let next_seq = r.u64()?;
-        let stamp = r.u64()?;
-        let mut muts = Vec::with_capacity(shard_count);
         let mut shards = Vec::with_capacity(shard_count);
         for s in 0..shard_count {
-            let m = r.u64()?;
-            if m > stamp {
-                return Err(GdimError::Corrupt(format!(
-                    "shard {s} mutation stamp {m} exceeds the index stamp {stamp}"
-                )));
-            }
-            muts.push(m);
             let seqs = r.list(Width::U64, 8, Reader::u64)?;
             if let Some(seq) = seqs.iter().find(|&&seq| seq >= next_seq) {
                 return Err(GdimError::Corrupt(format!(
@@ -168,9 +158,7 @@ impl ShardedIndex {
                 )));
             }
         }
-        Ok(ShardedIndex::from_loaded(
-            shards, shard_bits, next_seq, stamp, muts,
-        ))
+        Ok(ShardedIndex::from_loaded(shards, shard_bits, next_seq))
     }
 }
 
@@ -190,7 +178,7 @@ mod tests {
     }
 
     /// A saved 3-shard index grown by one insert and one remove (so the
-    /// shards differ in row count and mutation stamp), and its manifest.
+    /// shards differ in row count), and its manifest.
     fn saved() -> &'static (PathBuf, Vec<u8>) {
         static SAVED: OnceLock<(PathBuf, Vec<u8>)> = OnceLock::new();
         SAVED.get_or_init(|| {
@@ -219,13 +207,13 @@ mod tests {
     /// `(offset, width)` of every integer field of a valid manifest.
     fn fields(valid: &[u8]) -> Vec<(usize, usize)> {
         let word = |at: usize| u64::from_le_bytes(valid[at..at + 8].try_into().unwrap());
-        let mut out = vec![(8, 4), (12, 8), (20, 4), (24, 8), (32, 8)];
-        let mut pos = 40;
+        let mut out = vec![(8, 4), (12, 8), (20, 4), (24, 8)];
+        let mut pos = 32;
         for _ in 0..word(12) {
-            let count = word(pos + 8) as usize;
-            out.extend([(pos, 8), (pos + 8, 8)]);
-            out.extend((0..count).map(|i| (pos + 16 + 8 * i, 8)));
-            pos += 16 + 8 * count;
+            let count = word(pos) as usize;
+            out.push((pos, 8));
+            out.extend((0..count).map(|i| (pos + 8 + 8 * i, 8)));
+            pos += 8 + 8 * count;
         }
         assert_eq!(pos, valid.len(), "the walk covers the whole manifest");
         out
@@ -243,6 +231,28 @@ mod tests {
         let le = |v: u64| v.to_le_bytes();
         let expected: Vec<u8> = [
             &b"GDIMSHRD"[..],
+            &2u32.to_le_bytes(), // version
+            &le(2),              // shards
+            &1u32.to_le_bytes(), // shard_bits
+            &le(7),              // next_seq
+            &le(4),              // shard 0: seq count
+            &[le(0), le(1), le(2), le(6)].concat(),
+            &le(3), // shard 1: seq count
+            &[le(3), le(4), le(5)].concat(),
+        ]
+        .concat();
+        assert_eq!(expected.len(), 104);
+        assert_eq!(idx.manifest_bytes(), expected);
+    }
+
+    /// The v1 manifest of that index, as v1 wrote it (an event stamp
+    /// after `next_seq`, a mutation stamp before each shard's count),
+    /// is an older format, not a corrupt one.
+    #[test]
+    fn a_v1_manifest_is_an_unsupported_version() {
+        let le = |v: u64| v.to_le_bytes();
+        let v1: Vec<u8> = [
+            &b"GDIMSHRD"[..],
             &1u32.to_le_bytes(), // version
             &le(2),              // shards
             &1u32.to_le_bytes(), // shard_bits
@@ -256,14 +266,28 @@ mod tests {
             &[le(3), le(4), le(5)].concat(),
         ]
         .concat();
-        assert_eq!(expected.len(), 128);
-        assert_eq!(idx.manifest_bytes(), expected);
+        assert_eq!(v1.len(), 128);
+        let dir = std::env::temp_dir().join(format!("gdim-v1-manifest-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(MANIFEST_FILE), &v1).unwrap();
+        let loaded = ShardedIndex::load_dir(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(
+            matches!(
+                loaded,
+                Err(GdimError::UnsupportedVersion {
+                    found: 1,
+                    supported: 2
+                })
+            ),
+            "{loaded:?}"
+        );
     }
 
     /// Hostile bytes in the MANIFEST — arbitrary ones, arbitrary ones
     /// behind a valid magic and version, a valid manifest with one
     /// byte flipped, or with one integer field (a count, a length,
-    /// a stamp, a sequence number) rewritten to a boundary or random
+    /// a sequence number) rewritten to a boundary or random
     /// value — load or fail with a typed error, never panic, and an
     /// index that loads answers a search.
     #[test]

@@ -1,7 +1,7 @@
 //! [`ServingHandle`]: the concurrent serving runtime over a
 //! [`ShardedIndex`] — any number of reader threads search **without
 //! taking a lock on the search path** while mutations and rebuilds
-//! install new snapshots atomically.
+//! publish new snapshots atomically.
 //!
 //! The shape is the classic epoch/Arc-swap pattern, built from `std`
 //! primitives only (everything in this workspace is vendored):
@@ -29,7 +29,7 @@
 //! bumps) and mutates the clone:
 //!
 //! * **shared with the previous snapshot** — everything immutable
-//!   after a build or install (the dimensions, their code tree, the
+//!   after a build or rebuild (the dimensions, their code tree, the
 //!   ANN graph once built) and every *sealed
 //!   chunk* of [`CHUNK`](gdim_core::chunked::CHUNK) = 32 rows of the
 //!   per-row state that owns heap memory (the graphs);
@@ -59,20 +59,12 @@
 //!
 //! # Rebuilds
 //!
-//! A rebuild is a value computed from an immutable snapshot
-//! ([`ShardedIndex::rebuilt`], [`ShardedIndex::compacted`]) and applied
-//! by [`ServingHandle::install`]; the caller owns whatever thread
-//! computes it. Two ways to serve one, both leaving searches unblocked:
-//!
-//! * **under the writer lock** — `handle.write(ShardedIndex::rebuild)`.
-//!   Writes wait for the whole build; none is ever refused. This is
-//!   what the server's `/rebuild` runs, in either mode.
-//! * **off the writer lock** — `handle.snapshot().rebuilt()` on any
-//!   thread, then `handle.install(..)`. Writes proceed meanwhile, and
-//!   any write that lands while the rebuild runs (any write at all for
-//!   a full rebuild, one to its shard for a compaction) gets the
-//!   result refused with [`GdimError::StaleRebuild`] — compute it again
-//!   or keep serving the old one.
+//! A rebuild is applied where it is computed: the caller runs
+//! `handle.write(ShardedIndex::rebuild)` on whatever thread it owns
+//! (the server's `/rebuild` does, in either mode), so the build runs
+//! under the writer lock and its result is published once, as one
+//! snapshot. Searches keep answering from the previous snapshot
+//! throughout; writes wait for the build, so none is lost or refused.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,7 +74,7 @@ use std::time::Instant;
 use gdim_core::{GdimError, Graph, GraphId, SearchRequest, SearchResponse};
 
 use crate::obs::write_metrics;
-use crate::sharded::{Rebuild, ShardedIndex};
+use crate::sharded::ShardedIndex;
 
 /// Shared state behind every clone of a [`ServingHandle`] and every
 /// [`Reader`].
@@ -156,11 +148,11 @@ impl ServingHandle {
         }
     }
 
-    /// The publish count so far — one per **effective** mutation or
-    /// install (no-ops and refused installs publish nothing; the
-    /// generic [`ServingHandle::write`] always publishes). Readers use
-    /// it as their freshness check; tests and monitors can watch
-    /// installs land.
+    /// The publish count so far — one per **effective** mutation
+    /// (no-ops and failed mutations publish nothing; the generic
+    /// [`ServingHandle::write`] always publishes). Readers use it as
+    /// their freshness check; tests and monitors can watch publishes
+    /// land.
     pub fn version(&self) -> u64 {
         self.shared.version.load(Ordering::Acquire)
     }
@@ -231,21 +223,6 @@ impl ServingHandle {
         self.mutate(|idx| {
             let out = idx.remove(id);
             let changed = matches!(out, Ok(true));
-            (out, changed)
-        })
-    }
-
-    /// Installs a rebuild computed from a snapshot
-    /// ([`ShardedIndex::rebuilt`] / [`ShardedIndex::compacted`] on
-    /// [`ServingHandle::snapshot`]) and publishes — only when
-    /// [`ShardedIndex::install`] accepts it; a refused
-    /// ([`GdimError::StaleRebuild`]) install publishes nothing. Readers
-    /// observe the swap as one version bump: every search answers
-    /// against exactly one snapshot, before or after, never a mix.
-    pub fn install(&self, rebuild: Rebuild) -> Result<(), GdimError> {
-        self.mutate(|idx| {
-            let out = idx.install(rebuild);
-            let changed = out.is_ok();
             (out, changed)
         })
     }

@@ -121,11 +121,6 @@ pub struct ShardedIndex {
     shard_bits: u32,
     /// Next global insertion sequence number.
     next_seq: u64,
-    /// Monotone event stamp; bumped by every mutation or install.
-    stamp: u64,
-    /// `muts[s]` = stamp of shard `s`'s last mutation/install — the
-    /// freshness basis of a compaction of that shard.
-    muts: Vec<u64>,
     opts: ShardedOptions,
 }
 
@@ -184,8 +179,6 @@ impl ShardedIndex {
             shards,
             shard_bits: bits,
             next_seq: n as u64,
-            stamp: 0,
-            muts: vec![0; shards_n],
             opts,
         }
     }
@@ -251,12 +244,6 @@ impl ShardedIndex {
             })
     }
 
-    /// One shard's graphs (including tombstoned rows), in local-id
-    /// order.
-    pub fn shard_graphs(&self, s: ShardId) -> Result<impl Iterator<Item = &Graph> + '_, GdimError> {
-        self.shard(s).map(GraphIndex::graphs)
-    }
-
     /// Total rows across shards, **including** tombstoned ones.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.index.len()).sum()
@@ -280,8 +267,9 @@ impl ShardedIndex {
         self.shards.iter().map(|s| s.index.live_len()).collect()
     }
 
-    /// The newest rebuild generation across shards (shards rebuild
-    /// independently; a search reports this as its
+    /// The rebuild generation: 0 after [`ShardedIndex::build`], + 1
+    /// per [`ShardedIndex::rebuild`], the newest across shards (a
+    /// search reports it as its
     /// [`SearchStats::epoch`](gdim_core::SearchStats::epoch)).
     pub fn epoch(&self) -> u64 {
         self.shards
@@ -332,7 +320,7 @@ impl ShardedIndex {
     }
 
     /// The composed id currently holding insertion sequence `seq`, or
-    /// `None` if that row was removed and compacted away. A linear
+    /// `None` if no row holds it (a rebuild reseeds them `0..n`). A linear
     /// scan over the shard seq lists — a correspondence helper for
     /// tests and tooling, not a serving-path lookup.
     pub fn id_for_seq(&self, seq: u64) -> Option<GraphId> {
@@ -349,15 +337,6 @@ impl ShardedIndex {
 
     pub(crate) fn shards(&self) -> &[Arc<Shard>] {
         &self.shards
-    }
-
-    pub(crate) fn stamp(&self) -> u64 {
-        self.stamp
-    }
-
-    fn bump(&mut self, s: usize) {
-        self.stamp += 1;
-        self.muts[s] = self.stamp;
     }
 
     /// Shard `s` for mutation — the one copy-on-write point: a shard
@@ -398,7 +377,6 @@ impl ShardedIndex {
             "shard {s} overflows its {local_bits}-bit local id space"
         );
         shard.seqs.push(seq);
-        self.bump(s);
         self.compose_id(ShardId(s as u32), local)
     }
 
@@ -412,21 +390,10 @@ impl ShardedIndex {
             return Ok(false);
         }
         self.shard_mut(s).index.remove(GraphId(local as u32))?;
-        self.bump(s);
         Ok(true)
     }
 
     // ----------------------------------------------------- rebuilds
-
-    /// The shards whose accumulated churn exceeds their
-    /// [`RebuildPolicy`](gdim_core::RebuildPolicy) — the ones worth a
-    /// [`ShardedIndex::compacted`].
-    pub fn stale_shards(&self) -> Vec<ShardId> {
-        (0..self.shards.len())
-            .filter(|&s| self.shards[s].index.is_stale())
-            .map(|s| ShardId(s as u32))
-            .collect()
-    }
 
     /// The live graphs across all shards in **sequence order** — the
     /// database a full rebuild runs over (identical to the id order of
@@ -444,94 +411,18 @@ impl ShardedIndex {
         rows.into_iter().map(|(_, g)| g.clone()).collect()
     }
 
-    /// A **full rebuild** of this index, computed and not applied: the
-    /// global pipeline (re-mine → re-select) re-run over the live
-    /// graphs in sequence order and re-split into shards — the only
-    /// operation that revisits the selected dimensions. Sequence
-    /// numbers and ids are reseeded `0..n`; every shard's epoch is the
-    /// current maximum + 1. `&self` is all it reads, so any thread
-    /// holding a snapshot can compute it while the index keeps serving
-    /// (and mutating); [`ShardedIndex::install`] applies it.
-    pub fn rebuilt(&self) -> Rebuild {
-        let global = GraphIndex::build(self.live_graphs(), self.opts.index.clone());
-        Rebuild {
-            basis: self.stamp,
-            fresh: Fresh::Index(Self::split_global(
-                global,
-                self.opts.clone(),
-                self.epoch() + 1,
-            )),
-        }
-    }
-
-    /// A **compaction** of one shard, computed and not applied: its
-    /// live rows under the retained global selection (tombstoned rows
-    /// dropped, later local ids shifted down, sequence numbers carried
-    /// with their rows, pending-insert counters reset, epoch + 1) —
-    /// all **without re-mining**, so every live row keeps its exact
-    /// vector and answers are unchanged. [`ShardedIndex::install`]
-    /// applies it.
-    pub fn compacted(&self, s: ShardId) -> Result<Rebuild, GdimError> {
-        let idx = self.shard(s)?;
-        let seqs = &self.shards[s.index()].seqs;
-        let live = idx.tombstones().live_ids();
-        Ok(Rebuild {
-            basis: self.muts[s.index()],
-            fresh: Fresh::Shard(
-                s,
-                Box::new(Shard {
-                    index: idx.subset(&live, idx.epoch() + 1),
-                    seqs: live.iter().map(|&i| seqs[i as usize]).collect(),
-                }),
-            ),
-        })
-    }
-
-    /// Applies a [`ShardedIndex::rebuilt`] or
-    /// [`ShardedIndex::compacted`] result — the only code that swaps
-    /// rebuilt state into an index. A full rebuild replaces every
-    /// shard; a compaction replaces its one shard (one `Arc` pointer
-    /// for another, the other shards untouched). Either way the index
-    /// keeps its own exec budget (a knob of the serving machine, not
-    /// of the snapshot: a [`ShardedIndex::set_exec`] made while the
-    /// rebuild was computed survives its installation).
-    ///
-    /// Refused with [`GdimError::StaleRebuild`], changing nothing, when
-    /// the result missed events: a full rebuild any mutation or install
-    /// since its snapshot, a compaction any in its own shard.
-    pub fn install(&mut self, rebuild: Rebuild) -> Result<(), GdimError> {
-        let now = match &rebuild.fresh {
-            Fresh::Index(_) => Some(self.stamp),
-            Fresh::Shard(s, _) => self.muts.get(s.index()).copied(),
-        };
-        if now != Some(rebuild.basis) {
-            return Err(GdimError::StaleRebuild {
-                missed: now.map_or(u64::MAX, |m| m.abs_diff(rebuild.basis)),
-            });
-        }
-        let exec = *self.exec();
-        match rebuild.fresh {
-            Fresh::Index(mut fresh) => {
-                fresh.stamp = self.stamp + 1;
-                fresh.muts = vec![fresh.stamp; fresh.shards.len()];
-                fresh.set_exec(exec);
-                *self = fresh;
-            }
-            Fresh::Shard(s, mut fresh) => {
-                fresh.index.set_exec(exec);
-                self.shards[s.index()] = Arc::new(*fresh);
-                self.bump(s.index());
-            }
-        }
-        Ok(())
-    }
-
-    /// Synchronous full rebuild: [`ShardedIndex::rebuilt`], then
-    /// [`ShardedIndex::install`].
+    /// **Full rebuild**, applied where it is computed: the global
+    /// pipeline (re-mine → re-select) re-run over
+    /// [`ShardedIndex::live_graphs`] and re-split into shards — the
+    /// only operation that revisits the selected dimensions. Tombstoned
+    /// rows are dropped, sequence numbers and ids are reseeded `0..n`,
+    /// every shard's epoch is the current one + 1, and the index keeps
+    /// its exec budget and options. A served index runs it under the
+    /// writer lock (`handle.write(ShardedIndex::rebuild)`), so no write
+    /// lands between the build and its application.
     pub fn rebuild(&mut self) {
-        let fresh = self.rebuilt();
-        self.install(fresh)
-            .expect("a rebuild of the index itself misses no event");
+        let global = GraphIndex::build(self.live_graphs(), self.opts.index.clone());
+        *self = Self::split_global(global, self.opts.clone(), self.epoch() + 1);
     }
 
     // ------------------------------------------------------- search
@@ -584,13 +475,7 @@ impl ShardedIndex {
 
     /// Reassembles an index from loaded parts (the seam
     /// [`ShardedIndex::load_dir`] uses).
-    pub(crate) fn from_loaded(
-        shards: Vec<Shard>,
-        shard_bits: u32,
-        next_seq: u64,
-        stamp: u64,
-        muts: Vec<u64>,
-    ) -> ShardedIndex {
+    pub(crate) fn from_loaded(shards: Vec<Shard>, shard_bits: u32, next_seq: u64) -> ShardedIndex {
         let opts = ShardedOptions {
             shards: shards.len(),
             index: shards[0].index.options().clone(),
@@ -599,8 +484,6 @@ impl ShardedIndex {
             shards: shards.into_iter().map(Arc::new).collect(),
             shard_bits,
             next_seq,
-            stamp,
-            muts,
             opts,
         }
     }
@@ -608,32 +491,6 @@ impl ShardedIndex {
     pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
     }
-
-    pub(crate) fn muts(&self) -> &[u64] {
-        &self.muts
-    }
-}
-
-/// A rebuild computed from a snapshot of a [`ShardedIndex`]
-/// ([`ShardedIndex::rebuilt`] or [`ShardedIndex::compacted`]) and not
-/// yet applied; pass it to [`ShardedIndex::install`]. It records the
-/// event stamp it was computed from, which is what decides whether it
-/// is still current when installed.
-#[derive(Debug)]
-pub struct Rebuild {
-    /// The index's event stamp (full rebuild) or the shard's last
-    /// mutation stamp (compaction) when the snapshot was taken.
-    basis: u64,
-    fresh: Fresh,
-}
-
-/// What a [`Rebuild`] replaces.
-#[derive(Debug)]
-enum Fresh {
-    /// Every shard: a re-mined, re-split index.
-    Index(ShardedIndex),
-    /// One shard: its compacted replacement.
-    Shard(ShardId, Box<Shard>),
 }
 
 #[cfg(test)]
@@ -658,7 +515,7 @@ mod tests {
     }
 
     #[test]
-    fn shards_and_compactions_share_one_code_tree_per_feature_set() {
+    fn shards_share_one_code_tree_per_feature_set() {
         let opts = ShardedOptions::new(3).with_index(IndexOptions::default().with_dimensions(16));
         let mut idx = ShardedIndex::build(chem(24, 7), opts);
         // 8 live rows per shard: three inserts land on shards 0, 1, 2.
@@ -667,11 +524,9 @@ mod tests {
         assert_eq!(owners, [0, 1, 2]);
         assert_one_mapper_per_feature_set(&idx);
 
-        // A compacted shard keeps mapping through the same tree.
+        // A rebuild selects anew, and its shards share the new tree.
         idx.remove(ids[1]).unwrap();
-        let compaction = idx.compacted(ShardId(1)).unwrap();
-        idx.install(compaction).unwrap();
-        assert_eq!(idx.shard(ShardId(1)).unwrap().tombstone_count(), 0);
+        idx.rebuild();
         assert_one_mapper_per_feature_set(&idx);
         idx.insert(chem(1, 100).remove(0));
         assert_one_mapper_per_feature_set(&idx);

@@ -1,9 +1,9 @@
 //! Sharded serving: partition the database over N shards
 //! ([`ShardedIndex`]), then serve **concurrent** traffic through a
 //! [`ServingHandle`] — multiple reader threads answering a Zipf-skewed
-//! workload lock-free while the main thread inserts and removes graphs,
-//! has a late write refuse a stale compaction, compacts the shards that
-//! went stale, and installs a full rebuild computed from a snapshot.
+//! workload lock-free while the main thread inserts and removes graphs
+//! and runs a full rebuild under the writer lock — and finally save the
+//! rebuilt index and load it back.
 //!
 //! ```sh
 //! cargo run --release --example sharded_serving
@@ -16,23 +16,14 @@ use gdim::prelude::*;
 fn main() -> Result<(), GdimError> {
     let cfg = gdim::datagen::ChemConfig::default();
     let db = gdim::datagen::chem_db(120, &cfg, 7);
+    let index_opts = IndexOptions::default().with_dimensions(50);
 
     // One global pipeline run (mine -> select), then 4 shards stamped
     // out from it — every shard shares the same dimensions, so
     // scatter-gather answers are bit-identical to an unsharded index.
     let index = ShardedIndex::build(
         db.clone(),
-        ShardedOptions::new(4).with_index(
-            IndexOptions::default()
-                .with_dimensions(50)
-                // Per *shard*: least-loaded insert routing spreads 6
-                // inserts over 4 shards, so a couple of shards reach 2
-                // pending inserts and report stale below.
-                .with_rebuild_policy(RebuildPolicy {
-                    max_inserts: 2,
-                    max_tombstone_frac: 0.10,
-                }),
-        ),
+        ShardedOptions::new(4).with_index(index_opts.clone()),
     );
     println!(
         "built {:?}: {} graphs over {} shards, {} dimensions",
@@ -43,7 +34,7 @@ fn main() -> Result<(), GdimError> {
     );
 
     // Sanity: sharded == unsharded, hit for hit (distances and order).
-    let unsharded = GraphIndex::build(db.clone(), IndexOptions::default().with_dimensions(50));
+    let unsharded = GraphIndex::build(db.clone(), index_opts);
     let q = db[17].clone();
     let sharded_hits = index.search(&q, &SearchRequest::new(5))?.hits;
     let flat_hits = unsharded.search(&q, &SearchRequest::new(5))?.hits;
@@ -56,8 +47,8 @@ fn main() -> Result<(), GdimError> {
     // --- concurrent serving ---------------------------------------
     // Readers search lock-free against published snapshots (one atomic
     // load per search in the steady state) while the writer inserts —
-    // each insert copy-on-writes only the owning shard (1/N of the
-    // data) — and rebuilds computed from snapshots install atomically.
+    // each insert copy-on-writes only the owning shard's tail — removes,
+    // and rebuilds; every write publishes one new snapshot atomically.
     let handle = ServingHandle::new(index);
     let workload =
         gdim::datagen::zipf_workload(db.len(), 400, &gdim::datagen::ZipfConfig::default(), 9);
@@ -76,60 +67,44 @@ fn main() -> Result<(), GdimError> {
                     }
                     let resp = reader
                         .search(&db[gid as usize], &SearchRequest::new(3))
-                        .expect("searches never fail while mutations land");
+                        .expect("searches never fail while writes land");
                     assert_eq!(resp.hits[0].distance, 0.0, "reader {t} query {i}");
                     served.fetch_add(1, Ordering::Relaxed);
                 }
             });
         }
 
-        // Writer: online inserts (readers keep the old snapshot until
-        // the next publish), then rebuilds.
+        // Writer: online inserts and removes (readers keep the old
+        // snapshot until the next publish).
         let inserted: Vec<GraphId> = gdim::datagen::chem_db(6, &cfg, 4242)
             .into_iter()
             .map(|g| handle.insert(g))
             .collect();
-        let stale = handle.snapshot().stale_shards();
-        println!(
-            "inserted 6 graphs; stale shards now {:?}",
-            stale.iter().map(ToString::to_string).collect::<Vec<_>>()
-        );
-        // A rebuild is computed from a snapshot, off the writer lock,
-        // so a write can land meanwhile; install refuses a result that
-        // missed one rather than silently drop it — for a compaction,
-        // a write to its own shard.
-        let snapshot = handle.snapshot();
-        let (owner, _) = snapshot.split_id(inserted[0]);
-        let compaction = snapshot.compacted(owner).expect("the owner of a live id");
-        handle.remove(inserted[0]).expect("a live id");
-        match handle.install(compaction) {
-            Err(GdimError::StaleRebuild { .. }) => {
-                println!("late remove in {owner} invalidated its compaction");
-            }
-            other => panic!("a stale compaction must be refused, got {other:?}"),
+        // (The readers query the base graphs, so the removes take
+        // inserted ones: every query keeps itself as its nearest hit.)
+        for &id in &inserted[..2] {
+            assert!(handle.remove(id).expect("an inserted id"), "{id} was live");
         }
-        // Computed again: same selection, live rows only, so answers
-        // are provably unchanged.
-        for s in handle.snapshot().stale_shards() {
-            let compaction = handle.snapshot().compacted(s).expect("a stale shard's id");
-            handle
-                .install(compaction)
-                .expect("nothing wrote to the shard since its snapshot");
-        }
-        assert!(handle.snapshot().stale_shards().is_empty());
-        // A full rebuild re-mines over the live graphs and re-splits,
-        // every shard at the next epoch (any write since its snapshot
-        // would have it refused too).
-        let rebuilt = handle.snapshot().rebuilt();
-        handle
-            .install(rebuilt)
-            .expect("no mutation raced the rebuild");
         let snap = handle.snapshot();
         println!(
-            "full rebuild installed: snapshot version {} with epoch {}, {} of {} rows live",
+            "inserted 6 graphs, removed 2: {} of {} rows live",
+            snap.live_len(),
+            snap.len()
+        );
+
+        // A full rebuild re-mines over the live graphs and re-splits,
+        // every shard at the next epoch. It runs under the writer lock,
+        // so writes wait for it and none is lost; readers keep
+        // searching the previous snapshot until it publishes.
+        let before = handle.version();
+        handle.write(ShardedIndex::rebuild);
+        assert_eq!(handle.version(), before + 1, "one rebuild, one publish");
+        let snap = handle.snapshot();
+        assert_eq!(snap.live_len(), snap.len(), "tombstones are gone");
+        println!(
+            "full rebuild published: snapshot version {} with epoch {}, {} rows",
             handle.version(),
             snap.epoch(),
-            snap.live_len(),
             snap.len()
         );
         stop.store(true, Ordering::Relaxed);
@@ -137,6 +112,29 @@ fn main() -> Result<(), GdimError> {
     println!(
         "3 reader threads served {} searches while the writer mutated and rebuilt",
         served.load(Ordering::Relaxed)
+    );
+
+    // --- persistence ----------------------------------------------
+    // A manifest plus one index file per shard; the reloaded index
+    // answers exactly like the one that was saved.
+    let served_index = handle.snapshot();
+    let dir = std::env::temp_dir().join(format!("gdim-sharded-serving-{}", std::process::id()));
+    served_index.save_dir(&dir)?;
+    let mut loaded = ShardedIndex::load_dir(&dir)?;
+    std::fs::remove_dir_all(&dir)?;
+    loaded.set_exec(*served_index.exec());
+    assert_eq!(loaded.manifest_bytes(), served_index.manifest_bytes());
+    for q in db.iter().step_by(30) {
+        let req = SearchRequest::new(5);
+        assert_eq!(
+            loaded.search(q, &req)?.hits,
+            served_index.search(q, &req)?.hits
+        );
+    }
+    println!(
+        "saved and reloaded: epoch {}, {} rows, same answers",
+        loaded.epoch(),
+        loaded.len()
     );
     Ok(())
 }

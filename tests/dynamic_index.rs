@@ -60,14 +60,14 @@ proptest! {
             });
             let mut grown = one_shard(base.clone(), opts.clone());
             for (j, g) in extra.iter().enumerate() {
-                prop_assert!(grown.stale_shards().is_empty(), "{} inserts", j);
+                prop_assert!(!grown.shard(ShardId(0)).unwrap().is_stale(), "{} inserts", j);
                 let id = grown.insert(g.clone());
                 prop_assert_eq!(id.index(), base.len() + j);
             }
-            prop_assert_eq!(grown.stale_shards(), vec![ShardId(0)], "policy must trip at max_inserts");
+            prop_assert!(grown.shard(ShardId(0)).unwrap().is_stale(), "policy must trip at max_inserts");
             grown.rebuild();
             prop_assert_eq!(grown.epoch(), 1);
-            prop_assert!(grown.stale_shards().is_empty());
+            prop_assert!(!grown.shard(ShardId(0)).unwrap().is_stale());
             let shard = grown.shard(ShardId(0)).unwrap();
             prop_assert_eq!(shard.pending_inserts(), 0);
 
@@ -107,7 +107,7 @@ proptest! {
         for &i in &dead {
             prop_assert!(pruned.remove(GraphId(i as u32)).unwrap());
         }
-        prop_assert_eq!(!pruned.stale_shards().is_empty(), dead.len() * 4 > db.len());
+        prop_assert_eq!(pruned.shard(ShardId(0)).unwrap().is_stale(), dead.len() * 4 > db.len());
         pruned.rebuild();
         let fresh = GraphIndex::build(survivors.clone(), opts(2));
         prop_assert_eq!(pruned.len(), fresh.len());

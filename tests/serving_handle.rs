@@ -3,7 +3,7 @@
 //! background rebuild runs and while a writer mutates — the search
 //! path never blocks on either (readers only ever touch an atomic
 //! version check plus, on a version change, one pointer-clone lock).
-//! Installs are atomic: every search answers against exactly one
+//! Publishes are atomic: every search answers against exactly one
 //! snapshot.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -23,11 +23,11 @@ fn build(db: Vec<Graph>, shards: usize) -> ShardedIndex {
 }
 
 /// Readers search continuously while a full rebuild (re-mine →
-/// re-select → re-split) is computed from a snapshot on another
-/// thread; the rebuild installs atomically, and every answer — before
-/// and after — is well-formed and self-consistent. The searches
-/// overlap the rebuild by construction: each reader loops until the
-/// rebuild is computed, and only then is it installed.
+/// re-select → re-split) runs under the writer lock on its own thread
+/// — the shape of the server's background `/rebuild`; the rebuild
+/// publishes once, atomically, and every answer — before and after —
+/// is well-formed and self-consistent. The searches overlap the
+/// rebuild by construction: each reader loops until it has finished.
 #[test]
 fn readers_search_through_a_background_rebuild_without_blocking() {
     let db = chem(48, 7);
@@ -36,7 +36,6 @@ fn readers_search_through_a_background_rebuild_without_blocking() {
     let searches_during_rebuild = AtomicUsize::new(0);
     let rebuild_running = AtomicBool::new(true);
 
-    let snapshot = handle.snapshot();
     std::thread::scope(|scope| {
         for _ in 0..3 {
             let reader = handle.reader();
@@ -59,23 +58,23 @@ fn readers_search_through_a_background_rebuild_without_blocking() {
                 }
             });
         }
-        // Compute the rebuild on the main thread, then install. The
-        // readers keep counting searches the whole time.
-        let rebuilt = snapshot.rebuilt();
-        rebuild_running.store(false, Ordering::Relaxed);
-        // It was computed from the snapshot the handle currently
-        // serves, and nothing mutated: install must succeed.
-        handle.install(rebuilt).unwrap();
+        // The rebuild runs on its own thread under the writer lock;
+        // the readers keep counting searches the whole time.
+        let (handle, running) = (&handle, &rebuild_running);
+        scope.spawn(move || {
+            handle.write(ShardedIndex::rebuild);
+            running.store(false, Ordering::Relaxed);
+        });
     });
 
     assert!(
         searches_during_rebuild.load(Ordering::Relaxed) >= 3,
         "every reader must have served at least once during the rebuild"
     );
-    assert_eq!(handle.version(), v0 + 1, "one install, one publish");
+    assert_eq!(handle.version(), v0 + 1, "one rebuild, one publish");
     let rebuilt = handle.snapshot();
-    assert!(rebuilt.epoch() >= 1);
-    // The installed index equals a fresh sharded build over the same
+    assert_eq!(rebuilt.epoch(), 1);
+    // The rebuilt index equals a fresh sharded build over the same
     // graphs (full rebuilds re-run the identical global pipeline).
     let fresh = build(db.clone(), 4);
     for q in db.iter().take(3) {
@@ -182,69 +181,21 @@ fn readers_cache_snapshots_until_a_publish() {
     assert_eq!(c.live_len(), a.live_len() + 1);
 }
 
-/// No-op and failed mutations publish nothing — nor does a refused
-/// install: readers are never forced to refetch an identical snapshot,
-/// and `version()` counts only effective publishes.
+/// No-op and failed mutations publish nothing: readers are never
+/// forced to refetch an identical snapshot, and `version()` counts
+/// only effective publishes.
 #[test]
 fn noop_and_failed_mutations_do_not_publish() {
     let handle = ServingHandle::new(build(chem(8, 21), 2));
     let gid = handle.snapshot().id_for_seq(0).unwrap();
-    let compaction = handle.snapshot().compacted(ShardId(0)).unwrap();
     assert!(handle.remove(gid).unwrap());
     let v = handle.version();
     assert!(!handle.remove(gid).unwrap(), "already tombstoned");
     assert!(handle.remove(GraphId(u32::MAX)).is_err());
-    assert!(matches!(
-        handle.install(compaction),
-        Err(GdimError::StaleRebuild { missed: 1 })
-    ));
     assert_eq!(handle.version(), v, "no-ops and failures must not publish");
     // An effective mutation still publishes exactly once.
     handle.insert(chem(1, 5).remove(0));
     assert_eq!(handle.version(), v + 1);
-}
-
-/// Background **shard** rebuild through the handle: tombstone a few
-/// rows of one shard, compact it on another thread from a snapshot,
-/// install — answers are unchanged, the tombstones are gone, and other
-/// shards never moved.
-#[test]
-fn background_shard_rebuild_installs_through_the_handle() {
-    let db = chem(16, 17);
-    let handle = ServingHandle::new(build(db.clone(), 2));
-    // Tombstone two rows of shard 0 (seqs 0..8 live there).
-    for seq in [1u64, 3] {
-        let gid = handle.snapshot().id_for_seq(seq).unwrap();
-        assert!(handle.remove(gid).unwrap());
-    }
-    let snapshot = handle.snapshot();
-    let q = db[10].clone();
-    let before: Vec<(u64, f64)> = snapshot
-        .search(&q, &SearchRequest::new(6))
-        .unwrap()
-        .hits
-        .iter()
-        .map(|h| (snapshot.seq_of(h.id).unwrap(), h.distance))
-        .collect();
-
-    let compaction = std::thread::scope(|scope| {
-        scope
-            .spawn(|| snapshot.compacted(ShardId(0)).unwrap())
-            .join()
-            .unwrap()
-    });
-    handle.install(compaction).unwrap();
-    let after = handle.snapshot();
-    assert_eq!(after.shard(ShardId(0)).unwrap().tombstone_count(), 0);
-    assert_eq!(after.live_len(), db.len() - 2);
-    let hits: Vec<(u64, f64)> = after
-        .search(&q, &SearchRequest::new(6))
-        .unwrap()
-        .hits
-        .iter()
-        .map(|h| (after.seq_of(h.id).unwrap(), h.distance))
-        .collect();
-    assert_eq!(hits, before, "compaction must not change answers");
 }
 
 // ------------------------------------------------ snapshot isolation

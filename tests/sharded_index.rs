@@ -2,8 +2,8 @@
 //! [`ShardedIndex`] must answer **bit-identically** to a single
 //! [`GraphIndex`] over the same database — hits, order, distances —
 //! for every ranker, shard count ∈ {1, 2, 8}, and thread
-//! budget ∈ {1, 2, 8}, including after online insert/remove, after
-//! per-shard (compaction) rebuilds, and after a full re-mine rebuild.
+//! budget ∈ {1, 2, 8}, including after online insert/remove and after
+//! a full re-mine rebuild.
 //! Sharded hits are translated through each row's sequence number,
 //! which by construction equals the row id of the unsharded index
 //! grown by the same operations. Also pins the manifest save → load →
@@ -109,8 +109,7 @@ proptest! {
     /// same work. A weighted scan abandons rows against its own leg's
     /// k-th bound, so only its total of rows looked at is shared; a
     /// binary scan evaluates every live row in full, so each of its
-    /// counters is. After a compaction the answer reports the newest
-    /// shard's epoch.
+    /// counters is. After a rebuild the answer reports the next epoch.
     #[test]
     fn fresh_build_matches_unsharded_for_all_shard_and_thread_counts(seed in 0u64..500) {
         let db = chem(14, seed);
@@ -154,38 +153,31 @@ proptest! {
                     prop_assert_eq!(work(&single.stats), work(&resp.stats));
                 }
             }
-            // Compact the last shard, then the first: the answer's
-            // epoch is the newest shard's, never the first partition's
-            // or a sum.
-            for s in [shards - 1, 0] {
-                let rebuild = sharded.compacted(ShardId(s as u32)).unwrap();
-                sharded.install(rebuild).unwrap();
-                let resp = sharded.search(&queries[0], &SearchRequest::new(5)).unwrap();
-                let newest = (0..shards)
-                    .map(|s| sharded.shard(ShardId(s as u32)).unwrap().epoch())
-                    .max();
-                prop_assert_eq!(Some(resp.stats.epoch), newest, "shards {}", shards);
+            // Every shard of a rebuild is at the next epoch, and the
+            // answer reports it once, not summed over the partitions.
+            sharded.rebuild();
+            let resp = sharded.search(&queries[0], &SearchRequest::new(5)).unwrap();
+            prop_assert_eq!(resp.stats.epoch, 1, "shards {}", shards);
+            for s in 0..shards {
+                prop_assert_eq!(sharded.shard(ShardId(s as u32)).unwrap().epoch(), 1);
             }
         }
     }
 
     /// Online churn: the same inserts and removes applied to both
-    /// sides stay bit-identical — before any rebuild, after per-shard
-    /// compaction rebuilds (which must not change answers at all), and
-    /// after a full re-mine rebuild, whose unsharded reference is a
-    /// fresh build over the live graphs.
+    /// sides stay bit-identical — before any rebuild, and after a full
+    /// re-mine rebuild, whose unsharded reference is a fresh build over
+    /// the live graphs.
     #[test]
     fn churned_index_matches_unsharded_through_rebuilds(seed in 0u64..500) {
         let base = chem(12, seed);
         let extra = chem(5, seed.wrapping_mul(31) ^ 0xBEEF);
         let queries = chem(2, !seed);
-        let policy = RebuildPolicy { max_inserts: 3, max_tombstone_frac: 0.2 };
-        let build_opts = opts().with_rebuild_policy(policy);
         for shards in SHARD_COUNTS {
-            let mut flat = GraphIndex::build(base.clone(), build_opts.clone());
+            let mut flat = GraphIndex::build(base.clone(), opts());
             let mut sharded = ShardedIndex::build(
                 base.clone(),
-                ShardedOptions::new(shards).with_index(build_opts.clone()),
+                ShardedOptions::new(shards).with_index(opts()),
             );
             // Inserts: routed to the least-loaded shard, but the row's
             // sequence number always equals the unsharded id.
@@ -211,26 +203,6 @@ proptest! {
                     );
                 }
             }
-            // Per-shard compaction: only dirty shards rebuild, against
-            // the retained global selection — answers must not move
-            // (the unsharded side does nothing).
-            let stale = sharded.stale_shards();
-            prop_assert!(!stale.is_empty(), "policy must trip");
-            for s in stale {
-                let compaction = sharded.compacted(s).unwrap();
-                sharded.install(compaction).unwrap();
-            }
-            prop_assert!(sharded.stale_shards().is_empty());
-            prop_assert!(sharded.epoch() >= 1, "compaction advances the shard epoch");
-            for q in &queries {
-                for req in requests() {
-                    prop_assert_eq!(
-                        sharded_hits(&sharded, q, &req),
-                        flat_hits(&flat, q, &req),
-                        "post-compaction, shards {}, {:?}", shards, req
-                    );
-                }
-            }
             // Full rebuild: re-mine over the live graphs (same sequence
             // order), bit-identical to building them afresh.
             sharded.rebuild();
@@ -240,9 +212,10 @@ proptest! {
                 .filter(|&(i, _)| !flat.tombstones().is_dead(i))
                 .map(|(_, g)| g.clone())
                 .collect();
-            let flat = GraphIndex::build(live, build_opts.clone());
+            let flat = GraphIndex::build(live, opts());
             prop_assert_eq!(sharded.len(), flat.len());
             prop_assert_eq!(sharded.live_len(), sharded.len());
+            prop_assert_eq!(sharded.epoch(), 1);
             for q in queries.iter().chain(extra.iter().take(1)) {
                 for req in requests() {
                     prop_assert_eq!(
@@ -335,125 +308,22 @@ fn composed_ids_route_and_bad_ids_are_typed_errors() {
         idx.shard(ShardId(9)),
         Err(GdimError::ShardOutOfRange { id: 9, shards: 4 })
     ));
-    assert!(matches!(
-        idx.compacted(ShardId(9)),
-        Err(GdimError::ShardOutOfRange { .. })
-    ));
 }
 
 #[test]
-fn shard_rebuild_snapshot_goes_stale_on_later_mutation() {
-    let db = chem(10, 99);
-    let mut idx = ShardedIndex::build(db, ShardedOptions::new(2).with_index(opts()));
-    let gid = idx.id_for_seq(0).unwrap();
-    idx.remove(gid).unwrap();
-    let (owner, _) = idx.split_id(gid);
-
-    // A mutation in the same shard after the snapshot: refused.
-    let compaction = idx.compacted(owner).unwrap();
-    idx.remove(idx.id_for_seq(1).unwrap()).unwrap(); // seq 1 lives in shard 0 too
-    match idx.install(compaction) {
-        Err(GdimError::StaleRebuild { .. }) => {}
-        other => panic!("expected StaleRebuild, got {other:?}"),
-    }
-
-    // A quiet shard installs: tombstones compact away, answers stay.
-    let q = idx
-        .shard_graphs(ShardId(1))
-        .unwrap()
-        .next()
-        .unwrap()
-        .clone();
-    let before = sharded_hits(&idx, &q, &SearchRequest::new(5));
-    let compaction = idx.compacted(owner).unwrap();
-    idx.install(compaction).unwrap();
-    assert_eq!(idx.shard(owner).unwrap().tombstone_count(), 0);
-    assert_eq!(sharded_hits(&idx, &q, &SearchRequest::new(5)), before);
-
-    // Full-rebuild snapshots are invalidated by any later event too,
-    // and a refused install changes nothing.
-    let epoch = idx.epoch();
-    let rebuilt = idx.rebuilt();
-    idx.insert(chem(1, 5)[0].clone());
-    match idx.install(rebuilt) {
-        Err(GdimError::StaleRebuild { missed: 1 }) => {}
-        other => panic!("expected StaleRebuild, got {other:?}"),
-    }
-    assert_eq!(idx.epoch(), epoch, "nothing installed");
-    // A quiet index installs the snapshot: the next epoch answers, with
-    // every pending insert folded in.
-    let rebuilt = idx.rebuilt();
-    idx.install(rebuilt).unwrap();
-    assert_eq!(idx.epoch(), epoch + 1);
-    assert!(idx.stale_shards().is_empty());
-    let resp = idx.search(&q, &SearchRequest::new(3)).unwrap();
-    assert_eq!(resp.hits[0].distance, 0.0);
-    assert_eq!(resp.stats.epoch, epoch + 1);
-}
-
-#[test]
-fn a_compaction_goes_stale_only_on_its_own_shard() {
-    // The basis of a compaction is its own shard's last event: a write
-    // to another shard after the snapshot is not missed by it, so the
-    // install goes through and the answer shows both.
-    let db = chem(10, 99);
-    let mut idx = ShardedIndex::build(db, ShardedOptions::new(2).with_index(opts()));
-    let (s0, s1) = (ShardId(0), ShardId(1));
-    let dead = idx.id_for_seq(0).unwrap(); // seqs 0..5 live in shard 0
-    idx.remove(dead).unwrap();
-    let compaction = idx.compacted(s0).unwrap();
-    // Inserts route to the shard with the fewest live rows (4 in
-    // shard 0 now): take two from shard 1 so the write lands there.
-    for seq in [5, 6] {
-        idx.remove(idx.id_for_seq(seq).unwrap()).unwrap();
-    }
-    let extra = chem(1, 1234).remove(0);
-    let id = idx.insert(extra.clone());
-    assert_eq!(
-        idx.split_id(id).0,
-        s1,
-        "the write landed in the other shard"
-    );
-
-    let epoch0 = idx.shard(s0).unwrap().epoch();
-    idx.install(compaction).unwrap();
-    assert_eq!(idx.shard(s0).unwrap().tombstone_count(), 0);
-    assert_eq!(idx.shard(s0).unwrap().epoch(), epoch0 + 1);
-    let resp = idx.search(&extra, &SearchRequest::new(10)).unwrap();
-    assert_eq!(resp.hits[0].distance, 0.0, "the write is served");
-    assert_eq!(idx.split_id(resp.hits[0].id).0, s1);
-    assert!(
-        resp.hits.iter().all(|h| idx.seq_of(h.id).unwrap() != 0),
-        "the compacted-away row is gone"
-    );
-    assert_eq!(idx.live_len(), 8);
-}
-
-#[test]
-fn set_exec_survives_a_background_install() {
-    // The exec budget is a knob of the serving machine, not snapshot
-    // state: changing it while a rebuild or a compaction is computed
-    // must not be reverted by installing it (nor does it count as a
-    // mutation, so the install is not refused). Shard 0 matters twice:
-    // batches are mapped on its budget.
+fn set_exec_survives_a_rebuild() {
+    // The exec budget is a knob of the serving machine, not of the
+    // data: a rebuild keeps the budget set before it, on the index and
+    // on every shard.
     let mut idx = ShardedIndex::build(chem(8, 39), ShardedOptions::new(2).with_index(opts()));
-    let rebuilt = idx.rebuilt();
     idx.set_exec(ExecConfig::new(5));
-    idx.install(rebuilt).unwrap();
+    idx.remove(idx.id_for_seq(0).unwrap()).unwrap();
+    idx.rebuild();
     assert_eq!(idx.epoch(), 1);
+    assert_eq!(idx.live_len(), 7);
     assert_eq!(idx.exec().threads, 5);
     for s in [ShardId(0), ShardId(1)] {
         assert_eq!(idx.shard(s).unwrap().exec().threads, 5);
-    }
-
-    idx.remove(idx.id_for_seq(0).unwrap()).unwrap();
-    let compaction = idx.compacted(ShardId(0)).unwrap();
-    idx.set_exec(ExecConfig::new(3));
-    idx.install(compaction).unwrap();
-    assert_eq!(idx.shard(ShardId(0)).unwrap().tombstone_count(), 0);
-    assert_eq!(idx.exec().threads, 3);
-    for s in [ShardId(0), ShardId(1)] {
-        assert_eq!(idx.shard(s).unwrap().exec().threads, 3);
     }
 }
 
